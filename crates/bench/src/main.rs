@@ -92,7 +92,7 @@ fn main() -> ExitCode {
     );
     println!("calibration: {:.1} MB/s", report.calibration_mbps);
     println!(
-        "single-thread ingest vs. reference chunker: {:.2}x",
+        "single-thread ingest vs. reference chunker + portable sha1: {:.2}x",
         report.ingest_speedup_vs_reference
     );
     println!(

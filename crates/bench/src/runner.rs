@@ -19,6 +19,7 @@ use sigma_chunking::{reference, ChunkerParams};
 use sigma_core::{
     BackupClient, DedupCluster, DedupNode, IngestPipeline, SigmaConfig, StreamPayload, SuperChunk,
 };
+use sigma_hashkit::reference::ReferenceSha1;
 use sigma_hashkit::FingerprintAlgorithm;
 use sigma_metrics::Stopwatch;
 use sigma_simulation::runner::{run_cluster, SimulationConfig};
@@ -135,7 +136,7 @@ impl Sizes {
 /// Runs the selected suites and assembles the trajectory report.
 pub fn run(opts: &RunnerOptions) -> BenchReport {
     let calibration_mbps = calibrate();
-    eprintln!("calibration: {calibration_mbps:.1} MB/s (sha1 over a fixed buffer)");
+    eprintln!("calibration: {calibration_mbps:.1} MB/s (portable sha1 over a fixed buffer)");
     let mut metrics = Vec::new();
     let mut speedup = 0.0;
     if !opts.quick {
@@ -157,11 +158,16 @@ pub fn run(opts: &RunnerOptions) -> BenchReport {
 /// Fixed CPU workload (SHA-1 over 8 MiB) whose MB/s captures how fast the
 /// measuring machine is; comparisons divide metrics by it so a slower CI
 /// runner does not read as a code regression.
+///
+/// It hashes with [`ReferenceSha1`], the portable kernel, never the SHA-NI
+/// one: a hardware-hashed calibration would read ~2.3x faster on SHA-NI
+/// machines while restore, rebalance and replay metrics stay put, and the
+/// normalized comparison would report them all as regressions.
 pub fn calibrate() -> f64 {
     let data = random_bytes(8 << 20, 0xCA_11B);
     best_of(3, || {
         let sw = Stopwatch::start();
-        let fp = FingerprintAlgorithm::Sha1.fingerprint(&data);
+        let fp = ReferenceSha1::fingerprint_bytes(&data);
         let tp = sw.stop(data.len() as u64);
         std::hint::black_box(fp);
         tp.mb_per_sec()
@@ -169,7 +175,8 @@ pub fn calibrate() -> f64 {
 }
 
 /// Runs every suite at `sizes`, appending metrics, and returns the
-/// single-thread optimized/reference ingest speedup measured within the pass.
+/// single-thread ingest speedup measured within the pass: hardware vs portable
+/// SHA-1 plus strided vs reference chunker.
 fn suite(sizes: &Sizes, metrics: &mut Vec<Metric>) -> f64 {
     let speedup = ingest_suite(sizes, metrics);
     trace_suite(sizes, metrics);
@@ -218,9 +225,9 @@ fn payload_streams(sizes: &Sizes) -> Vec<StreamPayload> {
 /// One full ingest of `streams` into a fresh 4-node cluster; pre-dedup MB/s.
 ///
 /// With `reference_hot_loops` the identical pipeline runs on the scalar
-/// reference chunker scan and the un-unrolled reference SHA-1 — the measured
-/// "before" of the hot-loop speed pass, recorded in the same process as the
-/// optimized number.
+/// reference chunker scan and the portable SHA-1 kernel — the measured
+/// "before" of the strided scan and the hardware SHA-1 kernel, recorded in the
+/// same process as the optimized number.
 fn ingest_once(threads: usize, streams: &[StreamPayload], reference_hot_loops: bool) -> f64 {
     let cluster = Arc::new(DedupCluster::with_similarity_router(
         4,
@@ -231,9 +238,11 @@ fn ingest_once(threads: usize, streams: &[StreamPayload], reference_hot_loops: b
     let sw = Stopwatch::start();
     if reference_hot_loops {
         let chunker = reference::build(&ingest_chunker_params());
-        pipeline.backup_streams_with(streams.to_vec(), chunker.as_ref(), &|data| {
-            sigma_hashkit::reference::ReferenceSha1::fingerprint_bytes(data)
-        })
+        pipeline.backup_streams_with(
+            streams.to_vec(),
+            chunker.as_ref(),
+            &ReferenceSha1::fingerprint_bytes,
+        )
     } else {
         pipeline.backup_streams(streams.to_vec())
     }
@@ -242,8 +251,8 @@ fn ingest_once(threads: usize, streams: &[StreamPayload], reference_hot_loops: b
     sw.stop(total).mb_per_sec()
 }
 
-/// Payload ingest sweep plus the in-run reference-chunker baseline; returns
-/// the single-thread optimized/reference speedup.
+/// Payload ingest sweep plus the in-run reference baseline (reference chunker,
+/// portable SHA-1); returns the single-thread optimized/reference speedup.
 fn ingest_suite(sizes: &Sizes, metrics: &mut Vec<Metric>) -> f64 {
     let streams = payload_streams(sizes);
     let total: u64 = streams.iter().map(|s| s.data.len() as u64).sum();

@@ -98,8 +98,9 @@ pub struct BenchReport {
     /// MB/s of the fixed CPU calibration workload on the measuring machine;
     /// comparisons divide by this so a slower CI runner is not a "regression".
     pub calibration_mbps: f64,
-    /// Optimized-vs-reference single-thread ingest speedup measured in this
-    /// same run (same process, same cluster configuration, chunker swapped).
+    /// Single-thread ingest speedup of hardware vs portable SHA-1 plus
+    /// strided vs reference chunker, measured in this same run (same process,
+    /// same cluster configuration, chunker and SHA-1 kernel swapped).
     pub ingest_speedup_vs_reference: f64,
     /// Every measured metric, in run order.
     pub metrics: Vec<Metric>,

@@ -12,6 +12,7 @@ use crate::{
     ChunkDescriptor, DedupCluster, FileId, RecipeEntry, Result, SuperChunk, SuperChunkBuilder,
 };
 use serde::{Deserialize, Serialize};
+use sigma_storage::StorageError;
 use std::io::Read;
 use std::sync::Arc;
 
@@ -135,32 +136,16 @@ impl BackupClient {
 
     /// Backs up an in-memory byte buffer as one file.
     ///
-    /// # Errors
-    ///
-    /// Propagates routing/storage errors from the cluster.
-    pub fn backup_bytes(&self, name: &str, data: &[u8]) -> Result<FileBackupReport> {
-        self.backup_reader(name, data)
-    }
-
-    /// Backs up anything readable as one file.
-    ///
-    /// The reader is consumed through the configured chunker; chunks are
+    /// The buffer is split by the configured chunker; chunks are
     /// fingerprinted, grouped into super-chunks and routed.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors as storage errors and routing errors from the cluster.
-    pub fn backup_reader<R: Read>(&self, name: &str, mut reader: R) -> Result<FileBackupReport> {
+    /// Propagates routing/storage errors from the cluster.
+    pub fn backup_bytes(&self, name: &str, data: &[u8]) -> Result<FileBackupReport> {
         let config = self.cluster.config().clone();
         let chunker = config.chunker.build();
         let algorithm = config.fingerprint_algorithm;
-
-        // Read the stream fully, then chunk it.  (The paper's prototype similarly
-        // stages data in a RAM file system before deduplication.)
-        let mut data = Vec::new();
-        reader
-            .read_to_end(&mut data)
-            .map_err(|e| crate::SigmaError::InvalidConfig(format!("read failed: {}", e)))?;
 
         let file_marker = self.cluster.director().file_count() as u64;
         let mut builder = SuperChunkBuilder::new(config.super_chunk_size);
@@ -175,7 +160,7 @@ impl BackupClient {
         };
 
         let mut pending: Vec<SuperChunk> = Vec::new();
-        for chunk in chunker.split(&data) {
+        for chunk in chunker.split(data) {
             report.chunks += 1;
             let descriptor =
                 ChunkDescriptor::new(algorithm.fingerprint(chunk.data()), chunk.len() as u32);
@@ -210,6 +195,27 @@ impl BackupClient {
                 .director()
                 .register_file(self.session_id, name, data.len() as u64, recipe);
         Ok(report)
+    }
+
+    /// Backs up anything readable as one file.
+    ///
+    /// The reader is read to its end, then backed up as by
+    /// [`backup_bytes`](Self::backup_bytes).  (The paper's prototype similarly
+    /// stages data in a RAM file system before deduplication.)
+    ///
+    /// # Errors
+    ///
+    /// A failed read is [`SigmaError::Storage`](crate::SigmaError::Storage)
+    /// with [`StorageError::Io`] and registers no file; routing/storage errors
+    /// from the cluster propagate as from `backup_bytes`.
+    pub fn backup_reader<R: Read>(&self, name: &str, mut reader: R) -> Result<FileBackupReport> {
+        let mut data = Vec::new();
+        reader.read_to_end(&mut data).map_err(|e| {
+            crate::SigmaError::Storage(StorageError::Io(format!(
+                "reading backup stream `{name}`: {e}"
+            )))
+        })?;
+        self.backup_bytes(name, &data)
     }
 
     /// Restores a previously backed-up file through the cluster.
@@ -302,6 +308,44 @@ mod tests {
         assert_eq!(rb.transferred_bytes, 0, "client B's data is already stored");
         assert_ne!(a.session_id(), b.session_id());
         assert_eq!(cluster.director().session_count(), 2);
+    }
+
+    /// Serves `good` bytes, then fails every read.
+    struct FailsMidStream {
+        good: usize,
+    }
+
+    impl Read for FailsMidStream {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.good == 0 {
+                return Err(std::io::Error::other("device unplugged"));
+            }
+            let n = buf.len().min(self.good).min(1000);
+            buf[..n].fill(0x5A);
+            self.good -= n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_error_mid_stream_is_a_storage_io_error() {
+        let cluster = small_cluster();
+        let client = BackupClient::new(cluster.clone(), 0);
+        let err = client
+            .backup_reader("torn", FailsMidStream { good: 10_000 })
+            .unwrap_err();
+        assert!(
+            matches!(&err, SigmaError::Storage(StorageError::Io(msg))
+                if msg.contains("device unplugged") && msg.contains("torn")),
+            "{err:?}"
+        );
+        assert_eq!(cluster.director().file_count(), 0, "no file registered");
+
+        let data = pseudo_random(50_000, 4);
+        let report = client.backup_reader("whole", &data[..]).unwrap();
+        assert_eq!(report.logical_bytes, data.len() as u64);
+        cluster.flush();
+        assert_eq!(client.restore(report.file_id).unwrap(), data);
     }
 
     #[test]

@@ -208,7 +208,7 @@ impl IngestPipeline {
     /// Runs the pipeline with an explicit chunker *and* fingerprint function.
     ///
     /// The most general entry point: benchmarks swap in the reference hot-loop
-    /// implementations (scalar chunker scan, un-unrolled SHA-1) while keeping
+    /// implementations (scalar chunker scan, portable SHA-1 kernel) while keeping
     /// every other stage identical.  The fingerprint function must be a drop-in
     /// for the configured algorithm — same digests in, same dedup decisions
     /// out — or restored data will not match what deduplication stored.

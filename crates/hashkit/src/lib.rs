@@ -7,9 +7,20 @@
 //! provides self-contained implementations of all of those primitives so that the
 //! rest of the workspace has no dependency on external cryptography crates:
 //!
-//! * [`Sha1`] — the 160-bit SHA-1 hash used for chunk fingerprinting.
-//! * [`Md5`] — the 128-bit MD5 hash, kept as the faster (but weaker) alternative
-//!   evaluated in Figure 4(a) of the paper.
+//! * [`Sha1`] — the 160-bit SHA-1 hash used for chunk fingerprinting. It runs on
+//!   the x86_64 SHA-NI instructions when the CPU has them (detected at runtime)
+//!   and on a portable unrolled kernel otherwise, with identical digests;
+//!   [`reference::ReferenceSha1`] always takes the portable kernel.
+//! * [`Md5`] — the 128-bit MD5 hash, the weaker alternative evaluated in
+//!   Figure 4(a) of the paper.
+//!
+//! The paper measured MD5 at about twice SHA-1's throughput. Which is faster
+//! now depends on the hardware: on one core of a 2-vCPU Intel Xeon with
+//! SHA-NI, hashing 4 KiB chunks, SHA-1 runs at ~1.65 GB/s on SHA-NI and
+//! ~0.72 GB/s on the portable kernel, MD5 at ~0.43 GB/s.
+//!
+//! Other primitives:
+//!
 //! * [`RabinHasher`] — a polynomial rolling hash over a sliding window, used by the
 //!   content-defined chunkers.
 //! * [`GearHasher`] — a table-driven "gear" rolling hash, a cheaper CDC alternative.
@@ -29,8 +40,11 @@
 //! assert_eq!(fp.to_string().len(), 2 * Fingerprint::LEN);
 //! ```
 
-#![forbid(unsafe_code)]
+// One `unsafe` block in the crate: the call into the SHA-NI kernel after
+// runtime feature detection (see `sha1::compress_blocks`).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod fingerprint;
 mod fnv;
@@ -107,7 +121,9 @@ pub enum FingerprintAlgorithm {
     /// 160-bit SHA-1 (the paper's default).
     #[default]
     Sha1,
-    /// 128-bit MD5 (roughly 2x faster, higher collision probability).
+    /// 128-bit MD5 (higher collision probability). The paper found it about
+    /// 2x faster than SHA-1; whether it is faster depends on the hardware
+    /// (see the crate docs: on a SHA-NI CPU, SHA-1 is ~4x faster).
     Md5,
 }
 

@@ -1,18 +1,17 @@
-//! Straightforward reference implementations of the optimized hot loops.
+//! The portable reference path of the hardware-dispatched hashes.
 //!
-//! [`ReferenceSha1`] is the textbook SHA-1 compression function: an expanded
-//! 80-word message schedule and a single round loop that selects its boolean
-//! function and constant by matching on the round index.  The optimized
-//! [`Sha1`](crate::Sha1) must produce bit-identical digests; the equivalence
-//! proptests in this module (and the FIPS vectors) pin that down.  Benchmarks
-//! also use it as the measured-in-the-same-run "before" when reporting the
-//! speedup of the unrolled implementation.
+//! [`ReferenceSha1`] runs the same buffering and padding code as
+//! [`Sha1`](crate::Sha1) but always compresses on the portable unrolled
+//! scalar kernel, never on the SHA-NI one. Where the CPU has SHA-NI, the
+//! equivalence tests in this module therefore pin the hardware kernel to the
+//! portable one bit for bit. Benchmarks also use it as the in-run "before" of
+//! the hardware kernel, and as a fixed CPU workload that measures the machine
+//! rather than the build.
 
+use crate::sha1::{compress_blocks_portable, Sha1Core};
 use crate::{Digest, Fingerprint};
 
-const BLOCK_LEN: usize = 64;
-
-/// Reference (un-optimized) streaming SHA-1 hasher.
+/// Streaming SHA-1 hasher that never uses hardware SHA instructions.
 ///
 /// # Example
 ///
@@ -20,74 +19,14 @@ const BLOCK_LEN: usize = 64;
 /// use sigma_hashkit::{reference::ReferenceSha1, Digest, Sha1};
 /// assert_eq!(ReferenceSha1::digest(b"abc"), Sha1::digest(b"abc"));
 /// ```
-#[derive(Debug, Clone)]
-pub struct ReferenceSha1 {
-    state: [u32; 5],
-    buffer: [u8; BLOCK_LEN],
-    buffer_len: usize,
-    total_len: u64,
-}
-
-impl Default for ReferenceSha1 {
-    fn default() -> Self {
-        ReferenceSha1 {
-            state: [
-                0x6745_2301,
-                0xEFCD_AB89,
-                0x98BA_DCFE,
-                0x1032_5476,
-                0xC3D2_E1F0,
-            ],
-            buffer: [0u8; BLOCK_LEN],
-            buffer_len: 0,
-            total_len: 0,
-        }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct ReferenceSha1(Sha1Core);
 
 impl ReferenceSha1 {
     /// One-shot fingerprint helper mirroring
     /// [`FingerprintAlgorithm::fingerprint`](crate::FingerprintAlgorithm::fingerprint).
     pub fn fingerprint_bytes(data: &[u8]) -> Fingerprint {
-        <Self as Digest>::fingerprint(data)
-    }
-
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 80];
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().unwrap());
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999u32),
-                20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
-                _ => (b ^ c ^ d, 0xCA62_C1D6),
-            };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        Fingerprint::new(Sha1Core::digest(data, compress_blocks_portable))
     }
 }
 
@@ -95,57 +34,12 @@ impl Digest for ReferenceSha1 {
     const OUTPUT_LEN: usize = 20;
     const NAME: &'static str = "sha1-reference";
 
-    fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-
-        if self.buffer_len > 0 {
-            let need = BLOCK_LEN - self.buffer_len;
-            let take = need.min(data.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
-            self.buffer_len += take;
-            data = &data[take..];
-            if self.buffer_len == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
-
-        while data.len() >= BLOCK_LEN {
-            let block: [u8; BLOCK_LEN] = data[..BLOCK_LEN].try_into().unwrap();
-            self.compress(&block);
-            data = &data[BLOCK_LEN..];
-        }
-
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+    fn update(&mut self, data: &[u8]) {
+        self.0.update(data, compress_blocks_portable);
     }
 
-    fn finalize(mut self) -> Vec<u8> {
-        let bit_len = self.total_len.wrapping_mul(8);
-
-        let mut padding = Vec::with_capacity(2 * BLOCK_LEN);
-        padding.push(0x80u8);
-        let pad_to = {
-            let rem = (self.buffer_len + 1) % BLOCK_LEN;
-            if rem <= 56 {
-                56 - rem
-            } else {
-                BLOCK_LEN + 56 - rem
-            }
-        };
-        padding.extend(std::iter::repeat(0u8).take(pad_to));
-        padding.extend_from_slice(&bit_len.to_be_bytes());
-        self.update(&padding);
-        debug_assert_eq!(self.buffer_len, 0);
-
-        let mut out = Vec::with_capacity(Self::OUTPUT_LEN);
-        for word in self.state {
-            out.extend_from_slice(&word.to_be_bytes());
-        }
-        out
+    fn finalize(self) -> Vec<u8> {
+        self.0.finalize(compress_blocks_portable).to_vec()
     }
 }
 
@@ -155,39 +49,58 @@ mod tests {
     use crate::Sha1;
     use proptest::prelude::*;
 
+    /// Every length up to 65 blocks, so each tail length (0..=63 bytes, on
+    /// both sides of the one-or-two padding block cut at 56) is hit with
+    /// every number of whole blocks before it.
+    const MAX_LEN: usize = 65 * 64;
+
     #[test]
-    fn fips_vectors() {
-        let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{:02x}", b)).collect() };
-        assert_eq!(
-            hex(&ReferenceSha1::digest(b"abc")),
-            "a9993e364706816aba3e25717850c26c9cd0d89d"
-        );
-        assert_eq!(
-            hex(&ReferenceSha1::digest(b"")),
-            "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-        );
+    fn every_length_matches_reference() {
+        let data: Vec<u8> = (0..MAX_LEN as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        for len in 0..=MAX_LEN {
+            let data = &data[..len];
+            assert_eq!(
+                Sha1::digest(data),
+                ReferenceSha1::digest(data),
+                "length {len}"
+            );
+            assert_eq!(
+                Sha1::fingerprint(data),
+                ReferenceSha1::fingerprint_bytes(data),
+                "length {len}"
+            );
+        }
     }
 
     proptest! {
         #[test]
         fn optimized_sha1_matches_reference(
-            data in proptest::collection::vec(any::<u8>(), 0..4096),
+            data in proptest::collection::vec(any::<u8>(), 0..MAX_LEN + 1),
         ) {
             prop_assert_eq!(Sha1::digest(&data), ReferenceSha1::digest(&data));
+            prop_assert_eq!(Sha1::fingerprint(&data), ReferenceSha1::fingerprint_bytes(&data));
         }
 
         #[test]
         fn optimized_sha1_matches_reference_streaming(
-            data in proptest::collection::vec(any::<u8>(), 0..2048),
-            split in 0usize..2048,
+            data in proptest::collection::vec(any::<u8>(), 0..MAX_LEN + 1),
+            pieces in proptest::collection::vec(0usize..200, 1..48),
         ) {
-            let split = split.min(data.len());
+            // Pieces of up to three blocks and a bit: one piece can top up a
+            // buffered partial block, run whole blocks straight from the
+            // input and leave a new partial block behind. The last update
+            // takes whatever the pieces did not.
             let mut opt = Sha1::new();
             let mut reference = ReferenceSha1::new();
-            opt.update(&data[..split]);
-            opt.update(&data[split..]);
-            reference.update(&data[..split]);
-            reference.update(&data[split..]);
+            let mut rest = &data[..];
+            for len in pieces.into_iter().chain([usize::MAX]) {
+                let (piece, tail) = rest.split_at(len.min(rest.len()));
+                opt.update(piece);
+                reference.update(piece);
+                rest = tail;
+            }
             prop_assert_eq!(opt.finalize(), reference.finalize());
         }
     }
