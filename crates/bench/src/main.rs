@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Measures ingest (payload pipeline + linux-like trace), rebalance,
-//! recovery replay, and GC reclaim throughput, writes the results as a
+//! recovery, and GC reclaim throughput, writes the results as a
 //! schema-versioned JSON report, and — when `--compare` names a committed
 //! baseline — fails (exit 1) if any headline metric regressed more than the
 //! tolerance after calibration normalization.

@@ -1,5 +1,5 @@
 //! The `sigma-bench` measurement suites: one in-process pass over the
-//! headline workloads (ingest, restore, rebalance, recovery replay, GC
+//! headline workloads (ingest, restore, rebalance, recovery, GC
 //! reclaim) that produces a [`BenchReport`] for the persisted performance
 //! trajectory.
 //!
@@ -24,7 +24,7 @@ use sigma_hashkit::FingerprintAlgorithm;
 use sigma_metrics::Stopwatch;
 use sigma_simulation::runner::{run_cluster, SimulationConfig};
 use sigma_simulation::tenant_storm::{run_tenant_storm, TenantStormConfig};
-use sigma_storage::Journal;
+use sigma_storage::{Journal, MemoryBackend};
 use sigma_workloads::payload::{
     generational_payloads, random_bytes, versioned_payloads, GenerationalPayloadParams,
     VersionedPayloadParams,
@@ -63,8 +63,8 @@ struct Sizes {
     /// Rebalance: streams and bytes per stream pre-loaded before the join.
     rebalance_streams: u64,
     rebalance_stream_bytes: usize,
-    /// Recovery: logical payload bytes journaled before the replay.
-    replay_payload_bytes: usize,
+    /// Recovery: logical payload bytes ingested before the recovery.
+    recover_payload_bytes: usize,
     /// GC: streams, generations, generations expired, initial bytes/stream.
     gc_streams: u64,
     gc_generations: usize,
@@ -93,7 +93,7 @@ impl Sizes {
             restore_stream_bytes: 1 << 20,
             rebalance_streams: 4,
             rebalance_stream_bytes: 1 << 20,
-            replay_payload_bytes: 8 << 20,
+            recover_payload_bytes: 8 << 20,
             gc_streams: 4,
             gc_generations: 4,
             gc_expire: 2,
@@ -118,7 +118,7 @@ impl Sizes {
             restore_stream_bytes: 256 << 10,
             rebalance_streams: 2,
             rebalance_stream_bytes: 256 << 10,
-            replay_payload_bytes: 2 << 20,
+            recover_payload_bytes: 2 << 20,
             gc_streams: 2,
             gc_generations: 4,
             gc_expire: 2,
@@ -161,7 +161,7 @@ pub fn run(opts: &RunnerOptions) -> BenchReport {
 ///
 /// It hashes with [`ReferenceSha1`], the portable kernel, never the SHA-NI
 /// one: a hardware-hashed calibration would read ~2.3x faster on SHA-NI
-/// machines while restore, rebalance and replay metrics stay put, and the
+/// machines while restore, rebalance and recovery metrics stay put, and the
 /// normalized comparison would report them all as regressions.
 pub fn calibrate() -> f64 {
     let data = random_bytes(8 << 20, 0xCA_11B);
@@ -182,7 +182,7 @@ fn suite(sizes: &Sizes, metrics: &mut Vec<Metric>) -> f64 {
     trace_suite(sizes, metrics);
     restore_suite(sizes, metrics);
     rebalance_suite(sizes, metrics);
-    replay_suite(sizes, metrics);
+    recover_suite(sizes, metrics);
     file_suite(sizes, metrics);
     gc_suite(sizes, metrics);
     tenant_suite(sizes, metrics);
@@ -517,7 +517,7 @@ fn rebalance_suite(sizes: &Sizes, metrics: &mut Vec<Metric>) {
     }
 }
 
-fn replay_config() -> SigmaConfig {
+fn recover_config() -> SigmaConfig {
     SigmaConfig::builder()
         .super_chunk_size(64 * 1024)
         .container_capacity(256 * 1024)
@@ -526,9 +526,10 @@ fn replay_config() -> SigmaConfig {
         .expect("valid bench config")
 }
 
-/// Journals `bytes` of payload on a durable node and returns the image a
-/// crash would leave behind, optionally compacted first.
-fn journal_image(config: &SigmaConfig, bytes: usize, compacted: bool) -> Vec<u8> {
+/// Ingests `bytes` of payload on a durable node and returns the medium a
+/// crash would leave behind — journal and container objects — optionally
+/// after compacting the journal.
+fn crash_image(config: &SigmaConfig, bytes: usize, compacted: bool) -> MemoryBackend {
     let node = DedupNode::new(0, config);
     let client_chunks: Vec<Vec<u8>> = random_bytes(bytes, 0x4EC0)
         .chunks(4096)
@@ -543,20 +544,25 @@ fn journal_image(config: &SigmaConfig, bytes: usize, compacted: bool) -> Vec<u8>
     if compacted {
         node.compact_journal().expect("no faults in bench");
     }
-    node.journal().expect("durable node has a journal").bytes()
+    let journal = node.journal().expect("durable node has a journal");
+    MemoryBackend::copy_of(journal.backend().as_ref()).expect("in-memory medium")
 }
 
-/// Raw vs. compacted journal replay; MB/s of journal bytes consumed.
-fn replay_suite(sizes: &Sizes, metrics: &mut Vec<Metric>) {
-    let config = replay_config();
-    for (name, compacted) in [("replay_raw", false), ("replay_compacted", true)] {
-        let image = journal_image(&config, sizes.replay_payload_bytes, compacted);
+/// Recovery from a raw vs. a compacted journal; MB/s of container bytes the
+/// recovered node serves again, a basis the journal's layout cannot move.
+fn recover_suite(sizes: &Sizes, metrics: &mut Vec<Metric>) {
+    let config = recover_config();
+    for (name, compacted) in [("recover_raw", false), ("recover_compacted", true)] {
+        let image = crash_image(&config, sizes.recover_payload_bytes, compacted);
+        let mut bytes = 0;
         let mbps = best_of(sizes.reps, || {
-            let journal = Arc::new(Journal::from_bytes(image.clone()));
+            let medium = MemoryBackend::copy_of(&image).expect("in-memory medium");
             let sw = Stopwatch::start();
+            let journal = Arc::new(Journal::open(Arc::new(medium)).expect("in-memory journal"));
             let (node, report) =
                 DedupNode::recover(0, &config, journal).expect("recovery cannot fail");
-            let tp = sw.stop(image.len() as u64);
+            bytes = node.storage_usage();
+            let tp = sw.stop(bytes);
             assert!(report.containers_recovered > 0);
             std::hint::black_box(node);
             tp.mb_per_sec()
@@ -565,8 +571,8 @@ fn replay_suite(sizes: &Sizes, metrics: &mut Vec<Metric>) {
         metrics.push(Metric {
             name: format!("{}{name}", sizes.prefix),
             mbps,
-            bytes: image.len() as u64,
-            byte_basis: ByteBasis::JournalBytes,
+            bytes,
+            byte_basis: ByteBasis::PhysicalRecovered,
             headline: true,
         });
     }
@@ -596,8 +602,8 @@ fn file_config(root: &std::path::Path) -> SigmaConfig {
 }
 
 /// Real-file backend: the payload ingest against actual `journal.wal` +
-/// container files (every flush an fsync), then a full process-restart replay
-/// — both nodes re-opened from nothing but their directories with
+/// container files (every flush an fsync), then a full process-restart
+/// recovery — both nodes re-opened from nothing but their directories with
 /// [`DedupNode::recover_from_dir`].  Non-headline: fsync latency on shared CI
 /// runners varies with the host's storage, which the CPU-bound calibration
 /// cannot normalize away; the figures are tracked, not gated.
@@ -605,7 +611,7 @@ fn file_suite(sizes: &Sizes, metrics: &mut Vec<Metric>) {
     let streams = payload_streams(sizes);
     let total: u64 = streams.iter().map(|s| s.data.len() as u64).sum();
     let mut ingest_best = 0.0f64;
-    let mut replay_best = (0.0f64, 0u64);
+    let mut recover_best = (0.0f64, 0u64);
     for _ in 0..sizes.reps {
         let root = file_scratch();
         let config = file_config(&root);
@@ -619,23 +625,17 @@ fn file_suite(sizes: &Sizes, metrics: &mut Vec<Metric>) {
             cluster.flush();
             ingest_best = ingest_best.max(sw.stop(total).mb_per_sec());
         } // every in-memory handle dropped; only the directories remain
-        let journal_bytes: u64 = (0..2)
-            .map(|id| {
-                let dir = config.node_storage_dir(id).expect("file backend has dirs");
-                std::fs::metadata(dir.join("journal.wal"))
-                    .map(|m| m.len())
-                    .unwrap_or(0)
-            })
-            .sum();
         let sw = Stopwatch::start();
+        let mut recovered = 0u64;
         for id in 0..2 {
             let (node, report) =
                 DedupNode::recover_from_dir(id, &config).expect("directory is recoverable");
+            recovered += node.storage_usage();
             std::hint::black_box((node, report));
         }
-        let tp = sw.stop(journal_bytes);
-        if tp.mb_per_sec() > replay_best.0 {
-            replay_best = (tp.mb_per_sec(), journal_bytes);
+        let tp = sw.stop(recovered);
+        if tp.mb_per_sec() > recover_best.0 {
+            recover_best = (tp.mb_per_sec(), recovered);
         }
         std::fs::remove_dir_all(&root).expect("scratch dir is removable");
     }
@@ -647,12 +647,12 @@ fn file_suite(sizes: &Sizes, metrics: &mut Vec<Metric>) {
         byte_basis: ByteBasis::LogicalPreDedup,
         headline: false,
     });
-    eprintln!("{}replay_file: {:.1} MB/s", sizes.prefix, replay_best.0);
+    eprintln!("{}recover_file: {:.1} MB/s", sizes.prefix, recover_best.0);
     metrics.push(Metric {
-        name: format!("{}replay_file", sizes.prefix),
-        mbps: replay_best.0,
-        bytes: replay_best.1,
-        byte_basis: ByteBasis::JournalBytes,
+        name: format!("{}recover_file", sizes.prefix),
+        mbps: recover_best.0,
+        bytes: recover_best.1,
+        byte_basis: ByteBasis::PhysicalRecovered,
         headline: false,
     });
 }
@@ -789,10 +789,10 @@ mod tests {
             "quick/restore_file_t1",
             "quick/rebalance_join",
             "quick/rebalance_leave",
-            "quick/replay_raw",
-            "quick/replay_compacted",
+            "quick/recover_raw",
+            "quick/recover_compacted",
             "quick/ingest_file_t1",
-            "quick/replay_file",
+            "quick/recover_file",
             "quick/gc_reclaim",
             "quick/tenant_storm",
         ] {

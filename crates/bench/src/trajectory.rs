@@ -16,8 +16,11 @@
 //!   offered, before deduplication.  The paper's ingest numbers (Figure 4) are
 //!   on this basis: a 20× dedup ratio makes post-dedup "throughput" 20× larger
 //!   and meaningless for sizing a backup window.
-//! * [`JournalBytes`](ByteBasis::JournalBytes) — bytes of write-ahead log
-//!   replayed by recovery; neither logical nor physical payload.
+//! * [`PhysicalRecovered`](ByteBasis::PhysicalRecovered) — post-dedup
+//!   container bytes a recovered node serves again.  Independent of the
+//!   journal's layout, unlike [`JournalBytes`](ByteBasis::JournalBytes) —
+//!   write-ahead-log bytes replayed — which only records from before the
+//!   metadata-only journal carry.
 //! * [`PhysicalMoved`](ByteBasis::PhysicalMoved) — post-dedup container bytes
 //!   a rebalance migrated.
 //! * [`PhysicalReclaimed`](ByteBasis::PhysicalReclaimed) — post-dedup bytes a
@@ -38,8 +41,10 @@ pub const SCHEMA_VERSION: u64 = 1;
 pub enum ByteBasis {
     /// Client-offered logical bytes, before deduplication.
     LogicalPreDedup,
-    /// Write-ahead-journal bytes replayed by recovery.
+    /// Write-ahead-journal bytes replayed by recovery (older records only).
     JournalBytes,
+    /// Post-dedup container bytes a recovered node serves again.
+    PhysicalRecovered,
     /// Post-dedup container bytes migrated by a rebalance.
     PhysicalMoved,
     /// Post-dedup bytes reclaimed by a GC sweep.
@@ -54,6 +59,7 @@ impl ByteBasis {
         match self {
             ByteBasis::LogicalPreDedup => "logical-pre-dedup",
             ByteBasis::JournalBytes => "journal-bytes",
+            ByteBasis::PhysicalRecovered => "physical-recovered",
             ByteBasis::PhysicalMoved => "physical-moved",
             ByteBasis::PhysicalReclaimed => "physical-reclaimed",
             ByteBasis::LogicalRestored => "logical-restored",
@@ -65,6 +71,7 @@ impl ByteBasis {
         Some(match s {
             "logical-pre-dedup" => ByteBasis::LogicalPreDedup,
             "journal-bytes" => ByteBasis::JournalBytes,
+            "physical-recovered" => ByteBasis::PhysicalRecovered,
             "physical-moved" => ByteBasis::PhysicalMoved,
             "physical-reclaimed" => ByteBasis::PhysicalReclaimed,
             "logical-restored" => ByteBasis::LogicalRestored,
@@ -76,7 +83,7 @@ impl ByteBasis {
 /// One measured throughput figure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
-    /// Stable metric name (`ingest_payload_t1`, `replay_raw`, ...).
+    /// Stable metric name (`ingest_payload_t1`, `recover_raw`, ...).
     pub name: String,
     /// Measured throughput in MB/s (decimal megabytes, as everywhere else).
     pub mbps: f64,
@@ -548,10 +555,10 @@ mod tests {
                     headline: true,
                 },
                 Metric {
-                    name: "replay_raw".to_string(),
+                    name: "recover_raw".to_string(),
                     mbps: 80.0,
                     bytes: 123_456,
-                    byte_basis: ByteBasis::JournalBytes,
+                    byte_basis: ByteBasis::PhysicalRecovered,
                     headline: true,
                 },
                 Metric {
@@ -593,6 +600,7 @@ mod tests {
         for basis in [
             ByteBasis::LogicalPreDedup,
             ByteBasis::JournalBytes,
+            ByteBasis::PhysicalRecovered,
             ByteBasis::PhysicalMoved,
             ByteBasis::PhysicalReclaimed,
             ByteBasis::LogicalRestored,

@@ -86,18 +86,18 @@ pub struct SigmaConfig {
     ///
     /// Read it through [`SigmaConfig::effective_restore_parallelism`].
     pub restore_parallelism: usize,
-    /// Per-node byte budget for the container read cache serving restores on
-    /// persistent backends ([`BackendKind::File`]): recently-read container
-    /// data sections stay resident so repeat visits skip the medium entirely.
-    /// `0` disables the cache.  Volatile backends never populate it (their data
-    /// sections already live in RAM).  Default: 64 MB (sixteen default-sized
+    /// Per-node byte budget for the container read cache serving restores:
+    /// recently-read container data sections stay resident so repeat visits
+    /// skip the backend (on [`BackendKind::File`], the disk) entirely.  `0`
+    /// disables the cache.  Default: 64 MB (sixteen default-sized
     /// containers).
     pub restore_cache_bytes: u64,
     /// Whether nodes keep a write-ahead journal so they can be crash-recovered
     /// (see [`DedupNode::recover`](crate::DedupNode::recover) and
     /// [`DedupCluster::restart_node`](crate::DedupCluster::restart_node)).
-    /// Journaling keeps a durable copy of every sealed container, so it roughly
-    /// doubles the memory footprint of a simulated node; experiments that never
+    /// The journal carries metadata only (container records, index entries,
+    /// handprints, tombstones) — chunk bytes stay in their container objects —
+    /// so it costs a few percent of the stored bytes; experiments that never
     /// crash nodes leave it off.  Default: `false`.
     pub durability: bool,
     /// Parameters of each node's simulated disk.  Validated at build time so a

@@ -273,7 +273,7 @@ fn least_loaded_active(map: &NodeMap, exclude: usize) -> Option<Arc<DedupNode>> 
 /// Order of operations is what preserves restores mid-flight *and* across
 /// crashes:
 ///
-/// 1. clone the container off the source (still readable there);
+/// 1. read the container off the source (still readable there);
 /// 2. *peek* (not extract) the source's similarity-index entries for it;
 /// 3. install data + chunk-index + similarity entries on the destination —
 ///    durably, when the destination journals;
@@ -291,7 +291,7 @@ fn migrate_container(
     to: &Arc<DedupNode>,
     container: ContainerId,
 ) -> Result<Option<MoveReceipt>> {
-    let Some(exported) = from.export_container(&container) else {
+    let Some(exported) = from.export_container(&container)? else {
         return Ok(None);
     };
     let bytes = exported.data_size() as u64;
@@ -436,7 +436,7 @@ mod tests {
         a.process_super_chunk(0, &sc, &sc.handprint(4)).unwrap();
         a.flush();
         let cid = a.sealed_container_ids()[0];
-        let exported = a.export_container(&cid).unwrap();
+        let exported = a.export_container(&cid).unwrap().unwrap();
         let rfps = a.take_similarity_entries(cid);
 
         let first = b.adopt_container(0, exported.clone(), &rfps).unwrap();

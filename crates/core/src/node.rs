@@ -21,9 +21,9 @@ use serde::{Deserialize, Serialize};
 use sigma_hashkit::Fingerprint;
 use sigma_storage::{
     BackendKind, CacheStats, ChunkIndex, ChunkIndexStats, ChunkLocation, ClaimOutcome, Container,
-    ContainerId, ContainerStore, ContainerStoreStats, DiskModel, DiskStats, FileBackend,
-    FingerprintCache, Journal, JournalRecord, MemoryBackend, NodeSnapshot, SimDiskBackend,
-    SimilarityIndex, SimilarityIndexStats, StorageBackend, StreamId,
+    ContainerId, ContainerStore, ContainerStoreStats, ContainerSummary, DiskModel, DiskStats,
+    FileBackend, FingerprintCache, Journal, JournalRecord, MemoryBackend, NodeSnapshot,
+    SimDiskBackend, SimilarityIndex, SimilarityIndexStats, StorageBackend, StreamId,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -176,13 +176,15 @@ pub struct RecoveryReport {
     /// Half-completed migrations finished by cluster-level reconciliation (only
     /// set by [`DedupCluster::restart_node`](crate::DedupCluster::restart_node)).
     pub reconciled_migrations: u64,
-    /// Container objects on the persistent backend that matched the replayed
-    /// state byte-for-byte (always 0 on volatile backends).
+    /// Replayed containers whose backend object decoded and matched its
+    /// journaled length, records and checksum.
     pub backend_objects_verified: u64,
-    /// Container objects rewritten from the journal-derived truth or swept as
-    /// orphans during post-replay reconciliation (always 0 on volatile
-    /// backends, and 0 on a healthy persistent medium).
-    pub backend_objects_repaired: u64,
+    /// Replayed containers discarded, index entries and all, because their
+    /// object was missing, had the wrong length or failed its checksum.
+    pub containers_discarded: u64,
+    /// Container objects no replayed record claims (a crash between an object
+    /// write and its record, or a record and its delete), deleted.
+    pub orphan_objects_swept: u64,
 }
 
 /// What one node-local GC sweep reclaimed — the per-node half of a
@@ -208,37 +210,49 @@ pub struct NodeGcReport {
 impl DedupNode {
     /// Creates a node with identifier `id` configured by `config`.
     ///
-    /// With [`SigmaConfig::durability`] set, the node opens a write-ahead
+    /// A new node starts from a clean slate, deleting whatever a previous
+    /// incarnation left on its medium.  With
+    /// [`SigmaConfig::durability`] set, the node opens a write-ahead
     /// [`Journal`] and writes through it on every seal, adoption, similarity
     /// publication and tombstone, so it can later be rebuilt by
     /// [`recover`](Self::recover).
-    pub fn new(id: usize, config: &SigmaConfig) -> Self {
-        Self::empty(id, config, config.durability)
-    }
-
-    /// The one place a node's structures are wired together: `new` asks for a
-    /// journal for immediate write-through, `recover` builds without one (replay
-    /// must not append to the journal it is reading) and attaches it afterwards.
     ///
     /// # Panics
     ///
-    /// Panics if the configured file backend's directory cannot be created or
+    /// Panics if the configured file backend's directory cannot be opened or
     /// reset — a node whose durable medium is unusable must not come up.
-    fn empty(id: usize, config: &SigmaConfig, journaled: bool) -> Self {
+    pub fn new(id: usize, config: &SigmaConfig) -> Self {
         let disk = Arc::new(DiskModel::new(config.disk_params));
-        let backend = Self::build_backend(id, config, &disk);
-        if journaled && backend.persistent() {
-            // A brand-new durable node starts from a clean slate: stale objects
-            // from a previous incarnation in a reused directory must not leak
-            // into (or shadow) the new node's state.  Recovery (`journaled ==
-            // false` here, journal attached afterwards) never wipes.
-            for obj in backend.list().expect("scan node storage directory") {
-                backend.delete(obj).expect("reset node storage directory");
+        let backend: Arc<dyn StorageBackend> = match config.storage_backend {
+            BackendKind::Memory => Arc::new(MemoryBackend::new()),
+            BackendKind::SimDisk => Arc::new(SimDiskBackend::new(disk.clone())),
+            BackendKind::File => {
+                let dir = config
+                    .node_storage_dir(id)
+                    .expect("validated: file backend has a storage root");
+                Arc::new(FileBackend::open(dir).expect("open node storage directory"))
             }
+        };
+        for obj in backend.list().expect("scan node storage directory") {
+            backend.delete(obj).expect("reset node storage directory");
         }
-        let journal = journaled.then(|| {
+        let journal = config.durability.then(|| {
             Arc::new(Journal::with_backend(backend.clone()).expect("initialize journal object"))
         });
+        Self::assemble(id, config, disk, backend, journal)
+    }
+
+    /// The one place a node's structures are wired together, on the medium
+    /// `backend`: `new` passes its journal for immediate write-through,
+    /// `recover` passes none (replay must not append to the journal it is
+    /// reading) and attaches it afterwards.
+    fn assemble(
+        id: usize,
+        config: &SigmaConfig,
+        disk: Arc<DiskModel>,
+        backend: Arc<dyn StorageBackend>,
+        journal: Option<Arc<Journal>>,
+    ) -> Self {
         let mut store = ContainerStore::new(config.container_capacity)
             .with_backend(backend)
             .with_read_cache_bytes(config.restore_cache_bytes);
@@ -263,38 +277,20 @@ impl DedupNode {
         }
     }
 
-    /// Builds the storage backend [`SigmaConfig::storage_backend`] selects.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the file backend's directory cannot be opened; config
-    /// validation guarantees `storage_root` is present for the file kind.
-    fn build_backend(
-        id: usize,
-        config: &SigmaConfig,
-        disk: &Arc<DiskModel>,
-    ) -> Arc<dyn StorageBackend> {
-        match config.storage_backend {
-            BackendKind::Memory => Arc::new(MemoryBackend::new()),
-            BackendKind::SimDisk => Arc::new(SimDiskBackend::new(disk.clone())),
-            BackendKind::File => {
-                let dir = config
-                    .node_storage_dir(id)
-                    .expect("validated: file backend has a storage root");
-                Arc::new(FileBackend::open(dir).expect("open node storage directory"))
-            }
-        }
-    }
-
-    /// Rebuilds a node from its write-ahead journal (crash recovery).
+    /// Rebuilds a node from its medium — the journal and the container
+    /// objects beside it on [`Journal::backend`] (crash recovery).
     ///
     /// The journal's torn tail — an append interrupted by the crash — is
-    /// discarded, then every surviving record is replayed in order: containers are
-    /// reinstalled under their original identifiers, the chunk index and
-    /// similarity index are rebuilt, forwarding tombstones are restored (dropping
-    /// the container data they tombstone, exactly as the live path does), and the
-    /// ingest counters come back from the last durable checkpoint.  The journal is
-    /// then reattached as the recovered node's write-ahead log.
+    /// discarded, then every surviving record is replayed in order: container
+    /// summaries are reinstalled under their original identifiers, the chunk
+    /// index and similarity index are rebuilt, forwarding tombstones are
+    /// restored (dropping the container they tombstone, exactly as the live
+    /// path does), and the ingest counters come back from the last durable
+    /// checkpoint.  Then the medium is checked against the replayed state: a
+    /// container whose object is missing, has the wrong length or fails its
+    /// checksum is discarded together with its chunk-index and similarity
+    /// entries, and container objects no record claims are deleted.  The
+    /// journal is then reattached as the recovered node's write-ahead log.
     ///
     /// The replay state machine is idempotent where the crash protocol needs it
     /// to be: a duplicated [`JournalRecord::ContainerAdopt`] is skipped by the
@@ -303,19 +299,21 @@ impl DedupNode {
     ///
     /// # Errors
     ///
-    /// Currently infallible in practice (a corrupt journal truncates, it does not
-    /// error), but returns `Result` so future integrity checks can refuse.
+    /// Returns [`SigmaError::Storage`] when the journal holds an intact frame
+    /// this version cannot decode (the medium is then left untouched) or the
+    /// medium cannot be read or swept.
     pub fn recover(
         id: usize,
         config: &SigmaConfig,
         journal: Arc<Journal>,
     ) -> Result<(Self, RecoveryReport)> {
-        let node = Self::empty(id, config, false);
-        // The journal survives the crash; the dead node's DiskModel does not.
-        // Re-target it first so the replay read and every later append is
+        // The medium survives the crash; the dead node's DiskModel does not.
+        // Re-target it first so the replay read and every later operation is
         // charged to the recovered node's disk.
-        journal.attach_disk(node.disk.clone());
-        let (records, summary) = journal.recover_truncating();
+        let disk = Arc::new(DiskModel::new(config.disk_params));
+        journal.attach_disk(disk.clone());
+        let mut node = Self::assemble(id, config, disk, journal.backend(), None);
+        let (records, summary) = journal.recover_truncating()?;
         let mut report = RecoveryReport {
             node_id: id,
             frames_replayed: summary.frames,
@@ -326,17 +324,14 @@ impl DedupNode {
         for record in records {
             node.apply_record(record, &mut report);
         }
+        let (discarded, orphans) = node.store.verify_objects()?;
+        for lost in &discarded {
+            node.drop_index_entries(lost);
+        }
+        report.backend_objects_verified = node.store.sealed_count() as u64;
+        report.containers_discarded = discarded.len() as u64;
+        report.orphan_objects_swept = orphans;
         node.prune_dangling_similarity_entries();
-        // On a persistent backend, reconcile the container objects on the
-        // medium with the journal-derived truth: rewrite missing/mismatched
-        // objects, sweep orphans whose seal was torn away with the tail.
-        let (verified, repaired) = node
-            .store
-            .sync_backend_objects()
-            .map_err(SigmaError::Storage)?;
-        report.backend_objects_verified = verified;
-        report.backend_objects_repaired = repaired;
-        let mut node = node;
         node.store = node.store.with_journal(journal.clone());
         node.journal = Some(journal);
         Ok((node, report))
@@ -347,8 +342,8 @@ impl DedupNode {
     /// journal handle itself did not survive.
     ///
     /// Opens `storage_root/node-<id>`, adopts the `journal.wal` found there and
-    /// runs the ordinary [`recover`](Self::recover) replay against it (torn
-    /// tails are truncated, container objects reconciled).
+    /// runs the ordinary [`recover`](Self::recover) against the directory
+    /// (torn tails are truncated, container objects checked, orphans swept).
     ///
     /// # Errors
     ///
@@ -428,7 +423,7 @@ impl DedupNode {
                     self.index_container_records(&container);
                     report.chunks_indexed += container.chunk_count() as u64;
                     for rfp in rfps {
-                        self.similarity_index.insert(rfp, container.id());
+                        self.similarity_index.insert(rfp, container.id);
                     }
                     report.containers_recovered += 1;
                 } else {
@@ -464,18 +459,13 @@ impl DedupNode {
                 // dead chunk entries with it; the replacement comes back with
                 // its chunks indexed at their new offsets and the travelling
                 // RFPs re-homed.
-                if let Some(old) = self
-                    .store
-                    .apply_compaction_recovered(&victim, replacement.clone())
-                {
-                    for record in &old.meta().records {
-                        self.chunk_index.remove_if_at(&record.fingerprint, victim);
-                    }
+                if let Some(old) = self.store.remove_sealed(&victim) {
+                    self.drop_index_entries(&old);
                 }
+                self.store.install_recovered(None, replacement.clone());
                 self.index_container_records(&replacement);
-                let _ = self.similarity_index.extract_container(victim);
                 for rfp in rfps {
-                    self.similarity_index.insert(rfp, replacement.id());
+                    self.similarity_index.insert(rfp, replacement.id);
                 }
                 report.gc_records_replayed += 1;
             }
@@ -483,12 +473,8 @@ impl DedupNode {
                 // Unlike a tombstone, nothing forwards anywhere: the data was
                 // unreferenced, so its index and similarity entries die with it.
                 if let Some(old) = self.store.remove_sealed(&container) {
-                    for record in &old.meta().records {
-                        self.chunk_index
-                            .remove_if_at(&record.fingerprint, container);
-                    }
+                    self.drop_index_entries(&old);
                 }
-                let _ = self.similarity_index.extract_container(container);
                 report.gc_records_replayed += 1;
             }
             JournalRecord::StatsCheckpoint {
@@ -550,17 +536,27 @@ impl DedupNode {
         self.super_chunks.store(super_chunks, Ordering::Relaxed);
     }
 
-    fn index_container_records(&self, container: &Container) {
-        for record in &container.meta().records {
+    fn index_container_records(&self, container: &ContainerSummary) {
+        for record in &container.meta.records {
             self.chunk_index.insert(
                 record.fingerprint,
                 ChunkLocation {
-                    container: container.id(),
+                    container: container.id,
                     offset: record.offset,
                     len: record.len,
                 },
             );
         }
+    }
+
+    /// Drops every chunk-index and similarity entry pointing at a container
+    /// that is gone — collected by GC, or lost from the medium.
+    fn drop_index_entries(&self, container: &ContainerSummary) {
+        for record in &container.meta.records {
+            self.chunk_index
+                .remove_if_at(&record.fingerprint, container.id);
+        }
+        let _ = self.similarity_index.extract_container(container.id);
     }
 
     /// The node identifier.
@@ -861,9 +857,7 @@ impl DedupNode {
                     node: self.id,
                     fingerprint: fingerprint.to_string(),
                 })?;
-        if self.store.contains_sealed(&location.container)
-            || self.store.contains_open(&location.container)
-        {
+        if self.store.contains(&location.container) {
             return Ok(location);
         }
         match self.forwarded_to(&location.container) {
@@ -1000,10 +994,7 @@ impl DedupNode {
             report.containers_scanned += 1;
             if acct.live_chunks == 0 {
                 if let Some(dropped) = self.store.drop_sealed_gc(&cid)? {
-                    for record in &dropped.meta().records {
-                        self.chunk_index.remove_if_at(&record.fingerprint, cid);
-                    }
-                    let _ = self.similarity_index.extract_container(cid);
+                    self.drop_index_entries(&dropped);
                     report.containers_dropped += 1;
                     report.chunks_discarded += dropped.chunk_count() as u64;
                     report.bytes_reclaimed += dropped.data_size() as u64;
@@ -1060,11 +1051,20 @@ impl DedupNode {
         self.forwarding.read().get(container).copied()
     }
 
-    /// Clones a sealed container out of this node for migration (charged to the
-    /// disk model as a sequential read).  The container remains readable here until
+    /// Reads a sealed container out of this node for migration (charged to the
+    /// disk model as a sequential read); `Ok(None)` when it is not sealed here.
+    /// The container remains readable here until
     /// [`retire_container`](Self::retire_container) completes the hand-off.
-    pub fn export_container(&self, container: &ContainerId) -> Option<Container> {
-        self.store.export_sealed(container)
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SigmaError::Storage`] when the container's object cannot be
+    /// read.  The bytes are not re-hashed on export: the container carries its
+    /// journaled checksum, so a section that rotted here is caught by the
+    /// destination's next recovery, which discards it (see
+    /// [`ContainerStore::export_sealed`](sigma_storage::ContainerStore::export_sealed)).
+    pub fn export_container(&self, container: &ContainerId) -> Result<Option<Container>> {
+        Ok(self.store.export_sealed(container)?)
     }
 
     /// The similarity-index entries (representative fingerprints) currently
@@ -1319,10 +1319,9 @@ impl DedupNode {
             ));
         }
         // The same figure derived from the storage *backend* (decoded from the
-        // container objects actually on the medium, when one persists them)
-        // must agree with the counter- and directory-derived figures above —
-        // this is what keeps the file backend's reports identical to the
-        // volatile backends' instead of silently drifting.
+        // container objects actually on the medium) must agree with the
+        // counter- and directory-derived figures above: no orphan object, no
+        // missing one.
         match self.store.backend_physical_bytes() {
             Ok(backend_bytes) => {
                 if backend_bytes != bytes {
@@ -1747,7 +1746,7 @@ mod tests {
         donor.process_super_chunk(0, &sc, &sc.handprint(4)).unwrap();
         donor.try_flush().unwrap();
         let cid = donor.sealed_container_ids()[0];
-        let exported = donor.export_container(&cid).unwrap();
+        let exported = donor.export_container(&cid).unwrap().unwrap();
         let rfps = donor.take_similarity_entries(cid);
 
         // An adopter whose journal ends up with the same migration record twice
@@ -1761,7 +1760,9 @@ mod tests {
                 origin_container: cid,
                 container: exported
                     .clone()
-                    .with_id(sigma_storage::ContainerId::new(999)),
+                    .with_id(sigma_storage::ContainerId::new(999))
+                    .to_object()
+                    .0,
                 rfps: rfps.clone(),
             })
             .unwrap();
@@ -1784,7 +1785,7 @@ mod tests {
         a.process_super_chunk(0, &sc, &sc.handprint(4)).unwrap();
         a.try_flush().unwrap();
         let cid = a.sealed_container_ids()[0];
-        let exported = a.export_container(&cid).unwrap();
+        let exported = a.export_container(&cid).unwrap().unwrap();
         let rfps = a.take_similarity_entries(cid);
         b.adopt_container(0, exported, &rfps).unwrap();
         a.retire_container(cid, 1).unwrap();

@@ -3,9 +3,9 @@
 //! The serial reference restore ([`DedupCluster::restore_file_reference`])
 //! walks the recipe one chunk at a time: each entry re-resolves the node
 //! directory, pays one container lookup, allocates a fresh `Vec` for the
-//! payload and copies it a second time into the output.  On a persistent
-//! backend that is one seek-shaped syscall per chunk, in recipe order —
-//! random I/O across container files.
+//! payload and copies it a second time into the output.  That is one backend
+//! read per chunk, in recipe order — on the file backend, random I/O across
+//! container files.
 //!
 //! The pipeline here keeps the same observable behaviour while restructuring
 //! the work around *containers*, the unit the storage layer is actually fast
@@ -370,12 +370,13 @@ impl DedupCluster {
                 stats.coalesced_runs = s.coalesced_runs;
                 stats.cache_hits = s.cache_hits;
                 stats.cache_misses = s.cache_misses;
-                // Volatile serves and cache hits still copy each payload into
-                // the output exactly once.
+                // Serves from RAM and cache hits still copy each payload
+                // into the output exactly once.
                 stats.bytes_copied = fetches.iter().map(|f| f.out.len() as u64).sum();
                 if s.backend_bytes_read == 0 {
-                    // Served from RAM: count the logical bytes so read
-                    // amplification stays 1.0 on volatile backends...
+                    // A still-open container was served from its in-memory
+                    // builder: count the logical bytes so read amplification
+                    // stays 1.0...
                     if s.cache_hits == 0 {
                         stats.backend_bytes_read = stats.bytes_copied;
                     }

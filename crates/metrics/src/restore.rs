@@ -84,10 +84,8 @@ pub struct RestoreSnapshot {
 
 impl RestoreSnapshot {
     /// Backend bytes read per logical byte restored (0 when nothing was
-    /// restored).  1.0 is seek-free perfection on an uncached persistent
-    /// backend; below 1.0 means the read cache absorbed repeat visits; volatile
-    /// backends report 1.0 by construction (payloads served from RAM count as
-    /// their own length).
+    /// restored).  1.0 is seek-free perfection on an uncached backend; below
+    /// 1.0 means the read cache absorbed repeat visits.
     pub fn read_amplification(&self) -> f64 {
         if self.logical_bytes_restored == 0 {
             0.0
@@ -97,7 +95,7 @@ impl RestoreSnapshot {
     }
 
     /// Cache hit rate over batched container visits (0 when no cache lookups
-    /// happened, e.g. caching is off or the backend is volatile).
+    /// happened, e.g. caching is off).
     pub fn cache_hit_rate(&self) -> f64 {
         let lookups = self.cache_hits + self.cache_misses;
         if lookups == 0 {

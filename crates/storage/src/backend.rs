@@ -13,13 +13,17 @@
 //! | [`SimDiskBackend`] | RAM object map | no | yes — carries the node's [`DiskModel`] |
 //! | [`FileBackend`] | one directory of real files | **yes** | none (real I/O pays real time) |
 //!
-//! The volatile backends keep every figure reproduction and fault-injection
-//! test deterministic: [`SimDiskBackend`] is exactly the pre-existing
-//! "simulated durable medium" (RAM contents, `DiskModel` charges), re-expressed
-//! as a backend object.  [`FileBackend`] maps each object to a file in a
-//! per-node directory (`journal.wal`, `container-<id>.sc`), fsyncs at the
-//! existing acknowledgement points (every journal append is an ack point) and
-//! replaces the journal atomically on compaction via
+//! Every backend holds the same objects: the journal, and one object per
+//! sealed container — the only place a container's chunk bytes live.  The
+//! journal and the in-memory container directory keep metadata only, so the
+//! three backends differ in medium, never in layout.  The volatile backends
+//! keep every figure reproduction and fault-injection test deterministic:
+//! [`SimDiskBackend`] is exactly the pre-existing "simulated durable medium"
+//! (RAM contents, `DiskModel` charges), re-expressed as a backend object.
+//! [`FileBackend`] maps each object to a file in a per-node directory
+//! (`journal.wal`, `container-<id>.sc`), fsyncs at the existing
+//! acknowledgement points (every journal append and every container object
+//! write) and replaces the journal atomically on compaction via
 //! write-new / fsync / rename / fsync-dir — so a node's containers and journal
 //! survive an actual process restart, not just a simulated one.
 //!
@@ -35,6 +39,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -117,6 +122,48 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
+/// A read-only window into a shared buffer: what
+/// [`StorageBackend::read_shared`] returns and the read cache keeps.  Cloning
+/// or narrowing it copies no bytes.
+#[derive(Debug, Clone)]
+pub struct SharedBytes {
+    buf: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl SharedBytes {
+    /// The sub-window `range` of this window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` does not lie within the window.
+    pub fn slice(&self, range: Range<usize>) -> SharedBytes {
+        assert!(range.start <= range.end && range.end <= self.len());
+        SharedBytes {
+            buf: self.buf.clone(),
+            range: self.range.start + range.start..self.range.start + range.end,
+        }
+    }
+}
+
+impl From<Vec<u8>> for SharedBytes {
+    fn from(bytes: Vec<u8>) -> Self {
+        let range = 0..bytes.len();
+        SharedBytes {
+            buf: Arc::new(bytes),
+            range,
+        }
+    }
+}
+
+impl std::ops::Deref for SharedBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
 /// The durable medium beneath a node's journal and container store.
 ///
 /// Semantics every implementation must honour:
@@ -133,15 +180,14 @@ impl std::fmt::Display for BackendKind {
 ///   (write-new / fsync / rename / fsync-dir on the file backend).
 /// * [`truncate`](Self::truncate) discards a torn tail after replay.
 /// * [`delete`](Self::delete) of an absent object is a no-op, not an error.
-///
-/// Volatile implementations return `false` from [`persistent`](Self::persistent);
-/// the container store then skips materializing per-container objects (the
-/// journal object alone is the simulated durable medium, exactly as before).
 pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// Which implementation this is.
     fn kind(&self) -> BackendKind;
 
-    /// True when objects survive the process (the file backend).
+    /// True when objects survive the process (the file backend).  Purely
+    /// descriptive: the journal and the container store write the same
+    /// objects to every backend, and nothing in the storage layer branches on
+    /// it.
     fn persistent(&self) -> bool {
         false
     }
@@ -152,6 +198,14 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
 
     /// Atomically creates or replaces the whole object.
     fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> Result<()>;
+
+    /// [`write_object`](Self::write_object) for a buffer the caller hands
+    /// over.  The default borrows it; the in-RAM backends keep it as the
+    /// object instead of copying it (the container store writes every
+    /// sealed, adopted and compacted container this way).
+    fn put_object(&self, obj: StorageObject, bytes: Vec<u8>) -> Result<()> {
+        self.write_object(obj, &bytes)
+    }
 
     /// Reads the whole object; an absent object reads as empty.
     fn read_all(&self, obj: StorageObject) -> Result<Vec<u8>>;
@@ -179,6 +233,18 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
         let bytes = self.read_at(obj, offset, out.len())?;
         out.copy_from_slice(&bytes);
         Ok(())
+    }
+
+    /// [`read_at`](Self::read_at) for bytes the caller keeps, such as a data
+    /// section entering the read cache.  The default wraps `read_at`'s
+    /// buffer; the in-RAM backends share the object's own buffer instead of
+    /// copying it.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`read_at`](Self::read_at).
+    fn read_shared(&self, obj: StorageObject, offset: u64, len: usize) -> Result<SharedBytes> {
+        self.read_at(obj, offset, len).map(SharedBytes::from)
     }
 
     /// Current length of the object in bytes, `None` when absent.
@@ -220,15 +286,22 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
 // ---- MemoryBackend ----
 
 /// Volatile objects in a RAM map; no disk accounting.
+///
+/// The map is reader/writer-locked: restores read container objects in
+/// parallel, and only writers (seals, journal appends, deletes) serialize.
+/// Each object is a shared buffer, so [`read_shared`] hands the read cache a
+/// view of it rather than a copy.
+///
+/// [`read_shared`]: StorageBackend::read_shared
 #[derive(Default)]
 pub struct MemoryBackend {
-    objects: Mutex<HashMap<StorageObject, Vec<u8>>>,
+    objects: RwLock<HashMap<StorageObject, Arc<Vec<u8>>>>,
 }
 
 impl std::fmt::Debug for MemoryBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoryBackend")
-            .field("objects", &self.objects.lock().len())
+            .field("objects", &self.objects.read().len())
             .finish()
     }
 }
@@ -239,46 +312,37 @@ impl MemoryBackend {
         MemoryBackend::default()
     }
 
-    /// Creates a backend whose journal object holds `bytes` — the crash image a
-    /// fault harness hands to recovery.
-    pub fn with_journal_bytes(bytes: Vec<u8>) -> Self {
-        let backend = MemoryBackend::new();
-        backend.objects.lock().insert(StorageObject::Journal, bytes);
-        backend
-    }
-}
-
-impl StorageBackend for MemoryBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Memory
-    }
-
-    fn append(&self, obj: StorageObject, bytes: &[u8]) -> Result<u64> {
-        let mut objects = self.objects.lock();
-        let buf = objects.entry(obj).or_default();
-        let offset = buf.len() as u64;
-        buf.extend_from_slice(bytes);
-        Ok(offset)
+    /// A copy of every object on `other` — journal and container objects
+    /// alike: the crash image a fault harness or a replay benchmark hands to
+    /// recovery.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the first listing or read of `other` that fails.
+    pub fn copy_of(other: &dyn StorageBackend) -> Result<Self> {
+        let copy = MemoryBackend::new();
+        for obj in other.list()? {
+            copy.put_object(obj, other.read_all(obj)?)?;
+        }
+        Ok(copy)
     }
 
-    fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> Result<()> {
-        self.objects.lock().insert(obj, bytes.to_vec());
-        Ok(())
-    }
-
-    fn read_all(&self, obj: StorageObject) -> Result<Vec<u8>> {
-        Ok(self.objects.lock().get(&obj).cloned().unwrap_or_default())
-    }
-
-    fn read_at(&self, obj: StorageObject, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let objects = self.objects.lock();
+    /// Runs `read` on the object's buffer and the in-bounds range of `len`
+    /// bytes at `offset`, or fails as [`StorageBackend::read_at`] documents.
+    fn read_range<T>(
+        &self,
+        obj: StorageObject,
+        offset: u64,
+        len: usize,
+        read: impl FnOnce(&Arc<Vec<u8>>, Range<usize>) -> T,
+    ) -> Result<T> {
+        let objects = self.objects.read();
         let buf = objects
             .get(&obj)
             .ok_or_else(|| StorageError::Io(format!("{}: object absent", obj)))?;
         let start = offset as usize;
-        let end = start.checked_add(len).filter(|&e| e <= buf.len());
-        match end {
-            Some(end) => Ok(buf[start..end].to_vec()),
+        match start.checked_add(len).filter(|&end| end <= buf.len()) {
+            Some(end) => Ok(read(buf, start..end)),
             None => Err(StorageError::Io(format!(
                 "{}: read of {} bytes at offset {} past object end {}",
                 obj,
@@ -288,36 +352,63 @@ impl StorageBackend for MemoryBackend {
             ))),
         }
     }
+}
+
+impl StorageBackend for MemoryBackend {
+    fn kind(&self) -> BackendKind {
+        BackendKind::Memory
+    }
+
+    fn append(&self, obj: StorageObject, bytes: &[u8]) -> Result<u64> {
+        let mut objects = self.objects.write();
+        let buf = objects.entry(obj).or_default();
+        let offset = buf.len() as u64;
+        Arc::make_mut(buf).extend_from_slice(bytes);
+        Ok(offset)
+    }
+
+    fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> Result<()> {
+        self.put_object(obj, bytes.to_vec())
+    }
+
+    fn put_object(&self, obj: StorageObject, bytes: Vec<u8>) -> Result<()> {
+        self.objects.write().insert(obj, Arc::new(bytes));
+        Ok(())
+    }
+
+    fn read_all(&self, obj: StorageObject) -> Result<Vec<u8>> {
+        Ok(self
+            .objects
+            .read()
+            .get(&obj)
+            .map(|buf| buf.to_vec())
+            .unwrap_or_default())
+    }
+
+    fn read_at(&self, obj: StorageObject, offset: u64, len: usize) -> Result<Vec<u8>> {
+        self.read_range(obj, offset, len, |buf, range| buf[range].to_vec())
+    }
 
     fn read_at_into(&self, obj: StorageObject, offset: u64, out: &mut [u8]) -> Result<()> {
-        let objects = self.objects.lock();
-        let buf = objects
-            .get(&obj)
-            .ok_or_else(|| StorageError::Io(format!("{}: object absent", obj)))?;
-        let start = offset as usize;
-        let end = start.checked_add(out.len()).filter(|&e| e <= buf.len());
-        match end {
-            Some(end) => {
-                out.copy_from_slice(&buf[start..end]);
-                Ok(())
-            }
-            None => Err(StorageError::Io(format!(
-                "{}: read of {} bytes at offset {} past object end {}",
-                obj,
-                out.len(),
-                offset,
-                buf.len()
-            ))),
-        }
+        self.read_range(obj, offset, out.len(), |buf, range| {
+            out.copy_from_slice(&buf[range])
+        })
+    }
+
+    fn read_shared(&self, obj: StorageObject, offset: u64, len: usize) -> Result<SharedBytes> {
+        self.read_range(obj, offset, len, |buf, range| SharedBytes {
+            buf: buf.clone(),
+            range,
+        })
     }
 
     fn object_len(&self, obj: StorageObject) -> Result<Option<u64>> {
-        Ok(self.objects.lock().get(&obj).map(|b| b.len() as u64))
+        Ok(self.objects.read().get(&obj).map(|b| b.len() as u64))
     }
 
     fn truncate(&self, obj: StorageObject, len: u64) -> Result<()> {
-        if let Some(buf) = self.objects.lock().get_mut(&obj) {
-            buf.truncate(len as usize);
+        if let Some(buf) = self.objects.write().get_mut(&obj) {
+            Arc::make_mut(buf).truncate(len as usize);
         }
         Ok(())
     }
@@ -327,12 +418,12 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn delete(&self, obj: StorageObject) -> Result<()> {
-        self.objects.lock().remove(&obj);
+        self.objects.write().remove(&obj);
         Ok(())
     }
 
     fn list(&self) -> Result<Vec<StorageObject>> {
-        let mut out: Vec<StorageObject> = self.objects.lock().keys().copied().collect();
+        let mut out: Vec<StorageObject> = self.objects.read().keys().copied().collect();
         out.sort_unstable();
         Ok(out)
     }
@@ -385,6 +476,10 @@ impl StorageBackend for SimDiskBackend {
         self.inner.write_object(obj, bytes)
     }
 
+    fn put_object(&self, obj: StorageObject, bytes: Vec<u8>) -> Result<()> {
+        self.inner.put_object(obj, bytes)
+    }
+
     fn read_all(&self, obj: StorageObject) -> Result<Vec<u8>> {
         self.inner.read_all(obj)
     }
@@ -395,6 +490,10 @@ impl StorageBackend for SimDiskBackend {
 
     fn read_at_into(&self, obj: StorageObject, offset: u64, out: &mut [u8]) -> Result<()> {
         self.inner.read_at_into(obj, offset, out)
+    }
+
+    fn read_shared(&self, obj: StorageObject, offset: u64, len: usize) -> Result<SharedBytes> {
+        self.inner.read_shared(obj, offset, len)
     }
 
     fn object_len(&self, obj: StorageObject) -> Result<Option<u64>> {
@@ -774,6 +873,34 @@ mod tests {
             backend.delete(a).unwrap(); // absent delete is a no-op
             assert_eq!(backend.object_len(a).unwrap(), None);
             assert_eq!(backend.list().unwrap(), vec![StorageObject::Journal, b]);
+            if let Some(root) = root {
+                let _ = fs::remove_dir_all(root);
+            }
+        }
+    }
+
+    #[test]
+    fn read_shared_matches_read_at_on_every_backend() {
+        for (backend, root) in backends("shared") {
+            let obj = StorageObject::Container(ContainerId::new(5));
+            backend
+                .write_object(obj, b"header|section|records")
+                .unwrap();
+            let shared = backend.read_shared(obj, 7, 7).unwrap();
+            assert_eq!(&shared[..], b"section");
+            assert_eq!(&shared[..], &backend.read_at(obj, 7, 7).unwrap()[..]);
+            assert_eq!(&shared.slice(1..4)[..], b"ect");
+            assert!(backend.read_shared(obj, 20, 5).is_err(), "read past end");
+            if backend.kind() != BackendKind::File {
+                let again = backend.read_shared(obj, 7, 7).unwrap();
+                assert_eq!(
+                    shared.as_ptr(),
+                    again.as_ptr(),
+                    "in-RAM backends share the object's buffer"
+                );
+            }
+            backend.write_object(obj, b"replaced").unwrap();
+            assert_eq!(&shared[..], b"section", "a view outlives a rewrite");
             if let Some(root) = root {
                 let _ = fs::remove_dir_all(root);
             }

@@ -5,23 +5,31 @@
 //! listing each chunk's fingerprint, offset and length.  All disk accesses happen at
 //! container granularity, which preserves the locality of a backup stream: chunks
 //! that were written together are read (and their fingerprints prefetched) together.
+//!
+//! Once sealed, a container is split in two: its backend object (header, data
+//! section, metadata section) is the only home of the chunk bytes, and a
+//! [`ContainerSummary`] — the metadata plus the data section's length and
+//! checksum — is all the container directory and the journal keep.
 
+use crate::journal::Reader;
+use crate::SharedBytes;
 use serde::{Deserialize, Serialize};
-use sigma_hashkit::Fingerprint;
+use sigma_hashkit::{Digest, Fingerprint, Sha1};
 
 /// Magic prefix of a serialized container object ("SCNT").
-pub(crate) const CONTAINER_BLOB_MAGIC: u32 = 0x5343_4E54;
+const CONTAINER_BLOB_MAGIC: u32 = 0x5343_4E54;
 
 /// Current container-object format version.
-pub(crate) const CONTAINER_BLOB_VERSION: u8 = 1;
+const CONTAINER_BLOB_VERSION: u8 = 2;
 
 /// Byte offset of the data section inside a serialized container object:
-/// magic (4) + version (1) + id (8) + logical size (8) + data length (4).
+/// magic (4) + version (1) + id (8) + logical size (8) + data length (4) +
+/// data-section checksum (20).
 ///
-/// A persistent backend serves chunk reads straight from the object file at
+/// Every chunk read is served straight from the object at
 /// `CONTAINER_BLOB_DATA_OFFSET + chunk offset`, so this constant is part of the
 /// on-disk format, not an implementation detail.
-pub const CONTAINER_BLOB_DATA_OFFSET: usize = 4 + 1 + 8 + 8 + 4;
+pub const CONTAINER_BLOB_DATA_OFFSET: usize = 4 + 1 + 8 + 8 + 4 + Fingerprint::LEN;
 
 /// Identifier of a container within one deduplication node.
 #[derive(
@@ -88,33 +96,143 @@ impl ContainerMeta {
     }
 }
 
+/// A sealed container without its data section: what the container directory
+/// and the journal know about it.  The data section itself lives once, in the
+/// container's backend object, whose length and checksum this summary pins.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ContainerSummary {
+    /// The container's identifier.
+    pub id: ContainerId,
+    /// The metadata section.
+    pub meta: ContainerMeta,
+    /// Bytes of real payload in the data section (synthetic chunks have none).
+    pub data_len: u32,
+    /// Logical data-section size in bytes (including synthetic chunks).
+    pub logical_size: u64,
+    /// SHA-1 of the data section; recovery discards a container whose object
+    /// no longer hashes to it.
+    pub checksum: Fingerprint,
+}
+
+impl ContainerSummary {
+    /// Logical size of the data section in bytes (including synthetic chunks).
+    pub fn data_size(&self) -> usize {
+        self.logical_size as usize
+    }
+
+    /// Number of chunks stored.
+    pub fn chunk_count(&self) -> usize {
+        self.meta.len()
+    }
+
+    /// Decodes a container object written by [`Container::to_object`]
+    /// back into its summary.
+    ///
+    /// Returns `None` on any framing violation — bad magic or version,
+    /// truncated sections, trailing garbage — and when the data section does
+    /// not hash to the checksum in the header.
+    pub fn from_object(bytes: &[u8]) -> Option<ContainerSummary> {
+        let mut r = Reader::new(bytes);
+        if r.u32()? != CONTAINER_BLOB_MAGIC || r.u8()? != CONTAINER_BLOB_VERSION {
+            return None;
+        }
+        let mut summary = Self::decode_head(&mut r)?;
+        if Sha1::fingerprint(r.bytes(summary.data_len as usize)?) != summary.checksum {
+            return None;
+        }
+        summary.meta.records = Self::decode_records(&mut r)?;
+        r.is_empty().then_some(summary)
+    }
+
+    /// The summary's encoding, shared by the journal records and the object
+    /// header: `id u64 | logical_size u64 | data_len u32 | sha1 [20]`, then
+    /// the record table.  The object puts the data section between the two.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        self.encode_head(out);
+        self.encode_records(out);
+    }
+
+    /// Decodes what [`encode`](Self::encode) wrote.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Option<ContainerSummary> {
+        let mut summary = Self::decode_head(r)?;
+        summary.meta.records = Self::decode_records(r)?;
+        Some(summary)
+    }
+
+    fn encode_head(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.id.as_u64().to_le_bytes());
+        out.extend_from_slice(&self.logical_size.to_le_bytes());
+        out.extend_from_slice(&self.data_len.to_le_bytes());
+        out.extend_from_slice(self.checksum.as_bytes());
+    }
+
+    /// `record_count u32 | (fingerprint, offset u32, len u32) x record_count`.
+    fn encode_records(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.meta.records.len() as u32).to_le_bytes());
+        for record in &self.meta.records {
+            out.extend_from_slice(record.fingerprint.as_bytes());
+            out.extend_from_slice(&record.offset.to_le_bytes());
+            out.extend_from_slice(&record.len.to_le_bytes());
+        }
+    }
+
+    /// The head of a summary, with an empty record table.
+    fn decode_head(r: &mut Reader<'_>) -> Option<ContainerSummary> {
+        Some(ContainerSummary {
+            id: ContainerId::new(r.u64()?),
+            logical_size: r.u64()?,
+            data_len: r.u32()?,
+            checksum: r.fingerprint()?,
+            meta: ContainerMeta::default(),
+        })
+    }
+
+    fn decode_records(r: &mut Reader<'_>) -> Option<Vec<ChunkRecord>> {
+        let record_count = r.u32()? as usize;
+        let mut records = Vec::with_capacity(record_count.min(65_536));
+        for _ in 0..record_count {
+            records.push(ChunkRecord {
+                fingerprint: r.fingerprint()?,
+                offset: r.u32()?,
+                len: r.u32()?,
+            });
+        }
+        Some(records)
+    }
+}
+
 /// A sealed, immutable container.
 ///
 /// A container may hold *synthetic* chunks (metadata records without payload bytes)
 /// when the node is driven by a fingerprint trace rather than real data; the data
 /// section then stays shorter than the logical size and those chunks cannot be read
 /// back.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The data section is a [`SharedBytes`] view, so a container rebuilt from a
+/// cached or in-RAM object for migration shares those bytes rather than
+/// copying them.
+#[derive(Debug, Clone)]
 pub struct Container {
     id: ContainerId,
     meta: ContainerMeta,
-    data: Vec<u8>,
+    data: SharedBytes,
     logical_size: usize,
+    /// SHA-1 of `data` as journaled, for a container read back from its
+    /// object: re-homing it (a migration) keeps that checksum instead of
+    /// hashing the bytes again, so rot on the source stays detectable.
+    checksum: Option<Fingerprint>,
 }
 
 impl Container {
-    /// Rebuilds a sealed container from its serialized parts (journal replay).
-    pub(crate) fn from_parts(
-        id: ContainerId,
-        meta: ContainerMeta,
-        data: Vec<u8>,
-        logical_size: usize,
-    ) -> Self {
+    /// Rebuilds a sealed container from its summary and the data section read
+    /// back from its object.
+    pub(crate) fn from_summary(summary: ContainerSummary, data: SharedBytes) -> Self {
         Container {
-            id,
-            meta,
+            id: summary.id,
+            meta: summary.meta,
             data,
-            logical_size,
+            logical_size: summary.logical_size as usize,
+            checksum: Some(summary.checksum),
         }
     }
 
@@ -138,20 +256,9 @@ impl Container {
         &self.meta
     }
 
-    /// The raw data section (may be shorter than [`data_size`](Container::data_size)
-    /// when synthetic chunks were appended).
-    pub fn data(&self) -> &[u8] {
-        &self.data
-    }
-
     /// Logical size of the data section in bytes (including synthetic chunks).
     pub fn data_size(&self) -> usize {
         self.logical_size
-    }
-
-    /// Bytes of real payload held in memory.
-    pub fn payload_bytes(&self) -> usize {
-        self.data.len()
     }
 
     /// Number of chunks stored.
@@ -180,80 +287,38 @@ impl Container {
             .any(|r| &r.fingerprint == fingerprint)
     }
 
-    /// Serializes the container into the self-describing object format a
-    /// persistent backend stores one file of:
+    /// What the container directory keeps of the sealed container, and the
+    /// bytes of its backend object, the only home of the data section:
     ///
     /// ```text
-    /// magic u32 | version u8 | id u64 | logical_size u64 | data_len u32
+    /// magic u32 | version u8 | id u64 | logical_size u64 | data_len u32 | sha1 [20]
     /// data section (data_len bytes)            <- starts at CONTAINER_BLOB_DATA_OFFSET
     /// record_count u32 | (fingerprint, offset u32, len u32) x record_count
     /// ```
-    pub fn encode_blob(&self) -> Vec<u8> {
+    ///
+    /// Between the magic/version prefix and the data section sits the
+    /// summary's head, and after the data its record table — the same
+    /// encoding the journal records use.
+    pub fn to_object(&self) -> (ContainerSummary, Vec<u8>) {
+        let summary = ContainerSummary {
+            id: self.id,
+            meta: self.meta.clone(),
+            data_len: self.data.len() as u32,
+            logical_size: self.logical_size as u64,
+            checksum: self
+                .checksum
+                .unwrap_or_else(|| Sha1::fingerprint(&self.data)),
+        };
         let mut out = Vec::with_capacity(
             CONTAINER_BLOB_DATA_OFFSET + self.data.len() + 4 + self.meta.serialized_size(),
         );
         out.extend_from_slice(&CONTAINER_BLOB_MAGIC.to_le_bytes());
         out.push(CONTAINER_BLOB_VERSION);
-        out.extend_from_slice(&self.id.as_u64().to_le_bytes());
-        out.extend_from_slice(&(self.logical_size as u64).to_le_bytes());
-        out.extend_from_slice(&(self.data.len() as u32).to_le_bytes());
+        summary.encode_head(&mut out);
         debug_assert_eq!(out.len(), CONTAINER_BLOB_DATA_OFFSET);
         out.extend_from_slice(&self.data);
-        out.extend_from_slice(&(self.meta.records.len() as u32).to_le_bytes());
-        for record in &self.meta.records {
-            out.extend_from_slice(record.fingerprint.as_bytes());
-            out.extend_from_slice(&record.offset.to_le_bytes());
-            out.extend_from_slice(&record.len.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decodes a container object produced by [`encode_blob`](Self::encode_blob).
-    ///
-    /// Returns `None` on any framing violation: bad magic or version, truncated
-    /// sections, or trailing garbage.
-    pub fn decode_blob(bytes: &[u8]) -> Option<Container> {
-        fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-            if bytes.len() < n {
-                return None;
-            }
-            let (head, tail) = bytes.split_at(n);
-            *bytes = tail;
-            Some(head)
-        }
-        let mut r = bytes;
-        let magic = u32::from_le_bytes(take(&mut r, 4)?.try_into().ok()?);
-        if magic != CONTAINER_BLOB_MAGIC {
-            return None;
-        }
-        if *take(&mut r, 1)?.first()? != CONTAINER_BLOB_VERSION {
-            return None;
-        }
-        let id = u64::from_le_bytes(take(&mut r, 8)?.try_into().ok()?);
-        let logical_size = u64::from_le_bytes(take(&mut r, 8)?.try_into().ok()?) as usize;
-        let data_len = u32::from_le_bytes(take(&mut r, 4)?.try_into().ok()?) as usize;
-        let data = take(&mut r, data_len)?.to_vec();
-        let record_count = u32::from_le_bytes(take(&mut r, 4)?.try_into().ok()?) as usize;
-        let mut records = Vec::with_capacity(record_count);
-        for _ in 0..record_count {
-            let fingerprint = Fingerprint::new(take(&mut r, Fingerprint::LEN)?.try_into().ok()?);
-            let offset = u32::from_le_bytes(take(&mut r, 4)?.try_into().ok()?);
-            let len = u32::from_le_bytes(take(&mut r, 4)?.try_into().ok()?);
-            records.push(ChunkRecord {
-                fingerprint,
-                offset,
-                len,
-            });
-        }
-        if !r.is_empty() {
-            return None;
-        }
-        Some(Container {
-            id: ContainerId::new(id),
-            meta: ContainerMeta { records },
-            data,
-            logical_size,
-        })
+        summary.encode_records(&mut out);
+        (summary, out)
     }
 }
 
@@ -361,8 +426,9 @@ impl ContainerBuilder {
         Container {
             id: self.id,
             meta: self.meta,
-            data: self.data,
+            data: self.data.into(),
             logical_size: self.used,
+            checksum: None,
         }
     }
 }
@@ -428,49 +494,62 @@ mod tests {
     }
 
     #[test]
-    fn blob_roundtrip_including_synthetic_chunks() {
+    fn object_roundtrip_including_synthetic_chunks() {
         let mut b = ContainerBuilder::new(ContainerId::new(11), 4096);
         assert!(b.try_append(Sha1::fingerprint(b"real"), b"real payload"));
         assert!(b.try_append_synthetic(Sha1::fingerprint(b"ghost"), 64));
         assert!(b.try_append(Sha1::fingerprint(b"more"), b"more bytes"));
         let sealed = b.seal();
-        let blob = sealed.encode_blob();
+        let data = b"real payloadmore bytes";
+        let (summary, object) = sealed.to_object();
         assert_eq!(
-            &blob[CONTAINER_BLOB_DATA_OFFSET..CONTAINER_BLOB_DATA_OFFSET + sealed.data().len()],
-            sealed.data(),
+            &object[CONTAINER_BLOB_DATA_OFFSET..CONTAINER_BLOB_DATA_OFFSET + data.len()],
+            data,
             "data section sits at the documented offset"
         );
-        let decoded = Container::decode_blob(&blob).expect("roundtrip");
-        assert_eq!(decoded, sealed);
+        assert_eq!(summary.id, sealed.id());
+        assert_eq!(&summary.meta, sealed.meta());
+        assert_eq!(summary.data_len as usize, data.len());
+        assert_eq!(summary.data_size(), sealed.data_size());
+        assert_eq!(summary.checksum, Sha1::fingerprint(data));
+        assert_eq!(
+            ContainerSummary::from_object(&object),
+            Some(summary.clone())
+        );
+        let rebuilt = Container::from_summary(summary.clone(), data.to_vec().into());
+        assert_eq!(
+            rebuilt.chunk_data(&Sha1::fingerprint(b"real")),
+            Some(&b"real payload"[..])
+        );
+        assert_eq!(
+            rebuilt.to_object(),
+            (summary, object),
+            "the known checksum is kept"
+        );
     }
 
     #[test]
-    fn blob_decode_rejects_corruption() {
+    fn object_decode_rejects_corruption() {
         let sealed = {
             let mut b = ContainerBuilder::new(ContainerId::new(5), 128);
             b.try_append(Sha1::fingerprint(b"x"), b"xyz");
             b.seal()
         };
-        let blob = sealed.encode_blob();
-        assert!(
-            Container::decode_blob(&blob[..blob.len() - 1]).is_none(),
-            "truncated"
-        );
-        let mut trailing = blob.clone();
+        let (_, object) = sealed.to_object();
+        let decode = ContainerSummary::from_object;
+        assert!(decode(&object[..object.len() - 1]).is_none(), "truncated");
+        let mut trailing = object.clone();
         trailing.push(0);
-        assert!(
-            Container::decode_blob(&trailing).is_none(),
-            "trailing garbage"
-        );
-        let mut bad_magic = blob.clone();
+        assert!(decode(&trailing).is_none(), "trailing garbage");
+        let mut bad_magic = object.clone();
         bad_magic[0] ^= 0xFF;
-        assert!(Container::decode_blob(&bad_magic).is_none(), "bad magic");
-        let mut bad_version = blob;
-        bad_version[4] = 99;
-        assert!(
-            Container::decode_blob(&bad_version).is_none(),
-            "bad version"
-        );
+        assert!(decode(&bad_magic).is_none(), "bad magic");
+        let mut bad_version = object.clone();
+        bad_version[4] = 1;
+        assert!(decode(&bad_version).is_none(), "old version");
+        let mut rotten = object;
+        rotten[CONTAINER_BLOB_DATA_OFFSET + 1] ^= 0x01;
+        assert!(decode(&rotten).is_none(), "data section fails its checksum");
     }
 
     proptest! {

@@ -7,24 +7,37 @@
 //! opened.  Sealed containers can be read back for restores and for fingerprint
 //! prefetching.
 //!
+//! One layout on every backend: a sealed container's chunk bytes live only in
+//! its backend object, durable before its journal record is appended and
+//! before it is visible in the sealed directory, which (like the journal)
+//! holds [`ContainerSummary`] metadata only.  A container leaving the store
+//! loses its object only after the journal record saying so.
+//!
+//! A container passes through three stages: *open* (a stream's builder),
+//! *sealing* (sealed in RAM while its object is written and its record
+//! appended) and *sealed* (a summary in the directory, the bytes in the
+//! object).  It enters each stage before it leaves the previous one, and a
+//! reader that misses the sealed directory checks the stages in that order,
+//! so a container stays readable at every instant of its seal.
+//!
 //! Concurrency: each open container sits behind its own mutex, so streams append
 //! in parallel and only contend when they touch the *same* stream's container —
 //! which, by construction, only happens for requests of that one stream.  The
-//! open- and sealed-container directories are reader/writer-locked maps, and the
-//! aggregate counters are atomics, so reads (restores, metadata prefetches) never
-//! block writers of unrelated containers.  Lock order is always directory → slot →
-//! sealed-map; no path takes them in another order, which is what the concurrency
-//! stress suite exercises.
+//! open-, sealing- and sealed-container directories are reader/writer-locked
+//! maps, and the aggregate counters are atomics, so reads (restores, metadata
+//! prefetches) never block writers of unrelated containers.  Lock order is
+//! always open directory → slot → sealing/sealed map; no path takes them in
+//! another order, which is what the concurrency stress suite exercises.
 
 use crate::read_cache::{ContainerReadCache, ReadCacheStats};
 use crate::{
-    ChunkLocation, Container, ContainerBuilder, ContainerId, ContainerMeta, DiskModel, Journal,
-    JournalRecord, MemoryBackend, Result, SimDiskBackend, StorageBackend, StorageError,
-    StorageObject, CONTAINER_BLOB_DATA_OFFSET,
+    ChunkLocation, Container, ContainerBuilder, ContainerId, ContainerMeta, ContainerSummary,
+    DiskModel, Journal, JournalRecord, MemoryBackend, Result, SharedBytes, StorageBackend,
+    StorageError, StorageObject, CONTAINER_BLOB_DATA_OFFSET,
 };
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-use sigma_hashkit::Fingerprint;
+use sigma_hashkit::{Digest, Fingerprint, Sha1};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -124,14 +137,8 @@ struct OpenSlot {
 /// ```
 pub struct ContainerStore {
     capacity: usize,
-    /// The durable medium.  Volatile backends ([`MemoryBackend`],
-    /// [`SimDiskBackend`]) carry no container objects — the journal flowing
-    /// through the same simulated medium already embeds every sealed container,
-    /// so mirroring them would only double RAM.  A persistent backend
-    /// ([`persistent`](StorageBackend::persistent)) gets one object per sealed
-    /// container, written at the same journal-first ack points, and the restore
-    /// path reads payload bytes back *from the object* so the files are
-    /// load-bearing, not decorative.
+    /// The medium holding one object per sealed container — the only copy of
+    /// its chunk bytes, on every backend.
     backend: Arc<dyn StorageBackend>,
     /// Write-ahead journal, when the node is durable: container seals, adoptions
     /// and their chunk-index finalizations are appended *before* they take effect
@@ -139,7 +146,12 @@ pub struct ContainerStore {
     journal: Option<Arc<Journal>>,
     next_id: AtomicU64,
     open: RwLock<HashMap<StreamId, Arc<Mutex<OpenSlot>>>>,
-    sealed: RwLock<HashMap<ContainerId, Container>>,
+    /// Containers between the open and the sealed directory: their object is
+    /// being written and their record appended, and readers are served from
+    /// these in-RAM copies meanwhile.
+    sealing: RwLock<HashMap<ContainerId, Arc<Container>>>,
+    /// The sealed-container directory: metadata only, never payload.
+    sealed: RwLock<HashMap<ContainerId, ContainerSummary>>,
     /// Adoption ledger: `(origin node, origin container) → local container`.
     /// Adopting the same origin twice (a retried rebalance step, or replay of a
     /// duplicated migration record) returns the existing local container instead
@@ -149,9 +161,8 @@ pub struct ContainerStore {
     /// scores the container and dropped with it.  Containers never scored (no GC
     /// ran yet) are absent.
     liveness: RwLock<HashMap<ContainerId, ContainerLiveness>>,
-    /// Bounded LRU of container data sections serving repeat restore reads on
-    /// persistent backends; `None` when disabled (the default, and always on
-    /// volatile backends, whose data sections already live in the sealed map).
+    /// Bounded LRU of container data sections serving repeat restore reads;
+    /// `None` when disabled (the default).
     read_cache: Option<ContainerReadCache>,
     sealed_containers: AtomicU64,
     stored_bytes: AtomicU64,
@@ -171,6 +182,14 @@ impl std::fmt::Debug for ContainerStore {
             .field("sealed", &self.sealed.read().len())
             .finish()
     }
+}
+
+/// Where [`ContainerStore::locate`] found a container.
+enum Located<T> {
+    /// Sealed: a view of its summary; the bytes are in its object.
+    Sealed(T),
+    /// Open or sealing: the whole container, bytes included, in RAM.
+    InRam(Arc<Container>),
 }
 
 /// Maximum gap (bytes) between two record extents that still coalesces them
@@ -197,8 +216,9 @@ pub struct ChunkFetch<'a> {
 pub struct BatchedReadStats {
     /// Chunk payloads decoded.
     pub chunks: u64,
-    /// Bytes actually read from the backend (0 on a cache hit or volatile
-    /// serve); divided into logical bytes this is the read amplification.
+    /// Bytes actually read from the backend (0 on a cache hit or a serve
+    /// from a container still open or sealing); divided into logical bytes
+    /// this is the read amplification.
     pub backend_bytes_read: u64,
     /// Backend reads issued after coalescing (0 when served from RAM).
     pub coalesced_runs: u64,
@@ -233,6 +253,7 @@ impl ContainerStore {
             journal: None,
             next_id: AtomicU64::new(0),
             open: RwLock::new(HashMap::new()),
+            sealing: RwLock::new(HashMap::new()),
             sealed: RwLock::new(HashMap::new()),
             adopted: RwLock::new(HashMap::new()),
             liveness: RwLock::new(HashMap::new()),
@@ -253,24 +274,12 @@ impl ContainerStore {
         ContainerStore::new(DEFAULT_CONTAINER_CAPACITY)
     }
 
-    /// Attaches a disk model: sealed containers are charged as sequential writes,
-    /// metadata and data reads as sequential reads.  (Equivalent to
-    /// [`with_backend`](Self::with_backend) with a [`SimDiskBackend`].)
-    pub fn with_disk(self, disk: Arc<DiskModel>) -> Self {
-        self.with_backend(Arc::new(SimDiskBackend::new(disk)))
-    }
-
-    /// Attaches a storage backend.  Disk-model charging follows the backend's
-    /// own [`disk`](StorageBackend::disk); persistent backends additionally get
-    /// one object per sealed container.
+    /// Attaches a storage backend: every sealed container becomes one object
+    /// on it.  Disk-model charging follows the backend's own
+    /// [`disk`](StorageBackend::disk).
     pub fn with_backend(mut self, backend: Arc<dyn StorageBackend>) -> Self {
         self.backend = backend;
         self
-    }
-
-    /// The backend this store's sealed containers live on.
-    pub fn backend(&self) -> Arc<dyn StorageBackend> {
-        self.backend.clone()
     }
 
     fn disk(&self) -> Option<Arc<DiskModel>> {
@@ -285,8 +294,7 @@ impl ContainerStore {
     }
 
     /// Gives the restore path a [`ContainerReadCache`] bounded at
-    /// `capacity_bytes`; `0` disables caching.  Only persistent backends ever
-    /// populate it — volatile data sections already live in RAM.
+    /// `capacity_bytes`; `0` disables caching.
     pub fn with_read_cache_bytes(mut self, capacity_bytes: u64) -> Self {
         self.read_cache = (capacity_bytes > 0).then(|| ContainerReadCache::new(capacity_bytes));
         self
@@ -391,11 +399,13 @@ impl ContainerStore {
                 continue;
             }
 
-            // Roll over if the chunk does not fit.
+            // Roll over if the chunk does not fit.  The full container moves
+            // to the sealing stage while the slot is still locked.
             if !guard.builder.as_ref().expect("checked above").fits(len) {
-                let full = guard.builder.take().expect("checked above");
-                guard.builder = Some(ContainerBuilder::new(self.alloc_id(), self.capacity));
-                self.seal(full)?;
+                let fresh = ContainerBuilder::new(self.alloc_id(), self.capacity);
+                let full = guard.builder.replace(fresh).expect("checked above");
+                let full = self.begin_seal(full);
+                self.seal_group(vec![full])?;
             }
 
             let builder = guard.builder.as_mut().expect("fresh after rollover");
@@ -422,16 +432,16 @@ impl ContainerStore {
 
     /// The chunk-index entries a container's seal makes durable: one batched
     /// finalize record per sealed container.
-    fn finalize_entries(container: &Container) -> Vec<(Fingerprint, ChunkLocation)> {
+    fn finalize_entries(container: &ContainerSummary) -> Vec<(Fingerprint, ChunkLocation)> {
         container
-            .meta()
+            .meta
             .records
             .iter()
             .map(|r| {
                 (
                     r.fingerprint,
                     ChunkLocation {
-                        container: container.id(),
+                        container: container.id,
                         offset: r.offset,
                         len: r.len,
                     },
@@ -440,8 +450,33 @@ impl ContainerStore {
             .collect()
     }
 
-    fn seal(&self, builder: ContainerBuilder) -> Result<()> {
-        self.seal_group(vec![builder])
+    /// Writes a sealed container's object — durable once this returns — and
+    /// returns the summary: once the caller drops the container, the object
+    /// is its one copy of the chunk bytes.
+    fn write_object(&self, container: &Container) -> Result<ContainerSummary> {
+        let (summary, object) = container.to_object();
+        self.backend
+            .put_object(StorageObject::Container(summary.id), object)?;
+        Ok(summary)
+    }
+
+    /// Adds a newly visible sealed container to the aggregate counters.
+    fn count_sealed(&self, container: &ContainerSummary) {
+        self.sealed_containers.fetch_add(1, Ordering::Relaxed);
+        self.stored_bytes
+            .fetch_add(container.logical_size, Ordering::Relaxed);
+        self.stored_chunks
+            .fetch_add(container.chunk_count() as u64, Ordering::Relaxed);
+    }
+
+    /// Moves a retired builder to the sealing stage.  Callers hold its slot
+    /// lock, so no reader sees the container in neither stage.
+    fn begin_seal(&self, builder: ContainerBuilder) -> Arc<Container> {
+        let container = Arc::new(builder.seal());
+        self.sealing
+            .write()
+            .insert(container.id(), container.clone());
+        container
     }
 
     /// Seals a group of full containers as one buffered write: every container's
@@ -450,15 +485,31 @@ impl ContainerStore {
     /// disk model as one coalesced sequential transfer.  A rollover seals a
     /// group of one; [`flush`](Self::flush) seals every retired stream at once.
     ///
-    /// Write-ahead: the group must be durable before any seal takes effect in
-    /// memory.  A crash mid-group installs nothing — the journaled prefix is
-    /// recovered by replay, and the unacknowledged rest is dropped, exactly as
-    /// an interrupted session would drop it.
-    fn seal_group(&self, builders: Vec<ContainerBuilder>) -> Result<()> {
-        if builders.is_empty() {
+    /// Ordering: every object is durable, then the group's records are
+    /// appended, then the seals become visible in the sealed directory, and
+    /// only then do they leave the sealing stage.  A crash before the records
+    /// leaves only orphan objects, which recovery sweeps; a crash mid-group
+    /// keeps the journaled prefix and drops the unacknowledged rest, exactly
+    /// as an interrupted session would drop it.
+    fn seal_group(&self, containers: Vec<Arc<Container>>) -> Result<()> {
+        let outcome = self.publish_sealed(&containers);
+        let mut sealing = self.sealing.write();
+        for container in &containers {
+            sealing.remove(&container.id());
+        }
+        outcome
+    }
+
+    /// Everything [`seal_group`](Self::seal_group) does before the group
+    /// leaves the sealing stage.
+    fn publish_sealed(&self, containers: &[Arc<Container>]) -> Result<()> {
+        if containers.is_empty() {
             return Ok(());
         }
-        let containers: Vec<Container> = builders.into_iter().map(|b| b.seal()).collect();
+        let containers = containers
+            .iter()
+            .map(|c| self.write_object(c))
+            .collect::<Result<Vec<ContainerSummary>>>()?;
         if let Some(journal) = &self.journal {
             let mut records = Vec::with_capacity(containers.len() * 2);
             for container in &containers {
@@ -466,7 +517,7 @@ impl ContainerStore {
                     container: container.clone(),
                 });
                 records.push(JournalRecord::ChunkIndexFinalize {
-                    container: container.id(),
+                    container: container.id,
                     entries: Self::finalize_entries(container),
                 });
             }
@@ -475,30 +526,14 @@ impl ContainerStore {
         if let Some(disk) = self.disk() {
             let total: u64 = containers
                 .iter()
-                .map(|c| (c.data_size() + c.meta().serialized_size()) as u64)
+                .map(|c| (c.data_size() + c.meta.serialized_size()) as u64)
                 .sum();
             disk.record_sequential_transfer(total);
         }
-        // Persistent backends materialize each sealed container as an object,
-        // after the journal records (write-ahead) and before the seal becomes
-        // visible in memory — an error leaves the node recoverable from the
-        // journal rather than serving containers the medium never got.
-        if self.backend.persistent() {
-            for container in &containers {
-                self.backend.write_object(
-                    StorageObject::Container(container.id()),
-                    &container.encode_blob(),
-                )?;
-            }
-        }
         let mut sealed = self.sealed.write();
         for container in containers {
-            self.sealed_containers.fetch_add(1, Ordering::Relaxed);
-            self.stored_bytes
-                .fetch_add(container.data_size() as u64, Ordering::Relaxed);
-            self.stored_chunks
-                .fetch_add(container.chunk_count() as u64, Ordering::Relaxed);
-            sealed.insert(container.id(), container);
+            self.count_sealed(&container);
+            sealed.insert(container.id, container);
         }
         Ok(())
     }
@@ -512,20 +547,22 @@ impl ContainerStore {
     /// Returns the journal crash hit while sealing; every open container of the
     /// session is then dropped, exactly as a crash would drop them.
     pub fn flush(&self) -> Result<()> {
-        // Retire every open slot.  The directory lock is released before the slots
-        // are sealed; a store racing with the flush either appended before its slot
-        // was retired (its chunk is sealed here) or finds the retired slot and
-        // opens a fresh container.
-        let slots: Vec<Arc<Mutex<OpenSlot>>> = {
+        // Retire every open slot.  A store racing with the flush either
+        // appended before its slot was retired (its chunk is sealed here) or
+        // finds the retired slot and opens a fresh container.  The directory
+        // lock is held until every retired container is in the sealing stage,
+        // so a reader that finds no slot for it finds it sealing.
+        let containers: Vec<Arc<Container>> = {
             let mut open = self.open.write();
-            open.drain().map(|(_, slot)| slot).collect()
+            open.drain()
+                .filter_map(|(_, slot)| {
+                    let mut guard = slot.lock();
+                    let builder = guard.builder.take().filter(|b| b.chunk_count() > 0)?;
+                    Some(self.begin_seal(builder))
+                })
+                .collect()
         };
-        let builders: Vec<ContainerBuilder> = slots
-            .into_iter()
-            .filter_map(|slot| slot.lock().builder.take())
-            .filter(|b| b.chunk_count() > 0)
-            .collect();
-        self.seal_group(builders)
+        self.seal_group(containers)
     }
 
     /// Snapshots a still-open container holding `container`, if any.
@@ -542,6 +579,41 @@ impl ContainerStore {
         None
     }
 
+    /// Finds a container for a reader: `view` of its summary when sealed,
+    /// else the container itself while it is open or sealing.
+    ///
+    /// After a fast look at the sealed and sealing directories the stages are
+    /// checked in lifecycle order — open, sealing, sealed.  A container enters
+    /// each stage before it leaves the previous one, so one that is missed in
+    /// a stage is found in a later one; `None` means it is not in this store.
+    /// No directory guard is held across the open check, which takes slot
+    /// mutexes (the store path holds a slot mutex while it seals).
+    fn locate<T>(
+        &self,
+        container: &ContainerId,
+        view: impl Fn(&ContainerSummary) -> T,
+    ) -> Option<Located<T>> {
+        let sealed = || self.sealed.read().get(container).map(&view);
+        let sealing = || self.sealing.read().get(container).cloned();
+        if let Some(hit) = sealed() {
+            return Some(Located::Sealed(hit));
+        }
+        let in_ram = sealing()
+            .or_else(|| self.clone_open(container).map(Arc::new))
+            .or_else(sealing);
+        match in_ram {
+            Some(container) => Some(Located::InRam(container)),
+            None => sealed().map(Located::Sealed),
+        }
+    }
+
+    /// True if a reader can find `container` here: open, sealing or sealed.
+    pub fn contains(&self, container: &ContainerId) -> bool {
+        let sealed = || self.sealed.read().contains_key(container);
+        let sealing = || self.sealing.read().contains_key(container);
+        sealed() || sealing() || self.contains_open(container) || sealing() || sealed()
+    }
+
     /// Reads a sealed container's metadata section (fingerprint list).
     ///
     /// Charged to the disk model as a sequential read of the metadata section; this
@@ -552,23 +624,12 @@ impl ContainerStore {
     /// Returns [`StorageError::ContainerNotFound`] if the container is not sealed.
     pub fn read_metadata(&self, container: &ContainerId) -> Result<ContainerMeta> {
         self.metadata_reads.fetch_add(1, Ordering::Relaxed);
-        // The sealed-map guard must be dropped before falling back to the open
-        // directory: clone_open takes slot mutexes, and the store path seals while
-        // holding a slot mutex (slot → sealed); holding sealed here would invert
-        // that order and deadlock.
-        let sealed = {
-            let map = self.sealed.read();
-            map.get(container).map(|c| c.meta().clone())
-        };
-        let meta = match sealed {
-            Some(m) => m,
-            None => {
-                // Still-open containers (written moments ago by some stream) are
-                // visible too: their fingerprints are in memory on a real server.
-                self.clone_open(container)
-                    .map(|c| c.meta().clone())
-                    .ok_or(StorageError::ContainerNotFound(*container))?
-            }
+        // Open and sealing containers (written moments ago by some stream) are
+        // visible too: their fingerprints are in memory on a real server.
+        let meta = match self.locate(container, |c| c.meta.clone()) {
+            Some(Located::Sealed(meta)) => meta,
+            Some(Located::InRam(c)) => c.meta().clone(),
+            None => return Err(StorageError::ContainerNotFound(*container)),
         };
         if let Some(disk) = self.disk() {
             // A metadata prefetch is a seek into the container object followed
@@ -589,56 +650,28 @@ impl ContainerStore {
     /// [`StorageError::ChunkNotInContainer`] if the fingerprint is not stored there.
     pub fn read_chunk(&self, container: &ContainerId, fp: &Fingerprint) -> Result<Vec<u8>> {
         self.data_reads.fetch_add(1, Ordering::Relaxed);
-        // Check sealed containers first, then containers still open (their contents
-        // are in memory on a real server and readable immediately).  As in
-        // read_metadata, the sealed guard is dropped before clone_open so the
-        // slot → sealed lock order of the store path is never inverted.
-        // What the sealed map knows about the chunk: on a volatile backend the
-        // payload is cloned under the guard; on a persistent backend only the
-        // record's extent is taken, and the bytes are read back *off the object
-        // file* after the guard drops — the file is the restore medium, so a
-        // byte the medium lost is a byte the restore visibly loses.
-        enum SealedHit {
-            Bytes(Vec<u8>),
-            Extent(u32, u32),
-        }
-        let sealed = {
-            let map = self.sealed.read();
-            map.get(container).map(|c| {
-                c.meta()
-                    .records
-                    .iter()
-                    .find(|r| &r.fingerprint == fp)
-                    // Synthetic (trace-driven) chunks have no payload: their
-                    // records point past the real data section.
-                    .filter(|r| (r.offset + r.len) as usize <= c.data().len())
-                    .map(|r| {
-                        if self.backend.persistent() {
-                            SealedHit::Extent(r.offset, r.len)
-                        } else {
-                            SealedHit::Bytes(
-                                c.data()[r.offset as usize..(r.offset + r.len) as usize].to_vec(),
-                            )
-                        }
-                    })
-            })
+        // Containers not yet sealed are in memory on a real server and
+        // readable immediately.  No lock of ours is held across the backend
+        // read.
+        let extent = |c: &ContainerSummary| {
+            c.meta
+                .records
+                .iter()
+                .find(|r| &r.fingerprint == fp)
+                // Synthetic (trace-driven) chunks have no payload: their
+                // records point past the real data section.
+                .filter(|r| r.offset + r.len <= c.data_len)
+                .map(|r| (r.offset, r.len))
         };
-        let data = match sealed {
-            Some(found) => match found {
-                Some(SealedHit::Bytes(bytes)) => Some(bytes),
-                Some(SealedHit::Extent(offset, len)) => Some(self.backend.read_at(
-                    StorageObject::Container(*container),
-                    (CONTAINER_BLOB_DATA_OFFSET + offset as usize) as u64,
-                    len as usize,
-                )?),
-                None => None,
-            },
-            None => {
-                let open = self
-                    .clone_open(container)
-                    .ok_or(StorageError::ContainerNotFound(*container))?;
-                open.chunk_data(fp).map(|d| d.to_vec())
-            }
+        let data = match self.locate(container, extent) {
+            Some(Located::Sealed(Some((offset, len)))) => Some(self.backend.read_at(
+                StorageObject::Container(*container),
+                (CONTAINER_BLOB_DATA_OFFSET + offset as usize) as u64,
+                len as usize,
+            )?),
+            Some(Located::Sealed(None)) => None,
+            Some(Located::InRam(c)) => c.chunk_data(fp).map(<[u8]>::to_vec),
+            None => return Err(StorageError::ContainerNotFound(*container)),
         };
         let data = data.ok_or_else(|| StorageError::ChunkNotInContainer {
             container: *container,
@@ -654,10 +687,8 @@ impl ContainerStore {
     /// directly into its caller-provided output slice (restore path).
     ///
     /// Where the serial [`read_chunk`](Self::read_chunk) issues one backend
-    /// read per chunk, this coalesces: on a volatile backend every payload is
-    /// copied out of the in-RAM data section under one sealed-map guard; on a
-    /// persistent backend adjacent/nearby record extents become one
-    /// [`read_at`](StorageBackend::read_at) per coalesced run — or, when a
+    /// read per chunk, this coalesces: adjacent/nearby record extents become
+    /// one [`read_at`](StorageBackend::read_at) per coalesced run — or, when a
     /// [read cache](Self::with_read_cache_bytes) is attached and the section
     /// fits its budget, one whole-section read that also fills the cache, with
     /// repeat visits served from RAM.  Disk-model charging is identical to the
@@ -688,53 +719,22 @@ impl ContainerStore {
             chunks: fetches.len() as u64,
             ..BatchedReadStats::default()
         };
-        // Sealed lookup first; as in read_chunk, the guard is dropped before
-        // the open-container fallback so the slot → sealed lock order of the
-        // store path is never inverted.
-        enum SealedBatch {
-            /// Volatile backend: every payload was copied out under the guard.
-            Served,
-            /// Persistent backend: extents validated; read off the object next.
-            Extents { data_len: usize },
-        }
-        let sealed = {
-            let map = self.sealed.read();
-            match map.get(container) {
-                None => None,
-                Some(c) => {
-                    for f in fetches.iter() {
-                        // Synthetic (trace-driven) chunks have no payload:
-                        // their records point past the real data section.
-                        if f.offset as usize + f.out.len() > c.data().len() {
-                            return Err(StorageError::ChunkNotInContainer {
-                                container: *container,
-                                fingerprint: f.fingerprint.to_string(),
-                            });
-                        }
-                    }
-                    if self.backend.persistent() {
-                        Some(SealedBatch::Extents {
-                            data_len: c.data().len(),
-                        })
-                    } else {
-                        for f in fetches.iter_mut() {
-                            let start = f.offset as usize;
-                            f.out.copy_from_slice(&c.data()[start..start + f.out.len()]);
-                        }
-                        Some(SealedBatch::Served)
-                    }
+        match self.locate(container, |c| c.data_len as usize) {
+            Some(Located::Sealed(data_len)) => {
+                // Synthetic (trace-driven) chunks have no payload: their
+                // records point past the real data section.
+                if let Some(f) = fetches
+                    .iter()
+                    .find(|f| f.offset as usize + f.out.len() > data_len)
+                {
+                    return Err(StorageError::ChunkNotInContainer {
+                        container: *container,
+                        fingerprint: f.fingerprint.to_string(),
+                    });
                 }
+                self.read_extents(container, fetches, data_len, &mut stats)?;
             }
-        };
-        match sealed {
-            Some(SealedBatch::Served) => {}
-            Some(SealedBatch::Extents { data_len }) => {
-                self.read_extents_persistent(container, fetches, data_len, &mut stats)?;
-            }
-            None => {
-                let open = self
-                    .clone_open(container)
-                    .ok_or(StorageError::ContainerNotFound(*container))?;
+            Some(Located::InRam(open)) => {
                 for f in fetches.iter_mut() {
                     let data = open
                         .chunk_data(&f.fingerprint)
@@ -746,6 +746,7 @@ impl ContainerStore {
                     f.out.copy_from_slice(data);
                 }
             }
+            None => return Err(StorageError::ContainerNotFound(*container)),
         }
         if let Some(disk) = self.disk() {
             // Chunk-for-chunk the same charge as the serial read path: the
@@ -757,11 +758,11 @@ impl ContainerStore {
         Ok(stats)
     }
 
-    /// The persistent-backend arm of [`read_chunks_batched`]: cache, then
+    /// The sealed-container arm of [`read_chunks_batched`]: cache, then
     /// whole-section readahead, then coalesced extent runs.
     ///
     /// [`read_chunks_batched`]: Self::read_chunks_batched
-    fn read_extents_persistent(
+    fn read_extents(
         &self,
         container: &ContainerId,
         fetches: &mut [ChunkFetch<'_>],
@@ -786,11 +787,12 @@ impl ContainerStore {
             stats.cache_misses += 1;
             if data_len as u64 <= cache.capacity_bytes() {
                 // Read the whole data section once: restores revisit
-                // containers, so the readahead doubles as the cache fill.
-                let section: Arc<[u8]> = self
-                    .backend
-                    .read_at(obj, CONTAINER_BLOB_DATA_OFFSET as u64, data_len)?
-                    .into();
+                // containers, so the readahead doubles as the cache fill —
+                // the buffer the backend returned is the one cached, uncopied
+                // (on the in-RAM backends, the object's own buffer).
+                let section =
+                    self.backend
+                        .read_shared(obj, CONTAINER_BLOB_DATA_OFFSET as u64, data_len)?;
                 stats.backend_bytes_read += data_len as u64;
                 stats.coalesced_runs += 1;
                 for f in fetches.iter_mut() {
@@ -865,19 +867,50 @@ impl ContainerStore {
         self.sealed.read().get(container).map(|c| c.data_size())
     }
 
-    /// Clones a sealed container out of the store for migration to another node.
+    /// A sealed container's whole data section: the read cache's buffer when
+    /// resident, else one backend read.
+    fn section(&self, container: &ContainerSummary) -> Result<SharedBytes> {
+        let cached = self
+            .read_cache
+            .as_ref()
+            .and_then(|cache| cache.get(&container.id))
+            .filter(|section| section.len() == container.data_len as usize);
+        match cached {
+            Some(section) => Ok(section),
+            None => self.backend.read_shared(
+                StorageObject::Container(container.id),
+                CONTAINER_BLOB_DATA_OFFSET as u64,
+                container.data_len as usize,
+            ),
+        }
+    }
+
+    /// Reads a sealed container out of the store for migration to another node.
     ///
     /// Charged to the disk model as a sequential read of the container's data and
     /// metadata sections (the rebalancer streaming it off this node's disk).  The
     /// container stays in the store until [`remove_sealed`](Self::remove_sealed).
-    pub fn export_sealed(&self, container: &ContainerId) -> Option<Container> {
-        let cloned = self.sealed.read().get(container).cloned()?;
+    /// Returns `Ok(None)` when no sealed container has this ID.
+    ///
+    /// The data section is not hashed here: the container travels with its
+    /// journaled checksum, not a fresh one, so a section that rotted on this
+    /// node is written to the destination as it is and caught there by the
+    /// next recovery's [`verify_objects`](Self::verify_objects).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::Io`] when the object cannot be read.
+    pub fn export_sealed(&self, container: &ContainerId) -> Result<Option<Container>> {
+        let Some(summary) = self.sealed.read().get(container).cloned() else {
+            return Ok(None);
+        };
+        let data = self.section(&summary)?;
         if let Some(disk) = self.disk() {
             disk.record_sequential_transfer(
-                (cloned.data_size() + cloned.meta().serialized_size()) as u64,
+                (summary.data_size() + summary.meta.serialized_size()) as u64,
             );
         }
-        Some(cloned)
+        Ok(Some(Container::from_summary(summary, data)))
     }
 
     /// Adopts a container migrated from another node, re-identifying it in this
@@ -894,11 +927,13 @@ impl ContainerStore {
     ///
     /// Returns the container's (possibly pre-existing) local identifier.  First
     /// adoptions are charged to the disk model as a sequential write, exactly like
-    /// sealing a locally filled container.
+    /// sealing a locally filled container, and follow the same ordering: object
+    /// durable, then the journal record, then visible.
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::Crashed`] when the journal refuses the append.
+    /// Returns [`StorageError::Crashed`] when the journal refuses the append,
+    /// and [`StorageError::Io`] when the object cannot be written.
     pub fn adopt_sealed(
         &self,
         origin_node: u64,
@@ -918,7 +953,7 @@ impl ContainerStore {
             return Ok(*existing);
         }
         let new_id = self.alloc_id();
-        let container = container.with_id(new_id);
+        let container = self.write_object(&container.with_id(new_id))?;
         if let Some(journal) = &self.journal {
             journal.append_batch(&[
                 JournalRecord::ContainerAdopt {
@@ -935,49 +970,39 @@ impl ContainerStore {
         }
         if let Some(disk) = self.disk() {
             disk.record_sequential_transfer(
-                (container.data_size() + container.meta().serialized_size()) as u64,
+                (container.data_size() + container.meta.serialized_size()) as u64,
             );
         }
-        if self.backend.persistent() {
-            self.backend
-                .write_object(StorageObject::Container(new_id), &container.encode_blob())?;
-        }
-        self.sealed_containers.fetch_add(1, Ordering::Relaxed);
-        self.stored_bytes
-            .fetch_add(container.data_size() as u64, Ordering::Relaxed);
-        self.stored_chunks
-            .fetch_add(container.chunk_count() as u64, Ordering::Relaxed);
+        self.count_sealed(&container);
         adopted.insert(origin, new_id);
         self.sealed.write().insert(new_id, container);
         Ok(new_id)
     }
 
-    /// Installs a container during journal replay, preserving its identifier.
+    /// Installs a container summary during journal replay, preserving its
+    /// identifier; its object is already on the medium (recovery checks it
+    /// afterwards with [`verify_objects`](Self::verify_objects)).
     ///
-    /// Unlike [`adopt_sealed`](Self::adopt_sealed) this writes nothing back to the
-    /// journal (the record being replayed *is* the durable copy) and charges no
-    /// disk I/O (the replay itself is charged as one sequential journal read).
+    /// Unlike [`adopt_sealed`](Self::adopt_sealed) this writes nothing (the
+    /// record being replayed *is* the durable copy) and charges no disk I/O
+    /// (the replay itself is charged as one sequential journal read).
     /// Returns `false` when `origin` was already adopted — the guard that keeps a
     /// duplicated migration record from double-installing a container.
     pub fn install_recovered(
         &self,
         origin: Option<(u64, ContainerId)>,
-        container: Container,
+        container: ContainerSummary,
     ) -> bool {
         if let Some(origin) = origin {
             let mut adopted = self.adopted.write();
             if adopted.contains_key(&origin) {
                 return false;
             }
-            adopted.insert(origin, container.id());
+            adopted.insert(origin, container.id);
         }
-        let id = container.id();
+        let id = container.id;
         self.next_id.fetch_max(id.as_u64() + 1, Ordering::Relaxed);
-        self.sealed_containers.fetch_add(1, Ordering::Relaxed);
-        self.stored_bytes
-            .fetch_add(container.data_size() as u64, Ordering::Relaxed);
-        self.stored_chunks
-            .fetch_add(container.chunk_count() as u64, Ordering::Relaxed);
+        self.count_sealed(&container);
         self.sealed.write().insert(id, container);
         true
     }
@@ -995,22 +1020,23 @@ impl ContainerStore {
         out
     }
 
-    /// Clones every sealed container together with its adoption origin (if any),
-    /// sorted by container ID — the container half of a compaction snapshot.
-    pub fn sealed_snapshot(&self) -> Vec<(Option<(u64, ContainerId)>, Container)> {
+    /// Every sealed container's summary together with its adoption origin (if
+    /// any), sorted by container ID — the container half of a compaction
+    /// snapshot.
+    pub fn sealed_snapshot(&self) -> Vec<(Option<(u64, ContainerId)>, ContainerSummary)> {
         let by_local: HashMap<ContainerId, (u64, ContainerId)> = self
             .adopted
             .read()
             .iter()
             .map(|(&origin, &local)| (local, origin))
             .collect();
-        let mut out: Vec<(Option<(u64, ContainerId)>, Container)> = self
+        let mut out: Vec<(Option<(u64, ContainerId)>, ContainerSummary)> = self
             .sealed
             .read()
             .values()
-            .map(|c| (by_local.get(&c.id()).copied(), c.clone()))
+            .map(|c| (by_local.get(&c.id).copied(), c.clone()))
             .collect();
-        out.sort_unstable_by_key(|(_, c)| c.id());
+        out.sort_unstable_by_key(|(_, c)| c.id);
         out
     }
 
@@ -1038,21 +1064,20 @@ impl ContainerStore {
             .collect()
     }
 
-    /// Removes a sealed container (the final step of migrating it away),
-    /// subtracting its bytes and chunks from this store's accounting.
-    pub fn remove_sealed(&self, container: &ContainerId) -> Option<Container> {
+    /// Removes a sealed container and deletes its object (the final step of
+    /// migrating it away or collecting it), subtracting its bytes and chunks
+    /// from this store's accounting.  Callers journal the removal first.
+    pub fn remove_sealed(&self, container: &ContainerId) -> Option<ContainerSummary> {
         let removed = self.sealed.write().remove(container)?;
         self.invalidate_cached(container);
-        if self.backend.persistent() {
-            // Best-effort: the journal record preceding the removal is the
-            // durable authority; a leftover object is swept by the next
-            // `sync_backend_objects`.
-            let _ = self.backend.delete(StorageObject::Container(*container));
-        }
+        // Best-effort: the journal record preceding the removal is the
+        // durable authority; an object a failed delete leaves behind is an
+        // orphan the next recovery sweeps.
+        let _ = self.backend.delete(StorageObject::Container(*container));
         self.liveness.write().remove(container);
         self.sealed_containers.fetch_sub(1, Ordering::Relaxed);
         self.stored_bytes
-            .fetch_sub(removed.data_size() as u64, Ordering::Relaxed);
+            .fetch_sub(removed.logical_size, Ordering::Relaxed);
         self.stored_chunks
             .fetch_sub(removed.chunk_count() as u64, Ordering::Relaxed);
         Some(removed)
@@ -1076,7 +1101,7 @@ impl ContainerStore {
         {
             let sealed = self.sealed.read();
             let c = sealed.get(container)?;
-            for record in &c.meta().records {
+            for record in &c.meta.records {
                 if live.contains(&record.fingerprint) {
                     acct.live_bytes += record.len as u64;
                     acct.live_chunks += 1;
@@ -1097,16 +1122,16 @@ impl ContainerStore {
     }
 
     /// Drops a sealed container the GC found fully dead, journaling a
-    /// [`JournalRecord::GcDrop`] *before* the data goes (write-ahead, like every
-    /// other state change).  Returns the dropped container so the caller can
-    /// clean up the indexes that referenced it, or `None` if the container does
-    /// not exist.
+    /// [`JournalRecord::GcDrop`] *before* the object goes (write-ahead, like
+    /// every other state change).  Returns the dropped container's summary so
+    /// the caller can clean up the indexes that referenced it, or `None` if the
+    /// container does not exist.
     ///
     /// # Errors
     ///
     /// Returns [`StorageError::Crashed`] when the journal refuses the append;
     /// the container is then *not* dropped.
-    pub fn drop_sealed_gc(&self, container: &ContainerId) -> Result<Option<Container>> {
+    pub fn drop_sealed_gc(&self, container: &ContainerId) -> Result<Option<ContainerSummary>> {
         if !self.sealed.read().contains_key(container) {
             return Ok(None);
         }
@@ -1120,7 +1145,7 @@ impl ContainerStore {
             self.gc_dropped.fetch_add(1, Ordering::Relaxed);
             if let Some(c) = &removed {
                 self.gc_reclaimed_bytes
-                    .fetch_add(c.data_size() as u64, Ordering::Relaxed);
+                    .fetch_add(c.logical_size, Ordering::Relaxed);
             }
         }
         Ok(removed)
@@ -1140,53 +1165,75 @@ impl ContainerStore {
     /// Must run at a GC-quiescent point, like the sweep that calls it: no
     /// concurrent ingest may be deduplicating against the victim.
     ///
+    /// Ordering: the replacement's object is durable before the `GcCompact`
+    /// record is appended, and the victim's object is deleted only after it.
+    ///
     /// # Errors
     ///
-    /// Returns [`StorageError::Crashed`] when the journal refuses the append;
-    /// the victim then remains in place, untouched.
+    /// Returns [`StorageError::Crashed`] when the journal refuses the append,
+    /// and [`StorageError::Io`] when the victim's object cannot be read or
+    /// fails its checksum, or the replacement cannot be written; the victim
+    /// then remains in place, untouched.
     pub fn compact_container(
         &self,
         victim: &ContainerId,
         live: &std::collections::HashSet<Fingerprint>,
         rfps: &[Fingerprint],
     ) -> Result<Option<CompactionOutcome>> {
-        // The sealed write-lock is held across the whole swap.  Lock order
-        // stays slot → sealed (we take no slot locks), and the journal mutex is
-        // a leaf acquired and released inside `append`, so this cannot deadlock
-        // against a concurrent rollover seal.
-        let mut sealed = self.sealed.write();
-        let Some(old) = sealed.get(victim) else {
+        let Some(old) = self.sealed.read().get(victim).cloned() else {
             return Ok(None);
         };
-        let mut dead_records = Vec::new();
-        let mut live_src = Vec::new();
-        for record in &old.meta().records {
-            if live.contains(&record.fingerprint) {
-                live_src.push(*record);
-            } else {
-                dead_records.push(*record);
-            }
-        }
+        let (live_src, dead_records): (Vec<_>, Vec<_>) = old
+            .meta
+            .records
+            .iter()
+            .copied()
+            .partition(|record| live.contains(&record.fingerprint));
         if dead_records.is_empty() || live_src.is_empty() {
             return Ok(None);
         }
-        let old = old.clone();
+        // The replacement is read, checked, built and written before the
+        // sealed directory is locked, so restores and seals on this node only
+        // wait for the journal append and the swap.  The live chunks get a
+        // fresh checksum in the replacement, so rot in the victim must be
+        // caught here rather than laundered into it.
+        let data = self.section(&old)?;
+        if Sha1::fingerprint(&data) != old.checksum {
+            return Err(StorageError::Io(format!(
+                "{}: data section fails its checksum",
+                old.id
+            )));
+        }
         let new_id = self.alloc_id();
         let mut builder = ContainerBuilder::new(new_id, self.capacity);
         for record in &live_src {
             let end = (record.offset + record.len) as usize;
             // Synthetic (trace-driven) chunks carry no payload; their records
             // point past the real data section and travel metadata-only.
-            let appended = if end <= old.data().len() {
-                builder.try_append(record.fingerprint, &old.data()[record.offset as usize..end])
+            let appended = if end <= data.len() {
+                builder.try_append(record.fingerprint, &data[record.offset as usize..end])
             } else {
                 builder.try_append_synthetic(record.fingerprint, record.len)
             };
             debug_assert!(appended, "a live subset always fits its own container");
         }
-        let replacement = builder.seal();
-        let live_records = replacement.meta().records.clone();
-        let reclaimed = (old.data_size() - replacement.data_size()) as u64;
+        drop(data);
+        let replacement = self.write_object(&builder.seal())?;
+        // Lock order stays slot → sealed (we take no slot locks), and the
+        // journal, read cache and backend locks are leaves acquired and
+        // released inside their calls, so this cannot deadlock against a
+        // concurrent rollover seal.
+        let mut sealed = self.sealed.write();
+        if !sealed.contains_key(victim) {
+            // Migrated or collected while the replacement was being built
+            // (IDs are never reused): nothing journaled names the
+            // replacement, so its object goes again.
+            drop(sealed);
+            let _ = self.backend.delete(StorageObject::Container(new_id));
+            return Ok(None);
+        }
+        let live_records = replacement.meta.records.clone();
+        let reclaimed = old.logical_size - replacement.logical_size;
         if let Some(journal) = &self.journal {
             journal.append(&JournalRecord::GcCompact {
                 victim: *victim,
@@ -1196,20 +1243,12 @@ impl ContainerStore {
         }
         if let Some(disk) = self.disk() {
             // Read the victim off disk, write the replacement back.
+            disk.record_sequential_transfer((old.data_size() + old.meta.serialized_size()) as u64);
             disk.record_sequential_transfer(
-                (old.data_size() + old.meta().serialized_size()) as u64,
-            );
-            disk.record_sequential_transfer(
-                (replacement.data_size() + replacement.meta().serialized_size()) as u64,
+                (replacement.data_size() + replacement.meta.serialized_size()) as u64,
             );
         }
-        if self.backend.persistent() {
-            // Replacement object lands before the victim object goes; the
-            // GcCompact journal record is the atomic authority over the swap.
-            self.backend
-                .write_object(StorageObject::Container(new_id), &replacement.encode_blob())?;
-            let _ = self.backend.delete(StorageObject::Container(*victim));
-        }
+        let _ = self.backend.delete(StorageObject::Container(*victim));
         sealed.remove(victim);
         sealed.insert(new_id, replacement);
         drop(sealed);
@@ -1228,20 +1267,6 @@ impl ContainerStore {
             dead_records,
             reclaimed_bytes: reclaimed,
         }))
-    }
-
-    /// Installs a GC-compaction replacement during journal replay: the victim is
-    /// removed (if present) and the replacement installed under its recorded
-    /// identifier, with the byte/chunk counters adjusted to match.  Returns the
-    /// removed victim so the replaying node can clean its indexes.
-    pub fn apply_compaction_recovered(
-        &self,
-        victim: &ContainerId,
-        replacement: Container,
-    ) -> Option<Container> {
-        let removed = self.remove_sealed(victim);
-        self.install_recovered(None, replacement);
-        removed
     }
 
     /// True if a container with this ID is currently *open* (still being filled
@@ -1272,12 +1297,10 @@ impl ContainerStore {
         self.stored_bytes.load(Ordering::Relaxed) + open
     }
 
-    /// Physical bytes *as the backend sees them*: on a persistent backend, the
-    /// sum of the logical data sizes decoded from every container object
-    /// actually on the medium; on volatile backends (which keep no container
-    /// objects) the in-memory figure.  [`verify_consistency`] on the node
-    /// cross-checks this against the counter-derived figure so the file backend
-    /// cannot silently drift from the in-memory directory.
+    /// Physical bytes *as the backend sees them*: the logical data sizes
+    /// decoded from every container object actually on the medium.
+    /// [`verify_consistency`] on the node cross-checks this against the
+    /// directory, so the medium cannot silently drift from it.
     ///
     /// [`verify_consistency`]: ../../sigma_core/struct.DedupNode.html#method.verify_consistency
     ///
@@ -1285,62 +1308,68 @@ impl ContainerStore {
     ///
     /// Returns [`StorageError::Io`] when an object cannot be read or decoded.
     pub fn backend_physical_bytes(&self) -> Result<u64> {
-        if !self.backend.persistent() {
-            return Ok(self.stored_bytes.load(Ordering::Relaxed));
-        }
         let mut total = 0u64;
         for obj in self.backend.list()? {
             if let StorageObject::Container(id) = obj {
-                let blob = self.backend.read_all(obj)?;
-                let container = Container::decode_blob(&blob)
+                let container = ContainerSummary::from_object(&self.backend.read_all(obj)?)
                     .ok_or_else(|| StorageError::Io(format!("{}: undecodable object", id)))?;
-                total += container.data_size() as u64;
+                total += container.logical_size;
             }
         }
         Ok(total)
     }
 
-    /// Reconciles the persistent backend's container objects with the sealed
-    /// directory (recovery runs this after replay): every sealed container's
-    /// object is read back and byte-compared against the replayed state, and
-    /// every divergence is repaired *from the journal-derived truth* — a
-    /// missing or mismatched object is rewritten, an orphan object (its seal
-    /// record was torn away with the unacknowledged tail) is deleted.
+    /// Checks the medium against the directory journal replay rebuilt
+    /// (recovery runs this once, before the node serves).  A sealed container
+    /// whose object is missing, has the wrong length or fails its checksum is
+    /// discarded — dropped from the directory and the adoption ledger, and
+    /// returned so the caller can drop its index entries.  Every container
+    /// object no sealed container claims is deleted: a crash between an
+    /// object write and its record, or between a record and the delete it
+    /// licensed, leaves exactly such orphans.  Verified data sections go into
+    /// the read cache, as any read's would.
     ///
-    /// Returns `(verified, repaired)`: objects that matched exactly, and
-    /// objects rewritten or deleted.  A no-op `(0, 0)` on volatile backends.
+    /// Returns the discarded containers and the number of orphans deleted;
+    /// every container still sealed afterwards was verified.
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::Io`] when the backend cannot be read or written.
-    pub fn sync_backend_objects(&self) -> Result<(u64, u64)> {
-        if !self.backend.persistent() {
-            return Ok((0, 0));
-        }
-        let sealed: Vec<Container> = self.sealed.read().values().cloned().collect();
-        let mut verified = 0u64;
-        let mut repaired = 0u64;
-        let mut expected: std::collections::HashSet<ContainerId> = std::collections::HashSet::new();
-        for container in &sealed {
-            expected.insert(container.id());
-            let obj = StorageObject::Container(container.id());
-            let on_medium = self.backend.read_all(obj)?;
-            if Container::decode_blob(&on_medium).as_ref() == Some(container) {
-                verified += 1;
-            } else {
-                self.backend.write_object(obj, &container.encode_blob())?;
-                repaired += 1;
+    /// Returns [`StorageError::Io`] when the backend cannot be listed, read or
+    /// written.
+    pub fn verify_objects(&self) -> Result<(Vec<ContainerSummary>, u64)> {
+        let mut discarded = Vec::new();
+        for (_, container) in self.sealed_snapshot() {
+            let obj = StorageObject::Container(container.id);
+            let object = match self.backend.object_len(obj)? {
+                Some(len) => Some(self.backend.read_shared(obj, 0, len as usize)?),
+                None => None,
+            };
+            let intact =
+                object.filter(|o| ContainerSummary::from_object(o).as_ref() == Some(&container));
+            let Some(object) = intact else {
+                self.adopted
+                    .write()
+                    .retain(|_, local| *local != container.id);
+                discarded.extend(self.remove_sealed(&container.id));
+                continue;
+            };
+            if let Some(cache) = &self.read_cache {
+                // Checking the object just read its data section: keep it,
+                // like any other read, for the restores a restart serves.
+                let data = CONTAINER_BLOB_DATA_OFFSET
+                    ..CONTAINER_BLOB_DATA_OFFSET + container.data_len as usize;
+                cache.insert(container.id, object.slice(data));
             }
         }
+        let sealed = self.sealed.read();
+        let mut orphans = 0;
         for obj in self.backend.list()? {
-            if let StorageObject::Container(id) = obj {
-                if !expected.contains(&id) {
-                    self.backend.delete(obj)?;
-                    repaired += 1;
-                }
+            if matches!(obj, StorageObject::Container(id) if !sealed.contains_key(&id)) {
+                self.backend.delete(obj)?;
+                orphans += 1;
             }
         }
-        Ok((verified, repaired))
+        Ok((discarded, orphans))
     }
 
     /// Number of sealed containers.
@@ -1367,7 +1396,7 @@ impl ContainerStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DiskParams;
+    use crate::{DiskParams, SimDiskBackend};
     use sigma_hashkit::{Digest, Sha1};
 
     fn payload(i: u64, len: usize) -> (Fingerprint, Vec<u8>) {
@@ -1464,7 +1493,8 @@ mod tests {
     #[test]
     fn disk_accounting_records_sequential_io() {
         let disk = Arc::new(DiskModel::new(DiskParams::default()));
-        let store = ContainerStore::new(200).with_disk(disk.clone());
+        let store =
+            ContainerStore::new(200).with_backend(Arc::new(SimDiskBackend::new(disk.clone())));
         for i in 0..4u64 {
             let (fp, data) = payload(i, 100);
             store.store_chunk(0, fp, &data).unwrap();
@@ -1678,7 +1708,7 @@ mod tests {
         let cid = store.sealed_container_ids()[0];
         let frames_before = journal.frame_count();
         let dropped = store.drop_sealed_gc(&cid).unwrap().expect("present");
-        assert_eq!(dropped.id(), cid);
+        assert_eq!(dropped.id, cid);
         assert_eq!(journal.frame_count(), frames_before + 1);
         assert_eq!(store.physical_bytes(), 0);
         assert_eq!(store.stats().gc_dropped_containers, 1);
@@ -1691,9 +1721,11 @@ mod tests {
     #[test]
     fn flush_coalesces_seals_into_one_group_write() {
         let disk = Arc::new(DiskModel::new(DiskParams::default()));
-        let journal = Arc::new(crate::Journal::with_disk(disk.clone()));
+        let journal = Arc::new(
+            crate::Journal::with_backend(Arc::new(SimDiskBackend::new(disk.clone()))).unwrap(),
+        );
         let store = ContainerStore::new(4096)
-            .with_disk(disk.clone())
+            .with_backend(Arc::new(SimDiskBackend::new(disk.clone())))
             .with_journal(journal.clone());
         for stream in 0..6u64 {
             let (fp, data) = payload(stream, 100);
@@ -1706,7 +1738,7 @@ mod tests {
         assert_eq!(disk.stats().sequential_ops, ops_before + 2);
         assert_eq!(store.stats().sealed_containers, 6);
         // Every seal and finalize still reached the journal individually.
-        let (records, _) = crate::Journal::replay(&journal.bytes());
+        let (records, _) = crate::Journal::replay(&journal.bytes()).unwrap();
         assert_eq!(records.len(), 12);
         assert_eq!(
             records
@@ -1745,7 +1777,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_read_matches_serial_on_volatile_store() {
+    fn batched_read_matches_serial_on_memory_store() {
         let store = ContainerStore::new(4096);
         let mut chunks = Vec::new();
         for i in 0..5u64 {
@@ -1761,7 +1793,11 @@ mod tests {
         chunks.push(repeat);
         let stats = batched_roundtrip(&store, &cid, &chunks);
         assert_eq!(stats.chunks, 6);
-        assert_eq!(stats.coalesced_runs, 0, "volatile serve issues no reads");
+        assert_eq!(
+            (stats.coalesced_runs, stats.backend_bytes_read),
+            (1, 500),
+            "served off the object, like every backend: one coalesced read"
+        );
         assert_eq!(
             stats.cache_hits + stats.cache_misses,
             0,
@@ -1910,6 +1946,227 @@ mod tests {
         let stats = batched_roundtrip(&store, &loc.container, &chunks);
         assert_eq!(stats.chunks, 1);
         assert_eq!(stats.backend_bytes_read, 0);
+    }
+
+    #[test]
+    fn flushed_store_keeps_no_payload_in_ram() {
+        let backend = Arc::new(MemoryBackend::new());
+        let store = ContainerStore::new(4096).with_backend(backend.clone());
+        let mut chunks = Vec::new();
+        for i in 0..6u64 {
+            let (fp, data) = payload(i, 300);
+            let loc = store.store_chunk(i % 2, fp, &data).unwrap();
+            chunks.push((fp, loc));
+        }
+        store.flush().unwrap();
+        let objects: u64 = backend
+            .list()
+            .unwrap()
+            .into_iter()
+            .map(|obj| backend.object_len(obj).unwrap().unwrap())
+            .sum();
+        assert!(objects >= 6 * 300, "every payload byte is in an object");
+        // With the objects gone, nothing in the store can produce a payload
+        // byte: the directory keeps metadata only.
+        for obj in backend.list().unwrap() {
+            backend.delete(obj).unwrap();
+        }
+        for (fp, loc) in &chunks {
+            assert!(matches!(
+                store.read_chunk(&loc.container, fp),
+                Err(StorageError::Io(_))
+            ));
+            let mut out = vec![0u8; loc.len as usize];
+            let mut fetches = [ChunkFetch {
+                fingerprint: *fp,
+                offset: loc.offset,
+                out: &mut out,
+            }];
+            assert!(store
+                .read_chunks_batched(&loc.container, &mut fetches)
+                .is_err());
+            assert!(store.export_sealed(&loc.container).is_err());
+            let meta = store.read_metadata(&loc.container).unwrap();
+            assert!(meta.fingerprints().any(|f| f == *fp), "metadata stays");
+        }
+    }
+
+    #[test]
+    fn verify_objects_discards_damaged_containers_and_sweeps_orphans() {
+        let backend = Arc::new(MemoryBackend::new());
+        let store = ContainerStore::new(4096).with_backend(backend.clone());
+        for stream in 0..4u64 {
+            let (fp, data) = payload(stream, 200);
+            store.store_chunk(stream, fp, &data).unwrap();
+        }
+        store.flush().unwrap();
+        let ids = store.sealed_container_ids();
+        assert_eq!(ids.len(), 4);
+        // Remove one object, flip a data byte of another, truncate a third,
+        // and leave an object no container claims.
+        backend.delete(StorageObject::Container(ids[0])).unwrap();
+        let rotten = StorageObject::Container(ids[1]);
+        let mut bytes = backend.read_all(rotten).unwrap();
+        bytes[CONTAINER_BLOB_DATA_OFFSET + 7] ^= 0x10;
+        backend.write_object(rotten, &bytes).unwrap();
+        let (_, migrated) = store
+            .export_sealed(&ids[1])
+            .unwrap()
+            .expect("sealed")
+            .to_object();
+        assert_eq!(
+            ContainerSummary::from_object(&migrated),
+            None,
+            "a migrated rotten section keeps failing its journaled checksum"
+        );
+        let short = StorageObject::Container(ids[2]);
+        let bytes = backend.read_all(short).unwrap();
+        backend
+            .write_object(short, &bytes[..bytes.len() - 1])
+            .unwrap();
+        let orphan = StorageObject::Container(ContainerId::new(99));
+        backend.write_object(orphan, b"never recorded").unwrap();
+
+        let (discarded, orphans) = store.verify_objects().unwrap();
+        let discarded: Vec<ContainerId> = discarded.iter().map(|c| c.id).collect();
+        assert_eq!(discarded, ids[..3].to_vec());
+        assert_eq!(orphans, 1);
+        assert_eq!(store.sealed_container_ids(), vec![ids[3]]);
+        assert_eq!(store.physical_bytes(), 200);
+        assert_eq!(
+            backend.list().unwrap(),
+            vec![StorageObject::Container(ids[3])],
+            "only the healthy container's object is left"
+        );
+        assert_eq!(store.backend_physical_bytes().unwrap(), 200);
+    }
+
+    #[test]
+    fn compaction_refuses_a_rotten_victim() {
+        let backend = Arc::new(MemoryBackend::new());
+        let store = ContainerStore::new(4096).with_backend(backend.clone());
+        let chunks: Vec<(Fingerprint, Vec<u8>)> = (0..4u64).map(|i| payload(i, 100)).collect();
+        for (fp, data) in &chunks {
+            store.store_chunk(0, *fp, data).unwrap();
+        }
+        store.flush().unwrap();
+        let victim = store.sealed_container_ids()[0];
+        let obj = StorageObject::Container(victim);
+        let mut bytes = backend.read_all(obj).unwrap();
+        bytes[CONTAINER_BLOB_DATA_OFFSET + 150] ^= 0x01;
+        backend.write_object(obj, &bytes).unwrap();
+        let live: std::collections::HashSet<Fingerprint> = [chunks[0].0].into_iter().collect();
+        assert!(
+            matches!(
+                store.compact_container(&victim, &live, &[]),
+                Err(StorageError::Io(_))
+            ),
+            "live chunks must not be re-checksummed from rotten bytes"
+        );
+        assert_eq!(
+            store.sealed_container_ids(),
+            vec![victim],
+            "victim untouched"
+        );
+        assert_eq!(store.physical_bytes(), 400);
+    }
+
+    /// A memory backend whose container-object writes park until released:
+    /// a sealer writing through it stops between leaving the open directory
+    /// and entering the sealed one.
+    #[derive(Debug)]
+    struct ParkingBackend {
+        inner: MemoryBackend,
+        parked: Mutex<std::sync::mpsc::Sender<()>>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl StorageBackend for ParkingBackend {
+        fn kind(&self) -> crate::BackendKind {
+            self.inner.kind()
+        }
+        fn append(&self, obj: StorageObject, bytes: &[u8]) -> Result<u64> {
+            self.inner.append(obj, bytes)
+        }
+        fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> Result<()> {
+            if matches!(obj, StorageObject::Container(_)) {
+                self.parked.lock().send(()).unwrap();
+                self.release.lock().recv().unwrap();
+            }
+            self.inner.write_object(obj, bytes)
+        }
+        fn read_all(&self, obj: StorageObject) -> Result<Vec<u8>> {
+            self.inner.read_all(obj)
+        }
+        fn read_at(&self, obj: StorageObject, offset: u64, len: usize) -> Result<Vec<u8>> {
+            self.inner.read_at(obj, offset, len)
+        }
+        fn object_len(&self, obj: StorageObject) -> Result<Option<u64>> {
+            self.inner.object_len(obj)
+        }
+        fn truncate(&self, obj: StorageObject, len: u64) -> Result<()> {
+            self.inner.truncate(obj, len)
+        }
+        fn fsync(&self, obj: StorageObject) -> Result<()> {
+            self.inner.fsync(obj)
+        }
+        fn delete(&self, obj: StorageObject) -> Result<()> {
+            self.inner.delete(obj)
+        }
+        fn list(&self) -> Result<Vec<StorageObject>> {
+            self.inner.list()
+        }
+    }
+
+    #[test]
+    fn a_container_parked_mid_seal_stays_readable() {
+        // Both ways into a seal: a flush, and a rollover (whose sealer holds
+        // its stream's slot lock throughout).
+        for rollover in [false, true] {
+            let (parked_tx, parked) = std::sync::mpsc::channel();
+            let (release, release_rx) = std::sync::mpsc::channel();
+            let store = Arc::new(
+                ContainerStore::new(256).with_backend(Arc::new(ParkingBackend {
+                    inner: MemoryBackend::new(),
+                    parked: Mutex::new(parked_tx),
+                    release: Mutex::new(release_rx),
+                })),
+            );
+            let (fp, data) = payload(1, 200);
+            let loc = store.store_chunk(0, fp, &data).unwrap();
+            let sealer = {
+                let store = store.clone();
+                std::thread::spawn(move || {
+                    if rollover {
+                        let (fp, data) = payload(2, 200);
+                        store.store_chunk(0, fp, &data).map(|_| ())
+                    } else {
+                        store.flush()
+                    }
+                })
+            };
+            parked.recv().unwrap();
+            // Parked inside the object write: out of the open directory, not
+            // yet in the sealed one.
+            assert!(!store.contains_sealed(&loc.container));
+            if !rollover {
+                assert!(!store.contains_open(&loc.container));
+            }
+            assert!(store.contains(&loc.container));
+            assert_eq!(store.read_chunk(&loc.container, &fp).unwrap(), data);
+            let stats = batched_roundtrip(&store, &loc.container, &[(fp, data.clone(), 0)]);
+            assert_eq!(stats.backend_bytes_read, 0, "served from RAM");
+            assert_eq!(
+                store.read_metadata(&loc.container).unwrap().len(),
+                1,
+                "metadata of a sealing container is visible"
+            );
+            release.send(()).unwrap();
+            sealer.join().unwrap().unwrap();
+            assert!(store.contains_sealed(&loc.container));
+            assert_eq!(store.read_chunk(&loc.container, &fp).unwrap(), data);
+            assert!(store.sealing.read().is_empty(), "no container left sealing");
+        }
     }
 
     #[test]

@@ -32,6 +32,15 @@ pub enum StorageError {
     /// Disk parameters were rejected at validation time (the message names the
     /// offending field and value).
     InvalidDiskParams(String),
+    /// A journal frame is whole (its checksum holds) but its payload is not a
+    /// record this version can decode — the journal was written in another
+    /// record layout.  Recovery refuses it instead of truncating there.
+    UnreadableRecord {
+        /// Sequence number of the unreadable frame.
+        seq: u64,
+        /// Byte offset of the frame in the journal.
+        offset: u64,
+    },
     /// A storage backend operation failed (the message carries the operation,
     /// the object and the underlying OS error).  Only the file backend produces
     /// these at runtime; the volatile backends are infallible.
@@ -68,6 +77,11 @@ impl std::fmt::Display for StorageError {
             StorageError::InvalidDiskParams(msg) => {
                 write!(f, "invalid disk parameters: {}", msg)
             }
+            StorageError::UnreadableRecord { seq, offset } => write!(
+                f,
+                "journal frame {} at offset {} is intact but holds no record this version can read",
+                seq, offset
+            ),
             StorageError::Io(msg) => write!(f, "storage backend i/o error: {}", msg),
         }
     }

@@ -2,24 +2,28 @@
 //!
 //! Everything a deduplication node keeps in RAM — chunk index, similarity index,
 //! container directory — is rebuildable from an append-only journal of checksummed
-//! frames.  The journal models the node's durable medium: a crash destroys the
-//! in-memory structures but never the journal, and
+//! frames plus the container objects beside it on the same
+//! [`StorageBackend`].  The journal carries metadata only: a container record
+//! names the container, its records, and the length and checksum of the data
+//! section, whose bytes live once, in the container's object.  A crash destroys
+//! the in-memory structures but never the medium, and
 //! [`DedupNode::recover`](../../sigma_core/struct.DedupNode.html#method.recover)
-//! replays the surviving frames back into a consistent node.
+//! replays the surviving frames back into a consistent node, then checks every
+//! replayed container against its object.
 //!
 //! # Record kinds
 //!
 //! | record | written when | replay effect |
 //! |---|---|---|
-//! | [`ContainerSeal`](JournalRecord::ContainerSeal) | an open container fills or is flushed | reinstall the sealed container and index its chunks |
+//! | [`ContainerSeal`](JournalRecord::ContainerSeal) | an open container fills or is flushed, after its object is durable | reinstall the container summary and index its chunks |
 //! | [`ChunkIndexFinalize`](JournalRecord::ChunkIndexFinalize) | the seal makes the container's claimed fingerprints durable | upsert the batched chunk-index entries |
 //! | [`SimilarityPublish`](JournalRecord::SimilarityPublish) | a super-chunk's handprint is mapped to its container | re-insert RFP → container mappings |
-//! | [`ContainerAdopt`](JournalRecord::ContainerAdopt) | the rebalancer installs a migrated container | reinstall container + index + RFPs, keyed by origin so a duplicated record cannot double-adopt |
-//! | [`Tombstone`](JournalRecord::Tombstone) | a migrated container's forwarding pointer is published (always *before* the data drops) | drop the container, keep the chunk entries, record the forwarding pointer |
+//! | [`ContainerAdopt`](JournalRecord::ContainerAdopt) | the rebalancer installs a migrated container, after its object is durable | reinstall summary + index + RFPs, keyed by origin so a duplicated record cannot double-adopt |
+//! | [`Tombstone`](JournalRecord::Tombstone) | a migrated container's forwarding pointer is published (always *before* its object is deleted) | drop the container, keep the chunk entries, record the forwarding pointer |
 //! | [`StatsCheckpoint`](JournalRecord::StatsCheckpoint) | a flush acknowledges a backup session | restore the node's ingest counters |
 //! | [`RecipeDelete`](JournalRecord::RecipeDelete) | the director deletes a backup whose recipe referenced this node | no structural effect (recipes are director state); records that the GC which follows replays against a post-delete history, and gives fault plans a boundary between deletion and sweep |
-//! | [`GcCompact`](JournalRecord::GcCompact) | the sweep rewrites a mostly-dead container's live chunks into a fresh one | drop the victim (and its chunk entries), install the replacement, index its chunks, re-home the travelling RFPs |
-//! | [`GcDrop`](JournalRecord::GcDrop) | the sweep drops a container with no live chunks | drop the container and its chunk-index/similarity entries — unlike a tombstone, nothing forwards anywhere |
+//! | [`GcCompact`](JournalRecord::GcCompact) | the sweep rewrites a mostly-dead container's live chunks into a fresh one (replacement object durable before, victim object deleted after) | drop the victim (and its chunk entries), install the replacement, index its chunks, re-home the travelling RFPs |
+//! | [`GcDrop`](JournalRecord::GcDrop) | the sweep drops a container with no live chunks (object deleted after) | drop the container and its chunk-index/similarity entries — unlike a tombstone, nothing forwards anywhere |
 //! | [`Snapshot`](JournalRecord::Snapshot) | [`Journal::compact`] folds the log | install the whole materialized state at once |
 //!
 //! # Frames, torn tails and crash points
@@ -28,7 +32,11 @@
 //! FNV-1a checksum, payload — so replay can tell a *complete* record from a torn
 //! one.  Replay stops at the first truncated or corrupt frame and reports the
 //! discarded suffix: a torn tail is data that was never acknowledged, so it is
-//! dropped, never half-applied.
+//! dropped, never half-applied.  A frame whose checksum holds but whose payload
+//! does not decode is different: it was written whole, by a writer speaking
+//! another record layout (an older version of this crate, say), so replay
+//! refuses the journal with [`StorageError::UnreadableRecord`] and leaves it
+//! untouched rather than cutting away every acknowledged record after it.
 //!
 //! Crash points are *journal-append boundaries*: [`Journal::arm_crash_at_seq`]
 //! makes the append that would receive the given sequence number fail (optionally
@@ -39,8 +47,8 @@
 //! adopt-then-tombstone boundary inside a rebalance step.
 
 use crate::{
-    ChunkLocation, ChunkRecord, Container, ContainerId, ContainerMeta, DiskModel, MemoryBackend,
-    SimDiskBackend, StorageBackend, StorageError, StorageObject,
+    ChunkLocation, ContainerId, ContainerSummary, DiskModel, MemoryBackend, StorageBackend,
+    StorageError, StorageObject,
 };
 use parking_lot::Mutex;
 use sigma_hashkit::{fnv1a_64, Fingerprint};
@@ -55,11 +63,10 @@ const FRAME_HEADER: usize = 4 + 4 + 8 + 8;
 /// One durable record in a node's write-ahead journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalRecord {
-    /// A locally filled container was sealed; carries the full container so the
-    /// journal is self-sufficient as the durable medium.
+    /// A locally filled container was sealed; its object was durable first.
     ContainerSeal {
-        /// The sealed container (data + metadata sections).
-        container: Container,
+        /// The sealed container's summary (metadata, data length, checksum).
+        container: ContainerSummary,
     },
     /// The chunk-index entries made durable by a container seal (the batched
     /// finalize of every fingerprint claimed into that container).
@@ -83,8 +90,8 @@ pub enum JournalRecord {
         origin_node: u64,
         /// The container's identifier on the origin node.
         origin_container: ContainerId,
-        /// The container under its new local identifier.
-        container: Container,
+        /// The container's summary under its new local identifier.
+        container: ContainerSummary,
         /// Representative fingerprints re-homed with the container.
         rfps: Vec<Fingerprint>,
     },
@@ -116,7 +123,7 @@ pub enum JournalRecord {
         /// The container that was compacted away.
         victim: ContainerId,
         /// The fresh container holding exactly the victim's live chunks.
-        replacement: Container,
+        replacement: ContainerSummary,
         /// Representative fingerprints re-homed from the victim to the
         /// replacement (resemblance queries keep finding the surviving data).
         rfps: Vec<Fingerprint>,
@@ -168,7 +175,7 @@ pub struct NodeSnapshot {
     /// Next container ID the store will allocate.
     pub next_container_id: u64,
     /// Sealed containers, each with the origin key it was adopted under (if any).
-    pub containers: Vec<(Option<(u64, ContainerId)>, Container)>,
+    pub containers: Vec<(Option<(u64, ContainerId)>, ContainerSummary)>,
     /// Finalized chunk-index entries.
     pub chunk_entries: Vec<(Fingerprint, ChunkLocation)>,
     /// Similarity-index entries.
@@ -239,7 +246,7 @@ struct JournalState {
 /// journal
 ///     .append(&JournalRecord::Tombstone { container: ContainerId::new(7), successor: 2 })
 ///     .unwrap();
-/// let (records, summary) = Journal::replay(&journal.bytes());
+/// let (records, summary) = Journal::replay(&journal.bytes()).unwrap();
 /// assert_eq!(records.len(), 1);
 /// assert_eq!(summary.bytes_discarded, 0);
 /// ```
@@ -247,12 +254,9 @@ pub struct Journal {
     state: Mutex<JournalState>,
     /// The durable medium the frames live on.  Appends and the fsync at each
     /// acknowledgement point go through it; on volatile backends the fsync is a
-    /// no-op and on the file backend it is a real `fsync(2)`.
+    /// no-op and on the file backend it is a real `fsync(2)`.  Disk accounting
+    /// follows the backend's own [`DiskModel`](StorageBackend::disk).
     backend: Arc<dyn StorageBackend>,
-    /// Rebindable: recovery builds a fresh node (and fresh [`DiskModel`]) and
-    /// re-targets the surviving journal at it via [`attach_disk`](Journal::attach_disk),
-    /// so post-recovery appends keep being charged to the node that owns them.
-    disk: parking_lot::RwLock<Option<Arc<DiskModel>>>,
 }
 
 impl std::fmt::Debug for Journal {
@@ -281,17 +285,6 @@ impl Journal {
         Journal {
             state: Mutex::new(JournalState::default()),
             backend: Arc::new(MemoryBackend::new()),
-            disk: parking_lot::RwLock::new(None),
-        }
-    }
-
-    /// Creates an empty journal on a simulated-disk backend whose appends and
-    /// replays are charged to `disk`.
-    pub fn with_disk(disk: Arc<DiskModel>) -> Self {
-        Journal {
-            state: Mutex::new(JournalState::default()),
-            backend: Arc::new(SimDiskBackend::new(disk.clone())),
-            disk: parking_lot::RwLock::new(Some(disk)),
         }
     }
 
@@ -308,11 +301,9 @@ impl Journal {
     /// journal object.
     pub fn with_backend(backend: Arc<dyn StorageBackend>) -> Result<Self, StorageError> {
         backend.write_object(StorageObject::Journal, &[])?;
-        let disk = backend.disk();
         Ok(Journal {
             state: Mutex::new(JournalState::default()),
             backend,
-            disk: parking_lot::RwLock::new(disk),
         })
     }
 
@@ -328,7 +319,6 @@ impl Journal {
     pub fn open(backend: Arc<dyn StorageBackend>) -> Result<Self, StorageError> {
         let bytes = backend.read_all(StorageObject::Journal)?;
         let boundaries = scan_frames(&bytes);
-        let disk = backend.disk();
         Ok(Journal {
             state: Mutex::new(JournalState {
                 len: bytes.len(),
@@ -338,7 +328,6 @@ impl Journal {
                 armed: None,
             }),
             backend,
-            disk: parking_lot::RwLock::new(disk),
         })
     }
 
@@ -348,33 +337,15 @@ impl Journal {
         self.backend.clone()
     }
 
-    /// Re-targets disk accounting at `disk`.
+    /// Re-targets the backend's disk accounting at `disk` (a no-op on
+    /// backends without a [`DiskModel`]).
     ///
-    /// A recovered node owns a fresh [`DiskModel`]; the journal survives the
+    /// A recovered node owns a fresh [`DiskModel`]; the medium survives the
     /// crash, so its charges must follow the new owner — otherwise every
-    /// post-recovery append would be billed to the discarded node's model and
-    /// vanish from the recovered node's statistics.
+    /// post-recovery operation would be billed to the discarded node's model
+    /// and vanish from the recovered node's statistics.
     pub fn attach_disk(&self, disk: Arc<DiskModel>) {
-        self.backend.attach_disk(disk.clone());
-        *self.disk.write() = Some(disk);
-    }
-
-    /// Reconstructs a journal from previously captured [`bytes`](Self::bytes) —
-    /// the crash image a fault harness hands to recovery.  The image is seeded
-    /// into a fresh in-memory backend.
-    pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        let boundaries = scan_frames(&bytes);
-        Journal {
-            state: Mutex::new(JournalState {
-                len: bytes.len(),
-                next_seq: boundaries.last().map(|&(seq, _)| seq + 1).unwrap_or(0),
-                boundaries,
-                crashed: false,
-                armed: None,
-            }),
-            backend: Arc::new(MemoryBackend::with_journal_bytes(bytes)),
-            disk: parking_lot::RwLock::new(None),
-        }
+        self.backend.attach_disk(disk);
     }
 
     /// Appends one record, returning its sequence number.
@@ -415,7 +386,7 @@ impl Journal {
             }
         }
         let frame = encode_frame(seq, record);
-        if let Some(disk) = self.disk.read().as_ref() {
+        if let Some(disk) = self.backend.disk() {
             disk.record_sequential_transfer(frame.len() as u64);
         }
         // Append + fsync is the acknowledgement point: a real I/O failure here
@@ -479,7 +450,7 @@ impl Journal {
                 // still reach the medium: the power cut interrupted the group
                 // write partway through, it did not unwrite the prefix.
                 if !buf.is_empty() {
-                    if let Some(disk) = self.disk.read().as_ref() {
+                    if let Some(disk) = self.backend.disk() {
                         disk.record_sequential_transfer(buf.len() as u64);
                     }
                     if self.backend.append(StorageObject::Journal, &buf).is_ok() {
@@ -498,7 +469,7 @@ impl Journal {
             frames.push((seq, buf.len()));
         }
         if !buf.is_empty() {
-            if let Some(disk) = self.disk.read().as_ref() {
+            if let Some(disk) = self.backend.disk() {
                 disk.record_sequential_transfer(buf.len() as u64);
             }
             if let Err(e) = self
@@ -583,21 +554,35 @@ impl Journal {
     /// Replay is *lenient at the tail*: the first truncated or corrupt frame ends
     /// the replay and everything from it onward is reported as discarded.  This is
     /// the torn-tail rule — an interrupted append must disappear, not half-apply.
-    pub fn replay(bytes: &[u8]) -> (Vec<JournalRecord>, ReplaySummary) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::UnreadableRecord`] for a frame whose checksum
+    /// holds but whose payload is not a record this version can decode: it
+    /// was written whole, so it is not a torn tail, and dropping it would drop
+    /// every acknowledged record after it too.
+    pub fn replay(bytes: &[u8]) -> Result<(Vec<JournalRecord>, ReplaySummary), StorageError> {
         let mut records = Vec::new();
         let mut offset = 0usize;
-        let mut frames = 0u64;
-        while let Some((record, end)) = decode_frame(bytes, offset) {
-            records.push(record);
+        while let Some((seq, end)) = peek_frame(bytes, offset) {
+            let mut reader = Reader::new(&bytes[offset + FRAME_HEADER..end]);
+            match decode_record(&mut reader) {
+                Some(record) if reader.is_empty() => records.push(record),
+                _ => {
+                    return Err(StorageError::UnreadableRecord {
+                        seq,
+                        offset: offset as u64,
+                    })
+                }
+            }
             offset = end;
-            frames += 1;
         }
         let summary = ReplaySummary {
-            frames,
+            frames: records.len() as u64,
             bytes_replayed: offset as u64,
             bytes_discarded: (bytes.len() - offset) as u64,
         };
-        (records, summary)
+        Ok((records, summary))
     }
 
     /// Replays this journal's own contents, truncating any torn tail and clearing
@@ -605,18 +590,24 @@ impl Journal {
     /// recovered node's write-ahead log.
     ///
     /// Charged to the disk model as one sequential read of the replayed bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::UnreadableRecord`] (see [`replay`](Self::replay))
+    /// without truncating anything or clearing the crashed flag.
+    ///
     /// # Panics
     ///
     /// Panics if the backend cannot read or truncate the journal object: a
     /// recovery whose truncation did not stick would re-append after a torn
     /// tail and corrupt the log, so there is no safe way to continue.
-    pub fn recover_truncating(&self) -> (Vec<JournalRecord>, ReplaySummary) {
+    pub fn recover_truncating(&self) -> Result<(Vec<JournalRecord>, ReplaySummary), StorageError> {
         let mut state = self.state.lock();
         let bytes = self
             .backend
             .read_all(StorageObject::Journal)
             .expect("journal backend read failed");
-        let (records, summary) = Journal::replay(&bytes);
+        let (records, summary) = Journal::replay(&bytes)?;
         self.backend
             .truncate(StorageObject::Journal, summary.bytes_replayed)
             .expect("journal backend truncate failed");
@@ -629,10 +620,10 @@ impl Journal {
             .unwrap_or(0);
         state.crashed = false;
         state.armed = None;
-        if let Some(disk) = self.disk.read().as_ref() {
+        if let Some(disk) = self.backend.disk() {
             disk.record_sequential_transfer(summary.bytes_replayed);
         }
-        (records, summary)
+        Ok((records, summary))
     }
 
     /// Compacts the journal to a single [`JournalRecord::Snapshot`] frame.
@@ -668,7 +659,7 @@ impl Journal {
             }
         }
         let frame = encode_frame(seq, &JournalRecord::Snapshot(snapshot));
-        if let Some(disk) = self.disk.read().as_ref() {
+        if let Some(disk) = self.backend.disk() {
             disk.record_sequential_transfer(frame.len() as u64);
         }
         // Ack ordering: the snapshot must be durably in place *before* the old
@@ -734,19 +725,6 @@ fn encode_frame(seq: u64, record: &JournalRecord) -> Vec<u8> {
     frame
 }
 
-fn decode_frame(bytes: &[u8], offset: usize) -> Option<(JournalRecord, usize)> {
-    let (_, end) = peek_frame(bytes, offset)?;
-    let payload = &bytes[offset + FRAME_HEADER..end];
-    let mut reader = Reader::new(payload);
-    let record = decode_record(&mut reader)?;
-    if !reader.is_empty() {
-        // Trailing garbage inside a checksummed payload means an encoder/decoder
-        // mismatch; treat the frame (and everything after it) as unreadable.
-        return None;
-    }
-    Some((record, end))
-}
-
 // ---- record payload encoding ----
 //
 // A tiny hand-rolled little-endian format: the vendored serde shim is
@@ -754,23 +732,26 @@ fn decode_frame(bytes: &[u8], offset: usize) -> Option<(JournalRecord, usize)> {
 // Stability matters only within one repository version — the journal is a
 // simulation artifact, not an interchange format.
 
-const TAG_CONTAINER_SEAL: u8 = 1;
+// Tags 1 (seal), 4 (adopt), 7 (snapshot) and 9 (GC compact) are retired:
+// they carried whole container images.  They are never reused, so a journal
+// written in that layout is refused as unreadable instead of misparsed.
 const TAG_CHUNK_INDEX_FINALIZE: u8 = 2;
 const TAG_SIMILARITY_PUBLISH: u8 = 3;
-const TAG_CONTAINER_ADOPT: u8 = 4;
 const TAG_TOMBSTONE: u8 = 5;
 const TAG_STATS_CHECKPOINT: u8 = 6;
-const TAG_SNAPSHOT: u8 = 7;
 const TAG_RECIPE_DELETE: u8 = 8;
-const TAG_GC_COMPACT: u8 = 9;
 const TAG_GC_DROP: u8 = 10;
+const TAG_CONTAINER_SEAL: u8 = 11;
+const TAG_CONTAINER_ADOPT: u8 = 12;
+const TAG_GC_COMPACT: u8 = 13;
+const TAG_SNAPSHOT: u8 = 14;
 
 fn encode_record(record: &JournalRecord) -> Vec<u8> {
     let mut out = Vec::new();
     match record {
         JournalRecord::ContainerSeal { container } => {
             out.push(TAG_CONTAINER_SEAL);
-            encode_container(&mut out, container);
+            container.encode(&mut out);
         }
         JournalRecord::ChunkIndexFinalize { container, entries } => {
             out.push(TAG_CHUNK_INDEX_FINALIZE);
@@ -797,7 +778,7 @@ fn encode_record(record: &JournalRecord) -> Vec<u8> {
             out.push(TAG_CONTAINER_ADOPT);
             out.extend_from_slice(&origin_node.to_le_bytes());
             out.extend_from_slice(&origin_container.as_u64().to_le_bytes());
-            encode_container(&mut out, container);
+            container.encode(&mut out);
             encode_fingerprints(&mut out, rfps);
         }
         JournalRecord::Tombstone {
@@ -819,7 +800,7 @@ fn encode_record(record: &JournalRecord) -> Vec<u8> {
         } => {
             out.push(TAG_GC_COMPACT);
             out.extend_from_slice(&victim.as_u64().to_le_bytes());
-            encode_container(&mut out, replacement);
+            replacement.encode(&mut out);
             encode_fingerprints(&mut out, rfps);
         }
         JournalRecord::GcDrop { container } => {
@@ -851,7 +832,7 @@ fn encode_record(record: &JournalRecord) -> Vec<u8> {
                     }
                     None => out.push(0),
                 }
-                encode_container(&mut out, container);
+                container.encode(&mut out);
             }
             out.extend_from_slice(&(snap.chunk_entries.len() as u32).to_le_bytes());
             for (fp, loc) in &snap.chunk_entries {
@@ -882,7 +863,7 @@ fn encode_record(record: &JournalRecord) -> Vec<u8> {
 fn decode_record(r: &mut Reader<'_>) -> Option<JournalRecord> {
     match r.u8()? {
         TAG_CONTAINER_SEAL => Some(JournalRecord::ContainerSeal {
-            container: decode_container(r)?,
+            container: ContainerSummary::decode(r)?,
         }),
         TAG_CHUNK_INDEX_FINALIZE => {
             let container = ContainerId::new(r.u64()?);
@@ -907,7 +888,7 @@ fn decode_record(r: &mut Reader<'_>) -> Option<JournalRecord> {
         TAG_CONTAINER_ADOPT => {
             let origin_node = r.u64()?;
             let origin_container = ContainerId::new(r.u64()?);
-            let container = decode_container(r)?;
+            let container = ContainerSummary::decode(r)?;
             let rfps = decode_fingerprints(r)?;
             Some(JournalRecord::ContainerAdopt {
                 origin_node,
@@ -923,7 +904,7 @@ fn decode_record(r: &mut Reader<'_>) -> Option<JournalRecord> {
         TAG_RECIPE_DELETE => Some(JournalRecord::RecipeDelete { file_id: r.u64()? }),
         TAG_GC_COMPACT => {
             let victim = ContainerId::new(r.u64()?);
-            let replacement = decode_container(r)?;
+            let replacement = ContainerSummary::decode(r)?;
             let rfps = decode_fingerprints(r)?;
             Some(JournalRecord::GcCompact {
                 victim,
@@ -950,7 +931,7 @@ fn decode_record(r: &mut Reader<'_>) -> Option<JournalRecord> {
                     1 => Some((r.u64()?, ContainerId::new(r.u64()?))),
                     _ => return None,
                 };
-                containers.push((origin, decode_container(r)?));
+                containers.push((origin, ContainerSummary::decode(r)?));
             }
             let entry_count = r.u32()? as usize;
             let mut chunk_entries = Vec::with_capacity(entry_count.min(65_536));
@@ -989,41 +970,6 @@ fn decode_record(r: &mut Reader<'_>) -> Option<JournalRecord> {
     }
 }
 
-fn encode_container(out: &mut Vec<u8>, container: &Container) {
-    out.extend_from_slice(&container.id().as_u64().to_le_bytes());
-    out.extend_from_slice(&(container.data_size() as u64).to_le_bytes());
-    out.extend_from_slice(&(container.data().len() as u32).to_le_bytes());
-    out.extend_from_slice(container.data());
-    out.extend_from_slice(&(container.meta().records.len() as u32).to_le_bytes());
-    for record in &container.meta().records {
-        out.extend_from_slice(record.fingerprint.as_bytes());
-        out.extend_from_slice(&record.offset.to_le_bytes());
-        out.extend_from_slice(&record.len.to_le_bytes());
-    }
-}
-
-fn decode_container(r: &mut Reader<'_>) -> Option<Container> {
-    let id = ContainerId::new(r.u64()?);
-    let logical_size = r.u64()? as usize;
-    let data_len = r.u32()? as usize;
-    let data = r.bytes(data_len)?.to_vec();
-    let record_count = r.u32()? as usize;
-    let mut records = Vec::with_capacity(record_count.min(65_536));
-    for _ in 0..record_count {
-        records.push(ChunkRecord {
-            fingerprint: r.fingerprint()?,
-            offset: r.u32()?,
-            len: r.u32()?,
-        });
-    }
-    Some(Container::from_parts(
-        id,
-        ContainerMeta { records },
-        data,
-        logical_size,
-    ))
-}
-
 fn encode_fingerprints(out: &mut Vec<u8>, fps: &[Fingerprint]) {
     out.extend_from_slice(&(fps.len() as u32).to_le_bytes());
     for fp in fps {
@@ -1040,22 +986,23 @@ fn decode_fingerprints(r: &mut Reader<'_>) -> Option<Vec<Fingerprint>> {
     Some(out)
 }
 
-/// A bounds-checked little-endian byte reader.
-struct Reader<'a> {
+/// A bounds-checked little-endian byte reader (journal records and container
+/// objects).
+pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     offset: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
         Reader { bytes, offset: 0 }
     }
 
-    fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.offset == self.bytes.len()
     }
 
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+    pub(crate) fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.offset.checked_add(n)?;
         if end > self.bytes.len() {
             return None;
@@ -1065,19 +1012,19 @@ impl<'a> Reader<'a> {
         Some(out)
     }
 
-    fn u8(&mut self) -> Option<u8> {
+    pub(crate) fn u8(&mut self) -> Option<u8> {
         Some(self.bytes(1)?[0])
     }
 
-    fn u32(&mut self) -> Option<u32> {
+    pub(crate) fn u32(&mut self) -> Option<u32> {
         Some(u32::from_le_bytes(self.bytes(4)?.try_into().ok()?))
     }
 
-    fn u64(&mut self) -> Option<u64> {
+    pub(crate) fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
     }
 
-    fn fingerprint(&mut self) -> Option<Fingerprint> {
+    pub(crate) fn fingerprint(&mut self) -> Option<Fingerprint> {
         Some(Fingerprint::from_digest(self.bytes(Fingerprint::LEN)?))
     }
 }
@@ -1092,13 +1039,13 @@ mod tests {
         Sha1::fingerprint(&i.to_le_bytes())
     }
 
-    fn sample_container(id: u64) -> Container {
+    fn sample_container(id: u64) -> ContainerSummary {
         let mut b = ContainerBuilder::new(ContainerId::new(id), 4096);
         for i in 0..4u64 {
             let data = vec![(id + i) as u8; 100];
             assert!(b.try_append(Sha1::fingerprint(&data), &data));
         }
-        b.seal()
+        b.seal().to_object().0
     }
 
     fn sample_records() -> Vec<JournalRecord> {
@@ -1181,7 +1128,7 @@ mod tests {
         for record in &records {
             journal.append(record).unwrap();
         }
-        let (replayed, summary) = Journal::replay(&journal.bytes());
+        let (replayed, summary) = Journal::replay(&journal.bytes()).unwrap();
         assert_eq!(replayed, records);
         assert_eq!(summary.frames, records.len() as u64);
         assert_eq!(summary.bytes_discarded, 0);
@@ -1205,7 +1152,7 @@ mod tests {
             boundaries[0] + 1,
             bytes.len() - 1,
         ] {
-            let (replayed, summary) = Journal::replay(&bytes[..cut]);
+            let (replayed, summary) = Journal::replay(&bytes[..cut]).unwrap();
             let expect = boundaries.iter().filter(|&&end| end <= cut).count();
             assert_eq!(replayed.len(), expect, "cut at {}", cut);
             assert_eq!(replayed.as_slice(), &records[..expect]);
@@ -1224,7 +1171,7 @@ mod tests {
         // Flip one payload byte in the third frame: frames 0-1 replay, the rest
         // is reported as a corrupt/discarded tail.
         bytes[boundaries[1] + FRAME_HEADER + 2] ^= 0xFF;
-        let (replayed, summary) = Journal::replay(&bytes);
+        let (replayed, summary) = Journal::replay(&bytes).unwrap();
         assert_eq!(replayed.len(), 2);
         assert_eq!(
             summary.bytes_discarded as usize,
@@ -1250,7 +1197,7 @@ mod tests {
             Err(StorageError::Crashed)
         );
         // Recovery truncates (no-op here) and clears the crash.
-        let (records, summary) = journal.recover_truncating();
+        let (records, summary) = journal.recover_truncating().unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(summary.bytes_discarded, 0);
         assert!(!journal.crashed());
@@ -1269,7 +1216,7 @@ mod tests {
             Err(StorageError::Crashed)
         );
         assert!(journal.len_bytes() > clean_len, "torn prefix persisted");
-        let (records, summary) = journal.recover_truncating();
+        let (records, summary) = journal.recover_truncating().unwrap();
         assert_eq!(records.len(), 1, "torn frame discarded");
         assert!(summary.bytes_discarded > 0);
         assert_eq!(journal.len_bytes(), clean_len, "tail truncated for reuse");
@@ -1296,20 +1243,62 @@ mod tests {
             seq_before + 1,
             "sequence keeps counting"
         );
-        let (records, _) = Journal::replay(&journal.bytes());
+        let (records, _) = Journal::replay(&journal.bytes()).unwrap();
         assert!(matches!(records[0], JournalRecord::Snapshot(_)));
     }
 
     #[test]
-    fn from_bytes_restores_boundaries_and_sequencing() {
+    fn open_restores_boundaries_and_sequencing() {
         let journal = Journal::new();
         for record in sample_records().into_iter().take(3) {
             journal.append(&record).unwrap();
         }
-        let reloaded = Journal::from_bytes(journal.bytes());
+        let copy = MemoryBackend::copy_of(journal.backend().as_ref()).unwrap();
+        let reloaded = Journal::open(Arc::new(copy)).unwrap();
         assert_eq!(reloaded.frame_count(), 3);
         assert_eq!(reloaded.next_seq(), journal.next_seq());
         assert_eq!(reloaded.bytes(), journal.bytes());
+    }
+
+    /// A whole frame (valid checksum) whose tag this version does not know,
+    /// e.g. a container record of the retired full-image layout.
+    fn foreign_frame(seq: u64, tag: u8) -> Vec<u8> {
+        let payload = [tag, 0xAB, 0xCD];
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&seq.to_le_bytes());
+        frame.extend_from_slice(&fnv1a_64(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    #[test]
+    fn unreadable_frame_refuses_the_journal_and_leaves_it_untouched() {
+        for tag in [1u8, 4, 7, 9, 0xEE] {
+            let journal = Journal::new();
+            journal.append(&sample_records()[5]).unwrap();
+            let foreign_at = journal.len_bytes();
+            journal
+                .backend()
+                .append(StorageObject::Journal, &foreign_frame(1, tag))
+                .unwrap();
+            let reopened = Journal::open(journal.backend()).unwrap();
+            reopened.append(&sample_records()[4]).unwrap();
+            let before = reopened.bytes();
+            assert_eq!(reopened.frame_count(), 3, "the foreign frame is whole");
+
+            assert_eq!(
+                Journal::replay(&before),
+                Err(StorageError::UnreadableRecord {
+                    seq: 1,
+                    offset: foreign_at as u64
+                })
+            );
+            assert!(reopened.recover_truncating().is_err(), "tag {tag}");
+            assert_eq!(reopened.bytes(), before, "nothing truncated");
+            assert_eq!(reopened.frame_count(), 3);
+        }
     }
 
     #[test]
@@ -1334,7 +1323,8 @@ mod tests {
     #[test]
     fn append_batch_charges_one_disk_transfer() {
         let disk = Arc::new(DiskModel::new(crate::DiskParams::default()));
-        let journal = Journal::with_disk(disk.clone());
+        let journal =
+            Journal::with_backend(Arc::new(crate::SimDiskBackend::new(disk.clone()))).unwrap();
         journal.append_batch(&sample_records()).unwrap();
         let stats = disk.stats();
         assert_eq!(stats.sequential_ops, 1, "a group commit is one transfer");
@@ -1350,7 +1340,7 @@ mod tests {
         journal.arm_crash_at_seq(2, CrashMode::Clean);
         assert_eq!(journal.append_batch(&records), Err(StorageError::Crashed));
         assert!(journal.crashed());
-        let (replayed, summary) = journal.recover_truncating();
+        let (replayed, summary) = journal.recover_truncating().unwrap();
         assert_eq!(replayed.as_slice(), &records[..2]);
         assert_eq!(summary.bytes_discarded, 0);
 
@@ -1358,7 +1348,7 @@ mod tests {
         let journal = Journal::new();
         journal.arm_crash_at_seq(2, CrashMode::Torn);
         assert_eq!(journal.append_batch(&records), Err(StorageError::Crashed));
-        let (replayed, summary) = journal.recover_truncating();
+        let (replayed, summary) = journal.recover_truncating().unwrap();
         assert_eq!(replayed.as_slice(), &records[..2]);
         assert!(summary.bytes_discarded > 0, "torn frame must be discarded");
 
@@ -1373,7 +1363,8 @@ mod tests {
     #[test]
     fn appends_charge_the_disk_model_sequentially() {
         let disk = Arc::new(DiskModel::new(crate::DiskParams::default()));
-        let journal = Journal::with_disk(disk.clone());
+        let journal =
+            Journal::with_backend(Arc::new(crate::SimDiskBackend::new(disk.clone()))).unwrap();
         journal.append(&sample_records()[5]).unwrap();
         let stats = disk.stats();
         assert_eq!(stats.sequential_ops, 1);

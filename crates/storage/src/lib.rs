@@ -33,11 +33,12 @@ mod read_cache;
 mod similarity_index;
 
 pub use backend::{
-    BackendKind, FileBackend, MemoryBackend, SimDiskBackend, StorageBackend, StorageObject,
+    BackendKind, FileBackend, MemoryBackend, SharedBytes, SimDiskBackend, StorageBackend,
+    StorageObject,
 };
 pub use chunk_index::{ChunkIndex, ChunkIndexStats, ChunkLocation, ClaimOutcome};
 pub use container::{
-    ChunkRecord, Container, ContainerBuilder, ContainerId, ContainerMeta,
+    ChunkRecord, Container, ContainerBuilder, ContainerId, ContainerMeta, ContainerSummary,
     CONTAINER_BLOB_DATA_OFFSET,
 };
 pub use container_store::{

@@ -1,29 +1,31 @@
 //! Bounded LRU cache of sealed-container data sections for the restore path.
 //!
-//! On a persistent backend every chunk read is a real seek into a container
-//! file.  Restores revisit containers constantly — duplicate chunks by
-//! construction land in containers shared across files — so the restore
-//! pipeline keeps recently-touched data sections resident and serves repeat
-//! visits from RAM.  The cache is deliberately narrow:
+//! Every chunk read is a read of a container's backend object — on the file
+//! backend a real seek into a container file.  Restores revisit containers
+//! constantly — duplicate chunks by construction land in containers shared
+//! across files — so the restore pipeline keeps recently-touched data
+//! sections resident and serves repeat visits from RAM.  The cache is
+//! deliberately narrow:
 //!
 //! * keyed by [`ContainerId`], holding the container's *data section* (records
-//!   only, no header/metadata) as an `Arc<[u8]>` cheaply clonable to readers;
+//!   only, no header/metadata) as the [`SharedBytes`] a backend read returned —
+//!   inserting copies nothing, clones to readers are cheap, and on the in-RAM
+//!   backends the section is the backend object's own buffer, not a copy;
 //! * bounded in **bytes**, not entries, via the `restore_cache_bytes` knob —
 //!   containers are the capacity unit users reason about;
+//! * filled by restore reads and by recovery's object check, which reads
+//!   every data section anyway;
 //! * invalidated by the container store whenever a container is removed,
 //!   compacted or garbage-collected, so a cached section can never outlive the
 //!   container it was read from.
 //!
-//! Volatile backends never populate it: their data sections already live in
-//! RAM inside the sealed-container map, and a second resident copy would only
-//! distort memory figures.  Hit/miss/eviction counters feed the restore
-//! observability surfaced through `sigma-metrics`.
+//! Hit/miss/eviction counters feed the restore observability surfaced through
+//! `sigma-metrics`.
 
-use crate::ContainerId;
+use crate::{ContainerId, SharedBytes};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Point-in-time view of a [`ContainerReadCache`]'s counters and occupancy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,7 +45,7 @@ pub struct ReadCacheStats {
 }
 
 struct Resident {
-    data: Arc<[u8]>,
+    data: SharedBytes,
     /// Logical access clock at last touch; the eviction victim is the minimum.
     /// An O(n) scan over resident *containers* (a handful of multi-megabyte
     /// sections), not bytes — cheaper than threading a linked list through the
@@ -102,7 +104,7 @@ impl ContainerReadCache {
 
     /// Returns the resident data section for `container`, touching its LRU
     /// position; counts a hit or a miss.
-    pub fn get(&self, container: &ContainerId) -> Option<Arc<[u8]>> {
+    pub fn get(&self, container: &ContainerId) -> Option<SharedBytes> {
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;
@@ -123,7 +125,7 @@ impl ContainerReadCache {
     /// sections until it fits.  Sections larger than the whole budget are not
     /// cached at all (they would evict everything and then miss next time
     /// anyway); re-inserting an already-resident container refreshes it.
-    pub fn insert(&self, container: ContainerId, data: Arc<[u8]>) {
+    pub fn insert(&self, container: ContainerId, data: SharedBytes) {
         let len = data.len() as u64;
         if len > self.capacity_bytes {
             return;
@@ -182,7 +184,7 @@ impl ContainerReadCache {
 mod tests {
     use super::*;
 
-    fn section(byte: u8, len: usize) -> Arc<[u8]> {
+    fn section(byte: u8, len: usize) -> SharedBytes {
         vec![byte; len].into()
     }
 

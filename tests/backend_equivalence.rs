@@ -5,6 +5,10 @@
 //! identical per-node dedup figures, identical post-GC physical bytes, and
 //! byte-identical restored files.
 //!
+//! A second property pins the layout they share: every unique byte is written
+//! to the medium once — as part of its container's object — and the journal
+//! beside it carries metadata only.
+//!
 //! The file-backend runs live under a per-case scratch directory that is
 //! removed on success (left behind on failure for inspection).
 
@@ -140,4 +144,49 @@ proptest! {
         prop_assert_eq!(&memory, &file);
         std::fs::remove_dir_all(&root).expect("clean up scenario directory");
     }
+}
+
+/// Every backend stores a unique byte once: after ingesting `N` unique bytes
+/// and flushing, the journal plus all container objects on each node's medium
+/// add up to at most `1.05 · N` (the rest is metadata: records, frame headers,
+/// handprints).
+#[test]
+fn every_backend_writes_each_unique_byte_once() {
+    let root = scratch_dir("single-write");
+    let data = random_bytes(3 << 20, 0x51_0E);
+    for kind in [BackendKind::Memory, BackendKind::SimDisk, BackendKind::File] {
+        let mut builder = SigmaConfig::builder()
+            .durability(true)
+            .storage_backend(kind);
+        if kind == BackendKind::File {
+            builder = builder.storage_root(root.join(kind.as_str()));
+        }
+        let cluster = Arc::new(DedupCluster::with_similarity_router(
+            2,
+            builder.build().expect("valid test config"),
+        ));
+        BackupClient::new(cluster.clone(), 0)
+            .backup_bytes("unique.bin", &data)
+            .expect("payload backup cannot fail");
+        cluster.try_flush().expect("no faults armed");
+
+        let mut medium_bytes = 0u64;
+        for id in cluster.node_ids() {
+            let node = cluster.node_by_id(id).unwrap();
+            let backend = node.journal().expect("durable node").backend();
+            for obj in backend.list().unwrap() {
+                medium_bytes += backend.object_len(obj).unwrap().unwrap_or(0);
+            }
+        }
+        let n = data.len() as u64;
+        assert!(
+            medium_bytes >= n,
+            "{kind}: {medium_bytes} < {n}: data missing"
+        );
+        assert!(
+            medium_bytes * 100 <= n * 105,
+            "{kind}: {medium_bytes} bytes on the medium for {n} unique bytes"
+        );
+    }
+    std::fs::remove_dir_all(&root).expect("clean up scenario directory");
 }

@@ -1,30 +1,38 @@
 //! Property tests for durability and crash recovery.
 //!
-//! Three properties over deterministically generated workloads:
+//! Properties over deterministically generated workloads:
 //!
 //! * **boundary sweep** — for a random single-node workload with flush
 //!   (acknowledgement) points, kill the node at *every* journal-record boundary
-//!   by truncating the journal there and recovering from the prefix.  Every
+//!   and recover from the whole medium as it stood there: the journal prefix
+//!   plus every container object written or deleted by then, taken both at
+//!   the first and at the last instant the journal had that length.  Every
 //!   super-chunk acknowledged before the boundary must read back byte-identical,
 //!   and physical bytes must be conserved or strictly reduced — the torn tail is
 //!   discarded, never duplicated.
 //! * **torn tail** — a cut *inside* a frame (plus a corrupted tail byte) must
 //!   recover to exactly the state of the last complete boundary before it.
+//! * **object/record window** — orphan objects written before their record are
+//!   swept, and a record whose object was removed, truncated or bit-flipped
+//!   discards exactly that container, index entries and all.
 //! * **mid-rebalance kills** — on a cluster draining a node, arm an in-band
 //!   crash at every journal append the drain performs (source tombstones and
 //!   destination adopts alike), recover, resume the drain, and verify that no
 //!   container was lost or duplicated and every acknowledged file restores
 //!   byte-identically through an intact tombstone chain.
 //!
-//! On failure, the journals under test are left in `target/fault-artifacts/`
-//! (the CI `faults` job uploads them); on success the artifacts are removed.
+//! On failure, the medium under test is left in `target/fault-artifacts/<case>/`
+//! as a node directory (`node-0/journal.wal` + `container-<id>.sc`) that
+//! `DedupNode::recover_from_dir` re-opens (the CI `faults` job uploads them);
+//! on success the artifacts are removed.
 //! `SIGMA_FAULT_SEED` perturbs the workload seeds so a CI seed matrix explores
 //! different workloads with the same deterministic harness.
 
 use proptest::prelude::*;
 use sigma_dedupe::prelude::*;
+use sigma_dedupe::storage::{Result as StorageResult, StorageObject, CONTAINER_BLOB_DATA_OFFSET};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Extra seed from the environment so a CI matrix varies the workloads.
 fn env_seed() -> u64 {
@@ -60,20 +68,140 @@ fn payload(len: usize, seed: u64) -> Vec<u8> {
 
 // ---- failure artifacts ----
 
-fn artifact_path(name: &str) -> PathBuf {
-    let dir = PathBuf::from("target/fault-artifacts");
-    std::fs::create_dir_all(&dir).expect("artifact dir is creatable");
-    dir.join(format!("{name}.journal"))
+fn artifact_dir(name: &str) -> PathBuf {
+    PathBuf::from("target/fault-artifacts").join(name)
 }
 
-/// Saves the journal image a failing case was recovering from; `clear` removes
-/// it once the case passed, so a failed run leaves exactly the failing image.
-fn save_artifact(name: &str, bytes: &[u8]) {
-    std::fs::write(artifact_path(name), bytes).expect("artifact is writable");
+/// Saves the medium a case is recovering from as a node directory; `clear`
+/// removes it once the case passed, so a failed run leaves exactly the
+/// failing image.
+fn save_artifact(name: &str, medium: &dyn StorageBackend) {
+    let dir = artifact_dir(name).join("node-0");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("artifact dir is creatable");
+    for obj in medium.list().expect("in-memory medium") {
+        let bytes = medium.read_all(obj).expect("in-memory medium");
+        std::fs::write(dir.join(obj.file_name()), bytes).expect("artifact is writable");
+    }
 }
 
 fn clear_artifact(name: &str) {
-    let _ = std::fs::remove_file(artifact_path(name));
+    let _ = std::fs::remove_dir_all(artifact_dir(name));
+}
+
+// ---- the medium at a crash point ----
+
+/// A [`StorageBackend`] over a [`MemoryBackend`] that keeps the history of its
+/// container objects — every write and delete, stamped with the journal's
+/// length at that moment.  The journal only grows during a forward run, so the
+/// medium a crash left behind when `cut` journal bytes were durable is the
+/// journal prefix plus that history replayed up to the cut.
+#[derive(Debug, Default)]
+struct RecordingBackend {
+    inner: MemoryBackend,
+    history: Mutex<Vec<ObjectEvent>>,
+}
+
+/// One container-object write (`Some(bytes)`) or delete (`None`), stamped
+/// with the journal length at that moment.
+type ObjectEvent = (usize, StorageObject, Option<Vec<u8>>);
+
+impl RecordingBackend {
+    fn log(&self, obj: StorageObject, bytes: Option<&[u8]>) {
+        if let StorageObject::Container(_) = obj {
+            let at = self
+                .inner
+                .object_len(StorageObject::Journal)
+                .unwrap()
+                .unwrap_or(0);
+            self.history
+                .lock()
+                .unwrap()
+                .push((at as usize, obj, bytes.map(<[u8]>::to_vec)));
+        }
+    }
+
+    /// The medium as it stood with `cut` journal bytes durable: at the first
+    /// instant the journal had that length (`late == false`, right after the
+    /// append that reached it) or at the last (just before the next append,
+    /// every object written or deleted in between included).
+    fn medium_at(&self, cut: usize, late: bool) -> MemoryBackend {
+        let medium = MemoryBackend::new();
+        let journal = self.inner.read_all(StorageObject::Journal).unwrap();
+        medium
+            .write_object(StorageObject::Journal, &journal[..cut])
+            .unwrap();
+        for (at, obj, bytes) in self.history.lock().unwrap().iter() {
+            if *at > cut || (*at == cut && !late) {
+                break;
+            }
+            match bytes {
+                Some(bytes) => medium.write_object(*obj, bytes).unwrap(),
+                None => medium.delete(*obj).unwrap(),
+            }
+        }
+        medium
+    }
+}
+
+/// Container objects on a medium.
+fn container_objects(medium: &MemoryBackend) -> usize {
+    let objects = medium.list().unwrap();
+    objects
+        .iter()
+        .filter(|obj| matches!(obj, StorageObject::Container(_)))
+        .count()
+}
+
+impl StorageBackend for RecordingBackend {
+    fn kind(&self) -> BackendKind {
+        BackendKind::Memory
+    }
+    fn append(&self, obj: StorageObject, bytes: &[u8]) -> StorageResult<u64> {
+        self.inner.append(obj, bytes)
+    }
+    fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> StorageResult<()> {
+        self.log(obj, Some(bytes));
+        self.inner.write_object(obj, bytes)
+    }
+    fn read_all(&self, obj: StorageObject) -> StorageResult<Vec<u8>> {
+        self.inner.read_all(obj)
+    }
+    fn read_at(&self, obj: StorageObject, offset: u64, len: usize) -> StorageResult<Vec<u8>> {
+        self.inner.read_at(obj, offset, len)
+    }
+    fn object_len(&self, obj: StorageObject) -> StorageResult<Option<u64>> {
+        self.inner.object_len(obj)
+    }
+    fn truncate(&self, obj: StorageObject, len: u64) -> StorageResult<()> {
+        self.inner.truncate(obj, len)
+    }
+    fn fsync(&self, obj: StorageObject) -> StorageResult<()> {
+        self.inner.fsync(obj)
+    }
+    fn delete(&self, obj: StorageObject) -> StorageResult<()> {
+        self.log(obj, None);
+        self.inner.delete(obj)
+    }
+    fn list(&self) -> StorageResult<Vec<StorageObject>> {
+        self.inner.list()
+    }
+}
+
+/// A fresh durable node whose journal and containers live on a
+/// [`RecordingBackend`]: recovering from an empty journal on it builds the
+/// node on that medium.
+fn recorded_node(config: &SigmaConfig) -> (DedupNode, Arc<RecordingBackend>) {
+    let medium = Arc::new(RecordingBackend::default());
+    let journal = Journal::with_backend(medium.clone()).expect("in-memory journal");
+    let (node, _) = DedupNode::recover(0, config, Arc::new(journal)).expect("empty medium");
+    (node, medium)
+}
+
+/// Recovers node 0 from a crash image.
+fn recover_from(config: &SigmaConfig, medium: MemoryBackend) -> (DedupNode, RecoveryReport) {
+    let journal = Journal::open(Arc::new(medium)).expect("in-memory journal");
+    DedupNode::recover(0, config, Arc::new(journal)).expect("recoverable medium")
 }
 
 // ---- boundary sweep ----
@@ -100,7 +228,7 @@ proptest! {
         stream_count in 1u64..3,
     ) {
         let config = durable_config();
-        let node = DedupNode::new(0, &config);
+        let (node, medium) = recorded_node(&config);
         let journal = node.journal().expect("durable node").clone();
 
         let mut acked: Vec<AckedRound> = Vec::new();
@@ -123,17 +251,26 @@ proptest! {
             });
         }
 
-        let bytes = journal.bytes();
         let boundaries = journal.frame_boundaries();
         let final_physical = node.storage_usage();
         let mut last_physical = 0u64;
-        // Boundary 0 (empty journal) plus after every complete frame.
-        for cut in std::iter::once(0).chain(boundaries.iter().copied()) {
-            save_artifact("boundary-sweep", &bytes[..cut]);
-            let (recovered, report) =
-                DedupNode::recover(0, &config, Arc::new(Journal::from_bytes(bytes[..cut].to_vec())))
-                    .unwrap();
+        // Boundary 0 (empty journal) plus after every complete frame, each at
+        // the first and the last instant the journal stood there.
+        for (cut, late) in std::iter::once(0)
+            .chain(boundaries.iter().copied())
+            .flat_map(|cut| [(cut, false), (cut, true)])
+        {
+            let image = medium.medium_at(cut, late);
+            save_artifact("boundary-sweep", &image);
+            let objects = container_objects(&image);
+            let (recovered, report) = recover_from(&config, image);
             prop_assert_eq!(report.bytes_discarded, 0, "cuts are at boundaries");
+            prop_assert_eq!(report.containers_discarded, 0, "every record's object is durable");
+            prop_assert_eq!(
+                report.orphan_objects_swept as usize,
+                objects - recovered.sealed_container_ids().len(),
+                "objects written ahead of their record are swept"
+            );
             // Acknowledged super-chunks are served byte-identically.
             for round in acked.iter().filter(|r| r.ack_offset <= cut) {
                 for sc in &round.super_chunks {
@@ -181,7 +318,7 @@ proptest! {
             .gc_liveness_threshold(threshold)
             .build()
             .expect("valid test config");
-        let node = DedupNode::new(0, &config);
+        let (node, medium) = recorded_node(&config);
         let journal = node.journal().expect("durable node").clone();
 
         // Acknowledged ingest: every round flushed.
@@ -223,15 +360,19 @@ proptest! {
         node.sweep_garbage(&live, threshold).unwrap();
         let physical_after_gc = node.storage_usage();
 
-        let bytes = journal.bytes();
         let boundaries = journal.frame_boundaries();
         let mut last_physical: Option<u64> = None;
-        for cut in boundaries.iter().copied().filter(|&b| b >= ingest_end) {
-            save_artifact("gc-boundary-sweep", &bytes[..cut]);
-            let (recovered, report) =
-                DedupNode::recover(0, &config, Arc::new(Journal::from_bytes(bytes[..cut].to_vec())))
-                    .unwrap();
+        for (cut, late) in boundaries
+            .iter()
+            .copied()
+            .filter(|&b| b >= ingest_end)
+            .flat_map(|cut| [(cut, false), (cut, true)])
+        {
+            let image = medium.medium_at(cut, late);
+            save_artifact("gc-boundary-sweep", &image);
+            let (recovered, report) = recover_from(&config, image);
             prop_assert_eq!(report.bytes_discarded, 0, "cuts are at boundaries");
+            prop_assert_eq!(report.containers_discarded, 0, "every record's object is durable");
             // Survivors are acked before the GC window: readable at every cut.
             for sc in &survivors {
                 for (i, d) in sc.descriptors().iter().enumerate() {
@@ -268,7 +409,7 @@ proptest! {
         cut_fraction in 0.05f64..0.95,
     ) {
         let config = durable_config();
-        let node = DedupNode::new(0, &config);
+        let (node, medium) = recorded_node(&config);
         for (i, &len) in chunk_lens.iter().enumerate() {
             let sc = SuperChunk::from_payloads(
                 FingerprintAlgorithm::Sha1,
@@ -290,17 +431,12 @@ proptest! {
             .take_while(|&b| b <= cut)
             .last()
             .unwrap_or(0);
-        save_artifact("torn-tail", &bytes[..cut]);
+        save_artifact("torn-tail", &medium.medium_at(cut, true));
 
-        let (torn, torn_report) =
-            DedupNode::recover(0, &config, Arc::new(Journal::from_bytes(bytes[..cut].to_vec())))
-                .unwrap();
-        let (reference, _) = DedupNode::recover(
-            0,
-            &config,
-            Arc::new(Journal::from_bytes(bytes[..reference_cut].to_vec())),
-        )
-        .unwrap();
+        // The torn append was in flight: every object written before it is
+        // on the medium, the torn frame's own included.
+        let (torn, torn_report) = recover_from(&config, medium.medium_at(cut, true));
+        let (reference, _) = recover_from(&config, medium.medium_at(reference_cut, true));
         prop_assert_eq!(torn_report.bytes_discarded as usize, cut - reference_cut);
         prop_assert_eq!(torn.storage_usage(), reference.storage_usage());
         prop_assert_eq!(torn.sealed_container_ids(), reference.sealed_container_ids());
@@ -313,12 +449,9 @@ proptest! {
             corrupt.truncate(cut);
             if target < corrupt.len() {
                 corrupt[target] ^= 0x5A;
-                let (after_corruption, _) = DedupNode::recover(
-                    0,
-                    &config,
-                    Arc::new(Journal::from_bytes(corrupt)),
-                )
-                .unwrap();
+                let image = medium.medium_at(cut, true);
+                image.write_object(StorageObject::Journal, &corrupt).unwrap();
+                let (after_corruption, _) = recover_from(&config, image);
                 prop_assert!(after_corruption.storage_usage() <= reference.storage_usage());
                 after_corruption.verify_consistency().unwrap();
             }
@@ -362,8 +495,9 @@ proptest! {
     /// `journal.wal` is truncated at every frame boundary (plus one cut strictly
     /// inside a frame), the node is re-opened from the directory with
     /// [`DedupNode::recover_from_dir`], and the recovered state must match a
-    /// volatile recovery from the same journal prefix bit-for-bit — acked
-    /// chunks byte-identical, same physical bytes, same report counters.
+    /// volatile recovery from an in-memory copy of the same directory
+    /// bit-for-bit — acked chunks byte-identical, same physical bytes, same
+    /// report counters.
     #[test]
     fn file_backend_recovery_sweep_matches_volatile(
         rounds in proptest::collection::vec(
@@ -408,7 +542,11 @@ proptest! {
                     .then(|| (name.clone(), std::fs::read(e.path()).unwrap()))
             })
             .collect();
-        let boundaries = Journal::from_bytes(bytes.clone()).frame_boundaries();
+        let boundaries = {
+            let medium = MemoryBackend::new();
+            medium.write_object(StorageObject::Journal, &bytes).unwrap();
+            Journal::open(Arc::new(medium)).unwrap().frame_boundaries()
+        };
         let torn_cut = ((bytes.len() as f64 * cut_fraction) as usize).clamp(1, bytes.len() - 1);
 
         for cut in std::iter::once(0)
@@ -427,21 +565,14 @@ proptest! {
                 std::fs::write(crash_dir.join(name), data).unwrap();
             }
             std::fs::write(crash_dir.join("journal.wal"), &bytes[..cut]).unwrap();
+            let image = MemoryBackend::copy_of(&FileBackend::open(&crash_dir).unwrap()).unwrap();
 
             let (from_disk, disk_report) =
                 DedupNode::recover_from_dir(0, &crash_config).expect("directory is recoverable");
-            let (volatile, volatile_report) = DedupNode::recover(
-                0,
-                &durable_config(),
-                Arc::new(Journal::from_bytes(bytes[..cut].to_vec())),
-            )
-            .unwrap();
+            let (volatile, volatile_report) = recover_from(&durable_config(), image);
 
             // Equivalence: the medium must be invisible to recovery.
-            prop_assert_eq!(disk_report.bytes_replayed, volatile_report.bytes_replayed);
-            prop_assert_eq!(disk_report.bytes_discarded, volatile_report.bytes_discarded);
-            prop_assert_eq!(disk_report.containers_recovered, volatile_report.containers_recovered);
-            prop_assert_eq!(disk_report.chunks_indexed, volatile_report.chunks_indexed);
+            prop_assert_eq!(disk_report, volatile_report);
             prop_assert_eq!(from_disk.storage_usage(), volatile.storage_usage());
             prop_assert_eq!(from_disk.sealed_container_ids(), volatile.sealed_container_ids());
 
@@ -465,6 +596,195 @@ proptest! {
         }
         std::fs::remove_dir_all(&root).unwrap();
     }
+}
+
+// ---- the object/record window ----
+
+/// How a container object is damaged behind a durable record.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    Removed,
+    Truncated,
+    BitFlipped,
+}
+
+fn damage(medium: &MemoryBackend, obj: StorageObject, how: Damage) {
+    let mut bytes = medium.read_all(obj).unwrap();
+    match how {
+        Damage::Removed => return medium.delete(obj).unwrap(),
+        Damage::Truncated => {
+            bytes.pop();
+        }
+        Damage::BitFlipped => bytes[CONTAINER_BLOB_DATA_OFFSET + 3] ^= 0x04,
+    }
+    medium.write_object(obj, &bytes).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Both sides of the window between a container's object and its journal
+    /// record.  A crash after the object write but before the record — the
+    /// late image at every boundary — sweeps the orphan and loses nothing
+    /// acknowledged.  A record whose object was removed, truncated or
+    /// bit-flipped discards exactly that container, counted in the report:
+    /// no index entry points at it, the node is consistent, every other
+    /// acknowledged chunk restores byte-identically, and a re-ingest of the
+    /// lost chunks stores them anew instead of deduplicating against bytes
+    /// the medium lost.
+    #[test]
+    fn object_record_window_sweep(
+        rounds in proptest::collection::vec(
+            proptest::collection::vec(64usize..1500, 1..4),
+            1..4,
+        ),
+        how in 0usize..3,
+    ) {
+        let how = [Damage::Removed, Damage::Truncated, Damage::BitFlipped][how];
+        let config = durable_config();
+        let (node, medium) = recorded_node(&config);
+        let journal = node.journal().expect("durable node").clone();
+        let mut acked: Vec<SuperChunk> = Vec::new();
+        let mut ack_offsets = Vec::new();
+        for (round_no, round) in rounds.iter().enumerate() {
+            for (sc_no, &chunk_len) in round.iter().enumerate() {
+                let payloads: Vec<Vec<u8>> = (0..1 + chunk_len % 5)
+                    .map(|i| payload(chunk_len, (40_000 + round_no * 1000 + sc_no * 10 + i) as u64))
+                    .collect();
+                let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, payloads);
+                node.process_super_chunk((sc_no % 2) as u64, &sc, &sc.handprint(4)).unwrap();
+                acked.push(sc);
+            }
+            node.try_flush().unwrap();
+            ack_offsets.push((acked.len(), journal.len_bytes()));
+        }
+
+        // Side one: every boundary with the objects written ahead of its
+        // next record on the medium.
+        let mut orphans_seen = 0;
+        for cut in std::iter::once(0).chain(journal.frame_boundaries()) {
+            let image = medium.medium_at(cut, true);
+            let objects = container_objects(&image);
+            let (recovered, report) = recover_from(&config, image);
+            prop_assert_eq!(
+                report.orphan_objects_swept as usize,
+                objects - recovered.sealed_container_ids().len()
+            );
+            orphans_seen += report.orphan_objects_swept;
+            prop_assert_eq!(report.containers_discarded, 0);
+            let durable = ack_offsets.iter().filter(|(_, at)| *at <= cut).map(|(n, _)| *n).max();
+            for sc in &acked[..durable.unwrap_or(0)] {
+                for (i, d) in sc.descriptors().iter().enumerate() {
+                    prop_assert_eq!(recovered.read_chunk(&d.fingerprint).unwrap(), sc.payload(i).unwrap());
+                }
+            }
+            recovered.verify_consistency().unwrap();
+        }
+        prop_assert!(orphans_seen > 0, "every seal opens the window once");
+
+        // Side two: each container's object damaged behind its record.
+        let full = medium.medium_at(journal.len_bytes(), true);
+        let containers = node.sealed_container_ids();
+        for &victim in &containers {
+            let image = MemoryBackend::copy_of(&full).unwrap();
+            damage(&image, StorageObject::Container(victim), how);
+            let (recovered, report) = recover_from(&config, image);
+            prop_assert_eq!(report.containers_discarded, 1, "{:?} container {}", how, victim);
+            prop_assert_eq!(report.backend_objects_verified, containers.len() as u64 - 1);
+            prop_assert!(!recovered.has_sealed_container(&victim));
+            recovered.verify_consistency().unwrap();
+
+            let mut lost = std::collections::HashSet::new();
+            for sc in &acked {
+                for (i, d) in sc.descriptors().iter().enumerate() {
+                    if node.chunk_location(&d.fingerprint).unwrap().container == victim {
+                        prop_assert!(recovered.chunk_location(&d.fingerprint).is_none());
+                        prop_assert!(recovered.read_chunk(&d.fingerprint).is_err());
+                        lost.insert(d.fingerprint);
+                    } else {
+                        prop_assert_eq!(
+                            recovered.read_chunk(&d.fingerprint).unwrap(),
+                            sc.payload(i).unwrap(),
+                            "{:?} container {} took a foreign chunk with it", how, victim
+                        );
+                    }
+                }
+            }
+            prop_assert!(!lost.is_empty());
+            let stored: u64 = acked
+                .iter()
+                .map(|sc| recovered.process_super_chunk(0, sc, &sc.handprint(4)).unwrap().unique_chunks)
+                .sum();
+            prop_assert_eq!(stored, lost.len() as u64, "lost chunks are stored again");
+            recovered.try_flush().unwrap();
+            for sc in &acked {
+                for (i, d) in sc.descriptors().iter().enumerate() {
+                    prop_assert_eq!(recovered.read_chunk(&d.fingerprint).unwrap(), sc.payload(i).unwrap());
+                }
+            }
+            recovered.verify_consistency().unwrap();
+        }
+    }
+}
+
+/// A journal frame that is whole — its checksum holds — but carries a record
+/// this version cannot decode (here an unknown tag), followed by valid
+/// frames: recovery must refuse it and leave the medium untouched, instead of
+/// truncating there and silently dropping the acknowledged records after it.
+#[test]
+fn unreadable_journal_frame_is_refused_not_truncated() {
+    let root = scratch_dir("unreadable-frame");
+    let config = durable_file_config(&root);
+    {
+        let node = DedupNode::new(0, &config);
+        let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, vec![payload(900, 1)]);
+        node.process_super_chunk(0, &sc, &sc.handprint(2)).unwrap();
+        node.try_flush().unwrap();
+        let journal = node.journal().unwrap();
+        // Frame layout: magic | payload length | sequence | FNV-1a | payload.
+        let payload = [0xEEu8, 1, 2, 3];
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&0x534A_524Eu32.to_le_bytes());
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&journal.next_seq().to_le_bytes());
+        frame.extend_from_slice(&sigma_dedupe::hashkit::fnv1a_64(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        journal
+            .backend()
+            .append(StorageObject::Journal, &frame)
+            .unwrap();
+    }
+    // Valid frames after the unreadable one.
+    {
+        let backend = Arc::new(FileBackend::open(config.node_storage_dir(0).unwrap()).unwrap());
+        let journal = Journal::open(backend).unwrap();
+        journal
+            .append(&JournalRecord::RecipeDelete { file_id: 7 })
+            .unwrap();
+        journal
+            .append(&JournalRecord::RecipeDelete { file_id: 8 })
+            .unwrap();
+    }
+    let dir = config.node_storage_dir(0).unwrap();
+    let snapshot = || -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = snapshot();
+    match DedupNode::recover_from_dir(0, &config) {
+        Err(SigmaError::Storage(StorageError::UnreadableRecord { .. })) => {}
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("an unreadable frame must refuse recovery"),
+    }
+    assert_eq!(snapshot(), before, "the medium is left untouched");
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 // ---- mid-rebalance kills ----
@@ -536,7 +856,7 @@ proptest! {
                 let (cluster, files) = acked_cluster(case);
                 let node = cluster.node_by_id(victim).unwrap();
                 let journal = node.journal().unwrap().clone();
-                save_artifact("mid-rebalance", &journal.bytes());
+                save_artifact("mid-rebalance", journal.backend().as_ref());
                 journal.arm_crash_at_seq(seq, mode);
 
                 match cluster.remove_node(0) {
@@ -561,7 +881,7 @@ proptest! {
                     }
                 }
                 if !cluster.crashed_nodes().is_empty() {
-                    save_artifact("mid-rebalance", &journal.bytes());
+                    save_artifact("mid-rebalance", journal.backend().as_ref());
                     let report = cluster.restart_node(victim).expect("recoverable");
                     prop_assert_eq!(report.node_id, victim);
                     // Finish the interrupted removal.
@@ -797,7 +1117,7 @@ proptest! {
                 let mode = if (seq + case) % 2 == 0 { CrashMode::Torn } else { CrashMode::Clean };
                 let (cluster, service, files) = tenant_acked_cluster(case);
                 let journal = cluster.node_by_id(victim).unwrap().journal().unwrap().clone();
-                save_artifact("tenant-expiry", &journal.bytes());
+                save_artifact("tenant-expiry", journal.backend().as_ref());
                 journal.arm_crash_at_seq(seq, mode);
 
                 let mut request_id = 2000u64;
@@ -829,7 +1149,7 @@ proptest! {
                     }
                 }
                 if !cluster.crashed_nodes().is_empty() {
-                    save_artifact("tenant-expiry", &journal.bytes());
+                    save_artifact("tenant-expiry", journal.backend().as_ref());
                     cluster.restart_node(victim).expect("recoverable");
                 }
                 // One re-run finishes whatever the crash interrupted.

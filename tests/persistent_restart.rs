@@ -152,7 +152,11 @@ fn full_stack_ingest_survives_process_restart() {
             "node {} verified no container objects",
             id
         );
-        assert_eq!(report.backend_objects_repaired, 0, "nothing to repair");
+        assert_eq!(report.containers_discarded, 0, "every object is intact");
+        assert_eq!(
+            report.orphan_objects_swept, 0,
+            "a clean shutdown leaves no orphan"
+        );
         node.verify_consistency()
             .expect("recovered node is consistent");
         nodes.insert(id, node);
