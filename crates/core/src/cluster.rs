@@ -20,7 +20,7 @@ use crate::{
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use sigma_hashkit::Fingerprint;
-use sigma_storage::ContainerId;
+use sigma_storage::{ContainerId, ContainerState};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -649,30 +649,30 @@ impl DedupCluster {
                         // fail here too; there is nothing to keep alive.
                         break;
                     };
-                    if node.has_sealed_container(&location.container)
-                        || node.has_open_container(&location.container)
-                    {
-                        let fresh = live
-                            .entry(node_id)
-                            .or_default()
-                            .entry(location.container)
-                            .or_default()
-                            .insert(entry.fingerprint);
-                        if fresh {
-                            report.live_chunks += 1;
-                            report.live_bytes += location.len as u64;
-                        }
-                        break;
-                    }
-                    // The container migrated away: follow the tombstone chain,
-                    // exactly as a restore would.
-                    match node.forwarded_to(&location.container) {
-                        Some(next) if hops < hop_cap => {
+                    let holder = match node.container_state(&location.container) {
+                        // The container migrated away: follow the tombstone
+                        // chain, exactly as a restore would.
+                        ContainerState::Migrated { successor } if hops < hop_cap => {
                             hops += 1;
-                            node_id = next;
+                            node_id = successor as usize;
+                            continue;
                         }
-                        _ => break,
+                        ContainerState::Migrated { .. } | ContainerState::Absent => break,
+                        ContainerState::Compacted { replacement } => replacement,
+                        // Open, sealing and sealed containers hold the chunk.
+                        _ => location.container,
+                    };
+                    let fresh = live
+                        .entry(node_id)
+                        .or_default()
+                        .entry(holder)
+                        .or_default()
+                        .insert(entry.fingerprint);
+                    if fresh {
+                        report.live_chunks += 1;
+                        report.live_bytes += location.len as u64;
                     }
+                    break;
                 }
             }
         }
@@ -1060,9 +1060,7 @@ impl DedupCluster {
             // The recovered node crashed before publishing a tombstone for a
             // container the peer already adopted durably: finish the hand-off.
             for (origin_node, origin_cid, _) in peer.adopted_origins() {
-                if origin_node == id
-                    && node.has_sealed_container(&origin_cid)
-                    && node.forwarded_to(&origin_cid).is_none()
+                if origin_node == id && node.container_state(&origin_cid) == ContainerState::Sealed
                 {
                     node.retire_container(origin_cid, peer.id())?;
                     report.reconciled_migrations += 1;
@@ -1072,8 +1070,7 @@ impl DedupCluster {
             // (live or earlier-recovered) peer never got to retire.
             for (origin_node, origin_cid, _) in node.adopted_origins() {
                 if origin_node == peer.id()
-                    && peer.has_sealed_container(&origin_cid)
-                    && peer.forwarded_to(&origin_cid).is_none()
+                    && peer.container_state(&origin_cid) == ContainerState::Sealed
                 {
                     peer.retire_container(origin_cid, id)?;
                     report.reconciled_migrations += 1;

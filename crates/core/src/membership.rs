@@ -314,6 +314,7 @@ mod tests {
     use super::*;
     use crate::{SigmaConfig, SuperChunk};
     use sigma_hashkit::FingerprintAlgorithm;
+    use sigma_storage::ContainerState;
 
     fn node(id: usize) -> Arc<DedupNode> {
         Arc::new(DedupNode::new(id, &SigmaConfig::default()))
@@ -359,7 +360,10 @@ mod tests {
         assert_eq!(a.storage_usage(), 0);
         assert_eq!(b.storage_usage(), before);
         // The tombstone points at B, and A's read path reports the migration.
-        assert_eq!(a.forwarded_to(&cid), Some(1));
+        assert_eq!(
+            a.container_state(&cid),
+            ContainerState::Migrated { successor: 1 }
+        );
         for (i, d) in sc.descriptors().iter().enumerate() {
             assert!(matches!(
                 a.read_chunk(&d.fingerprint),
@@ -411,7 +415,11 @@ mod tests {
             hp.size(),
             "source similarity entries survive the destination crash"
         );
-        assert_eq!(a.forwarded_to(&cid), None, "no dangling tombstone");
+        assert_eq!(
+            a.container_state(&cid),
+            ContainerState::Sealed,
+            "no dangling tombstone"
+        );
 
         // Recover the destination and retry: the RFPs travel with the retry.
         let (recovered_b, _) = DedupNode::recover(1, &durable, b_journal.clone()).unwrap();

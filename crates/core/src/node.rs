@@ -16,13 +16,13 @@
 //!    index.
 
 use crate::{ChunkDescriptor, Handprint, Result, SigmaConfig, SigmaError, SuperChunk};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use sigma_hashkit::Fingerprint;
 use sigma_storage::{
     BackendKind, CacheStats, ChunkIndex, ChunkIndexStats, ChunkLocation, ClaimOutcome, Container,
-    ContainerId, ContainerStore, ContainerStoreStats, ContainerSummary, DiskModel, DiskStats,
-    FileBackend, FingerprintCache, Journal, JournalRecord, MemoryBackend, NodeSnapshot,
+    ContainerId, ContainerState, ContainerStore, ContainerStoreStats, ContainerSummary, DiskModel,
+    DiskStats, FileBackend, FingerprintCache, Journal, JournalRecord, MemoryBackend, NodeSnapshot,
     SimDiskBackend, SimilarityIndex, SimilarityIndexStats, StorageBackend, StreamId,
 };
 use std::collections::{HashMap, HashSet};
@@ -135,11 +135,6 @@ pub struct DedupNode {
     /// Fingerprints written to the currently open container of each stream; catches
     /// duplicates within the active container before it is sealed.
     open_fingerprints: Mutex<HashMap<StreamId, (ContainerId, HashSet<Fingerprint>)>>,
-    /// Forwarding tombstones: containers migrated away by the rebalancer, mapped to
-    /// the node that received them.  Chunk-index entries for migrated chunks stay in
-    /// place, so a restore that lands here resolves the chunk's container, finds it
-    /// gone from the store, and follows the tombstone to the new owner.
-    forwarding: RwLock<HashMap<ContainerId, usize>>,
     /// Write-ahead journal (None unless [`SigmaConfig::durability`] is set): the
     /// node's durable medium, surviving a crash that destroys everything above.
     journal: Option<Arc<Journal>>,
@@ -272,7 +267,6 @@ impl DedupNode {
             unique_chunks: AtomicU64::new(0),
             super_chunks: AtomicU64::new(0),
             open_fingerprints: Mutex::new(HashMap::new()),
-            forwarding: RwLock::new(HashMap::new()),
             journal,
         }
     }
@@ -322,8 +316,9 @@ impl DedupNode {
             ..RecoveryReport::default()
         };
         for record in records {
-            node.apply_record(record, &mut report);
+            node.apply_record(record, &mut report)?;
         }
+        node.store.forget_compacted();
         let (discarded, orphans) = node.store.verify_objects()?;
         for lost in &discarded {
             node.drop_index_entries(lost);
@@ -376,17 +371,25 @@ impl DedupNode {
             .entries()
             .into_iter()
             .map(|(_, cid)| cid)
-            .filter(|cid| {
-                !self.store.contains_sealed(cid) && !self.forwarding.read().contains_key(cid)
-            })
+            .filter(|cid| !self.is_durable(cid))
             .collect();
         for cid in dangling {
             let _ = self.similarity_index.extract_container(cid);
         }
     }
 
-    /// Applies one replayed journal record to this (journal-detached) node.
-    fn apply_record(&self, record: JournalRecord, report: &mut RecoveryReport) {
+    /// True if `container` is sealed here or tombstoned: the containers a
+    /// journal snapshot and a recovered similarity index may name.
+    fn is_durable(&self, container: &ContainerId) -> bool {
+        matches!(
+            self.store.state(container),
+            ContainerState::Sealed | ContainerState::Migrated { .. }
+        )
+    }
+
+    /// Applies one replayed journal record to this (journal-detached) node,
+    /// through the same store transitions the live path takes.
+    fn apply_record(&self, record: JournalRecord, report: &mut RecoveryReport) -> Result<()> {
         match record {
             JournalRecord::ContainerSeal { container } => {
                 // The seal record is self-sufficient: installing it also indexes
@@ -434,13 +437,7 @@ impl DedupNode {
                 container,
                 successor,
             } => {
-                self.forwarding
-                    .write()
-                    .insert(container, successor as usize);
-                self.store.remove_sealed(&container);
-                // Mirror the live migration: the similarity entries travelled
-                // with the container.
-                let _ = self.similarity_index.extract_container(container);
+                self.retire_container(container, successor as usize)?;
                 report.tombstones_restored += 1;
             }
             JournalRecord::RecipeDelete { .. } => {
@@ -459,10 +456,9 @@ impl DedupNode {
                 // dead chunk entries with it; the replacement comes back with
                 // its chunks indexed at their new offsets and the travelling
                 // RFPs re-homed.
-                if let Some(old) = self.store.remove_sealed(&victim) {
+                if let Some(old) = self.store.install_compacted(victim, replacement.clone()) {
                     self.drop_index_entries(&old);
                 }
-                self.store.install_recovered(None, replacement.clone());
                 self.index_container_records(&replacement);
                 for rfp in rfps {
                     self.similarity_index.insert(rfp, replacement.id);
@@ -472,7 +468,7 @@ impl DedupNode {
             JournalRecord::GcDrop { container } => {
                 // Unlike a tombstone, nothing forwards anywhere: the data was
                 // unreferenced, so its index and similarity entries die with it.
-                if let Some(old) = self.store.remove_sealed(&container) {
+                if let Some(old) = self.store.drop_sealed_gc(&container)? {
                     self.drop_index_entries(&old);
                 }
                 report.gc_records_replayed += 1;
@@ -489,13 +485,14 @@ impl DedupNode {
                 self.super_chunks.store(super_chunks, Ordering::Relaxed);
             }
             JournalRecord::Snapshot(snapshot) => {
-                self.apply_snapshot(snapshot, report);
+                self.apply_snapshot(snapshot, report)?;
             }
         }
+        Ok(())
     }
 
     /// Applies a compaction snapshot (always the first record of a compacted log).
-    fn apply_snapshot(&self, snapshot: NodeSnapshot, report: &mut RecoveryReport) {
+    fn apply_snapshot(&self, snapshot: NodeSnapshot, report: &mut RecoveryReport) -> Result<()> {
         let NodeSnapshot {
             next_container_id,
             containers,
@@ -523,17 +520,15 @@ impl DedupNode {
             self.similarity_index.insert(rfp, cid);
         }
         report.tombstones_restored += tombstones.len() as u64;
-        {
-            let mut forwarding = self.forwarding.write();
-            for (cid, successor) in tombstones {
-                forwarding.insert(cid, successor as usize);
-            }
+        for (cid, successor) in tombstones {
+            self.store.retire_container(cid, successor)?;
         }
         self.store.restore_next_id(next_container_id);
         self.logical_bytes.store(logical_bytes, Ordering::Relaxed);
         self.total_chunks.store(total_chunks, Ordering::Relaxed);
         self.unique_chunks.store(unique_chunks, Ordering::Relaxed);
         self.super_chunks.store(super_chunks, Ordering::Relaxed);
+        Ok(())
     }
 
     fn index_container_records(&self, container: &ContainerSummary) {
@@ -625,6 +620,12 @@ impl DedupNode {
                 if let Ok(meta) = self.store.read_metadata(cid) {
                     self.cache.insert_container(*cid, meta.fingerprints());
                     receipt.containers_prefetched += 1;
+                    // A migration that retired the container after its
+                    // metadata was read has already purged the cache, so
+                    // look again and purge it here.
+                    if !self.store.state(cid).is_local() {
+                        self.cache.remove_container(*cid);
+                    }
                 }
             }
         }
@@ -715,6 +716,15 @@ impl DedupNode {
     ) -> Result<ChunkResolution> {
         let fp = descriptor.fingerprint;
 
+        // Ingest deduplicates only against containers this node still holds
+        // (open, sealing or sealed): a container migrated away can be
+        // collected at the far end of its tombstone once no recipe reaches
+        // it, and one compacted or collected here no longer holds its dead
+        // chunks.  Every way out purges the container from the fingerprint
+        // cache, so a cache hit needs no check; the chunk index keeps a
+        // migrated container's entries for restores to follow, so a claim
+        // checks the entry it finds.
+
         // 3a: chunk-fingerprint cache (container-locality hits).
         if self.cache.lookup(&fp).is_some() {
             return Ok(ChunkResolution::CacheHit);
@@ -751,7 +761,9 @@ impl DedupNode {
         // This keeps the unique-chunk set — and the node's physical bytes —
         // identical whether super-chunks arrive serially or concurrently.
         if self.chunk_index_fallback {
-            match self.chunk_index.claim(fp) {
+            match self.chunk_index.claim(fp, |location| {
+                self.store.state(&location.container).is_local()
+            }) {
                 ClaimOutcome::Duplicate => return Ok(ChunkResolution::IndexHit),
                 ClaimOutcome::Claimed => {}
             }
@@ -823,18 +835,25 @@ impl DedupNode {
                 })
             }
             Err(sigma_storage::StorageError::ContainerNotFound(cid)) => {
-                match self.forwarded_to(&cid) {
-                    Some(node) => Err(SigmaError::ChunkMigrated {
-                        fingerprint: fingerprint.to_string(),
-                        node,
-                    }),
-                    None => Err(SigmaError::ChunkMissing {
-                        node: self.id,
-                        fingerprint: fingerprint.to_string(),
-                    }),
-                }
+                Err(self.not_here(&cid, fingerprint.to_string()))
             }
             Err(e) => Err(e.into()),
+        }
+    }
+
+    /// The error for a chunk whose container this node no longer holds:
+    /// [`SigmaError::ChunkMigrated`] when the container's entry is a
+    /// forwarding tombstone, [`SigmaError::ChunkMissing`] otherwise.
+    fn not_here(&self, container: &ContainerId, fingerprint: String) -> SigmaError {
+        match self.store.state(container) {
+            ContainerState::Migrated { successor } => SigmaError::ChunkMigrated {
+                fingerprint,
+                node: successor as usize,
+            },
+            _ => SigmaError::ChunkMissing {
+                node: self.id,
+                fingerprint,
+            },
         }
     }
 
@@ -857,18 +876,11 @@ impl DedupNode {
                     node: self.id,
                     fingerprint: fingerprint.to_string(),
                 })?;
-        if self.store.contains(&location.container) {
-            return Ok(location);
-        }
-        match self.forwarded_to(&location.container) {
-            Some(node) => Err(SigmaError::ChunkMigrated {
-                fingerprint: fingerprint.to_string(),
-                node,
-            }),
-            None => Err(SigmaError::ChunkMissing {
-                node: self.id,
-                fingerprint: fingerprint.to_string(),
-            }),
+        match self.store.state(&location.container) {
+            ContainerState::Migrated { .. } | ContainerState::Absent => {
+                Err(self.not_here(&location.container, fingerprint.to_string()))
+            }
+            _ => Ok(location),
         }
     }
 
@@ -896,22 +908,11 @@ impl DedupNode {
                 Err(SigmaError::PayloadUnavailable { fingerprint })
             }
             Err(sigma_storage::StorageError::ContainerNotFound(cid)) => {
-                match self.forwarded_to(&cid) {
-                    Some(node) => Err(SigmaError::ChunkMigrated {
-                        fingerprint: fetches
-                            .first()
-                            .map(|f| f.fingerprint.to_string())
-                            .unwrap_or_default(),
-                        node,
-                    }),
-                    None => Err(SigmaError::ChunkMissing {
-                        node: self.id,
-                        fingerprint: fetches
-                            .first()
-                            .map(|f| f.fingerprint.to_string())
-                            .unwrap_or_default(),
-                    }),
-                }
+                let fingerprint = fetches
+                    .first()
+                    .map(|f| f.fingerprint.to_string())
+                    .unwrap_or_default();
+                Err(self.not_here(&cid, fingerprint))
             }
             Err(e) => Err(e.into()),
         }
@@ -930,11 +931,11 @@ impl DedupNode {
         self.chunk_index.lookup_silent(fingerprint)
     }
 
-    /// True if `container` is currently open (being filled by some stream).
-    /// Open containers are invisible to the GC sweep: their chunks are not yet
-    /// acknowledged and their container cannot be scored or compacted.
-    pub fn has_open_container(&self, container: &ContainerId) -> bool {
-        self.store.contains_open(container)
+    /// Where `container` is in this node's lifecycle table: open, sealing,
+    /// sealed, compacted into a replacement, migrated to a successor node
+    /// (a forwarding tombstone), or absent.  One lookup, one answer.
+    pub fn container_state(&self, container: &ContainerId) -> ContainerState {
+        self.store.state(container)
     }
 
     /// Durably notes that a file recipe referencing this node was deleted.
@@ -985,6 +986,9 @@ impl DedupNode {
             node_id: self.id,
             ..NodeGcReport::default()
         };
+        // The previous sweep's compacted entries have served the readers that
+        // raced it; this sweep leaves its own until the next one.
+        self.store.forget_compacted();
         let empty = HashSet::new();
         for cid in self.store.sealed_container_ids() {
             let live_fps = live.get(&cid).unwrap_or(&empty);
@@ -995,6 +999,7 @@ impl DedupNode {
             if acct.live_chunks == 0 {
                 if let Some(dropped) = self.store.drop_sealed_gc(&cid)? {
                     self.drop_index_entries(&dropped);
+                    self.cache.remove_container(cid);
                     report.containers_dropped += 1;
                     report.chunks_discarded += dropped.chunk_count() as u64;
                     report.bytes_reclaimed += dropped.data_size() as u64;
@@ -1005,6 +1010,7 @@ impl DedupNode {
                 // victim — and its similarity state — is untouched.
                 let rfps = self.similarity_index.peek_container(cid);
                 if let Some(outcome) = self.store.compact_container(&cid, live_fps, &rfps)? {
+                    self.cache.remove_container(cid);
                     for record in &outcome.dead_records {
                         self.chunk_index.remove_if_at(&record.fingerprint, cid);
                     }
@@ -1044,11 +1050,6 @@ impl DedupNode {
     /// Logical data-section size of a sealed container, if it exists.
     pub fn container_data_size(&self, container: &ContainerId) -> Option<usize> {
         self.store.sealed_data_size(container)
-    }
-
-    /// Node this container was forwarded to, if it was migrated away.
-    pub fn forwarded_to(&self, container: &ContainerId) -> Option<usize> {
-        self.forwarding.read().get(container).copied()
     }
 
     /// Reads a sealed container out of this node for migration (charged to the
@@ -1127,11 +1128,14 @@ impl DedupNode {
         Ok(new_id)
     }
 
-    /// Completes the migration of `container` to node `successor`: a forwarding
-    /// tombstone is published (journal first, then RAM) *before* the container
-    /// data is dropped, so a restore racing with the hand-off either still reads
-    /// the chunk locally or follows the tombstone — there is no window in which
-    /// the chunk is unreachable, live or across a crash.
+    /// Completes the migration of `container` to node `successor`: the
+    /// `Tombstone` record is journaled, one swap turns the container's entry
+    /// into a forwarding tombstone, and only then is its object deleted.  A
+    /// restore racing with the hand-off either still reads the chunk locally
+    /// or gets [`SigmaError::ChunkMigrated`] — also when its read of the
+    /// object was already under way — so there is no window in which the
+    /// chunk is unreachable, live or across a crash.  Journal replay of a
+    /// `Tombstone` runs this same method.
     ///
     /// # Errors
     ///
@@ -1140,19 +1144,16 @@ impl DedupNode {
     /// which [`DedupCluster::restart_node`](crate::DedupCluster::restart_node)
     /// reconciles after recovery).
     pub fn retire_container(&self, container: ContainerId, successor: usize) -> Result<()> {
-        if let Some(journal) = &self.journal {
-            journal.append(&JournalRecord::Tombstone {
-                container,
-                successor: successor as u64,
-            })?;
-        }
-        self.forwarding.write().insert(container, successor);
-        self.store.remove_sealed(&container);
+        self.store.retire_container(container, successor as u64)?;
         // The similarity entries travelled with the container (the destination
         // re-published them at adopt time); dropping any stragglers here keeps
         // the live path, the reconciliation path and Tombstone replay identical:
         // a retired container never answers resemblance queries again.
         let _ = self.similarity_index.extract_container(container);
+        // Nor does it answer ingest.  A duplicate a concurrent backup counted
+        // against it before this purge is safe: its recipe reaches the
+        // successor's copy through the tombstone, so the GC mark keeps it.
+        self.cache.remove_container(container);
         Ok(())
     }
 
@@ -1165,11 +1166,6 @@ impl DedupNode {
             .into_iter()
             .map(|(node, origin, local)| (node as usize, origin, local))
             .collect()
-    }
-
-    /// True if a sealed container with this ID is currently present.
-    pub fn has_sealed_container(&self, container: &ContainerId) -> bool {
-        self.store.contains_sealed(container)
     }
 
     /// Seals all open containers (end of a backup session), ignoring a crashed
@@ -1185,8 +1181,10 @@ impl DedupNode {
     ///
     /// # Errors
     ///
-    /// Returns a crash error when the journal refuses an append; containers not
-    /// yet sealed at that point are lost, exactly as the crash would lose them.
+    /// Returns the error a seal hit: a journal crash or a failed object
+    /// write.  Containers whose seal failed stay readable, and the next flush
+    /// seals them again; after a crash they never became durable, and
+    /// recovery drops them as the crash would.
     pub fn try_flush(&self) -> Result<()> {
         self.store.flush()?;
         self.open_fingerprints.lock().clear();
@@ -1234,9 +1232,6 @@ impl DedupNode {
         // claim() answers "duplicate" for data that exists nowhere — silently
         // corrupting a later acknowledged backup.  Filtering them mirrors what
         // a crash does to the live journal: the open tail simply never existed.
-        let durable = |cid: &ContainerId| {
-            self.store.contains_sealed(cid) || self.forwarding.read().contains_key(cid)
-        };
         let snapshot = NodeSnapshot {
             next_container_id: self.store.peek_next_id(),
             containers: self.store.sealed_snapshot(),
@@ -1244,20 +1239,15 @@ impl DedupNode {
                 .chunk_index
                 .finalized_entries()
                 .into_iter()
-                .filter(|(_, loc)| durable(&loc.container))
+                .filter(|(_, loc)| self.is_durable(&loc.container))
                 .collect(),
             similarity: self
                 .similarity_index
                 .entries()
                 .into_iter()
-                .filter(|(_, cid)| durable(cid))
+                .filter(|(_, cid)| self.is_durable(cid))
                 .collect(),
-            tombstones: self
-                .forwarding
-                .read()
-                .iter()
-                .map(|(&cid, &node)| (cid, node as u64))
-                .collect(),
+            tombstones: self.store.tombstones(),
             logical_bytes: self.logical_bytes.load(Ordering::Relaxed),
             total_chunks: self.total_chunks.load(Ordering::Relaxed),
             unique_chunks: self.unique_chunks.load(Ordering::Relaxed),
@@ -1275,13 +1265,16 @@ impl DedupNode {
     ///
     /// Returns a description of the first violated invariant.
     pub fn verify_consistency(&self) -> std::result::Result<(), String> {
-        let open: std::collections::HashSet<ContainerId> =
-            self.store.open_container_ids().into_iter().collect();
+        // Index entries may name a container held here (open, sealing or
+        // sealed) or tombstoned; never one compacted away or absent.
+        let resolvable = |cid: &ContainerId| {
+            !matches!(
+                self.store.state(cid),
+                ContainerState::Compacted { .. } | ContainerState::Absent
+            )
+        };
         for (fp, loc) in self.chunk_index.finalized_entries() {
-            if !self.store.contains_sealed(&loc.container)
-                && !open.contains(&loc.container)
-                && self.forwarded_to(&loc.container).is_none()
-            {
+            if !resolvable(&loc.container) {
                 return Err(format!(
                     "chunk {} points at container {} which is neither stored nor tombstoned on node {}",
                     fp, loc.container, self.id
@@ -1289,10 +1282,7 @@ impl DedupNode {
             }
         }
         for (rfp, cid) in self.similarity_index.entries() {
-            if !self.store.contains_sealed(&cid)
-                && !open.contains(&cid)
-                && self.forwarded_to(&cid).is_none()
-            {
+            if !resolvable(&cid) {
                 return Err(format!(
                     "similarity entry {} points at container {} which is neither stored nor tombstoned on node {}",
                     rfp, cid, self.id
@@ -1380,6 +1370,7 @@ mod tests {
     use super::*;
     use crate::SuperChunkBuilder;
     use sigma_hashkit::{Digest, FingerprintAlgorithm, Sha1};
+    use sigma_storage::{StorageError, StorageObject};
 
     fn config() -> SigmaConfig {
         SigmaConfig::builder()
@@ -1793,7 +1784,10 @@ mod tests {
         let journal = a.journal().unwrap().clone();
         let (recovered, report) = DedupNode::recover(0, &cfg, journal).unwrap();
         assert_eq!(report.tombstones_restored, 1);
-        assert_eq!(recovered.forwarded_to(&cid), Some(1));
+        assert_eq!(
+            recovered.container_state(&cid),
+            ContainerState::Migrated { successor: 1 }
+        );
         assert_eq!(
             recovered.storage_usage(),
             0,
@@ -2022,6 +2016,197 @@ mod tests {
         assert_eq!(report.containers_dropped, 1);
         assert_eq!(recovered.storage_usage(), 0);
         recovered.verify_consistency().unwrap();
+    }
+
+    /// A memory backend with two one-shot faults on container objects: the
+    /// next write fails with an I/O error, or the next `read_at` parks until
+    /// the test releases it.
+    #[derive(Debug, Default)]
+    struct FaultyBackend {
+        inner: MemoryBackend,
+        fail_next_write: std::sync::atomic::AtomicBool,
+        /// `(parked, release)`: signalled when the read parks, then awaited.
+        park_next_read: Mutex<Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>>,
+    }
+
+    impl StorageBackend for FaultyBackend {
+        fn kind(&self) -> BackendKind {
+            self.inner.kind()
+        }
+        fn append(&self, obj: StorageObject, bytes: &[u8]) -> sigma_storage::Result<u64> {
+            self.inner.append(obj, bytes)
+        }
+        fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> sigma_storage::Result<()> {
+            if matches!(obj, StorageObject::Container(_))
+                && self.fail_next_write.swap(false, Ordering::SeqCst)
+            {
+                return Err(StorageError::Io(format!("{obj}: injected write failure")));
+            }
+            self.inner.write_object(obj, bytes)
+        }
+        fn read_all(&self, obj: StorageObject) -> sigma_storage::Result<Vec<u8>> {
+            self.inner.read_all(obj)
+        }
+        fn read_at(
+            &self,
+            obj: StorageObject,
+            offset: u64,
+            len: usize,
+        ) -> sigma_storage::Result<Vec<u8>> {
+            let park = self.park_next_read.lock().take();
+            if let Some((parked, release)) = park {
+                parked.send(()).unwrap();
+                release.recv().unwrap();
+            }
+            self.inner.read_at(obj, offset, len)
+        }
+        fn object_len(&self, obj: StorageObject) -> sigma_storage::Result<Option<u64>> {
+            self.inner.object_len(obj)
+        }
+        fn truncate(&self, obj: StorageObject, len: u64) -> sigma_storage::Result<()> {
+            self.inner.truncate(obj, len)
+        }
+        fn fsync(&self, obj: StorageObject) -> sigma_storage::Result<()> {
+            self.inner.fsync(obj)
+        }
+        fn delete(&self, obj: StorageObject) -> sigma_storage::Result<()> {
+            self.inner.delete(obj)
+        }
+        fn list(&self) -> sigma_storage::Result<Vec<StorageObject>> {
+            self.inner.list()
+        }
+    }
+
+    /// A durable node over `backend` (recovered from an empty journal there).
+    fn node_over(backend: Arc<FaultyBackend>) -> DedupNode {
+        let journal = Arc::new(Journal::with_backend(backend).unwrap());
+        DedupNode::recover(0, &durable_config(), journal).unwrap().0
+    }
+
+    #[test]
+    fn a_failed_seal_keeps_its_chunks_readable_and_the_next_flush_seals_them() {
+        let backend = Arc::new(FaultyBackend::default());
+        let node = node_over(backend.clone());
+        let sc = payload_super_chunk(3, 4, 1024);
+        let hp = sc.handprint(4);
+        assert_eq!(
+            node.process_super_chunk(0, &sc, &hp).unwrap().unique_chunks,
+            4
+        );
+        backend.fail_next_write.store(true, Ordering::SeqCst);
+        assert!(matches!(
+            node.try_flush(),
+            Err(SigmaError::Storage(StorageError::Io(_)))
+        ));
+        assert!(!node.crashed());
+        // The index entries finalized at store time still point at the
+        // container: the same chunks again are all duplicates of it...
+        let again = node.process_super_chunk(0, &sc, &hp).unwrap();
+        assert_eq!(again.duplicate_chunks, 4);
+        // ...which the next flush seals, so the acknowledged backup restores.
+        node.try_flush().unwrap();
+        let journal = node.journal().unwrap().clone();
+        let (recovered, _) = DedupNode::recover(0, &durable_config(), journal).unwrap();
+        for n in [&node, &recovered] {
+            for (i, d) in sc.descriptors().iter().enumerate() {
+                assert_eq!(
+                    n.read_chunk(&d.fingerprint).unwrap(),
+                    sc.payload(i).unwrap()
+                );
+            }
+            n.verify_consistency().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_read_racing_retirement_follows_the_tombstone() {
+        let backend = Arc::new(FaultyBackend::default());
+        let node = Arc::new(node_over(backend.clone()));
+        let sc = payload_super_chunk(4, 2, 1024);
+        node.process_super_chunk(0, &sc, &sc.handprint(4)).unwrap();
+        node.try_flush().unwrap();
+        let cid = node.sealed_container_ids()[0];
+        let (parked_tx, parked) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        *backend.park_next_read.lock() = Some((parked_tx, release_rx));
+        let reader = {
+            let (node, fp) = (node.clone(), sc.descriptors()[0].fingerprint);
+            std::thread::spawn(move || node.read_chunk(&fp))
+        };
+        // The read resolved the sealed container and sits in the backend
+        // while the container is retired and its object deleted.
+        parked.recv().unwrap();
+        node.retire_container(cid, 1).unwrap();
+        release.send(()).unwrap();
+        assert!(matches!(
+            reader.join().unwrap(),
+            Err(SigmaError::ChunkMigrated { node: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn ingest_never_deduplicates_against_a_container_it_no_longer_holds() {
+        let a = DedupNode::new(0, &config());
+        let b = DedupNode::new(1, &config());
+        let sc = payload_super_chunk(6, 4, 1024);
+        let hp = sc.handprint(4);
+        a.process_super_chunk(0, &sc, &hp).unwrap();
+        a.flush();
+        // A second pass prefetches the container into A's fingerprint cache.
+        assert_eq!(a.process_super_chunk(0, &sc, &hp).unwrap().cache_hits, 4);
+        let cid = a.sealed_container_ids()[0];
+        let exported = a.export_container(&cid).unwrap().unwrap();
+        b.adopt_container(0, exported, &a.similarity_entries_for(cid))
+            .unwrap();
+        a.retire_container(cid, 1).unwrap();
+        // No recipe reaches B's copy, so B's GC collects it...
+        b.sweep_garbage(&HashMap::new(), 0.5).unwrap();
+        assert_eq!(b.storage_usage(), 0);
+        // ...while A's index still names the tombstoned container (its cache
+        // forgot it at retirement): the same chunks are stored again, not
+        // matched against it.
+        let again = a.process_super_chunk(0, &sc, &hp).unwrap();
+        assert_eq!(again.unique_chunks, 4);
+        a.flush();
+        for (i, d) in sc.descriptors().iter().enumerate() {
+            assert_eq!(
+                a.read_chunk(&d.fingerprint).unwrap(),
+                sc.payload(i).unwrap()
+            );
+        }
+        a.verify_consistency().unwrap();
+    }
+
+    #[test]
+    fn ingest_never_deduplicates_against_chunks_gc_reclaimed() {
+        let node = DedupNode::new(0, &config());
+        let sc = payload_super_chunk(7, 4, 1024);
+        let hp = sc.handprint(4);
+        node.process_super_chunk(0, &sc, &hp).unwrap();
+        node.flush();
+        assert_eq!(node.process_super_chunk(0, &sc, &hp).unwrap().cache_hits, 4);
+        // Half the chunks die; the sweep compacts the container.
+        let cid = node.sealed_container_ids()[0];
+        let live: HashSet<Fingerprint> = sc.descriptors()[..2]
+            .iter()
+            .map(|d| d.fingerprint)
+            .collect();
+        let report = node
+            .sweep_garbage(&HashMap::from([(cid, live)]), 1.0)
+            .unwrap();
+        assert_eq!(report.containers_compacted, 1);
+        // The cache had prefetched the victim: its dead chunks are stored
+        // again, its live ones match the replacement.
+        let again = node.process_super_chunk(0, &sc, &hp).unwrap();
+        assert_eq!((again.unique_chunks, again.duplicate_chunks), (2, 2));
+        node.flush();
+        for (i, d) in sc.descriptors().iter().enumerate() {
+            assert_eq!(
+                node.read_chunk(&d.fingerprint).unwrap(),
+                sc.payload(i).unwrap()
+            );
+        }
+        node.verify_consistency().unwrap();
     }
 
     #[test]

@@ -148,23 +148,60 @@ mod tests {
 
     #[test]
     fn striping_helps_concurrent_lookups() {
-        // Take the crate's CPU-heavy-test turnstile: a tenant storm running
-        // in parallel would steal the cores this comparison measures.
-        let _turn = crate::test_support::cpu_heavy_test_turn();
-        // With 4 threads, 64 locks should not be slower than a single global lock by
-        // any meaningful margin (it is usually much faster; allow noise).
+        // Counted, not timed: replay the key sequence `measure` gives each of
+        // four streams and count, step by step, the stream pairs whose
+        // lookups land on the same lock stripe — the pairs that could contend.
         let params = Fig4bParams {
             preload_entries: 20_000,
-            lookups_per_stream: 150_000,
+            lookups_per_stream: 10_000,
             ..tiny_params()
         };
-        let single = measure(1, 4, &params);
-        let striped = measure(64, 4, &params);
+        let keys: Vec<_> = (0..params.preload_entries as u64)
+            .map(|i| Sha1::fingerprint(&i.to_le_bytes()))
+            .collect();
+        let streams: Vec<Vec<usize>> = (0..4u64)
+            .map(|stream| {
+                let mut state = (stream + 1).wrapping_mul(0x9E3779B97F4A7C15);
+                (0..params.lookups_per_stream)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        (state % keys.len() as u64) as usize
+                    })
+                    .collect()
+            })
+            .collect();
+        let contention = |locks: usize| {
+            let index = SimilarityIndex::new(locks);
+            let mut stripes_hit = std::collections::HashSet::new();
+            let mut same_stripe_pairs = 0u64;
+            for step in 0..params.lookups_per_stream {
+                let stripes: Vec<usize> = streams
+                    .iter()
+                    .map(|keys_of| index.stripe_of(&keys[keys_of[step]]))
+                    .collect();
+                stripes_hit.extend(stripes.iter().copied());
+                for (i, a) in stripes.iter().enumerate() {
+                    same_stripe_pairs += stripes[i + 1..].iter().filter(|b| *b == a).count() as u64;
+                }
+            }
+            (stripes_hit.len(), same_stripe_pairs)
+        };
+        let (single_stripes, single_pairs) = contention(1);
+        let (striped_stripes, striped_pairs) = contention(64);
+        assert_eq!(single_stripes, 1);
+        assert_eq!(single_pairs, 6 * params.lookups_per_stream as u64);
+        assert_eq!(
+            striped_stripes, 64,
+            "the four streams spread over every stripe"
+        );
+        // One stripe in 64: about 6/64 of the pairs still meet.
         assert!(
-            striped > single * 0.8,
-            "striped {} vs single {}",
-            striped,
-            single
+            striped_pairs * 16 < single_pairs,
+            "striped {} vs single {} same-stripe pairs",
+            striped_pairs,
+            single_pairs
         );
     }
 

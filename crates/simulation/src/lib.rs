@@ -63,7 +63,7 @@ pub(crate) mod test_support {
     use std::sync::{Mutex, MutexGuard};
 
     /// Serializes this crate's CPU-heavy, timing-sensitive tests (the tenant
-    /// storms and fig4b's striping comparison): each spawns enough worker
+    /// storms): each spawns enough worker
     /// threads to saturate the host, so two running at once oversubscribe the
     /// CPU and turn the other's throughput or fairness assertion into noise.
     pub(crate) fn cpu_heavy_test_turn() -> MutexGuard<'static, ()> {

@@ -49,11 +49,23 @@ pub enum ClaimOutcome {
 }
 
 /// One index entry: either finalized with a location, or claimed by a stream that
-/// is still appending the chunk to its open container.
+/// is still appending the chunk to its open container.  A claim that took over a
+/// stale entry keeps its location, which lookups answer until the claim is
+/// finalized and an abandon restores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
-    Pending,
+    Pending(Option<ChunkLocation>),
     Stored(ChunkLocation),
+}
+
+impl Slot {
+    /// The location a lookup answers.
+    fn location(&self) -> Option<ChunkLocation> {
+        match self {
+            Slot::Stored(location) | Slot::Pending(Some(location)) => Some(*location),
+            Slot::Pending(None) => None,
+        }
+    }
 }
 
 /// Statistics of a [`ChunkIndex`].
@@ -171,20 +183,33 @@ impl ChunkIndex {
     /// [`finalize`](ChunkIndex::finalize) once the chunk has a storage location, or
     /// rolled back with [`abandon`](ChunkIndex::abandon) if storing fails.
     ///
+    /// A finalized entry is a duplicate only while `holds` accepts its location
+    /// (it runs under the entry's stripe lock).  Otherwise the claim takes the
+    /// entry over and the chunk is stored again; lookups keep answering the old
+    /// location until the claim is finalized, and an abandon restores it.
+    ///
     /// Charged like a lookup (one random read) plus, when the claim is won, like an
     /// insert (one random write).
-    pub fn claim(&self, fp: Fingerprint) -> ClaimOutcome {
+    pub fn claim(
+        &self,
+        fp: Fingerprint,
+        holds: impl FnOnce(&ChunkLocation) -> bool,
+    ) -> ClaimOutcome {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         if let Some(disk) = &self.disk {
             disk.record_random_read();
         }
         let stripe = self.stripe_of(&fp);
         let mut map = self.stripes[stripe].write();
-        if map.contains_key(&fp) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return ClaimOutcome::Duplicate;
-        }
-        map.insert(fp, Slot::Pending);
+        let stale = match map.get(&fp) {
+            None => None,
+            Some(Slot::Stored(location)) if !holds(location) => Some(*location),
+            Some(_) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return ClaimOutcome::Duplicate;
+            }
+        };
+        map.insert(fp, Slot::Pending(stale));
         drop(map);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         if let Some(disk) = &self.disk {
@@ -205,29 +230,34 @@ impl ChunkIndex {
     }
 
     /// Rolls back a claim whose chunk could not be stored, so the fingerprint can
-    /// be claimed again later.  Finalized entries are left untouched.
+    /// be claimed again later; an entry the claim took over comes back.
+    /// Finalized entries are left untouched.
     pub fn abandon(&self, fp: &Fingerprint) {
         let stripe = self.stripe_of(fp);
         let mut map = self.stripes[stripe].write();
-        if map.get(fp) == Some(&Slot::Pending) {
-            map.remove(fp);
+        match map.get(fp) {
+            Some(Slot::Pending(Some(stale))) => {
+                let stale = *stale;
+                map.insert(*fp, Slot::Stored(stale));
+            }
+            Some(Slot::Pending(None)) => {
+                map.remove(fp);
+            }
+            _ => {}
         }
     }
 
     /// Looks up the location of a chunk fingerprint.
     ///
-    /// A fingerprint that is claimed but not yet finalized reads as absent: its
-    /// location is not known yet.
+    /// A fingerprint that is claimed but not yet finalized reads as absent — or
+    /// as the entry the claim took over: its new location is not known yet.
     pub fn lookup(&self, fp: &Fingerprint) -> Option<ChunkLocation> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         if let Some(disk) = &self.disk {
             disk.record_random_read();
         }
         let stripe = self.stripe_of(fp);
-        let found = match self.stripes[stripe].read().get(fp) {
-            Some(Slot::Stored(loc)) => Some(*loc),
-            _ => None,
-        };
+        let found = self.stripes[stripe].read().get(fp).and_then(Slot::location);
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -252,10 +282,7 @@ impl ChunkIndex {
     /// index sequentially anyway.
     pub fn lookup_silent(&self, fp: &Fingerprint) -> Option<ChunkLocation> {
         let stripe = self.stripe_of(fp);
-        match self.stripes[stripe].read().get(fp) {
-            Some(Slot::Stored(loc)) => Some(*loc),
-            _ => None,
-        }
+        self.stripes[stripe].read().get(fp).and_then(Slot::location)
     }
 
     /// Removes the entry for `fp` **iff** it still points at `container`.
@@ -300,13 +327,14 @@ impl ChunkIndex {
 
     /// Every finalized entry as `(fingerprint, location)` pairs, sorted by
     /// fingerprint — the chunk-index half of a compaction snapshot.  Pending
-    /// claims are skipped: their chunks have no durable location yet.
+    /// claims are skipped (their chunks have no durable location yet), except
+    /// for the entry a claim took over.
     pub fn finalized_entries(&self) -> Vec<(Fingerprint, ChunkLocation)> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
             for (fp, slot) in stripe.read().iter() {
-                if let Slot::Stored(loc) = slot {
-                    out.push((*fp, *loc));
+                if let Some(loc) = slot.location() {
+                    out.push((*fp, loc));
                 }
             }
         }
@@ -428,24 +456,46 @@ mod tests {
     #[test]
     fn claim_is_won_exactly_once() {
         let idx = ChunkIndex::new();
-        assert_eq!(idx.claim(fp(1)), ClaimOutcome::Claimed);
-        assert_eq!(idx.claim(fp(1)), ClaimOutcome::Duplicate);
+        assert_eq!(idx.claim(fp(1), |_| true), ClaimOutcome::Claimed);
+        assert_eq!(idx.claim(fp(1), |_| true), ClaimOutcome::Duplicate);
         // A pending claim has no location yet.
         assert_eq!(idx.lookup(&fp(1)), None);
         assert!(idx.contains_silent(&fp(1)));
         idx.finalize(fp(1), loc(3, 0));
         assert_eq!(idx.lookup(&fp(1)), Some(loc(3, 0)));
-        assert_eq!(idx.claim(fp(1)), ClaimOutcome::Duplicate);
+        assert_eq!(idx.claim(fp(1), |_| true), ClaimOutcome::Duplicate);
+    }
+
+    #[test]
+    fn a_claim_takes_over_an_entry_the_caller_no_longer_holds() {
+        let idx = ChunkIndex::new();
+        idx.insert(fp(1), loc(1, 0));
+        let gone = |l: &ChunkLocation| l.container != ContainerId::new(1);
+        assert_eq!(idx.claim(fp(1), gone), ClaimOutcome::Claimed);
+        assert_eq!(
+            idx.claim(fp(1), |_| true),
+            ClaimOutcome::Duplicate,
+            "pending"
+        );
+        // Until the claim settles, lookups still answer the old location...
+        assert_eq!(idx.lookup(&fp(1)), Some(loc(1, 0)));
+        // ...an abandon restores it, and a finalize replaces it.
+        idx.abandon(&fp(1));
+        assert_eq!(idx.lookup(&fp(1)), Some(loc(1, 0)));
+        assert_eq!(idx.claim(fp(1), gone), ClaimOutcome::Claimed);
+        idx.finalize(fp(1), loc(2, 0));
+        assert_eq!(idx.claim(fp(1), gone), ClaimOutcome::Duplicate);
+        assert_eq!(idx.lookup(&fp(1)), Some(loc(2, 0)));
     }
 
     #[test]
     fn abandon_rolls_back_only_pending_claims() {
         let idx = ChunkIndex::new();
-        idx.claim(fp(1));
+        idx.claim(fp(1), |_| true);
         idx.abandon(&fp(1));
         assert!(!idx.contains_silent(&fp(1)));
         // Re-claimable after abandon.
-        assert_eq!(idx.claim(fp(1)), ClaimOutcome::Claimed);
+        assert_eq!(idx.claim(fp(1), |_| true), ClaimOutcome::Claimed);
         idx.finalize(fp(1), loc(1, 0));
         // Abandon after finalize is a no-op.
         idx.abandon(&fp(1));
@@ -460,7 +510,7 @@ mod tests {
         assert_eq!(idx.lookup_silent(&fp(1)), Some(loc(1, 0)));
         assert_eq!(idx.lookup_silent(&fp(2)), None);
         // A pending claim has no location.
-        idx.claim(fp(3));
+        idx.claim(fp(3), |_| true);
         assert_eq!(idx.lookup_silent(&fp(3)), None);
         let s = idx.stats();
         assert_eq!(s.lookups, 1, "only the claim counted");
@@ -480,7 +530,7 @@ mod tests {
         assert!(!idx.contains_silent(&fp(1)));
         // Absent entries and pending claims are untouched.
         assert!(!idx.remove_if_at(&fp(1), ContainerId::new(1)));
-        idx.claim(fp(2));
+        idx.claim(fp(2), |_| true);
         assert!(!idx.remove_if_at(&fp(2), ContainerId::new(1)));
         assert!(idx.contains_silent(&fp(2)));
     }
@@ -509,7 +559,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut won = 0u64;
                 for i in 0..500u64 {
-                    if idx.claim(fp(i)) == ClaimOutcome::Claimed {
+                    if idx.claim(fp(i), |_| true) == ClaimOutcome::Claimed {
                         idx.finalize(fp(i), loc(i, 0));
                         won += 1;
                     }

@@ -9,25 +9,58 @@
 //!
 //! One layout on every backend: a sealed container's chunk bytes live only in
 //! its backend object, durable before its journal record is appended and
-//! before it is visible in the sealed directory, which (like the journal)
-//! holds [`ContainerSummary`] metadata only.  A container leaving the store
-//! loses its object only after the journal record saying so.
+//! before it is visible as sealed, and the store (like the journal) keeps
+//! [`ContainerSummary`] metadata only.  A container leaving the store loses
+//! its object only after the journal record saying so.
 //!
-//! A container passes through three stages: *open* (a stream's builder),
-//! *sealing* (sealed in RAM while its object is written and its record
-//! appended) and *sealed* (a summary in the directory, the bytes in the
-//! object).  It enters each stage before it leaves the previous one, and a
-//! reader that misses the sealed directory checks the stages in that order,
-//! so a container stays readable at every instant of its seal.
+//! # The container table
 //!
-//! Concurrency: each open container sits behind its own mutex, so streams append
-//! in parallel and only contend when they touch the *same* stream's container —
-//! which, by construction, only happens for requests of that one stream.  The
-//! open-, sealing- and sealed-container directories are reader/writer-locked
-//! maps, and the aggregate counters are atomics, so reads (restores, metadata
-//! prefetches) never block writers of unrelated containers.  Lock order is
-//! always open directory → slot → sealing/sealed map; no path takes them in
-//! another order, which is what the concurrency stress suite exercises.
+//! Every container the store knows is one entry of one table, keyed by
+//! [`ContainerId`] behind one reader/writer lock.  An entry holds the
+//! container's stage, its adoption origin (for a container migrated in) and
+//! the live/dead accounting of the last GC mark.  [`ContainerState`] is the
+//! stage as [`ContainerStore::state`] reports it:
+//!
+//! | stage | the entry holds | a reader gets |
+//! |---|---|---|
+//! | open | the stream's slot | the chunk, from the builder in RAM |
+//! | sealing | the sealed container | the chunk, from RAM |
+//! | sealed | the [`ContainerSummary`] | the chunk, read from the object |
+//! | compacted | the replacement's ID | the chunk, found by fingerprint in the replacement |
+//! | migrated | the successor node | `ContainerNotFound` (the node answers `ChunkMigrated`) |
+//! | no entry | — | `ContainerNotFound` |
+//!
+//! Each transition is one method that does its I/O first, then swaps the
+//! entry in one write-locked step — the sealed/stored counters change in the
+//! same step — and deletes an object only after the record that retires it:
+//!
+//! | transition | I/O before the swap | swap | after the swap |
+//! |---|---|---|---|
+//! | seal (rollover, [`flush`](ContainerStore::flush)) | object write, `ContainerSeal` + `ChunkIndexFinalize` | sealing → sealed | — |
+//! | failed seal | — | stays sealing | the next flush retries it |
+//! | [adopt](ContainerStore::adopt_sealed) | object write, `ContainerAdopt` + `ChunkIndexFinalize` | none → sealed, with origin | — |
+//! | [GC drop](ContainerStore::drop_sealed_gc) | `GcDrop` | sealed → none | object deleted |
+//! | [compaction](ContainerStore::compact_container) | victim read, replacement write, `GcCompact` | victim → compacted, replacement → sealed | victim object deleted |
+//! | [forget compacted](ContainerStore::forget_compacted) (next GC sweep, end of replay) | — | compacted → none | — |
+//! | [retire](ContainerStore::retire_container) | `Tombstone` | sealed → migrated | object deleted |
+//! | [recovery](ContainerStore::verify_objects) install / discard | replay / object check | none → sealed / sealed → none | discarded object deleted |
+//! | read-cache fill | data-section read | the section is cached only while the entry is still the sealed one it was read from | — |
+//!
+//! A reader makes one lookup and answers from the state it got.  When its
+//! backend read fails it looks again: a transition that deletes an object
+//! swaps the entry first, so the reader answers from the new state — the
+//! bytes via the replacement, or `ContainerNotFound` — and never reports an
+//! I/O error for an object a transition removed.
+//!
+//! Concurrency: each open container sits behind its own slot mutex, so
+//! streams append in parallel and only contend when they touch the *same*
+//! stream's container.  Lock order is always stream map → slot → table; the
+//! read cache's lock and the backend's are leaves.  No table lock is held
+//! across an object write, a journal append or a backend read.  Adoptions,
+//! GC drops, compactions and retirements also hold one transition mutex
+//! across their check, I/O and swap (taken before any of the locks above),
+//! so two of them never journal conflicting records for one container;
+//! seals and readers never take it.
 
 use crate::read_cache::{ContainerReadCache, ReadCacheStats};
 use crate::{
@@ -38,7 +71,7 @@ use crate::{
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use sigma_hashkit::{Digest, Fingerprint, Sha1};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -113,11 +146,161 @@ pub struct CompactionOutcome {
     pub reclaimed_bytes: u64,
 }
 
+/// Where a container is in its lifecycle: the answer of one lookup in a
+/// store's container table (see [`ContainerStore::state`] and the module
+/// docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ContainerState {
+    /// Being filled by a stream; its chunks are served from RAM.
+    Open,
+    /// Sealed in RAM while its object is written and its record appended —
+    /// or, after a failed seal, until the next flush retries it.  Its chunks
+    /// are served from RAM.
+    Sealing,
+    /// Sealed: the summary is in the table, the chunk bytes in its object.
+    Sealed,
+    /// Compacted away by the garbage collector; the entry lasts until the
+    /// node's next sweep (see [`ContainerStore::forget_compacted`]).
+    Compacted {
+        /// The container now holding the victim's live chunks.
+        replacement: ContainerId,
+    },
+    /// Migrated to another node: a forwarding tombstone.
+    Migrated {
+        /// Stable ID of the node that adopted the container.
+        successor: u64,
+    },
+    /// Unknown here: never created, dropped by GC, or discarded by recovery.
+    Absent,
+}
+
+impl ContainerState {
+    /// True while the store holds the container's chunks itself: open,
+    /// sealing or sealed.
+    pub fn is_local(&self) -> bool {
+        matches!(
+            self,
+            ContainerState::Open | ContainerState::Sealing | ContainerState::Sealed
+        )
+    }
+}
+
 /// One stream's open container.  `builder` is `None` once the slot has been
 /// retired by a flush racing with a store; the storer re-fetches a fresh slot
-/// from the directory instead of appending to a container that was just sealed.
+/// from the stream map instead of appending to a container that was just sealed.
 struct OpenSlot {
     builder: Option<ContainerBuilder>,
+}
+
+type Slot = Arc<Mutex<OpenSlot>>;
+
+/// A container's stage, with what a reader needs in it.
+enum Stage {
+    Open(Slot),
+    Sealing(Arc<Container>),
+    Sealed(Arc<ContainerSummary>),
+    Compacted(ContainerId),
+    Migrated(u64),
+}
+
+/// One container's row of the table.
+struct Entry {
+    stage: Stage,
+    /// `(origin node, origin container)` of an adopted container.
+    origin: Option<(u64, ContainerId)>,
+    /// The accounting of the last GC mark that scored the sealed container.
+    liveness: Option<ContainerLiveness>,
+}
+
+impl Entry {
+    fn new(stage: Stage, origin: Option<(u64, ContainerId)>) -> Self {
+        Entry {
+            stage,
+            origin,
+            liveness: None,
+        }
+    }
+}
+
+/// Every container the store knows, and the counters of the sealed ones.
+#[derive(Default)]
+struct Table {
+    entries: HashMap<ContainerId, Entry>,
+    /// Origin → local ID of every adopted entry: adopting the same origin
+    /// again (a retried rebalance step, or replay of a duplicated migration
+    /// record) is answered from here instead of storing the data twice.
+    by_origin: HashMap<(u64, ContainerId), ContainerId>,
+    /// Containers whose seal failed: they stay sealing, and readable, until
+    /// the next flush seals them again.
+    retry: Vec<Arc<Container>>,
+    sealed_containers: u64,
+    stored_bytes: u64,
+    stored_chunks: u64,
+}
+
+impl Table {
+    fn stage(&self, id: &ContainerId) -> Option<&Stage> {
+        self.entries.get(id).map(|entry| &entry.stage)
+    }
+
+    /// True while `summary` is the sealed entry of its container.
+    fn holds(&self, summary: &Arc<ContainerSummary>) -> bool {
+        matches!(self.stage(&summary.id), Some(Stage::Sealed(s)) if Arc::ptr_eq(s, summary))
+    }
+
+    /// Enters a container as sealed — replacing its sealing entry, if any —
+    /// and counts it.
+    fn seal(&mut self, summary: ContainerSummary, origin: Option<(u64, ContainerId)>) {
+        let id = summary.id;
+        self.sealed_containers += 1;
+        self.stored_bytes += summary.logical_size;
+        self.stored_chunks += summary.chunk_count() as u64;
+        if let Some(origin) = origin {
+            self.by_origin.insert(origin, id);
+        }
+        let entry = Entry::new(Stage::Sealed(Arc::new(summary)), origin);
+        self.entries.insert(id, entry);
+    }
+
+    /// Swaps a sealed container's entry to `next` — or drops it, origin and
+    /// all, when `next` is `None` — and uncounts it; returns the summary it
+    /// held.  Open and sealing entries are left alone: nothing retires a
+    /// container before its seal.
+    fn retire(&mut self, id: ContainerId, next: Option<Stage>) -> Option<Arc<ContainerSummary>> {
+        if matches!(self.stage(&id), Some(Stage::Open(_) | Stage::Sealing(_))) {
+            return None;
+        }
+        let old = self.entries.remove(&id);
+        let origin = old.as_ref().and_then(|entry| entry.origin);
+        match (next, origin) {
+            (Some(stage), _) => {
+                self.entries.insert(id, Entry::new(stage, origin));
+            }
+            (None, Some(origin)) => {
+                self.by_origin.remove(&origin);
+            }
+            (None, None) => {}
+        }
+        let Stage::Sealed(summary) = old?.stage else {
+            return None;
+        };
+        self.sealed_containers -= 1;
+        self.stored_bytes -= summary.logical_size;
+        self.stored_chunks -= summary.chunk_count() as u64;
+        Some(summary)
+    }
+}
+
+/// What one reader lookup found.
+enum View {
+    /// Open or sealing: the whole container, bytes included, in RAM.
+    InRam(Arc<Container>),
+    /// Sealed: the summary; the bytes are in the object.
+    Sealed(Arc<ContainerSummary>),
+    /// Compacted: the live chunks are in this container.
+    Compacted(ContainerId),
+    /// Migrated away, or not here at all.
+    Gone,
 }
 
 /// A node-local store of open and sealed containers.
@@ -145,28 +328,16 @@ pub struct ContainerStore {
     /// in memory, so a crash can lose at most the open (unacknowledged) tail.
     journal: Option<Arc<Journal>>,
     next_id: AtomicU64,
-    open: RwLock<HashMap<StreamId, Arc<Mutex<OpenSlot>>>>,
-    /// Containers between the open and the sealed directory: their object is
-    /// being written and their record appended, and readers are served from
-    /// these in-RAM copies meanwhile.
-    sealing: RwLock<HashMap<ContainerId, Arc<Container>>>,
-    /// The sealed-container directory: metadata only, never payload.
-    sealed: RwLock<HashMap<ContainerId, ContainerSummary>>,
-    /// Adoption ledger: `(origin node, origin container) → local container`.
-    /// Adopting the same origin twice (a retried rebalance step, or replay of a
-    /// duplicated migration record) returns the existing local container instead
-    /// of double-storing the data.
-    adopted: RwLock<HashMap<(u64, ContainerId), ContainerId>>,
-    /// Per-container live/dead byte accounting, refreshed by every GC mark that
-    /// scores the container and dropped with it.  Containers never scored (no GC
-    /// ran yet) are absent.
-    liveness: RwLock<HashMap<ContainerId, ContainerLiveness>>,
+    /// Which open container each stream appends to.
+    streams: RwLock<HashMap<StreamId, Slot>>,
+    /// Every container's lifecycle entry (see the module docs).
+    table: RwLock<Table>,
+    /// Held by adoptions, GC drops, compactions and retirements across their
+    /// check, I/O and swap.
+    transitions: Mutex<()>,
     /// Bounded LRU of container data sections serving repeat restore reads;
     /// `None` when disabled (the default).
     read_cache: Option<ContainerReadCache>,
-    sealed_containers: AtomicU64,
-    stored_bytes: AtomicU64,
-    stored_chunks: AtomicU64,
     metadata_reads: AtomicU64,
     data_reads: AtomicU64,
     gc_dropped: AtomicU64,
@@ -176,20 +347,14 @@ pub struct ContainerStore {
 
 impl std::fmt::Debug for ContainerStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let open = self.streams.read().len();
+        let sealed = self.table.read().sealed_containers;
         f.debug_struct("ContainerStore")
             .field("capacity", &self.capacity)
-            .field("open", &self.open.read().len())
-            .field("sealed", &self.sealed.read().len())
+            .field("open", &open)
+            .field("sealed", &sealed)
             .finish()
     }
-}
-
-/// Where [`ContainerStore::locate`] found a container.
-enum Located<T> {
-    /// Sealed: a view of its summary; the bytes are in its object.
-    Sealed(T),
-    /// Open or sealing: the whole container, bytes included, in RAM.
-    InRam(Arc<Container>),
 }
 
 /// Maximum gap (bytes) between two record extents that still coalesces them
@@ -202,7 +367,7 @@ const COALESCE_GAP: usize = 64 * 1024;
 /// resolves fingerprints to extents via the chunk index; `out.len()` is the
 /// record length.
 pub struct ChunkFetch<'a> {
-    /// Fingerprint the extent was resolved from (error reporting only).
+    /// Fingerprint the extent was resolved from.
     pub fingerprint: Fingerprint,
     /// Record offset within the container's data section.
     pub offset: u32,
@@ -252,15 +417,10 @@ impl ContainerStore {
             backend: Arc::new(MemoryBackend::new()),
             journal: None,
             next_id: AtomicU64::new(0),
-            open: RwLock::new(HashMap::new()),
-            sealing: RwLock::new(HashMap::new()),
-            sealed: RwLock::new(HashMap::new()),
-            adopted: RwLock::new(HashMap::new()),
-            liveness: RwLock::new(HashMap::new()),
+            streams: RwLock::new(HashMap::new()),
+            table: RwLock::new(Table::default()),
+            transitions: Mutex::new(()),
             read_cache: None,
-            sealed_containers: AtomicU64::new(0),
-            stored_bytes: AtomicU64::new(0),
-            stored_chunks: AtomicU64::new(0),
             metadata_reads: AtomicU64::new(0),
             data_reads: AtomicU64::new(0),
             gc_dropped: AtomicU64::new(0),
@@ -305,12 +465,6 @@ impl ContainerStore {
         self.read_cache.as_ref().map(|c| c.stats())
     }
 
-    fn invalidate_cached(&self, container: &ContainerId) {
-        if let Some(cache) = &self.read_cache {
-            cache.invalidate(container);
-        }
-    }
-
     /// Per-container data capacity in bytes.
     pub fn container_capacity(&self) -> usize {
         self.capacity
@@ -318,6 +472,32 @@ impl ContainerStore {
 
     fn alloc_id(&self) -> ContainerId {
         ContainerId::new(self.next_id.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// Appends `records` to the journal, when the store has one: a single
+    /// record as one frame, several as one group commit.
+    fn log(&self, records: &[JournalRecord]) -> Result<()> {
+        match (&self.journal, records) {
+            (None, _) => Ok(()),
+            (Some(journal), [record]) => journal.append(record).map(drop),
+            (Some(journal), records) => journal.append_batch(records).map(drop),
+        }
+    }
+
+    /// Where `container` is in its lifecycle, from one table lookup.
+    pub fn state(&self, container: &ContainerId) -> ContainerState {
+        match self.table.read().stage(container) {
+            Some(Stage::Open(_)) => ContainerState::Open,
+            Some(Stage::Sealing(_)) => ContainerState::Sealing,
+            Some(Stage::Sealed(_)) => ContainerState::Sealed,
+            Some(Stage::Compacted(replacement)) => ContainerState::Compacted {
+                replacement: *replacement,
+            },
+            Some(Stage::Migrated(successor)) => ContainerState::Migrated {
+                successor: *successor,
+            },
+            None => ContainerState::Absent,
+        }
     }
 
     /// Appends a unique chunk to the open container of `stream`, sealing and rolling
@@ -328,7 +508,9 @@ impl ContainerStore {
     /// # Errors
     ///
     /// Returns [`StorageError::ChunkTooLarge`] when a single chunk exceeds the
-    /// container capacity.
+    /// container capacity, and the seal's error when a rollover's seal fails
+    /// (the full container then stays readable, and the next
+    /// [`flush`](Self::flush) seals it again).
     pub fn store_chunk(
         &self,
         stream: StreamId,
@@ -344,8 +526,7 @@ impl ContainerStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::ChunkTooLarge`] when a single chunk exceeds the
-    /// container capacity.
+    /// As [`store_chunk`](Self::store_chunk).
     pub fn store_chunk_synthetic(
         &self,
         stream: StreamId,
@@ -369,46 +550,35 @@ impl ContainerStore {
             });
         }
         loop {
-            // Fetch (or create) this stream's open slot; only the directory lock is
-            // held while doing so, never a slot lock.
-            let slot = {
-                let open = self.open.read();
-                open.get(&stream).cloned()
-            };
+            // Fetch (or create) this stream's open slot; only the stream map's
+            // lock is held while doing so, never a slot lock.
+            let slot = self.streams.read().get(&stream).cloned();
             let slot = match slot {
                 Some(slot) => slot,
-                None => {
-                    let mut open = self.open.write();
-                    open.entry(stream)
-                        .or_insert_with(|| {
-                            Arc::new(Mutex::new(OpenSlot {
-                                builder: Some(ContainerBuilder::new(
-                                    self.alloc_id(),
-                                    self.capacity,
-                                )),
-                            }))
-                        })
-                        .clone()
-                }
+                None => self
+                    .streams
+                    .write()
+                    .entry(stream)
+                    .or_insert_with(|| self.open_slot())
+                    .clone(),
             };
 
             let mut guard = slot.lock();
-            if guard.builder.is_none() {
-                // A concurrent flush retired this slot between our directory fetch
-                // and the lock; start over with a fresh container.
+            let Some(builder) = guard.builder.as_mut() else {
+                // A concurrent flush retired this slot between our fetch and
+                // the lock; start over with a fresh container.
                 continue;
-            }
+            };
 
-            // Roll over if the chunk does not fit.  The full container moves
-            // to the sealing stage while the slot is still locked.
-            if !guard.builder.as_ref().expect("checked above").fits(len) {
+            // Roll over if the chunk does not fit: the full container turns
+            // sealing and the fresh one open in one swap, under the slot lock.
+            if !builder.fits(len) {
                 let fresh = ContainerBuilder::new(self.alloc_id(), self.capacity);
-                let full = guard.builder.replace(fresh).expect("checked above");
-                let full = self.begin_seal(full);
+                let full = std::mem::replace(builder, fresh);
+                let full = self.begin_seal(full, Some((builder.id(), &slot)));
                 self.seal_group(vec![full])?;
             }
 
-            let builder = guard.builder.as_mut().expect("fresh after rollover");
             let offset = builder.used() as u32;
             let appended = match data {
                 Some(bytes) => builder.try_append(fingerprint, bytes),
@@ -423,9 +593,24 @@ impl ContainerStore {
         }
     }
 
+    /// A slot holding a fresh open container, entered in the table.  Called
+    /// under the stream map's write lock.
+    fn open_slot(&self) -> Slot {
+        let builder = ContainerBuilder::new(self.alloc_id(), self.capacity);
+        let id = builder.id();
+        let slot = Arc::new(Mutex::new(OpenSlot {
+            builder: Some(builder),
+        }));
+        self.table
+            .write()
+            .entries
+            .insert(id, Entry::new(Stage::Open(slot.clone()), None));
+        slot
+    }
+
     /// The container currently open for `stream`, if any.
     pub fn open_container(&self, stream: StreamId) -> Option<ContainerId> {
-        let slot = self.open.read().get(&stream).cloned()?;
+        let slot = self.streams.read().get(&stream).cloned()?;
         let guard = slot.lock();
         guard.builder.as_ref().map(|b| b.id())
     }
@@ -460,158 +645,164 @@ impl ContainerStore {
         Ok(summary)
     }
 
-    /// Adds a newly visible sealed container to the aggregate counters.
-    fn count_sealed(&self, container: &ContainerSummary) {
-        self.sealed_containers.fetch_add(1, Ordering::Relaxed);
-        self.stored_bytes
-            .fetch_add(container.logical_size, Ordering::Relaxed);
-        self.stored_chunks
-            .fetch_add(container.chunk_count() as u64, Ordering::Relaxed);
-    }
-
-    /// Moves a retired builder to the sealing stage.  Callers hold its slot
-    /// lock, so no reader sees the container in neither stage.
-    fn begin_seal(&self, builder: ContainerBuilder) -> Arc<Container> {
+    /// Moves a retired builder to the sealing stage — and, on a rollover,
+    /// enters the stream's fresh container as open — in one swap.  Callers
+    /// hold the slot lock, so no reader finds the container in neither stage.
+    fn begin_seal(
+        &self,
+        builder: ContainerBuilder,
+        opened: Option<(ContainerId, &Slot)>,
+    ) -> Arc<Container> {
         let container = Arc::new(builder.seal());
-        self.sealing
-            .write()
-            .insert(container.id(), container.clone());
+        let mut table = self.table.write();
+        table.entries.insert(
+            container.id(),
+            Entry::new(Stage::Sealing(container.clone()), None),
+        );
+        if let Some((id, slot)) = opened {
+            table
+                .entries
+                .insert(id, Entry::new(Stage::Open(slot.clone()), None));
+        }
         container
     }
 
-    /// Seals a group of full containers as one buffered write: every container's
-    /// seal and batched chunk-index finalize goes into a single journal group
-    /// commit, and the containers' data+metadata sections are charged to the
-    /// disk model as one coalesced sequential transfer.  A rollover seals a
-    /// group of one; [`flush`](Self::flush) seals every retired stream at once.
+    /// Seals a group of sealing containers as one buffered write: every
+    /// container's seal and batched chunk-index finalize goes into a single
+    /// journal group commit, and the containers' data+metadata sections are
+    /// charged to the disk model as one coalesced sequential transfer.  A
+    /// rollover seals a group of one; [`flush`](Self::flush) seals every
+    /// retired stream at once.
     ///
     /// Ordering: every object is durable, then the group's records are
-    /// appended, then the seals become visible in the sealed directory, and
-    /// only then do they leave the sealing stage.  A crash before the records
-    /// leaves only orphan objects, which recovery sweeps; a crash mid-group
-    /// keeps the journaled prefix and drops the unacknowledged rest, exactly
-    /// as an interrupted session would drop it.
+    /// appended, then one swap turns the group sealed.  A crash before the
+    /// records leaves only orphan objects, which recovery sweeps; a crash
+    /// mid-group keeps the journaled prefix and drops the unacknowledged rest,
+    /// exactly as an interrupted session would drop it.  When the group
+    /// fails it stays sealing — readable, its index entries valid — and goes
+    /// back to the retry list for the next flush.
     fn seal_group(&self, containers: Vec<Arc<Container>>) -> Result<()> {
-        let outcome = self.publish_sealed(&containers);
-        let mut sealing = self.sealing.write();
-        for container in &containers {
-            sealing.remove(&container.id());
-        }
-        outcome
-    }
-
-    /// Everything [`seal_group`](Self::seal_group) does before the group
-    /// leaves the sealing stage.
-    fn publish_sealed(&self, containers: &[Arc<Container>]) -> Result<()> {
         if containers.is_empty() {
             return Ok(());
         }
-        let containers = containers
+        match self.publish(&containers) {
+            Ok(summaries) => {
+                let mut table = self.table.write();
+                for summary in summaries {
+                    table.seal(summary, None);
+                }
+                Ok(())
+            }
+            Err(e) => {
+                self.table.write().retry.extend(containers);
+                Err(e)
+            }
+        }
+    }
+
+    /// The I/O of [`seal_group`](Self::seal_group): objects, records, disk
+    /// charge.
+    fn publish(&self, containers: &[Arc<Container>]) -> Result<Vec<ContainerSummary>> {
+        let summaries = containers
             .iter()
             .map(|c| self.write_object(c))
             .collect::<Result<Vec<ContainerSummary>>>()?;
-        if let Some(journal) = &self.journal {
-            let mut records = Vec::with_capacity(containers.len() * 2);
-            for container in &containers {
-                records.push(JournalRecord::ContainerSeal {
-                    container: container.clone(),
-                });
-                records.push(JournalRecord::ChunkIndexFinalize {
-                    container: container.id,
-                    entries: Self::finalize_entries(container),
-                });
-            }
-            journal.append_batch(&records)?;
+        let mut records = Vec::with_capacity(summaries.len() * 2);
+        for summary in &summaries {
+            records.push(JournalRecord::ContainerSeal {
+                container: summary.clone(),
+            });
+            records.push(JournalRecord::ChunkIndexFinalize {
+                container: summary.id,
+                entries: Self::finalize_entries(summary),
+            });
         }
+        self.log(&records)?;
         if let Some(disk) = self.disk() {
-            let total: u64 = containers
+            let total: u64 = summaries
                 .iter()
                 .map(|c| (c.data_size() + c.meta.serialized_size()) as u64)
                 .sum();
             disk.record_sequential_transfer(total);
         }
-        let mut sealed = self.sealed.write();
-        for container in containers {
-            self.count_sealed(&container);
-            sealed.insert(container.id, container);
-        }
-        Ok(())
+        Ok(summaries)
     }
 
     /// Seals every open container (end of a backup session) as one coalesced
     /// group write — one journal group commit, one sequential disk transfer —
-    /// instead of a per-container trickle.
+    /// instead of a per-container trickle.  Containers whose earlier seal
+    /// failed are sealed again in the same group.
     ///
     /// # Errors
     ///
-    /// Returns the journal crash hit while sealing; every open container of the
-    /// session is then dropped, exactly as a crash would drop them.
+    /// Returns the error the seal hit (a journal crash, a failed object
+    /// write).  The group then stays sealing — its chunks readable — and the
+    /// next flush retries it.
     pub fn flush(&self) -> Result<()> {
+        let mut containers = std::mem::take(&mut self.table.write().retry);
         // Retire every open slot.  A store racing with the flush either
         // appended before its slot was retired (its chunk is sealed here) or
-        // finds the retired slot and opens a fresh container.  The directory
-        // lock is held until every retired container is in the sealing stage,
-        // so a reader that finds no slot for it finds it sealing.
-        let containers: Vec<Arc<Container>> = {
-            let mut open = self.open.write();
-            open.drain()
-                .filter_map(|(_, slot)| {
-                    let mut guard = slot.lock();
-                    let builder = guard.builder.take().filter(|b| b.chunk_count() > 0)?;
-                    Some(self.begin_seal(builder))
-                })
-                .collect()
-        };
+        // finds the retired slot and opens a fresh container.  Each builder
+        // leaves its slot under the slot lock in the same swap that turns it
+        // sealing, so a reader that finds the slot empty finds it sealing.
+        for (_, slot) in self.streams.write().drain() {
+            let mut guard = slot.lock();
+            let Some(builder) = guard.builder.take() else {
+                continue;
+            };
+            if builder.chunk_count() > 0 {
+                containers.push(self.begin_seal(builder, None));
+            } else {
+                self.table.write().entries.remove(&builder.id());
+            }
+        }
         self.seal_group(containers)
     }
 
-    /// Snapshots a still-open container holding `container`, if any.
-    fn clone_open(&self, container: &ContainerId) -> Option<Container> {
-        let slots: Vec<Arc<Mutex<OpenSlot>>> = self.open.read().values().cloned().collect();
-        for slot in slots {
+    /// One lookup of `container` for a reader.  An open container is copied
+    /// out of its slot, whose lock is taken only after the table's is
+    /// released.
+    fn view(&self, container: &ContainerId) -> View {
+        loop {
+            let slot = match self.table.read().stage(container) {
+                Some(Stage::Open(slot)) => slot.clone(),
+                Some(Stage::Sealing(c)) => return View::InRam(c.clone()),
+                Some(Stage::Sealed(summary)) => return View::Sealed(summary.clone()),
+                Some(Stage::Compacted(replacement)) => return View::Compacted(*replacement),
+                Some(Stage::Migrated(_)) | None => return View::Gone,
+            };
             let guard = slot.lock();
-            if let Some(builder) = guard.builder.as_ref() {
-                if builder.id() == *container {
-                    return Some(builder.clone().seal());
-                }
+            if let Some(builder) = guard.builder.as_ref().filter(|b| b.id() == *container) {
+                return View::InRam(Arc::new(builder.clone().seal()));
             }
+            // The builder left its slot — under the slot lock, in the swap
+            // that moved its entry on: look again.
         }
-        None
     }
 
-    /// Finds a container for a reader: `view` of its summary when sealed,
-    /// else the container itself while it is open or sealing.
-    ///
-    /// After a fast look at the sealed and sealing directories the stages are
-    /// checked in lifecycle order — open, sealing, sealed.  A container enters
-    /// each stage before it leaves the previous one, so one that is missed in
-    /// a stage is found in a later one; `None` means it is not in this store.
-    /// No directory guard is held across the open check, which takes slot
-    /// mutexes (the store path holds a slot mutex while it seals).
-    fn locate<T>(
+    /// The summary of a sealed container.
+    fn sealed_summary(&self, container: &ContainerId) -> Option<Arc<ContainerSummary>> {
+        match self.table.read().stage(container) {
+            Some(Stage::Sealed(summary)) => Some(summary.clone()),
+            _ => None,
+        }
+    }
+
+    /// Runs a backend `read` of the sealed container `summary` describes.  A
+    /// failed read whose container has meanwhile left that sealed entry is
+    /// `Ok(None)`: a transition swapped the entry before it deleted the
+    /// object, so the caller answers from the new state.  Any other failure
+    /// is the read's error.
+    fn read_sealed<T>(
         &self,
-        container: &ContainerId,
-        view: impl Fn(&ContainerSummary) -> T,
-    ) -> Option<Located<T>> {
-        let sealed = || self.sealed.read().get(container).map(&view);
-        let sealing = || self.sealing.read().get(container).cloned();
-        if let Some(hit) = sealed() {
-            return Some(Located::Sealed(hit));
+        summary: &Arc<ContainerSummary>,
+        read: impl FnOnce() -> Result<T>,
+    ) -> Result<Option<T>> {
+        match read() {
+            Ok(value) => Ok(Some(value)),
+            Err(e) if self.table.read().holds(summary) => Err(e),
+            Err(_) => Ok(None),
         }
-        let in_ram = sealing()
-            .or_else(|| self.clone_open(container).map(Arc::new))
-            .or_else(sealing);
-        match in_ram {
-            Some(container) => Some(Located::InRam(container)),
-            None => sealed().map(Located::Sealed),
-        }
-    }
-
-    /// True if a reader can find `container` here: open, sealing or sealed.
-    pub fn contains(&self, container: &ContainerId) -> bool {
-        let sealed = || self.sealed.read().contains_key(container);
-        let sealing = || self.sealing.read().contains_key(container);
-        sealed() || sealing() || self.contains_open(container) || sealing() || sealed()
     }
 
     /// Reads a sealed container's metadata section (fingerprint list).
@@ -621,15 +812,18 @@ impl ContainerStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::ContainerNotFound`] if the container is not sealed.
+    /// Returns [`StorageError::ContainerNotFound`] unless the container is
+    /// open, sealing or sealed here.
     pub fn read_metadata(&self, container: &ContainerId) -> Result<ContainerMeta> {
         self.metadata_reads.fetch_add(1, Ordering::Relaxed);
         // Open and sealing containers (written moments ago by some stream) are
         // visible too: their fingerprints are in memory on a real server.
-        let meta = match self.locate(container, |c| c.meta.clone()) {
-            Some(Located::Sealed(meta)) => meta,
-            Some(Located::InRam(c)) => c.meta().clone(),
-            None => return Err(StorageError::ContainerNotFound(*container)),
+        let meta = match self.view(container) {
+            View::Sealed(summary) => summary.meta.clone(),
+            View::InRam(c) => c.meta().clone(),
+            View::Compacted(_) | View::Gone => {
+                return Err(StorageError::ContainerNotFound(*container))
+            }
         };
         if let Some(disk) = self.disk() {
             // A metadata prefetch is a seek into the container object followed
@@ -642,39 +836,50 @@ impl ContainerStore {
         Ok(meta)
     }
 
-    /// Reads one chunk's payload from a sealed container (restore path).
+    /// Reads one chunk's payload (restore path).  A compacted container is
+    /// followed to its replacement, where the chunk is found by fingerprint.
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::ContainerNotFound`] if the container is unknown, or
-    /// [`StorageError::ChunkNotInContainer`] if the fingerprint is not stored there.
+    /// Returns [`StorageError::ContainerNotFound`] naming the container that
+    /// is migrated away or absent (the end of a compaction chain, if one was
+    /// followed), or [`StorageError::ChunkNotInContainer`] if the fingerprint
+    /// is not stored there.
     pub fn read_chunk(&self, container: &ContainerId, fp: &Fingerprint) -> Result<Vec<u8>> {
         self.data_reads.fetch_add(1, Ordering::Relaxed);
-        // Containers not yet sealed are in memory on a real server and
-        // readable immediately.  No lock of ours is held across the backend
-        // read.
-        let extent = |c: &ContainerSummary| {
-            c.meta
-                .records
-                .iter()
-                .find(|r| &r.fingerprint == fp)
-                // Synthetic (trace-driven) chunks have no payload: their
-                // records point past the real data section.
-                .filter(|r| r.offset + r.len <= c.data_len)
-                .map(|r| (r.offset, r.len))
-        };
-        let data = match self.locate(container, extent) {
-            Some(Located::Sealed(Some((offset, len)))) => Some(self.backend.read_at(
-                StorageObject::Container(*container),
-                (CONTAINER_BLOB_DATA_OFFSET + offset as usize) as u64,
-                len as usize,
-            )?),
-            Some(Located::Sealed(None)) => None,
-            Some(Located::InRam(c)) => c.chunk_data(fp).map(<[u8]>::to_vec),
-            None => return Err(StorageError::ContainerNotFound(*container)),
+        let mut id = *container;
+        let data = loop {
+            match self.view(&id) {
+                View::InRam(c) => break c.chunk_data(fp).map(<[u8]>::to_vec),
+                View::Sealed(summary) => {
+                    // Synthetic (trace-driven) chunks have no payload: their
+                    // records point past the real data section.
+                    let Some(record) = summary
+                        .meta
+                        .records
+                        .iter()
+                        .find(|r| &r.fingerprint == fp)
+                        .filter(|r| r.offset + r.len <= summary.data_len)
+                    else {
+                        break None;
+                    };
+                    let read = self.read_sealed(&summary, || {
+                        self.backend.read_at(
+                            StorageObject::Container(id),
+                            (CONTAINER_BLOB_DATA_OFFSET + record.offset as usize) as u64,
+                            record.len as usize,
+                        )
+                    })?;
+                    if let Some(data) = read {
+                        break Some(data);
+                    }
+                }
+                View::Compacted(replacement) => id = replacement,
+                View::Gone => return Err(StorageError::ContainerNotFound(id)),
+            }
         };
         let data = data.ok_or_else(|| StorageError::ChunkNotInContainer {
-            container: *container,
+            container: id,
             fingerprint: fp.to_string(),
         })?;
         if let Some(disk) = self.disk() {
@@ -696,15 +901,18 @@ impl ContainerStore {
     /// not shift because reads were batched.
     ///
     /// The caller resolves fingerprints to record extents first (via the chunk
-    /// index); each [`ChunkFetch`]'s `out` length is the record length.
+    /// index); each [`ChunkFetch`]'s `out` length is the record length.  A
+    /// batch planned against a container that has since been compacted is
+    /// re-aimed at the replacement: each fetch's `offset` is rewritten to its
+    /// chunk's record there, found by fingerprint.
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::ContainerNotFound`] if the container is unknown,
-    /// or [`StorageError::ChunkNotInContainer`] if any extent points past the
-    /// data section (a synthetic trace-driven chunk, which has no payload).
-    /// On error the output slices are in an unspecified partially-written
-    /// state; callers fall back to the serial path.
+    /// As [`read_chunk`](Self::read_chunk); [`StorageError::ChunkNotInContainer`]
+    /// also when any extent points past the data section (a synthetic
+    /// trace-driven chunk, which has no payload).  On error the output slices
+    /// are in an unspecified partially-written state; callers fall back to
+    /// the serial path.
     pub fn read_chunks_batched(
         &self,
         container: &ContainerId,
@@ -715,38 +923,57 @@ impl ContainerStore {
         }
         self.data_reads
             .fetch_add(fetches.len() as u64, Ordering::Relaxed);
-        let mut stats = BatchedReadStats {
+        let fresh = BatchedReadStats {
             chunks: fetches.len() as u64,
             ..BatchedReadStats::default()
         };
-        match self.locate(container, |c| c.data_len as usize) {
-            Some(Located::Sealed(data_len)) => {
-                // Synthetic (trace-driven) chunks have no payload: their
-                // records point past the real data section.
-                if let Some(f) = fetches
-                    .iter()
-                    .find(|f| f.offset as usize + f.out.len() > data_len)
-                {
-                    return Err(StorageError::ChunkNotInContainer {
-                        container: *container,
-                        fingerprint: f.fingerprint.to_string(),
-                    });
-                }
-                self.read_extents(container, fetches, data_len, &mut stats)?;
-            }
-            Some(Located::InRam(open)) => {
-                for f in fetches.iter_mut() {
-                    let data = open
-                        .chunk_data(&f.fingerprint)
-                        .filter(|d| d.len() == f.out.len())
-                        .ok_or_else(|| StorageError::ChunkNotInContainer {
-                            container: *container,
+        let mut stats = fresh;
+        let mut id = *container;
+        let mut compacted = false;
+        loop {
+            match self.view(&id) {
+                View::Sealed(summary) => {
+                    if compacted {
+                        Self::relocate(&summary, fetches)?;
+                    }
+                    // Synthetic (trace-driven) chunks have no payload: their
+                    // records point past the real data section.
+                    if let Some(f) = fetches
+                        .iter()
+                        .find(|f| f.offset as usize + f.out.len() > summary.data_len as usize)
+                    {
+                        return Err(StorageError::ChunkNotInContainer {
+                            container: id,
                             fingerprint: f.fingerprint.to_string(),
-                        })?;
-                    f.out.copy_from_slice(data);
+                        });
+                    }
+                    let read = self.read_sealed(&summary, || {
+                        self.read_extents(&summary, fetches, &mut stats)
+                    })?;
+                    if read.is_some() {
+                        break;
+                    }
+                    stats = fresh;
                 }
+                View::InRam(c) => {
+                    for f in fetches.iter_mut() {
+                        let data = c
+                            .chunk_data(&f.fingerprint)
+                            .filter(|d| d.len() == f.out.len())
+                            .ok_or_else(|| StorageError::ChunkNotInContainer {
+                                container: id,
+                                fingerprint: f.fingerprint.to_string(),
+                            })?;
+                        f.out.copy_from_slice(data);
+                    }
+                    break;
+                }
+                View::Compacted(replacement) => {
+                    id = replacement;
+                    compacted = true;
+                }
+                View::Gone => return Err(StorageError::ContainerNotFound(id)),
             }
-            None => return Err(StorageError::ContainerNotFound(*container)),
         }
         if let Some(disk) = self.disk() {
             // Chunk-for-chunk the same charge as the serial read path: the
@@ -758,17 +985,36 @@ impl ContainerStore {
         Ok(stats)
     }
 
+    /// Re-aims fetches planned against a compacted container at the record
+    /// of each chunk in `replacement`.
+    fn relocate(replacement: &ContainerSummary, fetches: &mut [ChunkFetch<'_>]) -> Result<()> {
+        for f in fetches.iter_mut() {
+            let record = replacement
+                .meta
+                .records
+                .iter()
+                .find(|r| r.fingerprint == f.fingerprint && r.len as usize == f.out.len())
+                .ok_or_else(|| StorageError::ChunkNotInContainer {
+                    container: replacement.id,
+                    fingerprint: f.fingerprint.to_string(),
+                })?;
+            f.offset = record.offset;
+        }
+        Ok(())
+    }
+
     /// The sealed-container arm of [`read_chunks_batched`]: cache, then
     /// whole-section readahead, then coalesced extent runs.
     ///
     /// [`read_chunks_batched`]: Self::read_chunks_batched
     fn read_extents(
         &self,
-        container: &ContainerId,
+        summary: &Arc<ContainerSummary>,
         fetches: &mut [ChunkFetch<'_>],
-        data_len: usize,
         stats: &mut BatchedReadStats,
     ) -> Result<()> {
+        let container = &summary.id;
+        let data_len = summary.data_len as usize;
         let obj = StorageObject::Container(*container);
         if let Some(cache) = &self.read_cache {
             if let Some(section) = cache.get(container) {
@@ -799,7 +1045,7 @@ impl ContainerStore {
                     let start = f.offset as usize;
                     f.out.copy_from_slice(&section[start..start + f.out.len()]);
                 }
-                cache.insert(*container, section);
+                self.fill_cache(summary, section);
                 return Ok(());
             }
             // Section bigger than the whole cache budget: fall through to
@@ -853,18 +1099,39 @@ impl ContainerStore {
         Ok(())
     }
 
+    /// Caches a data section read from `summary`'s object — only while
+    /// `summary` is still the container's sealed entry.  A removal swaps the
+    /// entry before it invalidates the cache, and this check and the insert
+    /// happen under the table's read lock, so a section can never outlive the
+    /// removal of its container.
+    fn fill_cache(&self, summary: &Arc<ContainerSummary>, section: SharedBytes) {
+        if let Some(cache) = &self.read_cache {
+            let table = self.table.read();
+            if table.holds(summary) {
+                cache.insert(summary.id, section);
+            }
+        }
+    }
+
     /// Identifiers of every sealed container, sorted ascending.
     ///
     /// Sorted so that rebalancing plans built from this list are deterministic.
     pub fn sealed_container_ids(&self) -> Vec<ContainerId> {
-        let mut ids: Vec<ContainerId> = self.sealed.read().keys().copied().collect();
+        let mut ids: Vec<ContainerId> = self
+            .table
+            .read()
+            .entries
+            .iter()
+            .filter(|(_, entry)| matches!(entry.stage, Stage::Sealed(_)))
+            .map(|(id, _)| *id)
+            .collect();
         ids.sort_unstable();
         ids
     }
 
     /// Logical data-section size of a sealed container, if it exists.
     pub fn sealed_data_size(&self, container: &ContainerId) -> Option<usize> {
-        self.sealed.read().get(container).map(|c| c.data_size())
+        self.sealed_summary(container).map(|c| c.data_size())
     }
 
     /// A sealed container's whole data section: the read cache's buffer when
@@ -889,8 +1156,10 @@ impl ContainerStore {
     ///
     /// Charged to the disk model as a sequential read of the container's data and
     /// metadata sections (the rebalancer streaming it off this node's disk).  The
-    /// container stays in the store until [`remove_sealed`](Self::remove_sealed).
-    /// Returns `Ok(None)` when no sealed container has this ID.
+    /// container stays in the store until
+    /// [`retire_container`](Self::retire_container).  Returns `Ok(None)` when no
+    /// sealed container has this ID — including one retired or collected while
+    /// it was being read.
     ///
     /// The data section is not hashed here: the container travels with its
     /// journaled checksum, not a fresh one, so a section that rotted on this
@@ -899,25 +1168,28 @@ impl ContainerStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::Io`] when the object cannot be read.
+    /// Returns [`StorageError::Io`] when the object of a still-sealed
+    /// container cannot be read.
     pub fn export_sealed(&self, container: &ContainerId) -> Result<Option<Container>> {
-        let Some(summary) = self.sealed.read().get(container).cloned() else {
+        let Some(summary) = self.sealed_summary(container) else {
             return Ok(None);
         };
-        let data = self.section(&summary)?;
+        let Some(data) = self.read_sealed(&summary, || self.section(&summary))? else {
+            return Ok(None);
+        };
         if let Some(disk) = self.disk() {
             disk.record_sequential_transfer(
                 (summary.data_size() + summary.meta.serialized_size()) as u64,
             );
         }
-        Ok(Some(Container::from_summary(summary, data)))
+        Ok(Some(Container::from_summary((*summary).clone(), data)))
     }
 
     /// Adopts a container migrated from another node, re-identifying it in this
     /// store's ID space (per-node container IDs would otherwise collide).
     ///
     /// `origin_node` is the stable ID of the node the container came from; the
-    /// `(origin node, origin container)` pair keys an adoption ledger that makes
+    /// `(origin node, origin container)` pair keys the adoption ledger that makes
     /// this operation **idempotent**: adopting the same origin again (a retried
     /// rebalance step after a crash, or replay of a duplicated migration record)
     /// returns the already-assigned local identifier without storing the data a
@@ -928,7 +1200,7 @@ impl ContainerStore {
     /// Returns the container's (possibly pre-existing) local identifier.  First
     /// adoptions are charged to the disk model as a sequential write, exactly like
     /// sealing a locally filled container, and follow the same ordering: object
-    /// durable, then the journal record, then visible.
+    /// durable, then the journal record, then one swap makes it sealed.
     ///
     /// # Errors
     ///
@@ -941,41 +1213,35 @@ impl ContainerStore {
         rfps: &[Fingerprint],
     ) -> Result<ContainerId> {
         let origin = (origin_node, container.id());
-        // The ledger write-lock is held across the whole adoption (check,
-        // journal appends, counters, install): a bare check-then-act would let
-        // two overlapping rebalance plans racing on the same origin both pass
-        // the check and double-store the container.  The ledger lock is taken
-        // before the journal's internal lock on this path and nothing takes
-        // them in the opposite order, and migrations are rare enough that the
-        // serialization cost is irrelevant.
-        let mut adopted = self.adopted.write();
-        if let Some(existing) = adopted.get(&origin) {
+        // The transition mutex covers the whole adoption (check, object,
+        // records, swap): a bare check-then-act would let two overlapping
+        // rebalance plans racing on the same origin both pass the check and
+        // double-store the container.  Migrations are rare enough that the
+        // serialization costs nothing.
+        let _transition = self.transitions.lock();
+        if let Some(existing) = self.table.read().by_origin.get(&origin) {
             return Ok(*existing);
         }
         let new_id = self.alloc_id();
-        let container = self.write_object(&container.with_id(new_id))?;
-        if let Some(journal) = &self.journal {
-            journal.append_batch(&[
-                JournalRecord::ContainerAdopt {
-                    origin_node,
-                    origin_container: origin.1,
-                    container: container.clone(),
-                    rfps: rfps.to_vec(),
-                },
-                JournalRecord::ChunkIndexFinalize {
-                    container: new_id,
-                    entries: Self::finalize_entries(&container),
-                },
-            ])?;
-        }
+        let summary = self.write_object(&container.with_id(new_id))?;
+        self.log(&[
+            JournalRecord::ContainerAdopt {
+                origin_node,
+                origin_container: origin.1,
+                container: summary.clone(),
+                rfps: rfps.to_vec(),
+            },
+            JournalRecord::ChunkIndexFinalize {
+                container: new_id,
+                entries: Self::finalize_entries(&summary),
+            },
+        ])?;
         if let Some(disk) = self.disk() {
             disk.record_sequential_transfer(
-                (container.data_size() + container.meta.serialized_size()) as u64,
+                (summary.data_size() + summary.meta.serialized_size()) as u64,
             );
         }
-        self.count_sealed(&container);
-        adopted.insert(origin, new_id);
-        self.sealed.write().insert(new_id, container);
+        self.table.write().seal(summary, Some(origin));
         Ok(new_id)
     }
 
@@ -993,26 +1259,24 @@ impl ContainerStore {
         origin: Option<(u64, ContainerId)>,
         container: ContainerSummary,
     ) -> bool {
-        if let Some(origin) = origin {
-            let mut adopted = self.adopted.write();
-            if adopted.contains_key(&origin) {
-                return false;
-            }
-            adopted.insert(origin, container.id);
+        let mut table = self.table.write();
+        if origin.is_some_and(|origin| table.by_origin.contains_key(&origin)) {
+            return false;
         }
-        let id = container.id;
-        self.next_id.fetch_max(id.as_u64() + 1, Ordering::Relaxed);
-        self.count_sealed(&container);
-        self.sealed.write().insert(id, container);
+        self.next_id
+            .fetch_max(container.id.as_u64() + 1, Ordering::Relaxed);
+        table.seal(container, origin);
         true
     }
 
     /// The adoption ledger: `(origin node, origin container, local container)` for
-    /// every container this store adopted, sorted for deterministic iteration.
+    /// every container this store adopted and still knows (sealed, compacted or
+    /// migrated on), sorted for deterministic iteration.
     pub fn adopted_origins(&self) -> Vec<(u64, ContainerId, ContainerId)> {
         let mut out: Vec<(u64, ContainerId, ContainerId)> = self
-            .adopted
+            .table
             .read()
+            .by_origin
             .iter()
             .map(|(&(node, origin), &local)| (node, origin, local))
             .collect();
@@ -1024,19 +1288,34 @@ impl ContainerStore {
     /// any), sorted by container ID — the container half of a compaction
     /// snapshot.
     pub fn sealed_snapshot(&self) -> Vec<(Option<(u64, ContainerId)>, ContainerSummary)> {
-        let by_local: HashMap<ContainerId, (u64, ContainerId)> = self
-            .adopted
-            .read()
-            .iter()
-            .map(|(&origin, &local)| (local, origin))
-            .collect();
         let mut out: Vec<(Option<(u64, ContainerId)>, ContainerSummary)> = self
-            .sealed
+            .table
             .read()
+            .entries
             .values()
-            .map(|c| (by_local.get(&c.id).copied(), c.clone()))
+            .filter_map(|entry| match &entry.stage {
+                Stage::Sealed(summary) => Some((entry.origin, (**summary).clone())),
+                _ => None,
+            })
             .collect();
         out.sort_unstable_by_key(|(_, c)| c.id);
+        out
+    }
+
+    /// Every forwarding tombstone — `(container, successor node)` of each
+    /// container migrated away — sorted by container ID.
+    pub fn tombstones(&self) -> Vec<(ContainerId, u64)> {
+        let mut out: Vec<(ContainerId, u64)> = self
+            .table
+            .read()
+            .entries
+            .iter()
+            .filter_map(|(id, entry)| match entry.stage {
+                Stage::Migrated(successor) => Some((*id, successor)),
+                _ => None,
+            })
+            .collect();
+        out.sort_unstable();
         out
     }
 
@@ -1050,37 +1329,47 @@ impl ContainerStore {
         self.next_id.fetch_max(next, Ordering::Relaxed);
     }
 
-    /// True if a sealed container with this ID is present.
-    pub fn contains_sealed(&self, container: &ContainerId) -> bool {
-        self.sealed.read().contains_key(container)
+    /// Swaps a sealed container out of the table (to `next`, or no entry),
+    /// then drops its cached section and deletes its object — after the
+    /// swap, so a reader whose read of the object fails finds the new entry.
+    fn remove(&self, container: ContainerId, next: Option<Stage>) -> Option<Arc<ContainerSummary>> {
+        let removed = self.table.write().retire(container, next)?;
+        self.drop_object(container);
+        Some(removed)
     }
 
-    /// Identifiers of the currently open containers (one per active stream).
-    pub fn open_container_ids(&self) -> Vec<ContainerId> {
-        let slots: Vec<Arc<Mutex<OpenSlot>>> = self.open.read().values().cloned().collect();
-        slots
-            .iter()
-            .filter_map(|slot| slot.lock().builder.as_ref().map(|b| b.id()))
-            .collect()
-    }
-
-    /// Removes a sealed container and deletes its object (the final step of
-    /// migrating it away or collecting it), subtracting its bytes and chunks
-    /// from this store's accounting.  Callers journal the removal first.
-    pub fn remove_sealed(&self, container: &ContainerId) -> Option<ContainerSummary> {
-        let removed = self.sealed.write().remove(container)?;
-        self.invalidate_cached(container);
+    fn drop_object(&self, container: ContainerId) {
+        if let Some(cache) = &self.read_cache {
+            cache.invalidate(&container);
+        }
         // Best-effort: the journal record preceding the removal is the
         // durable authority; an object a failed delete leaves behind is an
         // orphan the next recovery sweeps.
-        let _ = self.backend.delete(StorageObject::Container(*container));
-        self.liveness.write().remove(container);
-        self.sealed_containers.fetch_sub(1, Ordering::Relaxed);
-        self.stored_bytes
-            .fetch_sub(removed.logical_size, Ordering::Relaxed);
-        self.stored_chunks
-            .fetch_sub(removed.chunk_count() as u64, Ordering::Relaxed);
-        Some(removed)
+        let _ = self.backend.delete(StorageObject::Container(container));
+    }
+
+    /// Completes the migration of a sealed container to node `successor`:
+    /// journals a [`JournalRecord::Tombstone`], swaps the entry to
+    /// [`ContainerState::Migrated`], then deletes the object.  Journal replay
+    /// calls this too, on a store without a journal.  Returns the retired
+    /// container's summary, `None` if it was not sealed (the tombstone is
+    /// recorded either way).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::Crashed`] when the journal refuses the append;
+    /// the container then stays sealed.
+    pub fn retire_container(
+        &self,
+        container: ContainerId,
+        successor: u64,
+    ) -> Result<Option<Arc<ContainerSummary>>> {
+        let _transition = self.transitions.lock();
+        self.log(&[JournalRecord::Tombstone {
+            container,
+            successor,
+        }])?;
+        Ok(self.remove(container, Some(Stage::Migrated(successor))))
     }
 
     // ---- Garbage collection (mark-and-sweep support) ----
@@ -1095,71 +1384,74 @@ impl ContainerStore {
     pub fn container_liveness(
         &self,
         container: &ContainerId,
-        live: &std::collections::HashSet<Fingerprint>,
+        live: &HashSet<Fingerprint>,
     ) -> Option<ContainerLiveness> {
+        let summary = self.sealed_summary(container)?;
         let mut acct = ContainerLiveness::default();
-        {
-            let sealed = self.sealed.read();
-            let c = sealed.get(container)?;
-            for record in &c.meta.records {
-                if live.contains(&record.fingerprint) {
-                    acct.live_bytes += record.len as u64;
-                    acct.live_chunks += 1;
-                } else {
-                    acct.dead_bytes += record.len as u64;
-                    acct.dead_chunks += 1;
-                }
+        for record in &summary.meta.records {
+            if live.contains(&record.fingerprint) {
+                acct.live_bytes += record.len as u64;
+                acct.live_chunks += 1;
+            } else {
+                acct.dead_bytes += record.len as u64;
+                acct.dead_chunks += 1;
             }
         }
-        self.liveness.write().insert(*container, acct);
+        let mut table = self.table.write();
+        if table.holds(&summary) {
+            if let Some(entry) = table.entries.get_mut(container) {
+                entry.liveness = Some(acct);
+            }
+        }
         Some(acct)
     }
 
     /// The live/dead accounting the last GC mark recorded for a container, if
-    /// the container still exists and has been scored.
+    /// the container is still sealed and has been scored.
     pub fn recorded_liveness(&self, container: &ContainerId) -> Option<ContainerLiveness> {
-        self.liveness.read().get(container).copied()
+        self.table.read().entries.get(container)?.liveness
     }
 
     /// Drops a sealed container the GC found fully dead, journaling a
-    /// [`JournalRecord::GcDrop`] *before* the object goes (write-ahead, like
-    /// every other state change).  Returns the dropped container's summary so
-    /// the caller can clean up the indexes that referenced it, or `None` if the
-    /// container does not exist.
+    /// [`JournalRecord::GcDrop`] *before* the swap that removes its entry and
+    /// the delete of its object (write-ahead, like every other state change).
+    /// Journal replay calls this too, on a store without a journal.  Returns
+    /// the dropped container's summary so the caller can clean up the indexes
+    /// that referenced it, or `None` if the container is not sealed.
     ///
     /// # Errors
     ///
     /// Returns [`StorageError::Crashed`] when the journal refuses the append;
     /// the container is then *not* dropped.
-    pub fn drop_sealed_gc(&self, container: &ContainerId) -> Result<Option<ContainerSummary>> {
-        if !self.sealed.read().contains_key(container) {
+    pub fn drop_sealed_gc(&self, container: &ContainerId) -> Result<Option<Arc<ContainerSummary>>> {
+        let _transition = self.transitions.lock();
+        if self.sealed_summary(container).is_none() {
             return Ok(None);
         }
-        if let Some(journal) = &self.journal {
-            journal.append(&JournalRecord::GcDrop {
-                container: *container,
-            })?;
-        }
-        let removed = self.remove_sealed(container);
-        if removed.is_some() {
+        self.log(&[JournalRecord::GcDrop {
+            container: *container,
+        }])?;
+        let dropped = self.remove(*container, None);
+        if let Some(c) = &dropped {
             self.gc_dropped.fetch_add(1, Ordering::Relaxed);
-            if let Some(c) = &removed {
-                self.gc_reclaimed_bytes
-                    .fetch_add(c.logical_size, Ordering::Relaxed);
-            }
+            self.gc_reclaimed_bytes
+                .fetch_add(c.logical_size, Ordering::Relaxed);
         }
-        Ok(removed)
+        Ok(dropped)
     }
 
     /// Compacts a sealed container: its chunks in `live` are rewritten into a
-    /// fresh container (the same install path an adopted migrated container
-    /// takes: new local ID, sealed directly, journaled as one atomic record) and
-    /// the victim is dropped.  `rfps` are the representative fingerprints
-    /// travelling to the replacement, journaled with it so replay re-homes the
-    /// similarity entries exactly as the live path does.
+    /// fresh container (new local ID, sealed directly, journaled as one atomic
+    /// record) and the victim is dropped, leaving a
+    /// [`ContainerState::Compacted`] entry that sends readers still holding
+    /// the victim's location to the replacement.  `rfps` are the
+    /// representative fingerprints travelling to the replacement, journaled
+    /// with it so replay re-homes the similarity entries exactly as the live
+    /// path does.
     ///
-    /// Returns `None` — journaling nothing — when the container does not exist,
-    /// has no dead bytes (nothing to reclaim), or has no live bytes (use
+    /// Returns `None` — journaling nothing — when the container is not sealed
+    /// (or stops being sealed while the replacement is built), has no dead
+    /// bytes (nothing to reclaim), or has no live bytes (use
     /// [`drop_sealed_gc`](Self::drop_sealed_gc)).
     ///
     /// Must run at a GC-quiescent point, like the sweep that calls it: no
@@ -1177,10 +1469,10 @@ impl ContainerStore {
     pub fn compact_container(
         &self,
         victim: &ContainerId,
-        live: &std::collections::HashSet<Fingerprint>,
+        live: &HashSet<Fingerprint>,
         rfps: &[Fingerprint],
     ) -> Result<Option<CompactionOutcome>> {
-        let Some(old) = self.sealed.read().get(victim).cloned() else {
+        let Some(old) = self.sealed_summary(victim) else {
             return Ok(None);
         };
         let (live_src, dead_records): (Vec<_>, Vec<_>) = old
@@ -1192,12 +1484,13 @@ impl ContainerStore {
         if dead_records.is_empty() || live_src.is_empty() {
             return Ok(None);
         }
-        // The replacement is read, checked, built and written before the
-        // sealed directory is locked, so restores and seals on this node only
-        // wait for the journal append and the swap.  The live chunks get a
-        // fresh checksum in the replacement, so rot in the victim must be
-        // caught here rather than laundered into it.
-        let data = self.section(&old)?;
+        // The replacement is read, checked, built and written before any lock
+        // is taken, so restores and seals on this node never wait for it.
+        // The live chunks get a fresh checksum in the replacement, so rot in
+        // the victim must be caught here rather than laundered into it.
+        let Some(data) = self.read_sealed(&old, || self.section(&old))? else {
+            return Ok(None);
+        };
         if Sha1::fingerprint(&data) != old.checksum {
             return Err(StorageError::Io(format!(
                 "{}: data section fails its checksum",
@@ -1219,28 +1512,19 @@ impl ContainerStore {
         }
         drop(data);
         let replacement = self.write_object(&builder.seal())?;
-        // Lock order stays slot → sealed (we take no slot locks), and the
-        // journal, read cache and backend locks are leaves acquired and
-        // released inside their calls, so this cannot deadlock against a
-        // concurrent rollover seal.
-        let mut sealed = self.sealed.write();
-        if !sealed.contains_key(victim) {
+        let _transition = self.transitions.lock();
+        if !self.table.read().holds(&old) {
             // Migrated or collected while the replacement was being built
             // (IDs are never reused): nothing journaled names the
             // replacement, so its object goes again.
-            drop(sealed);
             let _ = self.backend.delete(StorageObject::Container(new_id));
             return Ok(None);
         }
-        let live_records = replacement.meta.records.clone();
-        let reclaimed = old.logical_size - replacement.logical_size;
-        if let Some(journal) = &self.journal {
-            journal.append(&JournalRecord::GcCompact {
-                victim: *victim,
-                replacement: replacement.clone(),
-                rfps: rfps.to_vec(),
-            })?;
-        }
+        self.log(&[JournalRecord::GcCompact {
+            victim: *victim,
+            replacement: replacement.clone(),
+            rfps: rfps.to_vec(),
+        }])?;
         if let Some(disk) = self.disk() {
             // Read the victim off disk, write the replacement back.
             disk.record_sequential_transfer((old.data_size() + old.meta.serialized_size()) as u64);
@@ -1248,18 +1532,9 @@ impl ContainerStore {
                 (replacement.data_size() + replacement.meta.serialized_size()) as u64,
             );
         }
-        let _ = self.backend.delete(StorageObject::Container(*victim));
-        sealed.remove(victim);
-        sealed.insert(new_id, replacement);
-        drop(sealed);
-        self.invalidate_cached(victim);
-        self.liveness.write().remove(victim);
-        self.stored_bytes.fetch_sub(reclaimed, Ordering::Relaxed);
-        self.stored_chunks
-            .fetch_sub(dead_records.len() as u64, Ordering::Relaxed);
-        self.gc_compacted.fetch_add(1, Ordering::Relaxed);
-        self.gc_reclaimed_bytes
-            .fetch_add(reclaimed, Ordering::Relaxed);
+        let live_records = replacement.meta.records.clone();
+        let reclaimed = old.logical_size - replacement.logical_size;
+        self.swap_compacted(*victim, replacement);
         Ok(Some(CompactionOutcome {
             victim: *victim,
             replacement: new_id,
@@ -1269,21 +1544,66 @@ impl ContainerStore {
         }))
     }
 
-    /// True if a container with this ID is currently *open* (still being filled
-    /// by some stream) — open containers are invisible to the GC sweep.
-    pub fn contains_open(&self, container: &ContainerId) -> bool {
-        let slots: Vec<Arc<Mutex<OpenSlot>>> = self.open.read().values().cloned().collect();
-        slots.iter().any(|slot| {
-            slot.lock()
-                .builder
-                .as_ref()
-                .is_some_and(|b| b.id() == *container)
-        })
+    /// Replays a journaled compaction: the swap of
+    /// [`compact_container`](Self::compact_container) without its I/O.
+    /// Returns the victim's summary, if it was sealed.
+    pub fn install_compacted(
+        &self,
+        victim: ContainerId,
+        replacement: ContainerSummary,
+    ) -> Option<Arc<ContainerSummary>> {
+        self.next_id
+            .fetch_max(replacement.id.as_u64() + 1, Ordering::Relaxed);
+        self.swap_compacted(victim, replacement)
+    }
+
+    /// One swap: the replacement turns sealed and the victim compacted; then
+    /// the victim's object goes.
+    fn swap_compacted(
+        &self,
+        victim: ContainerId,
+        replacement: ContainerSummary,
+    ) -> Option<Arc<ContainerSummary>> {
+        let new_id = replacement.id;
+        let kept = replacement.logical_size;
+        let old = {
+            let mut table = self.table.write();
+            table.seal(replacement, None);
+            table.retire(victim, Some(Stage::Compacted(new_id)))
+        }?;
+        self.drop_object(victim);
+        self.gc_compacted.fetch_add(1, Ordering::Relaxed);
+        self.gc_reclaimed_bytes
+            .fetch_add(old.logical_size.saturating_sub(kept), Ordering::Relaxed);
+        Some(old)
+    }
+
+    /// Removes every compacted entry, adoption origin and all.  A compacted
+    /// entry only serves readers that resolved the victim's location before
+    /// the swap; the chunk index names the replacement from then on.  The
+    /// node calls this when its next GC sweep starts and at the end of
+    /// journal replay (which has no readers), so the table holds at most
+    /// one sweep's compactions and a recovered table holds none — as one
+    /// recovered from a compacted journal, whose snapshot carries none.
+    pub fn forget_compacted(&self) {
+        let mut table = self.table.write();
+        let Table {
+            entries, by_origin, ..
+        } = &mut *table;
+        entries.retain(|_, entry| {
+            if !matches!(entry.stage, Stage::Compacted(_)) {
+                return true;
+            }
+            if let Some(origin) = entry.origin {
+                by_origin.remove(&origin);
+            }
+            false
+        });
     }
 
     /// Total physical bytes stored (sealed + open containers' data sections).
     pub fn physical_bytes(&self) -> u64 {
-        let slots: Vec<Arc<Mutex<OpenSlot>>> = self.open.read().values().cloned().collect();
+        let slots: Vec<Slot> = self.streams.read().values().cloned().collect();
         let open: u64 = slots
             .iter()
             .map(|slot| {
@@ -1294,13 +1614,13 @@ impl ContainerStore {
                     .unwrap_or(0)
             })
             .sum();
-        self.stored_bytes.load(Ordering::Relaxed) + open
+        self.table.read().stored_bytes + open
     }
 
     /// Physical bytes *as the backend sees them*: the logical data sizes
     /// decoded from every container object actually on the medium.
     /// [`verify_consistency`] on the node cross-checks this against the
-    /// directory, so the medium cannot silently drift from it.
+    /// table, so the medium cannot silently drift from it.
     ///
     /// [`verify_consistency`]: ../../sigma_core/struct.DedupNode.html#method.verify_consistency
     ///
@@ -1319,11 +1639,11 @@ impl ContainerStore {
         Ok(total)
     }
 
-    /// Checks the medium against the directory journal replay rebuilt
-    /// (recovery runs this once, before the node serves).  A sealed container
-    /// whose object is missing, has the wrong length or fails its checksum is
-    /// discarded — dropped from the directory and the adoption ledger, and
-    /// returned so the caller can drop its index entries.  Every container
+    /// Checks the medium against the table journal replay rebuilt (recovery
+    /// runs this once, before the node serves).  A sealed container whose
+    /// object is missing, has the wrong length or fails its checksum is
+    /// discarded — its entry (adoption origin included) removed in one swap —
+    /// and returned so the caller can drop its index entries.  Every container
     /// object no sealed container claims is deleted: a crash between an
     /// object write and its record, or between a record and the delete it
     /// licensed, leaves exactly such orphans.  Verified data sections go into
@@ -1336,35 +1656,35 @@ impl ContainerStore {
     ///
     /// Returns [`StorageError::Io`] when the backend cannot be listed, read or
     /// written.
-    pub fn verify_objects(&self) -> Result<(Vec<ContainerSummary>, u64)> {
+    pub fn verify_objects(&self) -> Result<(Vec<Arc<ContainerSummary>>, u64)> {
+        let sealed: Vec<Arc<ContainerSummary>> = self
+            .sealed_container_ids()
+            .iter()
+            .filter_map(|id| self.sealed_summary(id))
+            .collect();
         let mut discarded = Vec::new();
-        for (_, container) in self.sealed_snapshot() {
-            let obj = StorageObject::Container(container.id);
+        for summary in sealed {
+            let obj = StorageObject::Container(summary.id);
             let object = match self.backend.object_len(obj)? {
                 Some(len) => Some(self.backend.read_shared(obj, 0, len as usize)?),
                 None => None,
             };
             let intact =
-                object.filter(|o| ContainerSummary::from_object(o).as_ref() == Some(&container));
+                object.filter(|o| ContainerSummary::from_object(o).as_ref() == Some(&*summary));
             let Some(object) = intact else {
-                self.adopted
-                    .write()
-                    .retain(|_, local| *local != container.id);
-                discarded.extend(self.remove_sealed(&container.id));
+                discarded.extend(self.remove(summary.id, None));
                 continue;
             };
-            if let Some(cache) = &self.read_cache {
-                // Checking the object just read its data section: keep it,
-                // like any other read, for the restores a restart serves.
-                let data = CONTAINER_BLOB_DATA_OFFSET
-                    ..CONTAINER_BLOB_DATA_OFFSET + container.data_len as usize;
-                cache.insert(container.id, object.slice(data));
-            }
+            // Checking the object just read its data section: keep it, like
+            // any other read, for the restores a restart serves.
+            let data =
+                CONTAINER_BLOB_DATA_OFFSET..CONTAINER_BLOB_DATA_OFFSET + summary.data_len as usize;
+            self.fill_cache(&summary, object.slice(data));
         }
-        let sealed = self.sealed.read();
+        let sealed: HashSet<ContainerId> = self.sealed_container_ids().into_iter().collect();
         let mut orphans = 0;
         for obj in self.backend.list()? {
-            if matches!(obj, StorageObject::Container(id) if !sealed.contains_key(&id)) {
+            if matches!(obj, StorageObject::Container(id) if !sealed.contains(&id)) {
                 self.backend.delete(obj)?;
                 orphans += 1;
             }
@@ -1374,16 +1694,18 @@ impl ContainerStore {
 
     /// Number of sealed containers.
     pub fn sealed_count(&self) -> usize {
-        self.sealed.read().len()
+        self.table.read().sealed_containers as usize
     }
 
     /// Snapshot of the store statistics.
     pub fn stats(&self) -> ContainerStoreStats {
+        let open_containers = self.streams.read().len() as u64;
+        let table = self.table.read();
         ContainerStoreStats {
-            sealed_containers: self.sealed_containers.load(Ordering::Relaxed),
-            open_containers: self.open.read().len() as u64,
-            stored_bytes: self.stored_bytes.load(Ordering::Relaxed),
-            stored_chunks: self.stored_chunks.load(Ordering::Relaxed),
+            sealed_containers: table.sealed_containers,
+            open_containers,
+            stored_bytes: table.stored_bytes,
+            stored_chunks: table.stored_chunks,
             metadata_reads: self.metadata_reads.load(Ordering::Relaxed),
             data_reads: self.data_reads.load(Ordering::Relaxed),
             gc_dropped_containers: self.gc_dropped.load(Ordering::Relaxed),
@@ -1652,7 +1974,12 @@ mod tests {
         assert_eq!(outcome.live_records.len(), 2);
         assert_eq!(outcome.dead_records.len(), 2);
         // Live chunks read back from the replacement at their new offsets.
-        assert!(!store.contains_sealed(&victim));
+        assert_eq!(
+            store.state(&victim),
+            ContainerState::Compacted {
+                replacement: outcome.replacement
+            }
+        );
         assert_eq!(
             store
                 .read_chunk(&outcome.replacement, &chunks[1].0)
@@ -2071,14 +2398,69 @@ mod tests {
         assert_eq!(store.physical_bytes(), 400);
     }
 
-    /// A memory backend whose container-object writes park until released:
-    /// a sealer writing through it stops between leaving the open directory
-    /// and entering the sealed one.
+    /// Where a [`ParkingBackend`] stops a container-object operation.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Park {
+        /// Before the object is written.
+        Write,
+        /// Before the bytes are read.
+        ReadAt,
+        /// After the bytes are read, before they are returned.
+        ReadShared,
+        /// Before the object is deleted.
+        Delete,
+    }
+
+    /// A memory backend that parks the next container-object operation of
+    /// the armed kind until the test releases it: the yield point every
+    /// transition test stops a reader or a transition at.
     #[derive(Debug)]
     struct ParkingBackend {
         inner: MemoryBackend,
+        armed: Mutex<Option<Park>>,
         parked: Mutex<std::sync::mpsc::Sender<()>>,
         release: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    /// The test's ends of a [`ParkingBackend`].
+    struct Gate {
+        parked: std::sync::mpsc::Receiver<()>,
+        release: std::sync::mpsc::Sender<()>,
+    }
+
+    impl Gate {
+        /// Blocks until an operation parks.
+        fn wait(&self) {
+            self.parked.recv().unwrap();
+        }
+
+        /// Lets the parked operation go on.
+        fn open(&self) {
+            self.release.send(()).unwrap();
+        }
+    }
+
+    impl ParkingBackend {
+        fn arm(&self, at: Park) {
+            *self.armed.lock() = Some(at);
+        }
+
+        /// Parks the caller if `op` on `obj` is what the backend is armed
+        /// for; the arming is used up.
+        fn yield_point(&self, op: Park, obj: StorageObject) {
+            let hit = matches!(obj, StorageObject::Container(_)) && {
+                let mut armed = self.armed.lock();
+                let hit = *armed == Some(op);
+                if hit {
+                    *armed = None;
+                }
+                hit
+            };
+            if hit {
+                self.parked.lock().send(()).unwrap();
+                self.release.lock().recv().unwrap();
+            }
+        }
     }
 
     impl StorageBackend for ParkingBackend {
@@ -2089,17 +2471,20 @@ mod tests {
             self.inner.append(obj, bytes)
         }
         fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> Result<()> {
-            if matches!(obj, StorageObject::Container(_)) {
-                self.parked.lock().send(()).unwrap();
-                self.release.lock().recv().unwrap();
-            }
+            self.yield_point(Park::Write, obj);
             self.inner.write_object(obj, bytes)
         }
         fn read_all(&self, obj: StorageObject) -> Result<Vec<u8>> {
             self.inner.read_all(obj)
         }
         fn read_at(&self, obj: StorageObject, offset: u64, len: usize) -> Result<Vec<u8>> {
+            self.yield_point(Park::ReadAt, obj);
             self.inner.read_at(obj, offset, len)
+        }
+        fn read_shared(&self, obj: StorageObject, offset: u64, len: usize) -> Result<SharedBytes> {
+            let bytes = self.inner.read_shared(obj, offset, len)?;
+            self.yield_point(Park::ReadShared, obj);
+            Ok(bytes)
         }
         fn object_len(&self, obj: StorageObject) -> Result<Option<u64>> {
             self.inner.object_len(obj)
@@ -2111,6 +2496,7 @@ mod tests {
             self.inner.fsync(obj)
         }
         fn delete(&self, obj: StorageObject) -> Result<()> {
+            self.yield_point(Park::Delete, obj);
             self.inner.delete(obj)
         }
         fn list(&self) -> Result<Vec<StorageObject>> {
@@ -2118,22 +2504,54 @@ mod tests {
         }
     }
 
+    /// A store over a disarmed [`ParkingBackend`], with a read cache of
+    /// `cache_bytes` (0 for none).
+    fn parked_store(
+        capacity: usize,
+        cache_bytes: u64,
+    ) -> (Arc<ContainerStore>, Arc<ParkingBackend>, Gate) {
+        let (parked_tx, parked) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let backend = Arc::new(ParkingBackend {
+            inner: MemoryBackend::new(),
+            armed: Mutex::new(None),
+            parked: Mutex::new(parked_tx),
+            release: Mutex::new(release_rx),
+        });
+        let store = ContainerStore::new(capacity)
+            .with_backend(backend.clone())
+            .with_read_cache_bytes(cache_bytes);
+        (Arc::new(store), backend, Gate { parked, release })
+    }
+
+    /// Stores `count` 100-byte chunks on stream 0 and flushes them into one
+    /// sealed container; returns it and `(fingerprint, payload, offset)` per
+    /// chunk.
+    fn sealed_chunks(
+        store: &ContainerStore,
+        count: u64,
+    ) -> (ContainerId, Vec<(Fingerprint, Vec<u8>, u32)>) {
+        let chunks: Vec<_> = (0..count)
+            .map(|i| {
+                let (fp, data) = payload(i, 100);
+                let loc = store.store_chunk(0, fp, &data).unwrap();
+                (fp, data, loc.offset)
+            })
+            .collect();
+        store.flush().unwrap();
+        (store.sealed_container_ids()[0], chunks)
+    }
+
     #[test]
     fn a_container_parked_mid_seal_stays_readable() {
         // Both ways into a seal: a flush, and a rollover (whose sealer holds
         // its stream's slot lock throughout).
         for rollover in [false, true] {
-            let (parked_tx, parked) = std::sync::mpsc::channel();
-            let (release, release_rx) = std::sync::mpsc::channel();
-            let store = Arc::new(
-                ContainerStore::new(256).with_backend(Arc::new(ParkingBackend {
-                    inner: MemoryBackend::new(),
-                    parked: Mutex::new(parked_tx),
-                    release: Mutex::new(release_rx),
-                })),
-            );
+            let (store, backend, gate) = parked_store(256, 0);
             let (fp, data) = payload(1, 200);
             let loc = store.store_chunk(0, fp, &data).unwrap();
+            assert_eq!(store.state(&loc.container), ContainerState::Open);
+            backend.arm(Park::Write);
             let sealer = {
                 let store = store.clone();
                 std::thread::spawn(move || {
@@ -2145,14 +2563,10 @@ mod tests {
                     }
                 })
             };
-            parked.recv().unwrap();
-            // Parked inside the object write: out of the open directory, not
-            // yet in the sealed one.
-            assert!(!store.contains_sealed(&loc.container));
-            if !rollover {
-                assert!(!store.contains_open(&loc.container));
-            }
-            assert!(store.contains(&loc.container));
+            gate.wait();
+            // Parked inside the object write: out of its slot, not yet sealed.
+            assert_eq!(store.state(&loc.container), ContainerState::Sealing);
+            assert_eq!(store.stats().sealed_containers, 0);
             assert_eq!(store.read_chunk(&loc.container, &fp).unwrap(), data);
             let stats = batched_roundtrip(&store, &loc.container, &[(fp, data.clone(), 0)]);
             assert_eq!(stats.backend_bytes_read, 0, "served from RAM");
@@ -2161,12 +2575,193 @@ mod tests {
                 1,
                 "metadata of a sealing container is visible"
             );
-            release.send(()).unwrap();
+            gate.open();
             sealer.join().unwrap().unwrap();
-            assert!(store.contains_sealed(&loc.container));
+            assert_eq!(store.state(&loc.container), ContainerState::Sealed);
+            assert_eq!(store.stats().sealed_containers, 1);
             assert_eq!(store.read_chunk(&loc.container, &fp).unwrap(), data);
-            assert!(store.sealing.read().is_empty(), "no container left sealing");
         }
+    }
+
+    #[test]
+    fn an_adoption_parked_mid_write_is_invisible_until_its_swap() {
+        let source = ContainerStore::new(4096);
+        let (origin, chunks) = sealed_chunks(&source, 3);
+        let exported = source.export_sealed(&origin).unwrap().expect("sealed");
+        let (store, backend, gate) = parked_store(4096, 0);
+        backend.arm(Park::Write);
+        let adopt = |store: &Arc<ContainerStore>| {
+            let (store, exported) = (store.clone(), exported.clone());
+            std::thread::spawn(move || store.adopt_sealed(9, exported, &[]))
+        };
+        let first = adopt(&store);
+        gate.wait();
+        // Before the swap: no entry, no counters, no ledger row.
+        let new_id = ContainerId::new(store.peek_next_id() - 1);
+        assert_eq!(store.state(&new_id), ContainerState::Absent);
+        assert!(matches!(
+            store.read_chunk(&new_id, &chunks[0].0),
+            Err(StorageError::ContainerNotFound(_))
+        ));
+        assert_eq!(store.stats().stored_bytes, 0);
+        assert!(store.adopted_origins().is_empty());
+        // A second adoption of the same origin waits for the first one and
+        // gets its local ID instead of a second copy.
+        let second = adopt(&store);
+        gate.open();
+        assert_eq!(first.join().unwrap(), Ok(new_id));
+        assert_eq!(second.join().unwrap(), Ok(new_id));
+        assert_eq!(store.state(&new_id), ContainerState::Sealed);
+        assert_eq!(store.stats().sealed_containers, 1);
+        assert_eq!(store.stats().stored_bytes, 300);
+        assert_eq!(store.adopted_origins(), vec![(9, origin, new_id)]);
+        batched_roundtrip(&store, &new_id, &chunks);
+    }
+
+    #[test]
+    fn a_gc_drop_parked_before_its_delete_has_already_swapped() {
+        let (store, backend, gate) = parked_store(4096, 1 << 20);
+        let (cid, chunks) = sealed_chunks(&store, 2);
+        batched_roundtrip(&store, &cid, &chunks);
+        assert_eq!(store.read_cache_stats().unwrap().resident_containers, 1);
+        backend.arm(Park::Delete);
+        let dropper = {
+            let store = store.clone();
+            std::thread::spawn(move || store.drop_sealed_gc(&cid))
+        };
+        gate.wait();
+        // The entry and its counters went in the swap, the cached section
+        // right after it; only the object is still on the medium.
+        assert_eq!(store.state(&cid), ContainerState::Absent);
+        assert_eq!(store.stats().sealed_containers, 0);
+        assert_eq!(store.stats().stored_bytes, 0);
+        assert_eq!(store.read_cache_stats().unwrap().resident_containers, 0);
+        let obj = StorageObject::Container(cid);
+        assert!(backend.inner.object_len(obj).unwrap().is_some());
+        assert_eq!(
+            store.read_chunk(&cid, &chunks[0].0),
+            Err(StorageError::ContainerNotFound(cid))
+        );
+        assert!(store.export_sealed(&cid).unwrap().is_none());
+        gate.open();
+        let dropped = dropper.join().unwrap().unwrap().expect("was sealed");
+        assert_eq!(dropped.id, cid);
+        assert_eq!(backend.inner.object_len(obj).unwrap(), None);
+    }
+
+    #[test]
+    fn a_read_parked_across_a_compaction_follows_the_replacement() {
+        let (store, backend, gate) = parked_store(4096, 0);
+        let (victim, chunks) = sealed_chunks(&store, 4);
+        backend.arm(Park::ReadAt);
+        let reader = {
+            let (store, fp) = (store.clone(), chunks[1].0);
+            std::thread::spawn(move || store.read_chunk(&victim, &fp))
+        };
+        gate.wait();
+        let live: HashSet<Fingerprint> = [chunks[1].0, chunks[3].0].into_iter().collect();
+        let outcome = store
+            .compact_container(&victim, &live, &[])
+            .unwrap()
+            .expect("half-dead container compacts");
+        assert_eq!(
+            store.state(&victim),
+            ContainerState::Compacted {
+                replacement: outcome.replacement
+            }
+        );
+        gate.open();
+        // The victim's object went while the reader was parked; the reader
+        // finds the chunk in the replacement.
+        assert_eq!(reader.join().unwrap().unwrap(), chunks[1].1);
+        // So does a batch planned against the victim's offsets.
+        let planned = vec![chunks[3].clone(), chunks[1].clone()];
+        batched_roundtrip(&store, &victim, &planned);
+        assert!(matches!(
+            store.read_chunk(&victim, &chunks[0].0),
+            Err(StorageError::ChunkNotInContainer { .. })
+        ));
+    }
+
+    #[test]
+    fn repeated_compactions_do_not_grow_the_table() {
+        let source = ContainerStore::new(4096);
+        let (origin, chunks) = sealed_chunks(&source, 8);
+        let exported = source.export_sealed(&origin).unwrap().expect("sealed");
+        let store = ContainerStore::new(4096);
+        let mut current = store.adopt_sealed(9, exported, &[]).unwrap();
+        // Each round is one sweep: it forgets the previous sweep's compacted
+        // entry, then compacts the survivor down by one more chunk.
+        for keep in (1..8).rev() {
+            store.forget_compacted();
+            let live: HashSet<Fingerprint> = chunks[..keep].iter().map(|c| c.0).collect();
+            let victim = current;
+            current = store
+                .compact_container(&victim, &live, &[])
+                .unwrap()
+                .expect("partly dead container compacts")
+                .replacement;
+            assert_eq!(
+                store.state(&victim),
+                ContainerState::Compacted {
+                    replacement: current
+                }
+            );
+            assert_eq!(store.table.read().entries.len(), 2, "replacement + victim");
+        }
+        store.forget_compacted();
+        assert_eq!(store.table.read().entries.len(), 1);
+        assert!(
+            store.adopted_origins().is_empty(),
+            "the origin went with its entry"
+        );
+        assert_eq!(
+            store.read_chunk(&current, &chunks[0].0).unwrap(),
+            chunks[0].1
+        );
+    }
+
+    #[test]
+    fn a_read_parked_across_a_retirement_finds_the_tombstone() {
+        let (store, backend, gate) = parked_store(4096, 0);
+        let (cid, chunks) = sealed_chunks(&store, 1);
+        backend.arm(Park::ReadAt);
+        let reader = {
+            let (store, fp) = (store.clone(), chunks[0].0);
+            std::thread::spawn(move || store.read_chunk(&cid, &fp))
+        };
+        gate.wait();
+        let retired = store.retire_container(cid, 7).unwrap();
+        assert_eq!(retired.map(|c| c.id), Some(cid));
+        assert_eq!(store.state(&cid), ContainerState::Migrated { successor: 7 });
+        gate.open();
+        assert_eq!(
+            reader.join().unwrap(),
+            Err(StorageError::ContainerNotFound(cid)),
+            "a typed answer from the tombstone, never the read's I/O error"
+        );
+        assert_eq!(store.stats().sealed_containers, 0);
+        assert_eq!(store.tombstones(), vec![(cid, 7)]);
+    }
+
+    #[test]
+    fn a_cache_fill_racing_a_removal_leaves_nothing_resident() {
+        let (store, backend, gate) = parked_store(4096, 1 << 20);
+        let (cid, chunks) = sealed_chunks(&store, 4);
+        // Parks the restore after it read the whole section, before it
+        // offers the section to the cache.
+        backend.arm(Park::ReadShared);
+        let reader = {
+            let (store, chunks) = (store.clone(), chunks.clone());
+            std::thread::spawn(move || batched_roundtrip(&store, &cid, &chunks))
+        };
+        gate.wait();
+        store.drop_sealed_gc(&cid).unwrap().expect("sealed");
+        gate.open();
+        // The reader answers with the bytes it read before the drop...
+        assert_eq!(reader.join().unwrap().cache_misses, 1);
+        // ...but no section of the dropped container stays resident.
+        assert_eq!(store.read_cache_stats().unwrap().resident_containers, 0);
     }
 
     #[test]

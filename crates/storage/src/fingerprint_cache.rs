@@ -119,14 +119,7 @@ impl FingerprintCache {
 
         while inner.containers.len() >= self.capacity {
             if let Some(victim) = inner.lru.pop_front() {
-                if let Some(set) = inner.containers.remove(&victim) {
-                    for fp in set {
-                        // Only remove reverse entries still owned by the victim.
-                        if inner.fingerprints.get(&fp) == Some(&victim) {
-                            inner.fingerprints.remove(&fp);
-                        }
-                    }
-                }
+                Self::drop_fingerprints(&mut inner, victim);
                 inner.stats.evictions += 1;
             } else {
                 break;
@@ -139,6 +132,28 @@ impl FingerprintCache {
         }
         inner.containers.insert(container, set);
         inner.lru.push_back(container);
+        inner.stats.cached_containers = inner.containers.len() as u64;
+    }
+
+    /// Removes a container's fingerprint set and the reverse entries it still
+    /// owns; its LRU position is the caller's to drop.
+    fn drop_fingerprints(inner: &mut CacheInner, container: ContainerId) {
+        if let Some(set) = inner.containers.remove(&container) {
+            for fp in set {
+                // Only remove reverse entries still owned by this container.
+                if inner.fingerprints.get(&fp) == Some(&container) {
+                    inner.fingerprints.remove(&fp);
+                }
+            }
+        }
+    }
+
+    /// Forgets a container that no longer holds its chunks here (migrated
+    /// away, collected or compacted), so no lookup answers it again.
+    pub fn remove_container(&self, container: ContainerId) {
+        let mut inner = self.inner.lock();
+        Self::drop_fingerprints(&mut inner, container);
+        inner.lru.retain(|&c| c != container);
         inner.stats.cached_containers = inner.containers.len() as u64;
     }
 
@@ -259,6 +274,22 @@ mod tests {
         cache.insert_container(ContainerId::new(3), fps(10..12));
         assert!(!cache.contains_container(ContainerId::new(1)));
         assert_eq!(cache.lookup(&shared), Some(ContainerId::new(2)));
+    }
+
+    #[test]
+    fn a_removed_container_answers_no_lookup() {
+        let cache = FingerprintCache::new(4);
+        let shared = fp(1000);
+        cache.insert_container(ContainerId::new(1), vec![shared, fp(1)]);
+        cache.insert_container(ContainerId::new(2), vec![shared, fp(2)]);
+        cache.insert_container(ContainerId::new(1), vec![shared, fp(1)]);
+        cache.remove_container(ContainerId::new(2));
+        assert!(!cache.contains_container(ContainerId::new(2)));
+        assert_eq!(cache.lookup(&fp(2)), None);
+        assert_ne!(cache.lookup(&shared), Some(ContainerId::new(2)));
+        assert_eq!(cache.lookup(&fp(1)), Some(ContainerId::new(1)));
+        assert_eq!(cache.stats().cached_containers, 1);
+        assert_eq!(cache.stats().evictions, 0, "a removal is not an eviction");
     }
 
     #[test]

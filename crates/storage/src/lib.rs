@@ -42,8 +42,8 @@ pub use container::{
     CONTAINER_BLOB_DATA_OFFSET,
 };
 pub use container_store::{
-    BatchedReadStats, ChunkFetch, CompactionOutcome, ContainerLiveness, ContainerStore,
-    ContainerStoreStats, StoredChunk, StreamId, DEFAULT_CONTAINER_CAPACITY,
+    BatchedReadStats, ChunkFetch, CompactionOutcome, ContainerLiveness, ContainerState,
+    ContainerStore, ContainerStoreStats, StoredChunk, StreamId, DEFAULT_CONTAINER_CAPACITY,
 };
 pub use disk::{DiskModel, DiskParams, DiskStats};
 pub use error::StorageError;

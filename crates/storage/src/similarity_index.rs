@@ -101,7 +101,8 @@ impl SimilarityIndex {
         self.stripes.len()
     }
 
-    fn stripe_of(&self, fp: &Fingerprint) -> usize {
+    /// The lock stripe a fingerprint's entry lives under.
+    pub fn stripe_of(&self, fp: &Fingerprint) -> usize {
         (fp.prefix_u64() as usize) & (self.stripes.len() - 1)
     }
 

@@ -108,8 +108,8 @@ pub mod prelude {
 
     // Durable storage.
     pub use sigma_storage::{
-        BackendKind, ContainerId, CrashMode, DiskParams, FileBackend, Journal, JournalRecord,
-        MemoryBackend, SimDiskBackend, StorageBackend, StorageError,
+        BackendKind, ContainerId, ContainerState, CrashMode, DiskParams, FileBackend, Journal,
+        JournalRecord, MemoryBackend, SimDiskBackend, StorageBackend, StorageError,
     };
 
     // Reporting and workload generation.

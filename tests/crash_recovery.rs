@@ -691,7 +691,7 @@ proptest! {
             let (recovered, report) = recover_from(&config, image);
             prop_assert_eq!(report.containers_discarded, 1, "{:?} container {}", how, victim);
             prop_assert_eq!(report.backend_objects_verified, containers.len() as u64 - 1);
-            prop_assert!(!recovered.has_sealed_container(&victim));
+            prop_assert_eq!(recovered.container_state(&victim), ContainerState::Absent);
             recovered.verify_consistency().unwrap();
 
             let mut lost = std::collections::HashSet::new();
