@@ -58,6 +58,7 @@ fn report() {
     let sw = sigma_metrics::Stopwatch::start();
     let (join_id, join) = cluster.add_node_rebalanced().expect("no faults in bench");
     let join_tp = sw.stop(join.bytes_moved);
+    assert!(join.bytes_moved > 0, "join must migrate data");
     table.add_row(vec![
         "join (rebalance_onto)".to_string(),
         join.containers_moved.to_string(),
@@ -69,6 +70,7 @@ fn report() {
     let sw = sigma_metrics::Stopwatch::start();
     let leave = cluster.remove_node(join_id).expect("node is active");
     let leave_tp = sw.stop(leave.bytes_moved);
+    assert!(leave.bytes_moved > 0, "drain must migrate data");
     table.add_row(vec![
         "leave (remove_node)".to_string(),
         leave.containers_moved.to_string(),
@@ -112,9 +114,12 @@ fn bench(c: &mut Criterion) {
     // the cluster's physical footprint.
     let (probe_id, probe_join) = cluster.add_node_rebalanced().expect("no faults in bench");
     let probe_leave = cluster.remove_node(probe_id).expect("node is active");
-    let round_trip_bytes = probe_join.bytes_moved + probe_leave.bytes_moved;
+    assert!(probe_join.bytes_moved > 0, "join must migrate data");
+    assert!(probe_leave.bytes_moved > 0, "drain must migrate data");
     let mut group = c.benchmark_group("rebalance");
-    group.throughput(Throughput::Bytes(round_trip_bytes.max(1)));
+    group.throughput(Throughput::Bytes(
+        probe_join.bytes_moved + probe_leave.bytes_moved,
+    ));
     group.sample_size(10);
     group.bench_function("join_leave_round_trip", |b| {
         b.iter(|| {

@@ -1,16 +1,15 @@
 //! Restore throughput: the planned restore pipeline against the serial
 //! per-chunk reference path.
 //!
-//! The trajectory runner records the *cold-cache* single-worker numbers (fresh
-//! cluster per rep); this criterion target explores the parameter space
-//! instead: worker fan-out 1/2/4 on the in-memory and real-file backends, with
+//! Worker fan-out 1/2/4 on the in-memory and real-file backends, with
 //! criterion's repeated iterations measuring the *warm* steady state where the
 //! container read cache serves repeat visits from RAM.
 //!
 //! The banner prints a one-shot comparison table with the pipeline's own
 //! report counters — chunks, coalesced runs, cache hit rate and read
 //! amplification — so a perf change shows up next to the mechanism that
-//! caused it.
+//! caused it.  Every banner pass checks each restored file against the bytes
+//! backed up, after its clock stops.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sigma_core::{BackupClient, DedupCluster, RestoreReport, SigmaConfig};
@@ -53,7 +52,8 @@ fn scratch_dir() -> PathBuf {
 
 /// A 2-node cluster pre-loaded with two overlapping versions per stream, so
 /// restored files share containers and the read cache has repeats to serve.
-fn populated_cluster(file_root: Option<&Path>) -> (Arc<DedupCluster>, Vec<(u64, usize)>) {
+/// Returns each file's id with the bytes backed up.
+fn populated_cluster(file_root: Option<&Path>) -> (Arc<DedupCluster>, Vec<(u64, Vec<u8>)>) {
     let cluster = Arc::new(DedupCluster::with_similarity_router(
         2,
         bench_config(file_root),
@@ -70,28 +70,39 @@ fn populated_cluster(file_root: Option<&Path>) -> (Arc<DedupCluster>, Vec<(u64, 
             let report = client
                 .backup_bytes(&format!("u{stream}/{name}"), &data)
                 .expect("payload backup cannot fail");
-            files.push((report.file_id, data.len()));
+            files.push((report.file_id, data));
         }
     }
     cluster.flush();
     (cluster, files)
 }
 
+fn total_bytes(files: &[(u64, Vec<u8>)]) -> u64 {
+    files.iter().map(|(_, data)| data.len() as u64).sum()
+}
+
+/// Panics unless every restored file equals the bytes backed up.
+fn check_restored(files: &[(u64, Vec<u8>)], restored: &[Vec<u8>]) {
+    for ((file_id, expected), got) in files.iter().zip(restored) {
+        assert!(got == expected, "restore corrupted file {file_id}");
+    }
+}
+
 /// Restores every file once through the pipeline, returning elapsed MB/s and
-/// the summed pipeline report.
+/// the summed pipeline report; the bytes are checked after the clock stops.
 fn pipelined_pass(
     cluster: &DedupCluster,
-    files: &[(u64, usize)],
+    files: &[(u64, Vec<u8>)],
     workers: usize,
 ) -> (f64, RestoreReport) {
-    let total: u64 = files.iter().map(|&(_, len)| len as u64).sum();
+    let mut restored = Vec::with_capacity(files.len());
     let mut summed = RestoreReport::default();
     let sw = sigma_metrics::Stopwatch::start();
-    for &(file_id, _) in files {
+    for (file_id, _) in files {
         let (bytes, report) = cluster
-            .restore_file_pipelined(file_id, workers)
+            .restore_file_pipelined(*file_id, workers)
             .expect("restore cannot fail in bench");
-        std::hint::black_box(bytes.len());
+        restored.push(bytes);
         summed.logical_bytes += report.logical_bytes;
         summed.chunks_read += report.chunks_read;
         summed.containers_read += report.containers_read;
@@ -100,19 +111,26 @@ fn pipelined_pass(
         summed.backend_bytes_read += report.backend_bytes_read;
         summed.coalesced_runs += report.coalesced_runs;
     }
-    (sw.stop(total).mb_per_sec(), summed)
+    let mbps = sw.stop(total_bytes(files)).mb_per_sec();
+    check_restored(files, &restored);
+    (mbps, summed)
 }
 
-fn reference_pass(cluster: &DedupCluster, files: &[(u64, usize)]) -> f64 {
-    let total: u64 = files.iter().map(|&(_, len)| len as u64).sum();
+/// Restores every file once through the serial reference, returning elapsed
+/// MB/s; the bytes are checked after the clock stops.
+fn reference_pass(cluster: &DedupCluster, files: &[(u64, Vec<u8>)]) -> f64 {
     let sw = sigma_metrics::Stopwatch::start();
-    for &(file_id, _) in files {
-        let bytes = cluster
-            .restore_file_reference(file_id)
-            .expect("restore cannot fail in bench");
-        std::hint::black_box(bytes.len());
-    }
-    sw.stop(total).mb_per_sec()
+    let restored: Vec<Vec<u8>> = files
+        .iter()
+        .map(|(file_id, _)| {
+            cluster
+                .restore_file_reference(*file_id)
+                .expect("restore cannot fail in bench")
+        })
+        .collect();
+    let mbps = sw.stop(total_bytes(files)).mb_per_sec();
+    check_restored(files, &restored);
+    mbps
 }
 
 fn report() {
@@ -166,7 +184,7 @@ fn report() {
         }
     }
     sigma_bench::print_table(
-        "restore of 8 files (2 nodes, 256 KiB containers; pipelined rows run warm)",
+        "restore of 8 files, each byte-identical to its input (2 nodes, 256 KiB containers; pipelined rows run warm)",
         &table.render(),
     );
 }
@@ -176,15 +194,15 @@ fn bench_restore(c: &mut Criterion) {
     for (label, file_backed) in [("mem", false), ("file", true)] {
         let root = file_backed.then(scratch_dir);
         let (cluster, files) = populated_cluster(root.as_deref());
-        let total: u64 = files.iter().map(|&(_, len)| len as u64).sum();
+        let total = total_bytes(&files);
         let mut group = c.benchmark_group("restore");
         group.throughput(Throughput::Bytes(total));
         group.bench_function(&format!("{label}/reference"), |b| {
             b.iter(|| {
-                for &(file_id, _) in &files {
+                for (file_id, _) in &files {
                     std::hint::black_box(
                         cluster
-                            .restore_file_reference(file_id)
+                            .restore_file_reference(*file_id)
                             .expect("restore cannot fail in bench"),
                     );
                 }
@@ -193,10 +211,10 @@ fn bench_restore(c: &mut Criterion) {
         for workers in WORKERS {
             group.bench_function(&format!("{label}/pipelined_w{workers}"), |b| {
                 b.iter(|| {
-                    for &(file_id, _) in &files {
+                    for (file_id, _) in &files {
                         std::hint::black_box(
                             cluster
-                                .restore_file_pipelined(file_id, workers)
+                                .restore_file_pipelined(*file_id, workers)
                                 .expect("restore cannot fail in bench"),
                         );
                     }

@@ -10,12 +10,14 @@
 //! (Jain fairness index, hot-tenant share, shed/retry counts); criterion then
 //! measures (a) the DRR grant/park/wake machinery alone against a no-op
 //! backend, balanced vs. hot-tenant-skewed, and (b) a small end-to-end storm
-//! through the full six-layer stack into a real cluster.
+//! through the full six-layer stack into a real cluster.  Every storm run,
+//! banner and timed alike, must keep tenants isolated, partition the
+//! cluster's logical bytes and keep each tenant's accounting consistent.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sigma_service::middleware::{FairScheduler, ServiceResult};
 use sigma_service::{Operation, RequestEnvelope, ResponseEnvelope, ServiceBuilder};
-use sigma_simulation::tenant_storm::{run_tenant_storm, TenantStormConfig};
+use sigma_simulation::tenant_storm::{run_tenant_storm, TenantStormConfig, TenantStormReport};
 use std::sync::Arc;
 use std::thread;
 
@@ -39,6 +41,20 @@ fn small_storm(hot_tenant_extra_clients: usize, service_time_us: u64) -> TenantS
     }
 }
 
+/// Runs `config`'s storm and panics unless isolation, the logical-byte
+/// partition and per-tenant accounting all hold.  Fairness is reported, not
+/// checked: the Jain index depends on OS thread scheduling.
+fn checked_storm(config: &TenantStormConfig) -> TenantStormReport {
+    let report = run_tenant_storm(config);
+    assert!(report.isolation_holds(), "storm broke tenant isolation");
+    assert!(report.partition_holds(), "storm broke the byte partition");
+    assert!(
+        report.accounting_consistent,
+        "storm broke tenant accounting"
+    );
+    report
+}
+
 fn report() {
     sigma_bench::banner(
         "tenant fairness",
@@ -54,7 +70,7 @@ fn report() {
         "restores intact",
     ]);
     for hot_extra in [0usize, 6, 14] {
-        let report = run_tenant_storm(&small_storm(hot_extra, 200));
+        let report = checked_storm(&small_storm(hot_extra, 200));
         table.add_row(vec![
             hot_extra.to_string(),
             report.clients.to_string(),
@@ -143,10 +159,10 @@ fn bench(c: &mut Criterion) {
     // cluster, no service-time floor so the stack itself is what's timed.
     // Bytes are the live logical bytes the storm leaves behind (its
     // deterministic dataset), so MB/s tracks the whole scenario.
-    let logical = run_tenant_storm(&small_storm(6, 0)).cluster_logical_bytes;
-    group.throughput(Throughput::Bytes(logical.max(1)));
+    let logical = checked_storm(&small_storm(6, 0)).cluster_logical_bytes;
+    group.throughput(Throughput::Bytes(logical));
     group.bench_function("storm_full_stack", |b| {
-        b.iter(|| run_tenant_storm(&small_storm(6, 0)));
+        b.iter(|| checked_storm(&small_storm(6, 0)));
     });
 
     group.finish();

@@ -1,20 +1,18 @@
 //! Shared helpers for the Σ-Dedupe benchmark harness.
 //!
-//! Each bench target in `benches/` reproduces one table or figure of the paper: it
-//! first runs the corresponding experiment from `sigma_simulation::experiments` at a
-//! reporting scale and prints the resulting rows (the "figure"), then registers a
-//! small Criterion micro-benchmark of the core operation that the figure exercises,
-//! so `cargo bench` also yields stable timing numbers for regression tracking.
+//! Each bench target in `benches/` reproduces one table or figure of the paper,
+//! or measures one operation the paper's prototype lacks (restore, rebalance,
+//! recovery, GC, multi-tenant scheduling): it first runs the experiment at a
+//! reporting scale and prints the resulting rows (the "figure"), checking the
+//! invariants the numbers rest on, then registers a small Criterion
+//! micro-benchmark of the core operation that the figure exercises.
 //!
-//! The crate also ships the `sigma-bench` binary: a one-shot runner ([`runner`])
-//! that measures the headline workloads and persists them as a schema-versioned
-//! trajectory file ([`trajectory`]) that CI compares against on every push.
+//! `cargo bench -p sigma-bench -- --test` runs every target once, checks
+//! included. End-to-end throughput claims are measured with `sigma-e2e` and
+//! `BENCHMARK.json`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod runner;
-pub mod trajectory;
 
 /// Prints a banner identifying which table/figure of the paper a bench reproduces.
 pub fn banner(experiment: &str, description: &str) {

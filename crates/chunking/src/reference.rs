@@ -4,15 +4,9 @@
 //! chunkers, kept verbatim after the hot paths were rewritten around
 //! [`RabinHasher::scan`] / [`GearHasher::find_boundary`] (skip-ahead below
 //! `min_size`, mask tests instead of modulo, no per-call template clone).  They
-//! exist for two reasons:
-//!
-//! 1. **equivalence oracles** — the `reference_equivalence` proptest suite
-//!    asserts that every optimized chunker produces bit-identical boundary
-//!    decisions to its scalar reference across all [`ChunkerParams`] presets;
-//! 2. **pre-change baselines** — the `sigma-bench` runner measures the scalar
-//!    path in the same process/run as the optimized path, so the persisted
-//!    `BENCH_*.json` speedup is an apples-to-apples number, not a cross-machine
-//!    comparison.
+//! are **equivalence oracles**: the `reference_equivalence` proptest suite
+//! asserts that every optimized chunker produces bit-identical boundary
+//! decisions to its scalar reference across all [`ChunkerParams`] presets.
 //!
 //! They are deliberately *not* exported from the crate root: production code
 //! should never construct one.

@@ -182,47 +182,9 @@ impl IngestPipeline {
     /// still run to completion (their unique chunks are stored, but no file is
     /// registered for any stream when an error is returned).
     pub fn backup_streams(&self, streams: Vec<StreamPayload>) -> Result<Vec<FileBackupReport>> {
-        let chunker = self.cluster.config().chunker.build();
-        self.backup_streams_with_chunker(streams, chunker.as_ref())
-    }
-
-    /// Runs the pipeline with an explicit chunker instead of the configured one.
-    ///
-    /// The `sigma-bench` runner uses this to drive the scalar *reference*
-    /// chunkers through the identical pipeline in the same process, so the
-    /// persisted before/after ingest numbers differ only in the chunker
-    /// implementation.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`backup_streams`](IngestPipeline::backup_streams).
-    pub fn backup_streams_with_chunker(
-        &self,
-        streams: Vec<StreamPayload>,
-        chunker: &dyn sigma_chunking::Chunker,
-    ) -> Result<Vec<FileBackupReport>> {
-        let algorithm = self.cluster.config().fingerprint_algorithm;
-        self.backup_streams_with(streams, chunker, &|data| algorithm.fingerprint(data))
-    }
-
-    /// Runs the pipeline with an explicit chunker *and* fingerprint function.
-    ///
-    /// The most general entry point: benchmarks swap in the reference hot-loop
-    /// implementations (scalar chunker scan, portable SHA-1 kernel) while keeping
-    /// every other stage identical.  The fingerprint function must be a drop-in
-    /// for the configured algorithm — same digests in, same dedup decisions
-    /// out — or restored data will not match what deduplication stored.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`backup_streams`](IngestPipeline::backup_streams).
-    pub fn backup_streams_with(
-        &self,
-        streams: Vec<StreamPayload>,
-        chunker: &dyn sigma_chunking::Chunker,
-        fingerprint: &(dyn Fn(&[u8]) -> sigma_hashkit::Fingerprint + Sync),
-    ) -> Result<Vec<FileBackupReport>> {
-        let config = self.cluster.config().clone();
+        let config = self.cluster.config();
+        let chunker = config.chunker.build();
+        let algorithm = config.fingerprint_algorithm;
 
         let names: Vec<String> = streams.iter().map(|s| s.name.clone()).collect();
         let stream_ids: Vec<u64> = streams.iter().map(|s| s.stream_id).collect();
@@ -265,7 +227,7 @@ impl IngestPipeline {
                 (start..end)
                     .map(|j| {
                         let (lo, hi) = chunk_span(bounds, j);
-                        ChunkDescriptor::new(fingerprint(&data[lo..hi]), (hi - lo) as u32)
+                        ChunkDescriptor::new(algorithm.fingerprint(&data[lo..hi]), (hi - lo) as u32)
                     })
                     .collect()
             },

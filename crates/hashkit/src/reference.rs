@@ -4,9 +4,7 @@
 //! [`Sha1`](crate::Sha1) but always compresses on the portable unrolled
 //! scalar kernel, never on the SHA-NI one. Where the CPU has SHA-NI, the
 //! equivalence tests in this module therefore pin the hardware kernel to the
-//! portable one bit for bit. Benchmarks also use it as the in-run "before" of
-//! the hardware kernel, and as a fixed CPU workload that measures the machine
-//! rather than the build.
+//! portable one bit for bit.
 
 use crate::sha1::{compress_blocks_portable, Sha1Core};
 use crate::{Digest, Fingerprint};
