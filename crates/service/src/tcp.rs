@@ -4,33 +4,42 @@
 //!
 //! One length-prefixed request frame in, one response frame out, pipelined
 //! per connection; each accepted connection gets its own thread, so clients
-//! are isolated from each other's latency.  Malformed frames answer with an
-//! [`InvalidRequest`](sigma_core::ServiceCode::InvalidRequest) envelope when
-//! the direction is still recoverable, and close the connection otherwise —
-//! a framing error means the byte stream can no longer be trusted.
+//! are isolated from each other's latency.  Both ends set `TCP_NODELAY`.  A
+//! body that does not decode inside an intact frame answers with an
+//! [`InvalidRequest`](sigma_core::ServiceCode::InvalidRequest) envelope; a
+//! torn stream or an over-cap length closes the connection.
 
 use crate::builder::ServiceStack;
-use crate::codec::{
-    self, decode_request, decode_response, encode_request, encode_response, CodecError,
-};
+use crate::codec::{self, CodecError};
 use crate::{RequestEnvelope, ResponseEnvelope};
+use parking_lot::Mutex;
 use sigma_core::ServiceCode;
-use std::io::{self, BufReader, BufWriter};
+use std::collections::HashMap;
+use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// Live connections by id: a clone of each stream, so shutdown can sever a
+/// thread blocked on its client's next frame, and that thread.  A thread
+/// removes its entry when it exits, which closes the clone.
+type Registry = Arc<Mutex<HashMap<u64, (TcpStream, JoinHandle<()>)>>>;
+
+/// Pause after a failed `accept` (e.g. out of descriptors), doubled on each
+/// failure in a row up to the maximum.
+const ACCEPT_BACKOFF: (Duration, Duration) = (Duration::from_millis(5), Duration::from_secs(1));
 
 /// A running framed-TCP server in front of a [`ServiceStack`].
 ///
 /// Dropping the handle shuts the server down and joins every connection
 /// thread.
+#[derive(Debug)]
 pub struct TcpService {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    /// One clone per live connection, so shutdown can sever streams that are
-    /// blocked waiting for a client's next frame.
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Registry,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -45,33 +54,40 @@ impl TcpService {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept_shutdown = shutdown.clone();
-        let accept_conns = conns.clone();
+        let conns = Registry::default();
+        let (accept_shutdown, accept_conns) = (shutdown.clone(), conns.clone());
         let accept_thread = std::thread::Builder::new()
             .name("sigma-service-accept".into())
             .spawn(move || {
-                let mut workers = Vec::new();
-                for conn in listener.incoming() {
+                let mut backoff = ACCEPT_BACKOFF.0;
+                for id in 0u64.. {
+                    let accepted = listener.accept();
                     if accept_shutdown.load(Ordering::SeqCst) {
-                        break;
+                        return;
                     }
-                    let Ok(stream) = conn else { continue };
-                    if let Ok(clone) = stream.try_clone() {
-                        let mut registry = accept_conns.lock().unwrap_or_else(|e| e.into_inner());
-                        registry.push(clone);
-                    }
-                    let stack = stack.clone();
-                    if let Ok(handle) = std::thread::Builder::new()
+                    let Ok((stream, _)) = accepted else {
+                        std::thread::sleep(backoff);
+                        backoff = (backoff * 2).min(ACCEPT_BACKOFF.1);
+                        continue;
+                    };
+                    backoff = ACCEPT_BACKOFF.0;
+                    let Ok(clone) = stream.set_nodelay(true).and_then(|()| stream.try_clone())
+                    else {
+                        continue;
+                    };
+                    // Spawn and insert under the lock the thread's removal
+                    // takes, so a connection that ends at once leaves no entry.
+                    let mut registry = accept_conns.lock();
+                    let (stack, conns) = (stack.clone(), accept_conns.clone());
+                    if let Ok(thread) = std::thread::Builder::new()
                         .name("sigma-service-conn".into())
-                        .spawn(move || serve_connection(stream, &stack))
+                        .spawn(move || {
+                            serve_connection(&stream, &stack);
+                            conns.lock().remove(&id);
+                        })
                     {
-                        workers.push(handle);
+                        registry.insert(id, (clone, thread));
                     }
-                    workers.retain(|w| !w.is_finished());
-                }
-                for w in workers {
-                    let _ = w.join();
                 }
             })?;
         Ok(TcpService {
@@ -93,17 +109,20 @@ impl TcpService {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Connection threads block in read_frame until their client's next
-        // frame; sever the streams so they observe EOF and exit.
-        let registry = std::mem::take(&mut *self.conns.lock().unwrap_or_else(|e| e.into_inner()));
-        for stream in registry {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        // `incoming()` blocks in accept(2); poke it awake with a throwaway
+        // `accept` blocks in accept(2); poke it awake with a throwaway
         // connection so the loop observes the flag.
         let _ = TcpStream::connect(self.local_addr);
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
+        }
+        // Nothing registers any more.  Connection threads block until their
+        // client's next frame; sever the streams so they see EOF and exit.
+        let live = std::mem::take(&mut *self.conns.lock());
+        for (stream, _) in live.values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        for (_, thread) in live.into_values() {
+            let _ = thread.join();
         }
     }
 }
@@ -114,52 +133,31 @@ impl Drop for TcpService {
     }
 }
 
-impl std::fmt::Debug for TcpService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpService")
-            .field("local_addr", &self.local_addr)
-            .field("shutdown", &self.shutdown.load(Ordering::SeqCst))
-            .finish()
-    }
-}
-
-fn serve_connection(stream: TcpStream, stack: &ServiceStack) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
+fn serve_connection(stream: &TcpStream, stack: &ServiceStack) {
     let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
     loop {
-        let body = match codec::read_frame(&mut reader) {
-            Ok(body) => body,
-            // Clean disconnect or torn stream either way: stop serving.
-            Err(_) => return,
-        };
-        let response = match decode_request(&body) {
+        let response = match codec::read_request(&mut reader) {
             Ok(req) => stack.call(req),
-            // The frame boundary held, so the stream is still in sync;
-            // answer the bad body and keep the connection.
+            // Clean disconnect, torn stream or an untrusted length: stop.
+            Err(CodecError::Io(_) | CodecError::FrameTooLarge { .. }) => return,
+            // The rest of the bad frame was skipped, so the stream is still
+            // in sync; answer the bad body and keep the connection.
             Err(err) => ResponseEnvelope {
-                request_id: 0,
                 code: ServiceCode::InvalidRequest,
                 message: format!("undecodable request: {}", err),
-                metadata: Default::default(),
-                payload: Vec::new(),
+                ..ResponseEnvelope::ok(0)
             },
         };
-        let Ok(frame) = encode_response(&response) else {
-            return;
-        };
-        if codec::write_frame(&mut writer, &frame).is_err() {
+        if codec::write_response(&mut &*stream, &response).is_err() {
             return;
         }
     }
 }
 
 /// A blocking framed-TCP client for [`TcpService`].
+#[derive(Debug)]
 pub struct TcpClient {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    stream: BufReader<TcpStream>,
     peer: SocketAddr,
 }
 
@@ -173,12 +171,8 @@ impl TcpClient {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let peer = stream.peer_addr()?;
-        let write_half = stream.try_clone()?;
-        Ok(TcpClient {
-            reader: BufReader::new(stream),
-            writer: BufWriter::new(write_half),
-            peer,
-        })
+        let stream = BufReader::new(stream);
+        Ok(TcpClient { stream, peer })
     }
 
     /// Sends one request and blocks for its response.
@@ -190,23 +184,13 @@ impl TcpClient {
     /// envelopes with a non-[`Ok`](ServiceCode::Ok) code, exactly like the
     /// in-process transport.
     pub fn call(&mut self, req: &RequestEnvelope) -> Result<ResponseEnvelope, CodecError> {
-        let frame = encode_request(req)?;
-        codec::write_frame(&mut self.writer, &frame)?;
-        let body = codec::read_frame(&mut self.reader)?;
-        decode_response(&body)
+        codec::write_request(&mut self.stream.get_ref(), req)?;
+        codec::read_response(&mut self.stream)
     }
 
     /// The server address this client is connected to.
     pub fn peer_addr(&self) -> SocketAddr {
         self.peer
-    }
-}
-
-impl std::fmt::Debug for TcpClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpClient")
-            .field("peer", &self.peer)
-            .finish()
     }
 }
 
@@ -217,6 +201,7 @@ mod tests {
     use crate::middleware::{RateLimit, TenantQuota, TokenAuth};
     use crate::{Operation, ServiceBuilder};
     use sigma_core::{DedupCluster, SigmaConfig};
+    use std::io::Write;
 
     fn serve_default_stack() -> (TcpService, Arc<ServiceStack>) {
         let cluster = Arc::new(DedupCluster::with_similarity_router(
@@ -328,12 +313,54 @@ mod tests {
     fn undecodable_request_answers_invalid_request() {
         let (mut service, _stack) = serve_default_stack();
         let stream = TcpStream::connect(service.local_addr()).unwrap();
-        let mut writer = BufWriter::new(stream.try_clone().unwrap());
-        let mut reader = BufReader::new(stream);
-        codec::write_frame(&mut writer, &[0xDE, 0xAD, 0xBE, 0xEF]).unwrap();
-        let body = codec::read_frame(&mut reader).unwrap();
-        let resp = decode_response(&body).unwrap();
+        let mut reader = BufReader::new(&stream);
+        (&stream)
+            .write_all(&[4, 0, 0, 0, 0xDE, 0xAD, 0xBE, 0xEF])
+            .unwrap();
+        let resp = codec::read_response(&mut reader).unwrap();
         assert_eq!(resp.code, ServiceCode::InvalidRequest);
+        // The server skipped to the frame boundary: the same connection
+        // still answers a valid request.
+        let stats = RequestEnvelope::new(6, "acme", Operation::Stats).with_token("s3cret");
+        codec::write_request(&mut &stream, &stats).unwrap();
+        let resp = codec::read_response(&mut reader).unwrap();
+        assert!(resp.is_ok(), "{:?}", resp.message);
+        assert_eq!(resp.request_id, 6);
+        service.shutdown();
+    }
+
+    #[test]
+    fn accepted_streams_set_nodelay() {
+        let (mut service, _stack) = serve_default_stack();
+        let mut client = TcpClient::connect(service.local_addr()).unwrap();
+        let stats = RequestEnvelope::new(1, "acme", Operation::Stats).with_token("s3cret");
+        assert!(client.call(&stats).unwrap().is_ok());
+        let registry = service.conns.lock();
+        assert_eq!(registry.len(), 1);
+        assert!(registry
+            .values()
+            .all(|(stream, _)| stream.nodelay().unwrap()));
+        drop(registry);
+        service.shutdown();
+    }
+
+    #[test]
+    fn closed_connections_leave_the_registry() {
+        let (mut service, _stack) = serve_default_stack();
+        for i in 0..64 {
+            let mut client = TcpClient::connect(service.local_addr()).unwrap();
+            let stats = RequestEnvelope::new(i, "acme", Operation::Stats).with_token("s3cret");
+            assert!(client.call(&stats).unwrap().is_ok());
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !service.conns.lock().is_empty() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} closed connections still registered",
+                service.conns.lock().len()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
         service.shutdown();
     }
 
