@@ -1,14 +1,14 @@
 //! Ingest throughput vs. worker-thread count.
 //!
 //! Two sweeps, both in the spirit of the paper's Figure 4 throughput study but
-//! measuring the new parallel ingest pipeline end to end:
+//! measuring the ingest core end to end:
 //!
 //! * **payload pipeline** — real bytes (versioned backup generations) pushed
-//!   through [`IngestPipeline`]: chunking + SHA-1 fingerprinting on the worker
-//!   pool, concurrent multi-stream routing into a cluster.  Reported as MB/s
-//!   of *logical pre-dedup* client bytes (the paper's Figure 4 basis —
-//!   post-dedup MB/s would scale with the dedup ratio and say nothing about
-//!   backup-window sizing).
+//!   through `BackupClient::backup_streams`: chunking + SHA-1 fingerprinting
+//!   on the worker pool, concurrent multi-stream routing into a cluster.
+//!   Reported as MB/s of *logical pre-dedup* client bytes (the paper's
+//!   Figure 4 basis — post-dedup MB/s would scale with the dedup ratio and
+//!   say nothing about backup-window sizing).
 //! * **linux-like trace** — the linux-like workload preset replayed through the
 //!   threaded `SimulationRunner`, exercising the sharded node indexes and the
 //!   per-container store locks without client-side hashing cost.
@@ -19,7 +19,7 @@
 //! comparison is visible without reading criterion output.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sigma_core::{DedupCluster, IngestPipeline, SigmaConfig, StreamPayload};
+use sigma_core::{BackupClient, DedupCluster, SigmaConfig, StreamPayload};
 use sigma_simulation::runner::{run_cluster, SimulationConfig};
 use sigma_workloads::payload::{versioned_payloads, VersionedPayloadParams};
 use sigma_workloads::{presets, Scale};
@@ -49,11 +49,11 @@ fn payload_streams() -> Vec<StreamPayload> {
 fn ingest_once(threads: usize, streams: &[StreamPayload]) -> f64 {
     let config = SigmaConfig::builder().parallelism(threads).build().unwrap();
     let cluster = Arc::new(DedupCluster::with_similarity_router(4, config));
-    let pipeline = IngestPipeline::new(cluster.clone());
+    let client = BackupClient::new(cluster.clone(), 0);
     let total: u64 = streams.iter().map(|s| s.data.len() as u64).sum();
     let start = std::time::Instant::now();
-    pipeline
-        .backup_streams(streams.to_vec())
+    client
+        .backup_streams(streams)
         .expect("payload ingest cannot fail");
     cluster.flush();
     total as f64 / 1e6 / start.elapsed().as_secs_f64()

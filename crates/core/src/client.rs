@@ -7,10 +7,15 @@
 //! deduplication), the number of bytes a client actually ships equals the unique
 //! bytes reported back — the quantity surfaced as
 //! [`FileBackupReport::transferred_bytes`].
+//!
+//! [`BackupClient`] is the only ingest front end: [`BackupClient::backup_bytes`]
+//! backs up one stream and [`BackupClient::backup_streams`] several at once.
+//! Both run one core on a worker pool
+//! [`SigmaConfig::parallelism`](crate::SigmaConfig::parallelism) wide, which by
+//! default is the caller's thread alone.
 
-use crate::{
-    ChunkDescriptor, DedupCluster, FileId, RecipeEntry, Result, SuperChunk, SuperChunkBuilder,
-};
+use crate::pipeline::{ingest, Stream};
+use crate::{DedupCluster, FileId, Result};
 use serde::{Deserialize, Serialize};
 use sigma_storage::StorageError;
 use std::io::Read;
@@ -40,6 +45,29 @@ impl FileBackupReport {
             0.0
         } else {
             1.0 - self.transferred_bytes as f64 / self.logical_bytes as f64
+        }
+    }
+}
+
+/// One stream of a [`BackupClient::backup_streams`] call: an identifier, a
+/// file name for the director, and the stream's bytes.
+#[derive(Debug, Clone)]
+pub struct StreamPayload {
+    /// The data-stream identifier (distinct streams get distinct open containers).
+    pub stream_id: u64,
+    /// The name the file is registered under for restore.
+    pub name: String,
+    /// The stream's contents.
+    pub data: Vec<u8>,
+}
+
+impl StreamPayload {
+    /// Creates a stream payload.
+    pub fn new(stream_id: u64, name: impl Into<String>, data: Vec<u8>) -> Self {
+        StreamPayload {
+            stream_id,
+            name: name.into(),
+            data,
         }
     }
 }
@@ -134,67 +162,70 @@ impl BackupClient {
         self.session_id
     }
 
-    /// Backs up an in-memory byte buffer as one file.
+    /// Backs up an in-memory byte buffer as one file on the client's stream.
     ///
     /// The buffer is split by the configured chunker; chunks are
-    /// fingerprinted, grouped into super-chunks and routed.
+    /// fingerprinted, grouped into super-chunks and routed, on a worker pool
+    /// [`SigmaConfig::parallelism`](crate::SigmaConfig::parallelism) wide.
+    /// The buffer is only borrowed: each chunk is copied once, into its
+    /// super-chunk.
     ///
     /// # Errors
     ///
-    /// Propagates routing/storage errors from the cluster.
+    /// Propagates routing/storage errors from the cluster; no file is
+    /// registered then.
     pub fn backup_bytes(&self, name: &str, data: &[u8]) -> Result<FileBackupReport> {
-        let config = self.cluster.config().clone();
-        let chunker = config.chunker.build();
-        let algorithm = config.fingerprint_algorithm;
-
-        let file_marker = self.cluster.director().file_count() as u64;
-        let mut builder = SuperChunkBuilder::new(config.super_chunk_size);
-        let mut recipe: Vec<RecipeEntry> = Vec::new();
-        let mut report = FileBackupReport {
-            file_id: 0,
-            logical_bytes: data.len() as u64,
-            transferred_bytes: 0,
-            chunks: 0,
-            super_chunks: 0,
-            duplicate_chunks: 0,
+        let stream = Stream {
+            id: self.stream_id,
+            name,
+            data,
         };
+        let mut reports = ingest(&self.cluster, self.session_id, &[stream])?;
+        Ok(reports.pop().expect("one stream in, one report out"))
+    }
 
-        let mut pending: Vec<SuperChunk> = Vec::new();
-        for chunk in chunker.split(data) {
-            report.chunks += 1;
-            let descriptor =
-                ChunkDescriptor::new(algorithm.fingerprint(chunk.data()), chunk.len() as u32);
-            if let Some(sc) = builder.push_chunk(descriptor, chunk.into_data()) {
-                pending.push(sc);
-            }
-        }
-        if let Some(sc) = builder.finish() {
-            pending.push(sc);
-        }
-
-        for sc in pending {
-            let (receipt, node) = self.cluster.backup_super_chunk_with_target(
-                self.stream_id,
-                &sc,
-                Some(file_marker),
-            )?;
-            report.super_chunks += 1;
-            report.transferred_bytes += receipt.unique_bytes;
-            report.duplicate_chunks += receipt.duplicate_chunks;
-            for d in sc.descriptors() {
-                recipe.push(RecipeEntry {
-                    fingerprint: d.fingerprint,
-                    len: d.len,
-                    node,
-                });
-            }
-        }
-
-        report.file_id =
-            self.cluster
-                .director()
-                .register_file(self.session_id, name, data.len() as u64, recipe);
-        Ok(report)
+    /// Backs up several streams at once in this client's session, one file
+    /// per stream, each on its own [`StreamPayload::stream_id`].  Reports come
+    /// back in input order.
+    ///
+    /// Chunking, fingerprinting and submission fan out across a worker pool
+    /// [`SigmaConfig::parallelism`](crate::SigmaConfig::parallelism) wide.
+    /// Each stream keeps its order end to end, so every file restores
+    /// byte-identically.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first routing/storage error in input order.  The other
+    /// streams still run to completion (their unique chunks are stored), but
+    /// no file is registered for any stream.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use sigma_core::{BackupClient, DedupCluster, SigmaConfig, StreamPayload};
+    /// use std::sync::Arc;
+    ///
+    /// let config = SigmaConfig::builder().parallelism(4).build().unwrap();
+    /// let cluster = Arc::new(DedupCluster::with_similarity_router(2, config));
+    /// let client = BackupClient::new(cluster.clone(), 0);
+    /// let streams: Vec<StreamPayload> = (0..4u64)
+    ///     .map(|s| StreamPayload::new(s, format!("stream-{s}.bin"), vec![s as u8; 64 * 1024]))
+    ///     .collect();
+    /// let reports = client.backup_streams(&streams).unwrap();
+    /// for (report, stream) in reports.iter().zip(&streams) {
+    ///     assert_eq!(cluster.restore_file(report.file_id).unwrap(), stream.data);
+    /// }
+    /// ```
+    pub fn backup_streams(&self, streams: &[StreamPayload]) -> Result<Vec<FileBackupReport>> {
+        let streams: Vec<Stream<'_>> = streams
+            .iter()
+            .map(|s| Stream {
+                id: s.stream_id,
+                name: &s.name,
+                data: &s.data,
+            })
+            .collect();
+        ingest(&self.cluster, self.session_id, &streams)
     }
 
     /// Backs up anything readable as one file.

@@ -105,22 +105,6 @@ pub struct GcReport {
     pub nodes: Vec<NodeGcReport>,
 }
 
-/// Receipts for one stream's batch: one `(receipt, target node)` pair per
-/// super-chunk, in stream order.
-pub type BatchReceipts = Vec<(SuperChunkReceipt, usize)>;
-
-/// One backup stream's ordered batch of super-chunks, the unit of
-/// [`DedupCluster::backup_batches_concurrent`].
-#[derive(Debug, Clone)]
-pub struct StreamBatch {
-    /// The data-stream identifier (chooses the per-stream open container).
-    pub stream: u64,
-    /// File-boundary hint for routers that need one.
-    pub file_id: Option<u64>,
-    /// The stream's super-chunks, in stream order.
-    pub super_chunks: Vec<SuperChunk>,
-}
-
 /// A cluster of deduplication nodes behind a data-routing scheme.
 ///
 /// # Example
@@ -152,6 +136,9 @@ pub struct DedupCluster {
     /// still protected by the cluster and must keep counting toward its
     /// deduplication ratio.
     logical_bytes_routed: AtomicU64,
+    /// The next unused file-boundary hint; see
+    /// [`reserve_file_hints`](Self::reserve_file_hints).
+    file_hints: AtomicU64,
 }
 
 /// Mutable membership state: the current active-node snapshot plus a directory of
@@ -202,6 +189,7 @@ impl DedupCluster {
             nodes_contacted: AtomicU64::new(0),
             super_chunks_routed: AtomicU64::new(0),
             logical_bytes_routed: AtomicU64::new(0),
+            file_hints: AtomicU64::new(0),
         }
     }
 
@@ -232,9 +220,9 @@ impl DedupCluster {
 
     /// The current generation-stamped active-node map.
     ///
-    /// Every backup entry point takes exactly one such snapshot and routes the
-    /// whole call against it, so a concurrent [`add_node`](Self::add_node) /
-    /// [`remove_node`](Self::remove_node) never splits a batch across two views
+    /// Ingest takes one such snapshot per stream and routes every super-chunk
+    /// of the stream against it, so a concurrent [`add_node`](Self::add_node) /
+    /// [`remove_node`](Self::remove_node) never splits a file across two views
     /// of the cluster.
     pub fn node_map(&self) -> Arc<NodeMap> {
         self.membership.read().map.clone()
@@ -258,13 +246,6 @@ impl DedupCluster {
         self.membership.read().directory.get(&id).cloned()
     }
 
-    /// Number of addressable nodes, active *and* retired — the tombstone-chain
-    /// hop cap shared by [`read_chunk`](Self::read_chunk) and the restore
-    /// planner (a chain can visit each addressable node at most once).
-    pub(crate) fn directory_len(&self) -> usize {
-        self.membership.read().directory.len()
-    }
-
     /// The routing scheme's name.
     pub fn router_name(&self) -> String {
         self.router.name()
@@ -273,6 +254,15 @@ impl DedupCluster {
     /// The director (metadata service).
     pub fn director(&self) -> &Director {
         &self.director
+    }
+
+    /// Reserves `count` consecutive file-boundary hints and returns the first.
+    ///
+    /// Routers that place whole files (Extreme Binning) pin a bin to each
+    /// hint, so a hint must never repeat.  The live file count would: a
+    /// delete winds it back, and concurrent backups read the same value.
+    pub(crate) fn reserve_file_hints(&self, count: u64) -> u64 {
+        self.file_hints.fetch_add(count, Ordering::Relaxed)
     }
 
     /// Routes and deduplicates one super-chunk arriving from client stream `stream`.
@@ -295,9 +285,9 @@ impl DedupCluster {
     }
 
     /// [`backup_super_chunk`](Self::backup_super_chunk) against one fixed node-map
-    /// snapshot — the building block that gives batches a consistent membership
-    /// view.
-    fn backup_super_chunk_on(
+    /// snapshot, so the ingest core can route a whole stream against one
+    /// membership view.
+    pub(crate) fn backup_super_chunk_on(
         &self,
         map: &NodeMap,
         stream: u64,
@@ -337,8 +327,9 @@ impl DedupCluster {
 
     /// Routes and deduplicates one super-chunk, also returning the target node.
     ///
-    /// This is the variant backup clients use so they can record chunk→node mappings
-    /// in file recipes.
+    /// The target is also the receipt's `node_id`.  This wrapper is kept only
+    /// because the `sigma-e2e` benchmark calls it (see the public items its
+    /// README lists); deleting it waits for a change to that benchmark.
     ///
     /// # Errors
     ///
@@ -353,77 +344,6 @@ impl DedupCluster {
         Ok((receipt, receipt.node_id))
     }
 
-    /// Routes and deduplicates a batch of super-chunks from one stream, in order.
-    ///
-    /// Per-stream ordering is what keeps file recipes — and therefore restores —
-    /// identical to issuing the super-chunks one by one.  The whole batch routes
-    /// against a single node-map snapshot, so a membership change mid-batch never
-    /// splits it across two cluster views.
-    ///
-    /// # Errors
-    ///
-    /// Stops at and returns the first routing/storage error.
-    pub fn backup_super_chunk_batch(
-        &self,
-        stream: u64,
-        super_chunks: &[SuperChunk],
-        file_id: Option<u64>,
-    ) -> Result<BatchReceipts> {
-        let map = self.node_map();
-        super_chunks
-            .iter()
-            .map(|sc| {
-                let receipt = self.backup_super_chunk_on(&map, stream, sc, file_id)?;
-                Ok((receipt, receipt.node_id))
-            })
-            .collect()
-    }
-
-    /// Processes several streams' batches concurrently on real threads.
-    ///
-    /// Each batch keeps its internal order (one worker walks it front to back),
-    /// while up to `parallelism` batches are in flight at once — the cluster-side
-    /// half of the parallel ingest pipeline.  Results come back in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error any stream hit; other streams still run to
-    /// completion (their chunks are stored, only their receipts are discarded).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use sigma_core::{DedupCluster, SigmaConfig, StreamBatch, SuperChunk};
-    /// use sigma_hashkit::FingerprintAlgorithm;
-    ///
-    /// let cluster = DedupCluster::with_similarity_router(2, SigmaConfig::default());
-    /// let batches: Vec<StreamBatch> = (0..4u64)
-    ///     .map(|stream| StreamBatch {
-    ///         stream,
-    ///         file_id: None,
-    ///         super_chunks: vec![SuperChunk::from_payloads(
-    ///             FingerprintAlgorithm::Sha1,
-    ///             0,
-    ///             vec![vec![stream as u8; 4096]],
-    ///         )],
-    ///     })
-    ///     .collect();
-    /// let receipts = cluster.backup_batches_concurrent(batches, 4).unwrap();
-    /// assert_eq!(receipts.len(), 4);
-    /// assert!(receipts.iter().all(|r| r[0].0.unique_chunks == 1));
-    /// ```
-    pub fn backup_batches_concurrent(
-        &self,
-        batches: Vec<StreamBatch>,
-        parallelism: usize,
-    ) -> Result<Vec<BatchReceipts>> {
-        crate::pipeline::run_pool(parallelism, batches, |_, batch: StreamBatch| {
-            self.backup_super_chunk_batch(batch.stream, &batch.super_chunks, batch.file_id)
-        })
-        .into_iter()
-        .collect()
-    }
-
     /// Reads one chunk back from the node a recipe recorded for it, transparently
     /// following forwarding tombstones if the rebalancer has since migrated the
     /// chunk's container to another node (possibly through several hops).
@@ -432,35 +352,69 @@ impl DedupCluster {
     ///
     /// Propagates [`SigmaError::ChunkMissing`] / [`SigmaError::PayloadUnavailable`]
     /// from the node.
-    pub fn read_chunk(
+    pub fn read_chunk(&self, node: usize, fingerprint: &Fingerprint) -> Result<Vec<u8>> {
+        self.resolve_chunk(node, fingerprint, |n| n.read_chunk(fingerprint))
+            .map(|(_, data)| data)
+    }
+
+    /// Follows a chunk's tombstone chain from `node`, the node its recipe
+    /// records, applying `probe` at each node until it answers anything but
+    /// [`SigmaError::ChunkMigrated`]; returns the node that answered and its
+    /// answer.  [`read_chunk`](Self::read_chunk) and the restore planner both
+    /// resolve chunks here.
+    ///
+    /// The reads of one walk are not atomic: ingest, GC and migration can
+    /// re-point an index entry or a tombstone chain between two of them.  A
+    /// walk that missed may have raced such a writer, so the chain is walked
+    /// again from `node`, and the miss is reported only once a fresh walk ends
+    /// the same way.
+    pub(crate) fn resolve_chunk<T>(
         &self,
         node: usize,
-        fingerprint: &sigma_hashkit::Fingerprint,
-    ) -> Result<Vec<u8>> {
+        fingerprint: &Fingerprint,
+        probe: impl Fn(&DedupNode) -> Result<T>,
+    ) -> Result<(usize, T)> {
+        let mut outcome = self.walk_chain(node, fingerprint, &probe);
+        while let Err(missed @ SigmaError::ChunkMissing { .. }) = &outcome {
+            let missed = missed.clone();
+            outcome = self.walk_chain(node, fingerprint, &probe);
+            if outcome.as_ref().err() == Some(&missed) {
+                break;
+            }
+        }
+        outcome
+    }
+
+    /// One walk of a tombstone chain from `node`.
+    fn walk_chain<T>(
+        &self,
+        node: usize,
+        fingerprint: &Fingerprint,
+        probe: &impl Fn(&DedupNode) -> Result<T>,
+    ) -> Result<(usize, T)> {
+        let missing = |node| SigmaError::ChunkMissing {
+            node,
+            fingerprint: fingerprint.to_string(),
+        };
         // The hop cap guards against a (theoretical) tombstone cycle: a chain
-        // can visit each node at most once.  It is computed lazily so the
-        // common chunk-never-migrated path costs a single directory lookup.
+        // can visit each addressable node, active or retired, at most once.
+        // It is computed lazily so the common chunk-never-migrated path costs
+        // a single directory lookup.
         let mut node_id = node;
         let mut hops = 0usize;
         loop {
-            let current = self
-                .node_by_id(node_id)
-                .ok_or_else(|| SigmaError::ChunkMissing {
-                    node: node_id,
-                    fingerprint: fingerprint.to_string(),
-                })?;
-            match current.read_chunk(fingerprint) {
+            let Some(current) = self.node_by_id(node_id) else {
+                return Err(missing(node_id));
+            };
+            match probe(&current) {
                 Err(SigmaError::ChunkMigrated { node: next, .. }) => {
                     hops += 1;
                     if hops > self.membership.read().directory.len() {
-                        return Err(SigmaError::ChunkMissing {
-                            node: next,
-                            fingerprint: fingerprint.to_string(),
-                        });
+                        return Err(missing(next));
                     }
                     node_id = next;
                 }
-                other => return other,
+                outcome => return outcome.map(|answer| (node_id, answer)),
             }
         }
     }
@@ -1675,6 +1629,59 @@ mod tests {
         assert!(cluster.restore_file(straggler.file_id).is_err());
         cluster.collect_garbage().unwrap();
         assert_eq!(cluster.stats().physical_bytes, 0);
+    }
+
+    #[test]
+    fn a_miss_behind_a_tombstone_is_walked_again_from_the_recipe_node() {
+        // The first walk crosses node 0's tombstone and misses on node 1, as a
+        // walk does when a writer re-points the chain between two reads; the
+        // fresh walk finds the chunk where the recipe says.
+        let cluster = DedupCluster::with_similarity_router(2, SigmaConfig::default());
+        let fp = Sha1::fingerprint(b"raced");
+        let probes = std::cell::Cell::new(0);
+        let resolved = cluster.resolve_chunk(0, &fp, |node| {
+            probes.set(probes.get() + 1);
+            match (probes.get(), node.id()) {
+                (1, 0) => Err(SigmaError::ChunkMigrated {
+                    fingerprint: fp.to_string(),
+                    node: 1,
+                }),
+                (2, 1) => Err(SigmaError::ChunkMissing {
+                    node: 1,
+                    fingerprint: fp.to_string(),
+                }),
+                (3, 0) => Ok("found"),
+                probe => panic!("unexpected probe {probe:?}"),
+            }
+        });
+        assert_eq!(resolved, Ok((0, "found")));
+
+        // A miss that a fresh walk repeats stands: two walks of two hops.
+        probes.set(0);
+        let repeated = cluster.resolve_chunk(0, &fp, |node| {
+            probes.set(probes.get() + 1);
+            match node.id() {
+                0 => Err(SigmaError::ChunkMigrated {
+                    fingerprint: fp.to_string(),
+                    node: 1,
+                }),
+                _ => node.read_chunk(&fp).map(|_| ()),
+            }
+        });
+        assert!(matches!(
+            repeated,
+            Err(SigmaError::ChunkMissing { node: 1, .. })
+        ));
+        assert_eq!(probes.get(), 4);
+
+        // A found chunk costs one probe.
+        probes.set(0);
+        let found = cluster.resolve_chunk(0, &fp, |_| {
+            probes.set(probes.get() + 1);
+            Ok(())
+        });
+        assert_eq!(found, Ok((0, ())));
+        assert_eq!(probes.get(), 1);
     }
 
     #[test]

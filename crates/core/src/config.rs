@@ -63,8 +63,10 @@ pub struct SigmaConfig {
     /// Whether the similarity router discounts resemblance by relative storage usage
     /// (step 3 of Algorithm 1). Default: `true`.
     pub capacity_balancing: bool,
-    /// Worker threads used by the parallel ingest pipeline and the threaded
-    /// simulation runner.
+    /// Worker threads used by ingest (the one core behind
+    /// [`BackupClient::backup_bytes`](crate::BackupClient::backup_bytes) and
+    /// [`BackupClient::backup_streams`](crate::BackupClient::backup_streams))
+    /// and by the threaded simulation runner.
     ///
     /// * `1` (the default) keeps every path serial and deterministic;
     /// * `0` means "one worker per available CPU core";

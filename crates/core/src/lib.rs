@@ -18,11 +18,9 @@
 //! * [`DedupNode`] — a deduplication server: similarity index + container-granular
 //!   chunk-fingerprint cache + parallel container management (+ optional on-disk
 //!   chunk-index fallback).
-//! * [`BackupClient`] — data partitioning, chunk fingerprinting and similarity-aware
-//!   routing at the source.
-//! * [`IngestPipeline`] — the multi-threaded ingest front end: chunking and
-//!   fingerprinting on a worker pool, in-order super-chunk assembly, concurrent
-//!   multi-stream submission (see the [`pipeline`] module).
+//! * [`BackupClient`] — the one ingest front end: data partitioning, chunk
+//!   fingerprinting and similarity-aware routing at the source, for one stream
+//!   or several at once on a worker pool [`SigmaConfig::parallelism`] wide.
 //! * [`Director`] — backup-session and file-recipe management for restores.
 //! * [`DedupCluster`] — wires N nodes, a router and the director together and
 //!   accounts for fingerprint-lookup messages (the paper's overhead metric).
@@ -65,20 +63,19 @@ mod error;
 mod handprint;
 pub mod membership;
 mod node;
-pub mod pipeline;
+mod pipeline;
 mod restore;
 mod routing;
 mod super_chunk;
 
-pub use client::{BackupClient, FileBackupReport};
-pub use cluster::{BatchReceipts, ClusterStats, DedupCluster, GcReport, MessageStats, StreamBatch};
+pub use client::{BackupClient, FileBackupReport, StreamPayload};
+pub use cluster::{ClusterStats, DedupCluster, GcReport, MessageStats};
 pub use config::{SigmaConfig, SigmaConfigBuilder, MAX_PARALLELISM};
 pub use director::{BackupSession, Director, FileId, FileRecipe, RecipeEntry};
 pub use error::{ServiceCode, SigmaError};
 pub use handprint::{jaccard, Handprint};
 pub use membership::{MoveReceipt, NodeMap, RebalanceReport, Rebalancer};
 pub use node::{DedupNode, NodeGcReport, NodeStats, RecoveryReport, SuperChunkReceipt};
-pub use pipeline::{IngestPipeline, StreamPayload};
 pub use restore::RestoreReport;
 pub use routing::{DataRouter, RoutingContext, RoutingDecision, SimilarityRouter};
 pub use super_chunk::{ChunkDescriptor, SuperChunk, SuperChunkBuilder};

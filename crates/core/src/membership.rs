@@ -6,9 +6,9 @@
 //! make that safe:
 //!
 //! * **[`NodeMap`]** — an immutable, generation-stamped snapshot of the active
-//!   nodes.  Every routing decision (and every batch of the parallel ingest
-//!   pipeline) is made against one snapshot, so a membership change mid-batch can
-//!   never split a batch across two views of the cluster.  Node *IDs* are stable
+//!   nodes.  Every routing decision (and every stream of an ingest call) is
+//!   made against one snapshot, so a membership change mid-backup can never
+//!   split a file across two views of the cluster.  Node *IDs* are stable
 //!   for the lifetime of the cluster; only the *slots* a router indexes into
 //!   change with membership.
 //! * **[`Rebalancer`]** — a planned sequence of sealed-container migrations.  Each

@@ -687,27 +687,6 @@ impl DedupNode {
         Ok(receipt)
     }
 
-    /// Deduplicates a batch of super-chunks arriving on `stream`, in order.
-    ///
-    /// Handprints are computed with `handprint_size` representative fingerprints
-    /// each.  This is the node-side half of the cluster's batched ingest entry
-    /// points: one call per stream, stream order preserved.
-    ///
-    /// # Errors
-    ///
-    /// Stops at and returns the first storage error.
-    pub fn process_super_chunk_batch(
-        &self,
-        stream: StreamId,
-        super_chunks: &[SuperChunk],
-        handprint_size: usize,
-    ) -> Result<Vec<SuperChunkReceipt>> {
-        super_chunks
-            .iter()
-            .map(|sc| self.process_super_chunk(stream, sc, &sc.handprint(handprint_size)))
-            .collect()
-    }
-
     fn resolve_chunk(
         &self,
         stream: StreamId,

@@ -41,7 +41,7 @@ use crate::director::{FileId, FileRecipe};
 use crate::pipeline::run_pool;
 use crate::{Result, SigmaError};
 use sigma_hashkit::Fingerprint;
-use sigma_storage::{ChunkFetch, ChunkLocation, ContainerId};
+use sigma_storage::{ChunkFetch, ContainerId};
 use std::collections::HashMap;
 
 /// What one planned restore did — the pipeline's observability surface,
@@ -223,11 +223,12 @@ impl DedupCluster {
 
         // Plan: resolve every entry in recipe order (so the first locate
         // failure surfaces in serial order) and group by (node, container).
-        let hop_cap = self.directory_len();
         let mut by_container: HashMap<(usize, ContainerId), Vec<PlannedFetch<'_>>> = HashMap::new();
         let mut layout_shift = false;
         for (index, entry) in recipe.chunks.iter().enumerate() {
-            let (node, location) = self.locate_chunk(entry.node, &entry.fingerprint, hop_cap)?;
+            let (node, location) = self.resolve_chunk(entry.node, &entry.fingerprint, |n| {
+                n.plan_chunk_read(&entry.fingerprint)
+            })?;
             if location.len != entry.len {
                 layout_shift = true;
                 break;
@@ -297,41 +298,6 @@ impl DedupCluster {
         }
         debug_assert_eq!(out.len() as u64, recipe.size, "planned size was checked");
         Ok((out, report))
-    }
-
-    /// Resolves a fingerprint to `(owning node, record extent)`, following
-    /// forwarding tombstones with the same lazily-computed hop cap as
-    /// [`read_chunk`](Self::read_chunk).
-    fn locate_chunk(
-        &self,
-        node: usize,
-        fingerprint: &Fingerprint,
-        hop_cap: usize,
-    ) -> Result<(usize, ChunkLocation)> {
-        let mut node_id = node;
-        let mut hops = 0usize;
-        loop {
-            let current = self
-                .node_by_id(node_id)
-                .ok_or_else(|| SigmaError::ChunkMissing {
-                    node: node_id,
-                    fingerprint: fingerprint.to_string(),
-                })?;
-            match current.plan_chunk_read(fingerprint) {
-                Ok(location) => return Ok((node_id, location)),
-                Err(SigmaError::ChunkMigrated { node: next, .. }) => {
-                    hops += 1;
-                    if hops > hop_cap {
-                        return Err(SigmaError::ChunkMissing {
-                            node: next,
-                            fingerprint: fingerprint.to_string(),
-                        });
-                    }
-                    node_id = next;
-                }
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     /// Runs one group: a batched container read, with a per-chunk serial

@@ -1,6 +1,7 @@
-//! Parallel ingest: many concurrent backup streams through the worker-pool
-//! pipeline, with a serial-vs-parallel throughput comparison and proof that the
-//! parallel path restores byte-identically.
+//! Parallel ingest: many backup streams through one
+//! `BackupClient::backup_streams` call on a worker pool, with a
+//! serial-vs-parallel throughput comparison and proof that the parallel path
+//! restores byte-identically.
 //!
 //! Run with:
 //!
@@ -54,14 +55,15 @@ fn main() {
     serial_cluster.flush();
     let serial_secs = start.elapsed().as_secs_f64();
 
-    // Parallel pipeline: same data, worker pool sized to the machine.
+    // The same streams through one backup_streams call, on a worker pool
+    // sized to the machine.
     let config = SigmaConfig::builder().parallelism(0).build().unwrap();
+    let threads = config.effective_parallelism();
     let parallel_cluster = Arc::new(DedupCluster::with_similarity_router(4, config));
-    let pipeline = IngestPipeline::new(parallel_cluster.clone());
     let start = Instant::now();
-    let reports = pipeline
-        .backup_streams(inputs.clone())
-        .expect("pipeline backup");
+    let reports = BackupClient::new(parallel_cluster.clone(), 0)
+        .backup_streams(&inputs)
+        .expect("parallel backup");
     parallel_cluster.flush();
     let parallel_secs = start.elapsed().as_secs_f64();
 
@@ -84,8 +86,8 @@ fn main() {
         format!("{:.2}", serial_stats.dedup_ratio),
     ]);
     table.add_row(vec![
-        "ingest pipeline".to_string(),
-        pipeline.parallelism().to_string(),
+        "backup_streams".to_string(),
+        threads.to_string(),
         format!("{parallel_secs:.2}"),
         format!("{:.1}", total as f64 / 1e6 / parallel_secs),
         format!("{:.2}", parallel_stats.dedup_ratio),

@@ -59,9 +59,9 @@ pub use sigma_baselines::{
 pub use sigma_core::ServiceCode;
 pub use sigma_core::{
     BackupClient, ChunkDescriptor, DataRouter, DedupCluster, DedupNode, Director, FileBackupReport,
-    FileRecipe, GcReport, Handprint, IngestPipeline, NodeGcReport, NodeMap, RebalanceReport,
-    Rebalancer, RecipeEntry, RecoveryReport, RestoreReport, SigmaConfig, SigmaError,
-    SimilarityRouter, StreamBatch, StreamPayload, SuperChunk, SuperChunkBuilder,
+    FileRecipe, GcReport, Handprint, NodeGcReport, NodeMap, RebalanceReport, Rebalancer,
+    RecipeEntry, RecoveryReport, RestoreReport, SigmaConfig, SigmaError, SimilarityRouter,
+    StreamPayload, SuperChunk, SuperChunkBuilder,
 };
 pub use sigma_hashkit::{Digest, Fingerprint, FingerprintAlgorithm, Md5, Sha1};
 pub use sigma_service::{
@@ -91,10 +91,9 @@ pub mod prelude {
     // Cluster, client and configuration.
     pub use sigma_core::{
         BackupClient, ChunkDescriptor, DataRouter, DedupCluster, DedupNode, Director,
-        FileBackupReport, FileRecipe, GcReport, Handprint, IngestPipeline, NodeGcReport, NodeMap,
-        RebalanceReport, Rebalancer, RecipeEntry, RecoveryReport, RestoreReport, ServiceCode,
-        SigmaConfig, SigmaError, SimilarityRouter, StreamBatch, StreamPayload, SuperChunk,
-        SuperChunkBuilder,
+        FileBackupReport, FileRecipe, GcReport, Handprint, NodeGcReport, NodeMap, RebalanceReport,
+        Rebalancer, RecipeEntry, RecoveryReport, RestoreReport, ServiceCode, SigmaConfig,
+        SigmaError, SimilarityRouter, StreamPayload, SuperChunk, SuperChunkBuilder,
     };
 
     // Hashes and chunking.

@@ -130,8 +130,9 @@ fn pipeline_stress_matches_serial_physical_bytes() {
     serial.flush();
 
     let parallel = Arc::new(DedupCluster::with_similarity_router(1, stress_config(8)));
-    let pipeline = IngestPipeline::new(parallel.clone());
-    let reports = pipeline.backup_streams(inputs.clone()).unwrap();
+    let reports = BackupClient::new(parallel.clone(), 0)
+        .backup_streams(&inputs)
+        .unwrap();
     parallel.flush();
 
     let serial_stats = serial.stats();

@@ -1,15 +1,16 @@
-//! Property tests: the parallel ingest pipeline is observably equivalent to the
-//! serial [`BackupClient`] path.
+//! Property tests: the ingest core's worker-pool width is unobservable.
 //!
 //! Two properties, each over 256 deterministically generated cases:
 //!
 //! * on a single node (exact deduplication), arbitrary payloads spread over
 //!   arbitrary stream counts yield the same `dedup_ratio`, the same
-//!   `physical_bytes` and byte-identical `restore_file` output, no matter how the
-//!   pipeline's worker threads interleave — the chunk-index claim protocol stores
-//!   every unique fingerprint exactly once;
-//! * with a single stream the submission order is identical, so even a multi-node
-//!   cluster produces identical per-node usage and message counters.
+//!   `physical_bytes` and byte-identical `restore_file` output whether they go
+//!   through one `backup_streams` call on 4 workers or one `backup_bytes` per
+//!   stream on 1, however the workers interleave — the chunk-index claim
+//!   protocol stores every unique fingerprint exactly once;
+//! * with a single stream the submission order does not depend on the width,
+//!   so on a multi-node cluster `backup_bytes` at width 4 matches width 1 bit
+//!   for bit: same report, per-node usage, message counters and restore.
 
 use proptest::prelude::*;
 use sigma_dedupe::prelude::*;
@@ -41,8 +42,9 @@ fn compose(blocks: &[Vec<u8>], picks: &[usize]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Serial and parallel ingest agree on a single exact-dedup node for any
-    /// payloads and stream counts.
+    /// One `backup_streams` call on 4 workers agrees with per-stream
+    /// `backup_bytes` on one, on a single exact-dedup node, for any payloads
+    /// and stream counts.
     #[test]
     fn parallel_matches_serial_on_one_node(
         blocks in proptest::collection::vec(
@@ -54,35 +56,31 @@ proptest! {
             1..4,
         ),
     ) {
-        let datas: Vec<Vec<u8>> = compositions
+        let streams: Vec<StreamPayload> = compositions
             .iter()
-            .map(|picks| compose(&blocks, picks))
+            .enumerate()
+            .map(|(stream, picks)| {
+                StreamPayload::new(stream as u64, format!("f{stream}"), compose(&blocks, picks))
+            })
             .collect();
 
         // Serial reference: one client per stream, driven back to back.
         let serial_cluster =
             Arc::new(DedupCluster::with_similarity_router(1, equivalence_config(1)));
         let mut serial_restored = Vec::new();
-        for (stream, data) in datas.iter().enumerate() {
-            let client = BackupClient::new(serial_cluster.clone(), stream as u64);
-            let report = client.backup_bytes(&format!("f{stream}"), data).unwrap();
+        for stream in &streams {
+            let client = BackupClient::new(serial_cluster.clone(), stream.stream_id);
+            let report = client.backup_bytes(&stream.name, &stream.data).unwrap();
             serial_restored.push(serial_cluster.restore_file(report.file_id).unwrap());
         }
         serial_cluster.flush();
 
-        // Parallel pipeline: same streams, 4 worker threads.
+        // The same streams through one `backup_streams` call, 4 workers.
         let parallel_cluster =
             Arc::new(DedupCluster::with_similarity_router(1, equivalence_config(4)));
-        let pipeline = IngestPipeline::new(parallel_cluster.clone());
-        let reports = pipeline.backup_streams(
-            datas
-                .iter()
-                .enumerate()
-                .map(|(stream, data)| {
-                    StreamPayload::new(stream as u64, format!("f{stream}"), data.clone())
-                })
-                .collect(),
-        ).unwrap();
+        let reports = BackupClient::new(parallel_cluster.clone(), 0)
+            .backup_streams(&streams)
+            .unwrap();
         parallel_cluster.flush();
 
         let serial_stats = serial_cluster.stats();
@@ -95,64 +93,49 @@ proptest! {
         );
         prop_assert_eq!(parallel_stats.dedup_ratio, serial_stats.dedup_ratio);
 
-        for ((report, data), serial) in reports.iter().zip(&datas).zip(&serial_restored) {
+        for ((report, stream), serial) in reports.iter().zip(&streams).zip(&serial_restored) {
             let restored = parallel_cluster.restore_file(report.file_id).unwrap();
-            prop_assert_eq!(&restored, data, "parallel restore must match the original");
+            prop_assert_eq!(&restored, &stream.data, "parallel restore must match the original");
             prop_assert_eq!(&restored, serial, "parallel restore must match the serial path");
         }
     }
 
-    /// With one stream the pipeline submits in serial order, so a multi-node
-    /// cluster is bit-for-bit equivalent: same routing, same per-node usage, same
-    /// message counters.
+    /// With one stream the submission order does not depend on the width, so
+    /// `backup_bytes` on a multi-node cluster is bit-for-bit equivalent at
+    /// width 1 and width 4: same routing, same per-node usage, same message
+    /// counters.  Payloads run to a few hundred chunks, so the width-4 side
+    /// hashes several chunk ranges at once.
     #[test]
     fn single_stream_matches_serial_on_multinode(
         blocks in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 1..1024),
             1..6,
         ),
-        picks in proptest::collection::vec(0usize..8, 0..32),
+        picks in proptest::collection::vec(0usize..8, 0..512),
         nodes in 2usize..5,
     ) {
         let data = compose(&blocks, &picks);
+        let backup = |parallelism: usize| {
+            let cluster = Arc::new(DedupCluster::with_similarity_router(
+                nodes,
+                equivalence_config(parallelism),
+            ));
+            let report = BackupClient::new(cluster.clone(), 0)
+                .backup_bytes("stream", &data)
+                .unwrap();
+            cluster.flush();
+            (cluster, report)
+        };
+        let (serial_cluster, serial_report) = backup(1);
+        let (parallel_cluster, parallel_report) = backup(4);
 
-        let serial_cluster = Arc::new(DedupCluster::with_similarity_router(
-            nodes,
-            equivalence_config(1),
-        ));
-        let client = BackupClient::new(serial_cluster.clone(), 0);
-        let serial_report = client.backup_bytes("stream", &data).unwrap();
-        serial_cluster.flush();
-
-        let parallel_cluster = Arc::new(DedupCluster::with_similarity_router(
-            nodes,
-            equivalence_config(4),
-        ));
-        let pipeline = IngestPipeline::new(parallel_cluster.clone());
-        let parallel_report = pipeline.backup_stream(0, "stream", data.clone()).unwrap();
-        parallel_cluster.flush();
-
-        prop_assert_eq!(parallel_report.chunks, serial_report.chunks);
-        prop_assert_eq!(parallel_report.super_chunks, serial_report.super_chunks);
-        prop_assert_eq!(
-            parallel_report.transferred_bytes,
-            serial_report.transferred_bytes
-        );
-        prop_assert_eq!(
-            parallel_report.duplicate_chunks,
-            serial_report.duplicate_chunks
-        );
-
+        prop_assert_eq!(parallel_report, serial_report);
         let serial_stats = serial_cluster.stats();
         let parallel_stats = parallel_cluster.stats();
-        prop_assert_eq!(parallel_stats.logical_bytes, serial_stats.logical_bytes);
         prop_assert_eq!(parallel_stats.physical_bytes, serial_stats.physical_bytes);
         prop_assert_eq!(&parallel_stats.node_usage, &serial_stats.node_usage);
         prop_assert_eq!(parallel_stats.messages, serial_stats.messages);
-
-        prop_assert_eq!(
-            parallel_cluster.restore_file(parallel_report.file_id).unwrap(),
-            data
-        );
+        prop_assert_eq!(&serial_cluster.restore_file(serial_report.file_id).unwrap(), &data);
+        prop_assert_eq!(&parallel_cluster.restore_file(parallel_report.file_id).unwrap(), &data);
     }
 }

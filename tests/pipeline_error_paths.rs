@@ -1,7 +1,8 @@
-//! Error-path and edge-case coverage for the parallel ingest pipeline:
-//! cache-eviction restores, empty/single-chunk streams, and the
-//! `SuperChunkBuilder` drop contract.
+//! Error-path and edge-case coverage for the ingest core behind
+//! `BackupClient`: cache-eviction restores, empty/single-chunk streams,
+//! file-boundary hints, and the `SuperChunkBuilder` drop contract.
 
+use sigma_dedupe::core::{RoutingContext, RoutingDecision};
 use sigma_dedupe::prelude::*;
 use std::sync::Arc;
 
@@ -34,22 +35,22 @@ fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
 #[test]
 fn restore_survives_fingerprint_cache_eviction() {
     let cluster = Arc::new(DedupCluster::with_similarity_router(2, tiny_cache_config()));
-    let pipeline = IngestPipeline::new(cluster.clone());
+    let client = BackupClient::new(cluster.clone(), 0);
 
     // 6 streams x 64 KB >> 1 cached container of 8 KB: containers are evicted
     // constantly during ingest of the duplicate generation.
     let inputs: Vec<StreamPayload> = (0..6u64)
         .map(|s| StreamPayload::new(s, format!("gen1-{s}"), pseudo_random(64 * 1024, s / 2)))
         .collect();
-    let first = pipeline.backup_streams(inputs.clone()).unwrap();
-    let second = pipeline
+    let first = client.backup_streams(&inputs).unwrap();
+    let second = client
         .backup_streams(
-            inputs
+            &inputs
                 .iter()
                 .map(|i| {
                     StreamPayload::new(i.stream_id, format!("gen2-{}", i.stream_id), i.data.clone())
                 })
-                .collect(),
+                .collect::<Vec<_>>(),
         )
         .unwrap();
     cluster.flush();
@@ -75,9 +76,8 @@ fn restore_survives_fingerprint_cache_eviction() {
 #[test]
 fn empty_and_single_chunk_streams_mixed_into_a_batch() {
     let cluster = Arc::new(DedupCluster::with_similarity_router(2, tiny_cache_config()));
-    let pipeline = IngestPipeline::new(cluster.clone());
-    let reports = pipeline
-        .backup_streams(vec![
+    let reports = BackupClient::new(cluster.clone(), 0)
+        .backup_streams(&[
             StreamPayload::new(0, "empty", Vec::new()),
             StreamPayload::new(1, "single-chunk", vec![7u8; 512]),
             StreamPayload::new(2, "exactly-one-chunker-unit", vec![8u8; 1024]),
@@ -115,14 +115,60 @@ fn empty_and_single_chunk_streams_mixed_into_a_batch() {
 #[test]
 fn restore_of_unknown_file_is_an_error_through_the_pipeline_cluster() {
     let cluster = Arc::new(DedupCluster::with_similarity_router(2, tiny_cache_config()));
-    let pipeline = IngestPipeline::new(cluster.clone());
-    pipeline
-        .backup_stream(0, "present", vec![1u8; 2048])
+    BackupClient::new(cluster.clone(), 0)
+        .backup_bytes("present", &[1u8; 2048])
         .unwrap();
     assert!(matches!(
         cluster.restore_file(12345),
         Err(SigmaError::FileNotFound(12345))
     ));
+}
+
+/// Lends the cluster an `ExtremeBinningRouter` the test keeps a handle on, so
+/// the test can count the router's bin assignments.
+struct SharedRouter(Arc<ExtremeBinningRouter>);
+
+impl DataRouter for SharedRouter {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn route(&self, ctx: &RoutingContext<'_>) -> RoutingDecision {
+        self.0.route(ctx)
+    }
+
+    fn requires_file_boundaries(&self) -> bool {
+        self.0.requires_file_boundaries()
+    }
+}
+
+#[test]
+fn a_delete_does_not_hand_a_live_files_hint_to_the_next_file() {
+    // Extreme Binning pins each file-boundary hint to one bin.  A hint taken
+    // from the live file count repeats after a delete, and file C would then
+    // land in file B's bin instead of a bin of its own.
+    let router = Arc::new(ExtremeBinningRouter::new());
+    let cluster = Arc::new(DedupCluster::new(
+        4,
+        tiny_cache_config(),
+        Box::new(SharedRouter(router.clone())),
+    ));
+    let client = BackupClient::new(cluster.clone(), 0);
+    let a = client
+        .backup_bytes("a", &pseudo_random(4 * 1024, 1))
+        .unwrap();
+    client
+        .backup_bytes("b", &pseudo_random(4 * 1024, 2))
+        .unwrap();
+    cluster.delete_file(a.file_id).unwrap();
+    client
+        .backup_bytes("c", &pseudo_random(4 * 1024, 3))
+        .unwrap();
+    assert_eq!(
+        router.assigned_files(),
+        3,
+        "every file gets a bin of its own"
+    );
 }
 
 #[test]
