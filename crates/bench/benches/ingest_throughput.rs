@@ -12,17 +12,24 @@
 //! * **linux-like trace** — the linux-like workload preset replayed through the
 //!   threaded `SimulationRunner`, exercising the sharded node indexes and the
 //!   per-container store locks without client-side hashing cost.
+//! * **small files** — 16 KiB unique files backed up one `backup_bytes` call
+//!   each into a file-backed cluster, plus the closing `try_flush` that
+//!   acknowledges them: per-request durable cost (journal appends, fsyncs,
+//!   container objects) without a transport in front.  Every file is checked
+//!   restorable after the clock stops.
 //!
 //! On a multi-core machine the pipeline at 4+ threads beats the serial path; on a
 //! single-core machine the sweep degenerates to measuring the (small) coordination
 //! overhead.  The banner prints a one-shot MB/s-per-thread-count table so the
 //! comparison is visible without reading criterion output.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use sigma_core::{BackupClient, DedupCluster, SigmaConfig, StreamPayload};
 use sigma_simulation::runner::{run_cluster, SimulationConfig};
-use sigma_workloads::payload::{versioned_payloads, VersionedPayloadParams};
+use sigma_workloads::payload::{random_bytes, versioned_payloads, VersionedPayloadParams};
 use sigma_workloads::{presets, Scale};
+use std::cell::RefCell;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -59,6 +66,75 @@ fn ingest_once(threads: usize, streams: &[StreamPayload]) -> f64 {
     total as f64 / 1e6 / start.elapsed().as_secs_f64()
 }
 
+const SMALL_FILES: usize = 256;
+const SMALL_FILE_BYTES: usize = 16 << 10;
+
+fn small_files() -> Vec<Vec<u8>> {
+    (0..SMALL_FILES as u64)
+        .map(|i| random_bytes(SMALL_FILE_BYTES, 0x5A11 + i))
+        .collect()
+}
+
+/// A fresh 4-node cluster on the file backend, in its own scratch directory.
+struct FileCluster {
+    root: PathBuf,
+    cluster: Arc<DedupCluster>,
+    file_ids: Vec<u64>,
+}
+
+impl FileCluster {
+    fn new() -> Self {
+        let root = std::env::temp_dir().join(format!(
+            "sigma-ingest-bench-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .expect("clock after the epoch")
+                .as_nanos()
+        ));
+        let config = SigmaConfig::builder()
+            .file_storage(&root)
+            .build()
+            .expect("valid bench config");
+        let cluster = Arc::new(DedupCluster::with_similarity_router(4, config));
+        FileCluster {
+            root,
+            cluster,
+            file_ids: Vec::new(),
+        }
+    }
+
+    /// The measured part: one `backup_bytes` per file, then the flush that
+    /// acknowledges them.
+    fn backup(&mut self, files: &[Vec<u8>]) {
+        let client = BackupClient::new(self.cluster.clone(), 0);
+        for (i, data) in files.iter().enumerate() {
+            let report = client
+                .backup_bytes(&format!("small/{i}"), data)
+                .expect("small-file backup cannot fail");
+            self.file_ids.push(report.file_id);
+        }
+        self.cluster
+            .try_flush()
+            .expect("flush cannot fail in bench");
+    }
+
+    /// Panics unless every file backed up restores byte-identically, then
+    /// removes the cluster's directory.
+    fn check_and_remove(self, files: &[Vec<u8>]) {
+        assert_eq!(self.file_ids.len(), files.len(), "every file was backed up");
+        for (file_id, expected) in self.file_ids.iter().zip(files) {
+            let restored = self
+                .cluster
+                .restore_file(*file_id)
+                .expect("acknowledged file restores");
+            assert!(&restored == expected, "restore corrupted file {file_id}");
+        }
+        drop(self.cluster);
+        let _ = std::fs::remove_dir_all(self.root);
+    }
+}
+
 fn report() {
     sigma_bench::banner(
         "ingest throughput",
@@ -81,6 +157,19 @@ fn report() {
         ]);
     }
     sigma_bench::print_table("pipeline ingest MB/s", &table.render());
+
+    let files = small_files();
+    let mut run = FileCluster::new();
+    let sw = sigma_metrics::Stopwatch::start();
+    run.backup(&files);
+    let mbps = sw
+        .stop((SMALL_FILES * SMALL_FILE_BYTES) as u64)
+        .mb_per_sec();
+    run.check_and_remove(&files);
+    println!(
+        "small files: {SMALL_FILES} x 16 KiB into a 4-node file-backed cluster, \
+         flush included: {mbps:.1} MB/s (all restored byte-identical)"
+    );
 }
 
 fn bench_pipeline_ingest(c: &mut Criterion) {
@@ -93,6 +182,34 @@ fn bench_pipeline_ingest(c: &mut Criterion) {
         group.bench_function(&format!("threads_{threads}"), |b| {
             b.iter(|| std::hint::black_box(ingest_once(threads, &streams)))
         });
+    }
+    group.finish();
+}
+
+fn bench_small_file_ingest(c: &mut Criterion) {
+    let files = small_files();
+    let mut group = c.benchmark_group("ingest_throughput");
+    group.throughput(Throughput::Bytes((SMALL_FILES * SMALL_FILE_BYTES) as u64));
+    // Each iteration backs up into a fresh cluster (set up off the clock);
+    // the next set-up, also off the clock, checks and removes the last one.
+    let done: RefCell<Option<FileCluster>> = RefCell::new(None);
+    group.bench_function("file_small_files", |b| {
+        b.iter_batched(
+            || {
+                if let Some(run) = done.take() {
+                    run.check_and_remove(&files);
+                }
+                FileCluster::new()
+            },
+            |mut run| {
+                run.backup(&files);
+                done.replace(Some(run));
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    if let Some(run) = done.take() {
+        run.check_and_remove(&files);
     }
     group.finish();
 }
@@ -124,6 +241,6 @@ fn bench_trace_ingest(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_pipeline_ingest, bench_trace_ingest
+    targets = bench_pipeline_ingest, bench_small_file_ingest, bench_trace_ingest
 }
 criterion_main!(benches);

@@ -665,7 +665,9 @@ impl DedupNode {
         if let Some(cid) = target {
             // Write-ahead: the publication is journaled before it lands in the
             // similarity index, so recovery rebuilds exactly the mappings that
-            // were durably acknowledged.
+            // reached the journal.  It is a routing hint, so its append is not
+            // fsynced: the next seal or `try_flush` record makes it durable,
+            // and a power cut before that costs deduplication, never data.
             if let Some(journal) = &self.journal {
                 journal.append(&JournalRecord::SimilarityPublish {
                     container: cid,
@@ -917,7 +919,9 @@ impl DedupNode {
         self.store.state(container)
     }
 
-    /// Durably notes that a file recipe referencing this node was deleted.
+    /// Journals that a file recipe referencing this node was deleted; the
+    /// note is durable with the next synced record (the sweep's first GC
+    /// record, say), as its own append is not fsynced.
     ///
     /// Best-effort and advisory: recipes are director state, so the record has
     /// no structural replay effect — it witnesses that any later GC record was
@@ -1156,7 +1160,8 @@ impl DedupNode {
 
     /// Seals all open containers and journals a stats checkpoint — the durable
     /// acknowledgement point: once `try_flush` returns `Ok`, everything ingested
-    /// so far survives a crash.
+    /// so far survives a crash.  The checkpoint's fsync also makes durable the
+    /// similarity publishes journaled unsynced since the last synced record.
     ///
     /// # Errors
     ///
@@ -1999,10 +2004,12 @@ mod tests {
 
     /// A memory backend with two one-shot faults on container objects: the
     /// next write fails with an I/O error, or the next `read_at` parks until
-    /// the test releases it.
+    /// the test releases it.  It also notes the journal's length at every
+    /// fsync of the journal.
     #[derive(Debug, Default)]
     struct FaultyBackend {
         inner: MemoryBackend,
+        journal_syncs: Mutex<Vec<u64>>,
         fail_next_write: std::sync::atomic::AtomicBool,
         /// `(parked, release)`: signalled when the read parks, then awaited.
         park_next_read: Mutex<Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>>,
@@ -2046,6 +2053,10 @@ mod tests {
             self.inner.truncate(obj, len)
         }
         fn fsync(&self, obj: StorageObject) -> sigma_storage::Result<()> {
+            if obj == StorageObject::Journal {
+                let len = self.inner.object_len(obj)?.unwrap_or(0);
+                self.journal_syncs.lock().push(len);
+            }
             self.inner.fsync(obj)
         }
         fn delete(&self, obj: StorageObject) -> sigma_storage::Result<()> {
@@ -2060,6 +2071,58 @@ mod tests {
     fn node_over(backend: Arc<FaultyBackend>) -> DedupNode {
         let journal = Arc::new(Journal::with_backend(backend).unwrap());
         DedupNode::recover(0, &durable_config(), journal).unwrap().0
+    }
+
+    #[test]
+    fn the_journal_is_fsynced_at_the_ack_not_per_super_chunk() {
+        let backend = Arc::new(FaultyBackend::default());
+        let node = node_over(backend.clone());
+        let journal = node.journal().unwrap().clone();
+        let syncs = || backend.journal_syncs.lock().clone();
+        // Super-chunks that fill no container: each journals a similarity
+        // publish and nothing else, so nothing is fsynced before the ack.
+        let acked: Vec<SuperChunk> = (0..4)
+            .map(|i| payload_super_chunk(40 + i, 2, 1024))
+            .collect();
+        let before = syncs().len();
+        for sc in &acked {
+            node.process_super_chunk(0, sc, &sc.handprint(4)).unwrap();
+        }
+        assert!(journal.frame_count() >= acked.len() as u64);
+        assert_eq!(syncs().len(), before, "no journal fsync before the ack");
+        node.try_flush().unwrap();
+        assert_eq!(
+            syncs().last().copied(),
+            Some(journal.len_bytes() as u64),
+            "the ack syncs the whole journal"
+        );
+        let acked_len = journal.len_bytes();
+        // An unacknowledged round after the ack stays unsynced.
+        let unacked = payload_super_chunk(50, 2, 1024);
+        node.process_super_chunk(0, &unacked, &unacked.handprint(4))
+            .unwrap();
+        assert!(journal.len_bytes() > acked_len);
+        assert_eq!(syncs().last().copied(), Some(acked_len as u64));
+
+        // A power cut keeps the journal up to its last fsync.
+        let medium = MemoryBackend::copy_of(&backend.inner).unwrap();
+        medium
+            .truncate(StorageObject::Journal, acked_len as u64)
+            .unwrap();
+        let cut = Arc::new(Journal::open(Arc::new(medium)).unwrap());
+        let (recovered, report) = DedupNode::recover(0, &durable_config(), cut).unwrap();
+        assert_eq!(report.bytes_discarded, 0);
+        for sc in &acked {
+            for (i, d) in sc.descriptors().iter().enumerate() {
+                assert_eq!(
+                    recovered.read_chunk(&d.fingerprint).unwrap(),
+                    sc.payload(i).unwrap()
+                );
+            }
+            let hp = sc.handprint(4);
+            assert_eq!(recovered.resemblance_count(&hp), hp.size());
+        }
+        recovered.verify_consistency().unwrap();
     }
 
     #[test]

@@ -474,13 +474,12 @@ impl ContainerStore {
         ContainerId::new(self.next_id.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Appends `records` to the journal, when the store has one: a single
-    /// record as one frame, several as one group commit.
+    /// Appends `records` to the journal as one group commit, when the store
+    /// has one.
     fn log(&self, records: &[JournalRecord]) -> Result<()> {
-        match (&self.journal, records) {
-            (None, _) => Ok(()),
-            (Some(journal), [record]) => journal.append(record).map(drop),
-            (Some(journal), records) => journal.append_batch(records).map(drop),
+        match &self.journal {
+            Some(journal) => journal.append_batch(records).map(drop),
+            None => Ok(()),
         }
     }
 

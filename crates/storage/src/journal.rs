@@ -13,18 +13,35 @@
 //!
 //! # Record kinds
 //!
-//! | record | written when | replay effect |
-//! |---|---|---|
-//! | [`ContainerSeal`](JournalRecord::ContainerSeal) | an open container fills or is flushed, after its object is durable | reinstall the container summary and index its chunks |
-//! | [`ChunkIndexFinalize`](JournalRecord::ChunkIndexFinalize) | the seal makes the container's claimed fingerprints durable | upsert the batched chunk-index entries |
-//! | [`SimilarityPublish`](JournalRecord::SimilarityPublish) | a super-chunk's handprint is mapped to its container | re-insert RFP → container mappings |
-//! | [`ContainerAdopt`](JournalRecord::ContainerAdopt) | the rebalancer installs a migrated container, after its object is durable | reinstall summary + index + RFPs, keyed by origin so a duplicated record cannot double-adopt |
-//! | [`Tombstone`](JournalRecord::Tombstone) | a migrated container's forwarding pointer is published (always *before* its object is deleted) | drop the container, keep the chunk entries, record the forwarding pointer |
-//! | [`StatsCheckpoint`](JournalRecord::StatsCheckpoint) | a flush acknowledges a backup session | restore the node's ingest counters |
-//! | [`RecipeDelete`](JournalRecord::RecipeDelete) | the director deletes a backup whose recipe referenced this node | no structural effect (recipes are director state); records that the GC which follows replays against a post-delete history, and gives fault plans a boundary between deletion and sweep |
-//! | [`GcCompact`](JournalRecord::GcCompact) | the sweep rewrites a mostly-dead container's live chunks into a fresh one (replacement object durable before, victim object deleted after) | drop the victim (and its chunk entries), install the replacement, index its chunks, re-home the travelling RFPs |
-//! | [`GcDrop`](JournalRecord::GcDrop) | the sweep drops a container with no live chunks (object deleted after) | drop the container and its chunk-index/similarity entries — unlike a tombstone, nothing forwards anywhere |
-//! | [`Snapshot`](JournalRecord::Snapshot) | [`Journal::compact`] folds the log | install the whole materialized state at once |
+//! | record | written when | synced? | replay effect |
+//! |---|---|---|---|
+//! | [`ContainerSeal`](JournalRecord::ContainerSeal) | an open container fills or is flushed, after its object is durable | yes | reinstall the container summary and index its chunks |
+//! | [`ChunkIndexFinalize`](JournalRecord::ChunkIndexFinalize) | the seal makes the container's claimed fingerprints durable | yes | upsert the batched chunk-index entries |
+//! | [`SimilarityPublish`](JournalRecord::SimilarityPublish) | a super-chunk's handprint is mapped to its container | deferred | re-insert RFP → container mappings |
+//! | [`ContainerAdopt`](JournalRecord::ContainerAdopt) | the rebalancer installs a migrated container, after its object is durable | yes | reinstall summary + index + RFPs, keyed by origin so a duplicated record cannot double-adopt |
+//! | [`Tombstone`](JournalRecord::Tombstone) | a migrated container's forwarding pointer is published (always *before* its object is deleted) | yes | drop the container, keep the chunk entries, record the forwarding pointer |
+//! | [`StatsCheckpoint`](JournalRecord::StatsCheckpoint) | a flush acknowledges a backup session | yes | restore the node's ingest counters |
+//! | [`RecipeDelete`](JournalRecord::RecipeDelete) | the director deletes a backup whose recipe referenced this node | deferred | no structural effect (recipes are director state); records that the GC which follows replays against a post-delete history, and gives fault plans a boundary between deletion and sweep |
+//! | [`GcCompact`](JournalRecord::GcCompact) | the sweep rewrites a mostly-dead container's live chunks into a fresh one (replacement object durable before, victim object deleted after) | yes | drop the victim (and its chunk entries), install the replacement, index its chunks, re-home the travelling RFPs |
+//! | [`GcDrop`](JournalRecord::GcDrop) | the sweep drops a container with no live chunks (object deleted after) | yes | drop the container and its chunk-index/similarity entries — unlike a tombstone, nothing forwards anywhere |
+//! | [`Snapshot`](JournalRecord::Snapshot) | [`Journal::compact`] folds the log | yes (an atomic replace) | install the whole materialized state at once |
+//!
+//! # When an append is fsynced
+//!
+//! One rule, [`JournalRecord::defers_sync`], decides by record kind.  A record
+//! that licenses something irreversible or answers an acknowledgement — a
+//! seal or adopt (the source's tombstone follows it), a tombstone or GC record
+//! (an object delete follows it), the flush's stats checkpoint — is fsynced
+//! before its append returns.  A routing hint ([`SimilarityPublish`]) or an
+//! advisory witness ([`RecipeDelete`]) is written in order but not fsynced:
+//! the next synced append covers it, because an fsync makes every earlier
+//! byte of the log durable.  A power cut can therefore lose only a suffix of
+//! deferred frames, which costs deduplication (a handprint not remembered),
+//! never acknowledged data.  Frames, sequence numbers and replay are the same
+//! either way; only the fsync count differs.
+//!
+//! [`SimilarityPublish`]: JournalRecord::SimilarityPublish
+//! [`RecipeDelete`]: JournalRecord::RecipeDelete
 //!
 //! # Frames, torn tails and crash points
 //!
@@ -78,6 +95,9 @@ pub enum JournalRecord {
     },
     /// Representative fingerprints of a deduplicated super-chunk were mapped to a
     /// container in the similarity index.
+    ///
+    /// A routing hint: its append is not fsynced, and the next synced record
+    /// makes it durable (see [`defers_sync`](Self::defers_sync)).
     SimilarityPublish {
         /// Container the handprint was mapped to.
         container: ContainerId,
@@ -106,11 +126,12 @@ pub enum JournalRecord {
     /// A file recipe referencing this node was deleted by the director.
     ///
     /// Structurally a no-op on replay — recipes live in the director, not on
-    /// nodes — but durable on every node the recipe named, so the record (a)
-    /// witnesses that any later GC record was computed against a post-delete
-    /// root set and (b) is a journal-append boundary a fault plan can kill at,
-    /// deterministically reproducing "the process died between the deletion and
-    /// the sweep".
+    /// nodes — but journaled on every node the recipe named, durable there
+    /// with the next synced record (its own append is not fsynced).  So the
+    /// record (a) witnesses that any later GC record was computed against a
+    /// post-delete root set and (b) is a journal-append boundary a fault plan
+    /// can kill at, deterministically reproducing "the process died between
+    /// the deletion and the sweep".
     RecipeDelete {
         /// The deleted file's identifier.
         file_id: u64,
@@ -165,6 +186,32 @@ impl JournalRecord {
             JournalRecord::GcDrop { .. } => "gc-drop",
             JournalRecord::StatsCheckpoint { .. } => "stats-checkpoint",
             JournalRecord::Snapshot(_) => "snapshot",
+        }
+    }
+
+    /// True when an append of this record is written in order but not
+    /// fsynced: the next synced append makes it durable together with every
+    /// earlier byte of the log.
+    ///
+    /// Only records whose loss costs deduplication, never data, defer: a
+    /// similarity publish is a routing hint (recovery already drops one whose
+    /// container never sealed) and a recipe delete is an advisory witness.
+    /// Every other record is fsynced before its append returns — seals and
+    /// adopts (a source's tombstone follows an adopt), tombstones and GC
+    /// records (an object delete follows them) and the stats checkpoint that
+    /// ends [`DedupNode::try_flush`](../../sigma_core/struct.DedupNode.html#method.try_flush),
+    /// the acknowledgement point.
+    pub fn defers_sync(&self) -> bool {
+        match self {
+            JournalRecord::SimilarityPublish { .. } | JournalRecord::RecipeDelete { .. } => true,
+            JournalRecord::ContainerSeal { .. }
+            | JournalRecord::ChunkIndexFinalize { .. }
+            | JournalRecord::ContainerAdopt { .. }
+            | JournalRecord::Tombstone { .. }
+            | JournalRecord::GcCompact { .. }
+            | JournalRecord::GcDrop { .. }
+            | JournalRecord::StatsCheckpoint { .. }
+            | JournalRecord::Snapshot(_) => false,
         }
     }
 }
@@ -348,7 +395,9 @@ impl Journal {
         self.backend.attach_disk(disk);
     }
 
-    /// Appends one record, returning its sequence number.
+    /// Appends one record, returning its sequence number.  The frame is
+    /// fsynced before this returns unless the record
+    /// [`defers_sync`](JournalRecord::defers_sync).
     ///
     /// # Errors
     ///
@@ -356,55 +405,7 @@ impl Journal {
     /// append (the frame is dropped or torn according to the [`CrashMode`]) or
     /// when the journal already crashed; nothing after a crash becomes durable.
     pub fn append(&self, record: &JournalRecord) -> Result<u64, StorageError> {
-        let mut state = self.state.lock();
-        if state.crashed {
-            return Err(StorageError::Crashed);
-        }
-        let seq = state.next_seq;
-        if let Some(armed) = &state.armed {
-            if armed.at_seq == seq {
-                let mode = armed.mode;
-                if mode == CrashMode::Torn {
-                    let frame = encode_frame(seq, record);
-                    // A power cut mid-write leaves a prefix of the frame behind;
-                    // cutting inside the payload (past the header) exercises the
-                    // checksum path rather than the short-header path alone.
-                    let torn = (frame.len() / 2).max(1);
-                    // The node is dead after this point either way; a backend
-                    // error merely makes the simulated power cut tear earlier.
-                    if self
-                        .backend
-                        .append(StorageObject::Journal, &frame[..torn])
-                        .is_ok()
-                    {
-                        state.len += torn;
-                    }
-                }
-                state.crashed = true;
-                state.armed = None;
-                return Err(StorageError::Crashed);
-            }
-        }
-        let frame = encode_frame(seq, record);
-        if let Some(disk) = self.backend.disk() {
-            disk.record_sequential_transfer(frame.len() as u64);
-        }
-        // Append + fsync is the acknowledgement point: a real I/O failure here
-        // means durability is gone, so the journal declares itself crashed just
-        // as it does for an injected fault.
-        if let Err(e) = self
-            .backend
-            .append(StorageObject::Journal, &frame)
-            .and_then(|_| self.backend.fsync(StorageObject::Journal))
-        {
-            state.crashed = true;
-            return Err(e);
-        }
-        state.len += frame.len();
-        let end = state.len;
-        state.boundaries.push((seq, end));
-        state.next_seq = seq + 1;
-        Ok(seq)
+        self.write(std::slice::from_ref(record))
     }
 
     /// Appends a batch of records under one lock acquisition and one coalesced
@@ -416,77 +417,101 @@ impl Journal {
     /// durable (they are flushed as the prefix of the group write), the armed
     /// record crashes clean or torn according to its [`CrashMode`], and the rest
     /// of the batch is dropped.  What changes is only the cost: one journal-lock
-    /// round and one sequential disk transfer for the whole group instead of one
-    /// per record — the group-commit optimisation every production WAL performs.
+    /// round, one sequential disk transfer and at most one fsync for the whole
+    /// group instead of one per record — the group-commit optimisation every
+    /// production WAL performs.
     ///
     /// # Errors
     ///
     /// Returns [`StorageError::Crashed`] when the journal has already crashed or
     /// an armed fault point fires inside the batch.
     pub fn append_batch(&self, records: &[JournalRecord]) -> Result<u64, StorageError> {
+        self.write(records)
+    }
+
+    /// The one write path behind [`append`](Self::append) and
+    /// [`append_batch`](Self::append_batch): frames `records` into a single
+    /// write, fsyncs it when any record needs a sync, and fires an armed crash
+    /// point at the record it names.
+    fn write(&self, records: &[JournalRecord]) -> Result<u64, StorageError> {
         let mut state = self.state.lock();
         if state.crashed {
             return Err(StorageError::Crashed);
         }
         let first_seq = state.next_seq;
-        let base = state.len;
         // Frames accumulate in a scratch buffer so the durable medium receives
         // the whole group in a single extend, mirroring the single transfer
         // charged to the disk model.
         let mut buf: Vec<u8> = Vec::new();
         let mut frames: Vec<(u64, usize)> = Vec::with_capacity(records.len());
-        for (i, record) in records.iter().enumerate() {
-            let seq = first_seq + i as u64;
-            let armed_here = matches!(&state.armed, Some(armed) if armed.at_seq == seq);
-            if armed_here {
-                let mode = state.armed.take().expect("matched above").mode;
-                if mode == CrashMode::Torn {
+        let mut sync = false;
+        for (seq, record) in (first_seq..).zip(records) {
+            if let Some(armed) = state.armed.take_if(|armed| armed.at_seq == seq) {
+                if armed.mode == CrashMode::Torn {
+                    // A power cut mid-write leaves a prefix of the frame behind;
+                    // cutting inside the payload (past the header) exercises the
+                    // checksum path rather than the short-header path alone.
                     let frame = encode_frame(seq, record);
-                    let torn = (frame.len() / 2).max(1);
-                    buf.extend_from_slice(&frame[..torn]);
+                    buf.extend_from_slice(&frame[..(frame.len() / 2).max(1)]);
                 }
                 state.crashed = true;
                 // The complete frames ahead of the crash (plus any torn prefix)
                 // still reach the medium: the power cut interrupted the group
-                // write partway through, it did not unwrite the prefix.
+                // write partway through, it did not unwrite the prefix.  A
+                // group's write is charged as its one transfer; a lone torn
+                // frame is not charged.  The node is dead after this point
+                // either way; a backend error merely makes the cut tear earlier.
                 if !buf.is_empty() {
-                    if let Some(disk) = self.backend.disk() {
-                        disk.record_sequential_transfer(buf.len() as u64);
+                    if records.len() > 1 {
+                        if let Some(disk) = self.backend.disk() {
+                            disk.record_sequential_transfer(buf.len() as u64);
+                        }
                     }
                     if self.backend.append(StorageObject::Journal, &buf).is_ok() {
-                        let _ = self.backend.fsync(StorageObject::Journal);
-                        state.len += buf.len();
-                        for (s, end) in frames {
-                            state.boundaries.push((s, base + end));
+                        if sync {
+                            let _ = self.backend.fsync(StorageObject::Journal);
                         }
+                        Self::commit(&mut state, buf.len(), frames);
                     }
                 }
                 state.next_seq = seq;
                 return Err(StorageError::Crashed);
             }
-            let frame = encode_frame(seq, record);
-            buf.extend_from_slice(&frame);
+            sync |= !record.defers_sync();
+            buf.extend_from_slice(&encode_frame(seq, record));
             frames.push((seq, buf.len()));
         }
         if !buf.is_empty() {
             if let Some(disk) = self.backend.disk() {
                 disk.record_sequential_transfer(buf.len() as u64);
             }
-            if let Err(e) = self
-                .backend
-                .append(StorageObject::Journal, &buf)
-                .and_then(|_| self.backend.fsync(StorageObject::Journal))
-            {
+            // A failed write or fsync means durability is gone, so the journal
+            // declares itself crashed just as it does for an injected fault.
+            let written = self.backend.append(StorageObject::Journal, &buf);
+            if let Err(e) = written.and_then(|_| {
+                if sync {
+                    self.backend.fsync(StorageObject::Journal)
+                } else {
+                    Ok(())
+                }
+            }) {
                 state.crashed = true;
                 return Err(e);
             }
-            state.len += buf.len();
         }
-        for (s, end) in frames {
-            state.boundaries.push((s, base + end));
-        }
+        Self::commit(&mut state, buf.len(), frames);
         state.next_seq = first_seq + records.len() as u64;
         Ok(first_seq)
+    }
+
+    /// Accounts `written` bytes that reached the medium, with the end offset
+    /// (relative to the write) of each complete frame among them.
+    fn commit(state: &mut JournalState, written: usize, frames: Vec<(u64, usize)>) {
+        let base = state.len;
+        state.len += written;
+        state
+            .boundaries
+            .extend(frames.into_iter().map(|(seq, end)| (seq, base + end)));
     }
 
     /// Arms a deterministic crash: the append that would receive sequence number
@@ -1358,6 +1383,120 @@ mod tests {
         journal.append_batch(&records).unwrap();
         assert!(!journal.crashed());
         assert_eq!(journal.frame_count(), records.len() as u64);
+    }
+
+    /// A memory backend that notes the journal's length at every fsync of it.
+    #[derive(Debug, Default)]
+    struct SyncLog {
+        inner: MemoryBackend,
+        synced: Mutex<Vec<u64>>,
+    }
+
+    impl StorageBackend for SyncLog {
+        fn kind(&self) -> crate::BackendKind {
+            self.inner.kind()
+        }
+        fn append(&self, obj: StorageObject, bytes: &[u8]) -> crate::Result<u64> {
+            self.inner.append(obj, bytes)
+        }
+        fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> crate::Result<()> {
+            self.inner.write_object(obj, bytes)
+        }
+        fn read_all(&self, obj: StorageObject) -> crate::Result<Vec<u8>> {
+            self.inner.read_all(obj)
+        }
+        fn read_at(&self, obj: StorageObject, offset: u64, len: usize) -> crate::Result<Vec<u8>> {
+            self.inner.read_at(obj, offset, len)
+        }
+        fn object_len(&self, obj: StorageObject) -> crate::Result<Option<u64>> {
+            self.inner.object_len(obj)
+        }
+        fn truncate(&self, obj: StorageObject, len: u64) -> crate::Result<()> {
+            self.inner.truncate(obj, len)
+        }
+        fn fsync(&self, obj: StorageObject) -> crate::Result<()> {
+            if obj == StorageObject::Journal {
+                let len = self.inner.object_len(obj)?.unwrap_or(0);
+                self.synced.lock().push(len);
+            }
+            self.inner.fsync(obj)
+        }
+        fn delete(&self, obj: StorageObject) -> crate::Result<()> {
+            self.inner.delete(obj)
+        }
+        fn list(&self) -> crate::Result<Vec<StorageObject>> {
+            self.inner.list()
+        }
+    }
+
+    #[test]
+    fn only_hints_and_witnesses_skip_the_fsync() {
+        let backend = Arc::new(SyncLog::default());
+        let journal = Journal::with_backend(backend.clone()).unwrap();
+        let synced = || backend.synced.lock().clone();
+        for record in sample_records() {
+            let before = synced().len();
+            journal.append(&record).unwrap();
+            let expected = if record.defers_sync() {
+                before
+            } else {
+                before + 1
+            };
+            assert_eq!(synced().len(), expected, "{}", record.kind());
+        }
+        let deferred: Vec<_> = sample_records()
+            .into_iter()
+            .filter(JournalRecord::defers_sync)
+            .collect();
+        assert_eq!(
+            deferred.iter().map(JournalRecord::kind).collect::<Vec<_>>(),
+            ["similarity-publish", "recipe-delete"]
+        );
+        // A group of deferred records stays unsynced; one synced record in a
+        // group syncs all of it, the deferred frames ahead of it included.
+        let before = synced().len();
+        journal.append_batch(&deferred).unwrap();
+        assert_eq!(synced().len(), before);
+        assert!(*synced().last().unwrap() < journal.len_bytes() as u64);
+        let seal = sample_records().swap_remove(0);
+        journal
+            .append_batch(&[deferred[0].clone(), seal.clone(), deferred[1].clone()])
+            .unwrap();
+        assert_eq!(synced().len(), before + 1);
+        assert_eq!(*synced().last().unwrap(), journal.len_bytes() as u64);
+        // Replay does not see the difference.
+        let (replayed, summary) = Journal::replay(&journal.bytes()).unwrap();
+        assert_eq!(replayed.len() as u64, journal.frame_count());
+        assert_eq!(summary.bytes_discarded, 0);
+    }
+
+    #[test]
+    fn a_lone_torn_frame_is_uncharged_and_a_torn_group_is_one_transfer() {
+        let disk = Arc::new(DiskModel::new(crate::DiskParams::default()));
+        let journal =
+            Journal::with_backend(Arc::new(crate::SimDiskBackend::new(disk.clone()))).unwrap();
+        journal.arm_crash_at_seq(0, CrashMode::Torn);
+        assert_eq!(
+            journal.append(&sample_records()[5]),
+            Err(StorageError::Crashed)
+        );
+        assert!(
+            journal.len_bytes() > 0,
+            "the torn prefix reached the medium"
+        );
+        assert_eq!(disk.stats().sequential_ops, 0);
+
+        let disk = Arc::new(DiskModel::new(crate::DiskParams::default()));
+        let journal =
+            Journal::with_backend(Arc::new(crate::SimDiskBackend::new(disk.clone()))).unwrap();
+        journal.arm_crash_at_seq(2, CrashMode::Torn);
+        assert_eq!(
+            journal.append_batch(&sample_records()),
+            Err(StorageError::Crashed)
+        );
+        let stats = disk.stats();
+        assert_eq!(stats.sequential_ops, 1);
+        assert_eq!(stats.sequential_bytes as usize, journal.len_bytes());
     }
 
     #[test]

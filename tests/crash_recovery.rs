@@ -9,7 +9,13 @@
 //!   the first and at the last instant the journal had that length.  Every
 //!   super-chunk acknowledged before the boundary must read back byte-identical,
 //!   and physical bytes must be conserved or strictly reduced — the torn tail is
-//!   discarded, never duplicated.
+//!   discarded, never duplicated.  Every acknowledgement offset must be one
+//!   the journal was fsynced at.
+//! * **power-cut sweep** — the same kills, but the journal survives only up
+//!   to its last fsync (unsynced frames are lost): every acknowledged round
+//!   still reads back byte-identical, and the lost frames are routing hints
+//!   only, so the recovered node differs from a process crash's only in its
+//!   similarity index.
 //! * **torn tail** — a cut *inside* a frame (plus a corrupted tail byte) must
 //!   recover to exactly the state of the last complete boundary before it.
 //! * **object/record window** — orphan objects written before their record are
@@ -93,13 +99,16 @@ fn clear_artifact(name: &str) {
 
 /// A [`StorageBackend`] over a [`MemoryBackend`] that keeps the history of its
 /// container objects — every write and delete, stamped with the journal's
-/// length at that moment.  The journal only grows during a forward run, so the
-/// medium a crash left behind when `cut` journal bytes were durable is the
+/// length at that moment — and the journal's length after every append to it
+/// and at every fsync of it.  The journal only grows during a forward run, so
+/// the medium a crash left behind when `cut` journal bytes were durable is the
 /// journal prefix plus that history replayed up to the cut.
 #[derive(Debug, Default)]
 struct RecordingBackend {
     inner: MemoryBackend,
     history: Mutex<Vec<ObjectEvent>>,
+    appended: Mutex<Vec<usize>>,
+    synced: Mutex<Vec<usize>>,
 }
 
 /// One container-object write (`Some(bytes)`) or delete (`None`), stamped
@@ -107,18 +116,33 @@ struct RecordingBackend {
 type ObjectEvent = (usize, StorageObject, Option<Vec<u8>>);
 
 impl RecordingBackend {
+    fn journal_len(&self) -> usize {
+        self.inner
+            .object_len(StorageObject::Journal)
+            .unwrap()
+            .unwrap_or(0) as usize
+    }
+
     fn log(&self, obj: StorageObject, bytes: Option<&[u8]>) {
         if let StorageObject::Container(_) = obj {
-            let at = self
-                .inner
-                .object_len(StorageObject::Journal)
-                .unwrap()
-                .unwrap_or(0);
+            let at = self.journal_len();
             self.history
                 .lock()
                 .unwrap()
-                .push((at as usize, obj, bytes.map(<[u8]>::to_vec)));
+                .push((at, obj, bytes.map(<[u8]>::to_vec)));
         }
+    }
+
+    /// The durable journal length when a power cut hits at `cut`: the
+    /// journal's length at its last fsync up to there.
+    fn last_sync_before(&self, cut: usize) -> usize {
+        let synced = self.synced.lock().unwrap();
+        synced
+            .iter()
+            .copied()
+            .filter(|&len| len <= cut)
+            .max()
+            .unwrap_or(0)
     }
 
     /// The medium as it stood with `cut` journal bytes durable: at the first
@@ -158,7 +182,11 @@ impl StorageBackend for RecordingBackend {
         BackendKind::Memory
     }
     fn append(&self, obj: StorageObject, bytes: &[u8]) -> StorageResult<u64> {
-        self.inner.append(obj, bytes)
+        let offset = self.inner.append(obj, bytes)?;
+        if obj == StorageObject::Journal {
+            self.appended.lock().unwrap().push(self.journal_len());
+        }
+        Ok(offset)
     }
     fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> StorageResult<()> {
         self.log(obj, Some(bytes));
@@ -177,6 +205,10 @@ impl StorageBackend for RecordingBackend {
         self.inner.truncate(obj, len)
     }
     fn fsync(&self, obj: StorageObject) -> StorageResult<()> {
+        if obj == StorageObject::Journal {
+            let len = self.journal_len();
+            self.synced.lock().unwrap().push(len);
+        }
         self.inner.fsync(obj)
     }
     fn delete(&self, obj: StorageObject) -> StorageResult<()> {
@@ -214,6 +246,55 @@ struct AckedRound {
     ack_offset: usize,
 }
 
+/// Runs `rounds` of super-chunks (each entry a chunk length) through a fresh
+/// recorded node over `stream_count` streams, flushing after every round.
+fn run_acked_rounds(
+    config: &SigmaConfig,
+    rounds: &[Vec<usize>],
+    stream_count: u64,
+) -> (DedupNode, Arc<RecordingBackend>, Vec<AckedRound>) {
+    let (node, medium) = recorded_node(config);
+    let journal = node.journal().expect("durable node").clone();
+    let mut acked: Vec<AckedRound> = Vec::new();
+    for (round_no, round) in rounds.iter().enumerate() {
+        let mut super_chunks = Vec::new();
+        for (sc_no, &chunk_len) in round.iter().enumerate() {
+            let chunks = 1 + chunk_len % 5;
+            let payloads: Vec<Vec<u8>> = (0..chunks)
+                .map(|i| payload(chunk_len, (round_no * 1000 + sc_no * 10 + i) as u64))
+                .collect();
+            let stream = (sc_no as u64) % stream_count;
+            let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, payloads);
+            node.process_super_chunk(stream, &sc, &sc.handprint(4))
+                .unwrap();
+            super_chunks.push(sc);
+        }
+        node.try_flush().unwrap();
+        acked.push(AckedRound {
+            super_chunks,
+            ack_offset: journal.len_bytes(),
+        });
+    }
+    (node, medium, acked)
+}
+
+/// Fails unless every super-chunk of every round acknowledged at or before
+/// `cut` reads back byte-identically from `recovered`.
+fn check_acked_rounds(recovered: &DedupNode, acked: &[AckedRound], cut: usize) {
+    for round in acked.iter().filter(|r| r.ack_offset <= cut) {
+        for sc in &round.super_chunks {
+            for (i, d) in sc.descriptors().iter().enumerate() {
+                assert_eq!(
+                    recovered.read_chunk(&d.fingerprint).unwrap(),
+                    sc.payload(i).unwrap().to_vec(),
+                    "acked chunk must survive a crash at offset {}",
+                    cut
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -228,27 +309,14 @@ proptest! {
         stream_count in 1u64..3,
     ) {
         let config = durable_config();
-        let (node, medium) = recorded_node(&config);
+        let (node, medium, acked) = run_acked_rounds(&config, &rounds, stream_count);
         let journal = node.journal().expect("durable node").clone();
-
-        let mut acked: Vec<AckedRound> = Vec::new();
-        for (round_no, round) in rounds.iter().enumerate() {
-            let mut super_chunks = Vec::new();
-            for (sc_no, &chunk_len) in round.iter().enumerate() {
-                let chunks = 1 + chunk_len % 5;
-                let payloads: Vec<Vec<u8>> = (0..chunks)
-                    .map(|i| payload(chunk_len, (round_no * 1000 + sc_no * 10 + i) as u64))
-                    .collect();
-                let stream = (sc_no as u64) % stream_count;
-                let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, payloads);
-                node.process_super_chunk(stream, &sc, &sc.handprint(4)).unwrap();
-                super_chunks.push(sc);
-            }
-            node.try_flush().unwrap();
-            acked.push(AckedRound {
-                super_chunks,
-                ack_offset: journal.len_bytes(),
-            });
+        for round in &acked {
+            prop_assert_eq!(
+                medium.last_sync_before(round.ack_offset),
+                round.ack_offset,
+                "the acknowledgement must be fsynced"
+            );
         }
 
         let boundaries = journal.frame_boundaries();
@@ -272,17 +340,7 @@ proptest! {
                 "objects written ahead of their record are swept"
             );
             // Acknowledged super-chunks are served byte-identically.
-            for round in acked.iter().filter(|r| r.ack_offset <= cut) {
-                for sc in &round.super_chunks {
-                    for (i, d) in sc.descriptors().iter().enumerate() {
-                        prop_assert_eq!(
-                            recovered.read_chunk(&d.fingerprint).unwrap(),
-                            sc.payload(i).unwrap().to_vec(),
-                            "acked chunk must survive a crash at offset {}", cut
-                        );
-                    }
-                }
-            }
+            check_acked_rounds(&recovered, &acked, cut);
             // Conserved or strictly reduced — never duplicated.
             let physical = recovered.storage_usage();
             prop_assert!(physical <= final_physical);
@@ -292,6 +350,63 @@ proptest! {
         }
         prop_assert_eq!(last_physical, final_physical, "full replay loses nothing");
         clear_artifact("boundary-sweep");
+    }
+
+    /// A power cut at every length the journal stood at between two appends
+    /// (a group commit's inner frame boundaries never reach the medium on
+    /// their own): the journal survives up to its last fsync, every container
+    /// object written by then survives (object writes are durable when they
+    /// return).  Acknowledged rounds
+    /// read back byte-identically, and the frames the cut lost are routing
+    /// hints: the node recovers as a process crash at the same boundary
+    /// would, short of some similarity entries.
+    #[test]
+    fn power_cut_at_every_boundary_loses_only_similarity_hints(
+        rounds in proptest::collection::vec(
+            proptest::collection::vec(64usize..1500, 1..4),
+            1..4,
+        ),
+        stream_count in 1u64..3,
+    ) {
+        let config = durable_config();
+        let (node, medium, acked) = run_acked_rounds(&config, &rounds, stream_count);
+        let journal = node.journal().expect("durable node").clone();
+        let bytes = journal.bytes();
+        let appended = medium.appended.lock().unwrap().clone();
+        let mut hints_lost = 0;
+        for (cut, late) in std::iter::once(0)
+            .chain(appended)
+            .flat_map(|cut| [(cut, false), (cut, true)])
+        {
+            let synced = medium.last_sync_before(cut);
+            let (written, _) = Journal::replay(&bytes[..cut]).unwrap();
+            let (kept, _) = Journal::replay(&bytes[..synced]).unwrap();
+            for lost in &written[kept.len()..] {
+                prop_assert!(lost.defers_sync(), "a {} frame was never fsynced", lost.kind());
+                hints_lost += 1;
+            }
+
+            let image = medium.medium_at(cut, late);
+            image.truncate(StorageObject::Journal, synced as u64).unwrap();
+            save_artifact("power-cut-sweep", &image);
+            let (recovered, report) = recover_from(&config, image);
+            let (crashed, crash_report) = recover_from(&config, medium.medium_at(cut, late));
+            prop_assert_eq!(report.bytes_discarded, 0, "fsyncs land on frame boundaries");
+            prop_assert_eq!(report.containers_discarded, 0, "every record's object is durable");
+            check_acked_rounds(&recovered, &acked, cut);
+            prop_assert_eq!(recovered.sealed_container_ids(), crashed.sealed_container_ids());
+            let counters = |n: &DedupNode| {
+                let s = n.stats();
+                (s.logical_bytes, s.physical_bytes, s.total_chunks, s.unique_chunks, s.super_chunks)
+            };
+            prop_assert_eq!(counters(&recovered), counters(&crashed));
+            prop_assert_eq!(report.chunks_indexed, crash_report.chunks_indexed);
+            prop_assert_eq!(report.orphan_objects_swept, crash_report.orphan_objects_swept);
+            prop_assert!(report.similarity_entries <= crash_report.similarity_entries);
+            recovered.verify_consistency().unwrap();
+        }
+        prop_assert!(hints_lost > 0, "every round publishes a hint before its ack");
+        clear_artifact("power-cut-sweep");
     }
 
     /// Boundary sweep over a journal that ends in garbage-collection records:
