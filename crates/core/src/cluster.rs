@@ -930,7 +930,10 @@ impl DedupCluster {
     ///
     /// Everything the crashed node acknowledged (sealed and journaled before the
     /// crash) is served again afterwards, byte-identically; its open containers —
-    /// never acknowledged — are lost, as a real crash would lose them.
+    /// never acknowledged — are lost, as a real crash would lose them.  The
+    /// rollover seal the old node still had in flight is finished before
+    /// recovery reads the medium: on a crashed journal its record is refused,
+    /// and recovery sweeps its object as an orphan.
     ///
     /// # Errors
     ///
@@ -945,7 +948,11 @@ impl DedupCluster {
                 id
             ))
         })?;
-        drop(old); // the crashed in-memory state is discarded, only the journal survives
+        // The crashed in-memory state is discarded, only the medium survives;
+        // its rollover seal in flight is finished first, so no object write
+        // of the dead incarnation lands after recovery's orphan sweep.
+        old.finish_rollover_seal();
+        drop(old);
         let (node, report) = DedupNode::recover(id, &self.config, journal)?;
         self.install_recovered_node(id, node, report)
     }
@@ -955,8 +962,9 @@ impl DedupCluster {
     /// in-memory [`Journal`](sigma_storage::Journal) handle — the
     /// process-restart path for clusters configured with
     /// [`BackendKind::File`](sigma_storage::BackendKind::File).  Nothing from
-    /// the crashed node object is consulted; the node ID only has to be one the
-    /// cluster knows so the recovered node lands back in its slot.
+    /// the crashed node object is consulted — its rollover seal in flight is
+    /// only finished first, as in `restart_node`; the node ID only has to be
+    /// one the cluster knows so the recovered node lands back in its slot.
     ///
     /// # Errors
     ///
@@ -965,9 +973,11 @@ impl DedupCluster {
     /// storage directory for the node, and [`SigmaError::Storage`] when the
     /// directory or its journal cannot be opened.
     pub fn restart_node_from_disk(&self, id: usize) -> Result<RecoveryReport> {
-        if self.node_by_id(id).is_none() {
-            return Err(SigmaError::UnknownNode(id));
-        }
+        // As in `restart_node`: no write of the old incarnation may land
+        // after recovery listed the directory.
+        self.node_by_id(id)
+            .ok_or(SigmaError::UnknownNode(id))?
+            .finish_rollover_seal();
         let (node, report) = DedupNode::recover_from_dir(id, &self.config)?;
         self.install_recovered_node(id, node, report)
     }
@@ -1132,6 +1142,7 @@ mod tests {
     use super::*;
     use crate::ChunkDescriptor;
     use sigma_hashkit::{Digest, FingerprintAlgorithm, Sha1};
+    use sigma_storage::{StorageBackend, StorageObject};
 
     fn super_chunk(ids: std::ops::Range<u64>) -> SuperChunk {
         SuperChunk::from_descriptors(
@@ -1696,5 +1707,225 @@ mod tests {
         assert_eq!(stats.node_usage.iter().sum::<u64>(), stats.physical_bytes);
         assert_eq!(stats.node_count, 4);
         assert_eq!(stats.router, "sigma");
+    }
+
+    /// A memory backend whose container-object writes take `delay`, and
+    /// which can park the next one until the test releases it.  It counts
+    /// `list` calls: recovery lists the medium before it sweeps orphans.
+    #[derive(Debug, Default)]
+    struct GatedBackend {
+        inner: sigma_storage::MemoryBackend,
+        delay: std::time::Duration,
+        /// `(parked, release)`: signalled when a write parks, then awaited.
+        park_next_write: parking_lot::Mutex<
+            Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>,
+        >,
+        lists: AtomicU64,
+    }
+
+    impl StorageBackend for GatedBackend {
+        fn kind(&self) -> sigma_storage::BackendKind {
+            self.inner.kind()
+        }
+        fn append(&self, obj: StorageObject, bytes: &[u8]) -> sigma_storage::Result<u64> {
+            self.inner.append(obj, bytes)
+        }
+        fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> sigma_storage::Result<()> {
+            if matches!(obj, StorageObject::Container(_)) {
+                std::thread::sleep(self.delay);
+                let park = self.park_next_write.lock().take();
+                if let Some((parked, release)) = park {
+                    parked.send(()).unwrap();
+                    release.recv().unwrap();
+                }
+            }
+            self.inner.write_object(obj, bytes)
+        }
+        fn read_all(&self, obj: StorageObject) -> sigma_storage::Result<Vec<u8>> {
+            self.inner.read_all(obj)
+        }
+        fn read_at(
+            &self,
+            obj: StorageObject,
+            offset: u64,
+            len: usize,
+        ) -> sigma_storage::Result<Vec<u8>> {
+            self.inner.read_at(obj, offset, len)
+        }
+        fn object_len(&self, obj: StorageObject) -> sigma_storage::Result<Option<u64>> {
+            self.inner.object_len(obj)
+        }
+        fn truncate(&self, obj: StorageObject, len: u64) -> sigma_storage::Result<()> {
+            self.inner.truncate(obj, len)
+        }
+        fn fsync(&self, obj: StorageObject) -> sigma_storage::Result<()> {
+            self.inner.fsync(obj)
+        }
+        fn delete(&self, obj: StorageObject) -> sigma_storage::Result<()> {
+            self.inner.delete(obj)
+        }
+        fn list(&self) -> sigma_storage::Result<Vec<StorageObject>> {
+            self.lists.fetch_add(1, Ordering::SeqCst);
+            self.inner.list()
+        }
+    }
+
+    /// Durable, 8 KiB containers, 1 KiB fixed chunks: every few KiB of
+    /// unique input rolls a container over.
+    fn rollover_config() -> SigmaConfig {
+        SigmaConfig::builder()
+            .super_chunk_size(4 * 1024)
+            .chunker(sigma_chunking::ChunkerParams::fixed(1024))
+            .container_capacity(8 * 1024)
+            .durability(true)
+            .build()
+            .unwrap()
+    }
+
+    /// A similarity-routed cluster whose node `i` keeps its journal and
+    /// containers on `backends[i]`.
+    fn cluster_over(config: &SigmaConfig, backends: &[Arc<GatedBackend>]) -> Arc<DedupCluster> {
+        let cluster = DedupCluster::with_similarity_router(backends.len(), config.clone());
+        let nodes: Vec<Arc<DedupNode>> = backends
+            .iter()
+            .enumerate()
+            .map(|(id, backend)| {
+                let journal = sigma_storage::Journal::with_backend(backend.clone()).unwrap();
+                Arc::new(DedupNode::recover(id, config, Arc::new(journal)).unwrap().0)
+            })
+            .collect();
+        {
+            let mut m = cluster.membership.write();
+            for node in &nodes {
+                m.directory.insert(node.id(), node.clone());
+            }
+            m.map = Arc::new(NodeMap::new(m.map.generation(), nodes));
+        }
+        Arc::new(cluster)
+    }
+
+    fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sealer_leaves_no_trace_of_timing() {
+        // The same input, once with instant container writes and once with
+        // writes slow enough that every sealer thread is still running when
+        // ingest moves on: journals, usage and messages must not differ.
+        let config = rollover_config();
+        let files: Vec<Vec<u8>> = (0..6).map(|i| pseudo_random(40 * 1024, 70 + i)).collect();
+        let run = |delay_ms: u64| {
+            let backends: Vec<Arc<GatedBackend>> = (0..4)
+                .map(|_| {
+                    Arc::new(GatedBackend {
+                        delay: std::time::Duration::from_millis(delay_ms),
+                        ..GatedBackend::default()
+                    })
+                })
+                .collect();
+            let cluster = cluster_over(&config, &backends);
+            let client = crate::BackupClient::new(cluster.clone(), 0);
+            let mut ids = Vec::new();
+            let mut usage = Vec::new();
+            for (i, data) in files.iter().enumerate() {
+                let file = &data[..data.len() - i * 1000];
+                ids.push(client.backup_bytes(&format!("f{i}"), file).unwrap().file_id);
+                // Mid-ingest, with a seal in flight on some node.
+                usage.push(cluster.stats().node_usage);
+            }
+            cluster.try_flush().unwrap();
+            for (i, (id, data)) in ids.iter().zip(&files).enumerate() {
+                assert_eq!(
+                    cluster.restore_file(*id).unwrap(),
+                    data[..data.len() - i * 1000]
+                );
+            }
+            let stats = cluster.stats();
+            let journals: Vec<Vec<u8>> = backends
+                .iter()
+                .map(|b| b.inner.read_all(StorageObject::Journal).unwrap())
+                .collect();
+            usage.push(stats.node_usage);
+            (journals, usage, stats.messages, stats.nodes)
+        };
+        let (fast_journals, fast_usage, fast_messages, fast_nodes) = run(0);
+        let (slow_journals, slow_usage, slow_messages, slow_nodes) = run(3);
+        let sealed: u64 = fast_nodes
+            .iter()
+            .map(|n| n.containers.sealed_containers)
+            .sum();
+        assert!(sealed >= 16, "the input rolls containers over ({sealed})");
+        assert_eq!(fast_journals, slow_journals, "journals are byte-identical");
+        assert_eq!(fast_usage, slow_usage);
+        assert_eq!(fast_messages, slow_messages);
+        let containers =
+            |nodes: &[crate::NodeStats]| -> Vec<_> { nodes.iter().map(|n| n.containers).collect() };
+        assert_eq!(containers(&fast_nodes), containers(&slow_nodes));
+    }
+
+    #[test]
+    fn sealer_restart_waits_for_the_dead_incarnations_write() {
+        // A healthy journal takes the finished seal's records; a crashed one
+        // refuses them and recovery sweeps the object as an orphan.
+        for crashed in [false, true] {
+            let config = rollover_config();
+            let backend = Arc::new(GatedBackend::default());
+            let cluster = cluster_over(&config, std::slice::from_ref(&backend));
+            let (parked_tx, parked) = std::sync::mpsc::channel();
+            let (release, release_rx) = std::sync::mpsc::channel();
+            *backend.park_next_write.lock() = Some((parked_tx, release_rx));
+            // Ten 1 KiB chunks into 8 KiB containers: one rollover, whose
+            // write parks on its sealer thread.
+            let payloads: Vec<Vec<u8>> = (0..10).map(|i| pseudo_random(1024, 900 + i)).collect();
+            let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, payloads);
+            cluster.backup_super_chunk(0, &sc, None).unwrap();
+            parked.recv().unwrap();
+            let old = cluster.node_by_id(0).unwrap();
+            if crashed {
+                let journal = old.journal().unwrap();
+                journal.arm_crash_at_seq(journal.next_seq(), sigma_storage::CrashMode::Clean);
+            }
+            drop(old);
+            let lists = backend.lists.load(Ordering::SeqCst);
+            let restart = {
+                let cluster = cluster.clone();
+                std::thread::spawn(move || cluster.restart_node(0))
+            };
+            // However long the write stays parked, the restart neither lists
+            // nor sweeps the medium.
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            assert!(!restart.is_finished());
+            assert_eq!(backend.lists.load(Ordering::SeqCst), lists);
+            release.send(()).unwrap();
+            let report = restart.join().unwrap().unwrap();
+            assert_eq!(report.orphan_objects_swept, u64::from(crashed));
+            let node = cluster.node_by_id(0).unwrap();
+            let objects: Vec<ContainerId> = backend
+                .inner
+                .list()
+                .unwrap()
+                .into_iter()
+                .filter_map(|obj| match obj {
+                    StorageObject::Container(id) => Some(id),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                objects,
+                node.sealed_container_ids(),
+                "no object beyond what the journal names"
+            );
+            assert_eq!(objects.len(), usize::from(!crashed));
+            node.verify_consistency().unwrap();
+        }
     }
 }

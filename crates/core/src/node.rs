@@ -579,8 +579,9 @@ impl DedupNode {
             .count()
     }
 
-    /// Physical bytes stored on this node (the storage-usage figure used for load
-    /// balancing and skew metrics).
+    /// Physical bytes stored on this node — open, sealing and sealed
+    /// containers alike (the storage-usage figure used for load balancing and
+    /// skew metrics).
     pub fn storage_usage(&self) -> u64 {
         self.store.physical_bytes()
     }
@@ -1160,14 +1161,19 @@ impl DedupNode {
 
     /// Seals all open containers and journals a stats checkpoint — the durable
     /// acknowledgement point: once `try_flush` returns `Ok`, everything ingested
-    /// so far survives a crash.  The checkpoint's fsync also makes durable the
+    /// so far survives a crash.  It first finishes the rollover seal whose
+    /// object is being written beside ingest (a full container's seal is
+    /// journaled at the store's next rollover or here, never at an instant
+    /// that depends on the sealer thread), then seals the rest in the same
+    /// group commit.  The checkpoint's fsync also makes durable the
     /// similarity publishes journaled unsynced since the last synced record.
     ///
     /// # Errors
     ///
     /// Returns the error a seal hit: a journal crash or a failed object
-    /// write.  Containers whose seal failed stay readable, and the next flush
-    /// seals them again; after a crash they never became durable, and
+    /// write, including one a rollover's sealer thread hit since the last
+    /// rollover.  Containers whose seal failed stay readable, and the next
+    /// flush seals them again; after a crash they never became durable, and
     /// recovery drops them as the crash would.
     pub fn try_flush(&self) -> Result<()> {
         self.store.flush()?;
@@ -1181,6 +1187,14 @@ impl DedupNode {
             })?;
         }
         Ok(())
+    }
+
+    /// Finishes the rollover seal whose object is being written beside
+    /// ingest, if any, ignoring the error a crashed journal gives.  A restart
+    /// calls this on the incarnation it discards before recovery lists and
+    /// sweeps the medium, so no write of the dead node lands after it.
+    pub(crate) fn finish_rollover_seal(&self) {
+        let _ = self.store.finish_rollover_seal();
     }
 
     /// The node's write-ahead journal, when durability is enabled.

@@ -3,9 +3,9 @@
 //! The deduplication server keeps one *open* container per incoming data stream so
 //! that the chunks of different backup streams do not interleave (which would destroy
 //! the locality the fingerprint cache depends on).  When an open container fills up
-//! it is sealed, charged to the disk model as a sequential write, and a new one is
-//! opened.  Sealed containers can be read back for restores and for fingerprint
-//! prefetching.
+//! a new one is opened and the full one is sealed — its object written beside
+//! ingest, charged to the disk model as a sequential write.  Sealed containers can
+//! be read back for restores and for fingerprint prefetching.
 //!
 //! One layout on every backend: a sealed container's chunk bytes live only in
 //! its backend object, durable before its journal record is appended and
@@ -31,13 +31,15 @@
 //! | no entry | — | `ContainerNotFound` |
 //!
 //! Each transition is one method that does its I/O first, then swaps the
-//! entry in one write-locked step — the sealed/stored counters change in the
-//! same step — and deletes an object only after the record that retires it:
+//! entry in one write-locked step — the sealed/sealing/stored counters change
+//! in the same step — and deletes an object only after the record that
+//! retires it:
 //!
 //! | transition | I/O before the swap | swap | after the swap |
 //! |---|---|---|---|
-//! | seal (rollover, [`flush`](ContainerStore::flush)) | object write, `ContainerSeal` + `ChunkIndexFinalize` | sealing → sealed | — |
-//! | failed seal | — | stays sealing | the next flush retries it |
+//! | start seal (rollover, [`flush`](ContainerStore::flush)) | — | open → sealing (a rollover also enters the stream's fresh container as open) | a rollover's object write starts on the sealer thread; a flush writes its objects inline |
+//! | finish seal (a rollover's: the store's next rollover, [`flush`](ContainerStore::flush) or [`finish_rollover_seal`](ContainerStore::finish_rollover_seal); a flush's: that flush) | object write joined or done, `ContainerSeal` + `ChunkIndexFinalize` as one group commit | sealing → sealed | — |
+//! | failed seal | — | stays sealing, in the retry list | the next flush retries it |
 //! | [adopt](ContainerStore::adopt_sealed) | object write, `ContainerAdopt` + `ChunkIndexFinalize` | none → sealed, with origin | — |
 //! | [GC drop](ContainerStore::drop_sealed_gc) | `GcDrop` | sealed → none | object deleted |
 //! | [compaction](ContainerStore::compact_container) | victim read, replacement write, `GcCompact` | victim → compacted, replacement → sealed | victim object deleted |
@@ -54,13 +56,22 @@
 //!
 //! Concurrency: each open container sits behind its own slot mutex, so
 //! streams append in parallel and only contend when they touch the *same*
-//! stream's container.  Lock order is always stream map → slot → table; the
-//! read cache's lock and the backend's are leaves.  No table lock is held
-//! across an object write, a journal append or a backend read.  Adoptions,
-//! GC drops, compactions and retirements also hold one transition mutex
-//! across their check, I/O and swap (taken before any of the locks above),
-//! so two of them never journal conflicting records for one container;
-//! seals and readers never take it.
+//! stream's container.  A rollover does not write the full container's
+//! object itself: it starts the write (a copy into the object and a SHA-1
+//! of the data section, then the backend's durable put) on a sealer thread
+//! and goes back to ingest.  A store has at most one such write in flight.
+//! It is finished — joined, journaled, swapped sealed — at a point the input
+//! fixes: the store's next rollover, the next flush, or a restart of the
+//! node.  So journal record order and crash-point numbering never depend on
+//! when the sealer thread ran, and the flush stays the acknowledgement
+//! point.  The sealer thread touches only the backend and its own container;
+//! it takes no store lock.  Lock order is always stream map → slot → sealer
+//! → table; the read cache's lock and the backend's are leaves.  No table
+//! lock is held across an object write, a journal append or a backend read.
+//! Adoptions, GC drops, compactions and retirements also hold one transition
+//! mutex across their check, I/O and swap (taken before any of the locks
+//! above), so two of them never journal conflicting records for one
+//! container; seals and readers never take it.
 
 use crate::read_cache::{ContainerReadCache, ReadCacheStats};
 use crate::{
@@ -74,6 +85,7 @@ use sigma_hashkit::{Digest, Fingerprint, Sha1};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Identifier of a backup data stream within one node.
 pub type StreamId = u64;
@@ -153,9 +165,10 @@ pub struct CompactionOutcome {
 pub enum ContainerState {
     /// Being filled by a stream; its chunks are served from RAM.
     Open,
-    /// Sealed in RAM while its object is written and its record appended —
-    /// or, after a failed seal, until the next flush retries it.  Its chunks
-    /// are served from RAM.
+    /// Sealed in RAM until its seal finishes: while its object is written
+    /// and, after a rollover, until the store's next rollover or flush
+    /// journals it — or, after a failed seal, until the next flush retries
+    /// it.  Its chunks are served from RAM.
     Sealing,
     /// Sealed: the summary is in the table, the chunk bytes in its object.
     Sealed,
@@ -236,6 +249,8 @@ struct Table {
     sealed_containers: u64,
     stored_bytes: u64,
     stored_chunks: u64,
+    /// Data-section bytes of the sealing entries, retried ones included.
+    sealing_bytes: u64,
 }
 
 impl Table {
@@ -248,8 +263,15 @@ impl Table {
         matches!(self.stage(&summary.id), Some(Stage::Sealed(s)) if Arc::ptr_eq(s, summary))
     }
 
-    /// Enters a container as sealed — replacing its sealing entry, if any —
-    /// and counts it.
+    /// Enters a container as sealing and counts its bytes.
+    fn begin_seal(&mut self, container: Arc<Container>) {
+        self.sealing_bytes += container.data_size() as u64;
+        let entry = Entry::new(Stage::Sealing(container.clone()), None);
+        self.entries.insert(container.id(), entry);
+    }
+
+    /// Enters a container as sealed — replacing its sealing entry, if any,
+    /// and uncounting that — and counts it.
     fn seal(&mut self, summary: ContainerSummary, origin: Option<(u64, ContainerId)>) {
         let id = summary.id;
         self.sealed_containers += 1;
@@ -259,7 +281,13 @@ impl Table {
             self.by_origin.insert(origin, id);
         }
         let entry = Entry::new(Stage::Sealed(Arc::new(summary)), origin);
-        self.entries.insert(id, entry);
+        if let Some(Entry {
+            stage: Stage::Sealing(sealing),
+            ..
+        }) = self.entries.insert(id, entry)
+        {
+            self.sealing_bytes -= sealing.data_size() as u64;
+        }
     }
 
     /// Swaps a sealed container's entry to `next` — or drops it, origin and
@@ -289,6 +317,34 @@ impl Table {
         self.stored_chunks -= summary.chunk_count() as u64;
         Some(summary)
     }
+}
+
+/// A rollover's seal whose object write runs on a sealer thread while
+/// ingest goes on (see the module docs).
+struct Sealer {
+    container: Arc<Container>,
+    write: JoinHandle<Result<ContainerSummary>>,
+}
+
+impl Sealer {
+    /// Waits for the object write.  A panic on the sealer thread resumes
+    /// here, on the thread that finishes the seal.
+    fn join(self) -> (Arc<Container>, Result<ContainerSummary>) {
+        let written = self
+            .write
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (self.container, written)
+    }
+}
+
+/// Writes a sealed container's object — durable once this returns — and
+/// returns the summary: once the caller drops the container, the object is
+/// its one copy of the chunk bytes.
+fn write_object(backend: &dyn StorageBackend, container: &Container) -> Result<ContainerSummary> {
+    let (summary, object) = container.to_object();
+    backend.put_object(StorageObject::Container(summary.id), object)?;
+    Ok(summary)
 }
 
 /// What one reader lookup found.
@@ -335,6 +391,9 @@ pub struct ContainerStore {
     /// Held by adoptions, GC drops, compactions and retirements across their
     /// check, I/O and swap.
     transitions: Mutex<()>,
+    /// The rollover seal whose object write is in flight, if any.  Held by
+    /// whoever starts or finishes a seal, across the finish.
+    sealer: Mutex<Option<Sealer>>,
     /// Bounded LRU of container data sections serving repeat restore reads;
     /// `None` when disabled (the default).
     read_cache: Option<ContainerReadCache>,
@@ -354,6 +413,17 @@ impl std::fmt::Debug for ContainerStore {
             .field("open", &open)
             .field("sealed", &sealed)
             .finish()
+    }
+}
+
+impl Drop for ContainerStore {
+    /// Waits for a rollover's object write still in flight, so no write of
+    /// a dropped store lands on the medium later.  Its container was never
+    /// journaled: the object is an orphan the next recovery sweeps.
+    fn drop(&mut self) {
+        if let Some(sealer) = self.sealer.get_mut().take() {
+            let _ = sealer.write.join();
+        }
     }
 }
 
@@ -420,6 +490,7 @@ impl ContainerStore {
             streams: RwLock::new(HashMap::new()),
             table: RwLock::new(Table::default()),
             transitions: Mutex::new(()),
+            sealer: Mutex::new(None),
             read_cache: None,
             metadata_reads: AtomicU64::new(0),
             data_reads: AtomicU64::new(0),
@@ -507,9 +578,12 @@ impl ContainerStore {
     /// # Errors
     ///
     /// Returns [`StorageError::ChunkTooLarge`] when a single chunk exceeds the
-    /// container capacity, and the seal's error when a rollover's seal fails
-    /// (the full container then stays readable, and the next
-    /// [`flush`](Self::flush) seals it again).
+    /// container capacity, and a seal's error when a rollover finishes the
+    /// previous rollover's seal and that seal failed: a failed object write
+    /// surfaces at the store's next rollover or [`flush`](Self::flush), not
+    /// at the rollover that started it.  The failed container, and the full
+    /// one whose write the failing rollover did not start, stay readable in
+    /// the retry list, and the next flush seals them again.
     pub fn store_chunk(
         &self,
         stream: StreamId,
@@ -575,7 +649,7 @@ impl ContainerStore {
                 let fresh = ContainerBuilder::new(self.alloc_id(), self.capacity);
                 let full = std::mem::replace(builder, fresh);
                 let full = self.begin_seal(full, Some((builder.id(), &slot)));
-                self.seal_group(vec![full])?;
+                self.roll_over(full)?;
             }
 
             let offset = builder.used() as u32;
@@ -634,16 +708,6 @@ impl ContainerStore {
             .collect()
     }
 
-    /// Writes a sealed container's object — durable once this returns — and
-    /// returns the summary: once the caller drops the container, the object
-    /// is its one copy of the chunk bytes.
-    fn write_object(&self, container: &Container) -> Result<ContainerSummary> {
-        let (summary, object) = container.to_object();
-        self.backend
-            .put_object(StorageObject::Container(summary.id), object)?;
-        Ok(summary)
-    }
-
     /// Moves a retired builder to the sealing stage — and, on a rollover,
     /// enters the stream's fresh container as open — in one swap.  Callers
     /// hold the slot lock, so no reader finds the container in neither stage.
@@ -654,10 +718,7 @@ impl ContainerStore {
     ) -> Arc<Container> {
         let container = Arc::new(builder.seal());
         let mut table = self.table.write();
-        table.entries.insert(
-            container.id(),
-            Entry::new(Stage::Sealing(container.clone()), None),
-        );
+        table.begin_seal(container.clone());
         if let Some((id, slot)) = opened {
             table
                 .entries
@@ -666,25 +727,63 @@ impl ContainerStore {
         container
     }
 
-    /// Seals a group of sealing containers as one buffered write: every
+    /// A rollover's seal, called under the rolling stream's slot lock:
+    /// finishes the seal in flight, then starts `full`'s object write on a
+    /// sealer thread and returns without waiting for it.
+    ///
+    /// When the seal in flight failed, `full`'s write is not started: both
+    /// stay sealing in the retry list, and the error is returned.
+    fn roll_over(&self, full: Arc<Container>) -> Result<()> {
+        let mut in_flight = self.sealer.lock();
+        if let Err(e) = self.finish_in_flight(&mut in_flight) {
+            self.table.write().retry.push(full);
+            return Err(e);
+        }
+        let backend = self.backend.clone();
+        let container = full.clone();
+        let write = std::thread::spawn(move || write_object(&*backend, &container));
+        *in_flight = Some(Sealer {
+            container: full,
+            write,
+        });
+        Ok(())
+    }
+
+    /// Finishes the rollover seal in flight, if any, as a group of its own:
+    /// one journal group commit and one disk transfer per rollover, wherever
+    /// it is finished.
+    fn finish_in_flight(&self, in_flight: &mut Option<Sealer>) -> Result<()> {
+        match in_flight.take() {
+            Some(sealer) => self.finish_seal(vec![sealer.join()]),
+            None => Ok(()),
+        }
+    }
+
+    /// Finishes a group of seals whose object writes are done: every
     /// container's seal and batched chunk-index finalize goes into a single
     /// journal group commit, and the containers' data+metadata sections are
     /// charged to the disk model as one coalesced sequential transfer.  A
-    /// rollover seals a group of one; [`flush`](Self::flush) seals every
+    /// rollover's seal is a group of one; [`flush`](Self::flush) seals every
     /// retired stream at once.
     ///
     /// Ordering: every object is durable, then the group's records are
     /// appended, then one swap turns the group sealed.  A crash before the
     /// records leaves only orphan objects, which recovery sweeps; a crash
     /// mid-group keeps the journaled prefix and drops the unacknowledged rest,
-    /// exactly as an interrupted session would drop it.  When the group
-    /// fails it stays sealing — readable, its index entries valid — and goes
-    /// back to the retry list for the next flush.
-    fn seal_group(&self, containers: Vec<Arc<Container>>) -> Result<()> {
-        if containers.is_empty() {
+    /// exactly as an interrupted session would drop it.  When a write failed
+    /// or the records cannot be appended, the group stays sealing — readable,
+    /// its index entries valid — and goes to the retry list for the next
+    /// flush.
+    fn finish_seal(&self, group: Vec<(Arc<Container>, Result<ContainerSummary>)>) -> Result<()> {
+        if group.is_empty() {
             return Ok(());
         }
-        match self.publish(&containers) {
+        let (containers, written): (Vec<_>, Vec<_>) = group.into_iter().unzip();
+        match written
+            .into_iter()
+            .collect::<Result<Vec<ContainerSummary>>>()
+            .and_then(|summaries| self.publish(summaries))
+        {
             Ok(summaries) => {
                 let mut table = self.table.write();
                 for summary in summaries {
@@ -699,13 +798,8 @@ impl ContainerStore {
         }
     }
 
-    /// The I/O of [`seal_group`](Self::seal_group): objects, records, disk
-    /// charge.
-    fn publish(&self, containers: &[Arc<Container>]) -> Result<Vec<ContainerSummary>> {
-        let summaries = containers
-            .iter()
-            .map(|c| self.write_object(c))
-            .collect::<Result<Vec<ContainerSummary>>>()?;
+    /// The records and disk charge of [`finish_seal`](Self::finish_seal).
+    fn publish(&self, summaries: Vec<ContainerSummary>) -> Result<Vec<ContainerSummary>> {
         let mut records = Vec::with_capacity(summaries.len() * 2);
         for summary in &summaries {
             records.push(JournalRecord::ContainerSeal {
@@ -730,13 +824,17 @@ impl ContainerStore {
     /// Seals every open container (end of a backup session) as one coalesced
     /// group write — one journal group commit, one sequential disk transfer —
     /// instead of a per-container trickle.  Containers whose earlier seal
-    /// failed are sealed again in the same group.
+    /// failed are sealed again in the same group.  The rollover seal in
+    /// flight is finished first, as its own group; the group's objects are
+    /// then written on the calling thread.  When this returns `Ok`, every
+    /// container the store held before the call is sealed: the flush is the
+    /// acknowledgement point.
     ///
     /// # Errors
     ///
     /// Returns the error the seal hit (a journal crash, a failed object
-    /// write).  The group then stays sealing — its chunks readable — and the
-    /// next flush retries it.
+    /// write, here or in the rollover seal it finished).  The group then
+    /// stays sealing — its chunks readable — and the next flush retries it.
     pub fn flush(&self) -> Result<()> {
         let mut containers = std::mem::take(&mut self.table.write().retry);
         // Retire every open slot.  A store racing with the flush either
@@ -755,7 +853,35 @@ impl ContainerStore {
                 self.table.write().entries.remove(&builder.id());
             }
         }
-        self.seal_group(containers)
+        let mut in_flight = self.sealer.lock();
+        if let Err(e) = self.finish_in_flight(&mut in_flight) {
+            self.table.write().retry.extend(containers);
+            return Err(e);
+        }
+        let group = containers
+            .into_iter()
+            .map(|container| {
+                let written = write_object(&*self.backend, &container);
+                (container, written)
+            })
+            .collect();
+        self.finish_seal(group)
+    }
+
+    /// Finishes the rollover seal in flight, if any — its object write
+    /// joined, its records appended, its entry swapped sealed — and leaves
+    /// the open containers alone.  A node restart calls this on the store of
+    /// the incarnation it discards, before recovery lists and sweeps the
+    /// medium: a write still running there could otherwise land after the
+    /// orphan sweep, or over the object of a container ID the recovered
+    /// node reuses.
+    ///
+    /// # Errors
+    ///
+    /// As [`flush`](Self::flush): a crashed journal or a failed object
+    /// write.  The object write has ended either way.
+    pub fn finish_rollover_seal(&self) -> Result<()> {
+        self.finish_in_flight(&mut self.sealer.lock())
     }
 
     /// One lookup of `container` for a reader.  An open container is copied
@@ -1222,7 +1348,7 @@ impl ContainerStore {
             return Ok(*existing);
         }
         let new_id = self.alloc_id();
-        let summary = self.write_object(&container.with_id(new_id))?;
+        let summary = write_object(&*self.backend, &container.with_id(new_id))?;
         self.log(&[
             JournalRecord::ContainerAdopt {
                 origin_node,
@@ -1510,7 +1636,7 @@ impl ContainerStore {
             debug_assert!(appended, "a live subset always fits its own container");
         }
         drop(data);
-        let replacement = self.write_object(&builder.seal())?;
+        let replacement = write_object(&*self.backend, &builder.seal())?;
         let _transition = self.transitions.lock();
         if !self.table.read().holds(&old) {
             // Migrated or collected while the replacement was being built
@@ -1600,7 +1726,8 @@ impl ContainerStore {
         });
     }
 
-    /// Total physical bytes stored (sealed + open containers' data sections).
+    /// Total physical bytes stored: the data sections of the sealed, sealing
+    /// (retried ones included) and open containers.
     pub fn physical_bytes(&self) -> u64 {
         let slots: Vec<Slot> = self.streams.read().values().cloned().collect();
         let open: u64 = slots
@@ -1613,7 +1740,8 @@ impl ContainerStore {
                     .unwrap_or(0)
             })
             .sum();
-        self.table.read().stored_bytes + open
+        let table = self.table.read();
+        table.stored_bytes + table.sealing_bytes + open
     }
 
     /// Physical bytes *as the backend sees them*: the logical data sizes
@@ -1746,7 +1874,18 @@ mod tests {
         }
         // 100-byte chunks, 250-byte containers => 2 chunks per container => 5 containers.
         assert_eq!(containers.len(), 5);
-        assert_eq!(store.stats().sealed_containers, 4, "last one still open");
+        // Each rollover finishes the seal the previous one started: the
+        // last full container stays sealing until the next rollover or flush.
+        let ids: Vec<ContainerId> = containers
+            .into_iter()
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let states: Vec<ContainerState> = ids.iter().map(|id| store.state(id)).collect();
+        use ContainerState::{Open, Sealed, Sealing};
+        assert_eq!(states, vec![Sealed, Sealed, Sealed, Sealing, Open]);
+        assert_eq!(store.stats().sealed_containers, 3);
+        assert_eq!(store.physical_bytes(), 1000, "a sealing container counts");
         store.flush().unwrap();
         assert_eq!(store.stats().sealed_containers, 5);
         assert_eq!(store.stats().stored_chunks, 10);
@@ -2412,11 +2551,13 @@ mod tests {
 
     /// A memory backend that parks the next container-object operation of
     /// the armed kind until the test releases it: the yield point every
-    /// transition test stops a reader or a transition at.
+    /// transition test stops a reader or a transition at.  It can also fail
+    /// the next container-object write.
     #[derive(Debug)]
     struct ParkingBackend {
         inner: MemoryBackend,
         armed: Mutex<Option<Park>>,
+        fail_next_write: std::sync::atomic::AtomicBool,
         parked: Mutex<std::sync::mpsc::Sender<()>>,
         release: Mutex<std::sync::mpsc::Receiver<()>>,
     }
@@ -2471,6 +2612,11 @@ mod tests {
         }
         fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> Result<()> {
             self.yield_point(Park::Write, obj);
+            if matches!(obj, StorageObject::Container(_))
+                && self.fail_next_write.swap(false, Ordering::SeqCst)
+            {
+                return Err(StorageError::Io(format!("{obj}: injected write failure")));
+            }
             self.inner.write_object(obj, bytes)
         }
         fn read_all(&self, obj: StorageObject) -> Result<Vec<u8>> {
@@ -2514,6 +2660,7 @@ mod tests {
         let backend = Arc::new(ParkingBackend {
             inner: MemoryBackend::new(),
             armed: Mutex::new(None),
+            fail_next_write: std::sync::atomic::AtomicBool::new(false),
             parked: Mutex::new(parked_tx),
             release: Mutex::new(release_rx),
         });
@@ -2543,24 +2690,22 @@ mod tests {
 
     #[test]
     fn a_container_parked_mid_seal_stays_readable() {
-        // Both ways into a seal: a flush, and a rollover (whose sealer holds
-        // its stream's slot lock throughout).
+        // Both ways into a seal: a flush, which writes the object on the
+        // flushing thread, and a rollover, which starts the write on its
+        // sealer thread and returns at once.
         for rollover in [false, true] {
             let (store, backend, gate) = parked_store(256, 0);
             let (fp, data) = payload(1, 200);
             let loc = store.store_chunk(0, fp, &data).unwrap();
             assert_eq!(store.state(&loc.container), ContainerState::Open);
             backend.arm(Park::Write);
-            let sealer = {
+            let flusher = if rollover {
+                let (fp, data) = payload(2, 200);
+                store.store_chunk(0, fp, &data).unwrap();
+                None
+            } else {
                 let store = store.clone();
-                std::thread::spawn(move || {
-                    if rollover {
-                        let (fp, data) = payload(2, 200);
-                        store.store_chunk(0, fp, &data).map(|_| ())
-                    } else {
-                        store.flush()
-                    }
-                })
+                Some(std::thread::spawn(move || store.flush()))
             };
             gate.wait();
             // Parked inside the object write: out of its slot, not yet sealed.
@@ -2575,11 +2720,111 @@ mod tests {
                 "metadata of a sealing container is visible"
             );
             gate.open();
-            sealer.join().unwrap().unwrap();
+            match flusher {
+                Some(flusher) => flusher.join().unwrap().unwrap(),
+                // Written or not, the rollover's seal is finished only by
+                // the store's next rollover or flush.
+                None => {
+                    assert_eq!(store.state(&loc.container), ContainerState::Sealing);
+                    store.flush().unwrap();
+                }
+            }
             assert_eq!(store.state(&loc.container), ContainerState::Sealed);
-            assert_eq!(store.stats().sealed_containers, 1);
+            assert_eq!(
+                store.stats().sealed_containers,
+                if rollover { 2 } else { 1 },
+                "a rollover's flush also seals the fresh container"
+            );
             assert_eq!(store.read_chunk(&loc.container, &fp).unwrap(), data);
         }
+    }
+
+    #[test]
+    fn sealer_keeps_physical_bytes_across_a_parked_and_a_failed_seal() {
+        let (store, backend, gate) = parked_store(256, 0);
+        let (fp, data) = payload(1, 200);
+        let first = store.store_chunk(0, fp, &data).unwrap().container;
+        assert_eq!(store.physical_bytes(), 200);
+        // Parked: the rollover's write waits on its sealer thread.
+        backend.arm(Park::Write);
+        let (fp2, data2) = payload(2, 200);
+        store.store_chunk(0, fp2, &data2).unwrap();
+        gate.wait();
+        assert_eq!(store.state(&first), ContainerState::Sealing);
+        assert_eq!(store.physical_bytes(), 400, "sealing bytes count");
+        gate.open();
+        store.flush().unwrap();
+        assert_eq!(store.physical_bytes(), 400);
+        assert_eq!(store.stats().stored_bytes, 400);
+        // Failed: the container stays sealing in the retry list, and counts.
+        let (fp3, data3) = payload(3, 100);
+        let third = store.store_chunk(1, fp3, &data3).unwrap().container;
+        backend.fail_next_write.store(true, Ordering::SeqCst);
+        assert!(matches!(store.flush(), Err(StorageError::Io(_))));
+        assert_eq!(store.state(&third), ContainerState::Sealing);
+        assert_eq!(store.physical_bytes(), 500);
+        store.flush().unwrap();
+        assert_eq!(store.state(&third), ContainerState::Sealed);
+        assert_eq!(store.physical_bytes(), 500);
+        assert_eq!(store.stats().stored_bytes, 500);
+    }
+
+    #[test]
+    fn sealer_failure_surfaces_at_the_next_rollover_and_the_flush_retries_it() {
+        let (store, backend, _gate) = parked_store(256, 0);
+        let chunks: Vec<(Fingerprint, Vec<u8>)> = (0..4u64).map(|i| payload(i, 200)).collect();
+        let mut locs = Vec::new();
+        locs.push(store.store_chunk(0, chunks[0].0, &chunks[0].1).unwrap());
+        // The second chunk's rollover starts a write that fails on the
+        // sealer thread; the store itself succeeds.
+        backend.fail_next_write.store(true, Ordering::SeqCst);
+        locs.push(store.store_chunk(0, chunks[1].0, &chunks[1].1).unwrap());
+        // The third chunk's rollover finishes that seal and reports it; the
+        // chunk is not stored, and both full containers stay readable.
+        assert!(matches!(
+            store.store_chunk(0, chunks[2].0, &chunks[2].1),
+            Err(StorageError::Io(_))
+        ));
+        for (loc, (fp, data)) in locs.iter().zip(&chunks) {
+            assert_eq!(store.state(&loc.container), ContainerState::Sealing);
+            assert_eq!(&store.read_chunk(&loc.container, fp).unwrap(), data);
+        }
+        assert_eq!(store.physical_bytes(), 400);
+        // The stream goes on in a fresh container; the flush seals all three.
+        locs.push(store.store_chunk(0, chunks[3].0, &chunks[3].1).unwrap());
+        store.flush().unwrap();
+        assert_eq!(store.stats().sealed_containers, 3);
+        for (loc, (fp, data)) in locs.iter().zip([&chunks[0], &chunks[1], &chunks[3]]) {
+            assert_eq!(store.state(&loc.container), ContainerState::Sealed);
+            assert_eq!(&store.read_chunk(&loc.container, fp).unwrap(), data);
+        }
+        assert_eq!(store.physical_bytes(), 600);
+    }
+
+    #[test]
+    fn sealer_journals_a_rollover_seal_at_the_next_rollover_or_flush() {
+        let journal = Arc::new(crate::Journal::new());
+        let store = ContainerStore::new(256).with_journal(journal.clone());
+        let seals = || {
+            let (records, _) = crate::Journal::replay(&journal.bytes()).unwrap();
+            records
+                .iter()
+                .filter_map(|r| match r {
+                    JournalRecord::ContainerSeal { container } => Some(container.id),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut containers = Vec::new();
+        for i in 0..3u64 {
+            let (fp, data) = payload(i, 200);
+            containers.push(store.store_chunk(0, fp, &data).unwrap().container);
+            // Chunk i rolled over container i - 1; only the seal before it
+            // is journaled.
+            assert_eq!(seals(), containers[..i.saturating_sub(1) as usize].to_vec());
+        }
+        store.flush().unwrap();
+        assert_eq!(seals(), containers);
     }
 
     #[test]
