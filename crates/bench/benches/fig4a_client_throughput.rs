@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sigma_chunking::{CdcChunker, Chunker};
-use sigma_hashkit::{Digest, Md5, Sha1};
+use sigma_hashkit::{Digest, FingerprintAlgorithm, Md5, Sha1};
 use sigma_simulation::experiments::fig4a;
 use sigma_workloads::payload::random_bytes;
 
@@ -29,6 +29,16 @@ fn bench_client_ops(c: &mut Criterion) {
                 std::hint::black_box(Sha1::fingerprint(chunk));
             }
         })
+    });
+    let chunks: Vec<&[u8]> = buffer.chunks(4096).collect();
+    let per_chunk: Vec<_> = chunks.iter().map(|c| Sha1::fingerprint(c)).collect();
+    assert_eq!(
+        FingerprintAlgorithm::Sha1.fingerprint_batch(&chunks),
+        per_chunk,
+        "batch and per-chunk SHA-1 disagree"
+    );
+    group.bench_function("sha1_fingerprint_batch_1MiB_in_4K_chunks", |b| {
+        b.iter(|| std::hint::black_box(FingerprintAlgorithm::Sha1.fingerprint_batch(&chunks)))
     });
     group.bench_function("md5_fingerprint_1MiB_in_4K_chunks", |b| {
         b.iter(|| {

@@ -6,6 +6,7 @@ use sigma_chunking::ChunkerParams;
 use sigma_hashkit::FingerprintAlgorithm;
 use sigma_storage::{BackendKind, DiskParams};
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 /// Tunable parameters of backup clients, deduplication nodes and the cluster.
 ///
@@ -182,9 +183,7 @@ impl SigmaConfig {
     /// `usize::MAX` that would otherwise try to spawn one thread per address).
     pub fn effective_parallelism(&self) -> usize {
         match self.parallelism {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            0 => available_cores(),
             n => n.min(MAX_PARALLELISM),
         }
     }
@@ -193,9 +192,7 @@ impl SigmaConfig {
     /// [`MAX_PARALLELISM`] clamp as [`effective_parallelism`](Self::effective_parallelism).
     pub fn effective_restore_parallelism(&self) -> usize {
         match self.restore_parallelism {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            0 => available_cores(),
             n => n.min(MAX_PARALLELISM),
         }
     }
@@ -291,6 +288,18 @@ impl SigmaConfig {
             .as_ref()
             .map(|root| root.join(format!("node-{}", node_id)))
     }
+}
+
+/// The number of available CPU cores (at least 1), asked of the OS once per
+/// process: `std::thread::available_parallelism` reads cgroup files on Linux,
+/// ~12 µs a call, too slow to pay on every ingest and planned restore.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Upper bound on the resolved worker-thread count.
@@ -529,6 +538,22 @@ mod tests {
         assert_eq!(absurd.effective_restore_parallelism(), MAX_PARALLELISM);
         let uncached = SigmaConfig::builder().restore_cache_bytes(0).build();
         assert_eq!(uncached.unwrap().restore_cache_bytes, 0, "0 = disabled");
+    }
+
+    #[test]
+    fn available_cores_are_resolved_once_and_at_least_one() {
+        let cores = available_cores();
+        assert!(cores >= 1);
+        let auto = SigmaConfig::builder()
+            .parallelism(0)
+            .restore_parallelism(0)
+            .build()
+            .unwrap();
+        for _ in 0..3 {
+            assert_eq!(available_cores(), cores, "stable across calls");
+            assert_eq!(auto.effective_parallelism(), cores);
+            assert_eq!(auto.effective_restore_parallelism(), cores);
+        }
     }
 
     #[test]

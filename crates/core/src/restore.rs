@@ -281,7 +281,7 @@ impl DedupCluster {
             match outcome {
                 GroupOutcome::Done(stats) => report.absorb_group(&stats),
                 GroupOutcome::Failed { index, error } => {
-                    if failure.as_ref().map_or(true, |(i, _)| index < *i) {
+                    if failure.as_ref().is_none_or(|(i, _)| index < *i) {
                         failure = Some((index, error));
                     }
                 }
@@ -364,7 +364,7 @@ impl DedupCluster {
                         }
                         Ok(_) => return GroupOutcome::Replan,
                         Err(error) => {
-                            if failure.as_ref().map_or(true, |(i, _)| index < i) {
+                            if failure.as_ref().is_none_or(|(i, _)| index < i) {
                                 failure = Some((*index, error));
                             }
                         }

@@ -65,16 +65,18 @@ impl SuperChunk {
         }
     }
 
-    /// Builds a super-chunk from raw chunk payloads, fingerprinting each with
-    /// `algorithm`.
+    /// Builds a super-chunk from raw chunk payloads, fingerprinting them with
+    /// `algorithm` in one [`FingerprintAlgorithm::fingerprint_batch`] call.
     pub fn from_payloads(
         algorithm: FingerprintAlgorithm,
         offset: u64,
         chunks: Vec<Vec<u8>>,
     ) -> Self {
-        let descriptors = chunks
-            .iter()
-            .map(|c| ChunkDescriptor::new(algorithm.fingerprint(c), c.len() as u32))
+        let descriptors = algorithm
+            .fingerprint_batch(&chunks)
+            .into_iter()
+            .zip(&chunks)
+            .map(|(fingerprint, c)| ChunkDescriptor::new(fingerprint, c.len() as u32))
             .collect();
         SuperChunk {
             offset,

@@ -137,7 +137,7 @@ impl Digest for Md5 {
                 BLOCK_LEN + 56 - rem
             }
         };
-        padding.extend(std::iter::repeat(0u8).take(pad_to));
+        padding.extend(std::iter::repeat_n(0u8, pad_to));
         padding.extend_from_slice(&bit_len.to_le_bytes());
 
         self.update(&padding);

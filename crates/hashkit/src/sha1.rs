@@ -10,11 +10,30 @@
 //! else, an unrolled scalar loop. [`Sha1`] picks one at runtime for every
 //! compression; [`ReferenceSha1`](crate::reference::ReferenceSha1) always runs
 //! the scalar one, so tests can pin the two against each other.
+//!
+//! A third kernel hashes many chunks at once: [`fingerprint_batch`] runs
+//! groups of [`LANES`] chunks through a 16-lane AVX-512 compression (one
+//! chunk per 32-bit lane, the multi-buffer technique) on CPUs that report
+//! `avx512f` and `avx512bw`, and finishes each chunk's tail and padding on
+//! the per-chunk kernel above.
 
 use crate::{Digest, Fingerprint};
 
 const BLOCK_LEN: usize = 64;
 const OUTPUT_LEN: usize = 20;
+
+/// The SHA-1 initial chaining value (FIPS 180-1).
+const IV: [u32; 5] = [
+    0x6745_2301,
+    0xEFCD_AB89,
+    0x98BA_DCFE,
+    0x1032_5476,
+    0xC3D2_E1F0,
+];
+
+/// How many chunks the wide kernel hashes side by side: one per 32-bit lane
+/// of a 512-bit register.
+pub(crate) const LANES: usize = 16;
 
 /// Compresses every whole 64-byte block of its second argument into the state.
 pub(crate) type CompressFn = fn(&mut [u32; 5], &[u8]);
@@ -32,22 +51,28 @@ pub(crate) struct Sha1Core {
 
 impl Default for Sha1Core {
     fn default() -> Self {
-        Sha1Core {
-            state: [
-                0x6745_2301,
-                0xEFCD_AB89,
-                0x98BA_DCFE,
-                0x1032_5476,
-                0xC3D2_E1F0,
-            ],
-            buffer: [0u8; BLOCK_LEN],
-            buffer_len: 0,
-            total_len: 0,
-        }
+        Sha1Core::resume(IV, 0)
     }
 }
 
 impl Sha1Core {
+    /// The core after `consumed` bytes, a whole number of blocks, have been
+    /// compressed into `state`: how a chunk whose leading blocks ran on the
+    /// wide kernel continues on the per-chunk one.
+    pub(crate) fn resume(state: [u32; 5], consumed: u64) -> Self {
+        assert_eq!(
+            consumed % BLOCK_LEN as u64,
+            0,
+            "a chaining value stands for whole blocks"
+        );
+        Sha1Core {
+            state,
+            buffer: [0u8; BLOCK_LEN],
+            buffer_len: 0,
+            total_len: consumed,
+        }
+    }
+
     pub(crate) fn update(&mut self, mut data: &[u8], compress: CompressFn) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
 
@@ -163,6 +188,28 @@ fn compress_blocks(state: &mut [u32; 5], blocks: &[u8]) {
         return;
     }
     compress_blocks_portable(state, blocks);
+}
+
+/// Whether [`fingerprint_batch`] runs full groups of chunks on the 16-lane
+/// AVX-512 kernel on this CPU.
+#[cfg(target_arch = "x86_64")]
+fn wide_active() -> bool {
+    std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512bw")
+}
+
+/// The SHA-1 fingerprint of every chunk, in order: full groups of [`LANES`]
+/// chunks on the 16-lane kernel when [`wide_active`], everything else one
+/// chunk at a time on [`Sha1::fingerprint`]'s path. The fingerprints are the
+/// same either way.
+pub(crate) fn fingerprint_batch<C: AsRef<[u8]>>(chunks: &[C]) -> Vec<Fingerprint> {
+    #[cfg(target_arch = "x86_64")]
+    if chunks.len() >= LANES && wide_active() {
+        return avx512::fingerprint_batch(chunks);
+    }
+    chunks
+        .iter()
+        .map(|chunk| Sha1::fingerprint(chunk.as_ref()))
+        .collect()
 }
 
 /// The portable kernel: [`compress_block`] over each whole block.
@@ -431,6 +478,224 @@ mod sha_ni {
     }
 }
 
+/// The 16-lane AVX-512 kernel (the multi-buffer technique).
+///
+/// Lane `l` of every 512-bit register belongs to chunk `l` of a group: A–E
+/// are five registers and the message schedule sixteen, each holding one
+/// word of all sixteen chunks. Each block step loads every lane's 64 bytes
+/// through that lane's own bounds-checked slice, byte-swaps the words and
+/// transposes the 16×16 words in registers, so the chunks may live in one
+/// buffer or in separate allocations. A round is the scalar round on
+/// vectors: `vpternlogd` computes the boolean function (and the schedule's
+/// three-way xor) in one instruction and `vprold` does the rotates.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{compress_blocks, wide_active, Sha1, Sha1Core, BLOCK_LEN, IV, LANES};
+    use crate::{Digest, Fingerprint};
+    use std::arch::x86_64::*;
+
+    /// [`super::fingerprint_batch`] on a CPU with the wide kernel.
+    ///
+    /// Chunks are grouped by length, longest first, so the lanes of a group
+    /// share as many whole blocks as content-defined chunks allow and the
+    /// fewer than [`LANES`] left over are the shortest.
+    pub(super) fn fingerprint_batch<C: AsRef<[u8]>>(chunks: &[C]) -> Vec<Fingerprint> {
+        let mut order: Vec<usize> = (0..chunks.len()).collect();
+        order.sort_unstable_by_key(|&i| std::cmp::Reverse(chunks[i].as_ref().len()));
+        let mut out = vec![Fingerprint::ZERO; chunks.len()];
+        let groups = order.chunks_exact(LANES);
+        for &i in groups.remainder() {
+            out[i] = Sha1::fingerprint(chunks[i].as_ref());
+        }
+        for group in groups {
+            let lanes: [&[u8]; LANES] = std::array::from_fn(|l| chunks[group[l]].as_ref());
+            for (&i, fingerprint) in group.iter().zip(fingerprint_lanes(&lanes)) {
+                out[i] = fingerprint;
+            }
+        }
+        out
+    }
+
+    /// Runs the whole blocks all `lanes` have on the wide kernel, then each
+    /// lane's remaining bytes and padding on the per-chunk kernel.
+    fn fingerprint_lanes(lanes: &[&[u8]; LANES]) -> [Fingerprint; LANES] {
+        let blocks = lanes
+            .iter()
+            .map(|lane| lane.len() / BLOCK_LEN)
+            .min()
+            .expect("a group has lanes");
+        let (states, consumed) = if blocks > 0 && wide_active() {
+            #[allow(unsafe_code)]
+            // SAFETY: `compress_lanes` is compiled for avx512f and avx512bw,
+            // and `wide_active` has just confirmed that this CPU reports both.
+            let states = unsafe { compress_lanes(lanes, blocks) };
+            (states, blocks * BLOCK_LEN)
+        } else {
+            ([IV; LANES], 0)
+        };
+        std::array::from_fn(|l| {
+            let mut core = Sha1Core::resume(states[l], consumed as u64);
+            core.update(&lanes[l][consumed..], compress_blocks);
+            Fingerprint::new(core.finalize(compress_blocks))
+        })
+    }
+
+    /// Compresses the first `blocks` blocks of every lane, starting from the
+    /// IV, and returns each lane's chaining value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane is shorter than `blocks` blocks.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn compress_lanes(lanes: &[&[u8]; LANES], blocks: usize) -> [[u32; 5]; LANES] {
+        // Reverses the bytes of every 32-bit word: message words are big-endian.
+        let bswap = _mm512_broadcast_i32x4(_mm_set_epi8(
+            12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3,
+        ));
+        let k = [
+            _mm512_set1_epi32(0x5A82_7999),
+            _mm512_set1_epi32(0x6ED9_EBA1),
+            _mm512_set1_epi32(0x8F1B_BCDCu32 as i32),
+            _mm512_set1_epi32(0xCA62_C1D6u32 as i32),
+        ];
+        let mut state = IV.map(|word| _mm512_set1_epi32(word as i32));
+
+        for block in 0..blocks {
+            let at = block * BLOCK_LEN;
+            let mut rows = [_mm512_setzero_si512(); LANES];
+            for (row, lane) in rows.iter_mut().zip(lanes) {
+                let bytes: &[u8; BLOCK_LEN] = lane[at..at + BLOCK_LEN]
+                    .try_into()
+                    .expect("the slice is one block long");
+                #[allow(unsafe_code)]
+                // SAFETY: `bytes` borrows exactly the 64 initialised bytes the
+                // unaligned load reads, and `_mm512_loadu_si512` has no
+                // alignment requirement; avx512f is enabled on this function.
+                let loaded = unsafe { _mm512_loadu_si512(bytes.as_ptr().cast()) };
+                *row = _mm512_shuffle_epi8(loaded, bswap);
+            }
+            let mut w = transpose(rows);
+            let [mut a, mut b, mut c, mut d, mut e] = state;
+
+            // Schedule word for round $i (16..80), computed in place as in
+            // the portable kernel; rounds 0..16 read the block's words.
+            macro_rules! msg {
+                ($i:expr) => {{
+                    if $i < 16 {
+                        w[$i & 15]
+                    } else {
+                        let x = _mm512_rol_epi32::<1>(_mm512_xor_si512(
+                            _mm512_ternarylogic_epi32::<0x96>(
+                                w[($i + 13) & 15],
+                                w[($i + 8) & 15],
+                                w[($i + 2) & 15],
+                            ),
+                            w[$i & 15],
+                        ));
+                        w[$i & 15] = x;
+                        x
+                    }
+                }};
+            }
+            // One round; `$f` is the `vpternlogd` truth table of the round's
+            // boolean function of B, C and D (0xCA choose, 0x96 parity,
+            // 0xE8 majority).
+            macro_rules! rnd {
+                ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:literal, $k:expr, $i:expr) => {
+                    let f = _mm512_ternarylogic_epi32::<$f>($b, $c, $d);
+                    $e = _mm512_add_epi32(
+                        _mm512_add_epi32($e, _mm512_rol_epi32::<5>($a)),
+                        _mm512_add_epi32(f, _mm512_add_epi32($k, msg!($i))),
+                    );
+                    $b = _mm512_rol_epi32::<30>($b);
+                };
+            }
+            // Five rounds from round $i, rotating the register roles back to
+            // where they started.
+            macro_rules! rounds5 {
+                ($f:literal, $k:expr, $i:expr) => {
+                    rnd!(a, b, c, d, e, $f, $k, $i);
+                    rnd!(e, a, b, c, d, $f, $k, $i + 1);
+                    rnd!(d, e, a, b, c, $f, $k, $i + 2);
+                    rnd!(c, d, e, a, b, $f, $k, $i + 3);
+                    rnd!(b, c, d, e, a, $f, $k, $i + 4);
+                };
+            }
+
+            rounds5!(0xCA, k[0], 0);
+            rounds5!(0xCA, k[0], 5);
+            rounds5!(0xCA, k[0], 10);
+            rounds5!(0xCA, k[0], 15);
+            rounds5!(0x96, k[1], 20);
+            rounds5!(0x96, k[1], 25);
+            rounds5!(0x96, k[1], 30);
+            rounds5!(0x96, k[1], 35);
+            rounds5!(0xE8, k[2], 40);
+            rounds5!(0xE8, k[2], 45);
+            rounds5!(0xE8, k[2], 50);
+            rounds5!(0xE8, k[2], 55);
+            rounds5!(0x96, k[3], 60);
+            rounds5!(0x96, k[3], 65);
+            rounds5!(0x96, k[3], 70);
+            rounds5!(0x96, k[3], 75);
+            // The final rounds' schedule writes are dead by construction.
+            let _ = w;
+
+            for (word, round) in state.iter_mut().zip([a, b, c, d, e]) {
+                *word = _mm512_add_epi32(*word, round);
+            }
+        }
+
+        let mut words = [[0u32; LANES]; 5];
+        for (out, word) in words.iter_mut().zip(state) {
+            #[allow(unsafe_code)]
+            // SAFETY: `out` is 64 bytes of writable `u32`s, exactly what the
+            // unaligned store writes, and `_mm512_storeu_si512` has no
+            // alignment requirement; avx512f is enabled on this function.
+            unsafe {
+                _mm512_storeu_si512(out.as_mut_ptr().cast(), word)
+            };
+        }
+        std::array::from_fn(|l| words.map(|word| word[l]))
+    }
+
+    /// Transposes sixteen rows of sixteen 32-bit words: word `j` of row `i`
+    /// becomes word `i` of row `j`.
+    ///
+    /// Two unpack stages interleave words, then pairs of words, within each
+    /// 128-bit segment; after them, segment `s` of `c[j][m]` holds column
+    /// `4s + j` of rows `4m..4m + 4`. Two `vshufi32x4` stages then transpose
+    /// the 4×4 matrix of segments for each `j`.
+    #[target_feature(enable = "avx512f")]
+    fn transpose(r: [__m512i; 16]) -> [__m512i; 16] {
+        let mut a = [_mm512_setzero_si512(); 16];
+        for k in 0..8 {
+            a[2 * k] = _mm512_unpacklo_epi32(r[2 * k], r[2 * k + 1]);
+            a[2 * k + 1] = _mm512_unpackhi_epi32(r[2 * k], r[2 * k + 1]);
+        }
+        let mut c = [[_mm512_setzero_si512(); 4]; 4];
+        for m in 0..4 {
+            let (lo0, hi0, lo1, hi1) = (a[4 * m], a[4 * m + 1], a[4 * m + 2], a[4 * m + 3]);
+            c[0][m] = _mm512_unpacklo_epi64(lo0, lo1);
+            c[1][m] = _mm512_unpackhi_epi64(lo0, lo1);
+            c[2][m] = _mm512_unpacklo_epi64(hi0, hi1);
+            c[3][m] = _mm512_unpackhi_epi64(hi0, hi1);
+        }
+        let mut out = [_mm512_setzero_si512(); 16];
+        for (j, c) in c.iter().enumerate() {
+            let d0 = _mm512_shuffle_i32x4::<0x44>(c[0], c[1]);
+            let d1 = _mm512_shuffle_i32x4::<0xEE>(c[0], c[1]);
+            let d2 = _mm512_shuffle_i32x4::<0x44>(c[2], c[3]);
+            let d3 = _mm512_shuffle_i32x4::<0xEE>(c[2], c[3]);
+            out[j] = _mm512_shuffle_i32x4::<0x88>(d0, d2);
+            out[4 + j] = _mm512_shuffle_i32x4::<0xDD>(d0, d2);
+            out[8 + j] = _mm512_shuffle_i32x4::<0x88>(d1, d3);
+            out[12 + j] = _mm512_shuffle_i32x4::<0xDD>(d1, d3);
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,6 +746,65 @@ mod tests {
         }
     }
 
+    /// `copies` copies of `data` through the batch path, each as hex.
+    fn batch_of(data: &[u8], copies: usize) -> Vec<String> {
+        fingerprint_batch(&vec![data; copies])
+            .iter()
+            .map(|fp| hex(fp.as_bytes()))
+            .collect()
+    }
+
+    #[test]
+    fn fips_vectors_through_the_batch_path() {
+        let cases: &[(&[u8], &str)] = &[
+            (b"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
+            (b"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "84983e441c3bd26ebaae4aa1f95129e5e54670f1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+                  hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "a49b2446a02c645bf419f995b67091253a04a259",
+            ),
+        ];
+        // One full group and one chunk left over.
+        for (input, expected) in cases {
+            for got in batch_of(input, LANES + 1) {
+                assert_eq!(got, *expected, "input {:?}", input);
+            }
+        }
+    }
+
+    #[test]
+    fn million_a_through_the_batch_path() {
+        for got in batch_of(&vec![b'a'; 1_000_000], LANES) {
+            assert_eq!(got, "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+        }
+    }
+
+    #[test]
+    fn batch_of_fixed_4k_chunks_matches_reference() {
+        let data: Vec<u8> = (0..1u32 << 20)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        let chunks: Vec<&[u8]> = data.chunks(4096).collect();
+        let expected: Vec<Fingerprint> = chunks
+            .iter()
+            .map(|c| ReferenceSha1::fingerprint_bytes(c))
+            .collect();
+        assert_eq!(fingerprint_batch(&chunks), expected);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn wide_kernel_is_selected_whenever_the_cpu_has_it() {
+        if std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512bw") {
+            assert!(wide_active(), "CPU reports avx512f + avx512bw");
+        }
+    }
+
     #[test]
     fn boundary_lengths() {
         // Exercise padding around the 56/64-byte boundaries.
@@ -519,6 +843,48 @@ mod tests {
         #[test]
         fn prop_output_len(data in proptest::collection::vec(any::<u8>(), 0..512)) {
             prop_assert_eq!(Sha1::digest(&data).len(), Sha1::OUTPUT_LEN);
+        }
+    }
+
+    /// Lengths around the padding cut (55/56), the block edge and a 4 KiB
+    /// chunk, which random lengths up to 9 000 would rarely hit.
+    const EDGE_LENGTHS: [usize; 11] = [0, 1, 55, 56, 63, 64, 65, 119, 4095, 4096, 4097];
+    /// The longest random chunk.
+    const MAX_CHUNK: usize = 9_000;
+    /// The furthest a chunk starts past the buffer's first byte.
+    const MAX_SKEW: usize = 63;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn batch_matches_reference_chunk_by_chunk(
+            data in proptest::collection::vec(any::<u8>(), MAX_CHUNK + MAX_SKEW..MAX_CHUNK + MAX_SKEW + 1),
+            specs in proptest::collection::vec(any::<u64>(), 0..41),
+        ) {
+            // 0..=40 chunks: full groups, a partial group and remainders.
+            // Each spec picks an edge length or a random one, mixed within a
+            // group, and a start 0..=63 bytes into the shared buffer.
+            let chunks: Vec<&[u8]> = specs
+                .iter()
+                .map(|&spec| {
+                    let len = if spec & 1 == 0 {
+                        EDGE_LENGTHS[(spec >> 8) as usize % EDGE_LENGTHS.len()]
+                    } else {
+                        (spec >> 8) as usize % (MAX_CHUNK + 1)
+                    };
+                    let start = (spec >> 40) as usize % (MAX_SKEW + 1);
+                    &data[start..start + len]
+                })
+                .collect();
+            let expected: Vec<Fingerprint> = chunks
+                .iter()
+                .map(|c| ReferenceSha1::fingerprint_bytes(c))
+                .collect();
+            prop_assert_eq!(&fingerprint_batch(&chunks), &expected);
+            // The same chunks as separate allocations.
+            let owned: Vec<Vec<u8>> = chunks.iter().map(|c| c.to_vec()).collect();
+            prop_assert_eq!(&fingerprint_batch(&owned), &expected);
         }
     }
 }

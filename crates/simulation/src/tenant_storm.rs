@@ -698,7 +698,7 @@ pub fn run_tenant_storm(config: &TenantStormConfig) -> TenantStormReport {
             let journal = node
                 .journal()
                 .expect("durability gives every node a journal");
-            let mode = if config.seed % 2 == 0 {
+            let mode = if config.seed.is_multiple_of(2) {
                 CrashMode::Clean
             } else {
                 CrashMode::Torn

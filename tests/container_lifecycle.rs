@@ -55,7 +55,7 @@ fn file_bytes(seed: u64, blocks: usize) -> Vec<u8> {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            block(if x % 3 == 0 { x } else { x % 16 })
+            block(if x.is_multiple_of(3) { x } else { x % 16 })
         })
         .collect()
 }
@@ -118,7 +118,7 @@ proptest! {
                         live.lock().unwrap().insert(report.file_id, Arc::new(data));
                     }
                     2 => {
-                        if rebalancer.as_ref().map_or(true, Rebalancer::is_done) {
+                        if rebalancer.as_ref().is_none_or(Rebalancer::is_done) {
                             rebalancer = Some(if cluster.node_count() < 4 {
                                 let id = cluster.add_node();
                                 cluster.begin_rebalance_onto(id).expect("active node")
