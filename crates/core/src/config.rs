@@ -50,7 +50,8 @@ pub struct SigmaConfig {
     pub chunker: ChunkerParams,
     /// Chunk fingerprinting hash. Default: SHA-1.
     pub fingerprint_algorithm: FingerprintAlgorithm,
-    /// Container data-section capacity in bytes. Default: 4 MB.
+    /// Container data-section capacity in bytes, at most `u32::MAX` (chunk
+    /// offsets and lengths are 32-bit on disk). Default: 4 MB.
     pub container_capacity: usize,
     /// Chunk-fingerprint cache capacity, in containers. Default: 512.
     pub cache_containers: usize,
@@ -223,6 +224,14 @@ impl SigmaConfig {
             return Err(SigmaError::InvalidConfig(
                 "container capacity must be non-zero".to_string(),
             ));
+        }
+        // Offsets, lengths and the data length are u32 on disk.
+        if self.container_capacity > u32::MAX as usize {
+            return Err(SigmaError::InvalidConfig(format!(
+                "container capacity {} exceeds the on-disk limit of {} bytes",
+                self.container_capacity,
+                u32::MAX
+            )));
         }
         if self.cache_containers == 0 {
             return Err(SigmaError::InvalidConfig(
@@ -511,6 +520,23 @@ mod tests {
         assert!(auto.effective_parallelism() >= 1, "0 resolves to CPU count");
         let eight = SigmaConfig::builder().parallelism(8).build().unwrap();
         assert_eq!(eight.effective_parallelism(), 8);
+    }
+
+    #[test]
+    fn container_capacity_fits_the_on_disk_offsets() {
+        let largest = SigmaConfig::builder()
+            .container_capacity(u32::MAX as usize)
+            .build()
+            .unwrap();
+        assert_eq!(largest.container_capacity, u32::MAX as usize);
+        let err = SigmaConfig::builder()
+            .container_capacity(u32::MAX as usize + 1)
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(&err, SigmaError::InvalidConfig(msg) if msg.contains("container capacity")),
+            "{err}"
+        );
     }
 
     #[test]

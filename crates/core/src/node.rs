@@ -294,8 +294,10 @@ impl DedupNode {
     /// # Errors
     ///
     /// Returns [`SigmaError::Storage`] when the journal holds an intact frame
-    /// this version cannot decode (the medium is then left untouched) or the
-    /// medium cannot be read or swept.
+    /// this version cannot decode, or a replayed container's object was
+    /// written in another container format version (the medium is then left
+    /// untouched: nothing is discarded or swept), or the medium cannot be
+    /// read or swept.
     pub fn recover(
         id: usize,
         config: &SigmaConfig,
@@ -344,7 +346,7 @@ impl DedupNode {
     ///
     /// Returns [`SigmaError::InvalidConfig`] when `config` does not select the
     /// file backend, and [`SigmaError::Storage`] when the directory cannot be
-    /// opened or read.
+    /// opened or read, or [`recover`](Self::recover) refuses it.
     pub fn recover_from_dir(id: usize, config: &SigmaConfig) -> Result<(Self, RecoveryReport)> {
         let dir = config.node_storage_dir(id).ok_or_else(|| {
             SigmaError::InvalidConfig(

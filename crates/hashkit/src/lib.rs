@@ -13,7 +13,10 @@
 //!   [`reference::ReferenceSha1`] always takes the portable kernel.
 //!   [`FingerprintAlgorithm::fingerprint_batch`] hashes many chunks at once:
 //!   on a CPU with AVX-512 (`avx512f` + `avx512bw`, also detected at
-//!   runtime), sixteen chunks side by side, one per vector lane.
+//!   runtime), sixteen chunks side by side, one per vector lane. It has two
+//!   consumers: ingest fingerprints its chunks through it, and the storage
+//!   layer's container checksum hashes a data section's sixteen stripes
+//!   through it in one call.
 //! * [`Md5`] — the 128-bit MD5 hash, the weaker alternative evaluated in
 //!   Figure 4(a) of the paper.
 //!

@@ -10,17 +10,72 @@
 //! section, metadata section) is the only home of the chunk bytes, and a
 //! [`ContainerSummary`] — the metadata plus the data section's length and
 //! checksum — is all the container directory and the journal keep.
+//!
+//! The checksum is striped: SHA-1 over the SHA-1s of sixteen stripes of the
+//! data section (see [`section_checksum`]), so the seal, every restart's
+//! object check and compaction's victim check hash sixteen independent
+//! streams at once instead of one serial stream.
 
 use crate::journal::Reader;
 use crate::SharedBytes;
 use serde::{Deserialize, Serialize};
-use sigma_hashkit::{Digest, Fingerprint, Sha1};
+use sigma_hashkit::{Digest, Fingerprint, FingerprintAlgorithm, Sha1};
 
 /// Magic prefix of a serialized container object ("SCNT").
 const CONTAINER_BLOB_MAGIC: u32 = 0x5343_4E54;
 
-/// Current container-object format version.
-const CONTAINER_BLOB_VERSION: u8 = 2;
+/// Current container-object format version.  Version 3 striped the
+/// data-section checksum; version 2 was SHA-1 of the whole section, in the
+/// same layout.
+const CONTAINER_BLOB_VERSION: u8 = 3;
+
+/// Number of stripes [`section_checksum`] splits a data section into: one
+/// per lane of the batch SHA-1 kernel.  Part of the on-disk format.
+const CHECKSUM_STRIPES: usize = 16;
+const _: () = assert!(CHECKSUM_STRIPES == FingerprintAlgorithm::BATCH_LANES);
+
+/// SHA-1's block length: stripes start on block boundaries.
+const SHA1_BLOCK: usize = 64;
+
+/// The checksum of a container's data section: SHA-1 over the concatenated
+/// SHA-1s of its sixteen stripes, in stripe order.
+///
+/// The stripe length `s` is `data.len().div_ceil(16)` rounded up to a whole
+/// 64-byte block, and at least 64; stripe `i` is `[i·s, (i+1)·s)` clipped to
+/// the section, so the last stripes may be short or empty.  The stripes are
+/// independent, so one [`FingerprintAlgorithm::fingerprint_batch`] call
+/// hashes them side by side (on AVX-512, one per vector lane; elsewhere one
+/// after another at the per-chunk speed).  The value depends only on the
+/// bytes.  This is the only definition of the checksum: the seal, recovery's
+/// object check and compaction's victim check all call it.
+pub(crate) fn section_checksum(data: &[u8]) -> Fingerprint {
+    let stripe = data
+        .len()
+        .div_ceil(CHECKSUM_STRIPES)
+        .next_multiple_of(SHA1_BLOCK)
+        .max(SHA1_BLOCK);
+    let stripes: [&[u8]; CHECKSUM_STRIPES] = std::array::from_fn(|i| {
+        let start = (i * stripe).min(data.len());
+        &data[start..(start + stripe).min(data.len())]
+    });
+    let mut digests = [0u8; CHECKSUM_STRIPES * Fingerprint::LEN];
+    let batch = FingerprintAlgorithm::Sha1.fingerprint_batch(&stripes);
+    for (out, fingerprint) in digests.chunks_exact_mut(Fingerprint::LEN).zip(&batch) {
+        out.copy_from_slice(fingerprint.as_bytes());
+    }
+    Sha1::fingerprint(&digests)
+}
+
+/// The format version an object's header names when its magic is intact but
+/// the version is not [`CONTAINER_BLOB_VERSION`]: an object another version
+/// of this code wrote, which this one can neither verify nor safely discard.
+pub(crate) fn foreign_version(object: &[u8]) -> Option<u8> {
+    let mut r = Reader::new(object);
+    if r.u32()? != CONTAINER_BLOB_MAGIC {
+        return None;
+    }
+    r.u8().filter(|&version| version != CONTAINER_BLOB_VERSION)
+}
 
 /// Byte offset of the data section inside a serialized container object:
 /// magic (4) + version (1) + id (8) + logical size (8) + data length (4) +
@@ -109,8 +164,9 @@ pub struct ContainerSummary {
     pub data_len: u32,
     /// Logical data-section size in bytes (including synthetic chunks).
     pub logical_size: u64,
-    /// SHA-1 of the data section; recovery discards a container whose object
-    /// no longer hashes to it.
+    /// Striped SHA-1 of the data section: SHA-1 over the SHA-1s of its
+    /// sixteen block-aligned stripes (format version 3).  Recovery discards a
+    /// container whose object no longer hashes to it.
     pub checksum: Fingerprint,
 }
 
@@ -130,14 +186,14 @@ impl ContainerSummary {
     ///
     /// Returns `None` on any framing violation — bad magic or version,
     /// truncated sections, trailing garbage — and when the data section does
-    /// not hash to the checksum in the header.
+    /// not hash to the striped checksum in the header.
     pub fn from_object(bytes: &[u8]) -> Option<ContainerSummary> {
         let mut r = Reader::new(bytes);
         if r.u32()? != CONTAINER_BLOB_MAGIC || r.u8()? != CONTAINER_BLOB_VERSION {
             return None;
         }
         let mut summary = Self::decode_head(&mut r)?;
-        if Sha1::fingerprint(r.bytes(summary.data_len as usize)?) != summary.checksum {
+        if section_checksum(r.bytes(summary.data_len as usize)?) != summary.checksum {
             return None;
         }
         summary.meta.records = Self::decode_records(&mut r)?;
@@ -145,7 +201,7 @@ impl ContainerSummary {
     }
 
     /// The summary's encoding, shared by the journal records and the object
-    /// header: `id u64 | logical_size u64 | data_len u32 | sha1 [20]`, then
+    /// header: `id u64 | logical_size u64 | data_len u32 | checksum [20]`, then
     /// the record table.  The object puts the data section between the two.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         self.encode_head(out);
@@ -217,8 +273,8 @@ pub struct Container {
     meta: ContainerMeta,
     data: SharedBytes,
     logical_size: usize,
-    /// SHA-1 of `data` as journaled, for a container read back from its
-    /// object: re-homing it (a migration) keeps that checksum instead of
+    /// Striped SHA-1 of `data` as journaled, for a container read back from
+    /// its object: re-homing it (a migration) keeps that checksum instead of
     /// hashing the bytes again, so rot on the source stays detectable.
     checksum: Option<Fingerprint>,
 }
@@ -291,14 +347,16 @@ impl Container {
     /// bytes of its backend object, the only home of the data section:
     ///
     /// ```text
-    /// magic u32 | version u8 | id u64 | logical_size u64 | data_len u32 | sha1 [20]
+    /// magic u32 | version u8 | id u64 | logical_size u64 | data_len u32 | checksum [20]
     /// data section (data_len bytes)            <- starts at CONTAINER_BLOB_DATA_OFFSET
     /// record_count u32 | (fingerprint, offset u32, len u32) x record_count
     /// ```
     ///
     /// Between the magic/version prefix and the data section sits the
     /// summary's head, and after the data its record table — the same
-    /// encoding the journal records use.
+    /// encoding the journal records use.  The checksum is the striped SHA-1
+    /// of the data section, computed here (on the sealer thread, for a
+    /// rollover) unless the container was read back with a known one.
     pub fn to_object(&self) -> (ContainerSummary, Vec<u8>) {
         let summary = ContainerSummary {
             id: self.id,
@@ -307,7 +365,7 @@ impl Container {
             logical_size: self.logical_size as u64,
             checksum: self
                 .checksum
-                .unwrap_or_else(|| Sha1::fingerprint(&self.data)),
+                .unwrap_or_else(|| section_checksum(&self.data)),
         };
         let mut out = Vec::with_capacity(
             CONTAINER_BLOB_DATA_OFFSET + self.data.len() + 4 + self.meta.serialized_size(),
@@ -437,6 +495,7 @@ impl ContainerBuilder {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use sigma_hashkit::reference::ReferenceSha1;
     use sigma_hashkit::{Digest, Sha1};
 
     #[test]
@@ -511,7 +570,7 @@ mod tests {
         assert_eq!(&summary.meta, sealed.meta());
         assert_eq!(summary.data_len as usize, data.len());
         assert_eq!(summary.data_size(), sealed.data_size());
-        assert_eq!(summary.checksum, Sha1::fingerprint(data));
+        assert_eq!(summary.checksum, reference_checksum(data));
         assert_eq!(
             ContainerSummary::from_object(&object),
             Some(summary.clone())
@@ -547,12 +606,105 @@ mod tests {
         let mut bad_version = object.clone();
         bad_version[4] = 1;
         assert!(decode(&bad_version).is_none(), "old version");
+        assert_eq!(foreign_version(&bad_version), Some(1));
+        assert_eq!(foreign_version(&object), None, "the current version");
+        assert_eq!(foreign_version(&bad_magic), None, "not an object at all");
+        assert_eq!(foreign_version(&object[..4]), None, "no version byte");
         let mut rotten = object;
         rotten[CONTAINER_BLOB_DATA_OFFSET + 1] ^= 0x01;
         assert!(decode(&rotten).is_none(), "data section fails its checksum");
     }
 
+    /// The striped checksum written out plainly on the portable reference
+    /// SHA-1: each stripe's digest, then the digest of their concatenation.
+    fn reference_checksum(data: &[u8]) -> Fingerprint {
+        let stripe = (data.len().div_ceil(16).div_ceil(64) * 64).max(64);
+        let mut digests = Vec::new();
+        for i in 0..16 {
+            let start = (i * stripe).min(data.len());
+            let end = (start + stripe).min(data.len());
+            digests
+                .extend_from_slice(ReferenceSha1::fingerprint_bytes(&data[start..end]).as_bytes());
+        }
+        ReferenceSha1::fingerprint_bytes(&digests)
+    }
+
+    /// Deterministic section bytes: `i mod 251`.
+    fn section(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    #[test]
+    fn section_checksum_known_answers() {
+        // Computed independently of this crate (SHA-1 of the sixteen stripe
+        // SHA-1s, stripe length ceil(len / 16) rounded up to 64, at least 64).
+        let vectors = [
+            (0, "f98e6246f97a6ba53ed519d91e46bfd94cfdb9f5"),
+            (1, "adb3d13e7d6af6a20508843ce1c022f3ede3c906"),
+            (63, "27afb0a1ef42d9ada6ba0ff4a2260e002796d88e"),
+            (64, "e25dd92ee009dc8325376e39a649ba5ddab4087e"),
+            (65, "6e4ef85220ebfaa19b3b71603ac34799809f718c"),
+            (1023, "5a45b2a56842bb85639c9f924c40f516cd551b90"),
+            (1024, "4a9afd2872dad58746f22d8a220b87be0554cac1"),
+            (1025, "a379b153d9a1942c7a0076de5972e8dae59b9b9a"),
+            ((4 << 20) - 1000, "127c1293c2e1e124d5eac4cda26bb0ca9db407e6"),
+            (4 << 20, "121dd85b627391b945644d0cd4e0ddf18b3da3ce"),
+        ];
+        let data = section(4 << 20);
+        for (len, hex) in vectors {
+            assert_eq!(
+                section_checksum(&data[..len]).to_string(),
+                hex,
+                "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_stripe_is_covered_by_the_checksum() {
+        // 16 KiB - 10: stripes of 1 KiB, the last one 1014 bytes.
+        let data = section(16 * 1024 - 10);
+        let mut b = ContainerBuilder::new(ContainerId::new(4), data.len());
+        assert!(b.try_append(Sha1::fingerprint(&data), &data));
+        let (summary, object) = b.seal().to_object();
+        assert_eq!(ContainerSummary::from_object(&object), Some(summary));
+        let stripe = 1024;
+        for i in 0..16 {
+            let end = ((i + 1) * stripe).min(data.len());
+            for at in [i * stripe, end - 1] {
+                let mut flipped = object.clone();
+                flipped[CONTAINER_BLOB_DATA_OFFSET + at] ^= 0x80;
+                assert_eq!(
+                    ContainerSummary::from_object(&flipped),
+                    None,
+                    "stripe {i}: a flip at byte {at} goes unnoticed"
+                );
+            }
+        }
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn section_checksum_matches_the_reference(
+            seed in any::<u64>(),
+            start in 0usize..64,
+            len in 0usize..300 * 1024 + 1,
+        ) {
+            // One buffer; the section is an unaligned sub-slice of it.
+            let mut state = seed | 1;
+            let buffer: Vec<u8> = (0..start + len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state as u8
+                })
+                .collect();
+            let data = &buffer[start..];
+            prop_assert_eq!(section_checksum(data), reference_checksum(data));
+        }
+
         #[test]
         fn prop_sealed_container_roundtrips_all_chunks(
             payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..64), 1..32)

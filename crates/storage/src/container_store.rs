@@ -75,13 +75,13 @@
 
 use crate::read_cache::{ContainerReadCache, ReadCacheStats};
 use crate::{
-    ChunkLocation, Container, ContainerBuilder, ContainerId, ContainerMeta, ContainerSummary,
-    DiskModel, Journal, JournalRecord, MemoryBackend, Result, SharedBytes, StorageBackend,
-    StorageError, StorageObject, CONTAINER_BLOB_DATA_OFFSET,
+    container, ChunkLocation, Container, ContainerBuilder, ContainerId, ContainerMeta,
+    ContainerSummary, DiskModel, Journal, JournalRecord, MemoryBackend, Result, SharedBytes,
+    StorageBackend, StorageError, StorageObject, CONTAINER_BLOB_DATA_OFFSET,
 };
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-use sigma_hashkit::{Digest, Fingerprint, Sha1};
+use sigma_hashkit::Fingerprint;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -1616,7 +1616,7 @@ impl ContainerStore {
         let Some(data) = self.read_sealed(&old, || self.section(&old))? else {
             return Ok(None);
         };
-        if Sha1::fingerprint(&data) != old.checksum {
+        if container::section_checksum(&data) != old.checksum {
             return Err(StorageError::Io(format!(
                 "{}: data section fails its checksum",
                 old.id
@@ -1779,27 +1779,43 @@ impl ContainerStore {
     /// Returns the discarded containers and the number of orphans deleted;
     /// every container still sealed afterwards was verified.
     ///
+    /// An object whose magic is intact but whose header names another format
+    /// version is neither rot nor garbage: this version cannot check it, so
+    /// recovery refuses the medium rather than discarding the container, as
+    /// the journal refuses an intact frame it cannot decode.  An orphan is
+    /// deleted whatever its version, since no record claims it.
+    ///
     /// # Errors
     ///
-    /// Returns [`StorageError::Io`] when the backend cannot be listed, read or
-    /// written.
+    /// Returns [`StorageError::UnreadableObject`] for a sealed container whose
+    /// object another format version wrote; nothing on the medium has been
+    /// deleted then.  Returns [`StorageError::Io`] when the backend cannot be
+    /// listed, read or written.
     pub fn verify_objects(&self) -> Result<(Vec<Arc<ContainerSummary>>, u64)> {
         let sealed: Vec<Arc<ContainerSummary>> = self
             .sealed_container_ids()
             .iter()
             .filter_map(|id| self.sealed_summary(id))
             .collect();
-        let mut discarded = Vec::new();
+        // Damaged containers are discarded (their objects deleted) only once
+        // every object has been read, so a refusal leaves the medium whole.
+        let mut damaged = Vec::new();
         for summary in sealed {
             let obj = StorageObject::Container(summary.id);
             let object = match self.backend.object_len(obj)? {
                 Some(len) => Some(self.backend.read_shared(obj, 0, len as usize)?),
                 None => None,
             };
+            if let Some(version) = object.as_deref().and_then(container::foreign_version) {
+                return Err(StorageError::UnreadableObject {
+                    container: summary.id,
+                    version,
+                });
+            }
             let intact =
                 object.filter(|o| ContainerSummary::from_object(o).as_ref() == Some(&*summary));
             let Some(object) = intact else {
-                discarded.extend(self.remove(summary.id, None));
+                damaged.push(summary.id);
                 continue;
             };
             // Checking the object just read its data section: keep it, like
@@ -1808,6 +1824,10 @@ impl ContainerStore {
                 CONTAINER_BLOB_DATA_OFFSET..CONTAINER_BLOB_DATA_OFFSET + summary.data_len as usize;
             self.fill_cache(&summary, object.slice(data));
         }
+        let discarded = damaged
+            .into_iter()
+            .filter_map(|id| self.remove(id, None))
+            .collect();
         let sealed: HashSet<ContainerId> = self.sealed_container_ids().into_iter().collect();
         let mut orphans = 0;
         for obj in self.backend.list()? {
@@ -2504,6 +2524,46 @@ mod tests {
             "only the healthy container's object is left"
         );
         assert_eq!(store.backend_physical_bytes().unwrap(), 200);
+    }
+
+    #[test]
+    fn verify_objects_refuses_another_format_version_before_deleting_anything() {
+        let backend = Arc::new(MemoryBackend::new());
+        let store = ContainerStore::new(4096).with_backend(backend.clone());
+        for stream in 0..3u64 {
+            let (fp, data) = payload(stream, 200);
+            store.store_chunk(stream, fp, &data).unwrap();
+        }
+        store.flush().unwrap();
+        let ids = store.sealed_container_ids();
+        // A rotten container ahead of one whose header names version 2, and
+        // an orphan: none of the three may be deleted.
+        let rotten = StorageObject::Container(ids[0]);
+        let mut bytes = backend.read_all(rotten).unwrap();
+        bytes[CONTAINER_BLOB_DATA_OFFSET + 7] ^= 0x10;
+        backend.write_object(rotten, &bytes).unwrap();
+        let foreign = StorageObject::Container(ids[1]);
+        let mut bytes = backend.read_all(foreign).unwrap();
+        bytes[4] = 2;
+        backend.write_object(foreign, &bytes).unwrap();
+        let orphan = StorageObject::Container(ContainerId::new(99));
+        backend.write_object(orphan, b"never recorded").unwrap();
+        let medium = |backend: &MemoryBackend| -> Vec<(StorageObject, Vec<u8>)> {
+            let objects = backend.list().unwrap();
+            objects
+                .into_iter()
+                .map(|obj| (obj, backend.read_all(obj).unwrap()))
+                .collect()
+        };
+        let before = medium(&backend);
+        assert_eq!(
+            store.verify_objects(),
+            Err(StorageError::UnreadableObject {
+                container: ids[1],
+                version: 2
+            })
+        );
+        assert_eq!(medium(&backend), before, "the medium is left untouched");
     }
 
     #[test]

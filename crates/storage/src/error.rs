@@ -41,6 +41,15 @@ pub enum StorageError {
         /// Byte offset of the frame in the journal.
         offset: u64,
     },
+    /// A container object's magic is intact but its header names a format
+    /// version this one cannot read — another version of the code wrote it.
+    /// Recovery refuses the medium instead of discarding the container.
+    UnreadableObject {
+        /// The container the object belongs to.
+        container: ContainerId,
+        /// The format version the object's header names.
+        version: u8,
+    },
     /// A storage backend operation failed (the message carries the operation,
     /// the object and the underlying OS error).  Only the file backend produces
     /// these at runtime; the volatile backends are infallible.
@@ -81,6 +90,11 @@ impl std::fmt::Display for StorageError {
                 f,
                 "journal frame {} at offset {} is intact but holds no record this version can read",
                 seq, offset
+            ),
+            StorageError::UnreadableObject { container, version } => write!(
+                f,
+                "{} is stored in container format version {}, which this version cannot read",
+                container, version
             ),
             StorageError::Io(msg) => write!(f, "storage backend i/o error: {}", msg),
         }

@@ -36,7 +36,9 @@
 
 use proptest::prelude::*;
 use sigma_dedupe::prelude::*;
-use sigma_dedupe::storage::{Result as StorageResult, StorageObject, CONTAINER_BLOB_DATA_OFFSET};
+use sigma_dedupe::storage::{
+    ContainerBuilder, Result as StorageResult, StorageObject, CONTAINER_BLOB_DATA_OFFSET,
+};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -881,24 +883,92 @@ fn unreadable_journal_frame_is_refused_not_truncated() {
             .unwrap();
     }
     let dir = config.node_storage_dir(0).unwrap();
-    let snapshot = || -> Vec<(std::ffi::OsString, Vec<u8>)> {
-        let mut files: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| {
-                let e = e.unwrap();
-                (e.file_name(), std::fs::read(e.path()).unwrap())
-            })
-            .collect();
-        files.sort();
-        files
-    };
-    let before = snapshot();
+    let before = snapshot_dir(&dir);
     match DedupNode::recover_from_dir(0, &config) {
         Err(SigmaError::Storage(StorageError::UnreadableRecord { .. })) => {}
         Err(e) => panic!("wrong error: {e}"),
         Ok(_) => panic!("an unreadable frame must refuse recovery"),
     }
-    assert_eq!(snapshot(), before, "the medium is left untouched");
+    assert_eq!(snapshot_dir(&dir), before, "the medium is left untouched");
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Every file in `dir` with its bytes, sorted by name.
+fn snapshot_dir(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Writes one sealed container into node 0's directory under `config` the
+/// way format version `version` lays it out — its object and the journal's
+/// seal record beside it — and returns the container's ID.  Version 2 is
+/// version 3's layout with the checksum taken over the whole data section
+/// in one SHA-1, not over sixteen stripes.
+fn hand_built_directory(config: &SigmaConfig, version: u8) -> ContainerId {
+    let backend = Arc::new(FileBackend::open(config.node_storage_dir(0).unwrap()).unwrap());
+    let journal = Journal::with_backend(backend.clone()).unwrap();
+    let id = ContainerId::new(0);
+    let mut builder = ContainerBuilder::new(id, config.container_capacity);
+    for seed in 0..3 {
+        let chunk = payload(1000, seed);
+        assert!(builder.try_append(Sha1::fingerprint(&chunk), &chunk));
+    }
+    let (mut summary, mut object) = builder.seal().to_object();
+    assert_eq!(object[4], 3, "the version byte follows the magic");
+    if version == 2 {
+        let data_end = CONTAINER_BLOB_DATA_OFFSET + summary.data_len as usize;
+        summary.checksum = Sha1::fingerprint(&object[CONTAINER_BLOB_DATA_OFFSET..data_end]);
+        object[4] = 2;
+        object[CONTAINER_BLOB_DATA_OFFSET - Fingerprint::LEN..CONTAINER_BLOB_DATA_OFFSET]
+            .copy_from_slice(summary.checksum.as_bytes());
+    }
+    backend
+        .write_object(StorageObject::Container(id), &object)
+        .unwrap();
+    journal
+        .append(&JournalRecord::ContainerSeal { container: summary })
+        .unwrap();
+    id
+}
+
+/// A directory an older format version wrote: its container object's magic
+/// is intact but its version is not this one's.  Recovery must refuse it
+/// with a typed error and leave every file byte-identical, instead of
+/// failing the object like rot and sweeping it as an orphan.
+#[test]
+fn an_object_of_another_format_version_is_refused_not_discarded() {
+    let root = scratch_dir("foreign-version");
+    let config = durable_file_config(&root);
+    let id = hand_built_directory(&config, 2);
+    let dir = config.node_storage_dir(0).unwrap();
+    let before = snapshot_dir(&dir);
+    assert_eq!(before.len(), 2, "one object beside the journal");
+    match DedupNode::recover_from_dir(0, &config) {
+        Err(SigmaError::Storage(StorageError::UnreadableObject {
+            container,
+            version: 2,
+        })) => assert_eq!(container, id),
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("an object of another version must refuse recovery"),
+    }
+    assert_eq!(snapshot_dir(&dir), before, "the medium is left untouched");
+    std::fs::remove_dir_all(&root).unwrap();
+
+    // The same directory in this version's layout recovers in full.
+    let root = scratch_dir("own-version");
+    let config = durable_file_config(&root);
+    hand_built_directory(&config, 3);
+    let (_, report) = DedupNode::recover_from_dir(0, &config).unwrap();
+    assert_eq!(report.backend_objects_verified, 1);
+    assert_eq!(report.containers_discarded, 0);
+    assert_eq!(report.orphan_objects_swept, 0);
     std::fs::remove_dir_all(&root).unwrap();
 }
 
