@@ -11,12 +11,15 @@
 //! other (but not to ingest MB/s).
 //!
 //! The banner prints a one-shot table comparing a raw (append-by-append) journal
-//! against its compacted (single-snapshot) form at a reporting scale; criterion
-//! then measures both recovery paths on a mid-size medium.  Compaction should
-//! win: one frame instead of thousands, no superseded records.
+//! against its compacted (single-snapshot) form at a reporting scale, after
+//! checking that both recover the same stored bytes and the same location for
+//! every ingested chunk.  Criterion then measures both recovery paths on a
+//! mid-size medium.  Compaction should win: one frame instead of thousands, no
+//! superseded records.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sigma_core::{DedupNode, SigmaConfig};
+use sigma_hashkit::Fingerprint;
 use sigma_storage::{Journal, MemoryBackend, StorageBackend, StorageObject};
 use std::sync::Arc;
 
@@ -29,15 +32,20 @@ fn bench_config() -> SigmaConfig {
         .expect("valid bench config")
 }
 
-/// Ingests `bytes` of deterministic payload into a durable node and returns the
-/// medium a crash would leave behind — journal and container objects —
-/// optionally after compacting the journal.
-fn crash_image(config: &SigmaConfig, bytes: usize, compacted: bool) -> MemoryBackend {
+/// Ingests `bytes` of deterministic payload into a durable node and returns
+/// the medium a crash would leave behind — journal and container objects —
+/// as it stands after the flush and again after compacting the journal, with
+/// the fingerprints ingested.
+fn crash_images(
+    config: &SigmaConfig,
+    bytes: usize,
+) -> (MemoryBackend, MemoryBackend, Vec<Fingerprint>) {
     let node = DedupNode::new(0, config);
     let client_chunks: Vec<Vec<u8>> = sigma_workloads::payload::random_bytes(bytes, 0x4EC0)
         .chunks(4096)
         .map(<[u8]>::to_vec)
         .collect();
+    let mut fingerprints = Vec::new();
     for (i, window) in client_chunks.chunks(16).enumerate() {
         let sc = sigma_core::SuperChunk::from_payloads(
             sigma_hashkit::FingerprintAlgorithm::Sha1,
@@ -46,24 +54,29 @@ fn crash_image(config: &SigmaConfig, bytes: usize, compacted: bool) -> MemoryBac
         );
         node.process_super_chunk(0, &sc, &sc.handprint(8))
             .expect("payload ingest cannot fail");
+        fingerprints.extend(sc.descriptors().iter().map(|d| d.fingerprint));
     }
     node.try_flush().expect("no faults in bench");
-    if compacted {
-        node.compact_journal().expect("no faults in bench");
-    }
     let journal = node.journal().expect("durable node has a journal");
-    MemoryBackend::copy_of(journal.backend().as_ref()).expect("in-memory medium")
+    let raw = copy(journal.backend().as_ref());
+    node.compact_journal().expect("no faults in bench");
+    (raw, copy(journal.backend().as_ref()), fingerprints)
+}
+
+/// Recovers a node from `medium`.
+fn recover_node(config: &SigmaConfig, medium: MemoryBackend) -> DedupNode {
+    let journal = Arc::new(Journal::open(Arc::new(medium)).expect("in-memory journal"));
+    let (node, report) = DedupNode::recover(0, config, journal).expect("recovery cannot fail");
+    assert!(report.containers_recovered > 0);
+    node
 }
 
 /// Recovers a node from `medium`; returns the container bytes it serves.
 fn recover(config: &SigmaConfig, medium: MemoryBackend) -> u64 {
-    let journal = Arc::new(Journal::open(Arc::new(medium)).expect("in-memory journal"));
-    let (node, report) = DedupNode::recover(0, config, journal).expect("recovery cannot fail");
-    assert!(report.containers_recovered > 0);
-    node.storage_usage()
+    recover_node(config, medium).storage_usage()
 }
 
-fn copy(image: &MemoryBackend) -> MemoryBackend {
+fn copy(image: &dyn StorageBackend) -> MemoryBackend {
     MemoryBackend::copy_of(image).expect("in-memory medium")
 }
 
@@ -79,27 +92,35 @@ fn report() {
         "journal KiB",
         "recover MB/s",
     ]);
-    for (label, payload_bytes, compacted) in [
-        ("raw", 4 << 20, false),
-        ("raw", 16 << 20, false),
-        ("compacted", 16 << 20, true),
-    ] {
-        let image = crash_image(&config, payload_bytes, compacted);
-        let journal_len = image
-            .object_len(StorageObject::Journal)
-            .expect("in-memory medium")
-            .unwrap_or(0);
-        let medium = copy(&image);
-        let sw = sigma_metrics::Stopwatch::start();
-        let recovered = recover(&config, medium);
-        let tp = sw.stop(recovered);
-        assert!(recovered > 0);
-        table.add_row(vec![
-            label.to_string(),
-            format!("{:.1}", payload_bytes as f64 / (1 << 20) as f64),
-            format!("{:.1}", journal_len as f64 / 1024.0),
-            format!("{:.1}", tp.mb_per_sec()),
-        ]);
+    for payload_bytes in [4 << 20, 16 << 20] {
+        let (raw, compacted, fingerprints) = crash_images(&config, payload_bytes);
+        // Both images hold one state: the compacted one recovers the same
+        // stored bytes and the same location for every ingested chunk.
+        let from_raw = recover_node(&config, copy(&raw));
+        let from_compacted = recover_node(&config, copy(&compacted));
+        assert_eq!(from_raw.storage_usage(), from_compacted.storage_usage());
+        for fp in &fingerprints {
+            let location = from_raw.chunk_location(fp);
+            assert!(location.is_some(), "raw recovery lost chunk {fp}");
+            assert_eq!(location, from_compacted.chunk_location(fp), "chunk {fp}");
+        }
+        for (label, image) in [("raw", &raw), ("compacted", &compacted)] {
+            let journal_len = image
+                .object_len(StorageObject::Journal)
+                .expect("in-memory medium")
+                .unwrap_or(0);
+            let medium = copy(image);
+            let sw = sigma_metrics::Stopwatch::start();
+            let recovered = recover(&config, medium);
+            let tp = sw.stop(recovered);
+            assert!(recovered > 0);
+            table.add_row(vec![
+                label.to_string(),
+                format!("{:.1}", payload_bytes as f64 / (1 << 20) as f64),
+                format!("{:.1}", journal_len as f64 / 1024.0),
+                format!("{:.1}", tp.mb_per_sec()),
+            ]);
+        }
     }
     sigma_bench::print_table("recovery throughput", &table.render());
 }
@@ -108,8 +129,7 @@ fn bench(c: &mut Criterion) {
     report();
 
     let config = bench_config();
-    let raw = crash_image(&config, 8 << 20, false);
-    let compacted = crash_image(&config, 8 << 20, true);
+    let (raw, compacted, _) = crash_images(&config, 8 << 20);
     let served = recover(&config, copy(&raw));
 
     let mut group = c.benchmark_group("recovery_replay");

@@ -394,20 +394,13 @@ impl DedupNode {
     fn apply_record(&self, record: JournalRecord, report: &mut RecoveryReport) -> Result<()> {
         match record {
             JournalRecord::ContainerSeal { container } => {
-                // The seal record is self-sufficient: installing it also indexes
-                // its chunks, so a crash between the seal frame and its finalize
-                // frame cannot leave durable chunks unreachable.
+                // The seal's record table is the journal's only copy of the
+                // container's chunk-index entries: installing the container
+                // indexes its chunks, in the one frame that makes it durable.
                 self.index_container_records(&container);
                 report.chunks_indexed += container.chunk_count() as u64;
                 self.store.install_recovered(None, container);
                 report.containers_recovered += 1;
-            }
-            JournalRecord::ChunkIndexFinalize { entries, .. } => {
-                // Redundant with the seal/adopt replay by design (belt and
-                // braces); upserting identical locations is a no-op.
-                for (fp, loc) in entries {
-                    self.chunk_index.insert(fp, loc);
-                }
             }
             JournalRecord::SimilarityPublish { container, rfps } => {
                 for rfp in rfps {
@@ -506,8 +499,13 @@ impl DedupNode {
             unique_chunks,
             super_chunks,
         } = snapshot;
+        // Each table is indexed in snapshot order, as `compact_journal`
+        // assumed when it kept only the entries the tables do not give; those
+        // then go on top.
         for (origin, container) in containers {
-            if self.store.install_recovered(origin, container) {
+            if self.store.install_recovered(origin, container.clone()) {
+                self.index_container_records(&container);
+                report.chunks_indexed += container.chunk_count() as u64;
                 report.containers_recovered += 1;
             } else {
                 report.duplicate_adopts_skipped += 1;
@@ -534,15 +532,8 @@ impl DedupNode {
     }
 
     fn index_container_records(&self, container: &ContainerSummary) {
-        for record in &container.meta.records {
-            self.chunk_index.insert(
-                record.fingerprint,
-                ChunkLocation {
-                    container: container.id,
-                    offset: record.offset,
-                    len: record.len,
-                },
-            );
+        for (fp, loc) in container.chunk_locations() {
+            self.chunk_index.insert(fp, loc);
         }
     }
 
@@ -1226,21 +1217,34 @@ impl DedupNode {
             .journal
             .as_ref()
             .ok_or_else(|| SigmaError::InvalidConfig("node has no journal".to_string()))?;
+        // The sealed containers' record tables are the snapshot's copy of the
+        // chunk index: replay indexes them in this order, so an entry goes
+        // into `chunk_entries` only when the tables would not give it — one
+        // naming a tombstoned container, or another sealed copy of the chunk.
+        //
         // The snapshot may only name *durable* containers.  Index entries that
         // point at a still-open container describe unacknowledged chunks; if
         // they were snapshotted, recovery would install phantom entries whose
         // claim() answers "duplicate" for data that exists nowhere — silently
-        // corrupting a later acknowledged backup.  Filtering them mirrors what
-        // a crash does to the live journal: the open tail simply never existed.
+        // corrupting a later acknowledged backup.  Dropping them mirrors what
+        // a crash does to the live journal: the open tail simply never existed,
+        // and a chunk stored again there stays indexed at its sealed copy.
+        let containers = self.store.sealed_snapshot();
+        let from_tables: HashMap<Fingerprint, ChunkLocation> = containers
+            .iter()
+            .flat_map(|(_, container)| container.chunk_locations())
+            .collect();
         let snapshot = NodeSnapshot {
             next_container_id: self.store.peek_next_id(),
-            containers: self.store.sealed_snapshot(),
             chunk_entries: self
                 .chunk_index
                 .finalized_entries()
                 .into_iter()
-                .filter(|(_, loc)| self.is_durable(&loc.container))
+                .filter(|(fp, loc)| {
+                    self.is_durable(&loc.container) && from_tables.get(fp) != Some(loc)
+                })
                 .collect(),
+            containers,
             similarity: self
                 .similarity_index
                 .entries()
@@ -1721,6 +1725,41 @@ mod tests {
                 pending.payload(i).unwrap()
             );
         }
+        for (i, d) in acked.descriptors().iter().enumerate() {
+            assert_eq!(
+                recovered.read_chunk(&d.fingerprint).unwrap(),
+                acked.payload(i).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn compaction_in_approximate_mode_keeps_acknowledged_chunks() {
+        // Without the chunk-index fallback, an acknowledged chunk arriving
+        // again under an unrelated handprint is stored again, in an open
+        // container, and its index entry moves there.  The snapshot must
+        // still recover the sealed, acknowledged copy.
+        let cfg = SigmaConfig::builder()
+            .super_chunk_size(64 * 1024)
+            .container_capacity(16 * 1024)
+            .cache_containers(8)
+            .chunk_index_fallback(false)
+            .durability(true)
+            .build()
+            .unwrap();
+        let node = DedupNode::new(0, &cfg);
+        let acked = payload_super_chunk(1, 4, 2048);
+        node.process_super_chunk(0, &acked, &acked.handprint(4))
+            .unwrap();
+        node.try_flush().unwrap();
+        let unrelated = payload_super_chunk(9, 4, 2048).handprint(4);
+        let receipt = node.process_super_chunk(0, &acked, &unrelated).unwrap();
+        assert_eq!(receipt.unique_chunks, 4, "stored again, left open");
+        node.compact_journal().unwrap();
+
+        let journal = node.journal().unwrap().clone();
+        let (recovered, _) = DedupNode::recover(0, &cfg, journal).unwrap();
+        recovered.verify_consistency().unwrap();
         for (i, d) in acked.descriptors().iter().enumerate() {
             assert_eq!(
                 recovered.read_chunk(&d.fingerprint).unwrap(),

@@ -17,7 +17,7 @@
 //! streams at once instead of one serial stream.
 
 use crate::journal::Reader;
-use crate::SharedBytes;
+use crate::{ChunkLocation, SharedBytes};
 use serde::{Deserialize, Serialize};
 use sigma_hashkit::{Digest, Fingerprint, FingerprintAlgorithm, Sha1};
 
@@ -179,6 +179,21 @@ impl ContainerSummary {
     /// Number of chunks stored.
     pub fn chunk_count(&self) -> usize {
         self.meta.len()
+    }
+
+    /// The chunk-index entry of each record, in table order: what replay
+    /// indexes from a seal, adopt, GC-compact or snapshot record.
+    pub fn chunk_locations(&self) -> impl Iterator<Item = (Fingerprint, ChunkLocation)> + '_ {
+        self.meta.records.iter().map(|record| {
+            (
+                record.fingerprint,
+                ChunkLocation {
+                    container: self.id,
+                    offset: record.offset,
+                    len: record.len,
+                },
+            )
+        })
     }
 
     /// Decodes a container object written by [`Container::to_object`]

@@ -38,9 +38,9 @@
 //! | transition | I/O before the swap | swap | after the swap |
 //! |---|---|---|---|
 //! | start seal (rollover, [`flush`](ContainerStore::flush)) | — | open → sealing (a rollover also enters the stream's fresh container as open) | a rollover's object write starts on the sealer thread; a flush writes its objects inline |
-//! | finish seal (a rollover's: the store's next rollover, [`flush`](ContainerStore::flush) or [`finish_rollover_seal`](ContainerStore::finish_rollover_seal); a flush's: that flush) | object write joined or done, `ContainerSeal` + `ChunkIndexFinalize` as one group commit | sealing → sealed | — |
+//! | finish seal (a rollover's: the store's next rollover, [`flush`](ContainerStore::flush) or [`finish_rollover_seal`](ContainerStore::finish_rollover_seal); a flush's: that flush) | object write joined or done, the group's `ContainerSeal`s as one group commit | sealing → sealed | — |
 //! | failed seal | — | stays sealing, in the retry list | the next flush retries it |
-//! | [adopt](ContainerStore::adopt_sealed) | object write, `ContainerAdopt` + `ChunkIndexFinalize` | none → sealed, with origin | — |
+//! | [adopt](ContainerStore::adopt_sealed) | object write, `ContainerAdopt` | none → sealed, with origin | — |
 //! | [GC drop](ContainerStore::drop_sealed_gc) | `GcDrop` | sealed → none | object deleted |
 //! | [compaction](ContainerStore::compact_container) | victim read, replacement write, `GcCompact` | victim → compacted, replacement → sealed | victim object deleted |
 //! | [forget compacted](ContainerStore::forget_compacted) (next GC sweep, end of replay) | — | compacted → none | — |
@@ -75,9 +75,9 @@
 
 use crate::read_cache::{ContainerReadCache, ReadCacheStats};
 use crate::{
-    container, ChunkLocation, Container, ContainerBuilder, ContainerId, ContainerMeta,
-    ContainerSummary, DiskModel, Journal, JournalRecord, MemoryBackend, Result, SharedBytes,
-    StorageBackend, StorageError, StorageObject, CONTAINER_BLOB_DATA_OFFSET,
+    container, Container, ContainerBuilder, ContainerId, ContainerMeta, ContainerSummary,
+    DiskModel, Journal, JournalRecord, MemoryBackend, Result, SharedBytes, StorageBackend,
+    StorageError, StorageObject, CONTAINER_BLOB_DATA_OFFSET,
 };
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
@@ -688,26 +688,6 @@ impl ContainerStore {
         guard.builder.as_ref().map(|b| b.id())
     }
 
-    /// The chunk-index entries a container's seal makes durable: one batched
-    /// finalize record per sealed container.
-    fn finalize_entries(container: &ContainerSummary) -> Vec<(Fingerprint, ChunkLocation)> {
-        container
-            .meta
-            .records
-            .iter()
-            .map(|r| {
-                (
-                    r.fingerprint,
-                    ChunkLocation {
-                        container: container.id,
-                        offset: r.offset,
-                        len: r.len,
-                    },
-                )
-            })
-            .collect()
-    }
-
     /// Moves a retired builder to the sealing stage — and, on a rollover,
     /// enters the stream's fresh container as open — in one swap.  Callers
     /// hold the slot lock, so no reader finds the container in neither stage.
@@ -760,8 +740,7 @@ impl ContainerStore {
     }
 
     /// Finishes a group of seals whose object writes are done: every
-    /// container's seal and batched chunk-index finalize goes into a single
-    /// journal group commit, and the containers' data+metadata sections are
+    /// container's seal record goes into a single journal group commit, and the containers' data+metadata sections are
     /// charged to the disk model as one coalesced sequential transfer.  A
     /// rollover's seal is a group of one; [`flush`](Self::flush) seals every
     /// retired stream at once.
@@ -798,18 +777,16 @@ impl ContainerStore {
         }
     }
 
-    /// The records and disk charge of [`finish_seal`](Self::finish_seal).
+    /// The records and disk charge of [`finish_seal`](Self::finish_seal): one
+    /// `ContainerSeal` per container, whose record table is the journal's only
+    /// copy of the container's chunk-index entries.
     fn publish(&self, summaries: Vec<ContainerSummary>) -> Result<Vec<ContainerSummary>> {
-        let mut records = Vec::with_capacity(summaries.len() * 2);
-        for summary in &summaries {
-            records.push(JournalRecord::ContainerSeal {
+        let records: Vec<JournalRecord> = summaries
+            .iter()
+            .map(|summary| JournalRecord::ContainerSeal {
                 container: summary.clone(),
-            });
-            records.push(JournalRecord::ChunkIndexFinalize {
-                container: summary.id,
-                entries: Self::finalize_entries(summary),
-            });
-        }
+            })
+            .collect();
         self.log(&records)?;
         if let Some(disk) = self.disk() {
             let total: u64 = summaries
@@ -1349,18 +1326,12 @@ impl ContainerStore {
         }
         let new_id = self.alloc_id();
         let summary = write_object(&*self.backend, &container.with_id(new_id))?;
-        self.log(&[
-            JournalRecord::ContainerAdopt {
-                origin_node,
-                origin_container: origin.1,
-                container: summary.clone(),
-                rfps: rfps.to_vec(),
-            },
-            JournalRecord::ChunkIndexFinalize {
-                container: new_id,
-                entries: Self::finalize_entries(&summary),
-            },
-        ])?;
+        self.log(&[JournalRecord::ContainerAdopt {
+            origin_node,
+            origin_container: origin.1,
+            container: summary.clone(),
+            rfps: rfps.to_vec(),
+        }])?;
         if let Some(disk) = self.disk() {
             disk.record_sequential_transfer(
                 (summary.data_size() + summary.meta.serialized_size()) as u64,
@@ -2219,12 +2190,13 @@ mod tests {
         let ops_before = disk.stats().sequential_ops;
         store.flush().unwrap();
         // Six open containers seal as ONE coalesced container write plus ONE
-        // journal group commit — not twelve appends and six transfers.
+        // journal group commit — not six appends and six transfers.
         assert_eq!(disk.stats().sequential_ops, ops_before + 2);
         assert_eq!(store.stats().sealed_containers, 6);
-        // Every seal and finalize still reached the journal individually.
+        // Every seal still reached the journal as its own frame, and the seal
+        // is the only record a container's seal writes.
         let (records, _) = crate::Journal::replay(&journal.bytes()).unwrap();
-        assert_eq!(records.len(), 12);
+        assert_eq!(records.len(), 6);
         assert_eq!(
             records
                 .iter()

@@ -15,8 +15,7 @@
 //!
 //! | record | written when | synced? | replay effect |
 //! |---|---|---|---|
-//! | [`ContainerSeal`](JournalRecord::ContainerSeal) | an open container fills or is flushed, after its object is durable | yes | reinstall the container summary and index its chunks |
-//! | [`ChunkIndexFinalize`](JournalRecord::ChunkIndexFinalize) | the seal makes the container's claimed fingerprints durable | yes | upsert the batched chunk-index entries |
+//! | [`ContainerSeal`](JournalRecord::ContainerSeal) | an open container fills or is flushed, after its object is durable | yes | reinstall the container summary and index its chunks from its record table |
 //! | [`SimilarityPublish`](JournalRecord::SimilarityPublish) | a super-chunk's handprint is mapped to its container | deferred | re-insert RFP → container mappings |
 //! | [`ContainerAdopt`](JournalRecord::ContainerAdopt) | the rebalancer installs a migrated container, after its object is durable | yes | reinstall summary + index + RFPs, keyed by origin so a duplicated record cannot double-adopt |
 //! | [`Tombstone`](JournalRecord::Tombstone) | a migrated container's forwarding pointer is published (always *before* its object is deleted) | yes | drop the container, keep the chunk entries, record the forwarding pointer |
@@ -84,14 +83,6 @@ pub enum JournalRecord {
     ContainerSeal {
         /// The sealed container's summary (metadata, data length, checksum).
         container: ContainerSummary,
-    },
-    /// The chunk-index entries made durable by a container seal (the batched
-    /// finalize of every fingerprint claimed into that container).
-    ChunkIndexFinalize {
-        /// Container the batch belongs to.
-        container: ContainerId,
-        /// `(fingerprint, location)` pairs in write order.
-        entries: Vec<(Fingerprint, ChunkLocation)>,
     },
     /// Representative fingerprints of a deduplicated super-chunk were mapped to a
     /// container in the similarity index.
@@ -177,7 +168,6 @@ impl JournalRecord {
     pub fn kind(&self) -> &'static str {
         match self {
             JournalRecord::ContainerSeal { .. } => "container-seal",
-            JournalRecord::ChunkIndexFinalize { .. } => "chunk-index-finalize",
             JournalRecord::SimilarityPublish { .. } => "similarity-publish",
             JournalRecord::ContainerAdopt { .. } => "container-adopt",
             JournalRecord::Tombstone { .. } => "tombstone",
@@ -205,7 +195,6 @@ impl JournalRecord {
         match self {
             JournalRecord::SimilarityPublish { .. } | JournalRecord::RecipeDelete { .. } => true,
             JournalRecord::ContainerSeal { .. }
-            | JournalRecord::ChunkIndexFinalize { .. }
             | JournalRecord::ContainerAdopt { .. }
             | JournalRecord::Tombstone { .. }
             | JournalRecord::GcCompact { .. }
@@ -223,7 +212,12 @@ pub struct NodeSnapshot {
     pub next_container_id: u64,
     /// Sealed containers, each with the origin key it was adopted under (if any).
     pub containers: Vec<(Option<(u64, ContainerId)>, ContainerSummary)>,
-    /// Finalized chunk-index entries.
+    /// The chunk-index entries the sealed containers' record tables do not
+    /// give.  Replay indexes each container of `containers` from its table,
+    /// in order, then applies these on top: entries naming a tombstoned
+    /// container, and entries naming another sealed copy of the chunk than
+    /// the last table that holds it.  A snapshot an older build wrote lists
+    /// every entry here, which replays to the same index.
     pub chunk_entries: Vec<(Fingerprint, ChunkLocation)>,
     /// Similarity-index entries.
     pub similarity: Vec<(Fingerprint, ContainerId)>,
@@ -242,7 +236,8 @@ pub struct NodeSnapshot {
 /// Summary of one journal replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplaySummary {
-    /// Complete frames replayed.
+    /// Complete frames replayed, skipped tag-2 frames included (see
+    /// [`Journal::replay`]).
     pub frames: u64,
     /// Bytes covered by the replayed frames.
     pub bytes_replayed: u64,
@@ -579,6 +574,8 @@ impl Journal {
     /// Replay is *lenient at the tail*: the first truncated or corrupt frame ends
     /// the replay and everything from it onward is reported as discarded.  This is
     /// the torn-tail rule — an interrupted append must disappear, not half-apply.
+    /// A well-formed frame of the retired tag 2, which older builds wrote after
+    /// each seal, is counted in [`ReplaySummary::frames`] but yields no record.
     ///
     /// # Errors
     ///
@@ -588,11 +585,12 @@ impl Journal {
     /// every acknowledged record after it too.
     pub fn replay(bytes: &[u8]) -> Result<(Vec<JournalRecord>, ReplaySummary), StorageError> {
         let mut records = Vec::new();
+        let mut frames = 0u64;
         let mut offset = 0usize;
         while let Some((seq, end)) = peek_frame(bytes, offset) {
             let mut reader = Reader::new(&bytes[offset + FRAME_HEADER..end]);
             match decode_record(&mut reader) {
-                Some(record) if reader.is_empty() => records.push(record),
+                Some(record) if reader.is_empty() => records.extend(record),
                 _ => {
                     return Err(StorageError::UnreadableRecord {
                         seq,
@@ -600,10 +598,11 @@ impl Journal {
                     })
                 }
             }
+            frames += 1;
             offset = end;
         }
         let summary = ReplaySummary {
-            frames: records.len() as u64,
+            frames,
             bytes_replayed: offset as u64,
             bytes_discarded: (bytes.len() - offset) as u64,
         };
@@ -754,13 +753,16 @@ fn encode_frame(seq: u64, record: &JournalRecord) -> Vec<u8> {
 //
 // A tiny hand-rolled little-endian format: the vendored serde shim is
 // derive-only, so the journal defines its own wire layout (tag byte + fields).
-// Stability matters only within one repository version — the journal is a
-// simulation artifact, not an interchange format.
-
-// Tags 1 (seal), 4 (adopt), 7 (snapshot) and 9 (GC compact) are retired:
-// they carried whole container images.  They are never reused, so a journal
-// written in that layout is refused as unreadable instead of misparsed.
-const TAG_CHUNK_INDEX_FINALIZE: u8 = 2;
+// A file-backed node reopens the directory an earlier build left, so the
+// layout is stable across versions, and a tag is never reused.  A retired tag
+// is either refused or skipped:
+// - Tags 1 (seal), 4 (adopt), 7 (snapshot) and 9 (GC compact) carried whole
+//   container images.  A frame with one of them is refused as unreadable
+//   rather than misparsed.
+// - Tag 2 carried a seal's chunk-index entries again, after the seal or adopt
+//   record whose record table already holds them.  Its frame is checked and
+//   skipped: it yields no record, so an older log still replays.
+const TAG_RETIRED_CHUNK_INDEX_FINALIZE: u8 = 2;
 const TAG_SIMILARITY_PUBLISH: u8 = 3;
 const TAG_TOMBSTONE: u8 = 5;
 const TAG_STATS_CHECKPOINT: u8 = 6;
@@ -777,17 +779,6 @@ fn encode_record(record: &JournalRecord) -> Vec<u8> {
         JournalRecord::ContainerSeal { container } => {
             out.push(TAG_CONTAINER_SEAL);
             container.encode(&mut out);
-        }
-        JournalRecord::ChunkIndexFinalize { container, entries } => {
-            out.push(TAG_CHUNK_INDEX_FINALIZE);
-            out.extend_from_slice(&container.as_u64().to_le_bytes());
-            out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-            for (fp, loc) in entries {
-                out.extend_from_slice(fp.as_bytes());
-                out.extend_from_slice(&loc.container.as_u64().to_le_bytes());
-                out.extend_from_slice(&loc.offset.to_le_bytes());
-                out.extend_from_slice(&loc.len.to_le_bytes());
-            }
         }
         JournalRecord::SimilarityPublish { container, rfps } => {
             out.push(TAG_SIMILARITY_PUBLISH);
@@ -885,67 +876,47 @@ fn encode_record(record: &JournalRecord) -> Vec<u8> {
     out
 }
 
-fn decode_record(r: &mut Reader<'_>) -> Option<JournalRecord> {
-    match r.u8()? {
-        TAG_CONTAINER_SEAL => Some(JournalRecord::ContainerSeal {
+/// Decodes one frame's payload: `None` when it is not a layout this version
+/// reads, `Some(None)` for a well-formed frame of the skipped tag 2.
+fn decode_record(r: &mut Reader<'_>) -> Option<Option<JournalRecord>> {
+    let record = match r.u8()? {
+        TAG_CONTAINER_SEAL => JournalRecord::ContainerSeal {
             container: ContainerSummary::decode(r)?,
-        }),
-        TAG_CHUNK_INDEX_FINALIZE => {
-            let container = ContainerId::new(r.u64()?);
-            let count = r.u32()? as usize;
-            let mut entries = Vec::with_capacity(count.min(65_536));
-            for _ in 0..count {
-                let fp = r.fingerprint()?;
-                let loc = ChunkLocation {
-                    container: ContainerId::new(r.u64()?),
-                    offset: r.u32()?,
-                    len: r.u32()?,
-                };
-                entries.push((fp, loc));
-            }
-            Some(JournalRecord::ChunkIndexFinalize { container, entries })
+        },
+        TAG_RETIRED_CHUNK_INDEX_FINALIZE => {
+            r.u64()?;
+            decode_chunk_entries(r)?;
+            return Some(None);
         }
-        TAG_SIMILARITY_PUBLISH => {
-            let container = ContainerId::new(r.u64()?);
-            let rfps = decode_fingerprints(r)?;
-            Some(JournalRecord::SimilarityPublish { container, rfps })
-        }
-        TAG_CONTAINER_ADOPT => {
-            let origin_node = r.u64()?;
-            let origin_container = ContainerId::new(r.u64()?);
-            let container = ContainerSummary::decode(r)?;
-            let rfps = decode_fingerprints(r)?;
-            Some(JournalRecord::ContainerAdopt {
-                origin_node,
-                origin_container,
-                container,
-                rfps,
-            })
-        }
-        TAG_TOMBSTONE => Some(JournalRecord::Tombstone {
+        TAG_SIMILARITY_PUBLISH => JournalRecord::SimilarityPublish {
+            container: ContainerId::new(r.u64()?),
+            rfps: decode_fingerprints(r)?,
+        },
+        TAG_CONTAINER_ADOPT => JournalRecord::ContainerAdopt {
+            origin_node: r.u64()?,
+            origin_container: ContainerId::new(r.u64()?),
+            container: ContainerSummary::decode(r)?,
+            rfps: decode_fingerprints(r)?,
+        },
+        TAG_TOMBSTONE => JournalRecord::Tombstone {
             container: ContainerId::new(r.u64()?),
             successor: r.u64()?,
-        }),
-        TAG_RECIPE_DELETE => Some(JournalRecord::RecipeDelete { file_id: r.u64()? }),
-        TAG_GC_COMPACT => {
-            let victim = ContainerId::new(r.u64()?);
-            let replacement = ContainerSummary::decode(r)?;
-            let rfps = decode_fingerprints(r)?;
-            Some(JournalRecord::GcCompact {
-                victim,
-                replacement,
-                rfps,
-            })
-        }
-        TAG_GC_DROP => Some(JournalRecord::GcDrop {
+        },
+        TAG_RECIPE_DELETE => JournalRecord::RecipeDelete { file_id: r.u64()? },
+        TAG_GC_COMPACT => JournalRecord::GcCompact {
+            victim: ContainerId::new(r.u64()?),
+            replacement: ContainerSummary::decode(r)?,
+            rfps: decode_fingerprints(r)?,
+        },
+        TAG_GC_DROP => JournalRecord::GcDrop {
             container: ContainerId::new(r.u64()?),
-        }),
-        TAG_STATS_CHECKPOINT => Some(JournalRecord::StatsCheckpoint {
+        },
+        TAG_STATS_CHECKPOINT => JournalRecord::StatsCheckpoint {
             logical_bytes: r.u64()?,
             total_chunks: r.u64()?,
             unique_chunks: r.u64()?,
             super_chunks: r.u64()?,
-        }),
+        },
         TAG_SNAPSHOT => {
             let next_container_id = r.u64()?;
             let container_count = r.u32()? as usize;
@@ -958,17 +929,7 @@ fn decode_record(r: &mut Reader<'_>) -> Option<JournalRecord> {
                 };
                 containers.push((origin, ContainerSummary::decode(r)?));
             }
-            let entry_count = r.u32()? as usize;
-            let mut chunk_entries = Vec::with_capacity(entry_count.min(65_536));
-            for _ in 0..entry_count {
-                let fp = r.fingerprint()?;
-                let loc = ChunkLocation {
-                    container: ContainerId::new(r.u64()?),
-                    offset: r.u32()?,
-                    len: r.u32()?,
-                };
-                chunk_entries.push((fp, loc));
-            }
+            let chunk_entries = decode_chunk_entries(r)?;
             let sim_count = r.u32()? as usize;
             let mut similarity = Vec::with_capacity(sim_count.min(65_536));
             for _ in 0..sim_count {
@@ -979,7 +940,7 @@ fn decode_record(r: &mut Reader<'_>) -> Option<JournalRecord> {
             for _ in 0..tomb_count {
                 tombstones.push((ContainerId::new(r.u64()?), r.u64()?));
             }
-            Some(JournalRecord::Snapshot(NodeSnapshot {
+            JournalRecord::Snapshot(NodeSnapshot {
                 next_container_id,
                 containers,
                 chunk_entries,
@@ -989,10 +950,28 @@ fn decode_record(r: &mut Reader<'_>) -> Option<JournalRecord> {
                 total_chunks: r.u64()?,
                 unique_chunks: r.u64()?,
                 super_chunks: r.u64()?,
-            }))
+            })
         }
-        _ => None,
+        _ => return None,
+    };
+    Some(Some(record))
+}
+
+/// A count-prefixed list of `(fingerprint, container, offset, len)` entries:
+/// a snapshot's chunk entries, and the body of a skipped tag-2 frame.
+fn decode_chunk_entries(r: &mut Reader<'_>) -> Option<Vec<(Fingerprint, ChunkLocation)>> {
+    let count = r.u32()? as usize;
+    let mut entries = Vec::with_capacity(count.min(65_536));
+    for _ in 0..count {
+        let fp = r.fingerprint()?;
+        let loc = ChunkLocation {
+            container: ContainerId::new(r.u64()?),
+            offset: r.u32()?,
+            len: r.u32()?,
+        };
+        entries.push((fp, loc));
     }
+    Some(entries)
 }
 
 fn encode_fingerprints(out: &mut Vec<u8>, fps: &[Fingerprint]) {
@@ -1077,21 +1056,6 @@ mod tests {
         vec![
             JournalRecord::ContainerSeal {
                 container: sample_container(0),
-            },
-            JournalRecord::ChunkIndexFinalize {
-                container: ContainerId::new(0),
-                entries: (0..4)
-                    .map(|i| {
-                        (
-                            fp(i),
-                            ChunkLocation {
-                                container: ContainerId::new(0),
-                                offset: (i * 100) as u32,
-                                len: 100,
-                            },
-                        )
-                    })
-                    .collect(),
             },
             JournalRecord::SimilarityPublish {
                 container: ContainerId::new(0),
@@ -1207,18 +1171,18 @@ mod tests {
     #[test]
     fn armed_clean_crash_persists_nothing_and_poisons_appends() {
         let journal = Journal::new();
-        journal.append(&sample_records()[5]).unwrap();
+        journal.append(&sample_records()[4]).unwrap();
         journal.arm_crash_at_seq(1, CrashMode::Clean);
         let before = journal.len_bytes();
         assert_eq!(
-            journal.append(&sample_records()[5]),
+            journal.append(&sample_records()[4]),
             Err(StorageError::Crashed)
         );
         assert!(journal.crashed());
         assert_eq!(journal.len_bytes(), before, "clean crash writes nothing");
         // Everything after the crash fails too.
         assert_eq!(
-            journal.append(&sample_records()[5]),
+            journal.append(&sample_records()[4]),
             Err(StorageError::Crashed)
         );
         // Recovery truncates (no-op here) and clears the crash.
@@ -1227,7 +1191,7 @@ mod tests {
         assert_eq!(summary.bytes_discarded, 0);
         assert!(!journal.crashed());
         assert_eq!(journal.next_seq(), 1);
-        journal.append(&sample_records()[5]).unwrap();
+        journal.append(&sample_records()[4]).unwrap();
     }
 
     #[test]
@@ -1285,31 +1249,52 @@ mod tests {
         assert_eq!(reloaded.bytes(), journal.bytes());
     }
 
-    /// A whole frame (valid checksum) whose tag this version does not know,
-    /// e.g. a container record of the retired full-image layout.
-    fn foreign_frame(seq: u64, tag: u8) -> Vec<u8> {
-        let payload = [tag, 0xAB, 0xCD];
+    /// A whole frame (valid checksum) around `payload`, written raw.
+    fn raw_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
         frame.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend_from_slice(&fnv1a_64(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
         frame
+    }
+
+    /// The payload of a tag-2 frame in the layout older builds wrote after
+    /// each seal: the container, then its `(fingerprint, location)` entries.
+    fn retired_finalize_payload(container: &ContainerSummary) -> Vec<u8> {
+        let mut out = vec![TAG_RETIRED_CHUNK_INDEX_FINALIZE];
+        out.extend_from_slice(&container.id.as_u64().to_le_bytes());
+        out.extend_from_slice(&(container.meta.records.len() as u32).to_le_bytes());
+        for record in &container.meta.records {
+            out.extend_from_slice(record.fingerprint.as_bytes());
+            out.extend_from_slice(&container.id.as_u64().to_le_bytes());
+            out.extend_from_slice(&record.offset.to_le_bytes());
+            out.extend_from_slice(&record.len.to_le_bytes());
+        }
+        out
     }
 
     #[test]
     fn unreadable_frame_refuses_the_journal_and_leaves_it_untouched() {
-        for tag in [1u8, 4, 7, 9, 0xEE] {
+        // Retired full-image tags, an unknown tag, and a tag-2 payload cut
+        // short inside its entry list.
+        let finalize = retired_finalize_payload(&sample_container(0));
+        let mut payloads: Vec<Vec<u8>> = [1u8, 4, 7, 9, 0xEE]
+            .iter()
+            .map(|&tag| vec![tag, 0xAB, 0xCD])
+            .collect();
+        payloads.push(finalize[..finalize.len() - 10].to_vec());
+        for payload in payloads {
             let journal = Journal::new();
-            journal.append(&sample_records()[5]).unwrap();
+            journal.append(&sample_records()[4]).unwrap();
             let foreign_at = journal.len_bytes();
             journal
                 .backend()
-                .append(StorageObject::Journal, &foreign_frame(1, tag))
+                .append(StorageObject::Journal, &raw_frame(1, &payload))
                 .unwrap();
             let reopened = Journal::open(journal.backend()).unwrap();
-            reopened.append(&sample_records()[4]).unwrap();
+            reopened.append(&sample_records()[3]).unwrap();
             let before = reopened.bytes();
             assert_eq!(reopened.frame_count(), 3, "the foreign frame is whole");
 
@@ -1320,10 +1305,38 @@ mod tests {
                     offset: foreign_at as u64
                 })
             );
-            assert!(reopened.recover_truncating().is_err(), "tag {tag}");
+            assert!(reopened.recover_truncating().is_err(), "tag {}", payload[0]);
             assert_eq!(reopened.bytes(), before, "nothing truncated");
             assert_eq!(reopened.frame_count(), 3);
         }
+    }
+
+    #[test]
+    fn a_retired_finalize_frame_is_counted_and_skipped() {
+        let journal = Journal::new();
+        let seal = sample_records().swap_remove(0);
+        journal.append(&seal).unwrap();
+        let JournalRecord::ContainerSeal { container } = &seal else {
+            unreachable!()
+        };
+        journal
+            .backend()
+            .append(
+                StorageObject::Journal,
+                &raw_frame(1, &retired_finalize_payload(container)),
+            )
+            .unwrap();
+        let reopened = Journal::open(journal.backend()).unwrap();
+        assert_eq!(reopened.next_seq(), 2);
+        let (records, summary) = reopened.recover_truncating().unwrap();
+        assert_eq!(records, [seal], "tag 2 yields no record");
+        assert_eq!(summary.frames, 2, "but its frame counts");
+        assert_eq!(summary.bytes_discarded, 0);
+        assert_eq!(reopened.next_seq(), 2);
+        assert_eq!(reopened.append(&sample_records()[3]).unwrap(), 2);
+        let (records, summary) = Journal::replay(&reopened.bytes()).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(summary.frames, 3);
     }
 
     #[test]
@@ -1477,7 +1490,7 @@ mod tests {
             Journal::with_backend(Arc::new(crate::SimDiskBackend::new(disk.clone()))).unwrap();
         journal.arm_crash_at_seq(0, CrashMode::Torn);
         assert_eq!(
-            journal.append(&sample_records()[5]),
+            journal.append(&sample_records()[4]),
             Err(StorageError::Crashed)
         );
         assert!(
@@ -1504,7 +1517,7 @@ mod tests {
         let disk = Arc::new(DiskModel::new(crate::DiskParams::default()));
         let journal =
             Journal::with_backend(Arc::new(crate::SimDiskBackend::new(disk.clone()))).unwrap();
-        journal.append(&sample_records()[5]).unwrap();
+        journal.append(&sample_records()[4]).unwrap();
         let stats = disk.stats();
         assert_eq!(stats.sequential_ops, 1);
         assert_eq!(stats.sequential_bytes as usize, journal.len_bytes());

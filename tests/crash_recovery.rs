@@ -858,17 +858,12 @@ fn unreadable_journal_frame_is_refused_not_truncated() {
         node.process_super_chunk(0, &sc, &sc.handprint(2)).unwrap();
         node.try_flush().unwrap();
         let journal = node.journal().unwrap();
-        // Frame layout: magic | payload length | sequence | FNV-1a | payload.
-        let payload = [0xEEu8, 1, 2, 3];
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&0x534A_524Eu32.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&journal.next_seq().to_le_bytes());
-        frame.extend_from_slice(&sigma_dedupe::hashkit::fnv1a_64(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
         journal
             .backend()
-            .append(StorageObject::Journal, &frame)
+            .append(
+                StorageObject::Journal,
+                &raw_frame(journal.next_seq(), &[0xEE, 1, 2, 3]),
+            )
             .unwrap();
     }
     // Valid frames after the unreadable one.
@@ -893,6 +888,18 @@ fn unreadable_journal_frame_is_refused_not_truncated() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// A whole journal frame around `payload`, written by hand: magic | payload
+/// length | sequence | FNV-1a | payload.
+fn raw_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&0x534A_524Eu32.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&seq.to_le_bytes());
+    frame.extend_from_slice(&sigma_dedupe::hashkit::fnv1a_64(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
 /// Every file in `dir` with its bytes, sorted by name.
 fn snapshot_dir(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
     let mut files: Vec<_> = std::fs::read_dir(dir)
@@ -906,18 +913,31 @@ fn snapshot_dir(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
     files
 }
 
+/// The chunks [`hand_built_directory`] stores.
+fn hand_built_chunks() -> Vec<Vec<u8>> {
+    (0..3).map(|seed| payload(1000, seed)).collect()
+}
+
 /// Writes one sealed container into node 0's directory under `config` the
 /// way format version `version` lays it out — its object and the journal's
 /// seal record beside it — and returns the container's ID.  Version 2 is
 /// version 3's layout with the checksum taken over the whole data section
 /// in one SHA-1, not over sixteen stripes.
-fn hand_built_directory(config: &SigmaConfig, version: u8) -> ContainerId {
+///
+/// With `finalize_cut: Some(cut)` the seal is followed by a tag-2 frame, as
+/// older builds wrote after every seal: the container ID and its chunk-index
+/// entries again, `(fingerprint, container, offset, len)` each, with the
+/// last `cut` bytes of the payload left off (its checksum still holds).
+fn hand_built_directory(
+    config: &SigmaConfig,
+    version: u8,
+    finalize_cut: Option<usize>,
+) -> ContainerId {
     let backend = Arc::new(FileBackend::open(config.node_storage_dir(0).unwrap()).unwrap());
     let journal = Journal::with_backend(backend.clone()).unwrap();
     let id = ContainerId::new(0);
     let mut builder = ContainerBuilder::new(id, config.container_capacity);
-    for seed in 0..3 {
-        let chunk = payload(1000, seed);
+    for chunk in hand_built_chunks() {
         assert!(builder.try_append(Sha1::fingerprint(&chunk), &chunk));
     }
     let (mut summary, mut object) = builder.seal().to_object();
@@ -932,9 +952,27 @@ fn hand_built_directory(config: &SigmaConfig, version: u8) -> ContainerId {
     backend
         .write_object(StorageObject::Container(id), &object)
         .unwrap();
+    let finalize = finalize_cut.map(|cut| {
+        let mut payload = vec![2u8];
+        payload.extend_from_slice(&id.as_u64().to_le_bytes());
+        payload.extend_from_slice(&(summary.meta.records.len() as u32).to_le_bytes());
+        for record in &summary.meta.records {
+            payload.extend_from_slice(record.fingerprint.as_bytes());
+            payload.extend_from_slice(&id.as_u64().to_le_bytes());
+            payload.extend_from_slice(&record.offset.to_le_bytes());
+            payload.extend_from_slice(&record.len.to_le_bytes());
+        }
+        payload.truncate(payload.len() - cut);
+        payload
+    });
     journal
         .append(&JournalRecord::ContainerSeal { container: summary })
         .unwrap();
+    if let Some(payload) = finalize {
+        backend
+            .append(StorageObject::Journal, &raw_frame(1, &payload))
+            .unwrap();
+    }
     id
 }
 
@@ -946,7 +984,7 @@ fn hand_built_directory(config: &SigmaConfig, version: u8) -> ContainerId {
 fn an_object_of_another_format_version_is_refused_not_discarded() {
     let root = scratch_dir("foreign-version");
     let config = durable_file_config(&root);
-    let id = hand_built_directory(&config, 2);
+    let id = hand_built_directory(&config, 2, None);
     let dir = config.node_storage_dir(0).unwrap();
     let before = snapshot_dir(&dir);
     assert_eq!(before.len(), 2, "one object beside the journal");
@@ -964,12 +1002,195 @@ fn an_object_of_another_format_version_is_refused_not_discarded() {
     // The same directory in this version's layout recovers in full.
     let root = scratch_dir("own-version");
     let config = durable_file_config(&root);
-    hand_built_directory(&config, 3);
+    hand_built_directory(&config, 3, None);
     let (_, report) = DedupNode::recover_from_dir(0, &config).unwrap();
     assert_eq!(report.backend_objects_verified, 1);
     assert_eq!(report.containers_discarded, 0);
     assert_eq!(report.orphan_objects_swept, 0);
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A directory an older build wrote, whose journal follows each seal with
+/// a tag-2 frame repeating the container's chunk-index entries.  The frame
+/// is read and skipped: recovery succeeds, counts it, serves every chunk
+/// from the seal's record table, and the next append follows it.  A tag-2
+/// payload cut short inside its entry list is refused like any unreadable
+/// frame, and the directory is left as it was.
+#[test]
+fn a_log_with_retired_finalize_frames_still_replays() {
+    let root = scratch_dir("retired-finalize");
+    let config = durable_file_config(&root);
+    hand_built_directory(&config, 3, Some(0));
+    let (node, report) = DedupNode::recover_from_dir(0, &config).unwrap();
+    assert_eq!(report.frames_replayed, 2, "the seal and the skipped frame");
+    assert_eq!(report.containers_recovered, 1);
+    assert_eq!(report.containers_discarded, 0);
+    for chunk in hand_built_chunks() {
+        assert_eq!(node.read_chunk(&Sha1::fingerprint(&chunk)).unwrap(), chunk);
+    }
+    node.verify_consistency().unwrap();
+    let journal = node.journal().unwrap();
+    assert_eq!(
+        journal
+            .append(&JournalRecord::RecipeDelete { file_id: 1 })
+            .unwrap(),
+        2
+    );
+    std::fs::remove_dir_all(&root).unwrap();
+
+    let root = scratch_dir("cut-finalize");
+    let config = durable_file_config(&root);
+    hand_built_directory(&config, 3, Some(10));
+    let dir = config.node_storage_dir(0).unwrap();
+    let before = snapshot_dir(&dir);
+    match DedupNode::recover_from_dir(0, &config) {
+        Err(SigmaError::Storage(StorageError::UnreadableRecord { seq: 1, .. })) => {}
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("a cut tag-2 payload must refuse recovery"),
+    }
+    assert_eq!(snapshot_dir(&dir), before, "the medium is left untouched");
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+// ---- compaction ----
+
+/// Checks a node recovered from `medium` against the live node `live` it was
+/// copied from: every ingested fingerprint the live node indexes at a sealed
+/// or tombstoned container is indexed at the same location, and every other
+/// entry names a sealed container whose record table holds the fingerprint
+/// at that offset.
+fn check_recovered_index(
+    config: &SigmaConfig,
+    live: &DedupNode,
+    medium: MemoryBackend,
+    fingerprints: &[Fingerprint],
+) {
+    let journal = Journal::open(Arc::new(medium)).expect("in-memory journal");
+    let (recovered, _) = DedupNode::recover(live.id(), config, Arc::new(journal))
+        .expect("a compacted or raw medium recovers");
+    recovered.verify_consistency().unwrap();
+    for fp in fingerprints {
+        let durable = live.chunk_location(fp).filter(|loc| {
+            matches!(
+                live.container_state(&loc.container),
+                ContainerState::Sealed | ContainerState::Migrated { .. }
+            )
+        });
+        match (durable, recovered.chunk_location(fp)) {
+            (Some(loc), got) => assert_eq!(got, Some(loc), "chunk {} moved", fp),
+            (None, Some(loc)) => {
+                assert_eq!(
+                    recovered.container_state(&loc.container),
+                    ContainerState::Sealed
+                );
+                let container = recovered
+                    .export_container(&loc.container)
+                    .expect("sealed container reads")
+                    .expect("sealed container exports");
+                assert!(
+                    container
+                        .meta()
+                        .records
+                        .iter()
+                        .any(|r| (r.fingerprint, r.offset, r.len) == (*fp, loc.offset, loc.len)),
+                    "chunk {} indexed where its container's table does not hold it",
+                    fp
+                );
+            }
+            (None, None) => {}
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A compacted journal carries the chunk index once, in its containers'
+    /// record tables plus the entries those do not give.  On a cluster that
+    /// ingested, deleted and collected garbage, drained a node and left an
+    /// unacknowledged tail open, each node's compacted and raw media recover
+    /// the live node's durable index, and every acknowledged file restores
+    /// after every node restarted from its compacted journal.
+    #[test]
+    fn a_compacted_journal_recovers_the_same_index(
+        fallback in any::<bool>(),
+        files in proptest::collection::vec(proptest::collection::vec(0usize..6, 1..5), 4..9),
+        delete_mask in 0u64..u64::MAX,
+        threshold in 0.3f64..1.0,
+        removed_slot in 0usize..4,
+    ) {
+        let config = SigmaConfig::builder()
+            .super_chunk_size(4 * 1024)
+            .chunker(ChunkerParams::fixed(512))
+            .container_capacity(8 * 1024)
+            .cache_containers(4)
+            .chunk_index_fallback(fallback)
+            .gc_liveness_threshold(threshold)
+            .durability(true)
+            .build()
+            .expect("valid test config");
+        let cluster = Arc::new(DedupCluster::with_similarity_router(4, config.clone()));
+        // Blocks shared across files, so chunks recur under other handprints.
+        let blocks: Vec<Vec<u8>> = (0..6u64).map(|b| payload(1024, 70_000 + b)).collect();
+        let data_of = |i: usize, picks: &[usize]| -> Vec<u8> {
+            let mut data = Vec::new();
+            for (k, &pick) in picks.iter().enumerate() {
+                data.extend_from_slice(&blocks[pick]);
+                data.extend_from_slice(&payload(512, 71_000 + (i * 10 + k) as u64));
+            }
+            data
+        };
+        let mut fingerprints: Vec<Fingerprint> = Vec::new();
+        let mut backup = |i: usize, picks: &[usize]| -> (u64, Vec<u8>) {
+            let data = data_of(i, picks);
+            fingerprints.extend(data.chunks(512).map(Sha1::fingerprint));
+            let client = BackupClient::new(cluster.clone(), (i % 3) as u64);
+            let report = client
+                .backup_bytes(&format!("file-{i}"), &data)
+                .expect("payload backup cannot fail");
+            (report.file_id, data)
+        };
+
+        // Wave one, acknowledged; then deletes and a GC pass.
+        let half = files.len() / 2;
+        let mut acked: Vec<(u64, Vec<u8>)> = (0..half).map(|i| backup(i, &files[i])).collect();
+        cluster.try_flush().unwrap();
+        let mut kept = Vec::new();
+        for (i, file) in acked.drain(..).enumerate() {
+            if delete_mask & (1 << i) != 0 {
+                cluster.delete_file(file.0).unwrap();
+            } else {
+                kept.push(file);
+            }
+        }
+        cluster.collect_garbage().unwrap();
+        // One node drains away, leaving tombstones behind.
+        let removed = cluster.node_ids()[removed_slot];
+        cluster.remove_node(removed).unwrap();
+        // Wave two, acknowledged; then a tail left open.
+        kept.extend((half..files.len()).map(|i| backup(i, &files[i])));
+        cluster.try_flush().unwrap();
+        backup(files.len(), &[5, 0, 3]);
+
+        let mut ids = cluster.node_ids();
+        ids.push(removed);
+        for &id in &ids {
+            let node = cluster.node_by_id(id).expect("a member");
+            let backend = node.journal().expect("durable node").backend();
+            let raw = MemoryBackend::copy_of(backend.as_ref()).expect("in-memory medium");
+            node.compact_journal().unwrap();
+            let compacted = MemoryBackend::copy_of(backend.as_ref()).expect("in-memory medium");
+            check_recovered_index(&config, &node, raw, &fingerprints);
+            check_recovered_index(&config, &node, compacted, &fingerprints);
+        }
+        for &id in &ids {
+            cluster.restart_node(id).unwrap();
+        }
+        for (file_id, expected) in &kept {
+            let restored = cluster.restore_file(*file_id).unwrap();
+            prop_assert_eq!(&restored, expected, "file {} corrupted", file_id);
+        }
+    }
 }
 
 // ---- mid-rebalance kills ----
