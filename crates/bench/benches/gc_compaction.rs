@@ -71,7 +71,7 @@ fn expired_cluster(
             files.push((stream, report.file_id));
         }
     }
-    cluster.flush();
+    cluster.try_flush().expect("no faults in bench");
     match expiry {
         Expiry::OldestGenerations(n) => {
             for generation in 0..n {

@@ -37,7 +37,7 @@ fn populated_cluster() -> Arc<DedupCluster> {
             .backup_bytes(&format!("stream-{stream}"), &data)
             .expect("payload backup cannot fail");
     }
-    cluster.flush();
+    cluster.try_flush().expect("no faults in bench");
     cluster
 }
 

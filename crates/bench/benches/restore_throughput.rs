@@ -73,7 +73,7 @@ fn populated_cluster(file_root: Option<&Path>) -> (Arc<DedupCluster>, Vec<(u64, 
             files.push((report.file_id, data));
         }
     }
-    cluster.flush();
+    cluster.try_flush().expect("no faults in bench");
     (cluster, files)
 }
 

@@ -295,7 +295,7 @@ mod tests {
         assert_eq!(report.transferred_bytes, data.len() as u64, "all unique");
         assert!(report.chunks >= 73);
         assert!(report.super_chunks >= 4);
-        cluster.flush();
+        cluster.try_flush().unwrap();
         assert_eq!(client.restore(report.file_id).unwrap(), data);
     }
 
@@ -311,7 +311,7 @@ mod tests {
         assert!(second.bandwidth_saving() > 0.99);
         assert_eq!(second.duplicate_chunks, second.chunks);
         // Both files restore correctly even though the second stored nothing new.
-        cluster.flush();
+        cluster.try_flush().unwrap();
         assert_eq!(client.restore(first.file_id).unwrap(), data);
         assert_eq!(client.restore(second.file_id).unwrap(), data);
     }
@@ -375,7 +375,7 @@ mod tests {
         let data = pseudo_random(50_000, 4);
         let report = client.backup_reader("whole", &data[..]).unwrap();
         assert_eq!(report.logical_bytes, data.len() as u64);
-        cluster.flush();
+        cluster.try_flush().unwrap();
         assert_eq!(client.restore(report.file_id).unwrap(), data);
     }
 

@@ -20,7 +20,7 @@ use crate::{
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use sigma_hashkit::Fingerprint;
-use sigma_storage::{ContainerId, ContainerState};
+use sigma_storage::{BackendKind, ContainerId, ContainerState};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -648,26 +648,17 @@ impl DedupCluster {
         Ok(report)
     }
 
-    /// Seals all open containers on every node — active *and* retired — marking
-    /// the end of a backup session.  Crashed nodes are skipped (their flush is a
-    /// no-op); durability-aware callers use [`try_flush`](Self::try_flush).
-    pub fn flush(&self) {
-        let nodes: Vec<Arc<DedupNode>> =
-            self.membership.read().directory.values().cloned().collect();
-        for node in nodes {
-            node.flush();
-        }
-    }
-
-    /// Seals all open containers on every node, treating the flush as the durable
-    /// acknowledgement point: once it returns `Ok`, every backup completed so far
-    /// survives any single-node crash.
+    /// Seals all open containers on every node — active *and* retired — in
+    /// stable-ID order, marking the end of a backup session.  This is the
+    /// durable acknowledgement point: once it returns `Ok`, every backup
+    /// completed so far survives any single-node crash.
     ///
     /// # Errors
     ///
-    /// Returns the first crash hit; [`crashed_nodes`](Self::crashed_nodes) names
-    /// the victim and [`restart_node`](Self::restart_node) recovers it, after
-    /// which the flush can be retried.
+    /// Returns the first error a node's seal hits, and seals no later node: a
+    /// crash, which [`crashed_nodes`](Self::crashed_nodes) names and
+    /// [`restart_node`](Self::restart_node) recovers, or a failed object
+    /// write.  The flush can be retried after either.
     pub fn try_flush(&self) -> Result<()> {
         let mut nodes: Vec<Arc<DedupNode>> =
             self.membership.read().directory.values().cloned().collect();
@@ -822,6 +813,9 @@ impl DedupCluster {
     ///
     /// Returns [`SigmaError::UnknownNode`] if `id` is not active and
     /// [`SigmaError::ClusterTooSmall`] when `id` is the last active node.
+    /// A failed seal of the leaving node's open containers is returned too:
+    /// the node is retired by then, and [`resume_drain`](Self::resume_drain)
+    /// seals and drains it once the fault is cleared.
     pub fn begin_remove_node(&self, id: usize) -> Result<Rebalancer> {
         let (node, generation) = {
             let mut m = self.membership.write();
@@ -835,7 +829,7 @@ impl DedupCluster {
             m.map = Arc::new(NodeMap::new(generation, nodes));
             (node, generation)
         };
-        node.flush();
+        node.try_flush()?;
         self.plan_drain(node, generation)
     }
 
@@ -852,8 +846,9 @@ impl DedupCluster {
     /// # Errors
     ///
     /// Returns [`SigmaError::UnknownNode`] if `id` was never a cluster member,
-    /// and [`SigmaError::InvalidConfig`] if the node is still active (use
-    /// [`begin_remove_node`](Self::begin_remove_node) for that).
+    /// [`SigmaError::InvalidConfig`] if the node is still active (use
+    /// [`begin_remove_node`](Self::begin_remove_node) for that), and the error
+    /// a seal of the node's open containers hits.
     pub fn resume_drain(&self, id: usize) -> Result<Rebalancer> {
         let (node, generation) = {
             let m = self.membership.read();
@@ -870,7 +865,7 @@ impl DedupCluster {
             }
             (node, m.map.generation())
         };
-        node.flush();
+        node.try_flush()?;
         self.plan_drain(node, generation)
     }
 
@@ -920,13 +915,20 @@ impl DedupCluster {
 
     // ---- Crash recovery ----
 
-    /// Rebuilds a crashed node from its write-ahead journal and swaps the
-    /// recovered node into the cluster (same stable ID, same slot if it was
-    /// active), then reconciles half-completed migrations: a container the
-    /// recovered node still holds but some peer has durably adopted gets its
-    /// missing tombstone published (and the local copy dropped), and vice versa —
-    /// so a crash inside a [`Rebalancer::step`] can never leave a container
+    /// Rebuilds a crashed node from its medium and swaps the recovered node
+    /// into the cluster (same stable ID, same slot if it was active), then
+    /// reconciles half-completed migrations: a container the recovered node
+    /// still holds but some peer has durably adopted gets its missing
+    /// tombstone published (and the local copy dropped), and vice versa — so a
+    /// crash inside a [`Rebalancer::step`] can never leave a container
     /// duplicated or a tombstone chain dangling.
+    ///
+    /// The restart picks the medium itself.  A [`BackendKind::File`] node is
+    /// re-opened from its directory (`storage_root/node-<id>`) with
+    /// [`DedupNode::recover_from_dir`], as a new process would.  Any other
+    /// node's medium is volatile, so the surviving
+    /// [`Journal`](sigma_storage::Journal) handle, its only copy, is
+    /// recovered in place.
     ///
     /// Everything the crashed node acknowledged (sealed and journaled before the
     /// crash) is served again afterwards, byte-identically; its open containers —
@@ -937,9 +939,10 @@ impl DedupCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SigmaError::UnknownNode`] for an ID the cluster never had and
+    /// Returns [`SigmaError::UnknownNode`] for an ID the cluster never had,
     /// [`SigmaError::InvalidConfig`] when the node has no journal
-    /// ([`SigmaConfig::durability`] off).
+    /// ([`SigmaConfig::durability`] off), and [`SigmaError::Storage`] when the
+    /// medium cannot be opened or replayed.
     pub fn restart_node(&self, id: usize) -> Result<RecoveryReport> {
         let old = self.node_by_id(id).ok_or(SigmaError::UnknownNode(id))?;
         let journal = old.journal().cloned().ok_or_else(|| {
@@ -953,45 +956,11 @@ impl DedupCluster {
         // of the dead incarnation lands after recovery's orphan sweep.
         old.finish_rollover_seal();
         drop(old);
-        let (node, report) = DedupNode::recover(id, &self.config, journal)?;
-        self.install_recovered_node(id, node, report)
-    }
-
-    /// Like [`restart_node`](Self::restart_node), but re-opens the node's
-    /// journal from its on-disk directory instead of reusing the surviving
-    /// in-memory [`Journal`](sigma_storage::Journal) handle — the
-    /// process-restart path for clusters configured with
-    /// [`BackendKind::File`](sigma_storage::BackendKind::File).  Nothing from
-    /// the crashed node object is consulted — its rollover seal in flight is
-    /// only finished first, as in `restart_node`; the node ID only has to be
-    /// one the cluster knows so the recovered node lands back in its slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SigmaError::UnknownNode`] for an ID the cluster never had,
-    /// [`SigmaError::InvalidConfig`] when the config has no file-backed
-    /// storage directory for the node, and [`SigmaError::Storage`] when the
-    /// directory or its journal cannot be opened.
-    pub fn restart_node_from_disk(&self, id: usize) -> Result<RecoveryReport> {
-        // As in `restart_node`: no write of the old incarnation may land
-        // after recovery listed the directory.
-        self.node_by_id(id)
-            .ok_or(SigmaError::UnknownNode(id))?
-            .finish_rollover_seal();
-        let (node, report) = DedupNode::recover_from_dir(id, &self.config)?;
-        self.install_recovered_node(id, node, report)
-    }
-
-    /// Shared tail of [`restart_node`](Self::restart_node) and
-    /// [`restart_node_from_disk`](Self::restart_node_from_disk): swaps the
-    /// recovered node into the directory (and its slot, if active) and
-    /// reconciles migrations the crash cut in half.
-    fn install_recovered_node(
-        &self,
-        id: usize,
-        node: DedupNode,
-        mut report: RecoveryReport,
-    ) -> Result<RecoveryReport> {
+        let (node, mut report) = if self.config.storage_backend == BackendKind::File {
+            DedupNode::recover_from_dir(id, &self.config)?
+        } else {
+            DedupNode::recover(id, &self.config, journal)?
+        };
         let node = Arc::new(node);
         {
             let mut m = self.membership.write();
@@ -1042,6 +1011,23 @@ impl DedupCluster {
             }
         }
         Ok(report)
+    }
+
+    /// [`restart_node`](Self::restart_node) on a file-backed cluster.
+    ///
+    /// This wrapper is kept only because the `sigma-e2e` benchmark calls it
+    /// (see the public items its README lists); deleting it waits for a
+    /// change to that benchmark.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`restart_node`](Self::restart_node), and
+    /// [`SigmaError::InvalidConfig`] when the config is not file-backed.
+    pub fn restart_node_from_disk(&self, id: usize) -> Result<RecoveryReport> {
+        match self.config.storage_backend {
+            BackendKind::File => self.restart_node(id),
+            _ => Err(SigmaError::InvalidConfig("not file-backed".into())),
+        }
     }
 
     /// Logical bytes currently accounted to the cluster (routed minus
@@ -1142,7 +1128,7 @@ mod tests {
     use super::*;
     use crate::ChunkDescriptor;
     use sigma_hashkit::{Digest, FingerprintAlgorithm, Sha1};
-    use sigma_storage::{StorageBackend, StorageObject};
+    use sigma_storage::{StorageBackend, StorageError, StorageObject};
 
     fn super_chunk(ids: std::ops::Range<u64>) -> SuperChunk {
         SuperChunk::from_descriptors(
@@ -1213,7 +1199,7 @@ mod tests {
             .backup_super_chunk_with_target(0, &sc, None)
             .unwrap();
         assert_eq!(receipt.unique_chunks, 8);
-        cluster.flush();
+        cluster.try_flush().unwrap();
         for (i, d) in sc.descriptors().iter().enumerate() {
             assert_eq!(cluster.read_chunk(node, &d.fingerprint).unwrap(), chunks[i]);
         }
@@ -1271,7 +1257,7 @@ mod tests {
         let client = crate::BackupClient::new(cluster.clone(), 0);
         let data: Vec<u8> = (0..400_000u32).map(|i| (i % 251) as u8).collect();
         let report = client.backup_bytes("victim.bin", &data).unwrap();
-        cluster.flush();
+        cluster.try_flush().unwrap();
 
         let before = cluster.stats().physical_bytes;
         // Remove every node that holds data, one at a time, down to a single
@@ -1303,7 +1289,7 @@ mod tests {
         let client = crate::BackupClient::new(cluster.clone(), 0);
         let data: Vec<u8> = (0..600_000u32).map(|i| (i % 241) as u8).collect();
         let report = client.backup_bytes("grow.bin", &data).unwrap();
-        cluster.flush();
+        cluster.try_flush().unwrap();
         let before = cluster.stats().physical_bytes;
 
         let (id, rebalance) = cluster.add_node_rebalanced().unwrap();
@@ -1328,7 +1314,7 @@ mod tests {
         let client = crate::BackupClient::new(cluster.clone(), 0);
         let data: Vec<u8> = (0..500_000u32).map(|i| (i % 239) as u8).collect();
         let report = client.backup_bytes("steps.bin", &data).unwrap();
-        cluster.flush();
+        cluster.try_flush().unwrap();
 
         let mut rebalancer = cluster.begin_remove_node(0).unwrap();
         let planned = rebalancer.remaining();
@@ -1357,7 +1343,7 @@ mod tests {
         let client = crate::BackupClient::new(cluster.clone(), 0);
         let data: Vec<u8> = (0..400_000u32).map(|i| (i % 249) as u8).collect();
         let report = client.backup_bytes("stale.bin", &data).unwrap();
-        cluster.flush();
+        cluster.try_flush().unwrap();
         let before = cluster.stats().physical_bytes;
 
         // Plan a rebalance onto a new node, then remove that node before the
@@ -1384,7 +1370,7 @@ mod tests {
         let client = crate::BackupClient::new(cluster.clone(), 0);
         let data: Vec<u8> = (0..400_000u32).map(|i| (i % 247) as u8).collect();
         let report = client.backup_bytes("overlap.bin", &data).unwrap();
-        cluster.flush();
+        cluster.try_flush().unwrap();
         let before = cluster.stats().physical_bytes;
 
         // Two overlapping drain plans for the same node: the second runs first
@@ -1427,7 +1413,7 @@ mod tests {
         let drop_data: Vec<u8> = (0..300_000u32).map(|i| (i % 241) as u8).collect();
         let keep = keep_client.backup_bytes("keep.bin", &keep_data).unwrap();
         let dropped = drop_client.backup_bytes("drop.bin", &drop_data).unwrap();
-        cluster.flush();
+        cluster.try_flush().unwrap();
 
         let before = cluster.stats();
         let freed = cluster.delete_file(dropped.file_id).unwrap();
@@ -1471,7 +1457,7 @@ mod tests {
         let data: Vec<u8> = (0..200_000u32).map(|i| (i % 239) as u8).collect();
         let a = client.backup_bytes("gen-a", &data).unwrap();
         let b = client.backup_bytes("gen-b", &data).unwrap();
-        cluster.flush();
+        cluster.try_flush().unwrap();
         let before = cluster.stats().physical_bytes;
 
         // Both recipes reference the same chunks; deleting one frees nothing.
@@ -1515,7 +1501,7 @@ mod tests {
         let client = crate::BackupClient::new(cluster.clone(), 0);
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 233) as u8).collect();
         let report = client.backup_bytes("once.bin", &data).unwrap();
-        cluster.flush();
+        cluster.try_flush().unwrap();
         cluster.delete_file(report.file_id).unwrap();
         // Double delete and delete-then-restore are errors, not panics.
         assert!(matches!(
@@ -1536,7 +1522,7 @@ mod tests {
         let data_b: Vec<u8> = (0..150_000u32).map(|i| (i % 227) as u8).collect();
         let a = client.backup_bytes("a.bin", &data_a).unwrap();
         let b = client.backup_bytes("b.bin", &data_b).unwrap();
-        cluster.flush();
+        cluster.try_flush().unwrap();
         let freed = cluster.delete_backup(client.session_id()).unwrap();
         assert_eq!(freed, (data_a.len() + data_b.len()) as u64);
         assert!(cluster.restore_file(a.file_id).is_err());
@@ -1554,7 +1540,7 @@ mod tests {
         let drop_data: Vec<u8> = (0..250_000u32).map(|i| (i % 219) as u8).collect();
         let keep = keep_client.backup_bytes("keep.bin", &keep_data).unwrap();
         let dropped = drop_client.backup_bytes("drop.bin", &drop_data).unwrap();
-        cluster.flush();
+        cluster.try_flush().unwrap();
 
         // Migrate everything off node 0, then GC: live chunks whose recipes
         // still name node 0 must be marked *through* the tombstones at their
@@ -1588,7 +1574,7 @@ mod tests {
         let drop_data: Vec<u8> = (0..250_000u32).map(|i| (i % 199) as u8).collect();
         let keep = keep_client.backup_bytes("keep.bin", &keep_data).unwrap();
         let dropped = drop_client.backup_bytes("drop.bin", &drop_data).unwrap();
-        cluster.flush();
+        cluster.try_flush().unwrap();
         let before = cluster.stats().physical_bytes;
 
         // Retire node 0 but execute only one migration step: the rest of its
@@ -1630,11 +1616,11 @@ mod tests {
         let client = crate::BackupClient::with_generation(cluster.clone(), 0, 3);
         let data: Vec<u8> = (0..120_000u32).map(|i| (i % 193) as u8).collect();
         client.backup_bytes("wave.bin", &data).unwrap();
-        cluster.flush();
+        cluster.try_flush().unwrap();
         cluster.delete_generation(3).unwrap();
 
         let straggler = client.backup_bytes("late.bin", &data).unwrap();
-        cluster.flush();
+        cluster.try_flush().unwrap();
         let freed = cluster.delete_generation(3).unwrap();
         assert_eq!(freed, data.len() as u64, "straggler expires with gen 3");
         assert!(cluster.restore_file(straggler.file_id).is_err());
@@ -1710,12 +1696,14 @@ mod tests {
     }
 
     /// A memory backend whose container-object writes take `delay`, and
-    /// which can park the next one until the test releases it.  It counts
-    /// `list` calls: recovery lists the medium before it sweeps orphans.
+    /// which can park the next one until the test releases it, or fail it
+    /// once.  It counts `list` calls: recovery lists the medium before it
+    /// sweeps orphans.
     #[derive(Debug, Default)]
     struct GatedBackend {
         inner: sigma_storage::MemoryBackend,
         delay: std::time::Duration,
+        fail_next_write: std::sync::atomic::AtomicBool,
         /// `(parked, release)`: signalled when a write parks, then awaited.
         park_next_write: parking_lot::Mutex<
             Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>,
@@ -1733,6 +1721,9 @@ mod tests {
         fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> sigma_storage::Result<()> {
             if matches!(obj, StorageObject::Container(_)) {
                 std::thread::sleep(self.delay);
+                if self.fail_next_write.swap(false, Ordering::SeqCst) {
+                    return Err(StorageError::Io(format!("{obj}: injected write failure")));
+                }
                 let park = self.park_next_write.lock().take();
                 if let Some((parked, release)) = park {
                     parked.send(()).unwrap();
@@ -1870,6 +1861,55 @@ mod tests {
         let containers =
             |nodes: &[crate::NodeStats]| -> Vec<_> { nodes.iter().map(|n| n.containers).collect() };
         assert_eq!(containers(&fast_nodes), containers(&slow_nodes));
+    }
+
+    #[test]
+    fn a_failed_seal_of_a_leaving_node_is_returned_and_resumed() {
+        let config = rollover_config();
+        let backends: Vec<Arc<GatedBackend>> =
+            (0..3).map(|_| Arc::new(GatedBackend::default())).collect();
+        let cluster = cluster_over(&config, &backends);
+        let client = crate::BackupClient::new(cluster.clone(), 0);
+        let files: Vec<Vec<u8>> = (0..8)
+            .map(|i| pseudo_random(13 * 1024 + 300 * i, 500 + i as u64))
+            .collect();
+        let mut ids = Vec::new();
+        for (i, data) in files.iter().enumerate() {
+            ids.push(client.backup_bytes(&format!("f{i}"), data).unwrap().file_id);
+            if i == 3 {
+                cluster.try_flush().unwrap();
+            }
+        }
+        // The second half is not acknowledged yet: the leaving node still
+        // holds an open container, and its seal fails.
+        let victim = cluster
+            .node_ids()
+            .into_iter()
+            .find(|&id| {
+                let node = cluster.node_by_id(id).unwrap();
+                node.stats().containers.open_containers > 0
+            })
+            .expect("the tail leaves an open container on some node");
+        backends[victim]
+            .fail_next_write
+            .store(true, Ordering::SeqCst);
+        let err = cluster.begin_remove_node(victim).unwrap_err();
+        assert!(
+            matches!(err, SigmaError::Storage(StorageError::Io(_))),
+            "{err}"
+        );
+        assert!(!cluster.node_ids().contains(&victim), "the node is retired");
+        assert!(cluster.node_by_id(victim).is_some());
+
+        // The fault was one-shot: the resumed drain seals what the failed
+        // flush left open, acknowledging the tail, and moves everything off.
+        cluster.resume_drain(victim).unwrap().run().unwrap();
+        let retired = cluster.node_by_id(victim).unwrap();
+        assert!(retired.sealed_container_ids().is_empty());
+        assert_eq!(retired.stats().containers.open_containers, 0);
+        for (id, data) in ids.iter().zip(&files) {
+            assert_eq!(&cluster.restore_file(*id).unwrap(), data);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::SigmaError;
 use serde::{Deserialize, Serialize};
 use sigma_chunking::ChunkerParams;
 use sigma_hashkit::FingerprintAlgorithm;
-use sigma_storage::{BackendKind, DiskParams};
+use sigma_storage::BackendKind;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -12,8 +12,7 @@ use std::sync::OnceLock;
 ///
 /// The defaults reproduce the configuration the paper converges on in Section 4:
 /// 4 KB static chunking, SHA-1 fingerprints, 1 MB super-chunks, handprints of 8
-/// representative fingerprints (a 1/32 sampling rate), 4 MB containers and a
-/// 1024-way striped similarity index.
+/// representative fingerprints (a 1/32 sampling rate) and 4 MB containers.
 ///
 /// # Example
 ///
@@ -55,8 +54,6 @@ pub struct SigmaConfig {
     pub container_capacity: usize,
     /// Chunk-fingerprint cache capacity, in containers. Default: 512.
     pub cache_containers: usize,
-    /// Number of lock stripes protecting the similarity index. Default: 1024.
-    pub similarity_index_locks: usize,
     /// Whether a node may fall back to the traditional on-disk chunk index when a
     /// fingerprint misses in the cache (near-exact intra-node deduplication).
     /// Disabling it yields the similarity-index-only approximate mode of Fig. 5(b).
@@ -104,10 +101,6 @@ pub struct SigmaConfig {
     /// so it costs a few percent of the stored bytes; experiments that never
     /// crash nodes leave it off.  Default: `false`.
     pub durability: bool,
-    /// Parameters of each node's simulated disk.  Validated at build time so a
-    /// zero/negative/non-finite value cannot poison simulated latencies with
-    /// inf/NaN.  Default: [`DiskParams::default`] (the paper's testbed HDD).
-    pub disk_params: DiskParams,
     /// Which storage backend each node's journal and container store live on.
     ///
     /// * [`BackendKind::SimDisk`] (the default): volatile buffers charged to the
@@ -148,14 +141,12 @@ impl Default for SigmaConfig {
             fingerprint_algorithm: FingerprintAlgorithm::Sha1,
             container_capacity: 4 << 20,
             cache_containers: 512,
-            similarity_index_locks: 1024,
             chunk_index_fallback: true,
             capacity_balancing: true,
             parallelism: 1,
             restore_parallelism: 1,
             restore_cache_bytes: 64 << 20,
             durability: false,
-            disk_params: DiskParams::default(),
             storage_backend: BackendKind::SimDisk,
             storage_root: None,
             gc_liveness_threshold: 0.5,
@@ -238,11 +229,6 @@ impl SigmaConfig {
                 "cache capacity must be non-zero".to_string(),
             ));
         }
-        if self.similarity_index_locks == 0 {
-            return Err(SigmaError::InvalidConfig(
-                "similarity index lock count must be non-zero".to_string(),
-            ));
-        }
         if self.chunker.average_chunk_size() > self.super_chunk_size {
             return Err(SigmaError::InvalidConfig(format!(
                 "average chunk size {} exceeds super-chunk size {}",
@@ -279,11 +265,7 @@ impl SigmaConfig {
                 ));
             }
         }
-        self.chunker.validate().map_err(SigmaError::InvalidConfig)?;
-        self.disk_params
-            .validate()
-            .map_err(|e| SigmaError::InvalidConfig(e.to_string()))?;
-        Ok(())
+        self.chunker.validate().map_err(SigmaError::InvalidConfig)
     }
 
     /// The directory a node's file backend lives in: `storage_root/node-<id>`.
@@ -362,12 +344,6 @@ impl SigmaConfigBuilder {
         self
     }
 
-    /// Sets the number of lock stripes for the similarity index.
-    pub fn similarity_index_locks(mut self, locks: usize) -> Self {
-        self.config.similarity_index_locks = locks;
-        self
-    }
-
     /// Enables or disables the on-disk chunk-index fallback.
     pub fn chunk_index_fallback(mut self, enabled: bool) -> Self {
         self.config.chunk_index_fallback = enabled;
@@ -403,12 +379,6 @@ impl SigmaConfigBuilder {
     /// Enables or disables the per-node write-ahead journal (crash recovery).
     pub fn durability(mut self, enabled: bool) -> Self {
         self.config.durability = enabled;
-        self
-    }
-
-    /// Sets the simulated-disk parameters (validated by [`build`](Self::build)).
-    pub fn disk_params(mut self, params: DiskParams) -> Self {
-        self.config.disk_params = params;
         self
     }
 
@@ -468,6 +438,7 @@ mod tests {
         // 1 MB / 4 KB = 256 chunks; 256 / 8 = a 1-in-32 sampling rate.
         assert_eq!(c.chunks_per_super_chunk(), 256);
         assert_eq!(c.sampling_rate_denominator(), 32);
+        assert!(!c.durability, "journaling is opt-in");
         assert!(c.validate().is_ok());
     }
 
@@ -477,7 +448,6 @@ mod tests {
             .super_chunk_size(512 * 1024)
             .handprint_size(4)
             .cache_containers(16)
-            .similarity_index_locks(64)
             .chunk_index_fallback(false)
             .capacity_balancing(false)
             .build()
@@ -485,7 +455,6 @@ mod tests {
         assert_eq!(c.super_chunk_size, 512 * 1024);
         assert_eq!(c.handprint_size, 4);
         assert_eq!(c.cache_containers, 16);
-        assert_eq!(c.similarity_index_locks, 64);
         assert!(!c.chunk_index_fallback);
         assert!(!c.capacity_balancing);
     }
@@ -499,10 +468,6 @@ mod tests {
             .build()
             .is_err());
         assert!(SigmaConfig::builder().cache_containers(0).build().is_err());
-        assert!(SigmaConfig::builder()
-            .similarity_index_locks(0)
-            .build()
-            .is_err());
         // Chunk size larger than the super-chunk.
         assert!(SigmaConfig::builder()
             .super_chunk_size(1024)
@@ -599,45 +564,10 @@ mod tests {
     }
 
     #[test]
-    fn disk_params_are_validated_at_build_time() {
-        for bad in [0.0, -8000.0, f64::NAN, f64::INFINITY] {
-            let err = SigmaConfig::builder()
-                .disk_params(DiskParams {
-                    random_io_us: bad,
-                    ..DiskParams::default()
-                })
-                .build()
-                .unwrap_err();
-            assert!(
-                matches!(&err, SigmaError::InvalidConfig(msg) if msg.contains("random_io_us")),
-                "expected InvalidConfig naming the field, got {:?}",
-                err
-            );
-            assert!(SigmaConfig::builder()
-                .disk_params(DiskParams {
-                    sequential_mb_per_s: bad,
-                    ..DiskParams::default()
-                })
-                .build()
-                .is_err());
-        }
-        // A custom-but-sane disk is accepted and carried through.
-        let fast = SigmaConfig::builder()
-            .disk_params(DiskParams {
-                random_io_us: 100.0,
-                sequential_mb_per_s: 500.0,
-            })
-            .build()
-            .unwrap();
-        assert_eq!(fast.disk_params.random_io_us, 100.0);
-        assert!(!SigmaConfig::default().durability, "journaling is opt-in");
-    }
-
-    #[test]
     fn chunker_orderings_are_validated_at_build_time() {
         use sigma_chunking::ChunkerParams;
         // Zero sizes and broken min ≤ avg ≤ max orderings are rejected with an
-        // InvalidConfig naming the offending field, mirroring DiskParams.
+        // InvalidConfig naming the offending field.
         for (bad, field) in [
             (ChunkerParams::fixed(0), "chunk_size"),
             (ChunkerParams::cdc(0, 4096, 16384), "min_size"),

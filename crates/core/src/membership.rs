@@ -345,7 +345,7 @@ mod tests {
         let sc = payload_super_chunk(7, 16);
         let hp = sc.handprint(8);
         a.process_super_chunk(0, &sc, &hp).unwrap();
-        a.flush();
+        a.try_flush().unwrap();
         let cid = a.sealed_container_ids()[0];
         let before = a.storage_usage();
         assert_eq!(b.storage_usage(), 0);
@@ -442,7 +442,7 @@ mod tests {
         let b = node(1);
         let sc = payload_super_chunk(3, 8);
         a.process_super_chunk(0, &sc, &sc.handprint(4)).unwrap();
-        a.flush();
+        a.try_flush().unwrap();
         let cid = a.sealed_container_ids()[0];
         let exported = a.export_container(&cid).unwrap().unwrap();
         let rfps = a.take_similarity_entries(cid);

@@ -22,12 +22,16 @@ use sigma_hashkit::Fingerprint;
 use sigma_storage::{
     BackendKind, CacheStats, ChunkIndex, ChunkIndexStats, ChunkLocation, ClaimOutcome, Container,
     ContainerId, ContainerState, ContainerStore, ContainerStoreStats, ContainerSummary, DiskModel,
-    DiskStats, FileBackend, FingerprintCache, Journal, JournalRecord, MemoryBackend, NodeSnapshot,
-    SimDiskBackend, SimilarityIndex, SimilarityIndexStats, StorageBackend, StreamId,
+    DiskParams, DiskStats, FileBackend, FingerprintCache, Journal, JournalRecord, MemoryBackend,
+    NodeSnapshot, SimDiskBackend, SimilarityIndex, SimilarityIndexStats, StorageBackend, StreamId,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Lock stripes of each node's similarity index: the paper's 1024-way
+/// striping.
+const SIMILARITY_INDEX_LOCKS: usize = 1024;
 
 /// Result of deduplicating one super-chunk on a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -217,7 +221,7 @@ impl DedupNode {
     /// Panics if the configured file backend's directory cannot be opened or
     /// reset — a node whose durable medium is unusable must not come up.
     pub fn new(id: usize, config: &SigmaConfig) -> Self {
-        let disk = Arc::new(DiskModel::new(config.disk_params));
+        let disk = Arc::new(DiskModel::new(DiskParams::default()));
         let backend: Arc<dyn StorageBackend> = match config.storage_backend {
             BackendKind::Memory => Arc::new(MemoryBackend::new()),
             BackendKind::SimDisk => Arc::new(SimDiskBackend::new(disk.clone())),
@@ -257,7 +261,7 @@ impl DedupNode {
         DedupNode {
             id,
             chunk_index_fallback: config.chunk_index_fallback,
-            similarity_index: SimilarityIndex::new(config.similarity_index_locks),
+            similarity_index: SimilarityIndex::new(SIMILARITY_INDEX_LOCKS),
             cache: FingerprintCache::new(config.cache_containers),
             chunk_index: ChunkIndex::with_disk(disk.clone()),
             store,
@@ -306,7 +310,7 @@ impl DedupNode {
         // The medium survives the crash; the dead node's DiskModel does not.
         // Re-target it first so the replay read and every later operation is
         // charged to the recovered node's disk.
-        let disk = Arc::new(DiskModel::new(config.disk_params));
+        let disk = Arc::new(DiskModel::new(DiskParams::default()));
         journal.attach_disk(disk.clone());
         let mut node = Self::assemble(id, config, disk, journal.backend(), None);
         let (records, summary) = journal.recover_truncating()?;
@@ -1145,13 +1149,6 @@ impl DedupNode {
             .collect()
     }
 
-    /// Seals all open containers (end of a backup session), ignoring a crashed
-    /// journal — a dead node's flush is a no-op.  Durability-aware callers use
-    /// [`try_flush`](Self::try_flush) to observe the crash instead.
-    pub fn flush(&self) {
-        let _ = self.try_flush();
-    }
-
     /// Seals all open containers and journals a stats checkpoint — the durable
     /// acknowledgement point: once `try_flush` returns `Ok`, everything ingested
     /// so far survives a crash.  It first finishes the rollover seal whose
@@ -1452,7 +1449,7 @@ mod tests {
         let sc = descriptor_super_chunk(&(0..64).collect::<Vec<u64>>(), 4096);
         let hp = sc.handprint(8);
         node.process_super_chunk(0, &sc, &hp).unwrap();
-        node.flush();
+        node.try_flush().unwrap();
         // The identical super-chunk arrives again: the handprint matches, the
         // container is prefetched, every chunk hits the cache.
         let r = node.process_super_chunk(0, &sc, &hp).unwrap();
@@ -1475,7 +1472,7 @@ mod tests {
         // First super-chunk: chunks 0..64.
         let a = descriptor_super_chunk(&(0..64).collect::<Vec<u64>>(), 4096);
         node.process_super_chunk(0, &a, &a.handprint(8)).unwrap();
-        node.flush();
+        node.try_flush().unwrap();
         // Second super-chunk shares only one low-similarity chunk and has a disjoint
         // handprint (we force that by computing the handprint from different data).
         let mut ids: Vec<u64> = (1000..1063).collect();
@@ -1498,7 +1495,7 @@ mod tests {
         // With the fallback enabled the same scenario catches the duplicate.
         let exact = DedupNode::new(1, &SigmaConfig::default());
         exact.process_super_chunk(0, &a, &a.handprint(8)).unwrap();
-        exact.flush();
+        exact.try_flush().unwrap();
         let r2 = exact.process_super_chunk(0, &b, &hp_b).unwrap();
         assert_eq!(r2.duplicate_chunks, 1);
     }
@@ -1524,7 +1521,7 @@ mod tests {
         let sc = payload_super_chunk(9, 8, 1024);
         let hp = sc.handprint(8);
         node.process_super_chunk(0, &sc, &hp).unwrap();
-        node.flush();
+        node.try_flush().unwrap();
         for (i, d) in sc.descriptors().iter().enumerate() {
             let data = node.read_chunk(&d.fingerprint).unwrap();
             assert_eq!(data.as_slice(), sc.payload(i).unwrap());
@@ -1543,7 +1540,7 @@ mod tests {
         // Synthetic chunks have no payload.
         let sc = descriptor_super_chunk(&[1, 2, 3], 512);
         node.process_super_chunk(0, &sc, &sc.handprint(4)).unwrap();
-        node.flush();
+        node.try_flush().unwrap();
         assert!(matches!(
             node.read_chunk(&sc.descriptors()[0].fingerprint),
             Err(SigmaError::PayloadUnavailable { .. })
@@ -1865,7 +1862,7 @@ mod tests {
             node.process_super_chunk(stream, sc, &sc.handprint(4))
                 .unwrap();
         }
-        node.flush();
+        node.try_flush().unwrap();
         let physical_before = node.storage_usage();
 
         let mut survivors: Vec<Fingerprint> =
@@ -1922,7 +1919,7 @@ mod tests {
         let node = DedupNode::new(0, &config());
         let sc = payload_super_chunk(5, 8, 1024);
         node.process_super_chunk(0, &sc, &sc.handprint(4)).unwrap();
-        node.flush();
+        node.try_flush().unwrap();
         let survivors: Vec<Fingerprint> = sc.descriptors()[..6]
             .iter()
             .map(|d| d.fingerprint)
@@ -1957,7 +1954,7 @@ mod tests {
         let sc = payload_super_chunk(9, 8, 1024);
         let hp = sc.handprint(8);
         node.process_super_chunk(0, &sc, &hp).unwrap();
-        node.flush();
+        node.try_flush().unwrap();
         assert_eq!(node.resemblance_count(&hp), 8);
         let survivors: Vec<Fingerprint> = sc.descriptors()[..2]
             .iter()
@@ -2248,7 +2245,7 @@ mod tests {
         let sc = payload_super_chunk(6, 4, 1024);
         let hp = sc.handprint(4);
         a.process_super_chunk(0, &sc, &hp).unwrap();
-        a.flush();
+        a.try_flush().unwrap();
         // A second pass prefetches the container into A's fingerprint cache.
         assert_eq!(a.process_super_chunk(0, &sc, &hp).unwrap().cache_hits, 4);
         let cid = a.sealed_container_ids()[0];
@@ -2264,7 +2261,7 @@ mod tests {
         // matched against it.
         let again = a.process_super_chunk(0, &sc, &hp).unwrap();
         assert_eq!(again.unique_chunks, 4);
-        a.flush();
+        a.try_flush().unwrap();
         for (i, d) in sc.descriptors().iter().enumerate() {
             assert_eq!(
                 a.read_chunk(&d.fingerprint).unwrap(),
@@ -2280,7 +2277,7 @@ mod tests {
         let sc = payload_super_chunk(7, 4, 1024);
         let hp = sc.handprint(4);
         node.process_super_chunk(0, &sc, &hp).unwrap();
-        node.flush();
+        node.try_flush().unwrap();
         assert_eq!(node.process_super_chunk(0, &sc, &hp).unwrap().cache_hits, 4);
         // Half the chunks die; the sweep compacts the container.
         let cid = node.sealed_container_ids()[0];
@@ -2296,7 +2293,7 @@ mod tests {
         // again, its live ones match the replacement.
         let again = node.process_super_chunk(0, &sc, &hp).unwrap();
         assert_eq!((again.unique_chunks, again.duplicate_chunks), (2, 2));
-        node.flush();
+        node.try_flush().unwrap();
         for (i, d) in sc.descriptors().iter().enumerate() {
             assert_eq!(
                 node.read_chunk(&d.fingerprint).unwrap(),

@@ -286,7 +286,7 @@ mod tests {
             .map(|s| StreamPayload::new(s, format!("s{s}"), pseudo_random(100_000, s)))
             .collect();
         let reports = client.backup_streams(&streams).unwrap();
-        cluster.flush();
+        cluster.try_flush().unwrap();
         for (report, stream) in reports.iter().zip(&streams) {
             assert_eq!(report.logical_bytes, stream.data.len() as u64);
             assert_eq!(cluster.restore_file(report.file_id).unwrap(), stream.data);
@@ -304,7 +304,7 @@ mod tests {
             let report = BackupClient::new(cluster.clone(), 0)
                 .backup_bytes("f", &data)
                 .unwrap();
-            cluster.flush();
+            cluster.try_flush().unwrap();
             (cluster, report)
         };
         let (serial_cluster, serial_report) = backup(1);
@@ -335,7 +335,7 @@ mod tests {
         assert_eq!(first.transferred_bytes, data.len() as u64);
         assert_eq!(second.transferred_bytes, 0);
         assert_eq!(second.duplicate_chunks, second.chunks);
-        cluster.flush();
+        cluster.try_flush().unwrap();
         assert_eq!(cluster.restore_file(second.file_id).unwrap(), data);
     }
 
@@ -351,7 +351,7 @@ mod tests {
         assert_eq!(reports[0].logical_bytes, 0);
         assert_eq!(reports[0].chunks, 0);
         assert_eq!(reports[1].chunks, 1);
-        cluster.flush();
+        cluster.try_flush().unwrap();
         assert_eq!(cluster.restore_file(reports[0].file_id).unwrap(), b"");
         assert_eq!(
             cluster.restore_file(reports[1].file_id).unwrap(),

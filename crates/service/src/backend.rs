@@ -475,7 +475,7 @@ mod tests {
             .call(backup_req(1, "acme", "db.bin", payload.clone()))
             .unwrap();
         let file_id = resp.metadata_u64(FILE_ID_KEY).unwrap();
-        svc.cluster().flush();
+        svc.cluster().try_flush().unwrap();
         let restored = svc
             .call(RequestEnvelope::new(
                 2,
@@ -626,7 +626,7 @@ mod tests {
             .call(backup_req(1, "acme", "f", data(300_000, 6)))
             .unwrap();
         let file_id = resp.metadata_u64(FILE_ID_KEY).unwrap();
-        svc.cluster().flush();
+        svc.cluster().try_flush().unwrap();
         svc.call(RequestEnvelope::new(
             2,
             "acme",

@@ -1,14 +1,10 @@
 //! Request logging and per-operation metrics.
 
-use crate::backend::{
-    BACKEND_BYTES_READ_KEY, CACHE_HITS_KEY, CACHE_MISSES_KEY, CHUNKS_READ_KEY,
-    CONTAINERS_OPENED_KEY,
-};
 use crate::middleware::{Middleware, Next, ServiceResult};
-use crate::{RequestEnvelope, ResponseEnvelope};
+use crate::RequestEnvelope;
 use parking_lot::Mutex;
 use sigma_core::ServiceCode;
-use sigma_metrics::{MetricsRegistry, OpSnapshot, RestoreCounters, RestoreSnapshot, Stopwatch};
+use sigma_metrics::{MetricsRegistry, OpSnapshot, Stopwatch};
 use std::collections::BTreeMap;
 
 /// One observed request, success or failure.
@@ -45,7 +41,6 @@ pub struct LogEntry {
 pub struct RequestLog {
     entries: Mutex<Vec<LogEntry>>,
     metrics: MetricsRegistry,
-    restores: RestoreCounters,
 }
 
 impl RequestLog {
@@ -72,29 +67,6 @@ impl RequestLog {
     /// Per-operation counter snapshots, keyed by operation name.
     pub fn metrics(&self) -> BTreeMap<String, OpSnapshot> {
         self.metrics.snapshot()
-    }
-
-    /// Aggregate restore-pipeline counters, parsed off successful restore
-    /// responses flowing through this middleware (zero until one passes).
-    pub fn restore_metrics(&self) -> RestoreSnapshot {
-        self.restores.snapshot()
-    }
-
-    /// Folds a successful restore response's pipeline metadata into the
-    /// aggregate.  Metadata is the only channel a middleware sees, so a
-    /// backend that doesn't emit restore counters simply contributes the
-    /// operation and byte counts.
-    fn record_restore(&self, resp: &ResponseEnvelope) {
-        let count = |key| resp.metadata_u64(key).unwrap_or(0);
-        self.restores.record(&RestoreSnapshot {
-            restores: 1,
-            chunks_read: count(CHUNKS_READ_KEY),
-            containers_opened: count(CONTAINERS_OPENED_KEY),
-            cache_hits: count(CACHE_HITS_KEY),
-            cache_misses: count(CACHE_MISSES_KEY),
-            backend_bytes_read: count(BACKEND_BYTES_READ_KEY),
-            logical_bytes_restored: resp.payload.len() as u64,
-        });
     }
 
     fn record(&self, entry: LogEntry) {
@@ -125,13 +97,6 @@ impl Middleware for RequestLog {
             Ok(resp) => (resp.code, resp.payload.len() as u64),
             Err(err) => (err.code(), 0),
         };
-        if operation == "restore" {
-            if let Ok(resp) = &result {
-                if resp.code.is_ok() {
-                    self.record_restore(resp);
-                }
-            }
-        }
         self.record(LogEntry {
             request_id,
             tenant,
@@ -205,43 +170,6 @@ mod tests {
         assert_eq!(entries[0].code, ServiceCode::NotFound);
         assert_eq!(entries[0].response_bytes, 0);
         assert_eq!(log.metrics()["restore"].errors, 1);
-    }
-
-    #[test]
-    fn surfaces_restore_counters_from_response_metadata() {
-        let log = Arc::new(RequestLog::new());
-        let p = PipelineExecutor::new(
-            vec![log.clone()],
-            Arc::new(|r: RequestEnvelope| match r.operation {
-                Operation::Restore { .. } => Ok(ResponseEnvelope::ok(r.request_id)
-                    .with_metadata(CHUNKS_READ_KEY, "6")
-                    .with_metadata(CONTAINERS_OPENED_KEY, "2")
-                    .with_metadata(CACHE_HITS_KEY, "1")
-                    .with_metadata(CACHE_MISSES_KEY, "1")
-                    .with_metadata(BACKEND_BYTES_READ_KEY, "512")
-                    .with_payload(vec![0u8; 1024])),
-                _ => Ok(ResponseEnvelope::ok(r.request_id)),
-            }),
-        );
-        p.execute(RequestEnvelope::new(
-            1,
-            "t",
-            Operation::Restore { file_id: 1 },
-        ));
-        p.execute(RequestEnvelope::new(2, "t", Operation::Stats));
-        p.execute(RequestEnvelope::new(
-            3,
-            "t",
-            Operation::Restore { file_id: 1 },
-        ));
-        let r = log.restore_metrics();
-        assert_eq!(r.restores, 2, "stats ops don't count as restores");
-        assert_eq!(r.chunks_read, 12);
-        assert_eq!(r.containers_opened, 4);
-        assert_eq!((r.cache_hits, r.cache_misses), (2, 2));
-        assert_eq!(r.backend_bytes_read, 1024);
-        assert_eq!(r.logical_bytes_restored, 2048);
-        assert!((r.read_amplification() - 0.5).abs() < 1e-12);
     }
 
     #[test]

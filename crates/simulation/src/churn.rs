@@ -163,7 +163,9 @@ pub fn run_churn(config: &ChurnConfig) -> ChurnOutcome {
         let report = client.backup_bytes(name, data).expect("backup succeeds");
         expected.insert(report.file_id, data.clone());
     }
-    cluster.flush();
+    cluster
+        .try_flush()
+        .expect("no fault injection in the plain churn scenario");
     phases.push(snapshot("bootstrap", &cluster));
 
     // Phase 2: scale out — join a node and migrate containers onto it.
@@ -178,7 +180,9 @@ pub fn run_churn(config: &ChurnConfig) -> ChurnOutcome {
         let report = client.backup_bytes(name, data).expect("backup succeeds");
         expected.insert(report.file_id, data.clone());
     }
-    cluster.flush();
+    cluster
+        .try_flush()
+        .expect("no fault injection in the plain churn scenario");
     phases.push(snapshot("second-wave", &cluster));
 
     // Phase 4: scale in — remove one of the *original* nodes, so recipes from

@@ -14,7 +14,8 @@
 //! The driver then behaves like an operator supervising a real cluster:
 //!
 //! 1. the failing operation surfaces [`StorageError::Crashed`];
-//! 2. [`DedupCluster::restart_node`] rebuilds the victim from its journal and
+//! 2. [`DedupCluster::restart_node`] rebuilds the victim from its medium (a
+//!    file-backed node from its directory, as a new process would) and
 //!    reconciles half-completed migrations (publishing the missing tombstone of
 //!    a container its peer already adopted durably, or vice versa);
 //! 3. the interrupted operation is retried — safe because backups deduplicate
@@ -152,10 +153,9 @@ impl CrashChurnConfig {
     ///
     /// For [`BackendKind::File`] a `storage_root` must be set on the returned
     /// config's `sigma` (see [`with_file_storage`](Self::with_file_storage));
-    /// the driver then recovers crashed nodes through
-    /// [`DedupCluster::restart_node_from_disk`] — re-opening the journal from
-    /// the node's directory instead of the surviving in-memory handle — so the
-    /// sweep exercises the actual process-restart path.
+    /// [`DedupCluster::restart_node`] then re-opens each crashed node's
+    /// journal from its directory instead of the surviving in-memory handle,
+    /// so the sweep exercises the actual process-restart path.
     pub fn with_backend(kind: BackendKind) -> Self {
         let mut config = CrashChurnConfig::default();
         config.sigma.storage_backend = kind;
@@ -421,24 +421,17 @@ fn retry_crashed<T>(
     }
 }
 
-/// Restarts every crashed node, recording the recovery reports.  On the file
-/// backend the restart goes through the on-disk directory — the surviving
-/// in-memory journal handle is deliberately not reused, so every recovery in
-/// the sweep proves the process-restart path.
+/// Restarts every crashed node, recording the recovery reports.
 fn recover_all(cluster: &DedupCluster, recoveries: &mut Vec<RecoveryReport>) {
     let crashed = cluster.crashed_nodes();
     assert!(
         !crashed.is_empty(),
         "a crash error surfaced but no node reports a crashed journal"
     );
-    let from_disk = cluster.config().storage_backend == BackendKind::File;
     for id in crashed {
-        let report = if from_disk {
-            cluster.restart_node_from_disk(id)
-        } else {
-            cluster.restart_node(id)
-        }
-        .expect("a journaled node must be recoverable");
+        let report = cluster
+            .restart_node(id)
+            .expect("a journaled node must be recoverable");
         recoveries.push(report);
     }
 }

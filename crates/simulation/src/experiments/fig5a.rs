@@ -119,7 +119,7 @@ fn measure(
             node.process_super_chunk(v as u64, &sc, &handprint)
                 .expect("synthetic store cannot fail");
         }
-        node.flush();
+        node.try_flush().expect("synthetic store cannot fail");
     }
     let elapsed = stopwatch.elapsed().as_secs_f64();
     let stats = node.stats();

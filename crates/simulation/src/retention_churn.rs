@@ -172,7 +172,9 @@ pub fn run_retention(config: &RetentionConfig) -> RetentionOutcome {
                 .expect("backup succeeds");
             expected.insert(report.file_id, (generation, data.clone()));
         }
-        cluster.flush();
+        cluster
+            .try_flush()
+            .expect("no faults are injected in the retention scenario");
     }
     let physical_before_expiry = cluster.stats().physical_bytes;
 
@@ -306,7 +308,7 @@ mod tests {
                 let report = client.backup_bytes(name, data).expect("backup succeeds");
                 expected.insert(report.file_id, (generation, data.clone()));
             }
-            cluster.flush();
+            cluster.try_flush().expect("no faults");
             match generation {
                 0 => {
                     cluster.add_node_rebalanced().expect("no faults");

@@ -145,7 +145,9 @@ pub fn run_cluster_detailed(
                 }
             }
         }
-        cluster.flush();
+        cluster
+            .try_flush()
+            .expect("trace-driven backup cannot fail to store synthetic chunks");
     }
 
     let stats = cluster.stats();

@@ -572,7 +572,9 @@ pub fn run_tenant_storm(config: &TenantStormConfig) -> TenantStormReport {
         files.extend(handle.join().expect("client thread panicked"));
     }
     let backups = files.len();
-    cluster.flush();
+    cluster
+        .try_flush()
+        .expect("no crash is armed before the churn phase");
 
     let (first_finisher, shares) = storm
         .snapshot

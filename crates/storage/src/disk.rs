@@ -30,35 +30,6 @@ impl Default for DiskParams {
     }
 }
 
-impl DiskParams {
-    /// Validates the parameters.
-    ///
-    /// Both fields must be finite and strictly positive: a zero or negative
-    /// bandwidth turns [`DiskModel::simulated_time_us`] into an infinity (or, with
-    /// NaN inputs, a NaN) that silently poisons every derived latency figure, so
-    /// such configurations are rejected up front instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::StorageError::InvalidDiskParams`] naming the first
-    /// offending field.
-    pub fn validate(&self) -> crate::Result<()> {
-        if !(self.random_io_us.is_finite() && self.random_io_us > 0.0) {
-            return Err(crate::StorageError::InvalidDiskParams(format!(
-                "random_io_us must be finite and positive, got {}",
-                self.random_io_us
-            )));
-        }
-        if !(self.sequential_mb_per_s.is_finite() && self.sequential_mb_per_s > 0.0) {
-            return Err(crate::StorageError::InvalidDiskParams(format!(
-                "sequential_mb_per_s must be finite and positive, got {}",
-                self.sequential_mb_per_s
-            )));
-        }
-        Ok(())
-    }
-}
-
 /// Counters of simulated disk activity.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DiskStats {
@@ -202,55 +173,6 @@ mod tests {
         // 1 random I/O at 1ms + 1 MB at 1 MB/s = 1ms + 1s.
         let t = disk.simulated_time_us();
         assert!((t - (1000.0 + 1_000_000.0)).abs() < 1.0, "t = {}", t);
-    }
-
-    #[test]
-    fn validation_rejects_non_positive_and_non_finite_params() {
-        assert!(DiskParams::default().validate().is_ok());
-        // The smallest positive normal values are still legal.
-        assert!(DiskParams {
-            random_io_us: f64::MIN_POSITIVE,
-            sequential_mb_per_s: f64::MIN_POSITIVE,
-        }
-        .validate()
-        .is_ok());
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let e = DiskParams {
-                random_io_us: bad,
-                ..DiskParams::default()
-            }
-            .validate()
-            .unwrap_err();
-            assert!(
-                e.to_string().contains("random_io_us"),
-                "error must name the field: {}",
-                e
-            );
-            assert!(DiskParams {
-                sequential_mb_per_s: bad,
-                ..DiskParams::default()
-            }
-            .validate()
-            .is_err());
-        }
-    }
-
-    #[test]
-    fn rejected_params_are_exactly_those_that_poison_latency() {
-        // The boundary values validation rejects are the ones that would have
-        // produced inf/NaN simulated latencies.
-        let disk = DiskModel::new(DiskParams {
-            random_io_us: 8000.0,
-            sequential_mb_per_s: 0.0,
-        });
-        disk.record_sequential_transfer(1);
-        assert!(disk.simulated_time_us().is_infinite());
-        let disk = DiskModel::new(DiskParams {
-            random_io_us: f64::NAN,
-            sequential_mb_per_s: 100.0,
-        });
-        disk.record_random_read();
-        assert!(disk.simulated_time_us().is_nan());
     }
 
     #[test]

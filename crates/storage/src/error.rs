@@ -29,9 +29,6 @@ pub enum StorageError {
     /// append did not become durable and the node must be considered dead until
     /// it is recovered from the journal.
     Crashed,
-    /// Disk parameters were rejected at validation time (the message names the
-    /// offending field and value).
-    InvalidDiskParams(String),
     /// A journal frame is whole (its checksum holds) but its payload is not a
     /// record this version can decode — the journal was written in another
     /// record layout.  Recovery refuses it instead of truncating there.
@@ -82,9 +79,6 @@ impl std::fmt::Display for StorageError {
             StorageError::ContainerSealed(id) => write!(f, "container {} is sealed", id),
             StorageError::Crashed => {
                 write!(f, "node crashed: journal append did not become durable")
-            }
-            StorageError::InvalidDiskParams(msg) => {
-                write!(f, "invalid disk parameters: {}", msg)
             }
             StorageError::UnreadableRecord { seq, offset } => write!(
                 f,

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             recipes.push((client_id, name, data, report.file_id));
         }
     }
-    cluster.flush();
+    cluster.try_flush()?;
     println!("{}", table.render());
 
     // Verify every file restores bit-exactly through its recipe.

@@ -52,7 +52,9 @@ fn main() {
             .backup_bytes(&input.name, &input.data)
             .expect("serial backup");
     }
-    serial_cluster.flush();
+    serial_cluster
+        .try_flush()
+        .expect("no faults in the serial run");
     let serial_secs = start.elapsed().as_secs_f64();
 
     // The same streams through one backup_streams call, on a worker pool
@@ -64,7 +66,9 @@ fn main() {
     let reports = BackupClient::new(parallel_cluster.clone(), 0)
         .backup_streams(&inputs)
         .expect("parallel backup");
-    parallel_cluster.flush();
+    parallel_cluster
+        .try_flush()
+        .expect("no faults in the parallel run");
     let parallel_secs = start.elapsed().as_secs_f64();
 
     // Every file restores byte-identically through the parallel path.

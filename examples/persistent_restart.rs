@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
             originals.insert(report.file_id, data);
         }
-        cluster.flush();
+        cluster.try_flush()?;
         (cluster.director().recipes(), originals)
         // cluster, nodes, journals: all dropped here.
     };

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         file_ids.push(report.file_id);
     }
-    cluster.flush();
+    cluster.try_flush()?;
 
     let stats = cluster.stats();
     println!("\ncluster after backup:");

@@ -87,7 +87,7 @@ fn run_churn(router: Box<dyn DataRouter>) -> ChurnRun {
             .expect("payload backup cannot fail");
         files.push((report.file_id, data));
     }
-    cluster.flush();
+    cluster.try_flush().unwrap();
     phase_messages.push(snapshot_messages(&cluster));
     let physical_after_gen0 = cluster.stats().physical_bytes;
 
@@ -123,7 +123,7 @@ fn run_churn(router: Box<dyn DataRouter>) -> ChurnRun {
             .expect("payload backup cannot fail");
         files.push((report.file_id, data));
     }
-    cluster.flush();
+    cluster.try_flush().unwrap();
 
     // Scale in: drain one of the *original* nodes, so recipes from both waves
     // must follow its tombstones from now on.

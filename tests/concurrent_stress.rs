@@ -74,7 +74,7 @@ fn threads_share_cluster_without_deadlock_and_stats_sum() {
         .into_iter()
         .flat_map(|h| h.join().expect("no stream worker may deadlock or panic"))
         .collect();
-    cluster.flush();
+    cluster.try_flush().unwrap();
 
     // Accounting: the cluster-side counters must equal the sum of what the
     // clients observed, no matter how the streams interleaved.
@@ -127,13 +127,13 @@ fn pipeline_stress_matches_serial_physical_bytes() {
             .backup_bytes(&input.name, &input.data)
             .unwrap();
     }
-    serial.flush();
+    serial.try_flush().unwrap();
 
     let parallel = Arc::new(DedupCluster::with_similarity_router(1, stress_config(8)));
     let reports = BackupClient::new(parallel.clone(), 0)
         .backup_streams(&inputs)
         .unwrap();
-    parallel.flush();
+    parallel.try_flush().unwrap();
 
     let serial_stats = serial.stats();
     let parallel_stats = parallel.stats();
@@ -178,7 +178,7 @@ fn backups_racing_with_flush_lose_nothing() {
         std::thread::spawn(move || {
             barrier.wait();
             for _ in 0..64 {
-                cluster.flush();
+                cluster.try_flush().unwrap();
                 std::thread::yield_now();
             }
         })
@@ -189,7 +189,7 @@ fn backups_racing_with_flush_lose_nothing() {
         .flat_map(|h| h.join().expect("no client may deadlock"))
         .collect();
     flusher.join().expect("flusher must finish");
-    cluster.flush();
+    cluster.try_flush().unwrap();
 
     for (report, data) in &all {
         assert_eq!(

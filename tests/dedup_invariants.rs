@@ -30,7 +30,7 @@ proptest! {
         let data = random_bytes(len, seed);
         let report = client.backup_bytes("prop-file", &data).unwrap();
         prop_assert_eq!(report.logical_bytes, len as u64);
-        cluster.flush();
+        cluster.try_flush().unwrap();
         prop_assert_eq!(cluster.restore_file(report.file_id).unwrap(), data);
     }
 

@@ -25,7 +25,7 @@ fn incremental_generations_deduplicate_and_restore() {
     for (name, data) in &generations {
         reports.push((client.backup_bytes(name, data).unwrap(), data));
     }
-    cluster.flush();
+    cluster.try_flush().unwrap();
 
     // Generation 1 transfers everything; later generations transfer only the churn.
     assert_eq!(reports[0].0.transferred_bytes, (8 << 20) as u64);
@@ -59,7 +59,7 @@ fn many_clients_share_duplicate_data_across_the_cluster() {
             .unwrap();
         total_transferred += report.transferred_bytes;
     }
-    cluster.flush();
+    cluster.try_flush().unwrap();
     // Only the first client pays for the data.
     assert_eq!(total_transferred, (4 << 20) as u64);
     let stats = cluster.stats();
@@ -82,7 +82,7 @@ fn unique_data_spreads_across_nodes() {
             .backup_bytes(&format!("unique-{}", i), &data)
             .unwrap();
     }
-    cluster.flush();
+    cluster.try_flush().unwrap();
     let stats = cluster.stats();
     let used_nodes = stats.node_usage.iter().filter(|&&u| u > 0).count();
     assert!(used_nodes >= 6, "only {} of 8 nodes used", used_nodes);
@@ -113,7 +113,7 @@ fn mixed_file_sizes_round_trip() {
     for (name, data) in &files {
         ids.push(client.backup_bytes(name, data).unwrap().file_id);
     }
-    cluster.flush();
+    cluster.try_flush().unwrap();
     for ((_, data), id) in files.iter().zip(ids) {
         assert_eq!(&cluster.restore_file(id).unwrap(), data);
     }

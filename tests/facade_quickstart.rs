@@ -31,7 +31,7 @@ fn quickstart_backup_flush_restore_round_trip() {
     );
 
     // Flush open containers, then both generations restore bit-exactly.
-    cluster.flush();
+    cluster.try_flush().unwrap();
     assert_eq!(
         cluster.restore_file(report_1.file_id).unwrap(),
         generation_1

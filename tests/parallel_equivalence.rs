@@ -73,7 +73,7 @@ proptest! {
             let report = client.backup_bytes(&stream.name, &stream.data).unwrap();
             serial_restored.push(serial_cluster.restore_file(report.file_id).unwrap());
         }
-        serial_cluster.flush();
+        serial_cluster.try_flush().unwrap();
 
         // The same streams through one `backup_streams` call, 4 workers.
         let parallel_cluster =
@@ -81,7 +81,7 @@ proptest! {
         let reports = BackupClient::new(parallel_cluster.clone(), 0)
             .backup_streams(&streams)
             .unwrap();
-        parallel_cluster.flush();
+        parallel_cluster.try_flush().unwrap();
 
         let serial_stats = serial_cluster.stats();
         let parallel_stats = parallel_cluster.stats();
@@ -123,7 +123,7 @@ proptest! {
             let report = BackupClient::new(cluster.clone(), 0)
                 .backup_bytes("stream", &data)
                 .unwrap();
-            cluster.flush();
+            cluster.try_flush().unwrap();
             (cluster, report)
         };
         let (serial_cluster, serial_report) = backup(1);

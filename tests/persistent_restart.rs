@@ -13,7 +13,10 @@
 //!    recipe (the client-side catalog a real backup application keeps) and
 //!    compared byte-for-byte;
 //! 5. a second scenario tears the journal tail mid-frame before the re-open,
-//!    proving the torn suffix is discarded and the prior ack point restored.
+//!    proving the torn suffix is discarded and the prior ack point restored;
+//! 6. a third restarts nodes in place with `DedupCluster::restart_node`,
+//!    which re-opens a file-backed node from its directory and recovers any
+//!    other from its surviving journal handle.
 
 use sigma_dedupe::prelude::*;
 use std::collections::HashMap;
@@ -256,5 +259,50 @@ fn torn_journal_tail_recovers_to_the_last_ack_point() {
         );
     }
     drop(node);
+    std::fs::remove_dir_all(&root).expect("clean up scenario directory");
+}
+
+#[test]
+fn restart_node_picks_the_medium_by_backend() {
+    let root = scratch_dir("restart-medium");
+    let file = file_sigma_config(&root);
+    let volatile = SigmaConfig {
+        storage_backend: BackendKind::SimDisk,
+        storage_root: None,
+        ..file.clone()
+    };
+    for (config, reopens) in [(file, true), (volatile, false)] {
+        let cluster = Arc::new(DedupCluster::with_similarity_router(2, config));
+        let client = BackupClient::new(cluster.clone(), 0);
+        let files: Vec<(u64, Vec<u8>)> = (0..4u64)
+            .map(|i| {
+                let data = random_bytes(40 * 1024, (0x5E1F + i) ^ env_seed());
+                let report = client
+                    .backup_bytes(&format!("f{i}"), &data)
+                    .expect("backup cannot fail");
+                (report.file_id, data)
+            })
+            .collect();
+        cluster.try_flush().expect("no faults armed");
+        let medium = |id: usize| {
+            let node = cluster.node_by_id(id).expect("a member");
+            node.journal().expect("durable node").backend()
+        };
+        for id in cluster.node_ids() {
+            let before = medium(id);
+            cluster.restart_node(id).expect("journaled node restarts");
+            assert_eq!(
+                !Arc::ptr_eq(&before, &medium(id)),
+                reopens,
+                "node {id} on {:?}: a file-backed restart re-opens the directory, \
+                 a volatile one keeps the only copy of its medium",
+                cluster.config().storage_backend
+            );
+        }
+        for (file_id, data) in &files {
+            let restored = cluster.restore_file(*file_id).expect("acked file restores");
+            assert_eq!(&restored, data, "file {file_id} corrupted by the restart");
+        }
+    }
     std::fs::remove_dir_all(&root).expect("clean up scenario directory");
 }

@@ -53,7 +53,7 @@ fn restore_survives_fingerprint_cache_eviction() {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-    cluster.flush();
+    cluster.try_flush().unwrap();
 
     let evictions: u64 = cluster
         .nodes()
@@ -84,7 +84,7 @@ fn empty_and_single_chunk_streams_mixed_into_a_batch() {
             StreamPayload::new(3, "bulk", pseudo_random(32 * 1024, 99)),
         ])
         .unwrap();
-    cluster.flush();
+    cluster.try_flush().unwrap();
 
     assert_eq!(reports[0].logical_bytes, 0);
     assert_eq!(reports[0].chunks, 0);
@@ -215,6 +215,6 @@ fn serial_client_flushes_its_builder_so_no_tail_is_lost() {
     let report = client.backup_bytes("tail", &data).unwrap();
     assert_eq!(report.logical_bytes, data.len() as u64);
     assert_eq!(report.super_chunks, 10, "9 full + 1 undersized tail");
-    cluster.flush();
+    cluster.try_flush().unwrap();
     assert_eq!(cluster.restore_file(report.file_id).unwrap(), data);
 }

@@ -49,7 +49,7 @@ fn backup_all(cluster: &Arc<DedupCluster>, datas: &[Vec<u8>]) -> Vec<(u64, Vec<u
             .expect("payload backup cannot fail");
         files.push((report.file_id, data.clone()));
     }
-    cluster.flush();
+    cluster.try_flush().unwrap();
     files
 }
 

@@ -75,7 +75,7 @@ fn backup_all(cluster: &Arc<DedupCluster>, datas: &[Vec<u8>]) -> Vec<(u64, Vec<u
             .expect("payload backup cannot fail");
         files.push((report.file_id, data.clone()));
     }
-    cluster.flush();
+    cluster.try_flush().unwrap();
     files
 }
 
@@ -211,7 +211,7 @@ fn happy_path_copies_each_byte_exactly_once() {
     let data: Vec<u8> = (0..100_000u32).map(|i| (i % 241) as u8).collect();
     let client = BackupClient::new(cluster.clone(), 0);
     let report = client.backup_bytes("copy-once.bin", &data).unwrap();
-    cluster.flush();
+    cluster.try_flush().unwrap();
     for workers in PARALLELISMS {
         let (restored, restore) = cluster
             .restore_file_pipelined(report.file_id, workers)
@@ -238,7 +238,7 @@ fn repeat_restore_on_file_backend_hits_the_read_cache() {
     let data: Vec<u8> = (0..200_000u32).map(|i| (i % 239) as u8).collect();
     let client = BackupClient::new(cluster.clone(), 0);
     let report = client.backup_bytes("cached.bin", &data).unwrap();
-    cluster.flush();
+    cluster.try_flush().unwrap();
 
     let (cold, first) = cluster.restore_file_pipelined(report.file_id, 2).unwrap();
     assert_eq!(cold, data);

@@ -289,7 +289,7 @@ fn lifecycle_edge_cases_fail_cleanly() {
     let client = BackupClient::new(cluster.clone(), 0);
     let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
     let report = client.backup_bytes("once.bin", &data).unwrap();
-    cluster.flush();
+    cluster.try_flush().unwrap();
     assert_eq!(cluster.restore_file(report.file_id).unwrap(), data);
 
     assert!(cluster.delete_file(report.file_id).is_ok());

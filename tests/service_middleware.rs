@@ -90,7 +90,7 @@ proptest! {
         let within = (budget / 2).max(1) as usize;
         let ok = stack.call(backup_req(1, "acme", within).with_token("s3cret"));
         prop_assert!(ok.is_ok(), "{}", ok.message);
-        cluster.flush();
+        cluster.try_flush().unwrap();
 
         let logical_before = cluster.logical_bytes();
         let physical_before = cluster.physical_bytes();
@@ -99,7 +99,7 @@ proptest! {
         let over = stack.call(backup_req(2, "acme", req_bytes).with_token("s3cret"));
         prop_assert_eq!(over.code, ServiceCode::ResourceExhausted);
 
-        cluster.flush();
+        cluster.try_flush().unwrap();
         prop_assert_eq!(cluster.logical_bytes(), logical_before,
             "rejected ingest routed no logical bytes");
         prop_assert_eq!(cluster.physical_bytes(), physical_before,

@@ -102,7 +102,7 @@ fn unauthorized_and_over_quota_reject_over_the_wire() {
         .call(&backup_req(1, "seed.bin", vec![7u8; 4_000]))
         .unwrap();
     assert!(ok.is_ok(), "{}", ok.message);
-    cluster.flush();
+    cluster.try_flush().unwrap();
     let logical_before = cluster.logical_bytes();
     let physical_before = cluster.physical_bytes();
 
@@ -129,7 +129,7 @@ fn unauthorized_and_over_quota_reject_over_the_wire() {
     assert_eq!(resp.code, ServiceCode::NotFound);
 
     // None of the rejected requests moved cluster accounting.
-    cluster.flush();
+    cluster.try_flush().unwrap();
     assert_eq!(cluster.logical_bytes(), logical_before);
     assert_eq!(cluster.physical_bytes(), physical_before);
 

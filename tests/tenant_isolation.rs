@@ -160,7 +160,7 @@ proptest! {
                 owned_t.push((id, data));
             }
         }
-        h.cluster.flush();
+        h.cluster.try_flush().unwrap();
 
         // Accounting: every tenant's report is exact, and the live bytes
         // partition the cluster's logical total.
@@ -277,7 +277,7 @@ fn delete_credits_quota_exactly_once_end_to_end() {
     let h = Harness::new(1, 2 * size as u64);
     let data = payload(size, 0xC4ED17);
     let id = h.backup(0, "victim", &data);
-    h.cluster.flush();
+    h.cluster.try_flush().unwrap();
     assert_eq!(h.quota.usage(&tenant(0)), size as u64);
 
     // One more backup fits; a third would not (budget is 2 files).
@@ -327,7 +327,7 @@ fn foreign_credentials_cannot_delete_across_tenants() {
     let id = h.backup(0, "mine", &data);
     // Identical payload: the two tenants share every physical chunk.
     let other = h.backup(1, "theirs", &data);
-    h.cluster.flush();
+    h.cluster.try_flush().unwrap();
 
     // Tenant 1 aims straight at tenant 0's file ID.
     let stab = h.call(1, Operation::DeleteFile { file_id: id }, Vec::new());
