@@ -1,6 +1,6 @@
 //! Ingest throughput vs. worker-thread count.
 //!
-//! Two sweeps, both in the spirit of the paper's Figure 4 throughput study but
+//! Four measurements, all in the spirit of the paper's Figure 4 throughput study but
 //! measuring the ingest core end to end:
 //!
 //! * **payload pipeline** — real bytes (versioned backup generations) pushed
@@ -17,6 +17,9 @@
 //!   acknowledges them: per-request durable cost (journal appends, fsyncs,
 //!   container objects) without a transport in front.  Every file is checked
 //!   restorable after the clock stops.
+//! * **unique 1 MiB files** — the same, with 1 MiB files that share nothing:
+//!   every byte is appended to a container and written out in its sealed
+//!   object, so the seal path (and the closing flush's seals) dominates.
 //!
 //! On a multi-core machine the pipeline at 4+ threads beats the serial path; on a
 //! single-core machine the sweep degenerates to measuring the (small) coordination
@@ -75,6 +78,15 @@ fn small_files() -> Vec<Vec<u8>> {
         .collect()
 }
 
+const UNIQUE_FILES: usize = 32;
+const UNIQUE_FILE_BYTES: usize = 1 << 20;
+
+fn unique_files() -> Vec<Vec<u8>> {
+    (0..UNIQUE_FILES as u64)
+        .map(|i| random_bytes(UNIQUE_FILE_BYTES, 0x1B16 + i))
+        .collect()
+}
+
 /// A fresh 4-node cluster on the file backend, in its own scratch directory.
 struct FileCluster {
     root: PathBuf,
@@ -110,8 +122,8 @@ impl FileCluster {
         let client = BackupClient::new(self.cluster.clone(), 0);
         for (i, data) in files.iter().enumerate() {
             let report = client
-                .backup_bytes(&format!("small/{i}"), data)
-                .expect("small-file backup cannot fail");
+                .backup_bytes(&format!("file/{i}"), data)
+                .expect("file backup cannot fail");
             self.file_ids.push(report.file_id);
         }
         self.cluster
@@ -158,18 +170,28 @@ fn report() {
     }
     sigma_bench::print_table("pipeline ingest MB/s", &table.render());
 
-    let files = small_files();
-    let mut run = FileCluster::new();
-    let sw = sigma_metrics::Stopwatch::start();
-    run.backup(&files);
-    let mbps = sw
-        .stop((SMALL_FILES * SMALL_FILE_BYTES) as u64)
-        .mb_per_sec();
-    run.check_and_remove(&files);
-    println!(
-        "small files: {SMALL_FILES} x 16 KiB into a 4-node file-backed cluster, \
-         flush included: {mbps:.1} MB/s (all restored byte-identical)"
-    );
+    for (label, files) in [
+        (
+            format!("small files: {SMALL_FILES} x 16 KiB"),
+            small_files(),
+        ),
+        (
+            format!("unique files: {UNIQUE_FILES} x 1 MiB"),
+            unique_files(),
+        ),
+    ] {
+        let mut run = FileCluster::new();
+        let sw = sigma_metrics::Stopwatch::start();
+        run.backup(&files);
+        let mbps = sw
+            .stop(files.iter().map(|f| f.len() as u64).sum())
+            .mb_per_sec();
+        run.check_and_remove(&files);
+        println!(
+            "{label} into a 4-node file-backed cluster, flush included: \
+             {mbps:.1} MB/s (all restored byte-identical)"
+        );
+    }
 }
 
 fn bench_pipeline_ingest(c: &mut Criterion) {
@@ -186,32 +208,43 @@ fn bench_pipeline_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_small_file_ingest(c: &mut Criterion) {
-    let files = small_files();
+/// `ingest_throughput/<name>`: `files` backed up into a fresh file-backed
+/// cluster per iteration, flush included.
+fn bench_file_ingest(c: &mut Criterion, name: &str, files: &[Vec<u8>]) {
     let mut group = c.benchmark_group("ingest_throughput");
-    group.throughput(Throughput::Bytes((SMALL_FILES * SMALL_FILE_BYTES) as u64));
+    group.throughput(Throughput::Bytes(
+        files.iter().map(|f| f.len() as u64).sum(),
+    ));
     // Each iteration backs up into a fresh cluster (set up off the clock);
     // the next set-up, also off the clock, checks and removes the last one.
     let done: RefCell<Option<FileCluster>> = RefCell::new(None);
-    group.bench_function("file_small_files", |b| {
+    group.bench_function(name, |b| {
         b.iter_batched(
             || {
                 if let Some(run) = done.take() {
-                    run.check_and_remove(&files);
+                    run.check_and_remove(files);
                 }
                 FileCluster::new()
             },
             |mut run| {
-                run.backup(&files);
+                run.backup(files);
                 done.replace(Some(run));
             },
             BatchSize::PerIteration,
         )
     });
     if let Some(run) = done.take() {
-        run.check_and_remove(&files);
+        run.check_and_remove(files);
     }
     group.finish();
+}
+
+fn bench_small_file_ingest(c: &mut Criterion) {
+    bench_file_ingest(c, "file_small_files", &small_files());
+}
+
+fn bench_unique_file_ingest(c: &mut Criterion) {
+    bench_file_ingest(c, "file_unique_1m", &unique_files());
 }
 
 fn bench_trace_ingest(c: &mut Criterion) {
@@ -241,6 +274,7 @@ fn bench_trace_ingest(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_pipeline_ingest, bench_small_file_ingest, bench_trace_ingest
+    targets = bench_pipeline_ingest, bench_small_file_ingest, bench_unique_file_ingest,
+        bench_trace_ingest
 }
 criterion_main!(benches);

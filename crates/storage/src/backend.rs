@@ -131,21 +131,6 @@ pub struct SharedBytes {
     range: Range<usize>,
 }
 
-impl SharedBytes {
-    /// The sub-window `range` of this window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` does not lie within the window.
-    pub fn slice(&self, range: Range<usize>) -> SharedBytes {
-        assert!(range.start <= range.end && range.end <= self.len());
-        SharedBytes {
-            buf: self.buf.clone(),
-            range: self.range.start + range.start..self.range.start + range.end,
-        }
-    }
-}
-
 impl From<Vec<u8>> for SharedBytes {
     fn from(bytes: Vec<u8>) -> Self {
         let range = 0..bytes.len();
@@ -174,6 +159,8 @@ impl std::ops::Deref for SharedBytes {
 ///   acknowledgement point.
 /// * [`write_object`](Self::write_object) atomically creates-or-replaces a
 ///   whole object: a reader never observes a half-written container.
+///   [`write_object_parts`](Self::write_object_parts) does the same for an
+///   object handed over in parts.
 /// * [`replace_atomic`](Self::replace_atomic) is `write_object` with the
 ///   explicit crash contract journal compaction needs: until the replacement is
 ///   durably in place, the *old* object must remain fully readable
@@ -199,12 +186,15 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// Atomically creates or replaces the whole object.
     fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> Result<()>;
 
-    /// [`write_object`](Self::write_object) for a buffer the caller hands
-    /// over.  The default borrows it; the in-RAM backends keep it as the
-    /// object instead of copying it (the container store writes every
-    /// sealed, adopted and compacted container this way).
-    fn put_object(&self, obj: StorageObject, bytes: Vec<u8>) -> Result<()> {
-        self.write_object(obj, &bytes)
+    /// [`write_object`](Self::write_object) of the concatenation of
+    /// `parts`, in order, under the same atomic publish.  The container
+    /// store writes every sealed, adopted and compacted container this way —
+    /// head, the container's own data section, record table — so the data
+    /// section is never copied into an object-sized buffer first.  The
+    /// default concatenates and calls `write_object`; the file backend writes
+    /// the parts one after another into the object's temp file.
+    fn write_object_parts(&self, obj: StorageObject, parts: &[&[u8]]) -> Result<()> {
+        self.write_object(obj, &parts.concat())
     }
 
     /// Reads the whole object; an absent object reads as empty.
@@ -320,11 +310,13 @@ impl MemoryBackend {
     ///
     /// Returns the error of the first listing or read of `other` that fails.
     pub fn copy_of(other: &dyn StorageBackend) -> Result<Self> {
-        let copy = MemoryBackend::new();
+        let mut objects = HashMap::new();
         for obj in other.list()? {
-            copy.put_object(obj, other.read_all(obj)?)?;
+            objects.insert(obj, Arc::new(other.read_all(obj)?));
         }
-        Ok(copy)
+        Ok(MemoryBackend {
+            objects: RwLock::new(objects),
+        })
     }
 
     /// Runs `read` on the object's buffer and the in-bounds range of `len`
@@ -368,11 +360,12 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> Result<()> {
-        self.put_object(obj, bytes.to_vec())
+        self.write_object_parts(obj, &[bytes])
     }
 
-    fn put_object(&self, obj: StorageObject, bytes: Vec<u8>) -> Result<()> {
-        self.objects.write().insert(obj, Arc::new(bytes));
+    fn write_object_parts(&self, obj: StorageObject, parts: &[&[u8]]) -> Result<()> {
+        let object = Arc::new(parts.concat());
+        self.objects.write().insert(obj, object);
         Ok(())
     }
 
@@ -476,8 +469,8 @@ impl StorageBackend for SimDiskBackend {
         self.inner.write_object(obj, bytes)
     }
 
-    fn put_object(&self, obj: StorageObject, bytes: Vec<u8>) -> Result<()> {
-        self.inner.put_object(obj, bytes)
+    fn write_object_parts(&self, obj: StorageObject, parts: &[&[u8]]) -> Result<()> {
+        self.inner.write_object_parts(obj, parts)
     }
 
     fn read_all(&self, obj: StorageObject) -> Result<Vec<u8>> {
@@ -601,16 +594,19 @@ impl FileBackend {
             .map_err(|e| io_err(&format!("fsync dir {}", self.root.display()), e))
     }
 
-    /// Writes `bytes` to a fresh temp file, fsyncs it, renames it over the
-    /// object, and fsyncs the directory — the four-step atomic publish.
-    fn publish_atomic(&self, obj: StorageObject, bytes: &[u8]) -> Result<()> {
+    /// Writes `parts` in order to a fresh temp file, fsyncs it, renames it
+    /// over the object, and fsyncs the directory — the four-step atomic
+    /// publish.
+    fn publish_atomic(&self, obj: StorageObject, parts: &[&[u8]]) -> Result<()> {
         let target = self.path(obj);
         let tmp = self.root.join(format!("{}.tmp", obj.file_name()));
         {
             let mut file = fs::File::create(&tmp)
                 .map_err(|e| io_err(&format!("create {}", tmp.display()), e))?;
-            file.write_all(bytes)
-                .map_err(|e| io_err(&format!("write {}", tmp.display()), e))?;
+            for part in parts {
+                file.write_all(part)
+                    .map_err(|e| io_err(&format!("write {}", tmp.display()), e))?;
+            }
             file.sync_all()
                 .map_err(|e| io_err(&format!("fsync {}", tmp.display()), e))?;
         }
@@ -670,10 +666,14 @@ impl StorageBackend for FileBackend {
     }
 
     fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> Result<()> {
+        self.write_object_parts(obj, &[bytes])
+    }
+
+    fn write_object_parts(&self, obj: StorageObject, parts: &[&[u8]]) -> Result<()> {
         if obj == StorageObject::Journal {
             *self.journal.lock() = None;
         }
-        self.publish_atomic(obj, bytes)
+        self.publish_atomic(obj, parts)
     }
 
     fn read_all(&self, obj: StorageObject) -> Result<Vec<u8>> {
@@ -884,12 +884,12 @@ mod tests {
         for (backend, root) in backends("shared") {
             let obj = StorageObject::Container(ContainerId::new(5));
             backend
-                .write_object(obj, b"header|section|records")
+                .write_object_parts(obj, &[b"header|", b"section", b"|records"])
                 .unwrap();
+            assert_eq!(backend.read_all(obj).unwrap(), b"header|section|records");
             let shared = backend.read_shared(obj, 7, 7).unwrap();
             assert_eq!(&shared[..], b"section");
             assert_eq!(&shared[..], &backend.read_at(obj, 7, 7).unwrap()[..]);
-            assert_eq!(&shared.slice(1..4)[..], b"ect");
             assert!(backend.read_shared(obj, 20, 5).is_err(), "read past end");
             if backend.kind() != BackendKind::File {
                 let again = backend.read_shared(obj, 7, 7).unwrap();

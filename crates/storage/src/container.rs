@@ -197,21 +197,57 @@ impl ContainerSummary {
     }
 
     /// Decodes a container object written by [`Container::to_object`]
-    /// back into its summary.
+    /// back into its summary: splits it into its three parts at the data
+    /// length its head names and checks them with
+    /// [`from_parts`](Self::from_parts).
     ///
     /// Returns `None` on any framing violation — bad magic or version,
     /// truncated sections, trailing garbage — and when the data section does
     /// not hash to the striped checksum in the header.
     pub fn from_object(bytes: &[u8]) -> Option<ContainerSummary> {
-        let mut r = Reader::new(bytes);
+        let (head, rest) = bytes.split_at_checked(CONTAINER_BLOB_DATA_OFFSET)?;
+        let data_len = Self::decode_object_head(head)?.data_len as usize;
+        let (data, records) = rest.split_at_checked(data_len)?;
+        Self::from_parts(head, data, records)
+    }
+
+    /// Decodes a container object read as its three parts — the head (the
+    /// first [`CONTAINER_BLOB_DATA_OFFSET`] bytes), the data section and the
+    /// record table after it — back into its summary.  Every check of an
+    /// object runs here.
+    ///
+    /// Returns `None` when the head is not a current-version head, the data
+    /// section is not the length the head names or does not hash to its
+    /// checksum, or the record table is truncated or followed by anything.
+    pub fn from_parts(head: &[u8], data: &[u8], records: &[u8]) -> Option<ContainerSummary> {
+        let mut summary = Self::decode_object_head(head)?;
+        if data.len() != summary.data_len as usize || section_checksum(data) != summary.checksum {
+            return None;
+        }
+        let mut r = Reader::new(records);
+        summary.meta.records = Self::decode_records(&mut r)?;
+        r.is_empty().then_some(summary)
+    }
+
+    /// The first [`CONTAINER_BLOB_DATA_OFFSET`] bytes of the summary's
+    /// object: magic, version and the summary's head.
+    pub(crate) fn object_head(&self) -> Vec<u8> {
+        let mut head = Vec::with_capacity(CONTAINER_BLOB_DATA_OFFSET);
+        head.extend_from_slice(&CONTAINER_BLOB_MAGIC.to_le_bytes());
+        head.push(CONTAINER_BLOB_VERSION);
+        self.encode_head(&mut head);
+        debug_assert_eq!(head.len(), CONTAINER_BLOB_DATA_OFFSET);
+        head
+    }
+
+    /// Decodes what [`object_head`](Self::object_head) wrote, with an empty
+    /// record table; `None` unless `head` is exactly a current-version head.
+    fn decode_object_head(head: &[u8]) -> Option<ContainerSummary> {
+        let mut r = Reader::new(head);
         if r.u32()? != CONTAINER_BLOB_MAGIC || r.u8()? != CONTAINER_BLOB_VERSION {
             return None;
         }
-        let mut summary = Self::decode_head(&mut r)?;
-        if section_checksum(r.bytes(summary.data_len as usize)?) != summary.checksum {
-            return None;
-        }
-        summary.meta.records = Self::decode_records(&mut r)?;
+        let summary = Self::decode_head(&mut r)?;
         r.is_empty().then_some(summary)
     }
 
@@ -367,12 +403,28 @@ impl Container {
     /// record_count u32 | (fingerprint, offset u32, len u32) x record_count
     /// ```
     ///
+    /// The concatenation of the three parts the container store writes, so
+    /// the layout has one definition.
+    pub fn to_object(&self) -> (ContainerSummary, Vec<u8>) {
+        self.with_object_parts(|parts| parts.concat())
+    }
+
+    /// Runs `write` on the three parts of the container's backend object, in
+    /// order — head, data section, record table (the layout
+    /// [`to_object`](Self::to_object) shows) — and returns the summary with
+    /// its result.
+    ///
     /// Between the magic/version prefix and the data section sits the
     /// summary's head, and after the data its record table — the same
-    /// encoding the journal records use.  The checksum is the striped SHA-1
-    /// of the data section, computed here (on the sealer thread, for a
-    /// rollover) unless the container was read back with a known one.
-    pub fn to_object(&self) -> (ContainerSummary, Vec<u8>) {
+    /// encoding the journal records use.  The data section is the
+    /// container's own buffer, not a copy, so the store writes it out as it
+    /// was appended.  The checksum is the striped SHA-1 of the data section,
+    /// computed here (on the sealer thread, for a rollover) unless the
+    /// container was read back with a known one.
+    pub(crate) fn with_object_parts<T>(
+        &self,
+        write: impl FnOnce(&[&[u8]]) -> T,
+    ) -> (ContainerSummary, T) {
         let summary = ContainerSummary {
             id: self.id,
             meta: self.meta.clone(),
@@ -382,16 +434,11 @@ impl Container {
                 .checksum
                 .unwrap_or_else(|| section_checksum(&self.data)),
         };
-        let mut out = Vec::with_capacity(
-            CONTAINER_BLOB_DATA_OFFSET + self.data.len() + 4 + self.meta.serialized_size(),
-        );
-        out.extend_from_slice(&CONTAINER_BLOB_MAGIC.to_le_bytes());
-        out.push(CONTAINER_BLOB_VERSION);
-        summary.encode_head(&mut out);
-        debug_assert_eq!(out.len(), CONTAINER_BLOB_DATA_OFFSET);
-        out.extend_from_slice(&self.data);
-        summary.encode_records(&mut out);
-        (summary, out)
+        let head = summary.object_head();
+        let mut records = Vec::with_capacity(4 + self.meta.serialized_size());
+        summary.encode_records(&mut records);
+        let written = write(&[&head[..], &self.data[..], &records[..]]);
+        (summary, written)
     }
 }
 
@@ -467,6 +514,11 @@ impl ContainerBuilder {
     pub fn try_append(&mut self, fingerprint: Fingerprint, data: &[u8]) -> bool {
         if !self.fits(data.len()) {
             return false;
+        }
+        if self.data.capacity() == 0 {
+            // The whole section at once: appends never regrow (and re-copy)
+            // it, and a synthetic-only container never allocates one.
+            self.data.reserve_exact(self.capacity);
         }
         self.data.extend_from_slice(data);
         self.push_record(fingerprint, data.len() as u32);
@@ -556,6 +608,52 @@ mod tests {
     }
 
     #[test]
+    fn container_builder_reserves_its_section_once() {
+        let capacity = 64 * 1024;
+        let mut b = ContainerBuilder::new(ContainerId::new(12), capacity);
+        assert_eq!(b.data.capacity(), 0, "nothing allocated up front");
+        assert!(b.try_append_synthetic(Sha1::fingerprint(b"ghost"), 1000));
+        assert_eq!(b.data.capacity(), 0, "a synthetic chunk has no payload");
+        let chunk = section(1000);
+        assert!(b.try_append(Sha1::fingerprint(b"first"), &chunk));
+        assert_eq!(
+            b.data.capacity(),
+            capacity,
+            "the first payload reserves it all"
+        );
+        let section_ptr = b.data.as_ptr();
+        let mut i = 0u64;
+        while b.fits(chunk.len()) {
+            assert!(b.try_append(Sha1::fingerprint(&i.to_le_bytes()), &chunk));
+            i += 1;
+        }
+        let rest = section(b.remaining());
+        assert!(b.try_append(Sha1::fingerprint(b"last"), &rest));
+        assert_eq!(b.remaining(), 0);
+        assert_eq!(b.data.len(), capacity - 1000, "all but the synthetic chunk");
+        assert_eq!(b.data.capacity(), capacity, "never regrown");
+        assert_eq!(b.data.as_ptr(), section_ptr, "never moved");
+        let sealed = b.seal();
+        assert_eq!(sealed.data.as_ptr(), section_ptr, "sealing copies nothing");
+        let (_, data_part) = sealed.with_object_parts(|parts| parts[1].as_ptr());
+        assert_eq!(
+            data_part, section_ptr,
+            "the object's data part is the section"
+        );
+    }
+
+    #[test]
+    fn container_builder_of_synthetic_chunks_never_allocates() {
+        let mut b = ContainerBuilder::new(ContainerId::new(13), 4096);
+        while b.try_append_synthetic(Sha1::fingerprint(&b.used().to_le_bytes()), 512) {}
+        assert_eq!((b.used(), b.chunk_count()), (4096, 8));
+        assert_eq!(b.data.capacity(), 0);
+        let (summary, object) = b.seal().to_object();
+        assert_eq!((summary.data_len, summary.logical_size), (0, 4096));
+        assert_eq!(ContainerSummary::from_object(&object), Some(summary));
+    }
+
+    #[test]
     fn meta_serialized_size_scales_with_records() {
         let mut b = ContainerBuilder::new(ContainerId::new(3), 4096);
         assert_eq!(b.clone().seal().meta().serialized_size(), 0);
@@ -590,6 +688,21 @@ mod tests {
             ContainerSummary::from_object(&object),
             Some(summary.clone())
         );
+        let (head, rest) = object.split_at(CONTAINER_BLOB_DATA_OFFSET);
+        let (section, records) = rest.split_at(data.len());
+        assert_eq!(
+            ContainerSummary::from_parts(head, section, records),
+            Some(summary.clone())
+        );
+        assert_eq!(head, summary.object_head(), "the head is the summary's");
+        for (head, section, records) in [
+            (&head[..head.len() - 1], section, records),
+            (head, &section[..section.len() - 1], records),
+            (head, section, &records[..records.len() - 1]),
+            (head, section, &[records, &[0]].concat()[..]),
+        ] {
+            assert_eq!(ContainerSummary::from_parts(head, section, records), None);
+        }
         let rebuilt = Container::from_summary(summary.clone(), data.to_vec().into());
         assert_eq!(
             rebuilt.chunk_data(&Sha1::fingerprint(b"real")),
@@ -625,9 +738,15 @@ mod tests {
         assert_eq!(foreign_version(&object), None, "the current version");
         assert_eq!(foreign_version(&bad_magic), None, "not an object at all");
         assert_eq!(foreign_version(&object[..4]), None, "no version byte");
-        let mut rotten = object;
+        let mut rotten = object.clone();
         rotten[CONTAINER_BLOB_DATA_OFFSET + 1] ^= 0x01;
         assert!(decode(&rotten).is_none(), "data section fails its checksum");
+        let mut overlong = object;
+        overlong[21..25].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(
+            decode(&overlong).is_none(),
+            "data length past the object's end"
+        );
     }
 
     /// The striped checksum written out plainly on the portable reference

@@ -340,11 +340,13 @@ impl Sealer {
 
 /// Writes a sealed container's object — durable once this returns — and
 /// returns the summary: once the caller drops the container, the object is
-/// its one copy of the chunk bytes.
+/// its one copy of the chunk bytes.  The object goes out as its parts, so
+/// the data section is written from the buffer it was appended into.
 fn write_object(backend: &dyn StorageBackend, container: &Container) -> Result<ContainerSummary> {
-    let (summary, object) = container.to_object();
-    backend.put_object(StorageObject::Container(summary.id), object)?;
-    Ok(summary)
+    let obj = StorageObject::Container(container.id());
+    let (summary, written) =
+        container.with_object_parts(|parts| backend.write_object_parts(obj, parts));
+    written.map(|()| summary)
 }
 
 /// What one reader lookup found.
@@ -1744,8 +1746,13 @@ impl ContainerStore {
     /// and returned so the caller can drop its index entries.  Every container
     /// object no sealed container claims is deleted: a crash between an
     /// object write and its record, or between a record and the delete it
-    /// licensed, leaves exactly such orphans.  Verified data sections go into
-    /// the read cache, as any read's would.
+    /// licensed, leaves exactly such orphans.
+    ///
+    /// Each object is read as its parts: the head first, which must be the
+    /// journaled summary's; only then the data section alone — the read a
+    /// restore's cache fill makes, so the verified section goes into the read
+    /// cache as any read's would — and last the record table, which runs to
+    /// the object's end.  [`ContainerSummary::from_parts`] checks the three.
     ///
     /// Returns the discarded containers and the number of orphans deleted;
     /// every container still sealed afterwards was verified.
@@ -1772,28 +1779,12 @@ impl ContainerStore {
         // every object has been read, so a refusal leaves the medium whole.
         let mut damaged = Vec::new();
         for summary in sealed {
-            let obj = StorageObject::Container(summary.id);
-            let object = match self.backend.object_len(obj)? {
-                Some(len) => Some(self.backend.read_shared(obj, 0, len as usize)?),
-                None => None,
-            };
-            if let Some(version) = object.as_deref().and_then(container::foreign_version) {
-                return Err(StorageError::UnreadableObject {
-                    container: summary.id,
-                    version,
-                });
+            match self.verified_data_section(&summary)? {
+                // Checking the object just read its data section: keep it,
+                // like any other read, for the restores a restart serves.
+                Some(data) => self.fill_cache(&summary, data),
+                None => damaged.push(summary.id),
             }
-            let intact =
-                object.filter(|o| ContainerSummary::from_object(o).as_ref() == Some(&*summary));
-            let Some(object) = intact else {
-                damaged.push(summary.id);
-                continue;
-            };
-            // Checking the object just read its data section: keep it, like
-            // any other read, for the restores a restart serves.
-            let data =
-                CONTAINER_BLOB_DATA_OFFSET..CONTAINER_BLOB_DATA_OFFSET + summary.data_len as usize;
-            self.fill_cache(&summary, object.slice(data));
         }
         let discarded = damaged
             .into_iter()
@@ -1808,6 +1799,45 @@ impl ContainerStore {
             }
         }
         Ok((discarded, orphans))
+    }
+
+    /// The data section of `summary`'s object, read as its parts, when the
+    /// object is intact; `None` when it is absent, too short for the head or
+    /// the data section that head names, or fails
+    /// [`ContainerSummary::from_parts`].  Nothing past the object's end is
+    /// read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::UnreadableObject`] when the head names another
+    /// format version, and the backend's error when a read fails.
+    fn verified_data_section(&self, summary: &ContainerSummary) -> Result<Option<SharedBytes>> {
+        let obj = StorageObject::Container(summary.id);
+        let Some(len) = self.backend.object_len(obj)? else {
+            return Ok(None);
+        };
+        let len = len as usize;
+        let head = self
+            .backend
+            .read_at(obj, 0, len.min(CONTAINER_BLOB_DATA_OFFSET))?;
+        if let Some(version) = container::foreign_version(&head) {
+            return Err(StorageError::UnreadableObject {
+                container: summary.id,
+                version,
+            });
+        }
+        let data_end = CONTAINER_BLOB_DATA_OFFSET + summary.data_len as usize;
+        if head != summary.object_head() || len < data_end {
+            return Ok(None);
+        }
+        let data = self.backend.read_shared(
+            obj,
+            CONTAINER_BLOB_DATA_OFFSET as u64,
+            summary.data_len as usize,
+        )?;
+        let records = self.backend.read_at(obj, data_end as u64, len - data_end)?;
+        let intact = ContainerSummary::from_parts(&head, &data, &records).as_ref() == Some(summary);
+        Ok(intact.then_some(data))
     }
 
     /// Number of sealed containers.
@@ -2452,15 +2482,19 @@ mod tests {
     fn verify_objects_discards_damaged_containers_and_sweeps_orphans() {
         let backend = Arc::new(MemoryBackend::new());
         let store = ContainerStore::new(4096).with_backend(backend.clone());
-        for stream in 0..4u64 {
+        for stream in 0..6u64 {
             let (fp, data) = payload(stream, 200);
             store.store_chunk(stream, fp, &data).unwrap();
         }
         store.flush().unwrap();
-        let ids = store.sealed_container_ids();
-        assert_eq!(ids.len(), 4);
+        let mut ids = store.sealed_container_ids();
+        assert_eq!(ids.len(), 6);
+        // The healthy one last: the damaged ones are discarded in id order.
+        ids.swap(3, 5);
         // Remove one object, flip a data byte of another, truncate a third,
-        // and leave an object no container claims.
+        // add a byte after a fourth's record table, make a fifth's head name
+        // a data section running past the object's end, and leave an object
+        // no container claims.
         backend.delete(StorageObject::Container(ids[0])).unwrap();
         let rotten = StorageObject::Container(ids[1]);
         let mut bytes = backend.read_all(rotten).unwrap();
@@ -2481,21 +2515,124 @@ mod tests {
         backend
             .write_object(short, &bytes[..bytes.len() - 1])
             .unwrap();
+        let trailing = StorageObject::Container(ids[3]);
+        let mut bytes = backend.read_all(trailing).unwrap();
+        bytes.push(0);
+        backend.write_object(trailing, &bytes).unwrap();
+        let overlong = StorageObject::Container(ids[4]);
+        let mut bytes = backend.read_all(overlong).unwrap();
+        let past_end = (bytes.len() - CONTAINER_BLOB_DATA_OFFSET + 1) as u32;
+        bytes[21..25].copy_from_slice(&past_end.to_le_bytes());
+        backend.write_object(overlong, &bytes).unwrap();
+        for obj in [trailing, overlong] {
+            assert_eq!(
+                ContainerSummary::from_object(&backend.read_all(obj).unwrap()),
+                None
+            );
+        }
         let orphan = StorageObject::Container(ContainerId::new(99));
         backend.write_object(orphan, b"never recorded").unwrap();
 
+        // A read past an object's end fails on the memory backend, so an
+        // `Ok` here also says none was made.
         let (discarded, orphans) = store.verify_objects().unwrap();
         let discarded: Vec<ContainerId> = discarded.iter().map(|c| c.id).collect();
-        assert_eq!(discarded, ids[..3].to_vec());
+        let mut damaged = ids[..5].to_vec();
+        damaged.sort();
+        assert_eq!(discarded, damaged);
         assert_eq!(orphans, 1);
-        assert_eq!(store.sealed_container_ids(), vec![ids[3]]);
+        assert_eq!(store.sealed_container_ids(), vec![ids[5]]);
         assert_eq!(store.physical_bytes(), 200);
         assert_eq!(
             backend.list().unwrap(),
-            vec![StorageObject::Container(ids[3])],
+            vec![StorageObject::Container(ids[5])],
             "only the healthy container's object is left"
         );
         assert_eq!(store.backend_physical_bytes().unwrap(), 200);
+    }
+
+    #[test]
+    fn container_objects_are_head_data_and_record_table_on_every_backend() {
+        let root = std::env::temp_dir().join(format!(
+            "sigma-layout-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        let backends: [Arc<dyn StorageBackend>; 2] = [
+            Arc::new(MemoryBackend::new()),
+            Arc::new(crate::FileBackend::open(&root).unwrap()),
+        ];
+        for backend in backends {
+            // Three 300-byte chunks fill a container: streams 0 and 1 roll
+            // over three times each, stream 2 appends synthetic chunks only,
+            // and the flush seals the partly full ones.
+            let store = ContainerStore::new(1000).with_backend(backend.clone());
+            let mut written: HashMap<ContainerId, Vec<(Fingerprint, u32, Vec<u8>)>> =
+                HashMap::new();
+            for i in 0..20u64 {
+                let (fp, data) = payload(i, 300);
+                let loc = store.store_chunk(i % 2, fp, &data).unwrap();
+                assert_eq!(loc.len, 300);
+                written
+                    .entry(loc.container)
+                    .or_default()
+                    .push((fp, loc.offset, data));
+            }
+            for i in 0..4u64 {
+                let (fp, _) = payload(100 + i, 1);
+                let loc = store.store_chunk_synthetic(2, fp, 300).unwrap();
+                written
+                    .entry(loc.container)
+                    .or_default()
+                    .push((fp, loc.offset, Vec::new()));
+            }
+            store.flush().unwrap();
+            let ids = store.sealed_container_ids();
+            assert_eq!(ids.len(), 10, "{backend:?}");
+            for id in ids {
+                let chunks = &written[&id];
+                let data: Vec<u8> = chunks.iter().flat_map(|c| c.2.clone()).collect();
+                let logical = 300 * chunks.len() as u64;
+                let mut expected = Vec::new();
+                expected.extend_from_slice(&0x5343_4E54u32.to_le_bytes());
+                expected.push(3);
+                expected.extend_from_slice(&id.as_u64().to_le_bytes());
+                expected.extend_from_slice(&logical.to_le_bytes());
+                expected.extend_from_slice(&(data.len() as u32).to_le_bytes());
+                expected.extend_from_slice(container::section_checksum(&data).as_bytes());
+                assert_eq!(expected.len(), CONTAINER_BLOB_DATA_OFFSET);
+                expected.extend_from_slice(&data);
+                expected.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
+                for (fp, offset, _) in chunks {
+                    expected.extend_from_slice(fp.as_bytes());
+                    expected.extend_from_slice(&offset.to_le_bytes());
+                    expected.extend_from_slice(&300u32.to_le_bytes());
+                }
+                let object = backend.read_all(StorageObject::Container(id)).unwrap();
+                assert!(object == expected, "{backend:?}: {id} differs");
+                let summary = store.sealed_summary(&id).expect("sealed");
+                let data_end = CONTAINER_BLOB_DATA_OFFSET + data.len();
+                assert_eq!(
+                    ContainerSummary::from_object(&object).as_ref(),
+                    Some(&*summary)
+                );
+                assert_eq!(
+                    ContainerSummary::from_parts(
+                        &object[..CONTAINER_BLOB_DATA_OFFSET],
+                        &object[CONTAINER_BLOB_DATA_OFFSET..data_end],
+                        &object[data_end..]
+                    )
+                    .as_ref(),
+                    Some(&*summary)
+                );
+            }
+            let (discarded, orphans) = store.verify_objects().unwrap();
+            assert_eq!((discarded.len(), orphans), (0, 0));
+        }
+        let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]

@@ -14,7 +14,11 @@
 //! * bounded in **bytes**, not entries, via the `restore_cache_bytes` knob —
 //!   containers are the capacity unit users reason about;
 //! * filled by restore reads and by recovery's object check, which reads
-//!   every data section anyway;
+//!   every data section anyway — alone, with the same read a restore's fill
+//!   makes, after the head and before the record table, so on the file
+//!   backend a resident section pins only its own bytes, never the head and
+//!   record table of the object around it (about 29 KiB per full container
+//!   that the byte bound would not count);
 //! * invalidated by the container store whenever a container is removed,
 //!   compacted or garbage-collected, so a cached section can never outlive the
 //!   container it was read from.
