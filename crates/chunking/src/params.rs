@@ -173,8 +173,8 @@ impl ChunkerParams {
     /// non-zero and CDC sizes must satisfy `min ≤ avg ≤ max`.
     ///
     /// Called by `SigmaConfig::build`, so an inconsistent chunker is rejected at
-    /// configuration time with a field-naming error (mirroring
-    /// `DiskParams::validate`) rather than panicking mid-backup.
+    /// configuration time with a field-naming error rather than panicking
+    /// mid-backup.
     ///
     /// # Errors
     ///

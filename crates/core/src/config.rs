@@ -103,11 +103,8 @@ pub struct SigmaConfig {
     pub durability: bool,
     /// Which storage backend each node's journal and container store live on.
     ///
-    /// * [`BackendKind::SimDisk`] (the default): volatile buffers charged to the
-    ///   node's simulated [`DiskModel`](sigma_storage::DiskModel) — exactly the
-    ///   behaviour every figure reproduction and fault-injection test runs
-    ///   against;
-    /// * [`BackendKind::Memory`]: volatile buffers with no disk accounting;
+    /// * [`BackendKind::Memory`] (the default): volatile buffers — what every
+    ///   figure reproduction and fault-injection test runs against;
     /// * [`BackendKind::File`]: one real directory per node under
     ///   [`storage_root`](Self::storage_root) (`node-<id>/` holding
     ///   `journal.wal` and `container-*.sc`), surviving an actual process
@@ -147,7 +144,7 @@ impl Default for SigmaConfig {
             restore_parallelism: 1,
             restore_cache_bytes: 64 << 20,
             durability: false,
-            storage_backend: BackendKind::SimDisk,
+            storage_backend: BackendKind::Memory,
             storage_root: None,
             gc_liveness_threshold: 0.5,
         }
@@ -619,8 +616,8 @@ mod tests {
     fn file_backend_requires_root_and_durability() {
         assert_eq!(
             SigmaConfig::default().storage_backend,
-            BackendKind::SimDisk,
-            "the simulated disk stays the default"
+            BackendKind::Memory,
+            "volatile memory is the default"
         );
         assert_eq!(SigmaConfig::default().storage_root, None);
         // File backend without a root is rejected.

@@ -9,7 +9,7 @@
 //! 2. **prefetch** the chunk-fingerprint lists of the matched containers into the
 //!    chunk-fingerprint cache (one sequential metadata read per container);
 //! 3. resolve every chunk fingerprint against the cache; only cache misses may fall
-//!    back to the traditional on-disk chunk index (a simulated random disk read), and
+//!    back to the traditional on-disk chunk index (one counted index lookup), and
 //!    that fallback can be disabled entirely for the approximate mode of Fig. 5(b);
 //! 4. store unique chunks into the per-stream open container and finally map the
 //!    super-chunk's representative fingerprints to that container in the similarity
@@ -21,9 +21,9 @@ use serde::{Deserialize, Serialize};
 use sigma_hashkit::Fingerprint;
 use sigma_storage::{
     BackendKind, CacheStats, ChunkIndex, ChunkIndexStats, ChunkLocation, ClaimOutcome, Container,
-    ContainerId, ContainerState, ContainerStore, ContainerStoreStats, ContainerSummary, DiskModel,
-    DiskParams, DiskStats, FileBackend, FingerprintCache, Journal, JournalRecord, MemoryBackend,
-    NodeSnapshot, SimDiskBackend, SimilarityIndex, SimilarityIndexStats, StorageBackend, StreamId,
+    ContainerId, ContainerState, ContainerStore, ContainerStoreStats, ContainerSummary,
+    FileBackend, FingerprintCache, Journal, JournalRecord, MemoryBackend, NodeSnapshot,
+    SimilarityIndex, SimilarityIndexStats, StorageBackend, StreamId,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,8 +91,6 @@ pub struct NodeStats {
     pub chunk_index: ChunkIndexStats,
     /// Container store statistics.
     pub containers: ContainerStoreStats,
-    /// Simulated disk statistics.
-    pub disk: DiskStats,
     /// Estimated RAM used by the similarity index, in bytes.
     pub similarity_index_ram_bytes: u64,
     /// Estimated size of the full chunk index, in bytes (what a traditional design
@@ -131,7 +129,6 @@ pub struct DedupNode {
     cache: FingerprintCache,
     chunk_index: ChunkIndex,
     store: ContainerStore,
-    disk: Arc<DiskModel>,
     logical_bytes: AtomicU64,
     total_chunks: AtomicU64,
     unique_chunks: AtomicU64,
@@ -221,10 +218,8 @@ impl DedupNode {
     /// Panics if the configured file backend's directory cannot be opened or
     /// reset — a node whose durable medium is unusable must not come up.
     pub fn new(id: usize, config: &SigmaConfig) -> Self {
-        let disk = Arc::new(DiskModel::new(DiskParams::default()));
         let backend: Arc<dyn StorageBackend> = match config.storage_backend {
             BackendKind::Memory => Arc::new(MemoryBackend::new()),
-            BackendKind::SimDisk => Arc::new(SimDiskBackend::new(disk.clone())),
             BackendKind::File => {
                 let dir = config
                     .node_storage_dir(id)
@@ -238,7 +233,7 @@ impl DedupNode {
         let journal = config.durability.then(|| {
             Arc::new(Journal::with_backend(backend.clone()).expect("initialize journal object"))
         });
-        Self::assemble(id, config, disk, backend, journal)
+        Self::assemble(id, config, backend, journal)
     }
 
     /// The one place a node's structures are wired together, on the medium
@@ -248,7 +243,6 @@ impl DedupNode {
     fn assemble(
         id: usize,
         config: &SigmaConfig,
-        disk: Arc<DiskModel>,
         backend: Arc<dyn StorageBackend>,
         journal: Option<Arc<Journal>>,
     ) -> Self {
@@ -263,9 +257,8 @@ impl DedupNode {
             chunk_index_fallback: config.chunk_index_fallback,
             similarity_index: SimilarityIndex::new(SIMILARITY_INDEX_LOCKS),
             cache: FingerprintCache::new(config.cache_containers),
-            chunk_index: ChunkIndex::with_disk(disk.clone()),
+            chunk_index: ChunkIndex::new(),
             store,
-            disk,
             logical_bytes: AtomicU64::new(0),
             total_chunks: AtomicU64::new(0),
             unique_chunks: AtomicU64::new(0),
@@ -307,12 +300,7 @@ impl DedupNode {
         config: &SigmaConfig,
         journal: Arc<Journal>,
     ) -> Result<(Self, RecoveryReport)> {
-        // The medium survives the crash; the dead node's DiskModel does not.
-        // Re-target it first so the replay read and every later operation is
-        // charged to the recovered node's disk.
-        let disk = Arc::new(DiskModel::new(DiskParams::default()));
-        journal.attach_disk(disk.clone());
-        let mut node = Self::assemble(id, config, disk, journal.backend(), None);
+        let mut node = Self::assemble(id, config, journal.backend(), None);
         let (records, summary) = journal.recover_truncating()?;
         let mut report = RecoveryReport {
             node_id: id,
@@ -567,7 +555,7 @@ impl DedupNode {
     /// Counts how many of the given chunk fingerprints this node already stores.
     ///
     /// Used by the *stateful* baseline router, which consults every node's stored
-    /// state; the probe does not charge simulated disk I/O (the paper's stateful
+    /// state; the probe does not count as an index lookup (the paper's stateful
     /// scheme keeps a sampled in-RAM index for this purpose).
     pub fn count_stored_fingerprints(&self, fingerprints: &[Fingerprint]) -> usize {
         fingerprints
@@ -839,7 +827,7 @@ impl DedupNode {
     /// Resolves a fingerprint to its record extent for the planned restore
     /// pipeline, with exactly [`read_chunk`](Self::read_chunk)'s error mapping
     /// (including the tombstone hop into [`SigmaError::ChunkMigrated`]) but
-    /// without touching any payload.  The chunk-index lookup is charged
+    /// without touching any payload.  The chunk-index lookup is counted
     /// identically to the serial path's.
     ///
     /// # Errors
@@ -904,8 +892,8 @@ impl DedupNode {
 
     // ---- Garbage collection (used by `DedupCluster::collect_garbage`) ----
 
-    /// The finalized chunk-index location of a fingerprint, without charging
-    /// simulated disk I/O or lookup statistics — the GC mark phase's resolver.
+    /// The finalized chunk-index location of a fingerprint, without touching
+    /// the lookup statistics — the GC mark phase's resolver.
     pub fn chunk_location(&self, fingerprint: &Fingerprint) -> Option<ChunkLocation> {
         self.chunk_index.lookup_silent(fingerprint)
     }
@@ -1033,8 +1021,8 @@ impl DedupNode {
         self.store.sealed_data_size(container)
     }
 
-    /// Reads a sealed container out of this node for migration (charged to the
-    /// disk model as a sequential read); `Ok(None)` when it is not sealed here.
+    /// Reads a sealed container out of this node for migration; `Ok(None)`
+    /// when it is not sealed here.
     /// The container remains readable here until
     /// [`retire_container`](Self::retire_container) completes the hand-off.
     ///
@@ -1352,7 +1340,6 @@ impl DedupNode {
             cache: self.cache.stats(),
             chunk_index: self.chunk_index.stats(),
             containers: self.store.stats(),
-            disk: self.disk.stats(),
             similarity_index_ram_bytes: self.similarity_index.estimated_ram_bytes() as u64,
             chunk_index_bytes: self.chunk_index.estimated_bytes() as u64,
         }

@@ -12,7 +12,7 @@
 //! at:
 //!
 //! 1. **Plan** — walk the recipe once, resolving every entry to its record
-//!    extent with the same charged chunk-index lookup and tombstone
+//!    extent with the same counted chunk-index lookup and tombstone
 //!    follow-through as the serial path, and group the entries by
 //!    `(node, container)`.
 //! 2. **Coalesce** — each group becomes one

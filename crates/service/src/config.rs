@@ -270,10 +270,7 @@ impl ServiceConfig {
                                 invalid(lineno, "backend must be a quoted string")
                             })?;
                             storage.backend = BackendKind::parse(&name).ok_or_else(|| {
-                                invalid(
-                                    lineno,
-                                    "backend must be \"memory\", \"sim-disk\" or \"file\"",
-                                )
+                                invalid(lineno, "backend must be \"memory\" or \"file\"")
                             })?;
                         }
                         "dir" => {
@@ -579,7 +576,7 @@ enabled = true
             .unwrap();
         assert_eq!(
             untouched.storage_backend,
-            sigma_storage::BackendKind::SimDisk
+            sigma_storage::BackendKind::Memory
         );
         assert!(!untouched.durability);
     }
@@ -588,6 +585,10 @@ enabled = true
     fn storage_section_rejects_bad_values() {
         for (text, needle) in [
             ("[storage]\nbackend = \"tape\"\n", "backend must be"),
+            (
+                "[storage]\nbackend = \"sim-disk\"\n",
+                "backend must be \"memory\" or \"file\"",
+            ),
             ("[storage]\nbackend = file\n", "quoted string"),
             ("[storage]\nmedium = \"file\"\n", "unknown storage key"),
         ] {

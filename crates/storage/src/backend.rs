@@ -5,36 +5,26 @@
 //! services composed over abstract storage elements — applies one level down
 //! too: [`Journal`](crate::Journal) and [`ContainerStore`](crate::ContainerStore)
 //! talk to a [`StorageBackend`] trait instead of a `Vec<u8>` welded into the
-//! struct, and three implementations plug in beneath them:
+//! struct, and two implementations plug in beneath them:
 //!
-//! | backend | medium | survives process exit | disk accounting |
-//! |---|---|---|---|
-//! | [`MemoryBackend`] | RAM object map | no | none |
-//! | [`SimDiskBackend`] | RAM object map | no | yes — carries the node's [`DiskModel`] |
-//! | [`FileBackend`] | one directory of real files | **yes** | none (real I/O pays real time) |
+//! | backend | medium | survives process exit |
+//! |---|---|---|
+//! | [`MemoryBackend`] | RAM object map | no |
+//! | [`FileBackend`] | one directory of real files | **yes** |
 //!
 //! Every backend holds the same objects: the journal, and one object per
 //! sealed container — the only place a container's chunk bytes live.  The
 //! journal and the in-memory container directory keep metadata only, so the
-//! three backends differ in medium, never in layout.  The volatile backends
-//! keep every figure reproduction and fault-injection test deterministic:
-//! [`SimDiskBackend`] is exactly the pre-existing "simulated durable medium"
-//! (RAM contents, `DiskModel` charges), re-expressed as a backend object.
+//! two backends differ in medium, never in layout.  The volatile backend
+//! keeps every figure reproduction and fault-injection test deterministic.
 //! [`FileBackend`] maps each object to a file in a per-node directory
 //! (`journal.wal`, `container-<id>.sc`), fsyncs at the existing
 //! acknowledgement points (every journal append and every container object
 //! write) and replaces the journal atomically on compaction via
 //! write-new / fsync / rename / fsync-dir — so a node's containers and journal
 //! survive an actual process restart, not just a simulated one.
-//!
-//! Charging discipline: the callers (journal, store, chunk index) decide *what*
-//! an operation costs and charge the [`DiskModel`] they obtain from
-//! [`StorageBackend::disk`]; backends never charge on their own.  This keeps
-//! the simulated figures bit-identical whether the medium is a RAM map or a
-//! backend object, and makes the file backend's simulated-I/O figures
-//! honestly zero.
 
-use crate::{ContainerId, DiskModel, Result, StorageError};
+use crate::{ContainerId, Result, StorageError};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fs;
@@ -85,22 +75,19 @@ impl std::fmt::Display for StorageObject {
 /// Which [`StorageBackend`] implementation a node uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize, Default)]
 pub enum BackendKind {
-    /// Volatile RAM objects, no disk accounting.
-    Memory,
-    /// Volatile RAM objects charged to the node's simulated [`DiskModel`] — the
-    /// default, and exactly the behaviour every figure reproduction ran against.
+    /// Volatile RAM objects — the default, and the medium every figure
+    /// reproduction runs against.
     #[default]
-    SimDisk,
+    Memory,
     /// Real files under a per-node directory; survives a process restart.
     File,
 }
 
 impl BackendKind {
-    /// Parses the config-file spelling (`memory` / `sim-disk` / `file`).
+    /// Parses the config-file spelling (`memory` / `file`).
     pub fn parse(s: &str) -> Option<BackendKind> {
         match s {
             "memory" => Some(BackendKind::Memory),
-            "sim-disk" | "simdisk" | "sim_disk" => Some(BackendKind::SimDisk),
             "file" => Some(BackendKind::File),
             _ => None,
         }
@@ -110,7 +97,6 @@ impl BackendKind {
     pub fn as_str(&self) -> &'static str {
         match self {
             BackendKind::Memory => "memory",
-            BackendKind::SimDisk => "sim-disk",
             BackendKind::File => "file",
         }
     }
@@ -212,7 +198,7 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     ///
     /// The default goes through [`read_at`](Self::read_at) and copies; backends
     /// that can fill a caller-provided buffer without the intermediate
-    /// allocation (the file backend's `read_exact`, the in-RAM backends' slice
+    /// allocation (the file backend's `read_exact`, the in-RAM backend's slice
     /// copy) override it.  The restore path uses this to decode chunk payloads
     /// straight into the preallocated output buffer.
     ///
@@ -227,7 +213,7 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
 
     /// [`read_at`](Self::read_at) for bytes the caller keeps, such as a data
     /// section entering the read cache.  The default wraps `read_at`'s
-    /// buffer; the in-RAM backends share the object's own buffer instead of
+    /// buffer; the in-RAM backend shares the object's own buffer instead of
     /// copying it.
     ///
     /// # Errors
@@ -257,25 +243,11 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
 
     /// Every object currently present, sorted for deterministic iteration.
     fn list(&self) -> Result<Vec<StorageObject>>;
-
-    /// The simulated disk this backend's operations are charged to, if any.
-    ///
-    /// Callers — not backends — perform the charging, so the accounting stays
-    /// at the exact call sites the deterministic scenario figures were baked
-    /// against.
-    fn disk(&self) -> Option<Arc<DiskModel>> {
-        None
-    }
-
-    /// Re-targets the simulated-disk accounting (crash recovery re-homes the
-    /// surviving medium onto the recovered node's fresh [`DiskModel`]).  A
-    /// no-op on backends without one.
-    fn attach_disk(&self, _disk: Arc<DiskModel>) {}
 }
 
 // ---- MemoryBackend ----
 
-/// Volatile objects in a RAM map; no disk accounting.
+/// Volatile objects in a RAM map.
 ///
 /// The map is reader/writer-locked: restores read container objects in
 /// parallel, and only writers (seals, journal appends, deletes) serialize.
@@ -419,102 +391,6 @@ impl StorageBackend for MemoryBackend {
         let mut out: Vec<StorageObject> = self.objects.read().keys().copied().collect();
         out.sort_unstable();
         Ok(out)
-    }
-}
-
-// ---- SimDiskBackend ----
-
-/// Volatile objects charged to a simulated [`DiskModel`] — the pre-existing
-/// "simulated durable medium", now expressed as a backend.
-///
-/// The model is rebindable because crash recovery builds a fresh node (and a
-/// fresh `DiskModel`) around the surviving medium: [`attach_disk`] re-homes the
-/// accounting so post-recovery operations are billed to the node that owns
-/// them.
-///
-/// [`attach_disk`]: StorageBackend::attach_disk
-pub struct SimDiskBackend {
-    inner: MemoryBackend,
-    disk: RwLock<Arc<DiskModel>>,
-}
-
-impl std::fmt::Debug for SimDiskBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimDiskBackend")
-            .field("inner", &self.inner)
-            .finish()
-    }
-}
-
-impl SimDiskBackend {
-    /// Creates an empty simulated-disk backend charged to `disk`.
-    pub fn new(disk: Arc<DiskModel>) -> Self {
-        SimDiskBackend {
-            inner: MemoryBackend::new(),
-            disk: RwLock::new(disk),
-        }
-    }
-}
-
-impl StorageBackend for SimDiskBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::SimDisk
-    }
-
-    fn append(&self, obj: StorageObject, bytes: &[u8]) -> Result<u64> {
-        self.inner.append(obj, bytes)
-    }
-
-    fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> Result<()> {
-        self.inner.write_object(obj, bytes)
-    }
-
-    fn write_object_parts(&self, obj: StorageObject, parts: &[&[u8]]) -> Result<()> {
-        self.inner.write_object_parts(obj, parts)
-    }
-
-    fn read_all(&self, obj: StorageObject) -> Result<Vec<u8>> {
-        self.inner.read_all(obj)
-    }
-
-    fn read_at(&self, obj: StorageObject, offset: u64, len: usize) -> Result<Vec<u8>> {
-        self.inner.read_at(obj, offset, len)
-    }
-
-    fn read_at_into(&self, obj: StorageObject, offset: u64, out: &mut [u8]) -> Result<()> {
-        self.inner.read_at_into(obj, offset, out)
-    }
-
-    fn read_shared(&self, obj: StorageObject, offset: u64, len: usize) -> Result<SharedBytes> {
-        self.inner.read_shared(obj, offset, len)
-    }
-
-    fn object_len(&self, obj: StorageObject) -> Result<Option<u64>> {
-        self.inner.object_len(obj)
-    }
-
-    fn truncate(&self, obj: StorageObject, len: u64) -> Result<()> {
-        self.inner.truncate(obj, len)
-    }
-
-    fn fsync(&self, obj: StorageObject) -> Result<()> {
-        self.inner.fsync(obj)
-    }
-
-    fn delete(&self, obj: StorageObject) -> Result<()> {
-        self.inner.delete(obj)
-    }
-
-    fn list(&self) -> Result<Vec<StorageObject>> {
-        self.inner.list()
-    }
-
-    fn disk(&self) -> Option<Arc<DiskModel>> {
-        Some(self.disk.read().clone())
-    }
-
-    fn attach_disk(&self, disk: Arc<DiskModel>) {
-        *self.disk.write() = disk;
     }
 }
 
@@ -814,12 +690,6 @@ mod tests {
         let root = temp_root(tag);
         vec![
             (Box::new(MemoryBackend::new()), None),
-            (
-                Box::new(SimDiskBackend::new(Arc::new(DiskModel::new(
-                    crate::DiskParams::default(),
-                )))),
-                None,
-            ),
             (Box::new(FileBackend::open(&root).unwrap()), Some(root)),
         ]
     }
@@ -896,7 +766,7 @@ mod tests {
                 assert_eq!(
                     shared.as_ptr(),
                     again.as_ptr(),
-                    "in-RAM backends share the object's buffer"
+                    "the in-RAM backend shares the object's buffer"
                 );
             }
             backend.write_object(obj, b"replaced").unwrap();
@@ -957,17 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_disk_backend_rebinds_its_disk() {
-        let first = Arc::new(DiskModel::new(crate::DiskParams::default()));
-        let backend = SimDiskBackend::new(first.clone());
-        assert!(Arc::ptr_eq(&backend.disk().unwrap(), &first));
-        let second = Arc::new(DiskModel::new(crate::DiskParams::default()));
-        backend.attach_disk(second.clone());
-        assert!(Arc::ptr_eq(&backend.disk().unwrap(), &second));
-        assert!(MemoryBackend::new().disk().is_none());
-    }
-
-    #[test]
     fn object_names_round_trip() {
         for obj in [
             StorageObject::Journal,
@@ -980,9 +839,8 @@ mod tests {
         assert_eq!(StorageObject::from_file_name("container-x.sc"), None);
         assert_eq!(StorageObject::from_file_name("README"), None);
         assert_eq!(BackendKind::parse("file"), Some(BackendKind::File));
-        assert_eq!(BackendKind::parse("sim-disk"), Some(BackendKind::SimDisk));
         assert_eq!(BackendKind::parse("memory"), Some(BackendKind::Memory));
         assert_eq!(BackendKind::parse("floppy"), None);
-        assert_eq!(BackendKind::SimDisk.to_string(), "sim-disk");
+        assert_eq!(BackendKind::Memory.to_string(), "memory");
     }
 }

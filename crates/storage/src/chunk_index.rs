@@ -3,8 +3,8 @@
 //! Every unique chunk stored by a node gets an entry mapping its fingerprint to the
 //! container (and offset) holding it.  For a large dataset this index does not fit in
 //! RAM — that is exactly the disk-bottleneck problem Σ-Dedupe's similarity index and
-//! fingerprint cache are designed to avoid — so lookups against it are charged to the
-//! [`DiskModel`](crate::DiskModel) as random reads.  The paper keeps this index only
+//! fingerprint cache are designed to avoid — so every lookup against it counts in
+//! [`ChunkIndexStats::lookups`] as one random read.  The paper keeps this index only
 //! as a fallback for fingerprints that miss in the cache and treats such misses as a
 //! "relatively rare occurrence" (Section 3.3); experiments can also disable it to
 //! obtain the similarity-index-only approximate deduplication mode of Figure 5(b).
@@ -18,12 +18,11 @@
 //! wins the claim.  This is what keeps the unique-chunk set — and therefore the
 //! physical bytes a node stores — deterministic under the parallel ingest pipeline.
 
-use crate::{ContainerId, DiskModel};
+use crate::ContainerId;
 use serde::{Deserialize, Serialize};
 use sigma_hashkit::Fingerprint;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Where a unique chunk is stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,7 +70,7 @@ impl Slot {
 /// Statistics of a [`ChunkIndex`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChunkIndexStats {
-    /// Lookup operations (each charged as one simulated random disk read).
+    /// Lookup operations (each one random read of the on-disk index).
     pub lookups: u64,
     /// Lookups that found an entry.
     pub hits: u64,
@@ -81,7 +80,7 @@ pub struct ChunkIndexStats {
     pub entries: u64,
 }
 
-/// A striped hash-table chunk index with simulated-disk accounting.
+/// A striped hash-table chunk index with lookup accounting.
 ///
 /// # Example
 ///
@@ -98,7 +97,6 @@ pub struct ChunkIndexStats {
 #[derive(Debug)]
 pub struct ChunkIndex {
     stripes: Vec<parking_lot::RwLock<HashMap<Fingerprint, Slot>>>,
-    disk: Option<Arc<DiskModel>>,
     lookups: AtomicU64,
     hits: AtomicU64,
     inserts: AtomicU64,
@@ -115,13 +113,13 @@ impl Default for ChunkIndex {
 }
 
 impl ChunkIndex {
-    /// Creates an index without disk accounting and the default stripe count.
+    /// Creates an index with the default stripe count.
     pub fn new() -> Self {
         ChunkIndex::default()
     }
 
     /// Creates an index with `stripe_count` lock stripes (rounded up to a power of
-    /// two), without disk accounting.
+    /// two).
     ///
     /// # Panics
     ///
@@ -133,19 +131,9 @@ impl ChunkIndex {
             stripes: (0..stripes)
                 .map(|_| parking_lot::RwLock::new(HashMap::new()))
                 .collect(),
-            disk: None,
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
-        }
-    }
-
-    /// Creates an index whose lookups are charged to `disk` as random reads and whose
-    /// inserts are charged as random writes.
-    pub fn with_disk(disk: Arc<DiskModel>) -> Self {
-        ChunkIndex {
-            disk: Some(disk),
-            ..ChunkIndex::default()
         }
     }
 
@@ -162,9 +150,6 @@ impl ChunkIndex {
     /// already present (and finalized).
     pub fn insert(&self, fp: Fingerprint, location: ChunkLocation) -> Option<ChunkLocation> {
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        if let Some(disk) = &self.disk {
-            disk.record_random_write();
-        }
         let stripe = self.stripe_of(&fp);
         match self.stripes[stripe]
             .write()
@@ -188,17 +173,13 @@ impl ChunkIndex {
     /// entry over and the chunk is stored again; lookups keep answering the old
     /// location until the claim is finalized, and an abandon restores it.
     ///
-    /// Charged like a lookup (one random read) plus, when the claim is won, like an
-    /// insert (one random write).
+    /// Counted as a lookup plus, when the claim is won, as an insert.
     pub fn claim(
         &self,
         fp: Fingerprint,
         holds: impl FnOnce(&ChunkLocation) -> bool,
     ) -> ClaimOutcome {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(disk) = &self.disk {
-            disk.record_random_read();
-        }
         let stripe = self.stripe_of(&fp);
         let mut map = self.stripes[stripe].write();
         let stale = match map.get(&fp) {
@@ -212,16 +193,13 @@ impl ChunkIndex {
         map.insert(fp, Slot::Pending(stale));
         drop(map);
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        if let Some(disk) = &self.disk {
-            disk.record_random_write();
-        }
         ClaimOutcome::Claimed
     }
 
     /// Records the storage location of a previously claimed fingerprint.
     ///
-    /// Not charged to the disk model: the claim already paid for the insert, this
-    /// merely fills in the location.
+    /// Not counted as an insert: the claim already counted it, this merely
+    /// fills in the location.
     pub fn finalize(&self, fp: Fingerprint, location: ChunkLocation) {
         let stripe = self.stripe_of(&fp);
         self.stripes[stripe]
@@ -253,9 +231,6 @@ impl ChunkIndex {
     /// as the entry the claim took over: its new location is not known yet.
     pub fn lookup(&self, fp: &Fingerprint) -> Option<ChunkLocation> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(disk) = &self.disk {
-            disk.record_random_read();
-        }
         let stripe = self.stripe_of(fp);
         let found = self.stripes[stripe].read().get(fp).and_then(Slot::location);
         if found.is_some() {
@@ -264,22 +239,21 @@ impl ChunkIndex {
         found
     }
 
-    /// True if the fingerprint is indexed — claimed or finalized — without charging
-    /// a disk access or incrementing the lookup statistics (used by invariant checks
-    /// in tests and by the stateful baseline router's in-RAM probe).
+    /// True if the fingerprint is indexed — claimed or finalized — without
+    /// incrementing the lookup statistics (used by invariant checks in tests
+    /// and by the stateful baseline router's in-RAM probe).
     pub fn contains_silent(&self, fp: &Fingerprint) -> bool {
         let stripe = self.stripe_of(fp);
         self.stripes[stripe].read().contains_key(fp)
     }
 
-    /// The finalized location of a fingerprint, without charging a disk access or
-    /// touching the lookup statistics.
+    /// The finalized location of a fingerprint, without touching the lookup
+    /// statistics.
     ///
     /// The garbage collector's mark phase walks every chunk of every live recipe;
-    /// charging each walk as a random disk read (and counting it as a cache-path
-    /// lookup) would drown the ingest statistics the experiments report, so the
-    /// mark phase reads the index silently — on a real node it would scan the
-    /// index sequentially anyway.
+    /// counting each walk as a cache-path lookup would drown the ingest
+    /// statistics the experiments report, so the mark phase reads the index
+    /// silently — on a real node it would scan the index sequentially anyway.
     pub fn lookup_silent(&self, fp: &Fingerprint) -> Option<ChunkLocation> {
         let stripe = self.stripe_of(fp);
         self.stripes[stripe].read().get(fp).and_then(Slot::location)
@@ -371,8 +345,8 @@ impl ChunkIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DiskParams;
     use sigma_hashkit::{Digest, Sha1};
+    use std::sync::Arc;
 
     fn fp(i: u64) -> Fingerprint {
         Sha1::fingerprint(&i.to_le_bytes())
@@ -412,18 +386,6 @@ mod tests {
         assert_eq!(s.hits, 50);
         assert_eq!(s.entries, 50);
         assert_eq!(idx.estimated_bytes(), 50 * 40);
-    }
-
-    #[test]
-    fn disk_accounting_charges_lookups_and_inserts() {
-        let disk = Arc::new(DiskModel::new(DiskParams::default()));
-        let idx = ChunkIndex::with_disk(disk.clone());
-        idx.insert(fp(1), loc(1, 0));
-        idx.lookup(&fp(1));
-        idx.lookup(&fp(2));
-        let d = disk.stats();
-        assert_eq!(d.random_writes, 1);
-        assert_eq!(d.random_reads, 2);
     }
 
     #[test]
@@ -503,9 +465,8 @@ mod tests {
     }
 
     #[test]
-    fn lookup_silent_reads_without_stats_or_disk() {
-        let disk = Arc::new(DiskModel::new(DiskParams::default()));
-        let idx = ChunkIndex::with_disk(disk.clone());
+    fn lookup_silent_reads_without_stats() {
+        let idx = ChunkIndex::new();
         idx.insert(fp(1), loc(1, 0));
         assert_eq!(idx.lookup_silent(&fp(1)), Some(loc(1, 0)));
         assert_eq!(idx.lookup_silent(&fp(2)), None);
@@ -514,7 +475,6 @@ mod tests {
         assert_eq!(idx.lookup_silent(&fp(3)), None);
         let s = idx.stats();
         assert_eq!(s.lookups, 1, "only the claim counted");
-        assert_eq!(disk.stats().random_reads, 1, "silent lookups are free");
     }
 
     #[test]

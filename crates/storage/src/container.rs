@@ -144,8 +144,8 @@ impl ContainerMeta {
         self.records.is_empty()
     }
 
-    /// Size in bytes of the serialized metadata section (fixed-width estimate used
-    /// by the disk model: fingerprint + offset + length per record).
+    /// Size in bytes of the serialized metadata section (fixed-width estimate:
+    /// fingerprint + offset + length per record).
     pub fn serialized_size(&self) -> usize {
         self.records.len() * (Fingerprint::LEN + 8)
     }

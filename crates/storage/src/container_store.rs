@@ -4,8 +4,8 @@
 //! that the chunks of different backup streams do not interleave (which would destroy
 //! the locality the fingerprint cache depends on).  When an open container fills up
 //! a new one is opened and the full one is sealed — its object written beside
-//! ingest, charged to the disk model as a sequential write.  Sealed containers can
-//! be read back for restores and for fingerprint prefetching.
+//! ingest in one sequential write.  Sealed containers can be read back for
+//! restores and for fingerprint prefetching.
 //!
 //! One layout on every backend: a sealed container's chunk bytes live only in
 //! its backend object, durable before its journal record is appended and
@@ -75,9 +75,9 @@
 
 use crate::read_cache::{ContainerReadCache, ReadCacheStats};
 use crate::{
-    container, Container, ContainerBuilder, ContainerId, ContainerMeta, ContainerSummary,
-    DiskModel, Journal, JournalRecord, MemoryBackend, Result, SharedBytes, StorageBackend,
-    StorageError, StorageObject, CONTAINER_BLOB_DATA_OFFSET,
+    container, Container, ContainerBuilder, ContainerId, ContainerMeta, ContainerSummary, Journal,
+    JournalRecord, MemoryBackend, Result, SharedBytes, StorageBackend, StorageError, StorageObject,
+    CONTAINER_BLOB_DATA_OFFSET,
 };
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
@@ -97,7 +97,7 @@ pub const DEFAULT_CONTAINER_CAPACITY: usize = 4 * 1024 * 1024;
 /// Aggregate statistics of a [`ContainerStore`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ContainerStoreStats {
-    /// Containers sealed and written to (simulated) disk.
+    /// Containers sealed and written to the backend.
     pub sealed_containers: u64,
     /// Containers still open.
     pub open_containers: u64,
@@ -508,15 +508,10 @@ impl ContainerStore {
     }
 
     /// Attaches a storage backend: every sealed container becomes one object
-    /// on it.  Disk-model charging follows the backend's own
-    /// [`disk`](StorageBackend::disk).
+    /// on it.
     pub fn with_backend(mut self, backend: Arc<dyn StorageBackend>) -> Self {
         self.backend = backend;
         self
-    }
-
-    fn disk(&self) -> Option<Arc<DiskModel>> {
-        self.backend.disk()
     }
 
     /// Attaches a write-ahead journal: every seal and adoption appends its records
@@ -732,8 +727,7 @@ impl ContainerStore {
     }
 
     /// Finishes the rollover seal in flight, if any, as a group of its own:
-    /// one journal group commit and one disk transfer per rollover, wherever
-    /// it is finished.
+    /// one journal group commit per rollover, wherever it is finished.
     fn finish_in_flight(&self, in_flight: &mut Option<Sealer>) -> Result<()> {
         match in_flight.take() {
             Some(sealer) => self.finish_seal(vec![sealer.join()]),
@@ -742,8 +736,7 @@ impl ContainerStore {
     }
 
     /// Finishes a group of seals whose object writes are done: every
-    /// container's seal record goes into a single journal group commit, and the containers' data+metadata sections are
-    /// charged to the disk model as one coalesced sequential transfer.  A
+    /// container's seal record goes into a single journal group commit.  A
     /// rollover's seal is a group of one; [`flush`](Self::flush) seals every
     /// retired stream at once.
     ///
@@ -779,7 +772,7 @@ impl ContainerStore {
         }
     }
 
-    /// The records and disk charge of [`finish_seal`](Self::finish_seal): one
+    /// The records of [`finish_seal`](Self::finish_seal): one
     /// `ContainerSeal` per container, whose record table is the journal's only
     /// copy of the container's chunk-index entries.
     fn publish(&self, summaries: Vec<ContainerSummary>) -> Result<Vec<ContainerSummary>> {
@@ -790,22 +783,14 @@ impl ContainerStore {
             })
             .collect();
         self.log(&records)?;
-        if let Some(disk) = self.disk() {
-            let total: u64 = summaries
-                .iter()
-                .map(|c| (c.data_size() + c.meta.serialized_size()) as u64)
-                .sum();
-            disk.record_sequential_transfer(total);
-        }
         Ok(summaries)
     }
 
     /// Seals every open container (end of a backup session) as one coalesced
-    /// group write — one journal group commit, one sequential disk transfer —
-    /// instead of a per-container trickle.  Containers whose earlier seal
-    /// failed are sealed again in the same group.  The rollover seal in
-    /// flight is finished first, as its own group; the group's objects are
-    /// then written on the calling thread.  When this returns `Ok`, every
+    /// group write — one journal group commit — instead of a per-container
+    /// trickle.  Containers whose earlier seal failed are sealed again in the
+    /// same group.  The rollover seal in flight is finished first, as its own
+    /// group; the group's objects are then written on the calling thread.  When this returns `Ok`, every
     /// container the store held before the call is sealed: the flush is the
     /// acknowledgement point.
     ///
@@ -911,8 +896,7 @@ impl ContainerStore {
 
     /// Reads a sealed container's metadata section (fingerprint list).
     ///
-    /// Charged to the disk model as a sequential read of the metadata section; this
-    /// is the "prefetch" operation behind the chunk fingerprint cache.
+    /// This is the "prefetch" operation behind the chunk fingerprint cache.
     ///
     /// # Errors
     ///
@@ -922,22 +906,11 @@ impl ContainerStore {
         self.metadata_reads.fetch_add(1, Ordering::Relaxed);
         // Open and sealing containers (written moments ago by some stream) are
         // visible too: their fingerprints are in memory on a real server.
-        let meta = match self.view(container) {
-            View::Sealed(summary) => summary.meta.clone(),
-            View::InRam(c) => c.meta().clone(),
-            View::Compacted(_) | View::Gone => {
-                return Err(StorageError::ContainerNotFound(*container))
-            }
-        };
-        if let Some(disk) = self.disk() {
-            // A metadata prefetch is a seek into the container object followed
-            // by a short stream of the metadata section: charge the seek via
-            // the random-read model instead of pretending the whole operation
-            // was one sequential transfer.
-            disk.record_random_read();
-            disk.record_sequential_transfer(meta.serialized_size() as u64);
+        match self.view(container) {
+            View::Sealed(summary) => Ok(summary.meta.clone()),
+            View::InRam(c) => Ok(c.meta().clone()),
+            View::Compacted(_) | View::Gone => Err(StorageError::ContainerNotFound(*container)),
         }
-        Ok(meta)
     }
 
     /// Reads one chunk's payload (restore path).  A compacted container is
@@ -982,14 +955,10 @@ impl ContainerStore {
                 View::Gone => return Err(StorageError::ContainerNotFound(id)),
             }
         };
-        let data = data.ok_or_else(|| StorageError::ChunkNotInContainer {
+        data.ok_or_else(|| StorageError::ChunkNotInContainer {
             container: id,
             fingerprint: fp.to_string(),
-        })?;
-        if let Some(disk) = self.disk() {
-            disk.record_sequential_transfer(data.len() as u64);
-        }
-        Ok(data)
+        })
     }
 
     /// Reads a batch of chunk payloads out of **one** container, decoding each
@@ -1000,9 +969,7 @@ impl ContainerStore {
     /// one [`read_at`](StorageBackend::read_at) per coalesced run — or, when a
     /// [read cache](Self::with_read_cache_bytes) is attached and the section
     /// fits its budget, one whole-section read that also fills the cache, with
-    /// repeat visits served from RAM.  Disk-model charging is identical to the
-    /// serial path (one sequential transfer per chunk), so simulated figures do
-    /// not shift because reads were batched.
+    /// repeat visits served from RAM.
     ///
     /// The caller resolves fingerprints to record extents first (via the chunk
     /// index); each [`ChunkFetch`]'s `out` length is the record length.  A
@@ -1077,13 +1044,6 @@ impl ContainerStore {
                     compacted = true;
                 }
                 View::Gone => return Err(StorageError::ContainerNotFound(id)),
-            }
-        }
-        if let Some(disk) = self.disk() {
-            // Chunk-for-chunk the same charge as the serial read path: the
-            // simulated figures must not shift because reads were batched.
-            for f in fetches.iter() {
-                disk.record_sequential_transfer(f.out.len() as u64);
             }
         }
         Ok(stats)
@@ -1258,9 +1218,7 @@ impl ContainerStore {
 
     /// Reads a sealed container out of the store for migration to another node.
     ///
-    /// Charged to the disk model as a sequential read of the container's data and
-    /// metadata sections (the rebalancer streaming it off this node's disk).  The
-    /// container stays in the store until
+    /// The container stays in the store until
     /// [`retire_container`](Self::retire_container).  Returns `Ok(None)` when no
     /// sealed container has this ID — including one retired or collected while
     /// it was being read.
@@ -1281,11 +1239,6 @@ impl ContainerStore {
         let Some(data) = self.read_sealed(&summary, || self.section(&summary))? else {
             return Ok(None);
         };
-        if let Some(disk) = self.disk() {
-            disk.record_sequential_transfer(
-                (summary.data_size() + summary.meta.serialized_size()) as u64,
-            );
-        }
         Ok(Some(Container::from_summary((*summary).clone(), data)))
     }
 
@@ -1302,9 +1255,8 @@ impl ContainerStore {
     /// durable event.
     ///
     /// Returns the container's (possibly pre-existing) local identifier.  First
-    /// adoptions are charged to the disk model as a sequential write, exactly like
-    /// sealing a locally filled container, and follow the same ordering: object
-    /// durable, then the journal record, then one swap makes it sealed.
+    /// adoptions follow the ordering of sealing a locally filled container:
+    /// object durable, then the journal record, then one swap makes it sealed.
     ///
     /// # Errors
     ///
@@ -1334,11 +1286,6 @@ impl ContainerStore {
             container: summary.clone(),
             rfps: rfps.to_vec(),
         }])?;
-        if let Some(disk) = self.disk() {
-            disk.record_sequential_transfer(
-                (summary.data_size() + summary.meta.serialized_size()) as u64,
-            );
-        }
         self.table.write().seal(summary, Some(origin));
         Ok(new_id)
     }
@@ -1348,8 +1295,7 @@ impl ContainerStore {
     /// afterwards with [`verify_objects`](Self::verify_objects)).
     ///
     /// Unlike [`adopt_sealed`](Self::adopt_sealed) this writes nothing (the
-    /// record being replayed *is* the durable copy) and charges no disk I/O
-    /// (the replay itself is charged as one sequential journal read).
+    /// record being replayed *is* the durable copy).
     /// Returns `false` when `origin` was already adopted — the guard that keeps a
     /// duplicated migration record from double-installing a container.
     pub fn install_recovered(
@@ -1623,13 +1569,6 @@ impl ContainerStore {
             replacement: replacement.clone(),
             rfps: rfps.to_vec(),
         }])?;
-        if let Some(disk) = self.disk() {
-            // Read the victim off disk, write the replacement back.
-            disk.record_sequential_transfer((old.data_size() + old.meta.serialized_size()) as u64);
-            disk.record_sequential_transfer(
-                (replacement.data_size() + replacement.meta.serialized_size()) as u64,
-            );
-        }
         let live_records = replacement.meta.records.clone();
         let reclaimed = old.logical_size - replacement.logical_size;
         self.swap_compacted(*victim, replacement);
@@ -1866,7 +1805,6 @@ impl ContainerStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DiskParams, SimDiskBackend};
     use sigma_hashkit::{Digest, Sha1};
 
     fn payload(i: u64, len: usize) -> (Fingerprint, Vec<u8>) {
@@ -1969,21 +1907,6 @@ mod tests {
             store.read_chunk(&loc.container, &other_fp),
             Err(StorageError::ChunkNotInContainer { .. })
         ));
-    }
-
-    #[test]
-    fn disk_accounting_records_sequential_io() {
-        let disk = Arc::new(DiskModel::new(DiskParams::default()));
-        let store =
-            ContainerStore::new(200).with_backend(Arc::new(SimDiskBackend::new(disk.clone())));
-        for i in 0..4u64 {
-            let (fp, data) = payload(i, 100);
-            store.store_chunk(0, fp, &data).unwrap();
-        }
-        store.flush().unwrap();
-        let d = disk.stats();
-        assert!(d.sequential_ops >= 2, "sealed containers must be written");
-        assert!(d.sequential_bytes >= 400);
     }
 
     #[test]
@@ -2206,22 +2129,20 @@ mod tests {
 
     #[test]
     fn flush_coalesces_seals_into_one_group_write() {
-        let disk = Arc::new(DiskModel::new(DiskParams::default()));
-        let journal = Arc::new(
-            crate::Journal::with_backend(Arc::new(SimDiskBackend::new(disk.clone()))).unwrap(),
-        );
+        let backend = Arc::new(crate::journal::tests::SyncLog::default());
+        let journal = Arc::new(crate::Journal::with_backend(backend.clone()).unwrap());
         let store = ContainerStore::new(4096)
-            .with_backend(Arc::new(SimDiskBackend::new(disk.clone())))
+            .with_backend(backend.clone())
             .with_journal(journal.clone());
         for stream in 0..6u64 {
             let (fp, data) = payload(stream, 100);
             store.store_chunk(stream, fp, &data).unwrap();
         }
-        let ops_before = disk.stats().sequential_ops;
+        let appends_before = backend.appends.lock().len();
         store.flush().unwrap();
-        // Six open containers seal as ONE coalesced container write plus ONE
-        // journal group commit — not six appends and six transfers.
-        assert_eq!(disk.stats().sequential_ops, ops_before + 2);
+        // Six open containers seal as ONE journal group commit — not six
+        // appends.
+        assert_eq!(backend.appends.lock().len(), appends_before + 1);
         assert_eq!(store.stats().sealed_containers, 6);
         // Every seal still reached the journal as its own frame, and the seal
         // is the only record a container's seal writes.

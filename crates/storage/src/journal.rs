@@ -63,8 +63,8 @@
 //! adopt-then-tombstone boundary inside a rebalance step.
 
 use crate::{
-    ChunkLocation, ContainerId, ContainerSummary, DiskModel, MemoryBackend, StorageBackend,
-    StorageError, StorageObject,
+    ChunkLocation, ContainerId, ContainerSummary, MemoryBackend, StorageBackend, StorageError,
+    StorageObject,
 };
 use parking_lot::Mutex;
 use sigma_hashkit::{fnv1a_64, Fingerprint};
@@ -276,8 +276,8 @@ struct JournalState {
 
 /// An append-only, checksummed write-ahead journal — one per durable node.
 ///
-/// Appends are charged to the attached [`DiskModel`] as sequential writes (a WAL
-/// is the sequential-I/O structure par excellence), replay as one sequential read.
+/// Each append (or group of appends) reaches the backend as one sequential
+/// write; replay reads the log back in one pass.
 ///
 /// # Example
 ///
@@ -296,8 +296,7 @@ pub struct Journal {
     state: Mutex<JournalState>,
     /// The durable medium the frames live on.  Appends and the fsync at each
     /// acknowledgement point go through it; on volatile backends the fsync is a
-    /// no-op and on the file backend it is a real `fsync(2)`.  Disk accounting
-    /// follows the backend's own [`DiskModel`](StorageBackend::disk).
+    /// no-op and on the file backend it is a real `fsync(2)`.
     backend: Arc<dyn StorageBackend>,
 }
 
@@ -321,8 +320,7 @@ impl Default for Journal {
 }
 
 impl Journal {
-    /// Creates an empty journal on a volatile in-memory backend, without disk
-    /// accounting.
+    /// Creates an empty journal on a volatile in-memory backend.
     pub fn new() -> Self {
         Journal {
             state: Mutex::new(JournalState::default()),
@@ -331,8 +329,7 @@ impl Journal {
     }
 
     /// Creates a *fresh* journal on `backend`, truncating any journal object a
-    /// previous process left there.  Disk accounting follows the backend's own
-    /// [`DiskModel`](StorageBackend::disk), if it has one.
+    /// previous process left there.
     ///
     /// Use [`open`](Self::open) instead to adopt an existing journal object —
     /// this constructor is for brand-new nodes.
@@ -379,17 +376,6 @@ impl Journal {
         self.backend.clone()
     }
 
-    /// Re-targets the backend's disk accounting at `disk` (a no-op on
-    /// backends without a [`DiskModel`]).
-    ///
-    /// A recovered node owns a fresh [`DiskModel`]; the medium survives the
-    /// crash, so its charges must follow the new owner — otherwise every
-    /// post-recovery operation would be billed to the discarded node's model
-    /// and vanish from the recovered node's statistics.
-    pub fn attach_disk(&self, disk: Arc<DiskModel>) {
-        self.backend.attach_disk(disk);
-    }
-
     /// Appends one record, returning its sequence number.  The frame is
     /// fsynced before this returns unless the record
     /// [`defers_sync`](JournalRecord::defers_sync).
@@ -404,7 +390,7 @@ impl Journal {
     }
 
     /// Appends a batch of records under one lock acquisition and one coalesced
-    /// disk transfer, returning the first record's sequence number.
+    /// backend write, returning the first record's sequence number.
     ///
     /// Durability-equivalent to calling [`append`](Self::append) once per record
     /// — in particular, armed crash points keep firing at the exact per-record
@@ -412,7 +398,7 @@ impl Journal {
     /// durable (they are flushed as the prefix of the group write), the armed
     /// record crashes clean or torn according to its [`CrashMode`], and the rest
     /// of the batch is dropped.  What changes is only the cost: one journal-lock
-    /// round, one sequential disk transfer and at most one fsync for the whole
+    /// round, one backend append and at most one fsync for the whole
     /// group instead of one per record — the group-commit optimisation every
     /// production WAL performs.
     ///
@@ -435,8 +421,7 @@ impl Journal {
         }
         let first_seq = state.next_seq;
         // Frames accumulate in a scratch buffer so the durable medium receives
-        // the whole group in a single extend, mirroring the single transfer
-        // charged to the disk model.
+        // the whole group in a single append.
         let mut buf: Vec<u8> = Vec::new();
         let mut frames: Vec<(u64, usize)> = Vec::with_capacity(records.len());
         let mut sync = false;
@@ -452,22 +437,14 @@ impl Journal {
                 state.crashed = true;
                 // The complete frames ahead of the crash (plus any torn prefix)
                 // still reach the medium: the power cut interrupted the group
-                // write partway through, it did not unwrite the prefix.  A
-                // group's write is charged as its one transfer; a lone torn
-                // frame is not charged.  The node is dead after this point
-                // either way; a backend error merely makes the cut tear earlier.
-                if !buf.is_empty() {
-                    if records.len() > 1 {
-                        if let Some(disk) = self.backend.disk() {
-                            disk.record_sequential_transfer(buf.len() as u64);
-                        }
+                // write partway through, it did not unwrite the prefix.  The
+                // node is dead after this point either way; a backend error
+                // merely makes the cut tear earlier.
+                if !buf.is_empty() && self.backend.append(StorageObject::Journal, &buf).is_ok() {
+                    if sync {
+                        let _ = self.backend.fsync(StorageObject::Journal);
                     }
-                    if self.backend.append(StorageObject::Journal, &buf).is_ok() {
-                        if sync {
-                            let _ = self.backend.fsync(StorageObject::Journal);
-                        }
-                        Self::commit(&mut state, buf.len(), frames);
-                    }
+                    Self::commit(&mut state, buf.len(), frames);
                 }
                 state.next_seq = seq;
                 return Err(StorageError::Crashed);
@@ -477,9 +454,6 @@ impl Journal {
             frames.push((seq, buf.len()));
         }
         if !buf.is_empty() {
-            if let Some(disk) = self.backend.disk() {
-                disk.record_sequential_transfer(buf.len() as u64);
-            }
             // A failed write or fsync means durability is gone, so the journal
             // declares itself crashed just as it does for an injected fault.
             let written = self.backend.append(StorageObject::Journal, &buf);
@@ -554,8 +528,7 @@ impl Journal {
 
     /// A copy of the raw journal bytes (the durable medium's current contents).
     ///
-    /// Uncharged: the fault harness uses this to capture crash images without
-    /// perturbing the disk statistics.
+    /// The fault harness uses this to capture crash images.
     ///
     /// # Panics
     ///
@@ -613,8 +586,6 @@ impl Journal {
     /// the crashed flag — what recovery does before the journal is reused as the
     /// recovered node's write-ahead log.
     ///
-    /// Charged to the disk model as one sequential read of the replayed bytes.
-    ///
     /// # Errors
     ///
     /// Returns [`StorageError::UnreadableRecord`] (see [`replay`](Self::replay))
@@ -644,9 +615,6 @@ impl Journal {
             .unwrap_or(0);
         state.crashed = false;
         state.armed = None;
-        if let Some(disk) = self.backend.disk() {
-            disk.record_sequential_transfer(summary.bytes_replayed);
-        }
         Ok((records, summary))
     }
 
@@ -683,9 +651,6 @@ impl Journal {
             }
         }
         let frame = encode_frame(seq, &JournalRecord::Snapshot(snapshot));
-        if let Some(disk) = self.backend.disk() {
-            disk.record_sequential_transfer(frame.len() as u64);
-        }
         // Ack ordering: the snapshot must be durably in place *before* the old
         // log is considered replaced.  `replace_atomic` writes the new log to
         // the side, fsyncs it, renames it over the old one and fsyncs the
@@ -1034,7 +999,7 @@ impl<'a> Reader<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ContainerBuilder;
     use sigma_hashkit::{Digest, Sha1};
@@ -1359,14 +1324,16 @@ mod tests {
     }
 
     #[test]
-    fn append_batch_charges_one_disk_transfer() {
-        let disk = Arc::new(DiskModel::new(crate::DiskParams::default()));
-        let journal =
-            Journal::with_backend(Arc::new(crate::SimDiskBackend::new(disk.clone()))).unwrap();
+    fn append_batch_is_one_backend_append_and_one_fsync() {
+        let backend = Arc::new(SyncLog::default());
+        let journal = Journal::with_backend(backend.clone()).unwrap();
         journal.append_batch(&sample_records()).unwrap();
-        let stats = disk.stats();
-        assert_eq!(stats.sequential_ops, 1, "a group commit is one transfer");
-        assert_eq!(stats.sequential_bytes as usize, journal.len_bytes());
+        assert_eq!(
+            *backend.appends.lock(),
+            [journal.len_bytes()],
+            "a group commit is one append"
+        );
+        assert_eq!(*backend.synced.lock(), [journal.len_bytes() as u64]);
     }
 
     #[test]
@@ -1398,11 +1365,13 @@ mod tests {
         assert_eq!(journal.frame_count(), records.len() as u64);
     }
 
-    /// A memory backend that notes the journal's length at every fsync of it.
+    /// A memory backend that notes the length of every journal append and the
+    /// journal's length at every fsync of it.
     #[derive(Debug, Default)]
-    struct SyncLog {
+    pub(crate) struct SyncLog {
         inner: MemoryBackend,
-        synced: Mutex<Vec<u64>>,
+        pub(crate) appends: Mutex<Vec<usize>>,
+        pub(crate) synced: Mutex<Vec<u64>>,
     }
 
     impl StorageBackend for SyncLog {
@@ -1410,6 +1379,9 @@ mod tests {
             self.inner.kind()
         }
         fn append(&self, obj: StorageObject, bytes: &[u8]) -> crate::Result<u64> {
+            if obj == StorageObject::Journal {
+                self.appends.lock().push(bytes.len());
+            }
             self.inner.append(obj, bytes)
         }
         fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> crate::Result<()> {
@@ -1484,10 +1456,9 @@ mod tests {
     }
 
     #[test]
-    fn a_lone_torn_frame_is_uncharged_and_a_torn_group_is_one_transfer() {
-        let disk = Arc::new(DiskModel::new(crate::DiskParams::default()));
-        let journal =
-            Journal::with_backend(Arc::new(crate::SimDiskBackend::new(disk.clone()))).unwrap();
+    fn a_torn_group_reaches_the_medium_as_one_append() {
+        let backend = Arc::new(SyncLog::default());
+        let journal = Journal::with_backend(backend.clone()).unwrap();
         journal.arm_crash_at_seq(0, CrashMode::Torn);
         assert_eq!(
             journal.append(&sample_records()[4]),
@@ -1497,30 +1468,19 @@ mod tests {
             journal.len_bytes() > 0,
             "the torn prefix reached the medium"
         );
-        assert_eq!(disk.stats().sequential_ops, 0);
+        assert_eq!(*backend.appends.lock(), [journal.len_bytes()]);
 
-        let disk = Arc::new(DiskModel::new(crate::DiskParams::default()));
-        let journal =
-            Journal::with_backend(Arc::new(crate::SimDiskBackend::new(disk.clone()))).unwrap();
+        let backend = Arc::new(SyncLog::default());
+        let journal = Journal::with_backend(backend.clone()).unwrap();
         journal.arm_crash_at_seq(2, CrashMode::Torn);
         assert_eq!(
             journal.append_batch(&sample_records()),
             Err(StorageError::Crashed)
         );
-        let stats = disk.stats();
-        assert_eq!(stats.sequential_ops, 1);
-        assert_eq!(stats.sequential_bytes as usize, journal.len_bytes());
-    }
-
-    #[test]
-    fn appends_charge_the_disk_model_sequentially() {
-        let disk = Arc::new(DiskModel::new(crate::DiskParams::default()));
-        let journal =
-            Journal::with_backend(Arc::new(crate::SimDiskBackend::new(disk.clone()))).unwrap();
-        journal.append(&sample_records()[4]).unwrap();
-        let stats = disk.stats();
-        assert_eq!(stats.sequential_ops, 1);
-        assert_eq!(stats.sequential_bytes as usize, journal.len_bytes());
-        assert_eq!(stats.random_reads, 0, "a WAL never seeks");
+        assert_eq!(
+            *backend.appends.lock(),
+            [journal.len_bytes()],
+            "the durable prefix and the torn frame are one append"
+        );
     }
 }

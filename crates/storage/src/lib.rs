@@ -14,9 +14,9 @@
 //! * a traditional hash-table based **on-disk chunk index** kept only as a fallback
 //!   for fingerprints that miss in the cache.
 //!
-//! This crate implements all four structures plus a [`DiskModel`] that accounts for
-//! the simulated disk I/O they would generate, so the higher layers can report the
-//! index-lookup message and I/O counts that the paper uses as overhead metrics.
+//! This crate implements all four structures over a pluggable [`StorageBackend`]
+//! (RAM objects or real files), and counts the index lookups the higher layers
+//! report as the paper's overhead metric.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +25,6 @@ mod backend;
 mod chunk_index;
 mod container;
 mod container_store;
-mod disk;
 mod error;
 mod fingerprint_cache;
 mod journal;
@@ -33,8 +32,7 @@ mod read_cache;
 mod similarity_index;
 
 pub use backend::{
-    BackendKind, FileBackend, MemoryBackend, SharedBytes, SimDiskBackend, StorageBackend,
-    StorageObject,
+    BackendKind, FileBackend, MemoryBackend, SharedBytes, StorageBackend, StorageObject,
 };
 pub use chunk_index::{ChunkIndex, ChunkIndexStats, ChunkLocation, ClaimOutcome};
 pub use container::{
@@ -45,7 +43,6 @@ pub use container_store::{
     BatchedReadStats, ChunkFetch, CompactionOutcome, ContainerLiveness, ContainerState,
     ContainerStore, ContainerStoreStats, StoredChunk, StreamId, DEFAULT_CONTAINER_CAPACITY,
 };
-pub use disk::{DiskModel, DiskParams, DiskStats};
 pub use error::StorageError;
 pub use fingerprint_cache::{CacheStats, FingerprintCache};
 pub use journal::{CrashMode, Journal, JournalRecord, NodeSnapshot, ReplaySummary};

@@ -69,8 +69,8 @@ pub use sigma_service::{
     ServiceStack, TcpClient, TcpService,
 };
 pub use sigma_storage::{
-    BackendKind, CrashMode, DiskParams, FileBackend, Journal, JournalRecord, MemoryBackend,
-    SimDiskBackend, StorageBackend, StorageError,
+    BackendKind, CrashMode, FileBackend, Journal, JournalRecord, MemoryBackend, StorageBackend,
+    StorageError,
 };
 
 /// One-line import for programs and tests: every commonly-used type from the
@@ -107,8 +107,8 @@ pub mod prelude {
 
     // Durable storage.
     pub use sigma_storage::{
-        BackendKind, ContainerId, ContainerState, CrashMode, DiskParams, FileBackend, Journal,
-        JournalRecord, MemoryBackend, SimDiskBackend, StorageBackend, StorageError,
+        BackendKind, ContainerId, ContainerState, CrashMode, FileBackend, Journal, JournalRecord,
+        MemoryBackend, StorageBackend, StorageError,
     };
 
     // Reporting and workload generation.

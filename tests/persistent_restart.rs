@@ -267,7 +267,7 @@ fn restart_node_picks_the_medium_by_backend() {
     let root = scratch_dir("restart-medium");
     let file = file_sigma_config(&root);
     let volatile = SigmaConfig {
-        storage_backend: BackendKind::SimDisk,
+        storage_backend: BackendKind::Memory,
         storage_root: None,
         ..file.clone()
     };

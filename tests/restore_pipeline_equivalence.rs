@@ -6,7 +6,7 @@
 //! `DedupCluster::restore_file_reference` remains the serial per-chunk
 //! arbiter.  These properties assert the two are **byte-identical** —
 //!
-//! * across the in-memory, simulated-disk and real-file backends,
+//! * across the in-memory and real-file backends,
 //! * at `restore_parallelism` ∈ {1, 2, 4},
 //! * after every individual `Rebalancer::step` of a node-removal drain and
 //!   through multi-hop tombstone chains,
@@ -128,7 +128,7 @@ proptest! {
         ),
     ) {
         let datas: Vec<Vec<u8>> = compositions.iter().map(|p| compose(&blocks, p)).collect();
-        for kind in [BackendKind::Memory, BackendKind::SimDisk, BackendKind::File] {
+        for kind in [BackendKind::Memory, BackendKind::File] {
             let root = (kind == BackendKind::File).then(|| scratch_dir("restore-eq"));
             let config = config_for(kind, root.as_deref());
             let cluster = Arc::new(DedupCluster::with_similarity_router(3, config));
@@ -154,7 +154,7 @@ proptest! {
         ),
     ) {
         let datas: Vec<Vec<u8>> = compositions.iter().map(|p| compose(&blocks, p)).collect();
-        let config = config_for(BackendKind::SimDisk, None);
+        let config = config_for(BackendKind::Memory, None);
         let cluster = Arc::new(DedupCluster::with_similarity_router(3, config));
         let files = backup_all(&cluster, &datas);
 
@@ -186,7 +186,7 @@ proptest! {
         ),
     ) {
         let datas: Vec<Vec<u8>> = compositions.iter().map(|p| compose(&blocks, p)).collect();
-        let config = config_for(BackendKind::SimDisk, None);
+        let config = config_for(BackendKind::Memory, None);
         let cluster = Arc::new(DedupCluster::with_similarity_router(2, config));
         let files = backup_all(&cluster, &datas);
 
@@ -206,7 +206,7 @@ proptest! {
 fn happy_path_copies_each_byte_exactly_once() {
     let cluster = Arc::new(DedupCluster::with_similarity_router(
         2,
-        config_for(BackendKind::SimDisk, None),
+        config_for(BackendKind::Memory, None),
     ));
     let data: Vec<u8> = (0..100_000u32).map(|i| (i % 241) as u8).collect();
     let client = BackupClient::new(cluster.clone(), 0);
