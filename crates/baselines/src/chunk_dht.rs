@@ -55,8 +55,8 @@ impl DataRouter for ChunkDhtRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sigma_core::{ChunkDescriptor, DedupNode, SigmaConfig, SuperChunk};
-    use sigma_hashkit::{Digest, Sha1};
+    use sigma_core::{DedupNode, SigmaConfig, SuperChunk};
+    use sigma_hashkit::FingerprintAlgorithm;
     use std::sync::Arc;
 
     fn nodes(n: usize) -> Vec<Arc<DedupNode>> {
@@ -69,14 +69,9 @@ mod tests {
         let nodes = nodes(16);
         let router = ChunkDhtRouter::new();
         for i in 0..64u64 {
-            let fp = Sha1::fingerprint(&i.to_le_bytes());
-            let sc = SuperChunk::from_descriptors(
-                0,
-                vec![ChunkDescriptor::new(
-                    fp,
-                    ChunkDhtRouter::HYDRA_CHUNK_SIZE as u32,
-                )],
-            );
+            let chunk = i.to_le_bytes().repeat(ChunkDhtRouter::HYDRA_CHUNK_SIZE / 8);
+            let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, vec![chunk]);
+            let fp = sc.descriptors()[0].fingerprint;
             let hp = sc.handprint(1);
             let d = router.route(&RoutingContext {
                 super_chunk: &sc,
@@ -92,7 +87,7 @@ mod tests {
     #[test]
     fn empty_super_chunk_routes_to_node_zero() {
         let nodes = nodes(4);
-        let sc = SuperChunk::from_descriptors(0, Vec::new());
+        let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, Vec::new());
         let hp = sc.handprint(1);
         let d = ChunkDhtRouter::new().route(&RoutingContext {
             super_chunk: &sc,

@@ -45,8 +45,8 @@ impl DataRouter for RoundRobinRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sigma_core::{ChunkDescriptor, DedupNode, SigmaConfig, SuperChunk};
-    use sigma_hashkit::{Digest, Sha1};
+    use sigma_core::{DedupNode, SigmaConfig, SuperChunk};
+    use sigma_hashkit::FingerprintAlgorithm;
     use std::sync::Arc;
 
     #[test]
@@ -55,10 +55,7 @@ mod tests {
         let nodes: Vec<Arc<DedupNode>> = (0..4)
             .map(|i| Arc::new(DedupNode::new(i, &config)))
             .collect();
-        let sc = SuperChunk::from_descriptors(
-            0,
-            vec![ChunkDescriptor::new(Sha1::fingerprint(b"x"), 4096)],
-        );
+        let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, vec![vec![b'x'; 4096]]);
         let hp = sc.handprint(8);
         let router = RoundRobinRouter::new();
         let targets: Vec<usize> = (0..8)

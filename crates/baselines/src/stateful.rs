@@ -131,8 +131,8 @@ impl DataRouter for StatefulRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sigma_core::{ChunkDescriptor, DedupNode, SigmaConfig, SuperChunk};
-    use sigma_hashkit::{Digest, Sha1};
+    use sigma_core::{DedupNode, SigmaConfig, SuperChunk};
+    use sigma_hashkit::FingerprintAlgorithm;
     use std::sync::Arc;
 
     fn nodes(n: usize) -> Vec<Arc<DedupNode>> {
@@ -140,12 +140,10 @@ mod tests {
         (0..n).map(|i| Arc::new(DedupNode::new(i, &c))).collect()
     }
 
+    /// One 4 KiB chunk per id, each its id's bytes repeated.
     fn super_chunk(ids: std::ops::Range<u64>) -> SuperChunk {
-        SuperChunk::from_descriptors(
-            0,
-            ids.map(|i| ChunkDescriptor::new(Sha1::fingerprint(&i.to_le_bytes()), 4096))
-                .collect(),
-        )
+        let chunks = ids.map(|i| i.to_le_bytes().repeat(512)).collect();
+        SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, chunks)
     }
 
     fn ctx<'a>(
@@ -223,7 +221,7 @@ mod tests {
     #[test]
     fn empty_super_chunk_routes_to_node_zero() {
         let nodes = nodes(4);
-        let sc = SuperChunk::from_descriptors(0, Vec::new());
+        let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, Vec::new());
         let hp = sc.handprint(8);
         let d = StatefulRouter::new().route(&ctx(&sc, &hp, &nodes));
         assert_eq!(d.target, 0);

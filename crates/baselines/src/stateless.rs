@@ -50,8 +50,8 @@ impl DataRouter for StatelessRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sigma_core::{ChunkDescriptor, DedupNode, SigmaConfig, SuperChunk};
-    use sigma_hashkit::{Digest, Sha1};
+    use sigma_core::{DedupNode, SigmaConfig, SuperChunk};
+    use sigma_hashkit::FingerprintAlgorithm;
     use std::sync::Arc;
 
     fn nodes(n: usize) -> Vec<Arc<DedupNode>> {
@@ -59,12 +59,10 @@ mod tests {
         (0..n).map(|i| Arc::new(DedupNode::new(i, &c))).collect()
     }
 
+    /// One 4 KiB chunk per id, each its id's bytes repeated.
     fn super_chunk(ids: std::ops::Range<u64>) -> SuperChunk {
-        SuperChunk::from_descriptors(
-            0,
-            ids.map(|i| ChunkDescriptor::new(Sha1::fingerprint(&i.to_le_bytes()), 4096))
-                .collect(),
-        )
+        let chunks = ids.map(|i| i.to_le_bytes().repeat(512)).collect();
+        SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, chunks)
     }
 
     #[test]
@@ -114,7 +112,7 @@ mod tests {
     fn empty_super_chunk_routes_to_node_zero() {
         let nodes = nodes(4);
         let router = StatelessRouter::new();
-        let sc = SuperChunk::from_descriptors(0, Vec::new());
+        let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, Vec::new());
         let hp = sc.handprint(8);
         let d = router.route(&RoutingContext {
             super_chunk: &sc,

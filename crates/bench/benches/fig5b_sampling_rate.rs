@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sigma_core::{DedupNode, SigmaConfig, SuperChunk};
-use sigma_hashkit::{Digest, Sha1};
+use sigma_hashkit::FingerprintAlgorithm;
 use sigma_simulation::experiments::fig5b;
 use sigma_workloads::Scale;
 
@@ -26,11 +26,10 @@ fn bench_resemblance_query(c: &mut Criterion) {
     report();
     let config = SigmaConfig::default();
     let node = DedupNode::new(0, &config);
-    let sc = SuperChunk::from_descriptors(
+    let sc = SuperChunk::from_payloads(
+        FingerprintAlgorithm::Sha1,
         0,
-        (0..256u64)
-            .map(|i| sigma_core::ChunkDescriptor::new(Sha1::fingerprint(&i.to_le_bytes()), 4096))
-            .collect(),
+        (0..256u64).map(|i| i.to_le_bytes().repeat(512)).collect(),
     );
     let handprint = sc.handprint(8);
     node.process_super_chunk(0, &sc, &handprint).unwrap();

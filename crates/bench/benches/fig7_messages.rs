@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use sigma_baselines::StatefulRouter;
 use sigma_core::{DataRouter, DedupNode, RoutingContext, SigmaConfig, SuperChunk};
-use sigma_hashkit::{Digest, Sha1};
+use sigma_hashkit::FingerprintAlgorithm;
 use sigma_simulation::experiments::fig7;
 use sigma_workloads::Scale;
 use std::sync::Arc;
@@ -36,11 +36,10 @@ fn bench_stateful_broadcast(c: &mut Criterion) {
     let nodes: Vec<Arc<DedupNode>> = (0..128)
         .map(|i| Arc::new(DedupNode::new(i, &config)))
         .collect();
-    let sc = SuperChunk::from_descriptors(
+    let sc = SuperChunk::from_payloads(
+        FingerprintAlgorithm::Sha1,
         0,
-        (0..256u64)
-            .map(|i| sigma_core::ChunkDescriptor::new(Sha1::fingerprint(&i.to_le_bytes()), 4096))
-            .collect(),
+        (0..256u64).map(|i| i.to_le_bytes().repeat(512)).collect(),
     );
     let handprint = sc.handprint(8);
     let router = StatefulRouter::new();

@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sigma_core::{
     DataRouter, DedupNode, RoutingContext, SigmaConfig, SimilarityRouter, SuperChunk,
 };
-use sigma_hashkit::{Digest, Sha1};
+use sigma_hashkit::FingerprintAlgorithm;
 use sigma_simulation::experiments::table1;
 use sigma_workloads::Scale;
 use std::sync::Arc;
@@ -30,11 +30,10 @@ fn bench_routing_decision(c: &mut Criterion) {
     let nodes: Vec<Arc<DedupNode>> = (0..32)
         .map(|i| Arc::new(DedupNode::new(i, &config)))
         .collect();
-    let sc = SuperChunk::from_descriptors(
+    let sc = SuperChunk::from_payloads(
+        FingerprintAlgorithm::Sha1,
         0,
-        (0..256u64)
-            .map(|i| sigma_core::ChunkDescriptor::new(Sha1::fingerprint(&i.to_le_bytes()), 4096))
-            .collect(),
+        (0..256u64).map(|i| i.to_le_bytes().repeat(512)).collect(),
     );
     let handprint = sc.handprint(8);
     let router = SimilarityRouter::new(true);

@@ -11,7 +11,7 @@ fn report() {
     );
     let rows = table2::run(Scale::Small);
     sigma_bench::print_table(
-        "synthetic stand-ins at the Small scale (sizes shrink, redundancy structure is preserved)",
+        "generated stand-ins at the Small scale (sizes shrink, redundancy structure is preserved)",
         &table2::render(&rows),
     );
 }

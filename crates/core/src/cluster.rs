@@ -350,8 +350,9 @@ impl DedupCluster {
     ///
     /// # Errors
     ///
-    /// Propagates [`SigmaError::ChunkMissing`] / [`SigmaError::PayloadUnavailable`]
-    /// from the node.
+    /// Propagates [`SigmaError::ChunkMissing`] from the node at the end of the
+    /// chain, and [`SigmaError::Storage`] when that node cannot read the
+    /// chunk's bytes.
     pub fn read_chunk(&self, node: usize, fingerprint: &Fingerprint) -> Result<Vec<u8>> {
         self.resolve_chunk(node, fingerprint, |n| n.read_chunk(fingerprint))
             .map(|(_, data)| data)
@@ -1126,16 +1127,13 @@ pub(crate) fn usage_skew(usage: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ChunkDescriptor;
     use sigma_hashkit::{Digest, FingerprintAlgorithm, Sha1};
     use sigma_storage::{StorageBackend, StorageError, StorageObject};
 
+    /// One 4 KiB chunk per id, each its id's bytes repeated.
     fn super_chunk(ids: std::ops::Range<u64>) -> SuperChunk {
-        SuperChunk::from_descriptors(
-            0,
-            ids.map(|i| ChunkDescriptor::new(Sha1::fingerprint(&i.to_le_bytes()), 4096))
-                .collect(),
-        )
+        let chunks = ids.map(|i| i.to_le_bytes().repeat(512)).collect();
+        SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, chunks)
     }
 
     #[test]
@@ -1175,7 +1173,7 @@ mod tests {
     #[test]
     fn empty_super_chunk_is_a_no_op() {
         let cluster = DedupCluster::with_similarity_router(2, SigmaConfig::default());
-        let sc = SuperChunk::from_descriptors(0, Vec::new());
+        let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, Vec::new());
         let r = cluster.backup_super_chunk(0, &sc, None).unwrap();
         assert_eq!(r.total_chunks(), 0);
         assert_eq!(cluster.message_stats().super_chunks_routed, 0);

@@ -93,7 +93,8 @@ impl std::fmt::Display for ServiceCode {
 /// Errors produced by backup, deduplication and restore operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SigmaError {
-    /// An underlying storage operation failed.
+    /// An underlying storage operation failed: a backend error, or a chunk
+    /// record with no bytes behind it in its container (corruption).
     Storage(StorageError),
     /// No file recipe exists for this file ID.
     FileNotFound(u64),
@@ -105,11 +106,6 @@ pub enum SigmaError {
         /// Node that was expected to hold the chunk.
         node: usize,
         /// Hex form of the missing fingerprint.
-        fingerprint: String,
-    },
-    /// The chunk exists but its payload was not stored (trace-driven/synthetic mode).
-    PayloadUnavailable {
-        /// Hex form of the fingerprint whose payload is unavailable.
         fingerprint: String,
     },
     /// The chunk's container was migrated to another node; the error carries the
@@ -191,9 +187,9 @@ impl SigmaError {
             SigmaError::Storage(StorageError::Crashed) => ServiceCode::Unavailable,
             SigmaError::Storage(_) => ServiceCode::Internal,
             SigmaError::FileNotFound(_) | SigmaError::BackupNotFound(_) => ServiceCode::NotFound,
-            SigmaError::ChunkMissing { .. }
-            | SigmaError::PayloadUnavailable { .. }
-            | SigmaError::RestoreTruncated { .. } => ServiceCode::Internal,
+            SigmaError::ChunkMissing { .. } | SigmaError::RestoreTruncated { .. } => {
+                ServiceCode::Internal
+            }
             SigmaError::ChunkMigrated { .. } => ServiceCode::Unavailable,
             SigmaError::UnknownNode(_) => ServiceCode::NotFound,
             SigmaError::ClusterTooSmall => ServiceCode::Conflict,
@@ -220,11 +216,6 @@ impl std::fmt::Display for SigmaError {
             SigmaError::ChunkMissing { node, fingerprint } => {
                 write!(f, "chunk {} missing on node {}", fingerprint, node)
             }
-            SigmaError::PayloadUnavailable { fingerprint } => write!(
-                f,
-                "payload for chunk {} was not stored (synthetic mode)",
-                fingerprint
-            ),
             SigmaError::ChunkMigrated { fingerprint, node } => {
                 write!(f, "chunk {} was migrated to node {}", fingerprint, node)
             }
@@ -330,12 +321,6 @@ mod tests {
             (
                 SigmaError::ChunkMissing {
                     node: 0,
-                    fingerprint: "aa".into(),
-                },
-                ServiceCode::Internal,
-            ),
-            (
-                SigmaError::PayloadUnavailable {
                     fingerprint: "aa".into(),
                 },
                 ServiceCode::Internal,

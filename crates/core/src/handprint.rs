@@ -247,7 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn broder_bound_holds_on_synthetic_data() {
+    fn broder_bound_holds_on_generated_data() {
         // Estimated resemblance via handprints should grow with the true Jaccard
         // index, and larger handprints should detect similarity at least as often as
         // a single representative fingerprint.

@@ -618,8 +618,8 @@ impl DedupNode {
 
         // Step 3: resolve each chunk.
         let mut first_target: Option<ContainerId> = None;
-        for (i, descriptor) in super_chunk.descriptors().iter().enumerate() {
-            let resolution = self.resolve_chunk(stream, descriptor, super_chunk.payload(i))?;
+        for (descriptor, payload) in super_chunk.chunks() {
+            let resolution = self.resolve_chunk(stream, descriptor, payload)?;
             match resolution {
                 ChunkResolution::CacheHit => {
                     receipt.duplicate_chunks += 1;
@@ -679,7 +679,7 @@ impl DedupNode {
         &self,
         stream: StreamId,
         descriptor: &ChunkDescriptor,
-        payload: Option<&[u8]>,
+        payload: &[u8],
     ) -> Result<ChunkResolution> {
         let fp = descriptor.fingerprint;
 
@@ -737,11 +737,7 @@ impl DedupNode {
         }
 
         // Unique: store it.
-        let stored = match payload {
-            Some(bytes) => self.store.store_chunk(stream, fp, bytes),
-            None => self.store.store_chunk_synthetic(stream, fp, descriptor.len),
-        };
-        let stored = match stored {
+        let stored = match self.store.store_chunk(stream, fp, payload) {
             Ok(stored) => stored,
             Err(e) => {
                 if self.chunk_index_fallback {
@@ -781,11 +777,12 @@ impl DedupNode {
     /// # Errors
     ///
     /// Returns [`SigmaError::ChunkMissing`] when the fingerprint is unknown to this
-    /// node, [`SigmaError::PayloadUnavailable`] when the chunk was stored in
-    /// synthetic (trace-driven) mode, and [`SigmaError::ChunkMigrated`] when the
-    /// chunk's container was migrated away by the rebalancer — the error names the
-    /// node now holding it, and [`DedupCluster`](crate::DedupCluster) restores
-    /// follow that forwarding chain transparently.
+    /// node, and [`SigmaError::ChunkMigrated`] when the chunk's container was
+    /// migrated away by the rebalancer — the error names the node now holding
+    /// it, and [`DedupCluster`](crate::DedupCluster) restores follow that
+    /// forwarding chain transparently.  Any other storage error, such as a
+    /// record past its container's data section, passes through as
+    /// [`SigmaError::Storage`].
     pub fn read_chunk(&self, fingerprint: &Fingerprint) -> Result<Vec<u8>> {
         let location =
             self.chunk_index
@@ -796,11 +793,6 @@ impl DedupNode {
                 })?;
         match self.store.read_chunk(&location.container, fingerprint) {
             Ok(data) => Ok(data),
-            Err(sigma_storage::StorageError::ChunkNotInContainer { .. }) => {
-                Err(SigmaError::PayloadUnavailable {
-                    fingerprint: fingerprint.to_string(),
-                })
-            }
             Err(sigma_storage::StorageError::ContainerNotFound(cid)) => {
                 Err(self.not_here(&cid, fingerprint.to_string()))
             }
@@ -832,9 +824,9 @@ impl DedupNode {
     ///
     /// # Errors
     ///
-    /// Same as [`read_chunk`](Self::read_chunk), except that a synthetic chunk
-    /// is not detected here — it still resolves to an extent, and surfaces as
-    /// [`SigmaError::PayloadUnavailable`] when the batched read rejects it.
+    /// Same as [`read_chunk`](Self::read_chunk), except that a record past its
+    /// container's data section is not detected here — it still resolves to
+    /// an extent, and the batched read rejects it.
     pub fn plan_chunk_read(&self, fingerprint: &Fingerprint) -> Result<ChunkLocation> {
         let location =
             self.chunk_index
@@ -859,8 +851,7 @@ impl DedupNode {
     /// # Errors
     ///
     /// Maps storage errors exactly as [`read_chunk`](Self::read_chunk) does:
-    /// a synthetic chunk surfaces as [`SigmaError::PayloadUnavailable`], a
-    /// migrated-away container as [`SigmaError::ChunkMigrated`] (or
+    /// a migrated-away container as [`SigmaError::ChunkMigrated`] (or
     /// [`SigmaError::ChunkMissing`] when no tombstone points onward).  On error
     /// the output slices are partially written; the pipeline falls back to the
     /// serial path for the whole group.
@@ -871,9 +862,6 @@ impl DedupNode {
     ) -> Result<sigma_storage::BatchedReadStats> {
         match self.store.read_chunks_batched(container, fetches) {
             Ok(stats) => Ok(stats),
-            Err(sigma_storage::StorageError::ChunkNotInContainer { fingerprint, .. }) => {
-                Err(SigmaError::PayloadUnavailable { fingerprint })
-            }
             Err(sigma_storage::StorageError::ContainerNotFound(cid)) => {
                 let fingerprint = fetches
                     .first()
@@ -1380,13 +1368,17 @@ mod tests {
         SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, data)
     }
 
-    fn descriptor_super_chunk(ids: &[u64], len: u32) -> SuperChunk {
-        SuperChunk::from_descriptors(
-            0,
-            ids.iter()
-                .map(|&i| ChunkDescriptor::new(Sha1::fingerprint(&i.to_le_bytes()), len))
-                .collect(),
-        )
+    /// One super-chunk of a chunk per id, fingerprinted `Sha1(id)` and
+    /// `len` bytes of the id's low byte.
+    fn id_super_chunk(ids: &[u64], len: u32) -> SuperChunk {
+        let mut builder = SuperChunkBuilder::new(usize::MAX);
+        for &i in ids {
+            let descriptor = ChunkDescriptor::new(Sha1::fingerprint(&i.to_le_bytes()), len);
+            assert!(builder
+                .push_chunk(descriptor, vec![i as u8; len as usize])
+                .is_none());
+        }
+        builder.finish().expect("at least one id")
     }
 
     #[test]
@@ -1417,7 +1409,7 @@ mod tests {
     fn duplicates_within_one_super_chunk_are_caught() {
         let node = DedupNode::new(0, &config());
         // The same chunk id repeated many times inside one super-chunk.
-        let sc = descriptor_super_chunk(&[7, 7, 7, 7, 8], 4096);
+        let sc = id_super_chunk(&[7, 7, 7, 7, 8], 4096);
         let hp = sc.handprint(8);
         let r = node.process_super_chunk(0, &sc, &hp).unwrap();
         assert_eq!(r.unique_chunks, 2);
@@ -1433,7 +1425,7 @@ mod tests {
             .build()
             .unwrap();
         let node = DedupNode::new(0, &cfg);
-        let sc = descriptor_super_chunk(&(0..64).collect::<Vec<u64>>(), 4096);
+        let sc = id_super_chunk(&(0..64).collect::<Vec<u64>>(), 4096);
         let hp = sc.handprint(8);
         node.process_super_chunk(0, &sc, &hp).unwrap();
         node.try_flush().unwrap();
@@ -1457,14 +1449,14 @@ mod tests {
             .unwrap();
         let node = DedupNode::new(0, &cfg);
         // First super-chunk: chunks 0..64.
-        let a = descriptor_super_chunk(&(0..64).collect::<Vec<u64>>(), 4096);
+        let a = id_super_chunk(&(0..64).collect::<Vec<u64>>(), 4096);
         node.process_super_chunk(0, &a, &a.handprint(8)).unwrap();
         node.try_flush().unwrap();
         // Second super-chunk shares only one low-similarity chunk and has a disjoint
         // handprint (we force that by computing the handprint from different data).
         let mut ids: Vec<u64> = (1000..1063).collect();
         ids.push(5); // one duplicate chunk hidden among new data
-        let b = descriptor_super_chunk(&ids, 4096);
+        let b = id_super_chunk(&ids, 4096);
         // Handprint intentionally computed only over the new chunks so it cannot
         // match the stored container.
         let hp_b = Handprint::from_fingerprints(
@@ -1492,12 +1484,12 @@ mod tests {
         let node = DedupNode::new(0, &config());
         // 300 KB chunk vs. 256 KB containers: must fail up front, leaving the
         // fingerprint unclaimed so no racer can mistake it for a duplicate.
-        let sc = descriptor_super_chunk(&[7], 300 * 1024);
+        let sc = id_super_chunk(&[7], 300 * 1024);
         let fp = sc.descriptors()[0].fingerprint;
         assert!(node.process_super_chunk(0, &sc, &sc.handprint(4)).is_err());
         assert_eq!(node.count_stored_fingerprints(&[fp]), 0);
         // The same fingerprint with a storable length is still accepted later.
-        let ok = SuperChunk::from_descriptors(0, vec![ChunkDescriptor::new(fp, 4096)]);
+        let ok = id_super_chunk(&[7], 4096);
         let receipt = node.process_super_chunk(0, &ok, &ok.handprint(4)).unwrap();
         assert_eq!(receipt.unique_chunks, 1);
     }
@@ -1524,33 +1516,41 @@ mod tests {
             Err(SigmaError::ChunkMissing { .. })
         ));
 
-        // Synthetic chunks have no payload.
-        let sc = descriptor_super_chunk(&[1, 2, 3], 512);
+        // A storage error passes through as itself: here the object holding
+        // the chunk's bytes is gone.
+        let backend = Arc::new(FaultyBackend::default());
+        let node = node_over(backend.clone());
+        let sc = payload_super_chunk(3, 4, 512);
         node.process_super_chunk(0, &sc, &sc.handprint(4)).unwrap();
         node.try_flush().unwrap();
+        for obj in backend.list().unwrap() {
+            if matches!(obj, StorageObject::Container(_)) {
+                backend.delete(obj).unwrap();
+            }
+        }
         assert!(matches!(
             node.read_chunk(&sc.descriptors()[0].fingerprint),
-            Err(SigmaError::PayloadUnavailable { .. })
+            Err(SigmaError::Storage(StorageError::Io(_)))
         ));
     }
 
     #[test]
     fn resemblance_count_reflects_similarity_index() {
         let node = DedupNode::new(0, &config());
-        let sc = descriptor_super_chunk(&(0..32).collect::<Vec<u64>>(), 4096);
+        let sc = id_super_chunk(&(0..32).collect::<Vec<u64>>(), 4096);
         let hp = sc.handprint(8);
         assert_eq!(node.resemblance_count(&hp), 0);
         node.process_super_chunk(0, &sc, &hp).unwrap();
         assert_eq!(node.resemblance_count(&hp), 8);
         // A disjoint super-chunk has zero resemblance.
-        let other = descriptor_super_chunk(&(100..132).collect::<Vec<u64>>(), 4096);
+        let other = id_super_chunk(&(100..132).collect::<Vec<u64>>(), 4096);
         assert_eq!(node.resemblance_count(&other.handprint(8)), 0);
     }
 
     #[test]
     fn count_stored_fingerprints_for_stateful_routing() {
         let node = DedupNode::new(0, &config());
-        let sc = descriptor_super_chunk(&(0..16).collect::<Vec<u64>>(), 4096);
+        let sc = id_super_chunk(&(0..16).collect::<Vec<u64>>(), 4096);
         node.process_super_chunk(0, &sc, &sc.handprint(8)).unwrap();
         let probe: Vec<Fingerprint> = (8..24u64)
             .map(|i| Sha1::fingerprint(&i.to_le_bytes()))
@@ -2302,7 +2302,7 @@ mod tests {
                 for i in 0..64u64 {
                     let id = stream * 1000 + i;
                     let d = ChunkDescriptor::new(Sha1::fingerprint(&id.to_le_bytes()), 4096);
-                    if let Some(sc) = builder.push_descriptor(d) {
+                    if let Some(sc) = builder.push_chunk(d, vec![id as u8; 4096]) {
                         supers.push(sc);
                     }
                 }

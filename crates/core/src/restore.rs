@@ -29,9 +29,10 @@
 //!    is free because each group writes disjoint slices.
 //!
 //! Semantics are pinned to the serial path: a group that fails its batched
-//! read (a migration or GC racing the plan, or a synthetic trace-driven chunk)
-//! falls back to per-chunk [`DedupCluster::read_chunk`], which re-follows
-//! tombstone chains and reproduces the serial error; when the plan cannot
+//! read (a migration or GC racing the plan, or a corrupt record past its
+//! container's data section) falls back to per-chunk
+//! [`DedupCluster::read_chunk`], which re-follows tombstone chains and
+//! reproduces the serial error; when the plan cannot
 //! even represent the recipe (layout disagreement between recipe and index)
 //! the whole restore re-runs on the reference path, preserving the
 //! [`SigmaError::RestoreTruncated`] end-to-end guard byte for byte.
@@ -302,7 +303,8 @@ impl DedupCluster {
 
     /// Runs one group: a batched container read, with a per-chunk serial
     /// fallback that re-follows tombstones when the batch fails (a migration
-    /// or GC raced the plan, or the group contains a synthetic chunk).
+    /// or GC raced the plan, or a record in the group is corrupt, which the
+    /// serial read reports as the same storage error).
     fn fetch_group(&self, group: Group<'_>) -> GroupOutcome {
         let mut stats = GroupStats {
             containers_read: 1,

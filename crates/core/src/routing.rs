@@ -181,8 +181,8 @@ impl DataRouter for SimilarityRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ChunkDescriptor, SigmaConfig};
-    use sigma_hashkit::{Digest, Sha1};
+    use crate::SigmaConfig;
+    use sigma_hashkit::FingerprintAlgorithm;
 
     fn nodes(n: usize) -> Vec<Arc<DedupNode>> {
         let config = SigmaConfig::default();
@@ -191,12 +191,10 @@ mod tests {
             .collect()
     }
 
+    /// One 4 KiB chunk per id, each its id's bytes repeated.
     fn super_chunk(ids: std::ops::Range<u64>) -> SuperChunk {
-        SuperChunk::from_descriptors(
-            0,
-            ids.map(|i| ChunkDescriptor::new(Sha1::fingerprint(&i.to_le_bytes()), 4096))
-                .collect(),
-        )
+        let chunks = ids.map(|i| i.to_le_bytes().repeat(512)).collect();
+        SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, chunks)
     }
 
     fn ctx<'a>(
@@ -288,7 +286,7 @@ mod tests {
     #[test]
     fn empty_handprint_defaults_to_node_zero() {
         let nodes = nodes(4);
-        let sc = SuperChunk::from_descriptors(0, Vec::new());
+        let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, Vec::new());
         let hp = sc.handprint(8);
         let router = SimilarityRouter::new(true);
         assert_eq!(router.route(&ctx(&sc, &hp, &nodes)).target, 0);

@@ -11,8 +11,8 @@ use crate::Handprint;
 use serde::{Deserialize, Serialize};
 use sigma_hashkit::{Fingerprint, FingerprintAlgorithm};
 
-/// Fingerprint and size of one chunk (the form in which chunks travel once the
-/// client has fingerprinted them, and the only form needed in trace-driven mode).
+/// Fingerprint and size of one chunk: the form in which routing and the
+/// node's dedup lookups see a chunk once the client has fingerprinted it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ChunkDescriptor {
     /// The chunk's fingerprint.
@@ -30,8 +30,8 @@ impl ChunkDescriptor {
 
 /// A group of consecutive chunks routed (and deduplicated) together.
 ///
-/// A super-chunk may carry the chunk payloads (real backup traffic) or only the
-/// descriptors (trace-driven simulation); [`SuperChunk::has_payloads`] tells which.
+/// A super-chunk carries one payload per descriptor: every chunk a node
+/// stores has its bytes.
 ///
 /// # Example
 ///
@@ -51,20 +51,11 @@ pub struct SuperChunk {
     /// Offset of the super-chunk within its stream (bytes).
     offset: u64,
     descriptors: Vec<ChunkDescriptor>,
-    /// Parallel to `descriptors`; empty when operating on descriptors only.
+    /// Parallel to `descriptors`.
     payloads: Vec<Vec<u8>>,
 }
 
 impl SuperChunk {
-    /// Builds a super-chunk from descriptors only (no payloads).
-    pub fn from_descriptors(offset: u64, descriptors: Vec<ChunkDescriptor>) -> Self {
-        SuperChunk {
-            offset,
-            descriptors,
-            payloads: Vec::new(),
-        }
-    }
-
     /// Builds a super-chunk from raw chunk payloads, fingerprinting them with
     /// `algorithm` in one [`FingerprintAlgorithm::fingerprint_batch`] call.
     pub fn from_payloads(
@@ -95,14 +86,16 @@ impl SuperChunk {
         &self.descriptors
     }
 
-    /// The payload of chunk `index`, if payloads were provided.
+    /// The payload of chunk `index`; `None` past the last chunk.
     pub fn payload(&self, index: usize) -> Option<&[u8]> {
         self.payloads.get(index).map(|v| v.as_slice())
     }
 
-    /// True when the super-chunk carries chunk payloads.
-    pub fn has_payloads(&self) -> bool {
-        !self.payloads.is_empty()
+    /// Each chunk's descriptor with its payload, in stream order.
+    pub(crate) fn chunks(&self) -> impl Iterator<Item = (&ChunkDescriptor, &[u8])> {
+        self.descriptors
+            .iter()
+            .zip(self.payloads.iter().map(Vec::as_slice))
     }
 
     /// Number of chunks in the super-chunk.
@@ -155,9 +148,10 @@ impl SuperChunk {
 ///
 /// let mut builder = SuperChunkBuilder::new(8 * 1024);
 /// let mut complete = Vec::new();
-/// for i in 0..6u32 {
-///     let d = ChunkDescriptor::new(Sha1::fingerprint(&i.to_le_bytes()), 4096);
-///     if let Some(sc) = builder.push_descriptor(d) {
+/// for i in 0..6u8 {
+///     let payload = vec![i; 4096];
+///     let d = ChunkDescriptor::new(Sha1::fingerprint(&payload), 4096);
+///     if let Some(sc) = builder.push_chunk(d, payload) {
 ///         complete.push(sc);
 ///     }
 /// }
@@ -223,16 +217,6 @@ impl SuperChunkBuilder {
         payload: Vec<u8>,
     ) -> Option<SuperChunk> {
         self.payloads.push(payload);
-        self.push_descriptor_inner(descriptor)
-    }
-
-    /// Adds a descriptor-only chunk; returns a completed super-chunk once the target
-    /// size is reached.
-    pub fn push_descriptor(&mut self, descriptor: ChunkDescriptor) -> Option<SuperChunk> {
-        self.push_descriptor_inner(descriptor)
-    }
-
-    fn push_descriptor_inner(&mut self, descriptor: ChunkDescriptor) -> Option<SuperChunk> {
         self.current_bytes += descriptor.len as usize;
         self.next_offset += descriptor.len as u64;
         self.descriptors.push(descriptor);
@@ -271,8 +255,10 @@ mod tests {
     use proptest::prelude::*;
     use sigma_hashkit::{Digest, Sha1};
 
-    fn descriptor(i: u64, len: u32) -> ChunkDescriptor {
-        ChunkDescriptor::new(Sha1::fingerprint(&i.to_le_bytes()), len)
+    /// Pushes chunk `i`: `len` bytes of `i`'s low byte, fingerprinted by `i`.
+    fn push(b: &mut SuperChunkBuilder, i: u64, len: u32) -> Option<SuperChunk> {
+        let descriptor = ChunkDescriptor::new(Sha1::fingerprint(&i.to_le_bytes()), len);
+        b.push_chunk(descriptor, vec![i as u8; len as usize])
     }
 
     #[test]
@@ -280,7 +266,6 @@ mod tests {
         let chunks = vec![b"aaa".to_vec(), b"bbb".to_vec()];
         let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 10, chunks);
         assert_eq!(sc.offset(), 10);
-        assert!(sc.has_payloads());
         assert_eq!(sc.descriptors()[0].fingerprint, Sha1::fingerprint(b"aaa"));
         assert_eq!(sc.descriptors()[1].fingerprint, Sha1::fingerprint(b"bbb"));
         assert_eq!(sc.payload(0).unwrap(), b"aaa");
@@ -289,13 +274,18 @@ mod tests {
     }
 
     #[test]
-    fn descriptor_only_super_chunks_have_no_payloads() {
-        let sc = SuperChunk::from_descriptors(0, vec![descriptor(1, 100), descriptor(2, 200)]);
-        assert!(!sc.has_payloads());
-        assert_eq!(sc.payload(0), None);
+    fn builder_keeps_each_payload_beside_its_descriptor() {
+        let mut b = SuperChunkBuilder::new(1000);
+        assert!(push(&mut b, 1, 100).is_none());
+        assert!(push(&mut b, 2, 200).is_none());
+        let sc = b.finish().unwrap();
         assert_eq!(sc.logical_size(), 300);
         assert_eq!(sc.chunk_count(), 2);
         assert!(!sc.is_empty());
+        assert_eq!(sc.payload(1), Some(&[2u8; 200][..]));
+        let chunks: Vec<(&ChunkDescriptor, &[u8])> = sc.chunks().collect();
+        assert_eq!(chunks.len(), 2);
+        assert_eq!(chunks[0], (&sc.descriptors()[0], &[1u8; 100][..]));
     }
 
     #[test]
@@ -303,7 +293,7 @@ mod tests {
         let mut b = SuperChunkBuilder::new(1000);
         let mut done = Vec::new();
         for i in 0..10u64 {
-            if let Some(sc) = b.push_descriptor(descriptor(i, 300)) {
+            if let Some(sc) = push(&mut b, i, 300) {
                 done.push(sc);
             }
         }
@@ -331,13 +321,13 @@ mod tests {
         let mut b = SuperChunkBuilder::new(1000);
         assert_eq!(b.pending_chunk_count(), 0);
         assert_eq!(b.pending_bytes(), 0);
-        assert!(b.push_descriptor(descriptor(1, 300)).is_none());
-        assert!(b.push_descriptor(descriptor(2, 300)).is_none());
+        assert!(push(&mut b, 1, 300).is_none());
+        assert!(push(&mut b, 2, 300).is_none());
         assert_eq!(b.pending_chunk_count(), 2);
         assert_eq!(b.pending_bytes(), 600);
         assert!(!b.is_empty());
         // Emitting drains the buffer.
-        assert!(b.push_descriptor(descriptor(3, 600)).is_some());
+        assert!(push(&mut b, 3, 600).is_some());
         assert_eq!(b.pending_chunk_count(), 0);
         assert_eq!(b.pending_bytes(), 0);
     }
@@ -350,7 +340,8 @@ mod tests {
 
     #[test]
     fn handprint_of_super_chunk_is_k_smallest() {
-        let sc = SuperChunk::from_descriptors(0, (0..100).map(|i| descriptor(i, 10)).collect());
+        let chunks = (0..100u64).map(|i| i.to_le_bytes().to_vec()).collect();
+        let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, chunks);
         let hp = sc.handprint(5);
         let mut all: Vec<Fingerprint> = sc.fingerprints().collect();
         all.sort();
@@ -366,7 +357,7 @@ mod tests {
             let mut b = SuperChunkBuilder::new(target);
             let mut supers = Vec::new();
             for (i, &len) in lens.iter().enumerate() {
-                if let Some(sc) = b.push_descriptor(descriptor(i as u64, len)) {
+                if let Some(sc) = push(&mut b, i as u64, len) {
                     supers.push(sc);
                 }
             }

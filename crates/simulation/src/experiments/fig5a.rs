@@ -109,7 +109,7 @@ fn measure(
                 FingerprintAlgorithm::Sha1.fingerprint(chunk.data()),
                 chunk.len() as u32,
             );
-            if let Some(sc) = builder.push_descriptor(descriptor) {
+            if let Some(sc) = builder.push_chunk(descriptor, chunk.into_data()) {
                 supers.push(sc);
             }
         }
@@ -117,9 +117,10 @@ fn measure(
         for sc in supers {
             let handprint = sc.handprint(config.handprint_size);
             node.process_super_chunk(v as u64, &sc, &handprint)
-                .expect("synthetic store cannot fail");
+                .expect("an in-memory node stores every chunk");
         }
-        node.try_flush().expect("synthetic store cannot fail");
+        node.try_flush()
+            .expect("an in-memory node seals every container");
     }
     let elapsed = stopwatch.elapsed().as_secs_f64();
     let stats = node.stats();

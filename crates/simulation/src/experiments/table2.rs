@@ -2,7 +2,7 @@
 //!
 //! For each of the four workloads the paper reports the original capacity and the
 //! deduplication ratio under 4 KB static chunking (SC) and, for the two file
-//! datasets, content-defined chunking (CDC).  The synthetic stand-ins are generated
+//! datasets, content-defined chunking (CDC).  The stand-ins are generated
 //! at a configurable scale; what is expected to match the paper is the *ordering and
 //! rough magnitude* of the deduplication ratios (Mail ≫ Linux > VM > Web ≈ 2).
 

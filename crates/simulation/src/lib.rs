@@ -5,7 +5,11 @@
 //!
 //! * [`runner`] — drives a [`sigma_workloads::DatasetTrace`] through a
 //!   [`sigma_core::DedupCluster`] with any routing scheme and collects the paper's
-//!   metrics (cluster DR, storage skew, fingerprint-lookup messages, NEDR).
+//!   metrics (cluster DR, storage skew, fingerprint-lookup messages, NEDR).  A
+//!   trace carries no content, so each chunk is stored as its
+//!   [stand-in payload](sigma_workloads::ChunkSpec::stand_in_payload): the
+//!   nodes run the store path a real backup runs, and the figures depend only
+//!   on the trace's fingerprints and lengths.
 //! * [`experiments`] — one module per table/figure of the paper; each produces the
 //!   rows/series of that figure and can render them as a text table.  The
 //!   `sigma-bench` crate invokes these from `cargo bench`, and the examples print

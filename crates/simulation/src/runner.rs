@@ -7,11 +7,19 @@
 //! stream assignment and their per-stream order, but the streams hit the cluster
 //! concurrently — the multi-user ingest pattern the paper's throughput
 //! experiments assume.
+//!
+//! A trace has fingerprints and lengths but no content, so each chunk is
+//! stored with its [stand-in payload](sigma_workloads::ChunkSpec::stand_in_payload):
+//! the cluster runs the store path real backups run, and every routing, dedup
+//! and accounting decision depends only on the fingerprints and lengths.
 
 use serde::{Deserialize, Serialize};
-use sigma_core::{ChunkDescriptor, DataRouter, DedupCluster, SigmaConfig, SuperChunkBuilder};
+use sigma_core::{
+    ChunkDescriptor, DataRouter, DedupCluster, SigmaConfig, SuperChunk, SuperChunkBuilder,
+};
 use sigma_metrics::ClusterRunSummary;
 use sigma_workloads::{DatasetTrace, FileTrace};
+use std::collections::BTreeMap;
 
 /// Parameters of one simulated cluster run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,20 +81,17 @@ pub fn run_cluster_detailed(
     let parallelism = config.sigma.effective_parallelism();
 
     for generation in &dataset.generations {
+        // File `i` goes to stream `i mod streams`.
+        let assigned = || {
+            let files = generation.files.iter().enumerate();
+            files.map(|(i, file)| (i as u64 % streams, file))
+        };
         if parallelism > 1 && streams > 1 {
             // Threaded mode: one real thread per client stream (up to
-            // `parallelism` in flight).  Files keep the same round-robin stream
-            // assignment and per-stream order as the serial path below.
-            let assignments: Vec<Vec<&FileTrace>> = {
-                let mut per_stream: Vec<Vec<&FileTrace>> = vec![Vec::new(); streams as usize];
-                for (i, file) in generation.files.iter().enumerate() {
-                    per_stream[i % streams as usize].push(file);
-                }
-                per_stream
-            };
+            // `parallelism` in flight), each replaying its files in order.
             std::thread::scope(|scope| {
                 let mut pending = Vec::new();
-                for (stream, files) in assignments.into_iter().enumerate() {
+                for stream in 0..streams {
                     if pending.len() >= parallelism {
                         // Simple admission control: wait for the oldest stream
                         // before launching another one.
@@ -95,10 +100,9 @@ pub fn run_cluster_detailed(
                     }
                     let cluster = &cluster;
                     pending.push(scope.spawn(move || {
-                        drive_stream(
+                        replay_files(
                             cluster,
-                            stream as u64,
-                            &files,
+                            assigned().filter(|&(s, _)| s == stream),
                             dataset.has_file_boundaries,
                             per_file_super_chunks,
                             config.sigma.super_chunk_size,
@@ -110,44 +114,18 @@ pub fn run_cluster_detailed(
                 }
             });
         } else {
-            let mut builders: Vec<SuperChunkBuilder> = (0..streams)
-                .map(|_| SuperChunkBuilder::new(config.sigma.super_chunk_size))
-                .collect();
-            for (i, file) in generation.files.iter().enumerate() {
-                let stream = i as u64 % streams;
-                let file_id = if dataset.has_file_boundaries {
-                    Some(file.file_id)
-                } else {
-                    None
-                };
-                let builder = &mut builders[stream as usize];
-                for chunk in &file.chunks {
-                    let descriptor = ChunkDescriptor::new(chunk.fingerprint, chunk.len);
-                    if let Some(sc) = builder.push_descriptor(descriptor) {
-                        cluster
-                            .backup_super_chunk(stream, &sc, file_id)
-                            .expect("trace-driven backup cannot fail to store synthetic chunks");
-                    }
-                }
-                if per_file_super_chunks {
-                    if let Some(sc) = builder.finish() {
-                        cluster
-                            .backup_super_chunk(stream, &sc, file_id)
-                            .expect("trace-driven backup cannot fail to store synthetic chunks");
-                    }
-                }
-            }
-            for (stream, builder) in builders.iter_mut().enumerate() {
-                if let Some(sc) = builder.finish() {
-                    cluster
-                        .backup_super_chunk(stream as u64, &sc, None)
-                        .expect("trace-driven backup cannot fail to store synthetic chunks");
-                }
-            }
+            // Serial mode: the streams' files interleave round-robin.
+            replay_files(
+                &cluster,
+                assigned(),
+                dataset.has_file_boundaries,
+                per_file_super_chunks,
+                config.sigma.super_chunk_size,
+            );
         }
         cluster
             .try_flush()
-            .expect("trace-driven backup cannot fail to store synthetic chunks");
+            .expect("trace-driven backup failed to seal its containers");
     }
 
     let stats = cluster.stats();
@@ -169,43 +147,47 @@ pub fn run_cluster_detailed(
     }
 }
 
-/// Replays one stream's files through the cluster, in order — the per-thread body
-/// of the threaded runner.
-fn drive_stream(
+/// Backs up `(stream, file)` pairs in order, one super-chunk builder per
+/// stream and each chunk with its
+/// [stand-in payload](sigma_workloads::ChunkSpec::stand_in_payload), then
+/// finishes every stream's last super-chunk, in stream order.  A
+/// file-similarity router (`per_file_super_chunks`) also gets each file's
+/// tail as its own super-chunk.  The serial runner and each thread of the
+/// threaded one call this.
+fn replay_files<'f>(
     cluster: &DedupCluster,
-    stream: u64,
-    files: &[&FileTrace],
+    files: impl Iterator<Item = (u64, &'f FileTrace)>,
     has_file_boundaries: bool,
     per_file_super_chunks: bool,
     super_chunk_size: usize,
 ) {
-    let mut builder = SuperChunkBuilder::new(super_chunk_size);
-    for file in files {
-        let file_id = if has_file_boundaries {
-            Some(file.file_id)
-        } else {
-            None
-        };
+    let backup = |stream, super_chunk: Option<SuperChunk>, file_id| {
+        if let Some(sc) = super_chunk {
+            cluster
+                .backup_super_chunk(stream, &sc, file_id)
+                .expect("trace-driven backup failed to store a chunk");
+        }
+    };
+    let mut builders: BTreeMap<u64, SuperChunkBuilder> = BTreeMap::new();
+    for (stream, file) in files {
+        let file_id = has_file_boundaries.then_some(file.file_id);
+        let builder = builders
+            .entry(stream)
+            .or_insert_with(|| SuperChunkBuilder::new(super_chunk_size));
         for chunk in &file.chunks {
             let descriptor = ChunkDescriptor::new(chunk.fingerprint, chunk.len);
-            if let Some(sc) = builder.push_descriptor(descriptor) {
-                cluster
-                    .backup_super_chunk(stream, &sc, file_id)
-                    .expect("trace-driven backup cannot fail to store synthetic chunks");
-            }
+            backup(
+                stream,
+                builder.push_chunk(descriptor, chunk.stand_in_payload()),
+                file_id,
+            );
         }
         if per_file_super_chunks {
-            if let Some(sc) = builder.finish() {
-                cluster
-                    .backup_super_chunk(stream, &sc, file_id)
-                    .expect("trace-driven backup cannot fail to store synthetic chunks");
-            }
+            backup(stream, builder.finish(), file_id);
         }
     }
-    if let Some(sc) = builder.finish() {
-        cluster
-            .backup_super_chunk(stream, &sc, None)
-            .expect("trace-driven backup cannot fail to store synthetic chunks");
+    for (stream, mut builder) in builders {
+        backup(stream, builder.finish(), None);
     }
 }
 
@@ -350,6 +332,24 @@ mod tests {
             summary.dedup_ratio,
             dataset.exact_dedup_ratio()
         );
+    }
+
+    #[test]
+    fn sigma_on_tiny_linux_at_four_nodes_gives_the_pinned_figures() {
+        // The exact figures, not a bound, so a change that moves any figure
+        // fails here.
+        let dataset = presets::linux_dataset(Scale::Tiny);
+        let summary = run_cluster(
+            &dataset,
+            Box::new(SimilarityRouter::new(true)),
+            &tiny_config(4),
+        );
+        assert_eq!(summary.logical_bytes, 17_154_928);
+        assert_eq!(summary.physical_bytes, 2_160_221);
+        assert_eq!(summary.prerouting_lookups, 1_080);
+        assert_eq!(summary.postrouting_lookups, 4_891);
+        assert_eq!(summary.dedup_ratio, 7.941_283_785_316_409_5);
+        assert_eq!(summary.skew, 0.133_625_159_210_748_1);
     }
 
     #[test]

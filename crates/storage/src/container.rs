@@ -160,9 +160,12 @@ pub struct ContainerSummary {
     pub id: ContainerId,
     /// The metadata section.
     pub meta: ContainerMeta,
-    /// Bytes of real payload in the data section (synthetic chunks have none).
+    /// Length of the data section in bytes.
     pub data_len: u32,
-    /// Logical data-section size in bytes (including synthetic chunks).
+    /// Data-section size as the object's head records it.  This version
+    /// writes `data_len` here; an object an older build wrote for a
+    /// trace-driven node may name more, for records that have no bytes in
+    /// the section.  The store counts a sealed container's bytes by it.
     pub logical_size: u64,
     /// Striped SHA-1 of the data section: SHA-1 over the SHA-1s of its
     /// sixteen block-aligned stripes (format version 3).  Recovery discards a
@@ -171,7 +174,7 @@ pub struct ContainerSummary {
 }
 
 impl ContainerSummary {
-    /// Logical size of the data section in bytes (including synthetic chunks).
+    /// Size of the data section in bytes, as its head records it.
     pub fn data_size(&self) -> usize {
         self.logical_size as usize
     }
@@ -310,10 +313,11 @@ impl ContainerSummary {
 
 /// A sealed, immutable container.
 ///
-/// A container may hold *synthetic* chunks (metadata records without payload bytes)
-/// when the node is driven by a fingerprint trace rather than real data; the data
-/// section then stays shorter than the logical size and those chunks cannot be read
-/// back.
+/// Every record's bytes are in the data section, so the container's size is
+/// the section's length.  Only a container rebuilt from a corrupt summary, or
+/// from an object an older build wrote for a trace-driven node, can hold a
+/// record that points past it, and [`chunk_data`](Self::chunk_data) refuses
+/// that record.
 ///
 /// The data section is a [`SharedBytes`] view, so a container rebuilt from a
 /// cached or in-RAM object for migration shares those bytes rather than
@@ -323,7 +327,6 @@ pub struct Container {
     id: ContainerId,
     meta: ContainerMeta,
     data: SharedBytes,
-    logical_size: usize,
     /// Striped SHA-1 of `data` as journaled, for a container read back from
     /// its object: re-homing it (a migration) keeps that checksum instead of
     /// hashing the bytes again, so rot on the source stays detectable.
@@ -338,7 +341,6 @@ impl Container {
             id: summary.id,
             meta: summary.meta,
             data,
-            logical_size: summary.logical_size as usize,
             checksum: Some(summary.checksum),
         }
     }
@@ -363,9 +365,9 @@ impl Container {
         &self.meta
     }
 
-    /// Logical size of the data section in bytes (including synthetic chunks).
+    /// Size of the data section in bytes.
     pub fn data_size(&self) -> usize {
-        self.logical_size
+        self.data.len()
     }
 
     /// Number of chunks stored.
@@ -375,14 +377,15 @@ impl Container {
 
     /// Looks up a chunk's payload by fingerprint.
     ///
-    /// Returns `None` when the fingerprint is not present in this container, or when
-    /// it was appended as a synthetic (metadata-only) chunk.
+    /// Returns `None` when the fingerprint is not present in this container, or
+    /// when its record points past the data section (a corrupt record, or a
+    /// payload-less one from an object an older build wrote).
     pub fn chunk_data(&self, fingerprint: &Fingerprint) -> Option<&[u8]> {
         self.meta
             .records
             .iter()
             .find(|r| &r.fingerprint == fingerprint)
-            .filter(|r| (r.offset + r.len) as usize <= self.data.len())
+            .filter(|r| r.offset as usize + r.len as usize <= self.data.len())
             .map(|r| &self.data[r.offset as usize..(r.offset + r.len) as usize])
     }
 
@@ -429,7 +432,7 @@ impl Container {
             id: self.id,
             meta: self.meta.clone(),
             data_len: self.data.len() as u32,
-            logical_size: self.logical_size as u64,
+            logical_size: self.data.len() as u64,
             checksum: self
                 .checksum
                 .unwrap_or_else(|| section_checksum(&self.data)),
@@ -464,7 +467,6 @@ pub struct ContainerBuilder {
     capacity: usize,
     meta: ContainerMeta,
     data: Vec<u8>,
-    used: usize,
 }
 
 impl ContainerBuilder {
@@ -480,7 +482,6 @@ impl ContainerBuilder {
             capacity,
             meta: ContainerMeta::default(),
             data: Vec::new(),
-            used: 0,
         }
     }
 
@@ -489,14 +490,14 @@ impl ContainerBuilder {
         self.id
     }
 
-    /// Logical bytes currently used in the data section.
+    /// Bytes currently used in the data section.
     pub fn used(&self) -> usize {
-        self.used
+        self.data.len()
     }
 
     /// Bytes still available in the data section.
     pub fn remaining(&self) -> usize {
-        self.capacity.saturating_sub(self.used)
+        self.capacity - self.data.len()
     }
 
     /// Number of chunks appended so far.
@@ -517,33 +518,16 @@ impl ContainerBuilder {
         }
         if self.data.capacity() == 0 {
             // The whole section at once: appends never regrow (and re-copy)
-            // it, and a synthetic-only container never allocates one.
+            // it, and an empty container never allocates one.
             self.data.reserve_exact(self.capacity);
         }
-        self.data.extend_from_slice(data);
-        self.push_record(fingerprint, data.len() as u32);
-        true
-    }
-
-    /// Appends a *synthetic* chunk: only its metadata record and logical length are
-    /// recorded, no payload bytes are kept.  Used when a node is driven by a
-    /// fingerprint trace.  Returns `false` when the chunk does not fit.
-    pub fn try_append_synthetic(&mut self, fingerprint: Fingerprint, len: u32) -> bool {
-        if !self.fits(len as usize) {
-            return false;
-        }
-        self.push_record(fingerprint, len);
-        true
-    }
-
-    fn push_record(&mut self, fingerprint: Fingerprint, len: u32) {
-        let offset = self.used as u32;
-        self.used += len as usize;
         self.meta.records.push(ChunkRecord {
             fingerprint,
-            offset,
-            len,
+            offset: self.data.len() as u32,
+            len: data.len() as u32,
         });
+        self.data.extend_from_slice(data);
+        true
     }
 
     /// Seals the container, making it immutable.
@@ -552,7 +536,6 @@ impl ContainerBuilder {
             id: self.id,
             meta: self.meta,
             data: self.data.into(),
-            logical_size: self.used,
             checksum: None,
         }
     }
@@ -612,8 +595,6 @@ mod tests {
         let capacity = 64 * 1024;
         let mut b = ContainerBuilder::new(ContainerId::new(12), capacity);
         assert_eq!(b.data.capacity(), 0, "nothing allocated up front");
-        assert!(b.try_append_synthetic(Sha1::fingerprint(b"ghost"), 1000));
-        assert_eq!(b.data.capacity(), 0, "a synthetic chunk has no payload");
         let chunk = section(1000);
         assert!(b.try_append(Sha1::fingerprint(b"first"), &chunk));
         assert_eq!(
@@ -630,7 +611,7 @@ mod tests {
         let rest = section(b.remaining());
         assert!(b.try_append(Sha1::fingerprint(b"last"), &rest));
         assert_eq!(b.remaining(), 0);
-        assert_eq!(b.data.len(), capacity - 1000, "all but the synthetic chunk");
+        assert_eq!(b.data.len(), capacity);
         assert_eq!(b.data.capacity(), capacity, "never regrown");
         assert_eq!(b.data.as_ptr(), section_ptr, "never moved");
         let sealed = b.seal();
@@ -640,17 +621,6 @@ mod tests {
             data_part, section_ptr,
             "the object's data part is the section"
         );
-    }
-
-    #[test]
-    fn container_builder_of_synthetic_chunks_never_allocates() {
-        let mut b = ContainerBuilder::new(ContainerId::new(13), 4096);
-        while b.try_append_synthetic(Sha1::fingerprint(&b.used().to_le_bytes()), 512) {}
-        assert_eq!((b.used(), b.chunk_count()), (4096, 8));
-        assert_eq!(b.data.capacity(), 0);
-        let (summary, object) = b.seal().to_object();
-        assert_eq!((summary.data_len, summary.logical_size), (0, 4096));
-        assert_eq!(ContainerSummary::from_object(&object), Some(summary));
     }
 
     #[test]
@@ -666,10 +636,9 @@ mod tests {
     }
 
     #[test]
-    fn object_roundtrip_including_synthetic_chunks() {
+    fn object_roundtrip() {
         let mut b = ContainerBuilder::new(ContainerId::new(11), 4096);
         assert!(b.try_append(Sha1::fingerprint(b"real"), b"real payload"));
-        assert!(b.try_append_synthetic(Sha1::fingerprint(b"ghost"), 64));
         assert!(b.try_append(Sha1::fingerprint(b"more"), b"more bytes"));
         let sealed = b.seal();
         let data = b"real payloadmore bytes";
@@ -682,6 +651,11 @@ mod tests {
         assert_eq!(summary.id, sealed.id());
         assert_eq!(&summary.meta, sealed.meta());
         assert_eq!(summary.data_len as usize, data.len());
+        assert_eq!(
+            summary.logical_size,
+            data.len() as u64,
+            "the size is the data's"
+        );
         assert_eq!(summary.data_size(), sealed.data_size());
         assert_eq!(summary.checksum, reference_checksum(data));
         assert_eq!(
@@ -713,6 +687,44 @@ mod tests {
             (summary, object),
             "the known checksum is kept"
         );
+    }
+
+    #[test]
+    fn an_older_trace_driven_object_still_decodes() {
+        // A format-3 object as an older build wrote it for a trace-driven
+        // node: one chunk with bytes, then a payload-less record past the
+        // data section, counted in the head's size but not in its length.
+        let data = b"real payload";
+        let (real, ghost) = (Sha1::fingerprint(b"real"), Sha1::fingerprint(b"ghost"));
+        let mut object = Vec::new();
+        object.extend_from_slice(&0x5343_4E54u32.to_le_bytes());
+        object.push(3);
+        object.extend_from_slice(&11u64.to_le_bytes());
+        object.extend_from_slice(&(data.len() as u64 + 64).to_le_bytes());
+        object.extend_from_slice(&(data.len() as u32).to_le_bytes());
+        object.extend_from_slice(reference_checksum(data).as_bytes());
+        object.extend_from_slice(data);
+        object.extend_from_slice(&2u32.to_le_bytes());
+        for (fp, offset, len) in [(real, 0, data.len() as u32), (ghost, data.len() as u32, 64)] {
+            object.extend_from_slice(fp.as_bytes());
+            object.extend_from_slice(&offset.to_le_bytes());
+            object.extend_from_slice(&len.to_le_bytes());
+        }
+        let summary = ContainerSummary::from_object(&object).expect("still decodes");
+        assert_eq!(summary.id, ContainerId::new(11));
+        assert_eq!((summary.data_len, summary.logical_size), (12, 12 + 64));
+        assert_eq!(summary.chunk_count(), 2);
+        let (head, rest) = object.split_at(CONTAINER_BLOB_DATA_OFFSET);
+        let (section, records) = rest.split_at(data.len());
+        assert_eq!(
+            ContainerSummary::from_parts(head, section, records),
+            Some(summary.clone())
+        );
+        let container = Container::from_summary(summary, data.to_vec().into());
+        assert_eq!(container.chunk_data(&real), Some(&data[..]));
+        assert!(container.contains(&ghost));
+        assert_eq!(container.chunk_data(&ghost), None, "no bytes to give");
+        assert_eq!(container.data_size(), data.len());
     }
 
     #[test]

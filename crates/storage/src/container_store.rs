@@ -587,32 +587,7 @@ impl ContainerStore {
         fingerprint: Fingerprint,
         data: &[u8],
     ) -> Result<StoredChunk> {
-        self.store_impl(stream, fingerprint, data.len(), Some(data))
-    }
-
-    /// Appends a *synthetic* chunk of `len` bytes: only its metadata record and
-    /// logical length are tracked, no payload is kept.  Used when a node is driven by
-    /// a fingerprint trace instead of real data; such chunks cannot be read back.
-    ///
-    /// # Errors
-    ///
-    /// As [`store_chunk`](Self::store_chunk).
-    pub fn store_chunk_synthetic(
-        &self,
-        stream: StreamId,
-        fingerprint: Fingerprint,
-        len: u32,
-    ) -> Result<StoredChunk> {
-        self.store_impl(stream, fingerprint, len as usize, None)
-    }
-
-    fn store_impl(
-        &self,
-        stream: StreamId,
-        fingerprint: Fingerprint,
-        len: usize,
-        data: Option<&[u8]>,
-    ) -> Result<StoredChunk> {
+        let len = data.len();
         if len > self.capacity {
             return Err(StorageError::ChunkTooLarge {
                 chunk_size: len,
@@ -650,10 +625,7 @@ impl ContainerStore {
             }
 
             let offset = builder.used() as u32;
-            let appended = match data {
-                Some(bytes) => builder.try_append(fingerprint, bytes),
-                None => builder.try_append_synthetic(fingerprint, len as u32),
-            };
+            let appended = builder.try_append(fingerprint, data);
             debug_assert!(appended, "chunk must fit after rollover");
             return Ok(StoredChunk {
                 container: builder.id(),
@@ -929,14 +901,15 @@ impl ContainerStore {
             match self.view(&id) {
                 View::InRam(c) => break c.chunk_data(fp).map(<[u8]>::to_vec),
                 View::Sealed(summary) => {
-                    // Synthetic (trace-driven) chunks have no payload: their
-                    // records point past the real data section.
+                    // A record past the data section has no bytes to read:
+                    // the object is corrupt, or an older build wrote it for
+                    // a trace-driven node.  It reads as not stored.
                     let Some(record) = summary
                         .meta
                         .records
                         .iter()
                         .find(|r| &r.fingerprint == fp)
-                        .filter(|r| r.offset + r.len <= summary.data_len)
+                        .filter(|r| r.offset as u64 + r.len as u64 <= summary.data_len as u64)
                     else {
                         break None;
                     };
@@ -980,8 +953,9 @@ impl ContainerStore {
     /// # Errors
     ///
     /// As [`read_chunk`](Self::read_chunk); [`StorageError::ChunkNotInContainer`]
-    /// also when any extent points past the data section (a synthetic
-    /// trace-driven chunk, which has no payload).  On error the output slices
+    /// also when any extent points past the data section, which only a
+    /// corrupt record, or a payload-less one from an object an older build
+    /// wrote, can do.  On error the output slices
     /// are in an unspecified partially-written state; callers fall back to
     /// the serial path.
     pub fn read_chunks_batched(
@@ -1007,8 +981,9 @@ impl ContainerStore {
                     if compacted {
                         Self::relocate(&summary, fetches)?;
                     }
-                    // Synthetic (trace-driven) chunks have no payload: their
-                    // records point past the real data section.
+                    // An extent past the data section has no bytes to read
+                    // (a corrupt or payload-less record), and would read past
+                    // the section into the record table.
                     if let Some(f) = fetches
                         .iter()
                         .find(|f| f.offset as usize + f.out.len() > summary.data_len as usize)
@@ -1193,7 +1168,7 @@ impl ContainerStore {
         ids
     }
 
-    /// Logical data-section size of a sealed container, if it exists.
+    /// Data-section size of a sealed container, if it exists.
     pub fn sealed_data_size(&self, container: &ContainerId) -> Option<usize> {
         self.sealed_summary(container).map(|c| c.data_size())
     }
@@ -1507,9 +1482,10 @@ impl ContainerStore {
     /// # Errors
     ///
     /// Returns [`StorageError::Crashed`] when the journal refuses the append,
-    /// and [`StorageError::Io`] when the victim's object cannot be read or
-    /// fails its checksum, or the replacement cannot be written; the victim
-    /// then remains in place, untouched.
+    /// and [`StorageError::Io`] when a live record points past the victim's
+    /// data section, the victim's object cannot be read or fails its
+    /// checksum, or the replacement cannot be written; the victim then
+    /// remains in place, untouched.
     pub fn compact_container(
         &self,
         victim: &ContainerId,
@@ -1528,6 +1504,17 @@ impl ContainerStore {
         if dead_records.is_empty() || live_src.is_empty() {
             return Ok(None);
         }
+        // A live record with no bytes in the section cannot be carried over:
+        // the victim is corrupt (or an older build wrote it payload-less).
+        if let Some(record) = live_src
+            .iter()
+            .find(|r| r.offset as u64 + r.len as u64 > old.data_len as u64)
+        {
+            return Err(StorageError::Io(format!(
+                "{}: record for {} lies past the data section",
+                old.id, record.fingerprint
+            )));
+        }
         // The replacement is read, checked, built and written before any lock
         // is taken, so restores and seals on this node never wait for it.
         // The live chunks get a fresh checksum in the replacement, so rot in
@@ -1544,14 +1531,11 @@ impl ContainerStore {
         let new_id = self.alloc_id();
         let mut builder = ContainerBuilder::new(new_id, self.capacity);
         for record in &live_src {
-            let end = (record.offset + record.len) as usize;
-            // Synthetic (trace-driven) chunks carry no payload; their records
-            // point past the real data section and travel metadata-only.
-            let appended = if end <= data.len() {
-                builder.try_append(record.fingerprint, &data[record.offset as usize..end])
-            } else {
-                builder.try_append_synthetic(record.fingerprint, record.len)
-            };
+            let start = record.offset as usize;
+            let appended = builder.try_append(
+                record.fingerprint,
+                &data[start..start + record.len as usize],
+            );
             debug_assert!(appended, "a live subset always fits its own container");
         }
         drop(data);
@@ -1914,29 +1898,6 @@ mod tests {
         let store = ContainerStore::new(1024);
         store.flush().unwrap();
         assert_eq!(store.stats().sealed_containers, 0);
-    }
-
-    #[test]
-    fn synthetic_chunks_account_bytes_without_payload() {
-        let store = ContainerStore::new(1000);
-        let mut containers = std::collections::HashSet::new();
-        for i in 0..6u64 {
-            let (fp, _) = payload(i, 1);
-            let loc = store.store_chunk_synthetic(0, fp, 400).unwrap();
-            containers.insert(loc.container);
-        }
-        // 400-byte logical chunks in 1000-byte containers => 2 per container.
-        assert_eq!(containers.len(), 3);
-        store.flush().unwrap();
-        assert_eq!(store.physical_bytes(), 2400);
-        assert_eq!(store.stats().stored_chunks, 6);
-        // Synthetic chunks cannot be read back.
-        let (fp0, _) = payload(0, 1);
-        let cid = *containers.iter().min().unwrap();
-        assert!(
-            store.read_chunk(&cid, &fp0).is_err()
-                || store.read_chunk(&cid, &fp0).unwrap().is_empty()
-        );
     }
 
     #[test]
@@ -2317,24 +2278,111 @@ mod tests {
         let _ = std::fs::remove_dir_all(root);
     }
 
+    /// A format-3 container object encoded field by field: head, data
+    /// section, then one `(fingerprint, offset, len)` per record.
+    fn object_by_hand(
+        id: ContainerId,
+        size: u64,
+        data: &[u8],
+        records: &[(Fingerprint, u32, u32)],
+    ) -> Vec<u8> {
+        let mut object = Vec::new();
+        object.extend_from_slice(&0x5343_4E54u32.to_le_bytes());
+        object.push(3);
+        object.extend_from_slice(&id.as_u64().to_le_bytes());
+        object.extend_from_slice(&size.to_le_bytes());
+        object.extend_from_slice(&(data.len() as u32).to_le_bytes());
+        object.extend_from_slice(container::section_checksum(data).as_bytes());
+        assert_eq!(object.len(), CONTAINER_BLOB_DATA_OFFSET);
+        object.extend_from_slice(data);
+        object.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        for (fp, offset, len) in records {
+            object.extend_from_slice(fp.as_bytes());
+            object.extend_from_slice(&offset.to_le_bytes());
+            object.extend_from_slice(&len.to_le_bytes());
+        }
+        object
+    }
+
     #[test]
-    fn batched_read_rejects_synthetic_chunks_and_unknown_containers() {
-        let store = ContainerStore::new(4096);
-        let (fp, _) = payload(1, 1);
-        let loc = store.store_chunk_synthetic(0, fp, 64).unwrap();
-        store.flush().unwrap();
+    fn a_record_past_the_data_section_is_an_error_on_every_read_and_in_compaction() {
+        // A sealed container whose record table names one chunk more than
+        // its data section holds: a corrupt record, or what an older build
+        // wrote for a trace-driven node.  Its object is written and its
+        // summary installed by hand, as journal replay would install it.
+        let backend = Arc::new(MemoryBackend::new());
+        let store = ContainerStore::new(4096)
+            .with_backend(backend.clone())
+            .with_read_cache_bytes(1 << 20);
+        let chunks: Vec<(Fingerprint, Vec<u8>)> = (0..3u64).map(|i| payload(i, 100)).collect();
+        let data: Vec<u8> = chunks.iter().flat_map(|(_, d)| d.clone()).collect();
+        let (ghost, _) = payload(9, 1);
+        let mut records: Vec<(Fingerprint, u32, u32)> =
+            (0..3).map(|i| (chunks[i].0, 100 * i as u32, 100)).collect();
+        records.push((ghost, 300, 64));
+        let id = ContainerId::new(7);
+        let object = object_by_hand(id, 364, &data, &records);
+        backend
+            .write_object(StorageObject::Container(id), &object)
+            .unwrap();
+        let summary = ContainerSummary::from_object(&object).expect("a well-formed object");
+        assert!(store.install_recovered(None, summary));
+
+        fn not_stored<T>(read: Result<T>) -> bool {
+            matches!(read, Err(StorageError::ChunkNotInContainer { .. }))
+        }
+        let batched = |fetched: &[(Fingerprint, u32, u32)]| {
+            let mut outs: Vec<Vec<u8>> = fetched.iter().map(|r| vec![0; r.2 as usize]).collect();
+            let mut fetches: Vec<ChunkFetch<'_>> = fetched
+                .iter()
+                .zip(&mut outs)
+                .map(|(r, out)| ChunkFetch {
+                    fingerprint: r.0,
+                    offset: r.1,
+                    out: out.as_mut_slice(),
+                })
+                .collect();
+            store.read_chunks_batched(&id, &mut fetches).map(|_| ())
+        };
+        assert!(not_stored(store.read_chunk(&id, &ghost)));
+        assert!(not_stored(batched(&records[3..])), "cold");
+        assert_eq!(store.read_cache_stats().unwrap().resident_containers, 0);
+        batched(&records[..3]).unwrap();
+        assert_eq!(store.read_cache_stats().unwrap().resident_containers, 1);
+        assert!(not_stored(batched(&records[3..])), "after a cache fill");
+        assert!(
+            not_stored(batched(&records[2..])),
+            "beside a chunk with bytes"
+        );
+        assert!(not_stored(store.read_chunk(&id, &ghost)));
+        assert_eq!(store.read_chunk(&id, &chunks[2].0).unwrap(), chunks[2].1);
+
+        // Restart's check keeps it: the object is intact as written.
+        let (discarded, orphans) = store.verify_objects().unwrap();
+        assert!(discarded.is_empty());
+        assert_eq!(orphans, 0);
+        assert_eq!(store.sealed_container_ids(), vec![id]);
+
+        // Compaction cannot carry the live ghost over, so it refuses.
+        let live: HashSet<Fingerprint> = [chunks[0].0, ghost].into_iter().collect();
+        assert!(matches!(
+            store.compact_container(&id, &live, &[]),
+            Err(StorageError::Io(_))
+        ));
+        assert_eq!(
+            store.sealed_container_ids(),
+            vec![id],
+            "victim still sealed"
+        );
+        assert_eq!(store.physical_bytes(), 364);
+        assert_eq!(
+            backend.read_all(StorageObject::Container(id)).unwrap(),
+            object
+        );
+
         let mut out = vec![0u8; 64];
         let mut fetches = [ChunkFetch {
-            fingerprint: fp,
-            offset: loc.offset,
-            out: &mut out,
-        }];
-        assert!(matches!(
-            store.read_chunks_batched(&loc.container, &mut fetches),
-            Err(StorageError::ChunkNotInContainer { .. })
-        ));
-        let mut fetches = [ChunkFetch {
-            fingerprint: fp,
+            fingerprint: ghost,
             offset: 0,
             out: &mut out,
         }];
@@ -2488,8 +2536,8 @@ mod tests {
         ];
         for backend in backends {
             // Three 300-byte chunks fill a container: streams 0 and 1 roll
-            // over three times each, stream 2 appends synthetic chunks only,
-            // and the flush seals the partly full ones.
+            // over three times each, and the flush seals the partly full
+            // ones.
             let store = ContainerStore::new(1000).with_backend(backend.clone());
             let mut written: HashMap<ContainerId, Vec<(Fingerprint, u32, Vec<u8>)>> =
                 HashMap::new();
@@ -2502,36 +2550,15 @@ mod tests {
                     .or_default()
                     .push((fp, loc.offset, data));
             }
-            for i in 0..4u64 {
-                let (fp, _) = payload(100 + i, 1);
-                let loc = store.store_chunk_synthetic(2, fp, 300).unwrap();
-                written
-                    .entry(loc.container)
-                    .or_default()
-                    .push((fp, loc.offset, Vec::new()));
-            }
             store.flush().unwrap();
             let ids = store.sealed_container_ids();
-            assert_eq!(ids.len(), 10, "{backend:?}");
+            assert_eq!(ids.len(), 8, "{backend:?}");
             for id in ids {
                 let chunks = &written[&id];
                 let data: Vec<u8> = chunks.iter().flat_map(|c| c.2.clone()).collect();
-                let logical = 300 * chunks.len() as u64;
-                let mut expected = Vec::new();
-                expected.extend_from_slice(&0x5343_4E54u32.to_le_bytes());
-                expected.push(3);
-                expected.extend_from_slice(&id.as_u64().to_le_bytes());
-                expected.extend_from_slice(&logical.to_le_bytes());
-                expected.extend_from_slice(&(data.len() as u32).to_le_bytes());
-                expected.extend_from_slice(container::section_checksum(&data).as_bytes());
-                assert_eq!(expected.len(), CONTAINER_BLOB_DATA_OFFSET);
-                expected.extend_from_slice(&data);
-                expected.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
-                for (fp, offset, _) in chunks {
-                    expected.extend_from_slice(fp.as_bytes());
-                    expected.extend_from_slice(&offset.to_le_bytes());
-                    expected.extend_from_slice(&300u32.to_le_bytes());
-                }
+                let records: Vec<(Fingerprint, u32, u32)> =
+                    chunks.iter().map(|c| (c.0, c.1, 300)).collect();
+                let expected = object_by_hand(id, data.len() as u64, &data, &records);
                 let object = backend.read_all(StorageObject::Container(id)).unwrap();
                 assert!(object == expected, "{backend:?}: {id} differs");
                 let summary = store.sealed_summary(&id).expect("sealed");

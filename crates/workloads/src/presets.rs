@@ -107,7 +107,7 @@ mod tests {
 
     #[test]
     fn dedup_ratios_have_the_right_ordering() {
-        // The paper's DR ordering is Mail > Linux > VM > Web; the synthetic stand-ins
+        // The paper's DR ordering is Mail > Linux > VM > Web; the generated stand-ins
         // must preserve it (absolute values are approximate).
         let d = paper_datasets(Scale::Tiny);
         let dr: Vec<f64> = d.iter().map(|t| t.exact_dedup_ratio()).collect();

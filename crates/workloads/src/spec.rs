@@ -29,6 +29,23 @@ impl ChunkSpec {
             len,
         }
     }
+
+    /// The bytes a node stores for this chunk: `len` bytes cycling the
+    /// fingerprint.
+    ///
+    /// A trace has no content, only fingerprints and lengths, but every
+    /// chunk a node stores must have its bytes.  Nothing re-hashes stored
+    /// bytes (routing and dedup read the fingerprint the client sent), so
+    /// any bytes serve; these make equal specs store equal bytes.
+    pub fn stand_in_payload(&self) -> Vec<u8> {
+        let len = self.len as usize;
+        let mut payload = self
+            .fingerprint
+            .as_bytes()
+            .repeat(len.div_ceil(Fingerprint::LEN));
+        payload.truncate(len);
+        payload
+    }
 }
 
 /// The dataset a trace models.
@@ -42,7 +59,7 @@ pub enum DatasetKind {
     Mail,
     /// FIU web-server trace (no file boundaries, low redundancy).
     Web,
-    /// A generic synthetic workload.
+    /// A generated workload that models none of the paper's datasets.
     Synthetic,
 }
 
@@ -199,6 +216,27 @@ mod tests {
                 .map(|&c| ChunkSpec::from_identity(1, c, 4096))
                 .collect(),
         }
+    }
+
+    #[test]
+    fn stand_in_payload_is_len_bytes_of_the_fingerprint() {
+        let spec = ChunkSpec::from_identity(1, 7, 50);
+        let payload = spec.stand_in_payload();
+        assert_eq!(payload.len(), 50);
+        let fingerprint = spec.fingerprint.as_bytes();
+        assert_eq!(&payload[..20], fingerprint);
+        assert_eq!(&payload[40..], &fingerprint[..10]);
+        assert_eq!(
+            ChunkSpec::from_identity(1, 7, 50).stand_in_payload(),
+            payload
+        );
+        assert_ne!(
+            ChunkSpec::from_identity(1, 8, 50).stand_in_payload(),
+            payload
+        );
+        assert!(ChunkSpec::from_identity(1, 7, 0)
+            .stand_in_payload()
+            .is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use sigma_dedupe::prelude::*;
 use std::sync::Arc;
 
-/// Builds a small synthetic "project tree": sources, a binary, and duplicated assets.
+/// Builds a small generated "project tree": sources, a binary, and duplicated assets.
 fn project_tree(seed: u64) -> Vec<(String, Vec<u8>)> {
     let shared_asset = random_bytes(2 << 20, seed + 1000);
     let mut files = vec![

@@ -13,7 +13,7 @@ fn main() {
     let scale = Scale::Small;
     let nodes = 32;
     println!(
-        "Σ-Dedupe cluster backup: {} nodes, {} per workload (synthetic stand-ins)\n",
+        "Σ-Dedupe cluster backup: {} nodes, {} per workload (generated stand-ins)\n",
         nodes,
         human_bytes(scale.target_logical_bytes())
     );

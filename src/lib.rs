@@ -13,7 +13,7 @@
 //! * [`storage`] — containers, chunk index, fingerprint cache, similarity index.
 //! * [`baselines`] — the comparison routing schemes (EMC stateless/stateful,
 //!   Extreme Binning, chunk-level DHT, round-robin).
-//! * [`workloads`] — synthetic stand-ins for the paper's four evaluation datasets.
+//! * [`workloads`] — generated stand-ins for the paper's four evaluation datasets.
 //! * [`metrics`] — deduplication ratio/efficiency, NEDR, skew, reporting helpers.
 //! * [`simulation`] — the trace-driven cluster simulation and the per-figure
 //!   experiment drivers.

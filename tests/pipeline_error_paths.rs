@@ -176,11 +176,18 @@ fn super_chunk_builder_drop_discards_pending_chunks() {
     // The builder cannot emit from Drop; the documented contract is that pending
     // chunks are silently discarded.  Pin both halves down: (a) what finish()
     // would have returned is lost on drop, (b) a finished builder drops empty.
-    let descriptor = |i: u64| ChunkDescriptor::new(Sha1::fingerprint(&i.to_le_bytes()), 1024);
+    let chunk = |i: u64| {
+        let payload = i.to_le_bytes().repeat(128);
+        (
+            ChunkDescriptor::new(Sha1::fingerprint(&payload), 1024),
+            payload,
+        )
+    };
 
     let mut builder = SuperChunkBuilder::new(1 << 20);
     for i in 0..5 {
-        assert!(builder.push_descriptor(descriptor(i)).is_none());
+        let (descriptor, payload) = chunk(i);
+        assert!(builder.push_chunk(descriptor, payload).is_none());
     }
     assert_eq!(builder.pending_chunk_count(), 5);
     assert_eq!(builder.pending_bytes(), 5 * 1024);
@@ -189,7 +196,8 @@ fn super_chunk_builder_drop_discards_pending_chunks() {
 
     let mut builder = SuperChunkBuilder::new(1 << 20);
     for i in 0..5 {
-        builder.push_descriptor(descriptor(i));
+        let (descriptor, payload) = chunk(i);
+        builder.push_chunk(descriptor, payload);
     }
     let last = builder.finish().expect("pending chunks flush");
     assert_eq!(last.chunk_count(), 5);
