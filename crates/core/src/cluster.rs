@@ -423,21 +423,24 @@ impl DedupCluster {
     /// Reconstructs a previously backed-up file from its recipe.
     ///
     /// Runs the container-aware restore pipeline (see [`crate::RestoreReport`]):
-    /// entries are grouped per `(node, container)`, extents coalesce into
-    /// batched backend reads served through the container read cache, and
-    /// groups fan out [`SigmaConfig::restore_parallelism`] wide, each decoding
-    /// straight into the preallocated output.  The output is byte-identical to
-    /// [`restore_file_reference`](Self::restore_file_reference), which remains
-    /// the behavioural arbiter (and the fallback whenever a plan cannot
-    /// represent the recipe).
+    /// entries are grouped per `(node, container)`, each group reads its
+    /// container at most once — from the node's container read cache, else as
+    /// one whole data section that then fills the cache — and groups fan out
+    /// [`SigmaConfig::restore_parallelism`] wide, each decoding straight into
+    /// the preallocated output.  The output is byte-identical to
+    /// [`restore_file_reference`](Self::restore_file_reference).
     ///
     /// # Errors
     ///
-    /// Returns [`SigmaError::FileNotFound`] for unknown file IDs and propagates chunk
-    /// read errors.  Returns [`SigmaError::RestoreTruncated`] when the rebuilt
-    /// byte count disagrees with the logical size the recipe records — the
-    /// end-to-end guard that a stored chunk payload shrinking or growing out
-    /// from under its recipe can never surface as a silently corrupt restore.
+    /// Returns [`SigmaError::FileNotFound`] for unknown file IDs and propagates
+    /// chunk read errors, the earliest in recipe order.  Returns
+    /// [`SigmaError::RestoreTruncated`], before reading anything, when the
+    /// recipe's entry lengths do not add up to its size (`actual` is their
+    /// sum), and when the store holds a chunk at another length than its
+    /// entry (`actual` is the recipe's size with the first such chunk's
+    /// stored length in place of its entry's): a stored chunk shrinking or
+    /// growing out from under its recipe never surfaces as a silently
+    /// corrupt restore.
     pub fn restore_file(&self, file_id: FileId) -> Result<Vec<u8>> {
         self.restore_file_with_report(file_id)
             .map(|(bytes, _)| bytes)
@@ -448,12 +451,15 @@ impl DedupCluster {
     /// copying each payload twice (into its own `Vec`, then into the output).
     ///
     /// Kept as the reference implementation — like `sigma_chunking::reference`
-    /// — both for the equivalence proptests and as the fallback arbiter when
-    /// the planned pipeline meets a recipe it cannot represent.
+    /// — for the equivalence tests and the restore benches to compare
+    /// against; no library path calls it.
     ///
     /// # Errors
     ///
-    /// Exactly as [`restore_file`](Self::restore_file).
+    /// Returns [`SigmaError::FileNotFound`] for unknown file IDs and propagates
+    /// chunk read errors.  Returns [`SigmaError::RestoreTruncated`] when the
+    /// bytes read do not add up to the recipe's size (`actual` is their
+    /// count).
     pub fn restore_file_reference(&self, file_id: FileId) -> Result<Vec<u8>> {
         let recipe = self
             .director
@@ -1127,6 +1133,7 @@ pub(crate) fn usage_skew(usage: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RecipeEntry;
     use sigma_hashkit::{Digest, FingerprintAlgorithm, Sha1};
     use sigma_storage::{StorageBackend, StorageError, StorageObject};
 
@@ -1695,13 +1702,15 @@ mod tests {
 
     /// A memory backend whose container-object writes take `delay`, and
     /// which can park the next one until the test releases it, or fail it
-    /// once.  It counts `list` calls: recovery lists the medium before it
-    /// sweeps orphans.
+    /// once.  It can also fail the next `read_shared`, the restore's
+    /// whole-section read, once.  It counts `list` calls: recovery lists the
+    /// medium before it sweeps orphans.
     #[derive(Debug, Default)]
     struct GatedBackend {
         inner: sigma_storage::MemoryBackend,
         delay: std::time::Duration,
         fail_next_write: std::sync::atomic::AtomicBool,
+        fail_next_read_shared: std::sync::atomic::AtomicBool,
         /// `(parked, release)`: signalled when a write parks, then awaited.
         park_next_write: parking_lot::Mutex<
             Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>,
@@ -1740,6 +1749,17 @@ mod tests {
             len: usize,
         ) -> sigma_storage::Result<Vec<u8>> {
             self.inner.read_at(obj, offset, len)
+        }
+        fn read_shared(
+            &self,
+            obj: StorageObject,
+            offset: u64,
+            len: usize,
+        ) -> sigma_storage::Result<sigma_storage::SharedBytes> {
+            if self.fail_next_read_shared.swap(false, Ordering::SeqCst) {
+                return Err(StorageError::Io(format!("{obj}: injected read failure")));
+            }
+            self.inner.read_shared(obj, offset, len)
         }
         fn object_len(&self, obj: StorageObject) -> sigma_storage::Result<Option<u64>> {
             self.inner.object_len(obj)
@@ -1965,5 +1985,76 @@ mod tests {
             assert_eq!(objects.len(), usize::from(!crashed));
             node.verify_consistency().unwrap();
         }
+    }
+
+    #[test]
+    fn a_failed_batched_read_falls_back_to_serial_reads_of_its_group() {
+        let config = rollover_config();
+        let backend = Arc::new(GatedBackend::default());
+        let cluster = cluster_over(&config, std::slice::from_ref(&backend));
+        let client = crate::BackupClient::new(cluster.clone(), 0);
+        // Six 1 KiB chunks: one group, one sealed 8 KiB container.
+        let data = pseudo_random(6 * 1024, 41);
+        let id = client.backup_bytes("f", &data).unwrap().file_id;
+        cluster.try_flush().unwrap();
+        backend.fail_next_read_shared.store(true, Ordering::SeqCst);
+        let (bytes, report) = cluster.restore_file_with_report(id).unwrap();
+        assert_eq!(bytes, data);
+        assert!(!backend.fail_next_read_shared.load(Ordering::SeqCst));
+        assert_eq!(report.containers_read, 1);
+        assert_eq!((report.chunks_read, report.serial_fallback_chunks), (6, 6));
+        // The fault was one-shot: the next restore reads the section.
+        let (bytes, report) = cluster.restore_file_with_report(id).unwrap();
+        assert_eq!(bytes, data);
+        assert_eq!(report.serial_fallback_chunks, 0);
+    }
+
+    /// Restores `file_id` both ways and asserts each fails with
+    /// `RestoreTruncated { expected, actual }`.
+    fn assert_truncated(cluster: &DedupCluster, file_id: FileId, expected: u64, actual: u64) {
+        let want = SigmaError::RestoreTruncated {
+            file_id,
+            expected,
+            actual,
+        };
+        assert_eq!(cluster.restore_file(file_id), Err(want.clone()));
+        assert_eq!(
+            cluster
+                .restore_file_with_report(file_id)
+                .map(|(bytes, _)| bytes),
+            Err(want)
+        );
+    }
+
+    #[test]
+    fn a_recipe_that_disagrees_with_its_entries_or_the_store_is_truncated() {
+        let config = rollover_config();
+        let cluster = Arc::new(DedupCluster::with_similarity_router(2, config));
+        let client = crate::BackupClient::new(cluster.clone(), 0);
+        let data = pseudo_random(10 * 1024, 42);
+        let id = client.backup_bytes("f", &data).unwrap().file_id;
+        cluster.try_flush().unwrap();
+        let recipe = cluster.director().recipe(id).unwrap();
+        assert_eq!(recipe.size, 10 * 1024);
+        let register = |size: u64, chunks: Vec<RecipeEntry>| {
+            cluster
+                .director()
+                .register_file(recipe.session_id, "by-hand", size, chunks)
+        };
+
+        // A size one byte past what its entries add up to.
+        let oversized = register(recipe.size + 1, recipe.chunks.clone());
+        assert_truncated(&cluster, oversized, recipe.size + 1, recipe.size);
+
+        // Entries that add up to the size, one of them 24 bytes shorter
+        // than the chunk the store holds: the figures put the stored
+        // length in its place.
+        let mut chunks = recipe.chunks.clone();
+        chunks[3].len -= 24;
+        let short = register(recipe.size - 24, chunks);
+        assert_truncated(&cluster, short, recipe.size - 24, recipe.size);
+
+        // The real recipe still restores.
+        assert_eq!(cluster.restore_file(id).unwrap(), data);
     }
 }

@@ -87,12 +87,6 @@ pub struct SigmaConfig {
     ///
     /// Read it through [`SigmaConfig::effective_restore_parallelism`].
     pub restore_parallelism: usize,
-    /// Per-node byte budget for the container read cache serving restores:
-    /// recently-read container data sections stay resident so repeat visits
-    /// skip the backend (on [`BackendKind::File`], the disk) entirely.  `0`
-    /// disables the cache.  Default: 64 MB (sixteen default-sized
-    /// containers).
-    pub restore_cache_bytes: u64,
     /// Whether nodes keep a write-ahead journal so they can be crash-recovered
     /// (see [`DedupNode::recover`](crate::DedupNode::recover) and
     /// [`DedupCluster::restart_node`](crate::DedupCluster::restart_node)).
@@ -142,7 +136,6 @@ impl Default for SigmaConfig {
             capacity_balancing: true,
             parallelism: 1,
             restore_parallelism: 1,
-            restore_cache_bytes: 64 << 20,
             durability: false,
             storage_backend: BackendKind::Memory,
             storage_root: None,
@@ -367,12 +360,6 @@ impl SigmaConfigBuilder {
         self
     }
 
-    /// Sets the per-node container read-cache budget in bytes (`0` disables).
-    pub fn restore_cache_bytes(mut self, bytes: u64) -> Self {
-        self.config.restore_cache_bytes = bytes;
-        self
-    }
-
     /// Enables or disables the per-node write-ahead journal (crash recovery).
     pub fn durability(mut self, enabled: bool) -> Self {
         self.config.durability = enabled;
@@ -506,7 +493,6 @@ mod tests {
         let c = SigmaConfig::default();
         assert_eq!(c.restore_parallelism, 1, "serial restore by default");
         assert_eq!(c.effective_restore_parallelism(), 1);
-        assert_eq!(c.restore_cache_bytes, 64 << 20);
         let auto = SigmaConfig::builder()
             .restore_parallelism(0)
             .build()
@@ -514,18 +500,14 @@ mod tests {
         assert!(auto.effective_restore_parallelism() >= 1);
         let four = SigmaConfig::builder()
             .restore_parallelism(4)
-            .restore_cache_bytes(1 << 20)
             .build()
             .unwrap();
         assert_eq!(four.effective_restore_parallelism(), 4);
-        assert_eq!(four.restore_cache_bytes, 1 << 20);
         let absurd = SigmaConfig::builder()
             .restore_parallelism(usize::MAX)
             .build()
             .unwrap();
         assert_eq!(absurd.effective_restore_parallelism(), MAX_PARALLELISM);
-        let uncached = SigmaConfig::builder().restore_cache_bytes(0).build();
-        assert_eq!(uncached.unwrap().restore_cache_bytes, 0, "0 = disabled");
     }
 
     #[test]

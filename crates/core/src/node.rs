@@ -246,9 +246,7 @@ impl DedupNode {
         backend: Arc<dyn StorageBackend>,
         journal: Option<Arc<Journal>>,
     ) -> Self {
-        let mut store = ContainerStore::new(config.container_capacity)
-            .with_backend(backend)
-            .with_read_cache_bytes(config.restore_cache_bytes);
+        let mut store = ContainerStore::new(config.container_capacity).with_backend(backend);
         if let Some(journal) = &journal {
             store = store.with_journal(journal.clone());
         }
@@ -873,8 +871,8 @@ impl DedupNode {
         }
     }
 
-    /// The container read cache's counters, `None` when caching is disabled.
-    pub fn read_cache_stats(&self) -> Option<sigma_storage::ReadCacheStats> {
+    /// The container read cache's counters and occupancy.
+    pub fn read_cache_stats(&self) -> sigma_storage::ReadCacheStats {
         self.store.read_cache_stats()
     }
 

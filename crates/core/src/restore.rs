@@ -1,11 +1,11 @@
-//! The container-aware restore pipeline: plan → coalesce → cache → assemble.
+//! The container-aware restore pipeline: plan → read → assemble.
 //!
-//! The serial reference restore ([`DedupCluster::restore_file_reference`])
-//! walks the recipe one chunk at a time: each entry re-resolves the node
-//! directory, pays one container lookup, allocates a fresh `Vec` for the
-//! payload and copies it a second time into the output.  That is one backend
-//! read per chunk, in recipe order — on the file backend, random I/O across
-//! container files.
+//! The serial reference restore ([`DedupCluster::restore_file_reference`],
+//! kept for tests and benches to compare against) walks the recipe one chunk
+//! at a time: each entry re-resolves the node directory, pays one container
+//! lookup, allocates a fresh `Vec` for the payload and copies it a second
+//! time into the output.  That is one backend read per chunk, in recipe
+//! order — on the file backend, random I/O across container files.
 //!
 //! The pipeline here keeps the same observable behaviour while restructuring
 //! the work around *containers*, the unit the storage layer is actually fast
@@ -15,11 +15,10 @@
 //!    extent with the same counted chunk-index lookup and tombstone
 //!    follow-through as the serial path, and group the entries by
 //!    `(node, container)`.
-//! 2. **Coalesce** — each group becomes one
+//! 2. **Read** — each group becomes one
 //!    [`read_chunks_batched`](sigma_storage::ContainerStore::read_chunks_batched)
-//!    call: adjacent/nearby extents merge into one backend read per run, and a
-//!    [container read cache](sigma_storage::ContainerReadCache) serves repeat
-//!    visits from RAM.
+//!    call: the node's container read cache serves a resident container from
+//!    RAM, and a miss reads the whole data section once and caches it.
 //! 3. **Assemble** — every chunk decodes *directly* into its slice of the
 //!    preallocated output buffer (offsets are known from the recipe), so the
 //!    per-chunk double copy of the serial path is gone even at
@@ -28,14 +27,13 @@
 //!    ([`run_pool`]), `SigmaConfig::restore_parallelism` wide; output order
 //!    is free because each group writes disjoint slices.
 //!
-//! Semantics are pinned to the serial path: a group that fails its batched
-//! read (a migration or GC racing the plan, or a corrupt record past its
-//! container's data section) falls back to per-chunk
-//! [`DedupCluster::read_chunk`], which re-follows tombstone chains and
-//! reproduces the serial error; when the plan cannot
-//! even represent the recipe (layout disagreement between recipe and index)
-//! the whole restore re-runs on the reference path, preserving the
-//! [`SigmaError::RestoreTruncated`] end-to-end guard byte for byte.
+//! A group that fails its batched read (a migration or GC racing the plan,
+//! or a corrupt record past its container's data section) falls back to
+//! per-chunk [`DedupCluster::read_chunk`], which re-follows tombstone chains
+//! and reproduces the serial error.  A recipe that disagrees with itself or
+//! with the store on a chunk's length fails with
+//! [`SigmaError::RestoreTruncated`]: the restore never returns bytes that do
+//! not add up to the recipe.
 
 use crate::cluster::DedupCluster;
 use crate::director::{FileId, FileRecipe};
@@ -62,14 +60,14 @@ pub struct RestoreReport {
     /// Bytes actually read from storage backends (RAM serves count as their
     /// logical length, cache hits as zero).
     pub backend_bytes_read: u64,
-    /// Backend reads issued after extent coalescing.
+    /// Backend reads issued: one whole data section per cache miss.
     pub coalesced_runs: u64,
     /// Payload bytes memcpy'd while assembling the output.  The pipeline
     /// writes each byte exactly once (`bytes_copied == logical_bytes`); the
     /// reference path's per-chunk `Vec` + `extend_from_slice` costs two.
     pub bytes_copied: u64,
-    /// Chunks served by the per-chunk serial fallback (plan/read races,
-    /// or the whole restore re-run on the reference path).
+    /// Chunks served by the per-chunk serial fallback (a batched read that
+    /// raced a migration or GC, or met a corrupt record).
     pub serial_fallback_chunks: u64,
     /// Worker threads the group fan-out ran on.
     pub parallelism: usize,
@@ -95,21 +93,6 @@ impl RestoreReport {
         self.coalesced_runs += g.coalesced_runs;
         self.bytes_copied += g.bytes_copied;
         self.serial_fallback_chunks += g.serial_fallback_chunks;
-    }
-
-    /// The report shape of a restore that ran (or re-ran) on the reference
-    /// path: every chunk serial, every byte copied twice.
-    fn reference(bytes: &[u8], chunks: usize) -> RestoreReport {
-        RestoreReport {
-            logical_bytes: bytes.len() as u64,
-            chunks_read: chunks as u64,
-            containers_read: 0,
-            backend_bytes_read: bytes.len() as u64,
-            bytes_copied: 2 * bytes.len() as u64,
-            serial_fallback_chunks: chunks as u64,
-            parallelism: 1,
-            ..RestoreReport::default()
-        }
     }
 }
 
@@ -146,18 +129,6 @@ struct Group<'a> {
     fetches: Vec<PlannedFetch<'a>>,
 }
 
-enum GroupOutcome {
-    Done(GroupStats),
-    /// The earliest-in-recipe-order failure of the group's serial fallback.
-    Failed {
-        index: usize,
-        error: SigmaError,
-    },
-    /// The plan no longer matches reality (a payload length shifted under
-    /// it); the whole restore must re-run on the reference path.
-    Replan,
-}
-
 impl DedupCluster {
     /// Reconstructs a file and reports what the restore pipeline did.
     ///
@@ -192,7 +163,7 @@ impl DedupCluster {
         self.restore_planned(file_id, &recipe, workers.max(1))
     }
 
-    /// The plan → coalesce → assemble core.
+    /// The plan → read → assemble core.
     fn restore_planned(
         &self,
         file_id: FileId,
@@ -201,13 +172,19 @@ impl DedupCluster {
     ) -> Result<(Vec<u8>, RestoreReport)> {
         let total: u64 = recipe.chunks.iter().map(|e| u64::from(e.len)).sum();
         if total != recipe.size {
-            // The recipe disagrees with itself; only the reference path's
-            // end-to-end guard can produce the exact historical outcome
-            // (including its RestoreTruncated figures).
-            let bytes = self.restore_file_reference(file_id)?;
-            let report = RestoreReport::reference(&bytes, recipe.chunks.len());
-            return Ok((bytes, report));
+            return Err(SigmaError::RestoreTruncated {
+                file_id,
+                expected: recipe.size,
+                actual: total,
+            });
         }
+        // A chunk the store holds at another length than its entry: the
+        // recipe's size with that entry's length replaced by the stored one.
+        let truncated = |entry_len: usize, stored_len: usize| SigmaError::RestoreTruncated {
+            file_id,
+            expected: recipe.size,
+            actual: recipe.size - entry_len as u64 + stored_len as u64,
+        };
 
         let mut out = vec![0u8; total as usize];
         // Carve the output into one disjoint window per recipe entry; chained
@@ -225,14 +202,12 @@ impl DedupCluster {
         // Plan: resolve every entry in recipe order (so the first locate
         // failure surfaces in serial order) and group by (node, container).
         let mut by_container: HashMap<(usize, ContainerId), Vec<PlannedFetch<'_>>> = HashMap::new();
-        let mut layout_shift = false;
         for (index, entry) in recipe.chunks.iter().enumerate() {
             let (node, location) = self.resolve_chunk(entry.node, &entry.fingerprint, |n| {
                 n.plan_chunk_read(&entry.fingerprint)
             })?;
             if location.len != entry.len {
-                layout_shift = true;
-                break;
+                return Err(truncated(entry.len as usize, location.len as usize));
             }
             by_container
                 .entry((node, location.container))
@@ -244,15 +219,6 @@ impl DedupCluster {
                     offset: location.offset,
                     out: windows[index].take().expect("each entry is carved once"),
                 });
-        }
-        if layout_shift {
-            // The index's record length disagrees with the recipe: the
-            // reference path is the arbiter of what that restore returns.
-            drop(by_container);
-            drop(windows);
-            let bytes = self.restore_file_reference(file_id)?;
-            let report = RestoreReport::reference(&bytes, recipe.chunks.len());
-            return Ok((bytes, report));
         }
 
         // Deterministic group order (first recipe index), then fan out.
@@ -269,7 +235,9 @@ impl DedupCluster {
             .collect();
         groups.sort_unstable_by_key(|g| g.fetches[0].index);
 
-        let outcomes = run_pool(workers, groups, |_, group| self.fetch_group(group));
+        let outcomes = run_pool(workers, groups, |_, group| {
+            self.fetch_group(group, &truncated)
+        });
 
         let mut report = RestoreReport {
             logical_bytes: total,
@@ -277,35 +245,34 @@ impl DedupCluster {
             ..RestoreReport::default()
         };
         let mut failure: Option<(usize, SigmaError)> = None;
-        let mut replan = false;
         for outcome in outcomes {
             match outcome {
-                GroupOutcome::Done(stats) => report.absorb_group(&stats),
-                GroupOutcome::Failed { index, error } => {
+                Ok(stats) => report.absorb_group(&stats),
+                Err((index, error)) => {
                     if failure.as_ref().is_none_or(|(i, _)| index < *i) {
                         failure = Some((index, error));
                     }
                 }
-                GroupOutcome::Replan => replan = true,
             }
-        }
-        if replan {
-            let bytes = self.restore_file_reference(file_id)?;
-            let report = RestoreReport::reference(&bytes, recipe.chunks.len());
-            return Ok((bytes, report));
         }
         if let Some((_, error)) = failure {
             return Err(error);
         }
-        debug_assert_eq!(out.len() as u64, recipe.size, "planned size was checked");
         Ok((out, report))
     }
 
     /// Runs one group: a batched container read, with a per-chunk serial
     /// fallback that re-follows tombstones when the batch fails (a migration
     /// or GC raced the plan, or a record in the group is corrupt, which the
-    /// serial read reports as the same storage error).
-    fn fetch_group(&self, group: Group<'_>) -> GroupOutcome {
+    /// serial read reports as the same storage error).  A failure comes back
+    /// with its recipe index: the fallback stops at the group's first, which
+    /// is its earliest in recipe order.  A fallback read of another length
+    /// than the chunk's entry fails with `truncated(entry_len, stored_len)`.
+    fn fetch_group(
+        &self,
+        group: Group<'_>,
+        truncated: &impl Fn(usize, usize) -> SigmaError,
+    ) -> std::result::Result<GroupStats, (usize, SigmaError)> {
         let mut stats = GroupStats {
             containers_read: 1,
             ..GroupStats::default()
@@ -350,33 +317,24 @@ impl DedupCluster {
                     }
                     // ...but a cache hit genuinely skipped the medium.
                 }
-                GroupOutcome::Done(stats)
             }
             Err(_) => {
-                let mut failure: Option<(usize, SigmaError)> = None;
-                for (fetch, (index, recipe_node)) in fetches.iter_mut().zip(&meta) {
-                    match self.read_chunk(*recipe_node, &fetch.fingerprint) {
-                        Ok(data) if data.len() == fetch.out.len() => {
-                            fetch.out.copy_from_slice(&data);
-                            stats.chunks += 1;
-                            stats.serial_fallback_chunks += 1;
-                            stats.backend_bytes_read += data.len() as u64;
-                            // One copy into the chunk's Vec, one into place.
-                            stats.bytes_copied += 2 * data.len() as u64;
-                        }
-                        Ok(_) => return GroupOutcome::Replan,
-                        Err(error) => {
-                            if failure.as_ref().is_none_or(|(i, _)| index < i) {
-                                failure = Some((*index, error));
-                            }
-                        }
+                for (fetch, &(index, recipe_node)) in fetches.iter_mut().zip(&meta) {
+                    let data = self
+                        .read_chunk(recipe_node, &fetch.fingerprint)
+                        .map_err(|error| (index, error))?;
+                    if data.len() != fetch.out.len() {
+                        return Err((index, truncated(fetch.out.len(), data.len())));
                     }
-                }
-                match failure {
-                    Some((index, error)) => GroupOutcome::Failed { index, error },
-                    None => GroupOutcome::Done(stats),
+                    fetch.out.copy_from_slice(&data);
+                    stats.chunks += 1;
+                    stats.serial_fallback_chunks += 1;
+                    stats.backend_bytes_read += data.len() as u64;
+                    // One copy into the chunk's Vec, one into place.
+                    stats.bytes_copied += 2 * data.len() as u64;
                 }
             }
         }
+        Ok(stats)
     }
 }

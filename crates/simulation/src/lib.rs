@@ -61,17 +61,3 @@ pub mod experiments;
 pub mod retention_churn;
 pub mod runner;
 pub mod tenant_storm;
-
-#[cfg(test)]
-pub(crate) mod test_support {
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Serializes this crate's CPU-heavy, timing-sensitive tests (the tenant
-    /// storms): each spawns enough worker
-    /// threads to saturate the host, so two running at once oversubscribe the
-    /// CPU and turn the other's throughput or fairness assertion into noise.
-    pub(crate) fn cpu_heavy_test_turn() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}

@@ -194,13 +194,12 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// `offset + len` — a durability bug, never a caller convenience.
     fn read_at(&self, obj: StorageObject, offset: u64, len: usize) -> Result<Vec<u8>>;
 
-    /// Reads exactly `out.len()` bytes at `offset` into `out`.
+    /// Reads exactly `out.len()` bytes at `offset` into `out`, through
+    /// [`read_at`](Self::read_at) and a copy.
     ///
-    /// The default goes through [`read_at`](Self::read_at) and copies; backends
-    /// that can fill a caller-provided buffer without the intermediate
-    /// allocation (the file backend's `read_exact`, the in-RAM backend's slice
-    /// copy) override it.  The restore path uses this to decode chunk payloads
-    /// straight into the preallocated output buffer.
+    /// No library path calls it: restores read whole data sections with
+    /// [`read_shared`](Self::read_shared).  It stays only because the
+    /// `sigma-e2e` benchmark's counting backend implements it.
     ///
     /// # Errors
     ///
@@ -352,12 +351,6 @@ impl StorageBackend for MemoryBackend {
 
     fn read_at(&self, obj: StorageObject, offset: u64, len: usize) -> Result<Vec<u8>> {
         self.read_range(obj, offset, len, |buf, range| buf[range].to_vec())
-    }
-
-    fn read_at_into(&self, obj: StorageObject, offset: u64, out: &mut [u8]) -> Result<()> {
-        self.read_range(obj, offset, out.len(), |buf, range| {
-            out.copy_from_slice(&buf[range])
-        })
     }
 
     fn read_shared(&self, obj: StorageObject, offset: u64, len: usize) -> Result<SharedBytes> {
@@ -574,25 +567,6 @@ impl StorageBackend for FileBackend {
             )
         })?;
         Ok(buf)
-    }
-
-    fn read_at_into(&self, obj: StorageObject, offset: u64, out: &mut [u8]) -> Result<()> {
-        let path = self.path(obj);
-        let mut file =
-            fs::File::open(&path).map_err(|e| io_err(&format!("open {}", path.display()), e))?;
-        file.seek(SeekFrom::Start(offset))
-            .map_err(|e| io_err(&format!("seek {}", path.display()), e))?;
-        file.read_exact(out).map_err(|e| {
-            io_err(
-                &format!(
-                    "read {} bytes at {} from {}",
-                    out.len(),
-                    offset,
-                    path.display()
-                ),
-                e,
-            )
-        })
     }
 
     fn object_len(&self, obj: StorageObject) -> Result<Option<u64>> {

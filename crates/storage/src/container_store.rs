@@ -396,9 +396,9 @@ pub struct ContainerStore {
     /// The rollover seal whose object write is in flight, if any.  Held by
     /// whoever starts or finishes a seal, across the finish.
     sealer: Mutex<Option<Sealer>>,
-    /// Bounded LRU of container data sections serving repeat restore reads;
-    /// `None` when disabled (the default).
-    read_cache: Option<ContainerReadCache>,
+    /// Bounded LRU of container data sections serving repeat restore reads,
+    /// [`READ_CACHE_CONTAINERS`] full containers in size.
+    read_cache: ContainerReadCache,
     metadata_reads: AtomicU64,
     data_reads: AtomicU64,
     gc_dropped: AtomicU64,
@@ -429,10 +429,9 @@ impl Drop for ContainerStore {
     }
 }
 
-/// Maximum gap (bytes) between two record extents that still coalesces them
-/// into one backend read: streaming a small skipped stretch is cheaper than
-/// paying a second seek + syscall.
-const COALESCE_GAP: usize = 64 * 1024;
+/// Every store's read-cache budget, in full containers: 64 MiB at the
+/// default 4 MiB capacity.
+const READ_CACHE_CONTAINERS: u64 = 16;
 
 /// One chunk's worth of work for [`ContainerStore::read_chunks_batched`]: a
 /// record extent to read and the output slice to decode it into.  The caller
@@ -457,11 +456,12 @@ pub struct BatchedReadStats {
     /// from a container still open or sealing); divided into logical bytes
     /// this is the read amplification.
     pub backend_bytes_read: u64,
-    /// Backend reads issued after coalescing (0 when served from RAM).
+    /// Backend reads issued: one whole-section read per cache miss (0 when
+    /// served from RAM).
     pub coalesced_runs: u64,
     /// Batches served entirely from the container read cache.
     pub cache_hits: u64,
-    /// Batches that had to read the backend with a cache attached.
+    /// Batches that had to read the backend.
     pub cache_misses: u64,
 }
 
@@ -493,7 +493,7 @@ impl ContainerStore {
             table: RwLock::new(Table::default()),
             transitions: Mutex::new(()),
             sealer: Mutex::new(None),
-            read_cache: None,
+            read_cache: ContainerReadCache::new(READ_CACHE_CONTAINERS * capacity as u64),
             metadata_reads: AtomicU64::new(0),
             data_reads: AtomicU64::new(0),
             gc_dropped: AtomicU64::new(0),
@@ -521,16 +521,9 @@ impl ContainerStore {
         self
     }
 
-    /// Gives the restore path a [`ContainerReadCache`] bounded at
-    /// `capacity_bytes`; `0` disables caching.
-    pub fn with_read_cache_bytes(mut self, capacity_bytes: u64) -> Self {
-        self.read_cache = (capacity_bytes > 0).then(|| ContainerReadCache::new(capacity_bytes));
-        self
-    }
-
-    /// The read cache's counters and occupancy, `None` when caching is off.
-    pub fn read_cache_stats(&self) -> Option<ReadCacheStats> {
-        self.read_cache.as_ref().map(|c| c.stats())
+    /// The read cache's counters and occupancy.
+    pub fn read_cache_stats(&self) -> ReadCacheStats {
+        self.read_cache.stats()
     }
 
     /// Per-container data capacity in bytes.
@@ -938,11 +931,10 @@ impl ContainerStore {
     /// directly into its caller-provided output slice (restore path).
     ///
     /// Where the serial [`read_chunk`](Self::read_chunk) issues one backend
-    /// read per chunk, this coalesces: adjacent/nearby record extents become
-    /// one [`read_at`](StorageBackend::read_at) per coalesced run — or, when a
-    /// [read cache](Self::with_read_cache_bytes) is attached and the section
-    /// fits its budget, one whole-section read that also fills the cache, with
-    /// repeat visits served from RAM.
+    /// read per chunk, this reads a sealed container at most once: a read-cache
+    /// hit serves every chunk from RAM, and a miss reads the whole data section
+    /// with one [`read_shared`](StorageBackend::read_shared) that then fills
+    /// the cache for the next visit.
     ///
     /// The caller resolves fingerprints to record extents first (via the chunk
     /// index); each [`ChunkFetch`]'s `out` length is the record length.  A
@@ -1042,8 +1034,8 @@ impl ContainerStore {
         Ok(())
     }
 
-    /// The sealed-container arm of [`read_chunks_batched`]: cache, then
-    /// whole-section readahead, then coalesced extent runs.
+    /// The sealed-container arm of [`read_chunks_batched`]: a cache hit, else
+    /// one read of the whole data section, which then fills the cache.
     ///
     /// [`read_chunks_batched`]: Self::read_chunks_batched
     fn read_extents(
@@ -1054,86 +1046,36 @@ impl ContainerStore {
     ) -> Result<()> {
         let container = &summary.id;
         let data_len = summary.data_len as usize;
-        let obj = StorageObject::Container(*container);
-        if let Some(cache) = &self.read_cache {
-            if let Some(section) = cache.get(container) {
-                if section.len() == data_len {
-                    stats.cache_hits += 1;
-                    for f in fetches.iter_mut() {
-                        let start = f.offset as usize;
-                        f.out.copy_from_slice(&section[start..start + f.out.len()]);
-                    }
-                    return Ok(());
-                }
-                // A resident section of the wrong length can only be stale —
-                // never serve it.
-                cache.invalidate(container);
+        let section = match self.read_cache.get(container) {
+            Some(section) if section.len() == data_len => {
+                stats.cache_hits += 1;
+                section
             }
-            stats.cache_misses += 1;
-            if data_len as u64 <= cache.capacity_bytes() {
-                // Read the whole data section once: restores revisit
-                // containers, so the readahead doubles as the cache fill —
-                // the buffer the backend returned is the one cached, uncopied
-                // (on the in-RAM backends, the object's own buffer).
-                let section =
-                    self.backend
-                        .read_shared(obj, CONTAINER_BLOB_DATA_OFFSET as u64, data_len)?;
+            resident => {
+                if resident.is_some() {
+                    // A resident section of the wrong length can only be
+                    // stale — never serve it.
+                    self.read_cache.invalidate(container);
+                }
+                // Restores revisit containers, so the read doubles as the
+                // cache fill — the buffer the backend returned is the one
+                // cached, uncopied (on the in-RAM backends, the object's own
+                // buffer).
+                stats.cache_misses += 1;
+                let section = self.backend.read_shared(
+                    StorageObject::Container(*container),
+                    CONTAINER_BLOB_DATA_OFFSET as u64,
+                    data_len,
+                )?;
                 stats.backend_bytes_read += data_len as u64;
                 stats.coalesced_runs += 1;
-                for f in fetches.iter_mut() {
-                    let start = f.offset as usize;
-                    f.out.copy_from_slice(&section[start..start + f.out.len()]);
-                }
-                self.fill_cache(summary, section);
-                return Ok(());
+                self.fill_cache(summary, section.clone());
+                section
             }
-            // Section bigger than the whole cache budget: fall through to
-            // plain coalesced runs without caching.
-        }
-        // Walk the extents in offset order, coalescing neighbours whose gap is
-        // at most COALESCE_GAP into one backend read per run.
-        let mut order: Vec<usize> = (0..fetches.len()).collect();
-        order.sort_unstable_by_key(|&i| fetches[i].offset);
-        let mut next = 0;
-        while next < order.len() {
-            let mut run = vec![order[next]];
-            let run_start = fetches[order[next]].offset as usize;
-            let mut run_end = run_start + fetches[order[next]].out.len();
-            next += 1;
-            while next < order.len() {
-                let idx = order[next];
-                let start = fetches[idx].offset as usize;
-                if start > run_end + COALESCE_GAP {
-                    break;
-                }
-                run_end = run_end.max(start + fetches[idx].out.len());
-                run.push(idx);
-                next += 1;
-            }
-            let run_len = run_end - run_start;
-            if run.len() == 1 {
-                // A lone extent reads straight into its output slice — no
-                // intermediate buffer at all.
-                let f = &mut fetches[run[0]];
-                self.backend.read_at_into(
-                    obj,
-                    (CONTAINER_BLOB_DATA_OFFSET + run_start) as u64,
-                    &mut f.out[..],
-                )?;
-            } else {
-                let buf = self.backend.read_at(
-                    obj,
-                    (CONTAINER_BLOB_DATA_OFFSET + run_start) as u64,
-                    run_len,
-                )?;
-                for &idx in &run {
-                    let f = &mut fetches[idx];
-                    let start = f.offset as usize - run_start;
-                    f.out.copy_from_slice(&buf[start..start + f.out.len()]);
-                }
-            }
-            stats.backend_bytes_read += run_len as u64;
-            stats.coalesced_runs += 1;
+        };
+        for f in fetches.iter_mut() {
+            let start = f.offset as usize;
+            f.out.copy_from_slice(&section[start..start + f.out.len()]);
         }
         Ok(())
     }
@@ -1144,11 +1086,9 @@ impl ContainerStore {
     /// happen under the table's read lock, so a section can never outlive the
     /// removal of its container.
     fn fill_cache(&self, summary: &Arc<ContainerSummary>, section: SharedBytes) {
-        if let Some(cache) = &self.read_cache {
-            let table = self.table.read();
-            if table.holds(summary) {
-                cache.insert(summary.id, section);
-            }
+        let table = self.table.read();
+        if table.holds(summary) {
+            self.read_cache.insert(summary.id, section);
         }
     }
 
@@ -1178,8 +1118,7 @@ impl ContainerStore {
     fn section(&self, container: &ContainerSummary) -> Result<SharedBytes> {
         let cached = self
             .read_cache
-            .as_ref()
-            .and_then(|cache| cache.get(&container.id))
+            .get(&container.id)
             .filter(|section| section.len() == container.data_len as usize);
         match cached {
             Some(section) => Ok(section),
@@ -1358,9 +1297,7 @@ impl ContainerStore {
     }
 
     fn drop_object(&self, container: ContainerId) {
-        if let Some(cache) = &self.read_cache {
-            cache.invalidate(&container);
-        }
+        self.read_cache.invalidate(&container);
         // Best-effort: the journal record preceding the removal is the
         // durable authority; an object a failed delete leaves behind is an
         // orphan the next recovery sweeps.
@@ -2165,17 +2102,13 @@ mod tests {
         assert_eq!(
             (stats.coalesced_runs, stats.backend_bytes_read),
             (1, 500),
-            "served off the object, like every backend: one coalesced read"
+            "served off the object, like every backend: one whole-section read"
         );
-        assert_eq!(
-            stats.cache_hits + stats.cache_misses,
-            0,
-            "no cache attached"
-        );
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
     }
 
     #[test]
-    fn batched_read_coalesces_file_backend_extents() {
+    fn a_cold_batch_reads_the_whole_section_once_whatever_it_asks_for() {
         let root = std::env::temp_dir().join(format!(
             "sigma-batched-{}-{}",
             std::process::id(),
@@ -2194,24 +2127,26 @@ mod tests {
         }
         store.flush().unwrap();
         let cid = store.sealed_container_ids()[0];
-        let stats = batched_roundtrip(&store, &cid, &chunks);
-        assert_eq!(stats.chunks, 6);
-        assert_eq!(
-            stats.coalesced_runs, 1,
-            "six adjacent extents coalesce into one backend read"
-        );
-        assert_eq!(stats.backend_bytes_read, 600);
-        // A sparse subset (gaps of 100 bytes) still coalesces: the gap is far
-        // below COALESCE_GAP.
-        let sparse: Vec<_> = chunks.iter().step_by(2).cloned().collect();
-        let stats = batched_roundtrip(&store, &cid, &sparse);
-        assert_eq!(stats.coalesced_runs, 1);
-        assert_eq!(stats.backend_bytes_read, 500, "reads through the gaps");
-        // A lone extent reads exactly its own bytes.
+        // A lone extent, cold: the read is the whole 600-byte section.
         let one = vec![chunks[2].clone()];
         let stats = batched_roundtrip(&store, &cid, &one);
-        assert_eq!((stats.coalesced_runs, stats.backend_bytes_read), (1, 100));
+        assert_eq!((stats.coalesced_runs, stats.backend_bytes_read), (1, 600));
+        // Every other subset is then served from the cache.
+        let sparse: Vec<_> = chunks.iter().step_by(2).cloned().collect();
+        let stats = batched_roundtrip(&store, &cid, &sparse);
+        assert_eq!((stats.coalesced_runs, stats.backend_bytes_read), (0, 0));
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 0));
         let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn every_store_caches_sixteen_containers() {
+        let stats = ContainerStore::with_default_capacity().read_cache_stats();
+        assert_eq!(stats.capacity_bytes, 64 << 20);
+        assert_eq!(
+            ContainerStore::new(4096).read_cache_stats().capacity_bytes,
+            16 * 4096
+        );
     }
 
     #[test]
@@ -2225,9 +2160,7 @@ mod tests {
                 .as_nanos()
         ));
         let backend = Arc::new(crate::FileBackend::open(&root).unwrap());
-        let store = ContainerStore::new(4096)
-            .with_backend(backend)
-            .with_read_cache_bytes(1 << 20);
+        let store = ContainerStore::new(4096).with_backend(backend);
         let mut chunks = Vec::new();
         for i in 0..4u64 {
             let (fp, data) = payload(i, 100);
@@ -2245,7 +2178,7 @@ mod tests {
         let second = batched_roundtrip(&store, &cid, &chunks);
         assert_eq!((second.cache_hits, second.cache_misses), (1, 0));
         assert_eq!(second.backend_bytes_read, 0, "repeat visit never hits disk");
-        let cache = store.read_cache_stats().expect("cache attached");
+        let cache = store.read_cache_stats();
         assert_eq!(cache.resident_containers, 1);
         assert_eq!(cache.resident_bytes, 400);
         // GC-compacting the container must invalidate its cached section.
@@ -2256,7 +2189,7 @@ mod tests {
             .unwrap()
             .expect("half-dead container compacts");
         assert_eq!(
-            store.read_cache_stats().unwrap().resident_containers,
+            store.read_cache_stats().resident_containers,
             0,
             "victim's section dropped"
         );
@@ -2311,9 +2244,7 @@ mod tests {
         // wrote for a trace-driven node.  Its object is written and its
         // summary installed by hand, as journal replay would install it.
         let backend = Arc::new(MemoryBackend::new());
-        let store = ContainerStore::new(4096)
-            .with_backend(backend.clone())
-            .with_read_cache_bytes(1 << 20);
+        let store = ContainerStore::new(4096).with_backend(backend.clone());
         let chunks: Vec<(Fingerprint, Vec<u8>)> = (0..3u64).map(|i| payload(i, 100)).collect();
         let data: Vec<u8> = chunks.iter().flat_map(|(_, d)| d.clone()).collect();
         let (ghost, _) = payload(9, 1);
@@ -2346,9 +2277,9 @@ mod tests {
         };
         assert!(not_stored(store.read_chunk(&id, &ghost)));
         assert!(not_stored(batched(&records[3..])), "cold");
-        assert_eq!(store.read_cache_stats().unwrap().resident_containers, 0);
+        assert_eq!(store.read_cache_stats().resident_containers, 0);
         batched(&records[..3]).unwrap();
-        assert_eq!(store.read_cache_stats().unwrap().resident_containers, 1);
+        assert_eq!(store.read_cache_stats().resident_containers, 1);
         assert!(not_stored(batched(&records[3..])), "after a cache fill");
         assert!(
             not_stored(batched(&records[2..])),
@@ -2766,12 +2697,8 @@ mod tests {
         }
     }
 
-    /// A store over a disarmed [`ParkingBackend`], with a read cache of
-    /// `cache_bytes` (0 for none).
-    fn parked_store(
-        capacity: usize,
-        cache_bytes: u64,
-    ) -> (Arc<ContainerStore>, Arc<ParkingBackend>, Gate) {
+    /// A store over a disarmed [`ParkingBackend`].
+    fn parked_store(capacity: usize) -> (Arc<ContainerStore>, Arc<ParkingBackend>, Gate) {
         let (parked_tx, parked) = std::sync::mpsc::channel();
         let (release, release_rx) = std::sync::mpsc::channel();
         let backend = Arc::new(ParkingBackend {
@@ -2781,9 +2708,7 @@ mod tests {
             parked: Mutex::new(parked_tx),
             release: Mutex::new(release_rx),
         });
-        let store = ContainerStore::new(capacity)
-            .with_backend(backend.clone())
-            .with_read_cache_bytes(cache_bytes);
+        let store = ContainerStore::new(capacity).with_backend(backend.clone());
         (Arc::new(store), backend, Gate { parked, release })
     }
 
@@ -2811,7 +2736,7 @@ mod tests {
         // flushing thread, and a rollover, which starts the write on its
         // sealer thread and returns at once.
         for rollover in [false, true] {
-            let (store, backend, gate) = parked_store(256, 0);
+            let (store, backend, gate) = parked_store(256);
             let (fp, data) = payload(1, 200);
             let loc = store.store_chunk(0, fp, &data).unwrap();
             assert_eq!(store.state(&loc.container), ContainerState::Open);
@@ -2858,7 +2783,7 @@ mod tests {
 
     #[test]
     fn sealer_keeps_physical_bytes_across_a_parked_and_a_failed_seal() {
-        let (store, backend, gate) = parked_store(256, 0);
+        let (store, backend, gate) = parked_store(256);
         let (fp, data) = payload(1, 200);
         let first = store.store_chunk(0, fp, &data).unwrap().container;
         assert_eq!(store.physical_bytes(), 200);
@@ -2888,7 +2813,7 @@ mod tests {
 
     #[test]
     fn sealer_failure_surfaces_at_the_next_rollover_and_the_flush_retries_it() {
-        let (store, backend, _gate) = parked_store(256, 0);
+        let (store, backend, _gate) = parked_store(256);
         let chunks: Vec<(Fingerprint, Vec<u8>)> = (0..4u64).map(|i| payload(i, 200)).collect();
         let mut locs = Vec::new();
         locs.push(store.store_chunk(0, chunks[0].0, &chunks[0].1).unwrap());
@@ -2949,7 +2874,7 @@ mod tests {
         let source = ContainerStore::new(4096);
         let (origin, chunks) = sealed_chunks(&source, 3);
         let exported = source.export_sealed(&origin).unwrap().expect("sealed");
-        let (store, backend, gate) = parked_store(4096, 0);
+        let (store, backend, gate) = parked_store(4096);
         backend.arm(Park::Write);
         let adopt = |store: &Arc<ContainerStore>| {
             let (store, exported) = (store.clone(), exported.clone());
@@ -2981,10 +2906,10 @@ mod tests {
 
     #[test]
     fn a_gc_drop_parked_before_its_delete_has_already_swapped() {
-        let (store, backend, gate) = parked_store(4096, 1 << 20);
+        let (store, backend, gate) = parked_store(4096);
         let (cid, chunks) = sealed_chunks(&store, 2);
         batched_roundtrip(&store, &cid, &chunks);
-        assert_eq!(store.read_cache_stats().unwrap().resident_containers, 1);
+        assert_eq!(store.read_cache_stats().resident_containers, 1);
         backend.arm(Park::Delete);
         let dropper = {
             let store = store.clone();
@@ -2996,7 +2921,7 @@ mod tests {
         assert_eq!(store.state(&cid), ContainerState::Absent);
         assert_eq!(store.stats().sealed_containers, 0);
         assert_eq!(store.stats().stored_bytes, 0);
-        assert_eq!(store.read_cache_stats().unwrap().resident_containers, 0);
+        assert_eq!(store.read_cache_stats().resident_containers, 0);
         let obj = StorageObject::Container(cid);
         assert!(backend.inner.object_len(obj).unwrap().is_some());
         assert_eq!(
@@ -3012,7 +2937,7 @@ mod tests {
 
     #[test]
     fn a_read_parked_across_a_compaction_follows_the_replacement() {
-        let (store, backend, gate) = parked_store(4096, 0);
+        let (store, backend, gate) = parked_store(4096);
         let (victim, chunks) = sealed_chunks(&store, 4);
         backend.arm(Park::ReadAt);
         let reader = {
@@ -3084,7 +3009,7 @@ mod tests {
 
     #[test]
     fn a_read_parked_across_a_retirement_finds_the_tombstone() {
-        let (store, backend, gate) = parked_store(4096, 0);
+        let (store, backend, gate) = parked_store(4096);
         let (cid, chunks) = sealed_chunks(&store, 1);
         backend.arm(Park::ReadAt);
         let reader = {
@@ -3107,7 +3032,7 @@ mod tests {
 
     #[test]
     fn a_cache_fill_racing_a_removal_leaves_nothing_resident() {
-        let (store, backend, gate) = parked_store(4096, 1 << 20);
+        let (store, backend, gate) = parked_store(4096);
         let (cid, chunks) = sealed_chunks(&store, 4);
         // Parks the restore after it read the whole section, before it
         // offers the section to the cache.
@@ -3122,7 +3047,7 @@ mod tests {
         // The reader answers with the bytes it read before the drop...
         assert_eq!(reader.join().unwrap().cache_misses, 1);
         // ...but no section of the dropped container stays resident.
-        assert_eq!(store.read_cache_stats().unwrap().resident_containers, 0);
+        assert_eq!(store.read_cache_stats().resident_containers, 0);
     }
 
     #[test]

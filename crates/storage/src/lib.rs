@@ -46,7 +46,7 @@ pub use container_store::{
 pub use error::StorageError;
 pub use fingerprint_cache::{CacheStats, FingerprintCache};
 pub use journal::{CrashMode, Journal, JournalRecord, NodeSnapshot, ReplaySummary};
-pub use read_cache::{ContainerReadCache, ReadCacheStats};
+pub use read_cache::ReadCacheStats;
 pub use similarity_index::{SimilarityIndex, SimilarityIndexStats};
 
 /// Convenient result alias for storage operations.

@@ -11,8 +11,9 @@
 //!   only, no header/metadata) as the [`SharedBytes`] a backend read returned —
 //!   inserting copies nothing, clones to readers are cheap, and on the in-RAM
 //!   backends the section is the backend object's own buffer, not a copy;
-//! * bounded in **bytes**, not entries, via the `restore_cache_bytes` knob —
-//!   containers are the capacity unit users reason about;
+//! * bounded in **bytes**, not entries: every container store owns one,
+//!   sized at a constant sixteen full containers (`READ_CACHE_CONTAINERS`),
+//!   the unit a restore reads in — always on, with no knob;
 //! * filled by restore reads and by recovery's object check, which reads
 //!   every data section anyway — alone, with the same read a restore's fill
 //!   makes, after the head and before the record table, so on the file
@@ -31,7 +32,8 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Point-in-time view of a [`ContainerReadCache`]'s counters and occupancy.
+/// Point-in-time view of a container store's read-cache counters and
+/// occupancy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadCacheStats {
     /// Lookups served from a resident data section.
@@ -64,7 +66,7 @@ struct Inner {
 }
 
 /// Bytes-bounded LRU of container data sections; see the module docs.
-pub struct ContainerReadCache {
+pub(crate) struct ContainerReadCache {
     capacity_bytes: u64,
     inner: Mutex<Inner>,
     hits: AtomicU64,
@@ -84,10 +86,8 @@ impl std::fmt::Debug for ContainerReadCache {
 }
 
 impl ContainerReadCache {
-    /// Creates a cache bounded at `capacity_bytes` (must be non-zero; a zero
-    /// budget means "no cache" and callers represent that as `None`).
+    /// Creates a cache bounded at `capacity_bytes`.
     pub fn new(capacity_bytes: u64) -> Self {
-        debug_assert!(capacity_bytes > 0, "zero-budget cache should be None");
         ContainerReadCache {
             capacity_bytes,
             inner: Mutex::new(Inner {
@@ -99,11 +99,6 @@ impl ContainerReadCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// The configured byte budget.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
     }
 
     /// Returns the resident data section for `container`, touching its LRU

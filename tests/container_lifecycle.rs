@@ -20,15 +20,13 @@ use std::sync::{Arc, Mutex};
 type Live = Mutex<BTreeMap<u64, Arc<Vec<u8>>>>;
 
 /// Small chunks, super-chunks and containers, so a few KB per file make
-/// several containers to seal, migrate and collect, and a read cache a few
-/// containers big.
+/// several containers to seal, migrate and collect.
 fn config() -> SigmaConfig {
     SigmaConfig::builder()
         .super_chunk_size(4 * 1024)
         .chunker(ChunkerParams::fixed(512))
         .container_capacity(8 * 1024)
         .cache_containers(4)
-        .restore_cache_bytes(32 * 1024)
         .gc_liveness_threshold(0.9)
         .build()
         .expect("valid test config")
