@@ -103,13 +103,7 @@ fn pipelined_pass(
             .restore_file_pipelined(*file_id, workers)
             .expect("restore cannot fail in bench");
         restored.push(bytes);
-        summed.logical_bytes += report.logical_bytes;
-        summed.chunks_read += report.chunks_read;
-        summed.containers_read += report.containers_read;
-        summed.cache_hits += report.cache_hits;
-        summed.cache_misses += report.cache_misses;
-        summed.backend_bytes_read += report.backend_bytes_read;
-        summed.coalesced_runs += report.coalesced_runs;
+        summed.absorb(&report);
     }
     let mbps = sw.stop(total_bytes(files)).mb_per_sec();
     check_restored(files, &restored);

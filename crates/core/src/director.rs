@@ -157,6 +157,28 @@ impl Director {
         self.inner.lock().session_tenants.get(&session_id).cloned()
     }
 
+    /// The tenant tag of a registered file's session: `None` for an absent
+    /// file or an untagged session.
+    pub fn file_tenant(&self, file_id: FileId) -> Option<String> {
+        let inner = self.inner.lock();
+        let recipe = inner.recipes.get(&file_id)?;
+        inner.session_tenants.get(&recipe.session_id).cloned()
+    }
+
+    /// Every registered recipe whose session carries `tenant`'s tag, in one
+    /// pass under one lock.
+    pub fn tenant_recipes(&self, tenant: &str) -> Vec<Arc<FileRecipe>> {
+        let inner = self.inner.lock();
+        inner
+            .recipes
+            .values()
+            .filter(|r| {
+                inner.session_tenants.get(&r.session_id).map(String::as_str) == Some(tenant)
+            })
+            .cloned()
+            .collect()
+    }
+
     /// Logical bytes of every registered recipe, grouped by the owning
     /// session's tenant tag.  Untagged sessions are excluded — see
     /// [`untagged_logical_bytes`](Director::untagged_logical_bytes); the two
@@ -504,6 +526,20 @@ mod tests {
         );
         assert_eq!(d.session_tenant(sa).as_deref(), Some("acme"));
         assert_eq!(d.session_tenant(untagged), None);
+        let mut acme: Vec<String> = d
+            .tenant_recipes("acme")
+            .iter()
+            .map(|r| r.name.clone())
+            .collect();
+        acme.sort_unstable();
+        assert_eq!(acme, ["a1", "a2"]);
+        assert!(d.tenant_recipes("initech").is_empty());
+        let b1 = d.tenant_recipes("globex")[0].file_id;
+        assert_eq!(d.file_tenant(b1).as_deref(), Some("globex"));
+        d.delete_file(b1);
+        assert_eq!(d.file_tenant(b1), None, "an absent file has no tenant");
+        let u1 = d.register_file(untagged, "u2", 1, Vec::new());
+        assert_eq!(d.file_tenant(u1), None, "nor does an untagged one");
     }
 
     #[test]
@@ -515,9 +551,11 @@ mod tests {
         let s = d.open_tenant_session("nightly", 3, "acme");
         d.register_file(s, "wave", 10, vec![entry(1)]);
         assert_eq!(d.delete_generation(3).len(), 1);
-        d.register_file(s, "late", 70, vec![entry(2)]);
+        let late = d.register_file(s, "late", 70, vec![entry(2)]);
         assert_eq!(d.logical_bytes_by_tenant()["acme"], 70);
         assert_eq!(d.session_tenant(s).as_deref(), Some("acme"));
+        assert_eq!(d.file_tenant(late).as_deref(), Some("acme"));
+        assert_eq!(d.tenant_recipes("acme").len(), 1);
     }
 
     #[test]

@@ -871,11 +871,6 @@ impl DedupNode {
         }
     }
 
-    /// The container read cache's counters and occupancy.
-    pub fn read_cache_stats(&self) -> sigma_storage::ReadCacheStats {
-        self.store.read_cache_stats()
-    }
-
     // ---- Garbage collection (used by `DedupCluster::collect_garbage`) ----
 
     /// The finalized chunk-index location of a fingerprint, without touching

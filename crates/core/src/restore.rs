@@ -43,8 +43,11 @@ use sigma_hashkit::Fingerprint;
 use sigma_storage::{ChunkFetch, ContainerId};
 use std::collections::HashMap;
 
-/// What one planned restore did — the pipeline's observability surface,
-/// aggregated into `sigma_metrics::RestoreCounters` by the service layer.
+/// What one planned restore did — the pipeline's observability surface.
+///
+/// One type sums at every level: each `(node, container)` group's work is a
+/// report, a restore's is the [`absorb`](Self::absorb)ed sum of its groups,
+/// and the service layer's `Stats` totals are the sum of every restore's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RestoreReport {
     /// Logical bytes delivered to the caller.
@@ -84,28 +87,19 @@ impl RestoreReport {
         }
     }
 
-    fn absorb_group(&mut self, g: &GroupStats) {
-        self.chunks_read += g.chunks;
-        self.containers_read += g.containers_read;
-        self.cache_hits += g.cache_hits;
-        self.cache_misses += g.cache_misses;
-        self.backend_bytes_read += g.backend_bytes_read;
-        self.coalesced_runs += g.coalesced_runs;
-        self.bytes_copied += g.bytes_copied;
-        self.serial_fallback_chunks += g.serial_fallback_chunks;
+    /// Adds every additive field of `other` into `self`; `parallelism`, a
+    /// setting rather than a count, is left as it is.
+    pub fn absorb(&mut self, other: &RestoreReport) {
+        self.logical_bytes += other.logical_bytes;
+        self.chunks_read += other.chunks_read;
+        self.containers_read += other.containers_read;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.backend_bytes_read += other.backend_bytes_read;
+        self.coalesced_runs += other.coalesced_runs;
+        self.bytes_copied += other.bytes_copied;
+        self.serial_fallback_chunks += other.serial_fallback_chunks;
     }
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct GroupStats {
-    chunks: u64,
-    containers_read: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    backend_bytes_read: u64,
-    coalesced_runs: u64,
-    bytes_copied: u64,
-    serial_fallback_chunks: u64,
 }
 
 /// One planned entry: where the chunk's bytes come from and the output window
@@ -247,7 +241,7 @@ impl DedupCluster {
         let mut failure: Option<(usize, SigmaError)> = None;
         for outcome in outcomes {
             match outcome {
-                Ok(stats) => report.absorb_group(&stats),
+                Ok(group) => report.absorb(&group),
                 Err((index, error)) => {
                     if failure.as_ref().is_none_or(|(i, _)| index < *i) {
                         failure = Some((index, error));
@@ -272,10 +266,10 @@ impl DedupCluster {
         &self,
         group: Group<'_>,
         truncated: &impl Fn(usize, usize) -> SigmaError,
-    ) -> std::result::Result<GroupStats, (usize, SigmaError)> {
-        let mut stats = GroupStats {
+    ) -> std::result::Result<RestoreReport, (usize, SigmaError)> {
+        let mut report = RestoreReport {
             containers_read: 1,
-            ..GroupStats::default()
+            ..RestoreReport::default()
         };
         let meta: Vec<(usize, usize)> = group
             .fetches
@@ -300,20 +294,21 @@ impl DedupCluster {
         };
         match batched {
             Ok(s) => {
-                stats.chunks = s.chunks;
-                stats.backend_bytes_read = s.backend_bytes_read;
-                stats.coalesced_runs = s.coalesced_runs;
-                stats.cache_hits = s.cache_hits;
-                stats.cache_misses = s.cache_misses;
+                report.chunks_read = s.chunks;
+                report.backend_bytes_read = s.backend_bytes_read;
+                // The store reads a whole data section once per miss.
+                report.coalesced_runs = s.cache_misses;
+                report.cache_hits = s.cache_hits;
+                report.cache_misses = s.cache_misses;
                 // Serves from RAM and cache hits still copy each payload
                 // into the output exactly once.
-                stats.bytes_copied = fetches.iter().map(|f| f.out.len() as u64).sum();
+                report.bytes_copied = fetches.iter().map(|f| f.out.len() as u64).sum();
                 if s.backend_bytes_read == 0 {
                     // A still-open container was served from its in-memory
                     // builder: count the logical bytes so read amplification
                     // stays 1.0...
                     if s.cache_hits == 0 {
-                        stats.backend_bytes_read = stats.bytes_copied;
+                        report.backend_bytes_read = report.bytes_copied;
                     }
                     // ...but a cache hit genuinely skipped the medium.
                 }
@@ -327,14 +322,14 @@ impl DedupCluster {
                         return Err((index, truncated(fetch.out.len(), data.len())));
                     }
                     fetch.out.copy_from_slice(&data);
-                    stats.chunks += 1;
-                    stats.serial_fallback_chunks += 1;
-                    stats.backend_bytes_read += data.len() as u64;
+                    report.chunks_read += 1;
+                    report.serial_fallback_chunks += 1;
+                    report.backend_bytes_read += data.len() as u64;
                     // One copy into the chunk's Vec, one into place.
-                    stats.bytes_copied += 2 * data.len() as u64;
+                    report.bytes_copied += 2 * data.len() as u64;
                 }
             }
         }
-        Ok(stats)
+        Ok(report)
     }
 }

@@ -17,8 +17,6 @@
 //! tables, wall-clock throughput measurement ([`Stopwatch`], [`Throughput`]),
 //! and lock-light per-operation service counters ([`MetricsRegistry`],
 //! [`OpCounters`]) fed by the service layer's request-logging middleware.
-//! Restore-path observability (chunks read, container visits, cache hit rates,
-//! read amplification) lives in [`RestoreCounters`] / [`RestoreSnapshot`].
 //! Multi-tenant accounting lives in [`TenantCounters`] /
 //! [`TenantStatsReport`] (per-tenant logical/transferred bytes while physical
 //! chunks stay shared), and [`jain_fairness_index`] scores how evenly a
@@ -29,12 +27,10 @@
 
 mod counters;
 pub mod report;
-mod restore;
 mod tenant;
 mod throughput;
 
 pub use counters::{MetricsRegistry, OpCounters, OpSnapshot};
-pub use restore::{RestoreCounters, RestoreSnapshot};
 pub use tenant::{jain_fairness_index, TenantCounters, TenantStatsReport};
 pub use throughput::{Stopwatch, Throughput};
 

@@ -5,8 +5,8 @@ use crate::middleware::ServiceResult;
 use crate::pipeline::Backend;
 use crate::{Operation, RequestEnvelope, ResponseEnvelope};
 use parking_lot::Mutex;
-use sigma_core::{BackupClient, DedupCluster, SigmaError};
-use sigma_metrics::{MetricsRegistry, RestoreCounters, RestoreSnapshot, TenantStatsReport};
+use sigma_core::{BackupClient, DedupCluster, RestoreReport, SigmaError};
+use sigma_metrics::{MetricsRegistry, TenantStatsReport};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -49,58 +49,38 @@ pub const TENANT_STATS_PREFIX: &str = "tenant_";
 /// library users and simulations sharing the cluster.
 const STREAM_ID_BASE: u64 = 1 << 32;
 
-/// One tenant's backup session in one generation.
-#[derive(Debug)]
-struct SessionEntry {
-    tenant: String,
-    generation: u64,
-    files: Vec<u64>,
-}
-
-/// Who may restore or delete a file.
-#[derive(Debug)]
-struct FileOwner {
-    tenant: String,
-    session_id: u64,
-}
-
 #[derive(Default)]
 struct Inner {
     /// One lazily-created client (= one open session) per tenant × generation.
     clients: HashMap<(String, u64), Arc<BackupClient>>,
-    sessions: HashMap<u64, SessionEntry>,
-    owners: HashMap<u64, FileOwner>,
     next_stream: u64,
 }
 
 /// The production [`Backend`]: executes [`Operation`]s against a
 /// [`DedupCluster`] it owns, keyed by tenant.
 ///
-/// Ownership is enforced at the service boundary: a tenant can only restore
-/// or delete files and sessions it created *through this service*, and a
-/// cross-tenant (or unknown) ID is answered with the same `NotFound` as a
-/// genuinely absent one, so IDs cannot be probed across tenants.
-/// `CollectGarbage` is cluster-scoped and available to any authenticated
-/// tenant; `Stats` reports cluster-wide figures *plus* the calling tenant's
-/// own [`TenantStatsReport`].
-///
 /// Every session the service opens is tenant-tagged in the cluster's
-/// director, so per-tenant *live* logical bytes can be audited from the
-/// cluster side independently of this layer's cumulative counters — the
-/// tenant-isolation invariant checked by the simulation and property tests.
+/// director, and the director is the one record of who owns what: a tenant
+/// owns a file whose session carries its tag, and a session that still
+/// exists and carries its tag.  Whichever `BackupService` (or direct
+/// [`BackupClient::with_tenant`] caller) created them, a tenant can restore
+/// or delete only what it owns, and a cross-tenant (or unknown) ID is
+/// answered with the same `NotFound` as a genuinely absent one, so IDs
+/// cannot be probed across tenants.  `CollectGarbage` is cluster-scoped and
+/// available to any authenticated tenant; `Stats` reports cluster-wide
+/// figures *plus* the calling tenant's own [`TenantStatsReport`].
 pub struct BackupService {
     cluster: Arc<DedupCluster>,
     inner: Mutex<Inner>,
     metrics: Arc<MetricsRegistry>,
-    restore_counters: Arc<RestoreCounters>,
+    /// Restores served and the sum of their reports.
+    restores: Mutex<(u64, RestoreReport)>,
 }
 
 impl std::fmt::Debug for BackupService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
         f.debug_struct("BackupService")
-            .field("sessions", &inner.sessions.len())
-            .field("files", &inner.owners.len())
+            .field("clients", &self.inner.lock().clients.len())
             .finish_non_exhaustive()
     }
 }
@@ -112,14 +92,15 @@ impl BackupService {
             cluster,
             inner: Mutex::new(Inner::default()),
             metrics: Arc::new(MetricsRegistry::new()),
-            restore_counters: Arc::new(RestoreCounters::new()),
+            restores: Mutex::new((0, RestoreReport::default())),
         }
     }
 
-    /// Aggregate restore-path counters (chunks read, container visits, cache
-    /// hit rates, read amplification) across every tenant's restores.
-    pub fn restore_counters(&self) -> &Arc<RestoreCounters> {
-        &self.restore_counters
+    /// Restores served across every tenant, and the sum of their
+    /// [`RestoreReport`]s (chunks read, container visits, cache hits and
+    /// misses, backend bytes read).
+    pub fn restore_totals(&self) -> (u64, RestoreReport) {
+        *self.restores.lock()
     }
 
     /// The cluster behind the service (stats, direct experimentation).
@@ -136,16 +117,9 @@ impl BackupService {
     /// live state (surviving files and their logical bytes).
     pub fn tenant_stats_for(&self, tenant: &str) -> TenantStatsReport {
         let mut report = self.metrics.tenant(tenant).report(tenant);
-        report.live_logical_bytes = self
-            .cluster
-            .tenant_logical_bytes()
-            .get(tenant)
-            .copied()
-            .unwrap_or(0);
-        report.files = {
-            let inner = self.inner.lock();
-            inner.owners.values().filter(|o| o.tenant == tenant).count() as u64
-        };
+        let live = self.cluster.director().tenant_recipes(tenant);
+        report.live_logical_bytes = live.iter().map(|r| r.size).sum();
+        report.files = live.len() as u64;
         report
     }
 
@@ -178,14 +152,6 @@ impl BackupService {
             generation,
             tenant,
         ));
-        inner.sessions.insert(
-            client.session_id(),
-            SessionEntry {
-                tenant: tenant.to_string(),
-                generation,
-                files: Vec::new(),
-            },
-        );
         inner.clients.insert(key, client.clone());
         client
     }
@@ -193,18 +159,6 @@ impl BackupService {
     fn backup(&self, req: &RequestEnvelope, file_name: &str, generation: u64) -> ServiceResult {
         let client = self.client_for(&req.tenant, generation);
         let report = client.backup_bytes(file_name, &req.payload)?;
-        let mut inner = self.inner.lock();
-        inner.owners.insert(
-            report.file_id,
-            FileOwner {
-                tenant: req.tenant.clone(),
-                session_id: client.session_id(),
-            },
-        );
-        if let Some(session) = inner.sessions.get_mut(&client.session_id()) {
-            session.files.push(report.file_id);
-        }
-        drop(inner);
         self.metrics
             .tenant(&req.tenant)
             .record_ingest(report.logical_bytes, report.transferred_bytes);
@@ -217,12 +171,11 @@ impl BackupService {
             .with_metadata(DUPLICATE_CHUNKS_KEY, report.duplicate_chunks.to_string()))
     }
 
-    /// Checks that `file_id` exists and belongs to `tenant`; answers
-    /// cross-tenant probes with the same error as absent files.
+    /// Checks that `file_id` exists and its session carries `tenant`'s tag;
+    /// answers cross-tenant probes with the same error as absent files.
     fn authorize_file(&self, tenant: &str, file_id: u64) -> Result<(), SigmaError> {
-        let inner = self.inner.lock();
-        match inner.owners.get(&file_id) {
-            Some(owner) if owner.tenant == tenant => Ok(()),
+        match self.cluster.director().file_tenant(file_id) {
+            Some(owner) if owner == tenant => Ok(()),
             _ => Err(SigmaError::FileNotFound(file_id)),
         }
     }
@@ -233,15 +186,11 @@ impl BackupService {
         self.metrics
             .tenant(&req.tenant)
             .record_restored(data.len() as u64);
-        self.restore_counters.record(&RestoreSnapshot {
-            restores: 1,
-            chunks_read: report.chunks_read,
-            containers_opened: report.containers_read,
-            cache_hits: report.cache_hits,
-            cache_misses: report.cache_misses,
-            backend_bytes_read: report.backend_bytes_read,
-            logical_bytes_restored: report.logical_bytes,
-        });
+        {
+            let mut totals = self.restores.lock();
+            totals.0 += 1;
+            totals.1.absorb(&report);
+        }
         Ok(ResponseEnvelope::ok(req.request_id)
             .with_metadata(LOGICAL_BYTES_KEY, data.len().to_string())
             .with_metadata(CHUNKS_READ_KEY, report.chunks_read.to_string())
@@ -262,37 +211,35 @@ impl BackupService {
     fn delete_file(&self, req: &RequestEnvelope, file_id: u64) -> ServiceResult {
         self.authorize_file(&req.tenant, file_id)?;
         let freed = self.cluster.delete_file(file_id)?;
-        let mut inner = self.inner.lock();
-        if let Some(owner) = inner.owners.remove(&file_id) {
-            if let Some(session) = inner.sessions.get_mut(&owner.session_id) {
-                session.files.retain(|&f| f != file_id);
-            }
-        }
-        drop(inner);
         self.metrics.tenant(&req.tenant).record_freed(freed);
         Ok(ResponseEnvelope::ok(req.request_id).with_metadata(FREED_BYTES_KEY, freed.to_string()))
     }
 
-    /// Deletes one owned session from the cluster and the service maps.
-    /// Caller must have verified ownership.
+    /// Whether `session_id` carries `tenant`'s tag.  The tag outlives the
+    /// session, so the delete that follows is what finds an expired one
+    /// absent.
+    fn tags_session(&self, tenant: &str, session_id: u64) -> bool {
+        self.cluster
+            .director()
+            .session_tenant(session_id)
+            .as_deref()
+            == Some(tenant)
+    }
+
+    /// Deletes one owned session from the cluster and drops the client that
+    /// held it open, so the tenant's next backup in that generation opens a
+    /// fresh session.  Caller must have verified ownership.
     fn delete_session(&self, session_id: u64) -> Result<u64, SigmaError> {
         let freed = self.cluster.delete_backup(session_id)?;
-        let mut inner = self.inner.lock();
-        if let Some(entry) = inner.sessions.remove(&session_id) {
-            for file in &entry.files {
-                inner.owners.remove(file);
-            }
-            inner.clients.remove(&(entry.tenant, entry.generation));
-        }
+        self.inner
+            .lock()
+            .clients
+            .retain(|_, client| client.session_id() != session_id);
         Ok(freed)
     }
 
     fn delete_backup(&self, req: &RequestEnvelope, session_id: u64) -> ServiceResult {
-        let owned = {
-            let inner = self.inner.lock();
-            matches!(inner.sessions.get(&session_id), Some(s) if s.tenant == req.tenant)
-        };
-        if !owned {
+        if !self.tags_session(&req.tenant, session_id) {
             return Err(SigmaError::BackupNotFound(session_id));
         }
         let freed = self.delete_session(session_id)?;
@@ -304,18 +251,17 @@ impl BackupService {
         // Only the *tenant's* sessions in this generation are expired — the
         // generation is a retention unit per tenant at this layer, even
         // though the cluster could expire it globally.
-        let victims: Vec<u64> = {
-            let inner = self.inner.lock();
-            inner
-                .sessions
-                .iter()
-                .filter(|(_, s)| s.tenant == req.tenant && s.generation == generation)
-                .map(|(&id, _)| id)
-                .collect()
-        };
         let mut freed = 0u64;
-        for session_id in victims {
-            freed += self.delete_session(session_id)?;
+        for session_id in self.cluster.director().sessions_in_generation(generation) {
+            if !self.tags_session(&req.tenant, session_id) {
+                continue;
+            }
+            freed += match self.delete_session(session_id) {
+                // A concurrent DeleteBackup removed it since the listing:
+                // it frees nothing here, and what the others free counts.
+                Err(SigmaError::BackupNotFound(_)) => 0,
+                result => result?,
+            };
         }
         self.metrics.tenant(&req.tenant).record_freed(freed);
         Ok(ResponseEnvelope::ok(req.request_id).with_metadata(FREED_BYTES_KEY, freed.to_string()))
@@ -336,13 +282,19 @@ impl BackupService {
     fn stats(&self, req: &RequestEnvelope) -> ServiceResult {
         let stats = self.cluster.stats();
         let tenant = self.tenant_stats_for(&req.tenant);
-        let restore = self.restore_counters.snapshot();
+        let (restores, restore) = self.restore_totals();
+        let cache_lookups = restore.cache_hits + restore.cache_misses;
+        let cache_hit_rate = if cache_lookups == 0 {
+            0.0
+        } else {
+            restore.cache_hits as f64 / cache_lookups as f64
+        };
         Ok(ResponseEnvelope::ok(req.request_id)
-            .with_metadata("restores", restore.restores.to_string())
+            .with_metadata("restores", restores.to_string())
             .with_metadata("restore_chunks_read", restore.chunks_read.to_string())
             .with_metadata(
                 "restore_containers_opened",
-                restore.containers_opened.to_string(),
+                restore.containers_read.to_string(),
             )
             .with_metadata("restore_cache_hits", restore.cache_hits.to_string())
             .with_metadata("restore_cache_misses", restore.cache_misses.to_string())
@@ -354,10 +306,7 @@ impl BackupService {
                 "restore_read_amplification",
                 format!("{:.4}", restore.read_amplification()),
             )
-            .with_metadata(
-                "restore_cache_hit_rate",
-                format!("{:.4}", restore.cache_hit_rate()),
-            )
+            .with_metadata("restore_cache_hit_rate", format!("{cache_hit_rate:.4}"))
             .with_metadata("router", stats.router.clone())
             .with_metadata("node_count", stats.node_count.to_string())
             .with_metadata(LOGICAL_BYTES_KEY, stats.logical_bytes.to_string())
@@ -493,9 +442,9 @@ mod tests {
             restored.metadata_u64(BACKEND_BYTES_READ_KEY),
             Some(payload.len() as u64)
         );
-        let agg = svc.restore_counters().snapshot();
-        assert_eq!(agg.restores, 1);
-        assert_eq!(agg.logical_bytes_restored, payload.len() as u64);
+        let (restores, agg) = svc.restore_totals();
+        assert_eq!(restores, 1);
+        assert_eq!(agg.logical_bytes, payload.len() as u64);
         assert!((agg.read_amplification() - 1.0).abs() < 1e-9);
         // Stats surfaces the aggregate.
         let stats = svc
@@ -572,7 +521,7 @@ mod tests {
             del.metadata_u64(FREED_BYTES_KEY),
             Some(payload.len() as u64)
         );
-        // Double delete is NotFound (ownership entry is gone).
+        // Double delete is NotFound (the recipe is gone).
         let err = svc
             .call(RequestEnvelope::new(
                 3,
@@ -617,6 +566,46 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(again.metadata_u64(FREED_BYTES_KEY), Some(0));
+    }
+
+    #[test]
+    fn a_file_registered_after_its_generation_expired_stays_the_tenants() {
+        let svc = service();
+        let resp = svc
+            .call(backup_req(1, "acme", "f", data(50_000, 12)))
+            .unwrap();
+        let s = resp.metadata_u64(SESSION_ID_KEY).unwrap();
+        svc.call(RequestEnvelope::new(
+            2,
+            "acme",
+            Operation::DeleteGeneration { generation: 0 },
+        ))
+        .unwrap();
+        // A backup that held acme's client across the expiry registers its
+        // file late: the director recreates the session in generation 0.
+        let late = svc
+            .cluster()
+            .director()
+            .register_file(s, "late", 4096, Vec::new());
+        let err = svc
+            .call(RequestEnvelope::new(
+                3,
+                "globex",
+                Operation::DeleteFile { file_id: late },
+            ))
+            .unwrap_err();
+        assert_eq!(err.code(), ServiceCode::NotFound);
+        assert_eq!(svc.tenant_stats_for("acme").files, 1);
+        // The next expiry of the generation reaches it.
+        let again = svc
+            .call(RequestEnvelope::new(
+                4,
+                "acme",
+                Operation::DeleteGeneration { generation: 0 },
+            ))
+            .unwrap();
+        assert_eq!(again.metadata_u64(FREED_BYTES_KEY), Some(4096));
+        assert!(svc.cluster().director().recipe(late).is_none());
     }
 
     #[test]

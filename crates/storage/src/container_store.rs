@@ -456,12 +456,9 @@ pub struct BatchedReadStats {
     /// from a container still open or sealing); divided into logical bytes
     /// this is the read amplification.
     pub backend_bytes_read: u64,
-    /// Backend reads issued: one whole-section read per cache miss (0 when
-    /// served from RAM).
-    pub coalesced_runs: u64,
     /// Batches served entirely from the container read cache.
     pub cache_hits: u64,
-    /// Batches that had to read the backend.
+    /// Batches that had to read the backend: one whole-section read each.
     pub cache_misses: u64,
 }
 
@@ -1068,7 +1065,6 @@ impl ContainerStore {
                     data_len,
                 )?;
                 stats.backend_bytes_read += data_len as u64;
-                stats.coalesced_runs += 1;
                 self.fill_cache(summary, section.clone());
                 section
             }
@@ -2100,7 +2096,7 @@ mod tests {
         let stats = batched_roundtrip(&store, &cid, &chunks);
         assert_eq!(stats.chunks, 6);
         assert_eq!(
-            (stats.coalesced_runs, stats.backend_bytes_read),
+            (stats.cache_misses, stats.backend_bytes_read),
             (1, 500),
             "served off the object, like every backend: one whole-section read"
         );
@@ -2130,11 +2126,11 @@ mod tests {
         // A lone extent, cold: the read is the whole 600-byte section.
         let one = vec![chunks[2].clone()];
         let stats = batched_roundtrip(&store, &cid, &one);
-        assert_eq!((stats.coalesced_runs, stats.backend_bytes_read), (1, 600));
+        assert_eq!((stats.cache_misses, stats.backend_bytes_read), (1, 600));
         // Every other subset is then served from the cache.
         let sparse: Vec<_> = chunks.iter().step_by(2).cloned().collect();
         let stats = batched_roundtrip(&store, &cid, &sparse);
-        assert_eq!((stats.coalesced_runs, stats.backend_bytes_read), (0, 0));
+        assert_eq!((stats.cache_misses, stats.backend_bytes_read), (0, 0));
         assert_eq!((stats.cache_hits, stats.cache_misses), (1, 0));
         let _ = std::fs::remove_dir_all(root);
     }

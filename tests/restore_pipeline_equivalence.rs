@@ -247,6 +247,10 @@ fn repeat_restore_on_file_backend_hits_the_read_cache() {
         first.backend_bytes_read > 0,
         "cold restore reads the medium"
     );
+    assert_eq!(
+        first.coalesced_runs, first.cache_misses,
+        "one whole-section read per cache miss"
+    );
 
     let (warm, second) = cluster.restore_file_pipelined(report.file_id, 2).unwrap();
     assert_eq!(warm, data);
@@ -258,6 +262,7 @@ fn repeat_restore_on_file_backend_hits_the_read_cache() {
         first.backend_bytes_read
     );
     assert!(second.read_amplification() < 1.0);
+    assert_eq!(second.coalesced_runs, second.cache_misses);
 
     let _ = std::fs::remove_dir_all(root);
 }
