@@ -1704,7 +1704,8 @@ mod tests {
     /// which can park the next one until the test releases it, or fail it
     /// once.  It can also fail the next `read_shared`, the restore's
     /// whole-section read, once.  It counts `list` calls: recovery lists the
-    /// medium before it sweeps orphans.
+    /// medium before it sweeps orphans.  It notes the journal's length at its
+    /// last fsync, the prefix a power cut would leave.
     #[derive(Debug, Default)]
     struct GatedBackend {
         inner: sigma_storage::MemoryBackend,
@@ -1716,6 +1717,7 @@ mod tests {
             Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>,
         >,
         lists: AtomicU64,
+        journal_synced: AtomicU64,
     }
 
     impl StorageBackend for GatedBackend {
@@ -1768,6 +1770,10 @@ mod tests {
             self.inner.truncate(obj, len)
         }
         fn fsync(&self, obj: StorageObject) -> sigma_storage::Result<()> {
+            if obj == StorageObject::Journal {
+                let len = self.inner.object_len(obj)?.unwrap_or(0);
+                self.journal_synced.store(len, Ordering::SeqCst);
+            }
             self.inner.fsync(obj)
         }
         fn delete(&self, obj: StorageObject) -> sigma_storage::Result<()> {
@@ -1879,6 +1885,73 @@ mod tests {
         let containers =
             |nodes: &[crate::NodeStats]| -> Vec<_> { nodes.iter().map(|n| n.containers).collect() };
         assert_eq!(containers(&fast_nodes), containers(&slow_nodes));
+    }
+
+    #[test]
+    fn a_migrated_rollover_seal_survives_a_power_cut_at_the_source() {
+        let config = rollover_config();
+        let backend = Arc::new(GatedBackend::default());
+        let cluster = cluster_over(&config, std::slice::from_ref(&backend));
+        let source = cluster.node_by_id(0).unwrap();
+        // Unacknowledged ingest that rolls several containers over: the
+        // first seals are journaled, none is fsynced yet.
+        let payloads: Vec<Vec<u8>> = (0..30).map(|i| pseudo_random(1024, 700 + i)).collect();
+        let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, payloads);
+        cluster.backup_super_chunk(0, &sc, None).unwrap();
+        let first = source.sealed_container_ids()[0];
+
+        // Migrate the first one, and cut the source's power between the
+        // target's durable adopt and the source's tombstone.
+        let target = cluster.add_node();
+        let mut rebalance = cluster.begin_rebalance_onto(target).unwrap();
+        assert!(rebalance.remaining() > 0);
+        let journal = source.journal().unwrap().clone();
+        journal.arm_crash_at_seq(journal.next_seq(), sigma_storage::CrashMode::Clean);
+        assert!(matches!(
+            rebalance.step(),
+            Err(SigmaError::Storage(StorageError::Crashed))
+        ));
+        let peer = cluster.node_by_id(target).unwrap();
+        assert_eq!(peer.adopted_origins()[0].1, first);
+        backend
+            .inner
+            .truncate(
+                StorageObject::Journal,
+                backend.journal_synced.load(Ordering::SeqCst),
+            )
+            .unwrap();
+        drop(source);
+
+        // The seal was durable before the adopt, so the restart finishes
+        // the hand-off instead of sweeping the object.
+        let report = cluster.restart_node(0).unwrap();
+        assert_eq!(report.reconciled_migrations, 1);
+        let source = cluster.node_by_id(0).unwrap();
+        assert_eq!(
+            source.container_state(&first),
+            sigma_storage::ContainerState::Migrated {
+                successor: target as u64
+            }
+        );
+
+        // New data acknowledged on the source keeps its own containers, and
+        // reads back after another restart reconciles the same peer.
+        let payloads: Vec<Vec<u8>> = (0..6).map(|i| pseudo_random(1024, 800 + i)).collect();
+        let acked = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, payloads);
+        source
+            .process_super_chunk(0, &acked, &acked.handprint(config.handprint_size))
+            .unwrap();
+        cluster.try_flush().unwrap();
+        drop(source);
+        cluster.restart_node(0).unwrap();
+        let source = cluster.node_by_id(0).unwrap();
+        for (i, d) in acked.descriptors().iter().enumerate() {
+            assert_eq!(
+                source.read_chunk(&d.fingerprint).unwrap(),
+                acked.payload(i).unwrap().to_vec()
+            );
+        }
+        source.verify_consistency().unwrap();
     }
 
     #[test]

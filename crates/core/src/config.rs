@@ -103,10 +103,11 @@ pub struct SigmaConfig {
     ///   [`storage_root`](Self::storage_root) (`node-<id>/` holding
     ///   `journal.wal` and `container-*.sc`), surviving an actual process
     ///   restart.  Each container object is fsynced as it is written; the
-    ///   journal at every seal, adopt, tombstone and GC record and at the
-    ///   [`try_flush`](crate::DedupCluster::try_flush) acknowledgement, while a
-    ///   super-chunk's similarity publish rides unsynced to the next of these.  Requires `storage_root`
-    ///   and [`durability`](Self::durability) — file persistence without a
+    ///   journal at every adopt, tombstone and GC record and at the
+    ///   [`try_flush`](crate::DedupCluster::try_flush) acknowledgement, while
+    ///   a container's seal and a super-chunk's similarity publish ride
+    ///   unsynced to the next of these.  Requires `storage_root` and
+    ///   [`durability`](Self::durability) — file persistence without a
     ///   write-ahead journal could not be recovered.
     pub storage_backend: BackendKind,
     /// Directory the file backend keeps per-node subdirectories under.

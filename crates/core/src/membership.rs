@@ -273,7 +273,8 @@ fn least_loaded_active(map: &NodeMap, exclude: usize) -> Option<Arc<DedupNode>> 
 /// Order of operations is what preserves restores mid-flight *and* across
 /// crashes:
 ///
-/// 1. read the container off the source (still readable there);
+/// 1. read the container off the source (still readable there), its seal
+///    made durable there first;
 /// 2. *peek* (not extract) the source's similarity-index entries for it;
 /// 3. install data + chunk-index + similarity entries on the destination —
 ///    durably, when the destination journals;

@@ -650,8 +650,8 @@ impl DedupNode {
             // Write-ahead: the publication is journaled before it lands in the
             // similarity index, so recovery rebuilds exactly the mappings that
             // reached the journal.  It is a routing hint, so its append is not
-            // fsynced: the next seal or `try_flush` record makes it durable,
-            // and a power cut before that costs deduplication, never data.
+            // fsynced: the next synced record or flush makes it durable, and
+            // a power cut before that costs deduplication, never data.
             if let Some(journal) = &self.journal {
                 journal.append(&JournalRecord::SimilarityPublish {
                     container: cid,
@@ -1003,16 +1003,18 @@ impl DedupNode {
     }
 
     /// Reads a sealed container out of this node for migration; `Ok(None)`
-    /// when it is not sealed here.
-    /// The container remains readable here until
-    /// [`retire_container`](Self::retire_container) completes the hand-off.
+    /// when it is not sealed here.  The container's seal is durable in this
+    /// node's journal when this returns.  The container remains readable
+    /// here until [`retire_container`](Self::retire_container) completes the
+    /// hand-off.
     ///
     /// # Errors
     ///
     /// Returns [`SigmaError::Storage`] when the container's object cannot be
-    /// read.  The bytes are not re-hashed on export: the container carries its
-    /// journaled checksum, so a section that rotted here is caught by the
-    /// destination's next recovery, which discards it (see
+    /// read or the journal cannot be synced.  The bytes are not re-hashed on
+    /// export: the container carries its journaled checksum, so a section
+    /// that rotted here is caught by the destination's next recovery, which
+    /// discards it (see
     /// [`ContainerStore::export_sealed`](sigma_storage::ContainerStore::export_sealed)).
     pub fn export_container(&self, container: &ContainerId) -> Result<Option<Container>> {
         Ok(self.store.export_sealed(container)?)
@@ -1123,9 +1125,11 @@ impl DedupNode {
     /// so far survives a crash.  It first finishes the rollover seal whose
     /// object is being written beside ingest (a full container's seal is
     /// journaled at the store's next rollover or here, never at an instant
-    /// that depends on the sealer thread), then seals the rest in the same
-    /// group commit.  The checkpoint's fsync also makes durable the
-    /// similarity publishes journaled unsynced since the last synced record.
+    /// that depends on the sealer thread), then seals the rest in one group
+    /// commit.  Seals and similarity publishes are journaled unsynced; the
+    /// store's flush ends with one fsync that makes all of them durable, and
+    /// the checkpoint's own fsync follows, so a flush fsyncs the journal at
+    /// most twice.
     ///
     /// # Errors
     ///
@@ -2111,32 +2115,54 @@ mod tests {
         let node = node_over(backend.clone());
         let journal = node.journal().unwrap().clone();
         let syncs = || backend.journal_syncs.lock().clone();
-        // Super-chunks that fill no container: each journals a similarity
-        // publish and nothing else, so nothing is fsynced before the ack.
+        let seals = || {
+            let (records, _) = Journal::replay(&journal.bytes()).unwrap();
+            records
+                .iter()
+                .filter(|r| matches!(r, JournalRecord::ContainerSeal { .. }))
+                .count()
+        };
+        // Small super-chunks fill no container and journal a similarity
+        // publish each; the large ones roll 16 KiB containers over, and a
+        // rollover's seal is journaled at the next rollover.  None of these
+        // appends is fsynced before the ack.
         let acked: Vec<SuperChunk> = (0..4)
             .map(|i| payload_super_chunk(40 + i, 2, 1024))
+            .chain((0..3).map(|i| payload_super_chunk(60 + i, 12, 1024)))
             .collect();
         let before = syncs().len();
         for sc in &acked {
             node.process_super_chunk(0, sc, &sc.handprint(4)).unwrap();
         }
         assert!(journal.frame_count() >= acked.len() as u64);
+        assert!(seals() > 0, "a rollover seal is journaled before the ack");
         assert_eq!(syncs().len(), before, "no journal fsync before the ack");
         node.try_flush().unwrap();
+        assert!(syncs().len() <= before + 2, "a flush fsyncs at most twice");
         assert_eq!(
             syncs().last().copied(),
             Some(journal.len_bytes() as u64),
             "the ack syncs the whole journal"
         );
         let acked_len = journal.len_bytes();
-        // An unacknowledged round after the ack stays unsynced.
-        let unacked = payload_super_chunk(50, 2, 1024);
-        node.process_super_chunk(0, &unacked, &unacked.handprint(4))
-            .unwrap();
+        let acked_seals = seals();
+        // An unacknowledged round after the ack stays unsynced, the seal of
+        // the container it rolled over included.
+        let unacked = [
+            payload_super_chunk(50, 2, 1024),
+            payload_super_chunk(80, 20, 1000),
+        ];
+        for sc in &unacked {
+            node.process_super_chunk(0, sc, &sc.handprint(4)).unwrap();
+        }
+        node.finish_rollover_seal();
+        assert_eq!(seals(), acked_seals + 1);
         assert!(journal.len_bytes() > acked_len);
         assert_eq!(syncs().last().copied(), Some(acked_len as u64));
 
-        // A power cut keeps the journal up to its last fsync.
+        // A power cut keeps the journal up to its last fsync and every
+        // object written by then: the rolled-over container's object
+        // survives without its seal, and recovery sweeps it.
         let medium = MemoryBackend::copy_of(&backend.inner).unwrap();
         medium
             .truncate(StorageObject::Journal, acked_len as u64)
@@ -2144,6 +2170,7 @@ mod tests {
         let cut = Arc::new(Journal::open(Arc::new(medium)).unwrap());
         let (recovered, report) = DedupNode::recover(0, &durable_config(), cut).unwrap();
         assert_eq!(report.bytes_discarded, 0);
+        assert_eq!(report.orphan_objects_swept, 1);
         for sc in &acked {
             for (i, d) in sc.descriptors().iter().enumerate() {
                 assert_eq!(
@@ -2153,6 +2180,11 @@ mod tests {
             }
             let hp = sc.handprint(4);
             assert_eq!(recovered.resemblance_count(&hp), hp.size());
+        }
+        for sc in &unacked {
+            for d in sc.descriptors() {
+                assert!(recovered.read_chunk(&d.fingerprint).is_err());
+            }
         }
         recovered.verify_consistency().unwrap();
     }

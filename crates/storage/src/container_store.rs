@@ -38,7 +38,7 @@
 //! | transition | I/O before the swap | swap | after the swap |
 //! |---|---|---|---|
 //! | start seal (rollover, [`flush`](ContainerStore::flush)) | — | open → sealing (a rollover also enters the stream's fresh container as open) | a rollover's object write starts on the sealer thread; a flush writes its objects inline |
-//! | finish seal (a rollover's: the store's next rollover, [`flush`](ContainerStore::flush) or [`finish_rollover_seal`](ContainerStore::finish_rollover_seal); a flush's: that flush) | object write joined or done, the group's `ContainerSeal`s as one group commit | sealing → sealed | — |
+//! | finish seal (a rollover's: the store's next rollover, [`flush`](ContainerStore::flush) or [`finish_rollover_seal`](ContainerStore::finish_rollover_seal); a flush's: that flush) | object write joined or done, the group's `ContainerSeal`s as one group commit, not fsynced | sealing → sealed | a flush fsyncs the journal once, covering every seal it finished |
 //! | failed seal | — | stays sealing, in the retry list | the next flush retries it |
 //! | [adopt](ContainerStore::adopt_sealed) | object write, `ContainerAdopt` | none → sealed, with origin | — |
 //! | [GC drop](ContainerStore::drop_sealed_gc) | `GcDrop` | sealed → none | object deleted |
@@ -499,11 +499,6 @@ impl ContainerStore {
         }
     }
 
-    /// Creates a store with the default 4 MB container capacity.
-    pub fn with_default_capacity() -> Self {
-        ContainerStore::new(DEFAULT_CONTAINER_CAPACITY)
-    }
-
     /// Attaches a storage backend: every sealed container becomes one object
     /// on it.
     pub fn with_backend(mut self, backend: Arc<dyn StorageBackend>) -> Self {
@@ -752,15 +747,24 @@ impl ContainerStore {
     /// group write — one journal group commit — instead of a per-container
     /// trickle.  Containers whose earlier seal failed are sealed again in the
     /// same group.  The rollover seal in flight is finished first, as its own
-    /// group; the group's objects are then written on the calling thread.  When this returns `Ok`, every
-    /// container the store held before the call is sealed: the flush is the
-    /// acknowledgement point.
+    /// group; the group's objects are then written on the calling thread.
+    ///
+    /// A seal's append is not fsynced (see
+    /// [`JournalRecord::defers_sync`]), so the flush ends by syncing the
+    /// journal, once, if anything was appended since its last fsync: the
+    /// rollover seals finished since the last flush and this flush's group
+    /// become durable together.  When this returns `Ok`, every container the
+    /// store held before the call is sealed and its seal is durable, with or
+    /// without a node around the store: the flush is the acknowledgement
+    /// point.
     ///
     /// # Errors
     ///
-    /// Returns the error the seal hit (a journal crash, a failed object
-    /// write, here or in the rollover seal it finished).  The group then
-    /// stays sealing — its chunks readable — and the next flush retries it.
+    /// Returns the error the seal hit: a journal crash, a failed object
+    /// write (here or in the rollover seal it finished), or a failed journal
+    /// fsync.  After a failed seal the group stays sealing — its chunks
+    /// readable — and the next flush retries it; a failed fsync crashes the
+    /// journal, as a failed synced append does.
     pub fn flush(&self) -> Result<()> {
         let mut containers = std::mem::take(&mut self.table.write().retry);
         // Retire every open slot.  A store racing with the flush either
@@ -791,7 +795,11 @@ impl ContainerStore {
                 (container, written)
             })
             .collect();
-        self.finish_seal(group)
+        self.finish_seal(group)?;
+        match &self.journal {
+            Some(journal) => journal.sync(),
+            None => Ok(()),
+        }
     }
 
     /// Finishes the rollover seal in flight, if any — its object write
@@ -1138,10 +1146,19 @@ impl ContainerStore {
     /// node is written to the destination as it is and caught there by the
     /// next recovery's [`verify_objects`](Self::verify_objects).
     ///
+    /// The container's seal is made durable before it leaves: a rollover's
+    /// seal is journaled unsynced (see [`JournalRecord::defers_sync`]), and
+    /// the destination's adopt is fsynced in the destination's journal, not
+    /// this one.  A power cut here that lost the seal after a peer adopted
+    /// the container would let this store reuse its ID for new data, which
+    /// restart reconciliation would then retire as the migrated original.
+    /// So the export syncs the journal — no fsync when nothing is pending.
+    ///
     /// # Errors
     ///
     /// Returns [`StorageError::Io`] when the object of a still-sealed
-    /// container cannot be read.
+    /// container cannot be read, and the journal's error when it has crashed
+    /// or its fsync fails.
     pub fn export_sealed(&self, container: &ContainerId) -> Result<Option<Container>> {
         let Some(summary) = self.sealed_summary(container) else {
             return Ok(None);
@@ -1149,6 +1166,9 @@ impl ContainerStore {
         let Some(data) = self.read_sealed(&summary, || self.section(&summary))? else {
             return Ok(None);
         };
+        if let Some(journal) = &self.journal {
+            journal.sync()?;
+        }
         Ok(Some(Container::from_summary((*summary).clone(), data)))
     }
 
@@ -2051,6 +2071,30 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_flush_fsyncs_the_seals_it_finished_once() {
+        let backend = Arc::new(crate::journal::tests::SyncLog::default());
+        let journal = Arc::new(crate::Journal::with_backend(backend.clone()).unwrap());
+        let store = ContainerStore::new(256)
+            .with_backend(backend.clone())
+            .with_journal(journal.clone());
+        // Two 100-byte chunks fill a container, so this rolls three over;
+        // each rollover finishes the one before it, journaling its seal.
+        for i in 0..7u64 {
+            let (fp, data) = payload(i, 100);
+            store.store_chunk(0, fp, &data).unwrap();
+        }
+        assert_eq!(journal.frame_count(), 2, "two rollover seals journaled");
+        assert!(backend.synced.lock().is_empty(), "and not fsynced");
+        // The flush seals the rest and fsyncs once, covering every seal.
+        store.flush().unwrap();
+        assert_eq!(journal.frame_count(), 4);
+        assert_eq!(*backend.synced.lock(), [journal.len_bytes() as u64]);
+        // A flush with nothing to seal fsyncs nothing.
+        store.flush().unwrap();
+        assert_eq!(backend.synced.lock().len(), 1);
+    }
+
     /// Runs `read_chunks_batched` for `chunks` against `store`, asserting every
     /// payload matches, and returns the stats.
     fn batched_roundtrip(
@@ -2137,7 +2181,7 @@ mod tests {
 
     #[test]
     fn every_store_caches_sixteen_containers() {
-        let stats = ContainerStore::with_default_capacity().read_cache_stats();
+        let stats = ContainerStore::new(DEFAULT_CONTAINER_CAPACITY).read_cache_stats();
         assert_eq!(stats.capacity_bytes, 64 << 20);
         assert_eq!(
             ContainerStore::new(4096).read_cache_stats().capacity_bytes,

@@ -15,7 +15,7 @@
 //!
 //! | record | written when | synced? | replay effect |
 //! |---|---|---|---|
-//! | [`ContainerSeal`](JournalRecord::ContainerSeal) | an open container fills or is flushed, after its object is durable | yes | reinstall the container summary and index its chunks from its record table |
+//! | [`ContainerSeal`](JournalRecord::ContainerSeal) | an open container fills or is flushed, after its object is durable | deferred (the flush's `Journal::sync` covers it, or a migration's export) | reinstall the container summary and index its chunks from its record table |
 //! | [`SimilarityPublish`](JournalRecord::SimilarityPublish) | a super-chunk's handprint is mapped to its container | deferred | re-insert RFP → container mappings |
 //! | [`ContainerAdopt`](JournalRecord::ContainerAdopt) | the rebalancer installs a migrated container, after its object is durable | yes | reinstall summary + index + RFPs, keyed by origin so a duplicated record cannot double-adopt |
 //! | [`Tombstone`](JournalRecord::Tombstone) | a migrated container's forwarding pointer is published (always *before* its object is deleted) | yes | drop the container, keep the chunk entries, record the forwarding pointer |
@@ -28,17 +28,37 @@
 //! # When an append is fsynced
 //!
 //! One rule, [`JournalRecord::defers_sync`], decides by record kind.  A record
-//! that licenses something irreversible or answers an acknowledgement — a
-//! seal or adopt (the source's tombstone follows it), a tombstone or GC record
-//! (an object delete follows it), the flush's stats checkpoint — is fsynced
-//! before its append returns.  A routing hint ([`SimilarityPublish`]) or an
-//! advisory witness ([`RecipeDelete`]) is written in order but not fsynced:
-//! the next synced append covers it, because an fsync makes every earlier
-//! byte of the log durable.  A power cut can therefore lose only a suffix of
-//! deferred frames, which costs deduplication (a handprint not remembered),
-//! never acknowledged data.  Frames, sequence numbers and replay are the same
-//! either way; only the fsync count differs.
+//! that licenses something irreversible or answers an acknowledgement — an
+//! adopt (the source's tombstone follows it), a tombstone or GC record (an
+//! object delete follows it), the flush's stats checkpoint — is fsynced
+//! before its append returns.  A container seal ([`ContainerSeal`]), a
+//! routing hint ([`SimilarityPublish`]) or an advisory witness
+//! ([`RecipeDelete`]) is written in order but not fsynced: the next synced
+//! append covers it, because an fsync makes every earlier byte of the log
+//! durable.  The end of a flush is such a point: after its group commit,
+//! [`ContainerStore::flush`](crate::ContainerStore::flush) calls
+//! `Journal::sync`, which fsyncs the log if anything was appended since
+//! the last fsync, so every seal is durable when a flush returns `Ok`.
 //!
+//! A deferred seal is safe because it licenses nothing irreversible.  Its
+//! object is durable before the record is appended, and dropping the RAM copy
+//! deletes nothing from the medium.  A flush retires every open container, so
+//! a container sealed by rollover after an acknowledgement holds only chunks
+//! stored after it, referenced only by unacknowledged files.  Every path that
+//! deletes a container appends a synced record to the same journal first
+//! (tombstone, `GcDrop`, `GcCompact`), which covers the seal.  A migration
+//! hands the container to a peer, whose adopt is fsynced in the peer's
+//! journal and covers nothing in this one, so
+//! [`ContainerStore::export_sealed`](crate::ContainerStore::export_sealed)
+//! syncs this journal before the container leaves: no peer ever holds a
+//! container whose seal its source could still lose, and whose ID the
+//! source could then reuse.  A power cut can therefore lose only a suffix of deferred
+//! frames: a handprint not remembered, a witness, or a seal whose object
+//! recovery then sweeps as an orphan — exactly the outcome of a crash just
+//! before the seal — never acknowledged data.  Frames, sequence numbers and
+//! replay are the same either way; only the fsync count differs.
+//!
+//! [`ContainerSeal`]: JournalRecord::ContainerSeal
 //! [`SimilarityPublish`]: JournalRecord::SimilarityPublish
 //! [`RecipeDelete`]: JournalRecord::RecipeDelete
 //!
@@ -180,22 +200,42 @@ impl JournalRecord {
     }
 
     /// True when an append of this record is written in order but not
-    /// fsynced: the next synced append makes it durable together with every
-    /// earlier byte of the log.
+    /// fsynced: the next synced append, or the `Journal::sync` that ends
+    /// [`ContainerStore::flush`](crate::ContainerStore::flush), makes it
+    /// durable together with every earlier byte of the log.
     ///
-    /// Only records whose loss costs deduplication, never data, defer: a
-    /// similarity publish is a routing hint (recovery already drops one whose
-    /// container never sealed) and a recipe delete is an advisory witness.
-    /// Every other record is fsynced before its append returns — seals and
-    /// adopts (a source's tombstone follows an adopt), tombstones and GC
-    /// records (an object delete follows them) and the stats checkpoint that
-    /// ends [`DedupNode::try_flush`](../../sigma_core/struct.DedupNode.html#method.try_flush),
+    /// Only records that license nothing irreversible and answer no
+    /// acknowledgement defer, so a power cut that loses them loses only
+    /// unacknowledged state:
+    ///
+    /// - a similarity publish is a routing hint (recovery already drops one
+    ///   whose container never sealed);
+    /// - a recipe delete is an advisory witness;
+    /// - a container seal comes after its object is durable (write to a temp
+    ///   file, fsync, rename, fsync the directory), and dropping the RAM copy
+    ///   deletes nothing from the medium.  The flush that acknowledges a
+    ///   session retires every open container and syncs the log, so a
+    ///   container sealed by rollover after an acknowledgement holds only
+    ///   chunks stored after it, which only unacknowledged files reference.
+    ///   A cut that loses the seal frame leaves its object an orphan, which
+    ///   recovery sweeps — as after a crash just before the seal.
+    ///
+    /// A container leaves its node only after its seal is durable: the
+    /// export that hands it to a peer syncs the source's journal, since the
+    /// peer's adopt is fsynced in the peer's own journal.
+    ///
+    /// Every other record is fsynced before its append returns: adopts (a
+    /// source's tombstone follows an adopt), tombstones and GC records (an
+    /// object delete follows them), whose fsync also covers any seal appended
+    /// before them in the same journal, and the stats checkpoint that ends
+    /// [`DedupNode::try_flush`](../../sigma_core/struct.DedupNode.html#method.try_flush),
     /// the acknowledgement point.
     pub fn defers_sync(&self) -> bool {
         match self {
-            JournalRecord::SimilarityPublish { .. } | JournalRecord::RecipeDelete { .. } => true,
             JournalRecord::ContainerSeal { .. }
-            | JournalRecord::ContainerAdopt { .. }
+            | JournalRecord::SimilarityPublish { .. }
+            | JournalRecord::RecipeDelete { .. } => true,
+            JournalRecord::ContainerAdopt { .. }
             | JournalRecord::Tombstone { .. }
             | JournalRecord::GcCompact { .. }
             | JournalRecord::GcDrop { .. }
@@ -270,6 +310,9 @@ struct JournalState {
     next_seq: u64,
     /// End offset (and sequence) of every complete frame, in order.
     boundaries: Vec<(u64, usize)>,
+    /// True while bytes the last fsync did not cover may sit on the medium:
+    /// a deferred append since then, or a log adopted from a previous process.
+    unsynced: bool,
     crashed: bool,
     armed: Option<ArmedCrash>,
 }
@@ -363,6 +406,7 @@ impl Journal {
                 len: bytes.len(),
                 next_seq: boundaries.last().map(|&(seq, _)| seq + 1).unwrap_or(0),
                 boundaries,
+                unsynced: !bytes.is_empty(),
                 crashed: false,
                 armed: None,
             }),
@@ -467,6 +511,7 @@ impl Journal {
                 state.crashed = true;
                 return Err(e);
             }
+            state.unsynced = !sync;
         }
         Self::commit(&mut state, buf.len(), frames);
         state.next_seq = first_seq + records.len() as u64;
@@ -613,9 +658,37 @@ impl Journal {
             .last()
             .map(|&(seq, _)| seq + 1)
             .unwrap_or(0);
+        state.unsynced = state.len > 0;
         state.crashed = false;
         state.armed = None;
         Ok((records, summary))
+    }
+
+    /// Fsyncs the log if a frame was appended since its last fsync, so that
+    /// every frame appended so far is durable when this returns `Ok`;
+    /// otherwise does nothing.  [`ContainerStore::flush`](crate::ContainerStore::flush)
+    /// calls it after its group commit, which is what makes the rollover
+    /// seals it appended unsynced (see
+    /// [`defers_sync`](JournalRecord::defers_sync)) durable at the flush.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::Crashed`] when the journal has crashed, or the
+    /// backend's error when the fsync fails — which marks the journal
+    /// crashed, as a failed synced append does.
+    pub(crate) fn sync(&self) -> Result<(), StorageError> {
+        let mut state = self.state.lock();
+        if state.crashed {
+            return Err(StorageError::Crashed);
+        }
+        if state.unsynced {
+            if let Err(e) = self.backend.fsync(StorageObject::Journal) {
+                state.crashed = true;
+                return Err(e);
+            }
+            state.unsynced = false;
+        }
+        Ok(())
     }
 
     /// Compacts the journal to a single [`JournalRecord::Snapshot`] frame.
@@ -660,6 +733,7 @@ impl Journal {
         self.backend
             .replace_atomic(StorageObject::Journal, &frame)?;
         state.len = frame.len();
+        state.unsynced = false;
         state.boundaries.clear();
         let end = state.len;
         state.boundaries.push((seq, end));
@@ -1366,12 +1440,14 @@ pub(crate) mod tests {
     }
 
     /// A memory backend that notes the length of every journal append and the
-    /// journal's length at every fsync of it.
+    /// journal's length at every fsync of it, and fails every journal fsync
+    /// once `fail_fsync` is set.
     #[derive(Debug, Default)]
     pub(crate) struct SyncLog {
         inner: MemoryBackend,
         pub(crate) appends: Mutex<Vec<usize>>,
         pub(crate) synced: Mutex<Vec<u64>>,
+        fail_fsync: std::sync::atomic::AtomicBool,
     }
 
     impl StorageBackend for SyncLog {
@@ -1401,6 +1477,9 @@ pub(crate) mod tests {
         }
         fn fsync(&self, obj: StorageObject) -> crate::Result<()> {
             if obj == StorageObject::Journal {
+                if self.fail_fsync.load(std::sync::atomic::Ordering::SeqCst) {
+                    return Err(StorageError::Io("fsync failed".into()));
+                }
                 let len = self.inner.object_len(obj)?.unwrap_or(0);
                 self.synced.lock().push(len);
             }
@@ -1435,7 +1514,7 @@ pub(crate) mod tests {
             .collect();
         assert_eq!(
             deferred.iter().map(JournalRecord::kind).collect::<Vec<_>>(),
-            ["similarity-publish", "recipe-delete"]
+            ["container-seal", "similarity-publish", "recipe-delete"]
         );
         // A group of deferred records stays unsynced; one synced record in a
         // group syncs all of it, the deferred frames ahead of it included.
@@ -1443,16 +1522,46 @@ pub(crate) mod tests {
         journal.append_batch(&deferred).unwrap();
         assert_eq!(synced().len(), before);
         assert!(*synced().last().unwrap() < journal.len_bytes() as u64);
-        let seal = sample_records().swap_remove(0);
+        let checkpoint = sample_records().swap_remove(7);
+        assert_eq!(checkpoint.kind(), "stats-checkpoint");
         journal
-            .append_batch(&[deferred[0].clone(), seal.clone(), deferred[1].clone()])
+            .append_batch(&[deferred[0].clone(), checkpoint, deferred[1].clone()])
             .unwrap();
         assert_eq!(synced().len(), before + 1);
         assert_eq!(*synced().last().unwrap(), journal.len_bytes() as u64);
+        // `sync` does nothing when nothing was appended since the last
+        // fsync, and fsyncs once, covering every deferred frame, when
+        // something was.
+        journal.sync().unwrap();
+        assert_eq!(synced().len(), before + 1);
+        journal.append_batch(&deferred).unwrap();
+        assert_eq!(synced().len(), before + 1);
+        journal.sync().unwrap();
+        assert_eq!(synced().len(), before + 2);
+        assert_eq!(*synced().last().unwrap(), journal.len_bytes() as u64);
+        journal.sync().unwrap();
+        assert_eq!(synced().len(), before + 2);
         // Replay does not see the difference.
         let (replayed, summary) = Journal::replay(&journal.bytes()).unwrap();
         assert_eq!(replayed.len() as u64, journal.frame_count());
         assert_eq!(summary.bytes_discarded, 0);
+        // A crashed journal refuses to sync, pending frames or not.
+        journal.append(&deferred[0]).unwrap();
+        journal.arm_crash_at_seq(journal.next_seq(), CrashMode::Clean);
+        assert_eq!(journal.append(&deferred[1]), Err(StorageError::Crashed));
+        let after_crash = synced().len();
+        assert_eq!(journal.sync(), Err(StorageError::Crashed));
+        assert_eq!(synced().len(), after_crash);
+        // A failed fsync crashes the journal, as a failed synced append does.
+        let backend = Arc::new(SyncLog::default());
+        let journal = Journal::with_backend(backend.clone()).unwrap();
+        journal.append(&deferred[0]).unwrap();
+        backend
+            .fail_fsync
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(matches!(journal.sync(), Err(StorageError::Io(_))));
+        assert!(journal.crashed());
+        assert_eq!(journal.sync(), Err(StorageError::Crashed));
     }
 
     #[test]

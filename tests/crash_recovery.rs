@@ -13,9 +13,10 @@
 //!   the journal was fsynced at.
 //! * **power-cut sweep** — the same kills, but the journal survives only up
 //!   to its last fsync (unsynced frames are lost): every acknowledged round
-//!   still reads back byte-identical, and the lost frames are routing hints
-//!   only, so the recovered node differs from a process crash's only in its
-//!   similarity index.
+//!   still reads back byte-identical, and the lost frames are unacknowledged
+//!   ones (similarity hints, rollover seals), so the recovered node is the
+//!   one a process crash at the last fsync leaves, plus the lost seals'
+//!   objects, swept as orphans.
 //! * **torn tail** — a cut *inside* a frame (plus a corrupted tail byte) must
 //!   recover to exactly the state of the last complete boundary before it.
 //! * **object/record window** — orphan objects written before their record are
@@ -358,12 +359,13 @@ proptest! {
     /// (a group commit's inner frame boundaries never reach the medium on
     /// their own): the journal survives up to its last fsync, every container
     /// object written by then survives (object writes are durable when they
-    /// return).  Acknowledged rounds
-    /// read back byte-identically, and the frames the cut lost are routing
-    /// hints: the node recovers as a process crash at the same boundary
-    /// would, short of some similarity entries.
+    /// return).  Acknowledged rounds read back byte-identically, and the
+    /// frames the cut lost are unacknowledged ones — similarity hints and
+    /// rollover seals: the node recovers as a process crash at the journal's
+    /// last fsync would, short of the objects of the lost seals, which it
+    /// sweeps as orphans.
     #[test]
-    fn power_cut_at_every_boundary_loses_only_similarity_hints(
+    fn power_cut_at_every_boundary_loses_only_unacknowledged_frames(
         rounds in proptest::collection::vec(
             proptest::collection::vec(64usize..1500, 1..4),
             1..4,
@@ -392,7 +394,7 @@ proptest! {
             image.truncate(StorageObject::Journal, synced as u64).unwrap();
             save_artifact("power-cut-sweep", &image);
             let (recovered, report) = recover_from(&config, image);
-            let (crashed, crash_report) = recover_from(&config, medium.medium_at(cut, late));
+            let (crashed, crash_report) = recover_from(&config, medium.medium_at(synced, late));
             prop_assert_eq!(report.bytes_discarded, 0, "fsyncs land on frame boundaries");
             prop_assert_eq!(report.containers_discarded, 0, "every record's object is durable");
             check_acked_rounds(&recovered, &acked, cut);
@@ -403,8 +405,8 @@ proptest! {
             };
             prop_assert_eq!(counters(&recovered), counters(&crashed));
             prop_assert_eq!(report.chunks_indexed, crash_report.chunks_indexed);
-            prop_assert_eq!(report.orphan_objects_swept, crash_report.orphan_objects_swept);
-            prop_assert!(report.similarity_entries <= crash_report.similarity_entries);
+            prop_assert_eq!(report.similarity_entries, crash_report.similarity_entries);
+            prop_assert!(report.orphan_objects_swept >= crash_report.orphan_objects_swept);
             recovered.verify_consistency().unwrap();
         }
         prop_assert!(hints_lost > 0, "every round publishes a hint before its ack");
