@@ -43,10 +43,9 @@ impl DataRouter for ChunkDhtRouter {
         let node_count = ctx.nodes.len();
         assert!(node_count > 0, "cannot route in an empty cluster");
         let target = ctx
-            .super_chunk
-            .fingerprints()
-            .next()
-            .map(|fp| fp.bucket(node_count))
+            .descriptors
+            .first()
+            .map(|d| d.fingerprint.bucket(node_count))
             .unwrap_or(0);
         RoutingDecision::stateless(target)
     }
@@ -74,7 +73,7 @@ mod tests {
             let fp = sc.descriptors()[0].fingerprint;
             let hp = sc.handprint(1);
             let d = router.route(&RoutingContext {
-                super_chunk: &sc,
+                descriptors: sc.descriptors(),
                 handprint: &hp,
                 file_id: None,
                 nodes: &nodes,
@@ -90,7 +89,7 @@ mod tests {
         let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, Vec::new());
         let hp = sc.handprint(1);
         let d = ChunkDhtRouter::new().route(&RoutingContext {
-            super_chunk: &sc,
+            descriptors: sc.descriptors(),
             handprint: &hp,
             file_id: None,
             nodes: &nodes,

@@ -67,7 +67,7 @@ impl DataRouter for ExtremeBinningRouter {
         let representative_target = ctx
             .handprint
             .min_fingerprint()
-            .or_else(|| ctx.super_chunk.fingerprints().next())
+            .or_else(|| ctx.descriptors.first().map(|d| d.fingerprint))
             .map(|fp| fp.bucket(node_count))
             .unwrap_or(0);
 
@@ -109,7 +109,7 @@ mod tests {
         file_id: Option<u64>,
     ) -> RoutingContext<'a> {
         RoutingContext {
-            super_chunk: sc,
+            descriptors: sc.descriptors(),
             handprint: hp,
             file_id,
             nodes,

@@ -62,7 +62,7 @@ mod tests {
             .map(|_| {
                 router
                     .route(&RoutingContext {
-                        super_chunk: &sc,
+                        descriptors: sc.descriptors(),
                         handprint: &hp,
                         file_id: None,
                         nodes: &nodes,

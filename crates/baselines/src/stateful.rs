@@ -84,7 +84,7 @@ impl DataRouter for StatefulRouter {
         let node_count = ctx.nodes.len();
         assert!(node_count > 0, "cannot route in an empty cluster");
 
-        let mut sample = self.sample(ctx.super_chunk.fingerprints());
+        let mut sample = self.sample(ctx.descriptors.iter().map(|d| d.fingerprint));
         if sample.is_empty() {
             // Always broadcast at least one representative fingerprint so the scheme
             // keeps its defining "ask everyone" behaviour on tiny super-chunks.
@@ -152,7 +152,7 @@ mod tests {
         nodes: &'a [Arc<DedupNode>],
     ) -> RoutingContext<'a> {
         RoutingContext {
-            super_chunk: sc,
+            descriptors: sc.descriptors(),
             handprint: hp,
             file_id: None,
             nodes,
@@ -181,7 +181,7 @@ mod tests {
         let sc = super_chunk(0..256);
         let hp = sc.handprint(8);
         // Pre-store the super-chunk on node 5.
-        nodes[5].process_super_chunk(0, &sc, &hp).unwrap();
+        nodes[5].process_super_chunk(0, &sc.view(), &hp).unwrap();
         let d = router.route(&ctx(&sc, &hp, &nodes));
         assert_eq!(d.target, 5);
     }
@@ -193,7 +193,7 @@ mod tests {
         // Load node 0 heavily.
         let filler = super_chunk(50_000..50_256);
         nodes[0]
-            .process_super_chunk(0, &filler, &filler.handprint(8))
+            .process_super_chunk(0, &filler.view(), &filler.handprint(8))
             .unwrap();
         // Brand-new data has zero matches everywhere: the least-loaded node wins.
         let sc = super_chunk(90_000..90_064);

@@ -40,7 +40,7 @@ impl DataRouter for StatelessRouter {
         let target = ctx
             .handprint
             .min_fingerprint()
-            .or_else(|| ctx.super_chunk.fingerprints().next())
+            .or_else(|| ctx.descriptors.first().map(|d| d.fingerprint))
             .map(|fp| fp.bucket(node_count))
             .unwrap_or(0);
         RoutingDecision::stateless(target)
@@ -72,7 +72,7 @@ mod tests {
         let sc = super_chunk(0..256);
         let hp = sc.handprint(8);
         let ctx = RoutingContext {
-            super_chunk: &sc,
+            descriptors: sc.descriptors(),
             handprint: &hp,
             file_id: None,
             nodes: &nodes,
@@ -93,7 +93,7 @@ mod tests {
             let sc = super_chunk(g * 1000..g * 1000 + 64);
             let hp = sc.handprint(8);
             let d = router.route(&RoutingContext {
-                super_chunk: &sc,
+                descriptors: sc.descriptors(),
                 handprint: &hp,
                 file_id: None,
                 nodes: &nodes,
@@ -115,7 +115,7 @@ mod tests {
         let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, Vec::new());
         let hp = sc.handprint(8);
         let d = router.route(&RoutingContext {
-            super_chunk: &sc,
+            descriptors: sc.descriptors(),
             handprint: &hp,
             file_id: None,
             nodes: &nodes,

@@ -31,10 +31,11 @@ fn bench_node_dedup(c: &mut Criterion) {
         .collect();
     let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, chunks);
     let handprint = sc.handprint(8);
+    let view = sc.view();
     c.bench_function("fig5a/dedup_1MiB_super_chunk_all_duplicates", |b| {
         let node = DedupNode::new(0, &config);
-        node.process_super_chunk(0, &sc, &handprint).unwrap();
-        b.iter(|| node.process_super_chunk(0, &sc, &handprint).unwrap())
+        node.process_super_chunk(0, &view, &handprint).unwrap();
+        b.iter(|| node.process_super_chunk(0, &view, &handprint).unwrap())
     });
 }
 

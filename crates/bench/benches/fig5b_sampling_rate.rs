@@ -32,7 +32,7 @@ fn bench_resemblance_query(c: &mut Criterion) {
         (0..256u64).map(|i| i.to_le_bytes().repeat(512)).collect(),
     );
     let handprint = sc.handprint(8);
-    node.process_super_chunk(0, &sc, &handprint).unwrap();
+    node.process_super_chunk(0, &sc.view(), &handprint).unwrap();
     c.bench_function("fig5b/resemblance_query_handprint_8", |b| {
         b.iter(|| node.resemblance_count(&handprint))
     });

@@ -46,7 +46,7 @@ fn bench_stateful_broadcast(c: &mut Criterion) {
     c.bench_function("fig7/stateful_broadcast_decision_128_nodes", |b| {
         b.iter(|| {
             router.route(&RoutingContext {
-                super_chunk: &sc,
+                descriptors: sc.descriptors(),
                 handprint: &handprint,
                 file_id: None,
                 nodes: &nodes,

@@ -52,7 +52,7 @@ fn crash_images(
             i as u64,
             window.to_vec(),
         );
-        node.process_super_chunk(0, &sc, &sc.handprint(8))
+        node.process_super_chunk(0, &sc.view(), &sc.handprint(8))
             .expect("payload ingest cannot fail");
         fingerprints.extend(sc.descriptors().iter().map(|d| d.fingerprint));
     }

@@ -40,7 +40,7 @@ fn bench_routing_decision(c: &mut Criterion) {
     c.bench_function("table1/similarity_routing_decision_32_nodes", |b| {
         b.iter(|| {
             router.route(&RoutingContext {
-                super_chunk: &sc,
+                descriptors: sc.descriptors(),
                 handprint: &handprint,
                 file_id: None,
                 nodes: &nodes,

@@ -167,8 +167,10 @@ impl BackupClient {
     /// The buffer is split by the configured chunker; chunks are
     /// fingerprinted, grouped into super-chunks and routed, on a worker pool
     /// [`SigmaConfig::parallelism`](crate::SigmaConfig::parallelism) wide.
-    /// The buffer is only borrowed: each chunk is copied once, into its
-    /// super-chunk.
+    /// The buffer is only borrowed: super-chunks reach the nodes as views of
+    /// it, and a unique chunk's bytes are copied once, by the container
+    /// append on the node that stores it.  A duplicate chunk is never
+    /// copied.
     ///
     /// # Errors
     ///

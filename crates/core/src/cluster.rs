@@ -16,6 +16,7 @@ use crate::node::{NodeGcReport, RecoveryReport};
 use crate::{
     DataRouter, DedupNode, Director, FileId, FileRecipe, Handprint, NodeStats, Result,
     RoutingContext, SigmaConfig, SigmaError, SimilarityRouter, SuperChunk, SuperChunkReceipt,
+    SuperChunkView,
 };
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -281,17 +282,18 @@ impl DedupCluster {
         file_id: Option<u64>,
     ) -> Result<SuperChunkReceipt> {
         let map = self.node_map();
-        self.backup_super_chunk_on(&map, stream, super_chunk, file_id)
+        self.backup_super_chunk_on(&map, stream, &super_chunk.view(), file_id)
     }
 
-    /// [`backup_super_chunk`](Self::backup_super_chunk) against one fixed node-map
-    /// snapshot, so the ingest core can route a whole stream against one
+    /// [`backup_super_chunk`](Self::backup_super_chunk) of a borrowed view
+    /// against one fixed node-map snapshot, so the ingest core can route a
+    /// whole stream, straight from its request buffer, against one
     /// membership view.
     pub(crate) fn backup_super_chunk_on(
         &self,
         map: &NodeMap,
         stream: u64,
-        super_chunk: &SuperChunk,
+        super_chunk: &SuperChunkView<'_>,
         file_id: Option<u64>,
     ) -> Result<SuperChunkReceipt> {
         if super_chunk.is_empty() {
@@ -304,7 +306,7 @@ impl DedupCluster {
         }
         let handprint = super_chunk.handprint(self.config.handprint_size);
         let decision = self.router.route(&RoutingContext {
-            super_chunk,
+            descriptors: super_chunk.descriptors(),
             handprint: &handprint,
             file_id,
             nodes: map.nodes(),
@@ -1939,7 +1941,7 @@ mod tests {
         let payloads: Vec<Vec<u8>> = (0..6).map(|i| pseudo_random(1024, 800 + i)).collect();
         let acked = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, payloads);
         source
-            .process_super_chunk(0, &acked, &acked.handprint(config.handprint_size))
+            .process_super_chunk(0, &acked.view(), &acked.handprint(config.handprint_size))
             .unwrap();
         cluster.try_flush().unwrap();
         drop(source);

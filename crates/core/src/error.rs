@@ -133,6 +133,17 @@ pub enum SigmaError {
         /// Bytes the chunk payloads actually rebuilt.
         actual: u64,
     },
+    /// A super-chunk reached a node with a chunk whose payload is missing,
+    /// surplus, or not as long as its descriptor says.  The node refuses the
+    /// whole super-chunk before storing any of it.
+    PayloadMismatch {
+        /// Index of the first disagreeing chunk in the super-chunk.
+        chunk: usize,
+        /// The length its descriptor gives (`None`: no descriptor).
+        descriptor_len: Option<usize>,
+        /// The length of its payload (`None`: no payload).
+        payload_len: Option<usize>,
+    },
     /// The routing scheme requires file boundaries but none were provided.
     FileBoundariesRequired {
         /// Name of the routing scheme that raised the error.
@@ -193,9 +204,9 @@ impl SigmaError {
             SigmaError::ChunkMigrated { .. } => ServiceCode::Unavailable,
             SigmaError::UnknownNode(_) => ServiceCode::NotFound,
             SigmaError::ClusterTooSmall => ServiceCode::Conflict,
-            SigmaError::FileBoundariesRequired { .. } | SigmaError::InvalidConfig(_) => {
-                ServiceCode::InvalidRequest
-            }
+            SigmaError::PayloadMismatch { .. }
+            | SigmaError::FileBoundariesRequired { .. }
+            | SigmaError::InvalidConfig(_) => ServiceCode::InvalidRequest,
             SigmaError::Unauthorized { .. } => ServiceCode::Unauthorized,
             SigmaError::QuotaExceeded { .. } | SigmaError::RateLimited { .. } => {
                 ServiceCode::ResourceExhausted
@@ -232,6 +243,15 @@ impl std::fmt::Display for SigmaError {
             SigmaError::ClusterTooSmall => {
                 write!(f, "cannot remove the last node of a cluster")
             }
+            SigmaError::PayloadMismatch {
+                chunk,
+                descriptor_len,
+                payload_len,
+            } => write!(
+                f,
+                "super-chunk chunk {} has a payload of {:?} bytes but a descriptor of {:?}",
+                chunk, payload_len, descriptor_len
+            ),
             SigmaError::FileBoundariesRequired { router } => write!(
                 f,
                 "routing scheme {} requires file boundary information",
@@ -342,6 +362,14 @@ mod tests {
             ),
             (SigmaError::UnknownNode(4), ServiceCode::NotFound),
             (SigmaError::ClusterTooSmall, ServiceCode::Conflict),
+            (
+                SigmaError::PayloadMismatch {
+                    chunk: 2,
+                    descriptor_len: Some(4096),
+                    payload_len: Some(4095),
+                },
+                ServiceCode::InvalidRequest,
+            ),
             (
                 SigmaError::FileBoundariesRequired { router: "x".into() },
                 ServiceCode::InvalidRequest,

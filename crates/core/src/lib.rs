@@ -78,7 +78,7 @@ pub use membership::{MoveReceipt, NodeMap, RebalanceReport, Rebalancer};
 pub use node::{DedupNode, NodeGcReport, NodeStats, RecoveryReport, SuperChunkReceipt};
 pub use restore::RestoreReport;
 pub use routing::{DataRouter, RoutingContext, RoutingDecision, SimilarityRouter};
-pub use super_chunk::{ChunkDescriptor, SuperChunk, SuperChunkBuilder};
+pub use super_chunk::{ChunkDescriptor, SuperChunk, SuperChunkBuilder, SuperChunkView};
 
 /// Convenient result alias for Σ-Dedupe operations.
 pub type Result<T> = std::result::Result<T, SigmaError>;

@@ -345,7 +345,7 @@ mod tests {
         let b = node(1);
         let sc = payload_super_chunk(7, 16);
         let hp = sc.handprint(8);
-        a.process_super_chunk(0, &sc, &hp).unwrap();
+        a.process_super_chunk(0, &sc.view(), &hp).unwrap();
         a.try_flush().unwrap();
         let cid = a.sealed_container_ids()[0];
         let before = a.storage_usage();
@@ -404,7 +404,7 @@ mod tests {
         let b = Arc::new(DedupNode::new(1, &durable));
         let sc = payload_super_chunk(21, 16);
         let hp = sc.handprint(8);
-        a.process_super_chunk(0, &sc, &hp).unwrap();
+        a.process_super_chunk(0, &sc.view(), &hp).unwrap();
         a.try_flush().unwrap();
         let cid = a.sealed_container_ids()[0];
 
@@ -442,7 +442,8 @@ mod tests {
         let a = node(0);
         let b = node(1);
         let sc = payload_super_chunk(3, 8);
-        a.process_super_chunk(0, &sc, &sc.handprint(4)).unwrap();
+        a.process_super_chunk(0, &sc.view(), &sc.handprint(4))
+            .unwrap();
         a.try_flush().unwrap();
         let cid = a.sealed_container_ids()[0];
         let exported = a.export_container(&cid).unwrap().unwrap();

@@ -15,10 +15,10 @@
 //!    super-chunk's representative fingerprints to that container in the similarity
 //!    index.
 
-use crate::{ChunkDescriptor, Handprint, Result, SigmaConfig, SigmaError, SuperChunk};
+use crate::{ChunkDescriptor, Handprint, Result, SigmaConfig, SigmaError, SuperChunkView};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use sigma_hashkit::Fingerprint;
+use sigma_hashkit::{Fingerprint, FingerprintSet};
 use sigma_storage::{
     BackendKind, CacheStats, ChunkIndex, ChunkIndexStats, ChunkLocation, ClaimOutcome, Container,
     ContainerId, ContainerState, ContainerStore, ContainerStoreStats, ContainerSummary,
@@ -115,9 +115,9 @@ pub struct NodeStats {
 /// let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, chunks);
 /// let handprint = sc.handprint(8);
 ///
-/// let first = node.process_super_chunk(0, &sc, &handprint).unwrap();
+/// let first = node.process_super_chunk(0, &sc.view(), &handprint).unwrap();
 /// assert_eq!(first.unique_chunks, 4);
-/// let second = node.process_super_chunk(0, &sc, &handprint).unwrap();
+/// let second = node.process_super_chunk(0, &sc.view(), &handprint).unwrap();
 /// assert_eq!(second.duplicate_chunks, 4);
 /// assert!(node.stats().dedup_ratio > 1.9);
 /// ```
@@ -135,7 +135,7 @@ pub struct DedupNode {
     super_chunks: AtomicU64,
     /// Fingerprints written to the currently open container of each stream; catches
     /// duplicates within the active container before it is sealed.
-    open_fingerprints: Mutex<HashMap<StreamId, (ContainerId, HashSet<Fingerprint>)>>,
+    open_fingerprints: Mutex<HashMap<StreamId, (ContainerId, FingerprintSet)>>,
     /// Write-ahead journal (None unless [`SigmaConfig::durability`] is set): the
     /// node's durable medium, surviving a crash that destroys everything above.
     journal: Option<Arc<Journal>>,
@@ -574,7 +574,11 @@ impl DedupNode {
         self.logical_bytes.load(Ordering::Relaxed)
     }
 
-    /// Deduplicates one super-chunk arriving on `stream`.
+    /// Deduplicates one super-chunk arriving on `stream`: the one resolve
+    /// path, for views the ingest pipeline borrows from a request buffer and
+    /// for owned super-chunks ([`SuperChunk::view`](crate::SuperChunk::view))
+    /// alike.  Only a unique chunk's bytes are copied, by the container
+    /// append.
     ///
     /// The handprint is passed in (rather than recomputed) because in the real
     /// protocol the backup client computes it once and sends it both to the routing
@@ -582,14 +586,17 @@ impl DedupNode {
     ///
     /// # Errors
     ///
-    /// Returns an error if a unique chunk cannot be stored (e.g. it exceeds the
+    /// Returns [`SigmaError::PayloadMismatch`], before anything is looked up
+    /// or stored, when a chunk's payload disagrees with its descriptor, and a
+    /// storage error if a unique chunk cannot be stored (e.g. it exceeds the
     /// container capacity).
     pub fn process_super_chunk(
         &self,
         stream: StreamId,
-        super_chunk: &SuperChunk,
+        super_chunk: &SuperChunkView<'_>,
         handprint: &Handprint,
     ) -> Result<SuperChunkReceipt> {
+        super_chunk.check_payloads()?;
         let mut receipt = SuperChunkReceipt {
             node_id: self.id,
             ..SuperChunkReceipt::default()
@@ -761,9 +768,10 @@ impl DedupNode {
             let mut open = self.open_fingerprints.lock();
             let entry = open
                 .entry(stream)
-                .or_insert_with(|| (stored.container, HashSet::new()));
+                .or_insert_with(|| (stored.container, FingerprintSet::default()));
             if entry.0 != stored.container {
-                *entry = (stored.container, HashSet::new());
+                entry.0 = stored.container;
+                entry.1.clear();
             }
             entry.1.insert(fp);
         }
@@ -1341,7 +1349,7 @@ enum ChunkResolution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SuperChunkBuilder;
+    use crate::{SuperChunk, SuperChunkBuilder, SuperChunkView};
     use sigma_hashkit::{Digest, FingerprintAlgorithm, Sha1};
     use sigma_storage::{StorageError, StorageObject};
 
@@ -1379,17 +1387,79 @@ mod tests {
     }
 
     #[test]
+    fn a_view_whose_payloads_disagree_with_its_descriptors_is_refused() {
+        let config = SigmaConfig {
+            durability: true,
+            ..config()
+        };
+        let node = DedupNode::new(0, &config);
+        let sc = payload_super_chunk(7, 4, 1024);
+        let hp = sc.handprint(4);
+        let view = sc.view();
+        let payloads: Vec<&[u8]> = view.chunks().map(|(_, p)| p).collect();
+        let mut short = payloads.clone();
+        short[2] = &short[2][..1000];
+        let cases = [
+            (short, 2, Some(1024), Some(1000)),
+            (payloads[..3].to_vec(), 3, Some(1024), None),
+            (
+                [&payloads[..], &[&b"surplus"[..]]].concat(),
+                4,
+                None,
+                Some(7),
+            ),
+        ];
+        for (bad, chunk, descriptor_len, payload_len) in cases {
+            let refused = node
+                .process_super_chunk(0, &SuperChunkView::new(sc.descriptors(), bad), &hp)
+                .unwrap_err();
+            assert_eq!(
+                refused,
+                SigmaError::PayloadMismatch {
+                    chunk,
+                    descriptor_len,
+                    payload_len
+                }
+            );
+        }
+        // Nothing was looked up, stored, indexed or journaled.
+        let stats = node.stats();
+        assert_eq!(stats.physical_bytes, 0);
+        assert_eq!(stats.super_chunks, 0);
+        assert_eq!(stats.cache.lookups, 0);
+        assert_eq!(stats.chunk_index.entries, 0);
+        assert_eq!(stats.similarity_index.entries, 0);
+        assert_eq!(node.journal().unwrap().frame_count(), 0);
+        // The same chunks with their own payloads go through.
+        let receipt = node.process_super_chunk(0, &view, &hp).unwrap();
+        assert_eq!(receipt.unique_chunks, 4);
+
+        // An owned super-chunk built with a payload its descriptor does not
+        // describe is refused on the cluster path too.
+        let cluster = crate::DedupCluster::with_similarity_router(2, config);
+        let mut builder = SuperChunkBuilder::new(usize::MAX);
+        let descriptor = ChunkDescriptor::new(Sha1::fingerprint(b"four"), 4);
+        assert!(builder.push_chunk(descriptor, b"five!".to_vec()).is_none());
+        let lying = builder.finish().unwrap();
+        assert!(matches!(
+            cluster.backup_super_chunk(0, &lying, None),
+            Err(SigmaError::PayloadMismatch { chunk: 0, .. })
+        ));
+        assert_eq!(cluster.stats().physical_bytes, 0);
+    }
+
+    #[test]
     fn unique_then_duplicate_super_chunk() {
         let node = DedupNode::new(3, &config());
         let sc = payload_super_chunk(1, 16, 4096);
         let hp = sc.handprint(8);
-        let first = node.process_super_chunk(0, &sc, &hp).unwrap();
+        let first = node.process_super_chunk(0, &sc.view(), &hp).unwrap();
         assert_eq!(first.node_id, 3);
         assert_eq!(first.unique_chunks, 16);
         assert_eq!(first.duplicate_chunks, 0);
         assert_eq!(first.unique_bytes, 16 * 4096);
 
-        let second = node.process_super_chunk(0, &sc, &hp).unwrap();
+        let second = node.process_super_chunk(0, &sc.view(), &hp).unwrap();
         assert_eq!(second.unique_chunks, 0);
         assert_eq!(second.duplicate_chunks, 16);
         assert_eq!(second.total_chunks(), 16);
@@ -1408,7 +1478,7 @@ mod tests {
         // The same chunk id repeated many times inside one super-chunk.
         let sc = id_super_chunk(&[7, 7, 7, 7, 8], 4096);
         let hp = sc.handprint(8);
-        let r = node.process_super_chunk(0, &sc, &hp).unwrap();
+        let r = node.process_super_chunk(0, &sc.view(), &hp).unwrap();
         assert_eq!(r.unique_chunks, 2);
         assert_eq!(r.duplicate_chunks, 3);
     }
@@ -1424,11 +1494,11 @@ mod tests {
         let node = DedupNode::new(0, &cfg);
         let sc = id_super_chunk(&(0..64).collect::<Vec<u64>>(), 4096);
         let hp = sc.handprint(8);
-        node.process_super_chunk(0, &sc, &hp).unwrap();
+        node.process_super_chunk(0, &sc.view(), &hp).unwrap();
         node.try_flush().unwrap();
         // The identical super-chunk arrives again: the handprint matches, the
         // container is prefetched, every chunk hits the cache.
-        let r = node.process_super_chunk(0, &sc, &hp).unwrap();
+        let r = node.process_super_chunk(0, &sc.view(), &hp).unwrap();
         assert_eq!(r.duplicate_chunks, 64);
         assert_eq!(r.unique_chunks, 0);
         assert!(r.containers_prefetched >= 1);
@@ -1447,7 +1517,8 @@ mod tests {
         let node = DedupNode::new(0, &cfg);
         // First super-chunk: chunks 0..64.
         let a = id_super_chunk(&(0..64).collect::<Vec<u64>>(), 4096);
-        node.process_super_chunk(0, &a, &a.handprint(8)).unwrap();
+        node.process_super_chunk(0, &a.view(), &a.handprint(8))
+            .unwrap();
         node.try_flush().unwrap();
         // Second super-chunk shares only one low-similarity chunk and has a disjoint
         // handprint (we force that by computing the handprint from different data).
@@ -1462,7 +1533,7 @@ mod tests {
                 .map(|i| Sha1::fingerprint(&i.to_le_bytes())),
             8,
         );
-        let r = node.process_super_chunk(0, &b, &hp_b).unwrap();
+        let r = node.process_super_chunk(0, &b.view(), &hp_b).unwrap();
         // The hidden duplicate may or may not be caught via the open container (it is
         // a different container), so in similarity-only mode it is stored again.
         assert_eq!(r.duplicate_chunks, 0);
@@ -1470,9 +1541,11 @@ mod tests {
 
         // With the fallback enabled the same scenario catches the duplicate.
         let exact = DedupNode::new(1, &SigmaConfig::default());
-        exact.process_super_chunk(0, &a, &a.handprint(8)).unwrap();
+        exact
+            .process_super_chunk(0, &a.view(), &a.handprint(8))
+            .unwrap();
         exact.try_flush().unwrap();
-        let r2 = exact.process_super_chunk(0, &b, &hp_b).unwrap();
+        let r2 = exact.process_super_chunk(0, &b.view(), &hp_b).unwrap();
         assert_eq!(r2.duplicate_chunks, 1);
     }
 
@@ -1483,11 +1556,15 @@ mod tests {
         // fingerprint unclaimed so no racer can mistake it for a duplicate.
         let sc = id_super_chunk(&[7], 300 * 1024);
         let fp = sc.descriptors()[0].fingerprint;
-        assert!(node.process_super_chunk(0, &sc, &sc.handprint(4)).is_err());
+        assert!(node
+            .process_super_chunk(0, &sc.view(), &sc.handprint(4))
+            .is_err());
         assert_eq!(node.count_stored_fingerprints(&[fp]), 0);
         // The same fingerprint with a storable length is still accepted later.
         let ok = id_super_chunk(&[7], 4096);
-        let receipt = node.process_super_chunk(0, &ok, &ok.handprint(4)).unwrap();
+        let receipt = node
+            .process_super_chunk(0, &ok.view(), &ok.handprint(4))
+            .unwrap();
         assert_eq!(receipt.unique_chunks, 1);
     }
 
@@ -1496,7 +1573,7 @@ mod tests {
         let node = DedupNode::new(0, &config());
         let sc = payload_super_chunk(9, 8, 1024);
         let hp = sc.handprint(8);
-        node.process_super_chunk(0, &sc, &hp).unwrap();
+        node.process_super_chunk(0, &sc.view(), &hp).unwrap();
         node.try_flush().unwrap();
         for (i, d) in sc.descriptors().iter().enumerate() {
             let data = node.read_chunk(&d.fingerprint).unwrap();
@@ -1518,7 +1595,8 @@ mod tests {
         let backend = Arc::new(FaultyBackend::default());
         let node = node_over(backend.clone());
         let sc = payload_super_chunk(3, 4, 512);
-        node.process_super_chunk(0, &sc, &sc.handprint(4)).unwrap();
+        node.process_super_chunk(0, &sc.view(), &sc.handprint(4))
+            .unwrap();
         node.try_flush().unwrap();
         for obj in backend.list().unwrap() {
             if matches!(obj, StorageObject::Container(_)) {
@@ -1537,7 +1615,7 @@ mod tests {
         let sc = id_super_chunk(&(0..32).collect::<Vec<u64>>(), 4096);
         let hp = sc.handprint(8);
         assert_eq!(node.resemblance_count(&hp), 0);
-        node.process_super_chunk(0, &sc, &hp).unwrap();
+        node.process_super_chunk(0, &sc.view(), &hp).unwrap();
         assert_eq!(node.resemblance_count(&hp), 8);
         // A disjoint super-chunk has zero resemblance.
         let other = id_super_chunk(&(100..132).collect::<Vec<u64>>(), 4096);
@@ -1548,7 +1626,8 @@ mod tests {
     fn count_stored_fingerprints_for_stateful_routing() {
         let node = DedupNode::new(0, &config());
         let sc = id_super_chunk(&(0..16).collect::<Vec<u64>>(), 4096);
-        node.process_super_chunk(0, &sc, &sc.handprint(8)).unwrap();
+        node.process_super_chunk(0, &sc.view(), &sc.handprint(8))
+            .unwrap();
         let probe: Vec<Fingerprint> = (8..24u64)
             .map(|i| Sha1::fingerprint(&i.to_le_bytes()))
             .collect();
@@ -1571,7 +1650,7 @@ mod tests {
         let node = DedupNode::new(4, &cfg);
         let sc = payload_super_chunk(11, 16, 4096);
         let hp = sc.handprint(8);
-        node.process_super_chunk(0, &sc, &hp).unwrap();
+        node.process_super_chunk(0, &sc.view(), &hp).unwrap();
         node.try_flush().unwrap();
         let stats_before = node.stats();
         let journal = node.journal().unwrap().clone();
@@ -1596,7 +1675,7 @@ mod tests {
         // The journal is live again: the recovered node keeps journaling.
         let sc2 = payload_super_chunk(99, 4, 4096);
         recovered
-            .process_super_chunk(0, &sc2, &sc2.handprint(4))
+            .process_super_chunk(0, &sc2.view(), &sc2.handprint(4))
             .unwrap();
         recovered.try_flush().unwrap();
     }
@@ -1607,11 +1686,11 @@ mod tests {
         let node = DedupNode::new(0, &cfg);
         // First super-chunk flushed (acknowledged), second one left open.
         let acked = payload_super_chunk(1, 8, 2048);
-        node.process_super_chunk(0, &acked, &acked.handprint(4))
+        node.process_super_chunk(0, &acked.view(), &acked.handprint(4))
             .unwrap();
         node.try_flush().unwrap();
         let lost = payload_super_chunk(2, 2, 1024);
-        node.process_super_chunk(0, &lost, &lost.handprint(4))
+        node.process_super_chunk(0, &lost.view(), &lost.handprint(4))
             .unwrap();
         let physical_at_ack = {
             let journal = node.journal().unwrap().clone();
@@ -1639,7 +1718,7 @@ mod tests {
         let node = DedupNode::new(0, &cfg);
         for seed in 0..6u8 {
             let sc = payload_super_chunk(seed, 8, 2048);
-            node.process_super_chunk(seed as u64, &sc, &sc.handprint(4))
+            node.process_super_chunk(seed as u64, &sc.view(), &sc.handprint(4))
                 .unwrap();
         }
         node.try_flush().unwrap();
@@ -1662,7 +1741,7 @@ mod tests {
         // Post-compaction ingest still lands in fresh container IDs.
         let sc = payload_super_chunk(77, 4, 2048);
         recovered
-            .process_super_chunk(0, &sc, &sc.handprint(4))
+            .process_super_chunk(0, &sc.view(), &sc.handprint(4))
             .unwrap();
         recovered.try_flush().unwrap();
         recovered.verify_consistency().unwrap();
@@ -1678,12 +1757,12 @@ mod tests {
         let cfg = durable_config();
         let node = DedupNode::new(0, &cfg);
         let acked = payload_super_chunk(1, 4, 2048);
-        node.process_super_chunk(0, &acked, &acked.handprint(4))
+        node.process_super_chunk(0, &acked.view(), &acked.handprint(4))
             .unwrap();
         node.try_flush().unwrap();
         // This super-chunk stays in an open container across the compaction.
         let pending = payload_super_chunk(2, 3, 1024);
-        node.process_super_chunk(0, &pending, &pending.handprint(4))
+        node.process_super_chunk(0, &pending.view(), &pending.handprint(4))
             .unwrap();
         node.compact_journal().unwrap();
 
@@ -1693,7 +1772,7 @@ mod tests {
         // The pending chunks died with the crash; re-ingesting them must store
         // them for real, and the re-acknowledged data must be restorable.
         let receipt = recovered
-            .process_super_chunk(0, &pending, &pending.handprint(4))
+            .process_super_chunk(0, &pending.view(), &pending.handprint(4))
             .unwrap();
         assert_eq!(
             receipt.unique_chunks, 3,
@@ -1730,11 +1809,13 @@ mod tests {
             .unwrap();
         let node = DedupNode::new(0, &cfg);
         let acked = payload_super_chunk(1, 4, 2048);
-        node.process_super_chunk(0, &acked, &acked.handprint(4))
+        node.process_super_chunk(0, &acked.view(), &acked.handprint(4))
             .unwrap();
         node.try_flush().unwrap();
         let unrelated = payload_super_chunk(9, 4, 2048).handprint(4);
-        let receipt = node.process_super_chunk(0, &acked, &unrelated).unwrap();
+        let receipt = node
+            .process_super_chunk(0, &acked.view(), &unrelated)
+            .unwrap();
         assert_eq!(receipt.unique_chunks, 4, "stored again, left open");
         node.compact_journal().unwrap();
 
@@ -1754,7 +1835,9 @@ mod tests {
         let cfg = durable_config();
         let donor = DedupNode::new(1, &cfg);
         let sc = payload_super_chunk(5, 8, 2048);
-        donor.process_super_chunk(0, &sc, &sc.handprint(4)).unwrap();
+        donor
+            .process_super_chunk(0, &sc.view(), &sc.handprint(4))
+            .unwrap();
         donor.try_flush().unwrap();
         let cid = donor.sealed_container_ids()[0];
         let exported = donor.export_container(&cid).unwrap().unwrap();
@@ -1793,7 +1876,8 @@ mod tests {
         let a = DedupNode::new(0, &cfg);
         let b = DedupNode::new(1, &cfg);
         let sc = payload_super_chunk(9, 8, 2048);
-        a.process_super_chunk(0, &sc, &sc.handprint(4)).unwrap();
+        a.process_super_chunk(0, &sc.view(), &sc.handprint(4))
+            .unwrap();
         a.try_flush().unwrap();
         let cid = a.sealed_container_ids()[0];
         let exported = a.export_container(&cid).unwrap().unwrap();
@@ -1843,7 +1927,7 @@ mod tests {
         let half = payload_super_chunk(2, 8, 1024);
         let dead = payload_super_chunk(3, 8, 1024);
         for (stream, sc) in [(0u64, &keep), (1, &half), (2, &dead)] {
-            node.process_super_chunk(stream, sc, &sc.handprint(4))
+            node.process_super_chunk(stream, &sc.view(), &sc.handprint(4))
                 .unwrap();
         }
         node.try_flush().unwrap();
@@ -1902,7 +1986,8 @@ mod tests {
     fn sweep_respects_the_liveness_threshold() {
         let node = DedupNode::new(0, &config());
         let sc = payload_super_chunk(5, 8, 1024);
-        node.process_super_chunk(0, &sc, &sc.handprint(4)).unwrap();
+        node.process_super_chunk(0, &sc.view(), &sc.handprint(4))
+            .unwrap();
         node.try_flush().unwrap();
         let survivors: Vec<Fingerprint> = sc.descriptors()[..6]
             .iter()
@@ -1937,7 +2022,7 @@ mod tests {
         let node = DedupNode::new(0, &config());
         let sc = payload_super_chunk(9, 8, 1024);
         let hp = sc.handprint(8);
-        node.process_super_chunk(0, &sc, &hp).unwrap();
+        node.process_super_chunk(0, &sc.view(), &hp).unwrap();
         node.try_flush().unwrap();
         assert_eq!(node.resemblance_count(&hp), 8);
         let survivors: Vec<Fingerprint> = sc.descriptors()[..2]
@@ -1966,9 +2051,9 @@ mod tests {
         let node = DedupNode::new(0, &cfg);
         let keep = payload_super_chunk(1, 6, 2048);
         let dead = payload_super_chunk(2, 6, 2048);
-        node.process_super_chunk(0, &keep, &keep.handprint(4))
+        node.process_super_chunk(0, &keep.view(), &keep.handprint(4))
             .unwrap();
-        node.process_super_chunk(1, &dead, &dead.handprint(4))
+        node.process_super_chunk(1, &dead.view(), &dead.handprint(4))
             .unwrap();
         node.try_flush().unwrap();
         node.note_recipe_deleted(7);
@@ -2016,7 +2101,8 @@ mod tests {
         let cfg = durable_config();
         let node = DedupNode::new(0, &cfg);
         let sc = payload_super_chunk(4, 6, 2048);
-        node.process_super_chunk(0, &sc, &sc.handprint(4)).unwrap();
+        node.process_super_chunk(0, &sc.view(), &sc.handprint(4))
+            .unwrap();
         node.try_flush().unwrap();
         let physical_before = node.storage_usage();
 
@@ -2132,7 +2218,8 @@ mod tests {
             .collect();
         let before = syncs().len();
         for sc in &acked {
-            node.process_super_chunk(0, sc, &sc.handprint(4)).unwrap();
+            node.process_super_chunk(0, &sc.view(), &sc.handprint(4))
+                .unwrap();
         }
         assert!(journal.frame_count() >= acked.len() as u64);
         assert!(seals() > 0, "a rollover seal is journaled before the ack");
@@ -2153,7 +2240,8 @@ mod tests {
             payload_super_chunk(80, 20, 1000),
         ];
         for sc in &unacked {
-            node.process_super_chunk(0, sc, &sc.handprint(4)).unwrap();
+            node.process_super_chunk(0, &sc.view(), &sc.handprint(4))
+                .unwrap();
         }
         node.finish_rollover_seal();
         assert_eq!(seals(), acked_seals + 1);
@@ -2196,7 +2284,9 @@ mod tests {
         let sc = payload_super_chunk(3, 4, 1024);
         let hp = sc.handprint(4);
         assert_eq!(
-            node.process_super_chunk(0, &sc, &hp).unwrap().unique_chunks,
+            node.process_super_chunk(0, &sc.view(), &hp)
+                .unwrap()
+                .unique_chunks,
             4
         );
         backend.fail_next_write.store(true, Ordering::SeqCst);
@@ -2207,7 +2297,7 @@ mod tests {
         assert!(!node.crashed());
         // The index entries finalized at store time still point at the
         // container: the same chunks again are all duplicates of it...
-        let again = node.process_super_chunk(0, &sc, &hp).unwrap();
+        let again = node.process_super_chunk(0, &sc.view(), &hp).unwrap();
         assert_eq!(again.duplicate_chunks, 4);
         // ...which the next flush seals, so the acknowledged backup restores.
         node.try_flush().unwrap();
@@ -2229,7 +2319,8 @@ mod tests {
         let backend = Arc::new(FaultyBackend::default());
         let node = Arc::new(node_over(backend.clone()));
         let sc = payload_super_chunk(4, 2, 1024);
-        node.process_super_chunk(0, &sc, &sc.handprint(4)).unwrap();
+        node.process_super_chunk(0, &sc.view(), &sc.handprint(4))
+            .unwrap();
         node.try_flush().unwrap();
         let cid = node.sealed_container_ids()[0];
         let (parked_tx, parked) = std::sync::mpsc::channel();
@@ -2256,10 +2347,15 @@ mod tests {
         let b = DedupNode::new(1, &config());
         let sc = payload_super_chunk(6, 4, 1024);
         let hp = sc.handprint(4);
-        a.process_super_chunk(0, &sc, &hp).unwrap();
+        a.process_super_chunk(0, &sc.view(), &hp).unwrap();
         a.try_flush().unwrap();
         // A second pass prefetches the container into A's fingerprint cache.
-        assert_eq!(a.process_super_chunk(0, &sc, &hp).unwrap().cache_hits, 4);
+        assert_eq!(
+            a.process_super_chunk(0, &sc.view(), &hp)
+                .unwrap()
+                .cache_hits,
+            4
+        );
         let cid = a.sealed_container_ids()[0];
         let exported = a.export_container(&cid).unwrap().unwrap();
         b.adopt_container(0, exported, &a.similarity_entries_for(cid))
@@ -2271,7 +2367,7 @@ mod tests {
         // ...while A's index still names the tombstoned container (its cache
         // forgot it at retirement): the same chunks are stored again, not
         // matched against it.
-        let again = a.process_super_chunk(0, &sc, &hp).unwrap();
+        let again = a.process_super_chunk(0, &sc.view(), &hp).unwrap();
         assert_eq!(again.unique_chunks, 4);
         a.try_flush().unwrap();
         for (i, d) in sc.descriptors().iter().enumerate() {
@@ -2288,9 +2384,14 @@ mod tests {
         let node = DedupNode::new(0, &config());
         let sc = payload_super_chunk(7, 4, 1024);
         let hp = sc.handprint(4);
-        node.process_super_chunk(0, &sc, &hp).unwrap();
+        node.process_super_chunk(0, &sc.view(), &hp).unwrap();
         node.try_flush().unwrap();
-        assert_eq!(node.process_super_chunk(0, &sc, &hp).unwrap().cache_hits, 4);
+        assert_eq!(
+            node.process_super_chunk(0, &sc.view(), &hp)
+                .unwrap()
+                .cache_hits,
+            4
+        );
         // Half the chunks die; the sweep compacts the container.
         let cid = node.sealed_container_ids()[0];
         let live: HashSet<Fingerprint> = sc.descriptors()[..2]
@@ -2303,7 +2404,7 @@ mod tests {
         assert_eq!(report.containers_compacted, 1);
         // The cache had prefetched the victim: its dead chunks are stored
         // again, its live ones match the replacement.
-        let again = node.process_super_chunk(0, &sc, &hp).unwrap();
+        let again = node.process_super_chunk(0, &sc.view(), &hp).unwrap();
         assert_eq!((again.unique_chunks, again.duplicate_chunks), (2, 2));
         node.try_flush().unwrap();
         for (i, d) in sc.descriptors().iter().enumerate() {
@@ -2333,7 +2434,7 @@ mod tests {
                 }
                 supers.extend(builder.finish());
                 for sc in supers {
-                    node.process_super_chunk(stream, &sc, &sc.handprint(8))
+                    node.process_super_chunk(stream, &sc.view(), &sc.handprint(8))
                         .unwrap();
                 }
             }));

@@ -13,13 +13,16 @@
 //!    descriptors are written back in chunk order.  Each task hands its
 //!    chunks to [`FingerprintAlgorithm::fingerprint_batch`] in one call, so
 //!    on a CPU with AVX-512 SHA-1 hashes sixteen chunks at once on one core.
-//! 3. **Assemble** — per stream, descriptors and payloads are folded through a
-//!    [`SuperChunkBuilder`] in order, so super-chunk boundaries do not depend
-//!    on the pool width.
+//! 3. **Assemble** — per stream, the descriptors are cut into super-chunks by
+//!    the rule [`SuperChunkBuilder`](crate::SuperChunkBuilder) applies, so
+//!    super-chunk boundaries do not depend on the pool width.  Each
+//!    super-chunk is a [`SuperChunkView`]: its descriptors beside slices of
+//!    the stream buffer.  No chunk is copied.
 //! 4. **Submit** — one worker walks each stream's super-chunks front to back
 //!    against one node-map snapshot, streams in parallel, so per-stream order
 //!    — and therefore every file recipe and restore — is preserved while the
-//!    cluster sees multi-stream traffic.
+//!    cluster sees multi-stream traffic.  Stages 3 and 4 run interleaved on
+//!    that worker, one super-chunk at a time.
 //!
 //! Files are registered only after every stream succeeded, so a call yields a
 //! full set of restorable files or none.
@@ -31,12 +34,14 @@
 //! (the equivalence property suite pins this down over hundreds of generated
 //! workloads).
 
+use crate::super_chunk::SuperChunkCut;
 use crate::{
-    ChunkDescriptor, DedupCluster, FileBackupReport, RecipeEntry, Result, SuperChunk,
-    SuperChunkBuilder,
+    ChunkDescriptor, DedupCluster, FileBackupReport, RecipeEntry, Result, SigmaConfig,
+    SuperChunkView,
 };
 use parking_lot::Mutex;
 use sigma_hashkit::FingerprintAlgorithm;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How many chunks one fingerprint task hashes.  Small enough that a single
@@ -57,25 +62,55 @@ pub(crate) struct Stream<'a> {
     pub(crate) data: &'a [u8],
 }
 
-/// Backs up `streams` into `cluster`, registering one file per stream in
-/// `session_id`.  Reports come back in input order.
-///
-/// The stream buffers are the scratch the whole core works out of: stages 1
-/// and 2 only borrow them, and stage 3 copies each chunk exactly once, into
-/// the super-chunk that will own it.
-///
-/// # Errors
-///
-/// Returns the first routing/storage error in stream order; the other
-/// streams still run to completion (their unique chunks are stored), but no
-/// file is registered for any stream.
-pub(crate) fn ingest(
-    cluster: &DedupCluster,
-    session_id: u64,
+/// One stream after stages 1 and 2: where its chunks end and what they are.
+struct Fingerprinted {
+    /// End offset of each chunk in the stream buffer.
+    boundaries: Vec<usize>,
+    /// Parallel to `boundaries`.
+    descriptors: Vec<ChunkDescriptor>,
+}
+
+impl Fingerprinted {
+    /// The bytes of chunk `j` within the stream buffer.
+    fn span(&self, j: usize) -> Range<usize> {
+        chunk_span(&self.boundaries, j)
+    }
+
+    /// Stage 3: the stream's super-chunks, in order, as views of `data`
+    /// (the buffer stages 1 and 2 ran over).
+    fn super_chunks<'a>(
+        &'a self,
+        data: &'a [u8],
+        target_size: usize,
+    ) -> impl Iterator<Item = SuperChunkView<'a>> + 'a {
+        let mut cut = SuperChunkCut::new(target_size);
+        let mut start = 0;
+        let count = self.descriptors.len();
+        (1..=count).filter_map(move |end| {
+            if !cut.closes_after(self.descriptors[end - 1].len) && end < count {
+                return None;
+            }
+            let chunks = start..end;
+            start = end;
+            Some(SuperChunkView::new(
+                &self.descriptors[chunks.clone()],
+                chunks.map(|j| &data[self.span(j)]).collect(),
+            ))
+        })
+    }
+}
+
+/// The bytes of chunk `j` given the chunks' end offsets.
+fn chunk_span(boundaries: &[usize], j: usize) -> Range<usize> {
+    (if j == 0 { 0 } else { boundaries[j - 1] })..boundaries[j]
+}
+
+/// Stages 1 and 2 over every stream, results in stream order.
+fn fingerprint_streams(
+    config: &SigmaConfig,
+    workers: usize,
     streams: &[Stream<'_>],
-) -> Result<Vec<FileBackupReport>> {
-    let config = cluster.config();
-    let workers = config.effective_parallelism();
+) -> Vec<Fingerprinted> {
     let chunker = config.chunker.build();
     let algorithm = config.fingerprint_algorithm;
 
@@ -83,9 +118,6 @@ pub(crate) fn ingest(
     let boundaries: Vec<Vec<usize>> = run_pool(workers, streams.iter().collect(), |_, stream| {
         chunker.chunk_boundaries(stream.data)
     });
-    // Chunk `j` of a stream spans `chunk_span(&its_boundaries, j)`.
-    let chunk_span =
-        |b: &[usize], j: usize| -> (usize, usize) { (if j == 0 { 0 } else { b[j - 1] }, b[j]) };
 
     // Stage 2: fingerprint fixed-size chunk ranges (parallel across and within
     // streams), then write the descriptors back in chunk order.
@@ -102,12 +134,8 @@ pub(crate) fn ingest(
     let fingerprinted: Vec<Vec<ChunkDescriptor>> =
         run_pool(workers, tasks.clone(), |_, (stream, start, end)| {
             let data = streams[stream].data;
-            let bounds = &boundaries[stream];
             let chunks: Vec<&[u8]> = (start..end)
-                .map(|j| {
-                    let (lo, hi) = chunk_span(bounds, j);
-                    &data[lo..hi]
-                })
+                .map(|j| &data[chunk_span(&boundaries[stream], j)])
                 .collect();
             algorithm
                 .fingerprint_batch(&chunks)
@@ -123,32 +151,44 @@ pub(crate) fn ingest(
     for ((stream, _, _), descs) in tasks.into_iter().zip(fingerprinted) {
         descriptors[stream].extend(descs);
     }
+    boundaries
+        .into_iter()
+        .zip(descriptors)
+        .map(|(boundaries, descriptors)| Fingerprinted {
+            boundaries,
+            descriptors,
+        })
+        .collect()
+}
 
-    // Stage 3: assemble super-chunks in order (streams in parallel), copying
-    // each chunk payload out of the stream buffer exactly once.
-    let assembled: Vec<Vec<SuperChunk>> = run_pool(
-        workers,
-        descriptors.into_iter().enumerate().collect(),
-        |_, (stream, descs)| {
-            let data = streams[stream].data;
-            let bounds = &boundaries[stream];
-            let mut builder = SuperChunkBuilder::new(config.super_chunk_size);
-            let mut supers = Vec::new();
-            for (j, descriptor) in descs.into_iter().enumerate() {
-                let (lo, hi) = chunk_span(bounds, j);
-                supers.extend(builder.push_chunk(descriptor, data[lo..hi].to_vec()));
-            }
-            supers.extend(builder.finish());
-            supers
-        },
-    );
+/// Backs up `streams` into `cluster`, registering one file per stream in
+/// `session_id`.  Reports come back in input order.
+///
+/// The stream buffers are the scratch the whole core works out of: every
+/// stage only borrows them, and a unique chunk's bytes are copied once, by
+/// the container append on the node that stores it.
+///
+/// # Errors
+///
+/// Returns the first routing/storage error in stream order; the other
+/// streams still run to completion (their unique chunks are stored), but no
+/// file is registered for any stream.
+pub(crate) fn ingest(
+    cluster: &DedupCluster,
+    session_id: u64,
+    streams: &[Stream<'_>],
+) -> Result<Vec<FileBackupReport>> {
+    let config = cluster.config();
+    let workers = config.effective_parallelism();
+    let fingerprinted = fingerprint_streams(config, workers, streams);
 
-    // Stage 4: submit each stream's super-chunks in order against one
-    // node-map snapshot, streams in parallel.  File-boundary hints come from
-    // a cluster counter that never repeats.
+    // Stages 3 and 4: per stream (streams in parallel), cut the next
+    // super-chunk out of the stream buffer and submit it, in order, against
+    // one node-map snapshot.  File-boundary hints come from a cluster counter
+    // that never repeats.
     let first_hint = cluster.reserve_file_hints(streams.len() as u64);
     let outcomes: Vec<Result<(FileBackupReport, Vec<RecipeEntry>)>> =
-        run_pool(workers, assembled, |i, supers| {
+        run_pool(workers, fingerprinted, |i, stream_chunks| {
             let stream = &streams[i];
             let hint = Some(first_hint + i as u64);
             let map = cluster.node_map();
@@ -160,8 +200,8 @@ pub(crate) fn ingest(
                 super_chunks: 0,
                 duplicate_chunks: 0,
             };
-            let mut recipe = Vec::with_capacity(boundaries[i].len());
-            for sc in supers {
+            let mut recipe = Vec::with_capacity(stream_chunks.descriptors.len());
+            for sc in stream_chunks.super_chunks(stream.data, config.super_chunk_size) {
                 let receipt = cluster.backup_super_chunk_on(&map, stream.id, &sc, hint)?;
                 report.chunks += sc.chunk_count() as u64;
                 report.super_chunks += 1;
@@ -237,7 +277,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BackupClient, SigmaConfig, StreamPayload};
+    use crate::{BackupClient, StreamPayload, SuperChunkBuilder};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn test_config(parallelism: usize) -> SigmaConfig {
@@ -261,6 +302,65 @@ mod tests {
                 (state >> 32) as u8
             })
             .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Stage 3 cuts the same super-chunks, with the same bytes, as
+        /// `SuperChunkBuilder::push_chunk` fed the same chunks one by one.
+        #[test]
+        fn prop_pipeline_super_chunks_match_the_builder(
+            len in 0usize..80_000,
+            seed in any::<u64>(),
+            method in 0u8..3,
+            avg_kib in 1usize..5,
+            target_chunks in 1usize..12,
+            target_extra in 0usize..4096,
+            workers in 1usize..3,
+        ) {
+            let data = pseudo_random(len, seed);
+            let avg = avg_kib * 1024;
+            let chunker = match method {
+                0 => sigma_chunking::ChunkerParams::fixed(avg),
+                1 => sigma_chunking::ChunkerParams::cdc(avg / 4, avg, avg * 4),
+                _ => sigma_chunking::ChunkerParams::gear_cdc(avg / 4, avg, avg * 4),
+            };
+            let target = avg * target_chunks + target_extra;
+            let config = SigmaConfig::builder()
+                .chunker(chunker)
+                .super_chunk_size(target)
+                .build()
+                .unwrap();
+            let stream = Stream { id: 0, name: "s", data: &data };
+            let fingerprinted = fingerprint_streams(&config, workers, std::slice::from_ref(&stream));
+            let views: Vec<SuperChunkView<'_>> =
+                fingerprinted[0].super_chunks(&data, target).collect();
+
+            let mut builder = SuperChunkBuilder::new(target);
+            let mut built = Vec::new();
+            for chunk in chunker.build().split(&data) {
+                let payload = chunk.data().to_vec();
+                let descriptor = ChunkDescriptor::new(
+                    config.fingerprint_algorithm.fingerprint(&payload),
+                    payload.len() as u32,
+                );
+                built.extend(builder.push_chunk(descriptor, payload));
+            }
+            built.extend(builder.finish());
+
+            prop_assert_eq!(views.len(), built.len());
+            for (view, sc) in views.iter().zip(&built) {
+                prop_assert_eq!(view.descriptors(), sc.descriptors());
+                prop_assert_eq!(
+                    view.handprint(config.handprint_size),
+                    sc.handprint(config.handprint_size)
+                );
+                // Each chunk's bytes, chunk by chunk.
+                prop_assert_eq!(view, &sc.view());
+            }
+            let covered: u64 = views.iter().map(SuperChunkView::logical_size).sum();
+            prop_assert_eq!(covered, len as u64);
+        }
     }
 
     #[test]

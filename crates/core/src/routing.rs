@@ -7,14 +7,14 @@
 //! broadcast routing, Extreme Binning, chunk-level DHT) implement the same
 //! [`DataRouter`] trait in the `sigma-baselines` crate.
 
-use crate::{DedupNode, Handprint, SuperChunk};
+use crate::{ChunkDescriptor, DedupNode, Handprint};
 use std::sync::Arc;
 
 /// Everything a router may inspect when placing one super-chunk.
 #[derive(Clone)]
 pub struct RoutingContext<'a> {
-    /// The super-chunk being routed (fingerprints and sizes; payloads optional).
-    pub super_chunk: &'a SuperChunk,
+    /// The descriptors of the super-chunk being routed, in stream order.
+    pub descriptors: &'a [ChunkDescriptor],
     /// The super-chunk's handprint (already computed by the backup client).
     pub handprint: &'a Handprint,
     /// Identifier of the file this super-chunk belongs to, when file boundaries are
@@ -27,7 +27,7 @@ pub struct RoutingContext<'a> {
 impl std::fmt::Debug for RoutingContext<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RoutingContext")
-            .field("chunks", &self.super_chunk.chunk_count())
+            .field("chunks", &self.descriptors.len())
             .field("handprint", &self.handprint.size())
             .field("file_id", &self.file_id)
             .field("nodes", &self.nodes.len())
@@ -181,7 +181,7 @@ impl DataRouter for SimilarityRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SigmaConfig;
+    use crate::{SigmaConfig, SuperChunk};
     use sigma_hashkit::FingerprintAlgorithm;
 
     fn nodes(n: usize) -> Vec<Arc<DedupNode>> {
@@ -203,7 +203,7 @@ mod tests {
         nodes: &'a [Arc<DedupNode>],
     ) -> RoutingContext<'a> {
         RoutingContext {
-            super_chunk: sc,
+            descriptors: sc.descriptors(),
             handprint: hp,
             file_id: None,
             nodes,
@@ -235,7 +235,7 @@ mod tests {
         let first = router.route(&ctx(&sc, &hp, &nodes));
         // Process the super-chunk at the chosen node so its similarity index learns it.
         nodes[first.target]
-            .process_super_chunk(0, &sc, &hp)
+            .process_super_chunk(0, &sc.view(), &hp)
             .unwrap();
 
         // A near-identical super-chunk (7/8 of the same chunks) must follow it.
@@ -254,7 +254,7 @@ mod tests {
         let heavy = hp_filler.candidate_nodes(4)[0];
         for _ in 0..4 {
             nodes[heavy]
-                .process_super_chunk(0, &filler, &hp_filler)
+                .process_super_chunk(0, &filler.view(), &hp_filler)
                 .unwrap();
         }
 

@@ -7,7 +7,7 @@
 //! handprint computed over a super-chunk captures enough similarity for the stateful
 //! routing decision.
 
-use crate::Handprint;
+use crate::{Handprint, Result, SigmaError};
 use serde::{Deserialize, Serialize};
 use sigma_hashkit::{Fingerprint, FingerprintAlgorithm};
 
@@ -31,7 +31,9 @@ impl ChunkDescriptor {
 /// A group of consecutive chunks routed (and deduplicated) together.
 ///
 /// A super-chunk carries one payload per descriptor: every chunk a node
-/// stores has its bytes.
+/// stores has its bytes.  Routing and the node see it through the
+/// [`SuperChunkView`] it lends ([`view`](Self::view)), the same form the
+/// ingest pipeline builds straight from a request buffer.
 ///
 /// # Example
 ///
@@ -42,7 +44,7 @@ impl ChunkDescriptor {
 /// let chunks: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 1024]).collect();
 /// let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, chunks);
 /// assert_eq!(sc.chunk_count(), 4);
-/// assert_eq!(sc.logical_size(), 4096);
+/// assert_eq!(sc.view().logical_size(), 4096);
 /// let handprint = sc.handprint(2);
 /// assert_eq!(handprint.size(), 2);
 /// ```
@@ -91,11 +93,13 @@ impl SuperChunk {
         self.payloads.get(index).map(|v| v.as_slice())
     }
 
-    /// Each chunk's descriptor with its payload, in stream order.
-    pub(crate) fn chunks(&self) -> impl Iterator<Item = (&ChunkDescriptor, &[u8])> {
-        self.descriptors
-            .iter()
-            .zip(self.payloads.iter().map(Vec::as_slice))
+    /// The super-chunk as routing and the node see it: each descriptor
+    /// beside a borrowed slice of its payload.
+    pub fn view(&self) -> SuperChunkView<'_> {
+        SuperChunkView {
+            descriptors: &self.descriptors,
+            payloads: self.payloads.iter().map(Vec::as_slice).collect(),
+        }
     }
 
     /// Number of chunks in the super-chunk.
@@ -103,24 +107,9 @@ impl SuperChunk {
         self.descriptors.len()
     }
 
-    /// True when the super-chunk holds no chunks.
-    pub fn is_empty(&self) -> bool {
-        self.descriptors.is_empty()
-    }
-
-    /// Total logical size in bytes.
-    pub fn logical_size(&self) -> u64 {
-        self.descriptors.iter().map(|d| d.len as u64).sum()
-    }
-
-    /// Iterator over the chunk fingerprints in stream order.
-    pub fn fingerprints(&self) -> impl Iterator<Item = Fingerprint> + '_ {
-        self.descriptors.iter().map(|d| d.fingerprint)
-    }
-
     /// Computes the super-chunk's handprint of size `k`.
     pub fn handprint(&self, k: usize) -> Handprint {
-        Handprint::from_fingerprints(self.fingerprints(), k)
+        Handprint::from_fingerprints(self.descriptors.iter().map(|d| d.fingerprint), k)
     }
 }
 
@@ -161,12 +150,11 @@ impl SuperChunk {
 /// ```
 #[derive(Debug)]
 pub struct SuperChunkBuilder {
-    target_size: usize,
+    cut: SuperChunkCut,
     next_offset: u64,
     current_offset: u64,
     descriptors: Vec<ChunkDescriptor>,
     payloads: Vec<Vec<u8>>,
-    current_bytes: usize,
 }
 
 impl SuperChunkBuilder {
@@ -177,20 +165,18 @@ impl SuperChunkBuilder {
     ///
     /// Panics if `target_size` is zero.
     pub fn new(target_size: usize) -> Self {
-        assert!(target_size > 0, "super-chunk size must be non-zero");
         SuperChunkBuilder {
-            target_size,
+            cut: SuperChunkCut::new(target_size),
             next_offset: 0,
             current_offset: 0,
             descriptors: Vec::new(),
             payloads: Vec::new(),
-            current_bytes: 0,
         }
     }
 
     /// Target super-chunk size in bytes.
     pub fn target_size(&self) -> usize {
-        self.target_size
+        self.cut.target_size
     }
 
     /// Number of chunks buffered but not yet emitted as a super-chunk.
@@ -200,7 +186,7 @@ impl SuperChunkBuilder {
 
     /// Bytes buffered but not yet emitted as a super-chunk.
     pub fn pending_bytes(&self) -> usize {
-        self.current_bytes
+        self.cut.pending_bytes
     }
 
     /// True when nothing is buffered ([`finish`](SuperChunkBuilder::finish) would
@@ -217,10 +203,9 @@ impl SuperChunkBuilder {
         payload: Vec<u8>,
     ) -> Option<SuperChunk> {
         self.payloads.push(payload);
-        self.current_bytes += descriptor.len as usize;
         self.next_offset += descriptor.len as u64;
         self.descriptors.push(descriptor);
-        if self.current_bytes >= self.target_size {
+        if self.cut.closes_after(descriptor.len) {
             self.emit()
         } else {
             None
@@ -239,13 +224,146 @@ impl SuperChunkBuilder {
             payloads,
         };
         self.current_offset = self.next_offset;
-        self.current_bytes = 0;
+        self.cut.pending_bytes = 0;
         Some(sc)
     }
 
     /// Flushes the final, possibly undersized super-chunk (end of stream).
     pub fn finish(&mut self) -> Option<SuperChunk> {
         self.emit()
+    }
+}
+
+/// The one rule that cuts a chunk stream into super-chunks, shared by
+/// [`SuperChunkBuilder`] and the ingest pipeline: a super-chunk closes after
+/// the first chunk that brings it to the target size, and the stream's last
+/// chunk closes whatever is left.
+#[derive(Debug)]
+pub(crate) struct SuperChunkCut {
+    target_size: usize,
+    pending_bytes: usize,
+}
+
+impl SuperChunkCut {
+    /// # Panics
+    ///
+    /// Panics if `target_size` is zero.
+    pub(crate) fn new(target_size: usize) -> Self {
+        assert!(target_size > 0, "super-chunk size must be non-zero");
+        SuperChunkCut {
+            target_size,
+            pending_bytes: 0,
+        }
+    }
+
+    /// Adds a chunk of `len` bytes; true when the super-chunk closes after it.
+    pub(crate) fn closes_after(&mut self, len: u32) -> bool {
+        self.pending_bytes += len as usize;
+        if self.pending_bytes >= self.target_size {
+            self.pending_bytes = 0;
+            true
+        } else {
+            false
+        }
+    }
+}
+
+/// A super-chunk as routing and the node resolve it: each chunk's
+/// descriptor beside a borrowed slice of its bytes.
+///
+/// The ingest pipeline builds views straight from the request buffer, and an
+/// owned [`SuperChunk`] lends one ([`SuperChunk::view`]), so both reach the
+/// node through one resolve path, and the container append is the only copy
+/// of a unique chunk's bytes.
+///
+/// # Example
+///
+/// ```
+/// use sigma_core::{ChunkDescriptor, SuperChunkView};
+/// use sigma_hashkit::{Digest, Sha1};
+///
+/// let stream = b"one chunk, and another".to_vec();
+/// let (a, b) = stream.split_at(10);
+/// let descriptors = [
+///     ChunkDescriptor::new(Sha1::fingerprint(a), a.len() as u32),
+///     ChunkDescriptor::new(Sha1::fingerprint(b), b.len() as u32),
+/// ];
+/// let view = SuperChunkView::new(&descriptors, vec![a, b]);
+/// assert_eq!(view.chunk_count(), 2);
+/// assert_eq!(view.logical_size(), stream.len() as u64);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SuperChunkView<'a> {
+    descriptors: &'a [ChunkDescriptor],
+    /// Parallel to `descriptors`.
+    payloads: Vec<&'a [u8]>,
+}
+
+impl<'a> SuperChunkView<'a> {
+    /// Pairs each descriptor with the payload at the same index.  Nothing is
+    /// checked here: a node refuses a view whose payloads disagree with its
+    /// descriptors (see [`DedupNode::process_super_chunk`](crate::DedupNode::process_super_chunk)).
+    pub fn new(descriptors: &'a [ChunkDescriptor], payloads: Vec<&'a [u8]>) -> Self {
+        SuperChunkView {
+            descriptors,
+            payloads,
+        }
+    }
+
+    /// The chunk descriptors, in stream order.
+    pub fn descriptors(&self) -> &'a [ChunkDescriptor] {
+        self.descriptors
+    }
+
+    /// Each chunk's descriptor with its payload, in stream order.
+    pub fn chunks(&self) -> impl Iterator<Item = (&'a ChunkDescriptor, &'a [u8])> + '_ {
+        self.descriptors.iter().zip(self.payloads.iter().copied())
+    }
+
+    /// Number of chunks.
+    pub fn chunk_count(&self) -> usize {
+        self.descriptors.len()
+    }
+
+    /// True when the view holds no chunks.
+    pub fn is_empty(&self) -> bool {
+        self.descriptors.is_empty()
+    }
+
+    /// Total logical size in bytes, as the descriptors give it.
+    pub fn logical_size(&self) -> u64 {
+        self.descriptors.iter().map(|d| d.len as u64).sum()
+    }
+
+    /// Iterator over the chunk fingerprints in stream order.
+    pub fn fingerprints(&self) -> impl Iterator<Item = Fingerprint> + 'a {
+        self.descriptors.iter().map(|d| d.fingerprint)
+    }
+
+    /// Computes the handprint of size `k`.
+    pub fn handprint(&self, k: usize) -> Handprint {
+        Handprint::from_fingerprints(self.fingerprints(), k)
+    }
+
+    /// Checks that there is one payload per descriptor and that each is as
+    /// long as its descriptor says.  Fingerprints are not recomputed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SigmaError::PayloadMismatch`] naming the first chunk that
+    /// disagrees.
+    pub(crate) fn check_payloads(&self) -> Result<()> {
+        let descriptor_len = |i: usize| self.descriptors.get(i).map(|d| d.len as usize);
+        let payload_len = |i: usize| self.payloads.get(i).map(|p| p.len());
+        let chunks = self.descriptors.len().max(self.payloads.len());
+        match (0..chunks).find(|&i| descriptor_len(i) != payload_len(i)) {
+            None => Ok(()),
+            Some(chunk) => Err(SigmaError::PayloadMismatch {
+                chunk,
+                descriptor_len: descriptor_len(chunk),
+                payload_len: payload_len(chunk),
+            }),
+        }
     }
 }
 
@@ -270,7 +388,7 @@ mod tests {
         assert_eq!(sc.descriptors()[1].fingerprint, Sha1::fingerprint(b"bbb"));
         assert_eq!(sc.payload(0).unwrap(), b"aaa");
         assert_eq!(sc.payload(2), None);
-        assert_eq!(sc.logical_size(), 6);
+        assert_eq!(sc.view().logical_size(), 6);
     }
 
     #[test]
@@ -279,11 +397,12 @@ mod tests {
         assert!(push(&mut b, 1, 100).is_none());
         assert!(push(&mut b, 2, 200).is_none());
         let sc = b.finish().unwrap();
-        assert_eq!(sc.logical_size(), 300);
+        assert_eq!(sc.view().logical_size(), 300);
         assert_eq!(sc.chunk_count(), 2);
-        assert!(!sc.is_empty());
+        assert!(!sc.view().is_empty());
         assert_eq!(sc.payload(1), Some(&[2u8; 200][..]));
-        let chunks: Vec<(&ChunkDescriptor, &[u8])> = sc.chunks().collect();
+        let view = sc.view();
+        let chunks: Vec<(&ChunkDescriptor, &[u8])> = view.chunks().collect();
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0], (&sc.descriptors()[0], &[1u8; 100][..]));
     }
@@ -343,7 +462,7 @@ mod tests {
         let chunks = (0..100u64).map(|i| i.to_le_bytes().to_vec()).collect();
         let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, chunks);
         let hp = sc.handprint(5);
-        let mut all: Vec<Fingerprint> = sc.fingerprints().collect();
+        let mut all: Vec<Fingerprint> = sc.view().fingerprints().collect();
         all.sort();
         assert_eq!(hp.representative_fingerprints(), &all[..5]);
     }
@@ -365,17 +484,17 @@ mod tests {
 
             let total_chunks: usize = supers.iter().map(|s| s.chunk_count()).sum();
             prop_assert_eq!(total_chunks, lens.len());
-            let total_bytes: u64 = supers.iter().map(|s| s.logical_size()).sum();
+            let total_bytes: u64 = supers.iter().map(|s| s.view().logical_size()).sum();
             prop_assert_eq!(total_bytes, lens.iter().map(|&l| l as u64).sum::<u64>());
             // All but the last super-chunk reach the target size.
             for sc in &supers[..supers.len().saturating_sub(1)] {
-                prop_assert!(sc.logical_size() as usize >= target);
+                prop_assert!(sc.view().logical_size() as usize >= target);
             }
             // Offsets are contiguous.
             let mut expected_offset = 0u64;
             for sc in &supers {
                 prop_assert_eq!(sc.offset(), expected_offset);
-                expected_offset += sc.logical_size();
+                expected_offset += sc.view().logical_size();
             }
         }
     }

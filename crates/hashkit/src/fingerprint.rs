@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let hex = a.to_string();
 /// assert_eq!(Fingerprint::from_hex(&hex).unwrap(), a);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize, Default)]
 pub struct Fingerprint([u8; Fingerprint::LEN]);
 
 impl Fingerprint {
@@ -139,6 +139,15 @@ impl std::str::FromStr for Fingerprint {
 impl From<[u8; Fingerprint::LEN]> for Fingerprint {
     fn from(bytes: [u8; Fingerprint::LEN]) -> Self {
         Fingerprint(bytes)
+    }
+}
+
+/// Feeds the hasher the twenty digest bytes in one write, with no length
+/// prefix, which is what lets [`FingerprintHasher`](crate::FingerprintHasher)
+/// recognise a fingerprint and fold just one word of it.
+impl std::hash::Hash for Fingerprint {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write(&self.0);
     }
 }
 

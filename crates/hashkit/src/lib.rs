@@ -35,7 +35,9 @@
 //! * [`Fnv64`] — a tiny non-cryptographic hash used for hash-table style placement
 //!   (e.g. DHT bucket selection in the baseline routers).
 //! * [`Fingerprint`] — the fixed-width chunk fingerprint value type shared by the
-//!   whole workspace.
+//!   whole workspace, and [`FingerprintMap`] / [`FingerprintSet`], the
+//!   collections keyed by it, which hash one word of the digest instead of
+//!   running SipHash over it.
 //!
 //! # Example
 //!
@@ -58,6 +60,7 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 mod fingerprint;
+mod fingerprint_hasher;
 mod fnv;
 mod gear;
 mod md5;
@@ -66,6 +69,9 @@ pub mod reference;
 mod sha1;
 
 pub use fingerprint::{Fingerprint, ParseFingerprintError};
+pub use fingerprint_hasher::{
+    FingerprintBuildHasher, FingerprintHasher, FingerprintMap, FingerprintSet,
+};
 pub use fnv::{fnv1a_32, fnv1a_64, Fnv64};
 pub use gear::{GearHasher, GEAR_EFFECTIVE_WINDOW, GEAR_TABLE};
 pub use md5::Md5;

@@ -116,7 +116,7 @@ fn measure(
         supers.extend(builder.finish());
         for sc in supers {
             let handprint = sc.handprint(config.handprint_size);
-            node.process_super_chunk(v as u64, &sc, &handprint)
+            node.process_super_chunk(v as u64, &sc.view(), &handprint)
                 .expect("an in-memory node stores every chunk");
         }
         node.try_flush()

@@ -18,11 +18,15 @@
 //! two backends differ in medium, never in layout.  The volatile backend
 //! keeps every figure reproduction and fault-injection test deterministic.
 //! [`FileBackend`] maps each object to a file in a per-node directory
-//! (`journal.wal`, `container-<id>.sc`), fsyncs at the existing
-//! acknowledgement points (every journal append and every container object
-//! write) and replaces the journal atomically on compaction via
-//! write-new / fsync / rename / fsync-dir — so a node's containers and journal
-//! survive an actual process restart, not just a simulated one.
+//! (`journal.wal`, `container-<id>.sc`) and fsyncs where the journal and the
+//! store ask it to: every container object write, every journal append of
+//! a record kind that must be synced (a rollover seal, a similarity
+//! publication or a recipe delete is written unsynced, see
+//! [`JournalRecord::defers_sync`](crate::JournalRecord::defers_sync)), and
+//! the journal sync that ends each flush, which is the acknowledgement
+//! point.  It replaces the journal atomically on compaction via write-new /
+//! fsync / rename / fsync-dir — so a node's containers and journal survive
+//! an actual process restart, not just a simulated one.
 
 use crate::{ContainerId, Result, StorageError};
 use parking_lot::{Mutex, RwLock};
@@ -140,9 +144,10 @@ impl std::ops::Deref for SharedBytes {
 /// Semantics every implementation must honour:
 ///
 /// * [`append`](Self::append) returns the offset the bytes landed at and, once
-///   the following [`fsync`](Self::fsync) returns, the bytes are durable — the
-///   journal calls the pair on every append, which is the system's
-///   acknowledgement point.
+///   the following [`fsync`](Self::fsync) returns, the bytes are durable.  The
+///   journal fsyncs after an append only when a record in it must be synced;
+///   the others become durable at the next such fsync, at the latest at the
+///   journal sync that ends a flush, the system's acknowledgement point.
 /// * [`write_object`](Self::write_object) atomically creates-or-replaces a
 ///   whole object: a reader never observes a half-written container.
 ///   [`write_object_parts`](Self::write_object_parts) does the same for an

@@ -20,8 +20,7 @@
 
 use crate::ContainerId;
 use serde::{Deserialize, Serialize};
-use sigma_hashkit::Fingerprint;
-use std::collections::HashMap;
+use sigma_hashkit::{Fingerprint, FingerprintMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Where a unique chunk is stored.
@@ -96,7 +95,7 @@ pub struct ChunkIndexStats {
 /// ```
 #[derive(Debug)]
 pub struct ChunkIndex {
-    stripes: Vec<parking_lot::RwLock<HashMap<Fingerprint, Slot>>>,
+    stripes: Vec<parking_lot::RwLock<FingerprintMap<Slot>>>,
     lookups: AtomicU64,
     hits: AtomicU64,
     inserts: AtomicU64,
@@ -129,7 +128,7 @@ impl ChunkIndex {
         let stripes = stripe_count.next_power_of_two();
         ChunkIndex {
             stripes: (0..stripes)
-                .map(|_| parking_lot::RwLock::new(HashMap::new()))
+                .map(|_| parking_lot::RwLock::new(FingerprintMap::default()))
                 .collect(),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),

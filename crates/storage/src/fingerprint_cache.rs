@@ -10,8 +10,8 @@
 use crate::ContainerId;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use sigma_hashkit::Fingerprint;
-use std::collections::{HashMap, HashSet, VecDeque};
+use sigma_hashkit::{Fingerprint, FingerprintMap, FingerprintSet};
+use std::collections::{HashMap, VecDeque};
 
 /// Statistics of a [`FingerprintCache`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,9 +41,9 @@ impl CacheStats {
 
 struct CacheInner {
     /// Per-container fingerprint sets.
-    containers: HashMap<ContainerId, HashSet<Fingerprint>>,
+    containers: HashMap<ContainerId, FingerprintSet>,
     /// Reverse map for O(1) membership tests across all cached containers.
-    fingerprints: HashMap<Fingerprint, ContainerId>,
+    fingerprints: FingerprintMap<ContainerId>,
     /// LRU order: front = least recently used.
     lru: VecDeque<ContainerId>,
     stats: CacheStats,
@@ -89,7 +89,7 @@ impl FingerprintCache {
             capacity,
             inner: Mutex::new(CacheInner {
                 containers: HashMap::new(),
-                fingerprints: HashMap::new(),
+                fingerprints: FingerprintMap::default(),
                 lru: VecDeque::new(),
                 stats: CacheStats::default(),
             }),
@@ -126,7 +126,7 @@ impl FingerprintCache {
             }
         }
 
-        let set: HashSet<Fingerprint> = fingerprints.into_iter().collect();
+        let set: FingerprintSet = fingerprints.into_iter().collect();
         for fp in &set {
             inner.fingerprints.insert(*fp, container);
         }
@@ -157,8 +157,14 @@ impl FingerprintCache {
         inner.stats.cached_containers = inner.containers.len() as u64;
     }
 
+    /// Moves `container` to the most-recent end.  A hit on the most recent
+    /// container, the usual case inside a super-chunk, returns at once
+    /// instead of scanning the deque from its least-recent end.
     fn touch(inner: &mut CacheInner, container: ContainerId) {
-        if let Some(pos) = inner.lru.iter().position(|&c| c == container) {
+        if inner.lru.back() == Some(&container) {
+            return;
+        }
+        if let Some(pos) = inner.lru.iter().rposition(|&c| c == container) {
             inner.lru.remove(pos);
             inner.lru.push_back(container);
         }
@@ -290,6 +296,50 @@ mod tests {
         assert_eq!(cache.lookup(&fp(1)), Some(ContainerId::new(1)));
         assert_eq!(cache.stats().cached_containers, 1);
         assert_eq!(cache.stats().evictions, 0, "a removal is not an eviction");
+    }
+
+    #[test]
+    fn hits_and_evictions_follow_lru_order() {
+        // A model LRU (front = least recent) driven by the same operations:
+        // hits on the most recent, a middle and the least recent container,
+        // re-inserts, and inserts that evict.
+        let cache = FingerprintCache::new(4);
+        let mut model: Vec<u64> = Vec::new();
+        let mut evicted: Vec<u64> = Vec::new();
+        let container_fps = |c: u64| fps(c * 10..c * 10 + 3);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..400u64 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let c = state % 7;
+            if step % 3 == 0 {
+                cache.insert_container(ContainerId::new(c), container_fps(c));
+                if let Some(pos) = model.iter().position(|&m| m == c) {
+                    model.remove(pos);
+                } else if model.len() == 4 {
+                    evicted.push(model.remove(0));
+                }
+                model.push(c);
+            } else {
+                // Look up a fingerprint of the container at a chosen rank.
+                let rank = (state >> 8) as usize % 3;
+                let Some(&target) = [model.last(), model.get(1), model.first()][rank] else {
+                    continue;
+                };
+                assert_eq!(
+                    cache.lookup(&container_fps(target)[1]),
+                    Some(ContainerId::new(target))
+                );
+                let pos = model.iter().position(|&m| m == target).unwrap();
+                model.remove(pos);
+                model.push(target);
+            }
+            let order: Vec<u64> = cache.inner.lock().lru.iter().map(|c| c.as_u64()).collect();
+            assert_eq!(order, model, "step {step}");
+        }
+        assert_eq!(cache.stats().evictions, evicted.len() as u64);
+        assert!(evicted.len() > 10, "the sequence evicts");
     }
 
     #[test]

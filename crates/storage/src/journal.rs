@@ -315,6 +315,10 @@ struct JournalState {
     unsynced: bool,
     crashed: bool,
     armed: Option<ArmedCrash>,
+    /// The log as [`Journal::open`] read it, kept for the
+    /// [`Journal::recover_truncating`] that follows so a restart reads the
+    /// log once.  Any write or compaction drops it.
+    opened: Option<Vec<u8>>,
 }
 
 /// An append-only, checksummed write-ahead journal — one per durable node.
@@ -371,18 +375,24 @@ impl Journal {
         }
     }
 
-    /// Creates a *fresh* journal on `backend`, truncating any journal object a
-    /// previous process left there.
+    /// Creates a *fresh* journal on `backend`, truncating to empty any journal
+    /// object a previous process left there.  An absent object is left
+    /// absent: it opens as an empty log, and the first append creates it.
     ///
     /// Use [`open`](Self::open) instead to adopt an existing journal object —
     /// this constructor is for brand-new nodes.
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::Io`] when the backend cannot initialize the
+    /// Returns [`StorageError::Io`] when the backend cannot truncate the
     /// journal object.
     pub fn with_backend(backend: Arc<dyn StorageBackend>) -> Result<Self, StorageError> {
-        backend.write_object(StorageObject::Journal, &[])?;
+        if backend
+            .object_len(StorageObject::Journal)?
+            .is_some_and(|len| len > 0)
+        {
+            backend.truncate(StorageObject::Journal, 0)?;
+        }
         Ok(Journal {
             state: Mutex::new(JournalState::default()),
             backend,
@@ -409,6 +419,7 @@ impl Journal {
                 unsynced: !bytes.is_empty(),
                 crashed: false,
                 armed: None,
+                opened: Some(bytes),
             }),
             backend,
         })
@@ -463,6 +474,7 @@ impl Journal {
         if state.crashed {
             return Err(StorageError::Crashed);
         }
+        state.opened = None;
         let first_seq = state.next_seq;
         // Frames accumulate in a scratch buffer so the durable medium receives
         // the whole group in a single append.
@@ -629,7 +641,10 @@ impl Journal {
 
     /// Replays this journal's own contents, truncating any torn tail and clearing
     /// the crashed flag — what recovery does before the journal is reused as the
-    /// recovered node's write-ahead log.
+    /// recovered node's write-ahead log.  A log with no torn tail is left as
+    /// it is (no truncate, so no fsync), and a journal fresh from
+    /// [`open`](Self::open) replays the bytes `open` read instead of reading
+    /// the log again.
     ///
     /// # Errors
     ///
@@ -643,14 +658,19 @@ impl Journal {
     /// tail and corrupt the log, so there is no safe way to continue.
     pub fn recover_truncating(&self) -> Result<(Vec<JournalRecord>, ReplaySummary), StorageError> {
         let mut state = self.state.lock();
-        let bytes = self
-            .backend
-            .read_all(StorageObject::Journal)
-            .expect("journal backend read failed");
+        let bytes = match state.opened.take() {
+            Some(bytes) => bytes,
+            None => self
+                .backend
+                .read_all(StorageObject::Journal)
+                .expect("journal backend read failed"),
+        };
         let (records, summary) = Journal::replay(&bytes)?;
-        self.backend
-            .truncate(StorageObject::Journal, summary.bytes_replayed)
-            .expect("journal backend truncate failed");
+        if summary.bytes_discarded > 0 {
+            self.backend
+                .truncate(StorageObject::Journal, summary.bytes_replayed)
+                .expect("journal backend truncate failed");
+        }
         state.len = summary.bytes_replayed as usize;
         state.boundaries = scan_frames(&bytes[..state.len]);
         state.next_seq = state
@@ -710,6 +730,7 @@ impl Journal {
         if state.crashed {
             return Err(StorageError::Crashed);
         }
+        state.opened = None;
         let seq = state.next_seq;
         // Compaction consumes a sequence number like any append, so an armed
         // crash landing on it must fire here too — otherwise a fault plan
@@ -1439,14 +1460,20 @@ pub(crate) mod tests {
         assert_eq!(journal.frame_count(), records.len() as u64);
     }
 
-    /// A memory backend that notes the length of every journal append and the
-    /// journal's length at every fsync of it, and fails every journal fsync
-    /// once `fail_fsync` is set.
+    /// A memory backend that notes the length of every journal append, the
+    /// journal's length at every fsync of it, the length of every journal
+    /// truncate, and how often the journal is read whole or rewritten whole;
+    /// it fails every journal fsync once `fail_fsync` is set.  A truncate
+    /// also counts as an fsync at the new length, because the file backend's
+    /// truncate fsyncs the file.
     #[derive(Debug, Default)]
     pub(crate) struct SyncLog {
         inner: MemoryBackend,
         pub(crate) appends: Mutex<Vec<usize>>,
         pub(crate) synced: Mutex<Vec<u64>>,
+        pub(crate) truncates: Mutex<Vec<u64>>,
+        pub(crate) reads: std::sync::atomic::AtomicUsize,
+        pub(crate) rewrites: std::sync::atomic::AtomicUsize,
         fail_fsync: std::sync::atomic::AtomicBool,
     }
 
@@ -1461,9 +1488,16 @@ pub(crate) mod tests {
             self.inner.append(obj, bytes)
         }
         fn write_object(&self, obj: StorageObject, bytes: &[u8]) -> crate::Result<()> {
+            if obj == StorageObject::Journal {
+                self.rewrites
+                    .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
             self.inner.write_object(obj, bytes)
         }
         fn read_all(&self, obj: StorageObject) -> crate::Result<Vec<u8>> {
+            if obj == StorageObject::Journal {
+                self.reads.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
             self.inner.read_all(obj)
         }
         fn read_at(&self, obj: StorageObject, offset: u64, len: usize) -> crate::Result<Vec<u8>> {
@@ -1473,6 +1507,10 @@ pub(crate) mod tests {
             self.inner.object_len(obj)
         }
         fn truncate(&self, obj: StorageObject, len: u64) -> crate::Result<()> {
+            if obj == StorageObject::Journal {
+                self.truncates.lock().push(len);
+                self.synced.lock().push(len);
+            }
             self.inner.truncate(obj, len)
         }
         fn fsync(&self, obj: StorageObject) -> crate::Result<()> {
@@ -1562,6 +1600,78 @@ pub(crate) mod tests {
         assert!(matches!(journal.sync(), Err(StorageError::Io(_))));
         assert!(journal.crashed());
         assert_eq!(journal.sync(), Err(StorageError::Crashed));
+    }
+
+    #[test]
+    fn a_restart_reads_the_log_once_and_truncates_only_a_torn_tail() {
+        use std::sync::atomic::Ordering::SeqCst;
+        let backend = Arc::new(SyncLog::default());
+        let journal = Journal::with_backend(backend.clone()).unwrap();
+        journal.append_batch(&sample_records()).unwrap();
+        let clean_len = journal.len_bytes() as u64;
+        let counts = || {
+            (
+                backend.reads.load(SeqCst),
+                backend.truncates.lock().clone(),
+                backend.synced.lock().len(),
+            )
+        };
+
+        // A clean log: one read, no truncate, no fsync.
+        let (reads, truncates, syncs) = counts();
+        let reopened = Journal::open(backend.clone()).unwrap();
+        let (records, summary) = reopened.recover_truncating().unwrap();
+        assert_eq!(records, sample_records());
+        assert_eq!(summary.bytes_discarded, 0);
+        assert_eq!(counts(), (reads + 1, truncates.clone(), syncs));
+        assert_eq!(reopened.len_bytes() as u64, clean_len);
+
+        // A torn tail: one read, one truncate to the clean prefix, whose
+        // fsync is the only one.
+        reopened.arm_crash_at_seq(reopened.next_seq(), CrashMode::Torn);
+        assert_eq!(
+            reopened.append(&sample_records()[0]),
+            Err(StorageError::Crashed)
+        );
+        let (reads, truncates, syncs) = counts();
+        let reopened = Journal::open(backend.clone()).unwrap();
+        let (records, summary) = reopened.recover_truncating().unwrap();
+        assert_eq!(records.len(), sample_records().len());
+        assert!(summary.bytes_discarded > 0);
+        assert_eq!(backend.reads.load(SeqCst), reads + 1);
+        assert_eq!(
+            *backend.truncates.lock(),
+            [truncates, vec![clean_len]].concat()
+        );
+        assert_eq!(backend.synced.lock().len(), syncs + 1);
+        assert_eq!(*backend.synced.lock().last().unwrap(), clean_len);
+
+        // A journal written since `open` replays what is on the medium now.
+        let reopened = Journal::open(backend.clone()).unwrap();
+        reopened.append(&sample_records()[0]).unwrap();
+        let (records, _) = reopened.recover_truncating().unwrap();
+        assert_eq!(records.len(), sample_records().len() + 1);
+    }
+
+    #[test]
+    fn a_fresh_journal_never_rewrites_the_log() {
+        use std::sync::atomic::Ordering::SeqCst;
+        // Nothing on the medium: nothing to truncate, nothing written.
+        let backend = Arc::new(SyncLog::default());
+        let journal = Journal::with_backend(backend.clone()).unwrap();
+        assert_eq!(backend.object_len(StorageObject::Journal).unwrap(), None);
+        assert!(backend.truncates.lock().is_empty());
+        assert!(backend.synced.lock().is_empty());
+        journal.append(&sample_records()[0]).unwrap();
+
+        // A previous log is cut to empty in place, not replaced.
+        let journal = Journal::with_backend(backend.clone()).unwrap();
+        assert_eq!(*backend.truncates.lock(), [0]);
+        assert_eq!(journal.len_bytes(), 0);
+        assert_eq!(backend.rewrites.load(SeqCst), 0);
+        assert_eq!(Journal::open(backend.clone()).unwrap().frame_count(), 0);
+        journal.append(&sample_records()[0]).unwrap();
+        assert_eq!(journal.recover_truncating().unwrap().0.len(), 1);
     }
 
     #[test]

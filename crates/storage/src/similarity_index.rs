@@ -19,7 +19,7 @@
 use crate::ContainerId;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use sigma_hashkit::Fingerprint;
+use sigma_hashkit::{Fingerprint, FingerprintMap};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -63,7 +63,7 @@ impl SimilarityIndexStats {
 /// ```
 #[derive(Debug)]
 pub struct SimilarityIndex {
-    stripes: Vec<RwLock<HashMap<Fingerprint, ContainerId>>>,
+    stripes: Vec<RwLock<FingerprintMap<ContainerId>>>,
     /// Reverse map for container migration: candidate RFPs per container, so
     /// [`extract_container`](SimilarityIndex::extract_container) does not have to
     /// scan every stripe.  Entries are *candidates* — an RFP later overwritten to
@@ -88,7 +88,9 @@ impl SimilarityIndex {
         assert!(lock_count > 0, "lock count must be non-zero");
         let stripes = lock_count.next_power_of_two();
         SimilarityIndex {
-            stripes: (0..stripes).map(|_| RwLock::new(HashMap::new())).collect(),
+            stripes: (0..stripes)
+                .map(|_| RwLock::new(FingerprintMap::default()))
+                .collect(),
             by_container: RwLock::new(HashMap::new()),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),

@@ -61,7 +61,7 @@ pub use sigma_core::{
     BackupClient, ChunkDescriptor, DataRouter, DedupCluster, DedupNode, Director, FileBackupReport,
     FileRecipe, GcReport, Handprint, NodeGcReport, NodeMap, RebalanceReport, Rebalancer,
     RecipeEntry, RecoveryReport, RestoreReport, SigmaConfig, SigmaError, SimilarityRouter,
-    StreamPayload, SuperChunk, SuperChunkBuilder,
+    StreamPayload, SuperChunk, SuperChunkBuilder, SuperChunkView,
 };
 pub use sigma_hashkit::{Digest, Fingerprint, FingerprintAlgorithm, Md5, Sha1};
 pub use sigma_service::{
@@ -93,7 +93,7 @@ pub mod prelude {
         BackupClient, ChunkDescriptor, DataRouter, DedupCluster, DedupNode, Director,
         FileBackupReport, FileRecipe, GcReport, Handprint, NodeGcReport, NodeMap, RebalanceReport,
         Rebalancer, RecipeEntry, RecoveryReport, RestoreReport, ServiceCode, SigmaConfig,
-        SigmaError, SimilarityRouter, StreamPayload, SuperChunk, SuperChunkBuilder,
+        SigmaError, SimilarityRouter, StreamPayload, SuperChunk, SuperChunkBuilder, SuperChunkView,
     };
 
     // Hashes and chunking.

@@ -268,7 +268,7 @@ fn run_acked_rounds(
                 .collect();
             let stream = (sc_no as u64) % stream_count;
             let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, payloads);
-            node.process_super_chunk(stream, &sc, &sc.handprint(4))
+            node.process_super_chunk(stream, &sc.view(), &sc.handprint(4))
                 .unwrap();
             super_chunks.push(sc);
         }
@@ -448,7 +448,7 @@ proptest! {
                     .map(|i| payload(chunk_len, (90_000 + round_no * 1000 + sc_no * 10 + i) as u64))
                     .collect();
                 let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, payloads);
-                node.process_super_chunk((sc_no % 2) as u64, &sc, &sc.handprint(4)).unwrap();
+                node.process_super_chunk((sc_no % 2) as u64, &sc.view(), &sc.handprint(4)).unwrap();
                 all.push(sc);
             }
             node.try_flush().unwrap();
@@ -535,7 +535,7 @@ proptest! {
                 0,
                 vec![payload(len, 5000 + i as u64)],
             );
-            node.process_super_chunk(0, &sc, &sc.handprint(2)).unwrap();
+            node.process_super_chunk(0, &sc.view(), &sc.handprint(2)).unwrap();
         }
         node.try_flush().unwrap();
         let journal = node.journal().unwrap();
@@ -640,7 +640,7 @@ proptest! {
                         .map(|i| payload(chunk_len, (70_000 + round_no * 1000 + sc_no * 10 + i) as u64))
                         .collect();
                     let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, payloads);
-                    node.process_super_chunk((sc_no % 2) as u64, &sc, &sc.handprint(4)).unwrap();
+                    node.process_super_chunk((sc_no % 2) as u64, &sc.view(), &sc.handprint(4)).unwrap();
                     super_chunks.push(sc);
                 }
                 node.try_flush().unwrap();
@@ -771,7 +771,7 @@ proptest! {
                     .map(|i| payload(chunk_len, (40_000 + round_no * 1000 + sc_no * 10 + i) as u64))
                     .collect();
                 let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, payloads);
-                node.process_super_chunk((sc_no % 2) as u64, &sc, &sc.handprint(4)).unwrap();
+                node.process_super_chunk((sc_no % 2) as u64, &sc.view(), &sc.handprint(4)).unwrap();
                 acked.push(sc);
             }
             node.try_flush().unwrap();
@@ -832,7 +832,7 @@ proptest! {
             prop_assert!(!lost.is_empty());
             let stored: u64 = acked
                 .iter()
-                .map(|sc| recovered.process_super_chunk(0, sc, &sc.handprint(4)).unwrap().unique_chunks)
+                .map(|sc| recovered.process_super_chunk(0, &sc.view(), &sc.handprint(4)).unwrap().unique_chunks)
                 .sum();
             prop_assert_eq!(stored, lost.len() as u64, "lost chunks are stored again");
             recovered.try_flush().unwrap();
@@ -857,7 +857,8 @@ fn unreadable_journal_frame_is_refused_not_truncated() {
     {
         let node = DedupNode::new(0, &config);
         let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, vec![payload(900, 1)]);
-        node.process_super_chunk(0, &sc, &sc.handprint(2)).unwrap();
+        node.process_super_chunk(0, &sc.view(), &sc.handprint(2))
+            .unwrap();
         node.try_flush().unwrap();
         let journal = node.journal().unwrap();
         journal

@@ -306,3 +306,55 @@ fn restart_node_picks_the_medium_by_backend() {
     }
     std::fs::remove_dir_all(&root).expect("clean up scenario directory");
 }
+
+#[test]
+fn a_new_file_backed_node_writes_no_journal_object() {
+    let root = scratch_dir("fresh-node");
+    let config = file_sigma_config(&root);
+    let dir = config.node_storage_dir(0).expect("file backend");
+    // What a previous incarnation left behind.
+    std::fs::create_dir_all(&dir).expect("node dir is creatable");
+    std::fs::write(dir.join("journal.wal"), b"an old log").expect("writable");
+    std::fs::write(dir.join("container-3.sc"), b"an old container").expect("writable");
+    let listing = || -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("node dir is readable")
+            .map(|entry| {
+                entry
+                    .expect("entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        names.sort();
+        names
+    };
+
+    // The node empties its directory and starts its journal there without
+    // writing it: a `write_object(Journal, ..)` would leave an empty
+    // `journal.wal` behind (after a `journal.wal.tmp`, its fsync and a rename).
+    let node = DedupNode::new(0, &config);
+    assert_eq!(listing(), Vec::<String>::new());
+
+    // The first append creates the log, and the node restarts from it.
+    let chunks: Vec<Vec<u8>> = (0..8u64)
+        .map(|i| random_bytes(1024, (0xF4E5 + i) ^ env_seed()))
+        .collect();
+    let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, chunks.clone());
+    node.process_super_chunk(0, &sc.view(), &sc.handprint(config.handprint_size))
+        .expect("stores");
+    node.try_flush().expect("no faults armed");
+    assert!(listing().contains(&"journal.wal".to_string()));
+    drop(node);
+    let (node, report) = DedupNode::recover_from_dir(0, &config).expect("restarts");
+    assert_eq!(report.bytes_discarded, 0);
+    for (descriptor, chunk) in sc.descriptors().iter().zip(&chunks) {
+        assert_eq!(
+            &node.read_chunk(&descriptor.fingerprint).expect("acked"),
+            chunk
+        );
+    }
+    drop(node);
+    std::fs::remove_dir_all(&root).expect("clean up scenario directory");
+}
