@@ -273,7 +273,9 @@ impl DedupCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SigmaError::FileBoundariesRequired`] if the router needs a file ID
+    /// Returns [`SigmaError::PayloadMismatch`], before the super-chunk is
+    /// routed, when a chunk's payload disagrees with its descriptor,
+    /// [`SigmaError::FileBoundariesRequired`] if the router needs a file ID
     /// and none was given, or a storage error if a unique chunk cannot be stored.
     pub fn backup_super_chunk(
         &self,
@@ -296,6 +298,9 @@ impl DedupCluster {
         super_chunk: &SuperChunkView<'_>,
         file_id: Option<u64>,
     ) -> Result<SuperChunkReceipt> {
+        // Refused before routing, so a bad view changes no router state or
+        // counter.
+        super_chunk.check_payloads()?;
         if super_chunk.is_empty() {
             return Ok(SuperChunkReceipt::default());
         }

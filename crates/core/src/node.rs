@@ -1435,7 +1435,7 @@ mod tests {
         assert_eq!(receipt.unique_chunks, 4);
 
         // An owned super-chunk built with a payload its descriptor does not
-        // describe is refused on the cluster path too.
+        // describe is refused on the cluster path too, before it is routed.
         let cluster = crate::DedupCluster::with_similarity_router(2, config);
         let mut builder = SuperChunkBuilder::new(usize::MAX);
         let descriptor = ChunkDescriptor::new(Sha1::fingerprint(b"four"), 4);
@@ -1445,7 +1445,10 @@ mod tests {
             cluster.backup_super_chunk(0, &lying, None),
             Err(SigmaError::PayloadMismatch { chunk: 0, .. })
         ));
-        assert_eq!(cluster.stats().physical_bytes, 0);
+        let stats = cluster.stats();
+        assert_eq!(stats.physical_bytes, 0);
+        assert_eq!(stats.logical_bytes, 0);
+        assert_eq!(stats.messages, crate::MessageStats::default());
     }
 
     #[test]

@@ -95,6 +95,25 @@ impl SuperChunk {
 
     /// The super-chunk as routing and the node see it: each descriptor
     /// beside a borrowed slice of its payload.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use sigma_core::{ChunkDescriptor, SuperChunkBuilder};
+    /// use sigma_hashkit::{Digest, Sha1};
+    ///
+    /// let stream = b"one chunk, and another".to_vec();
+    /// let mut builder = SuperChunkBuilder::new(1 << 20);
+    /// for part in [&stream[..10], &stream[10..]] {
+    ///     let descriptor = ChunkDescriptor::new(Sha1::fingerprint(part), part.len() as u32);
+    ///     assert!(builder.push_chunk(descriptor, part.to_vec()).is_none());
+    /// }
+    /// let super_chunk = builder.finish().expect("two chunks are pending");
+    /// let view = super_chunk.view();
+    /// assert_eq!(view.chunk_count(), 2);
+    /// assert_eq!(view.logical_size(), stream.len() as u64);
+    /// assert_eq!(view.chunks().nth(1).map(|(_, bytes)| bytes), Some(&stream[10..]));
+    /// ```
     pub fn view(&self) -> SuperChunkView<'_> {
         SuperChunkView {
             descriptors: &self.descriptors,
@@ -275,23 +294,6 @@ impl SuperChunkCut {
 /// owned [`SuperChunk`] lends one ([`SuperChunk::view`]), so both reach the
 /// node through one resolve path, and the container append is the only copy
 /// of a unique chunk's bytes.
-///
-/// # Example
-///
-/// ```
-/// use sigma_core::{ChunkDescriptor, SuperChunkView};
-/// use sigma_hashkit::{Digest, Sha1};
-///
-/// let stream = b"one chunk, and another".to_vec();
-/// let (a, b) = stream.split_at(10);
-/// let descriptors = [
-///     ChunkDescriptor::new(Sha1::fingerprint(a), a.len() as u32),
-///     ChunkDescriptor::new(Sha1::fingerprint(b), b.len() as u32),
-/// ];
-/// let view = SuperChunkView::new(&descriptors, vec![a, b]);
-/// assert_eq!(view.chunk_count(), 2);
-/// assert_eq!(view.logical_size(), stream.len() as u64);
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuperChunkView<'a> {
     descriptors: &'a [ChunkDescriptor],
@@ -303,7 +305,7 @@ impl<'a> SuperChunkView<'a> {
     /// Pairs each descriptor with the payload at the same index.  Nothing is
     /// checked here: a node refuses a view whose payloads disagree with its
     /// descriptors (see [`DedupNode::process_super_chunk`](crate::DedupNode::process_super_chunk)).
-    pub fn new(descriptors: &'a [ChunkDescriptor], payloads: Vec<&'a [u8]>) -> Self {
+    pub(crate) fn new(descriptors: &'a [ChunkDescriptor], payloads: Vec<&'a [u8]>) -> Self {
         SuperChunkView {
             descriptors,
             payloads,

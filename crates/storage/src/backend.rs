@@ -171,7 +171,8 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     }
 
     /// Appends `bytes` to `obj` (creating it if absent), returning the offset
-    /// the bytes were written at.
+    /// the bytes were written at.  An object this call creates has a durable
+    /// name once the next [`fsync`](Self::fsync) of it returns.
     fn append(&self, obj: StorageObject, bytes: &[u8]) -> Result<u64>;
 
     /// Atomically creates or replaces the whole object.
@@ -239,7 +240,10 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
         self.write_object(obj, bytes)
     }
 
-    /// Makes previous appends to the object durable.
+    /// Makes previous appends to the object durable.  The first fsync after an
+    /// [`append`](Self::append) created the object also makes its name
+    /// durable (on the file backend, a directory fsync), so a power cut never
+    /// keeps synced bytes of an object whose directory entry it loses.
     fn fsync(&self, obj: StorageObject) -> Result<()>;
 
     /// Deletes the object; absent objects delete successfully.
@@ -400,14 +404,29 @@ impl StorageBackend for MemoryBackend {
 /// `*.tmp` files are in-flight atomic replacements and are ignored (and swept)
 /// on open.  Journal appends go through one cached append handle; durability
 /// comes from the explicit [`fsync`](StorageBackend::fsync) the journal issues
-/// at every acknowledgement point.  Whole-object writes and replacements go
-/// write-temp / fsync / rename / fsync-dir, so a crash at any point leaves
-/// either the old or the new object intact — never a mixture.
+/// at every acknowledgement point.  When an append created `journal.wal`, the
+/// first fsync after it also fsyncs the directory, so the log's name is
+/// durable before any acknowledgement rests on it.  Whole-object writes and
+/// replacements go write-temp / fsync / rename / fsync-dir, so a crash at any
+/// point leaves either the old or the new object intact — never a mixture.
 pub struct FileBackend {
     root: PathBuf,
-    /// Cached append handle for the journal object (the hot path).  Invalidated
-    /// by truncate/replace/delete so the next append reopens at the new length.
-    journal: Mutex<Option<fs::File>>,
+    journal: Mutex<JournalHandle>,
+    /// Directory fsyncs issued, so tests can see when a name is made durable.
+    #[cfg(test)]
+    dir_syncs: std::sync::atomic::AtomicUsize,
+}
+
+/// The file backend's state for the journal object.
+#[derive(Default)]
+struct JournalHandle {
+    /// Cached append handle (the hot path).  Invalidated by
+    /// truncate/replace/delete so the next append reopens at the new length.
+    file: Option<fs::File>,
+    /// Set when an append created `journal.wal` and cleared by the directory
+    /// fsync that makes the name durable: the next fsync or truncate of the
+    /// journal, or a replace or delete, which fsync the directory themselves.
+    name_unsynced: bool,
 }
 
 impl std::fmt::Debug for FileBackend {
@@ -447,7 +466,9 @@ impl FileBackend {
         }
         Ok(FileBackend {
             root,
-            journal: Mutex::new(None),
+            journal: Mutex::new(JournalHandle::default()),
+            #[cfg(test)]
+            dir_syncs: std::sync::atomic::AtomicUsize::new(0),
         })
     }
 
@@ -460,12 +481,81 @@ impl FileBackend {
         self.root.join(obj.file_name())
     }
 
-    /// Fsyncs the directory itself so renames/removals of entries are durable.
+    /// Fsyncs the directory itself so creations, renames and removals of
+    /// entries are durable.
     fn fsync_dir(&self) -> Result<()> {
+        #[cfg(test)]
+        self.dir_syncs
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = fs::File::open(&self.root)
             .map_err(|e| io_err(&format!("open dir {}", self.root.display()), e))?;
         dir.sync_all()
             .map_err(|e| io_err(&format!("fsync dir {}", self.root.display()), e))
+    }
+
+    /// Fsyncs the directory if an append created the journal since the last
+    /// directory fsync.
+    fn settle_journal_name(&self, journal: &mut JournalHandle) -> Result<()> {
+        if journal.name_unsynced {
+            self.fsync_dir()?;
+            journal.name_unsynced = false;
+        }
+        Ok(())
+    }
+
+    /// Opens `obj` for appending, creating it if absent; the flag says whether
+    /// this call created it.
+    fn open_append(&self, obj: StorageObject) -> Result<(fs::File, bool)> {
+        let path = self.path(obj);
+        let open = |create_new: bool| {
+            fs::OpenOptions::new()
+                .append(true)
+                .create_new(create_new)
+                .open(&path)
+        };
+        match open(true) {
+            Ok(file) => Ok((file, true)),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => open(false)
+                .map(|file| (file, false))
+                .map_err(|e| io_err(&format!("open {}", path.display()), e)),
+            Err(e) => Err(io_err(&format!("create {}", path.display()), e)),
+        }
+    }
+
+    /// Fsyncs the file behind `obj`; an absent object has nothing to sync.
+    fn fsync_path(&self, obj: StorageObject) -> Result<()> {
+        match fs::File::open(self.path(obj)) {
+            Ok(file) => file
+                .sync_all()
+                .map_err(|e| io_err(&format!("fsync {}", self.path(obj).display()), e)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+            Err(e) => Err(io_err(&format!("open {}", self.path(obj).display()), e)),
+        }
+    }
+
+    /// Truncates the file behind `obj` to `len` bytes and fsyncs it; an
+    /// absent object has nothing to truncate.
+    fn truncate_path(&self, obj: StorageObject, len: u64) -> Result<()> {
+        let path = self.path(obj);
+        let file = match fs::OpenOptions::new().write(true).open(&path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(io_err(&format!("open {}", path.display()), e)),
+        };
+        file.set_len(len)
+            .map_err(|e| io_err(&format!("truncate {}", path.display()), e))?;
+        file.sync_all()
+            .map_err(|e| io_err(&format!("fsync {}", path.display()), e))
+    }
+
+    /// Removes the file behind `obj` and fsyncs the directory; an absent
+    /// object deletes successfully.
+    fn delete_path(&self, obj: StorageObject) -> Result<()> {
+        match fs::remove_file(self.path(obj)) {
+            Ok(()) => self.fsync_dir(),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+            Err(e) => Err(io_err(&format!("delete {}", self.path(obj).display()), e)),
+        }
     }
 
     /// Writes `parts` in order to a fresh temp file, fsyncs it, renames it
@@ -505,19 +595,15 @@ impl StorageBackend for FileBackend {
 
     fn append(&self, obj: StorageObject, bytes: &[u8]) -> Result<u64> {
         let path = self.path(obj);
-        let open_append = || {
-            fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .map_err(|e| io_err(&format!("open {}", path.display()), e))
-        };
         if obj == StorageObject::Journal {
-            let mut cached = self.journal.lock();
-            if cached.is_none() {
-                *cached = Some(open_append()?);
+            let mut journal = self.journal.lock();
+            let journal = &mut *journal;
+            if journal.file.is_none() {
+                let (file, created) = self.open_append(obj)?;
+                journal.name_unsynced |= created;
+                journal.file = Some(file);
             }
-            let file = cached.as_mut().expect("populated above");
+            let file = journal.file.as_mut().expect("populated above");
             let offset = file
                 .metadata()
                 .map_err(|e| io_err(&format!("stat {}", path.display()), e))?
@@ -526,7 +612,7 @@ impl StorageBackend for FileBackend {
                 .map_err(|e| io_err(&format!("append {}", path.display()), e))?;
             Ok(offset)
         } else {
-            let mut file = open_append()?;
+            let (mut file, created) = self.open_append(obj)?;
             let offset = file
                 .metadata()
                 .map_err(|e| io_err(&format!("stat {}", path.display()), e))?
@@ -535,6 +621,9 @@ impl StorageBackend for FileBackend {
                 .map_err(|e| io_err(&format!("append {}", path.display()), e))?;
             file.sync_all()
                 .map_err(|e| io_err(&format!("fsync {}", path.display()), e))?;
+            if created {
+                self.fsync_dir()?;
+            }
             Ok(offset)
         }
     }
@@ -544,10 +633,14 @@ impl StorageBackend for FileBackend {
     }
 
     fn write_object_parts(&self, obj: StorageObject, parts: &[&[u8]]) -> Result<()> {
-        if obj == StorageObject::Journal {
-            *self.journal.lock() = None;
+        if obj != StorageObject::Journal {
+            return self.publish_atomic(obj, parts);
         }
-        self.publish_atomic(obj, parts)
+        let mut journal = self.journal.lock();
+        journal.file = None;
+        self.publish_atomic(obj, parts)?;
+        journal.name_unsynced = false;
+        Ok(())
     }
 
     fn read_all(&self, obj: StorageObject) -> Result<Vec<u8>> {
@@ -583,21 +676,15 @@ impl StorageBackend for FileBackend {
     }
 
     fn truncate(&self, obj: StorageObject, len: u64) -> Result<()> {
-        if obj == StorageObject::Journal {
-            // Drop the cached append handle so the next append reopens at the
-            // truncated length.
-            *self.journal.lock() = None;
+        if obj != StorageObject::Journal {
+            return self.truncate_path(obj, len);
         }
-        let path = self.path(obj);
-        let file = match fs::OpenOptions::new().write(true).open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(io_err(&format!("open {}", path.display()), e)),
-        };
-        file.set_len(len)
-            .map_err(|e| io_err(&format!("truncate {}", path.display()), e))?;
-        file.sync_all()
-            .map_err(|e| io_err(&format!("fsync {}", path.display()), e))
+        let mut journal = self.journal.lock();
+        // Drop the cached append handle so the next append reopens at the
+        // truncated length.
+        journal.file = None;
+        self.truncate_path(obj, len)?;
+        self.settle_journal_name(&mut journal)
     }
 
     fn replace_atomic(&self, obj: StorageObject, bytes: &[u8]) -> Result<()> {
@@ -605,31 +692,28 @@ impl StorageBackend for FileBackend {
     }
 
     fn fsync(&self, obj: StorageObject) -> Result<()> {
-        if obj == StorageObject::Journal {
-            if let Some(file) = self.journal.lock().as_ref() {
-                return file
-                    .sync_all()
-                    .map_err(|e| io_err(&format!("fsync {}", self.path(obj).display()), e));
-            }
+        if obj != StorageObject::Journal {
+            return self.fsync_path(obj);
         }
-        match fs::File::open(self.path(obj)) {
-            Ok(file) => file
+        let mut journal = self.journal.lock();
+        match journal.file.as_ref() {
+            Some(file) => file
                 .sync_all()
-                .map_err(|e| io_err(&format!("fsync {}", self.path(obj).display()), e)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(io_err(&format!("open {}", self.path(obj).display()), e)),
+                .map_err(|e| io_err(&format!("fsync {}", self.path(obj).display()), e))?,
+            None => self.fsync_path(obj)?,
         }
+        self.settle_journal_name(&mut journal)
     }
 
     fn delete(&self, obj: StorageObject) -> Result<()> {
-        if obj == StorageObject::Journal {
-            *self.journal.lock() = None;
+        if obj != StorageObject::Journal {
+            return self.delete_path(obj);
         }
-        match fs::remove_file(self.path(obj)) {
-            Ok(()) => self.fsync_dir(),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(io_err(&format!("delete {}", self.path(obj).display()), e)),
-        }
+        let mut journal = self.journal.lock();
+        journal.file = None;
+        self.delete_path(obj)?;
+        journal.name_unsynced = false;
+        Ok(())
     }
 
     fn list(&self) -> Result<Vec<StorageObject>> {
@@ -776,6 +860,53 @@ mod tests {
             b"payload"
         );
         assert_eq!(backend.list().unwrap().len(), 2);
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn the_first_sync_of_a_created_journal_makes_its_name_durable() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let journal = StorageObject::Journal;
+        let root = temp_root("name");
+        let backend = FileBackend::open(&root).unwrap();
+        let dir_syncs = |backend: &FileBackend| backend.dir_syncs.load(Relaxed);
+
+        // Creating the log defers the directory fsync to the log's first sync.
+        backend.append(journal, b"a").unwrap();
+        backend.append(journal, b"b").unwrap();
+        assert_eq!(dir_syncs(&backend), 0);
+        backend.fsync(journal).unwrap();
+        assert_eq!(dir_syncs(&backend), 1, "the first sync covers the name");
+        backend.append(journal, b"c").unwrap();
+        backend.fsync(journal).unwrap();
+        backend.truncate(journal, 1).unwrap();
+        backend.append(journal, b"d").unwrap();
+        backend.fsync(journal).unwrap();
+        assert_eq!(dir_syncs(&backend), 1, "a log that exists leaves it alone");
+
+        // A restarted backend that finds the log does not sync it again.
+        let reopened = FileBackend::open(&root).unwrap();
+        reopened.append(journal, b"e").unwrap();
+        reopened.fsync(journal).unwrap();
+        assert_eq!(dir_syncs(&reopened), 0);
+        assert_eq!(reopened.read_all(journal).unwrap(), b"ade");
+
+        // A log created anew after a delete needs its name synced again, and
+        // a truncate before the first sync settles it as well.
+        backend.delete(journal).unwrap();
+        assert_eq!(dir_syncs(&backend), 2, "the delete syncs the directory");
+        backend.append(journal, b"f").unwrap();
+        backend.truncate(journal, 0).unwrap();
+        assert_eq!(dir_syncs(&backend), 3);
+        backend.fsync(journal).unwrap();
+        assert_eq!(dir_syncs(&backend), 3);
+
+        // An object another append creates is synced with its name at once.
+        let container = StorageObject::Container(ContainerId::new(9));
+        backend.append(container, b"g").unwrap();
+        assert_eq!(dir_syncs(&backend), 4);
+        backend.append(container, b"h").unwrap();
+        assert_eq!(dir_syncs(&backend), 4);
         let _ = fs::remove_dir_all(root);
     }
 

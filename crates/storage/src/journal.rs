@@ -377,7 +377,9 @@ impl Journal {
 
     /// Creates a *fresh* journal on `backend`, truncating to empty any journal
     /// object a previous process left there.  An absent object is left
-    /// absent: it opens as an empty log, and the first append creates it.
+    /// absent: it opens as an empty log, the first append creates it, and
+    /// the first sync after that makes its name durable too (see
+    /// [`StorageBackend::fsync`]).
     ///
     /// Use [`open`](Self::open) instead to adopt an existing journal object —
     /// this constructor is for brand-new nodes.
