@@ -2,7 +2,7 @@
 //!
 //! Not a figure of the paper — its prototype has no durability story — but the
 //! metric that gates restart latency once nodes journal: how quickly
-//! [`DedupNode::recover`] turns the medium a crash left behind — the
+//! [`DedupNode::open`] turns the medium a crash left behind — the
 //! metadata-only journal plus one object per container — back into a serving
 //! node (journal replayed, every container object checked against its
 //! checksum, chunk + similarity indexes rebuilt).  The byte basis is the
@@ -20,19 +20,18 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sigma_core::{DedupNode, SigmaConfig};
 use sigma_hashkit::Fingerprint;
-use sigma_storage::{Journal, MemoryBackend, StorageBackend, StorageObject};
+use sigma_storage::{MemoryBackend, StorageBackend, StorageObject};
 use std::sync::Arc;
 
 fn bench_config() -> SigmaConfig {
     SigmaConfig::builder()
         .super_chunk_size(64 * 1024)
         .container_capacity(256 * 1024)
-        .durability(true)
         .build()
         .expect("valid bench config")
 }
 
-/// Ingests `bytes` of deterministic payload into a durable node and returns
+/// Ingests `bytes` of deterministic payload into a node and returns
 /// the medium a crash would leave behind — journal and container objects —
 /// as it stands after the flush and again after compacting the journal, with
 /// the fingerprints ingested.
@@ -57,7 +56,7 @@ fn crash_images(
         fingerprints.extend(sc.descriptors().iter().map(|d| d.fingerprint));
     }
     node.try_flush().expect("no faults in bench");
-    let journal = node.journal().expect("durable node has a journal");
+    let journal = node.journal();
     let raw = copy(journal.backend().as_ref());
     node.compact_journal().expect("no faults in bench");
     (raw, copy(journal.backend().as_ref()), fingerprints)
@@ -65,8 +64,8 @@ fn crash_images(
 
 /// Recovers a node from `medium`.
 fn recover_node(config: &SigmaConfig, medium: MemoryBackend) -> DedupNode {
-    let journal = Arc::new(Journal::open(Arc::new(medium)).expect("in-memory journal"));
-    let (node, report) = DedupNode::recover(0, config, journal).expect("recovery cannot fail");
+    let (node, report) =
+        DedupNode::open(0, config, Arc::new(medium)).expect("recovery cannot fail");
     assert!(report.containers_recovered > 0);
     node
 }
@@ -83,7 +82,7 @@ fn copy(image: &dyn StorageBackend) -> MemoryBackend {
 fn report() {
     sigma_bench::banner(
         "recovery",
-        "recovery throughput of DedupNode::recover, raw vs compacted journal",
+        "recovery throughput of DedupNode::open, raw vs compacted journal",
     );
     let config = bench_config();
     let mut table = sigma_metrics::report::TextTable::new(vec![

@@ -14,9 +14,8 @@
 use crate::membership::{NodeMap, PlannedMove, RebalanceReport, Rebalancer};
 use crate::node::{NodeGcReport, RecoveryReport};
 use crate::{
-    DataRouter, DedupNode, Director, FileId, FileRecipe, Handprint, NodeStats, Result,
-    RoutingContext, SigmaConfig, SigmaError, SimilarityRouter, SuperChunk, SuperChunkReceipt,
-    SuperChunkView,
+    DataRouter, DedupNode, Director, FileId, FileRecipe, NodeStats, Result, RoutingContext,
+    SigmaConfig, SigmaError, SimilarityRouter, SuperChunk, SuperChunkReceipt, SuperChunkView,
 };
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -69,15 +68,6 @@ pub struct ClusterStats {
     pub messages: MessageStats,
     /// Per-node statistics.
     pub nodes: Vec<NodeStats>,
-}
-
-impl ClusterStats {
-    /// The paper's *effective deduplication ratio*: the cluster deduplication ratio
-    /// divided by `1 + skew`.  Normalising it by a single-node exact-deduplication
-    /// ratio yields the EDR curves of Figure 8.
-    pub fn effective_dedup_ratio(&self) -> f64 {
-        self.dedup_ratio / (1.0 + self.usage_skew)
-    }
 }
 
 /// What one cluster-wide garbage collection marked and reclaimed.
@@ -698,17 +688,6 @@ impl DedupCluster {
         out
     }
 
-    /// Resolves a handprint's resemblance on every active node — exposed for
-    /// experiments that need a global view (not used by the routing protocol
-    /// itself).
-    pub fn resemblance_by_node(&self, handprint: &Handprint) -> Vec<usize> {
-        self.node_map()
-            .nodes()
-            .iter()
-            .map(|n| n.resemblance_count(handprint))
-            .collect()
-    }
-
     // ---- Elastic membership ----
 
     /// Adds a fresh, empty node to the cluster and returns its stable ID.
@@ -929,20 +908,18 @@ impl DedupCluster {
 
     // ---- Crash recovery ----
 
-    /// Rebuilds a crashed node from its medium and swaps the recovered node
-    /// into the cluster (same stable ID, same slot if it was active), then
+    /// Opens node `id` again on its medium and swaps the reopened node into
+    /// the cluster (same stable ID, same slot if it was active), then
     /// reconciles half-completed migrations: a container the recovered node
     /// still holds but some peer has durably adopted gets its missing
     /// tombstone published (and the local copy dropped), and vice versa — so a
     /// crash inside a [`Rebalancer::step`] can never leave a container
     /// duplicated or a tombstone chain dangling.
     ///
-    /// The restart picks the medium itself.  A [`BackendKind::File`] node is
-    /// re-opened from its directory (`storage_root/node-<id>`) with
-    /// [`DedupNode::recover_from_dir`], as a new process would.  Any other
-    /// node's medium is volatile, so the surviving
-    /// [`Journal`](sigma_storage::Journal) handle, its only copy, is
-    /// recovered in place.
+    /// A [`BackendKind::File`] node reopens its directory
+    /// (`storage_root/node-<id>`), as a new process would.  A memory node
+    /// reopens the backend its journal was on, the only copy of its medium.
+    /// Either way the node comes up through [`DedupNode::open`].
     ///
     /// Everything the crashed node acknowledged (sealed and journaled before the
     /// crash) is served again afterwards, byte-identically; its open containers —
@@ -954,27 +931,20 @@ impl DedupCluster {
     /// # Errors
     ///
     /// Returns [`SigmaError::UnknownNode`] for an ID the cluster never had,
-    /// [`SigmaError::InvalidConfig`] when the node has no journal
-    /// ([`SigmaConfig::durability`] off), and [`SigmaError::Storage`] when the
-    /// medium cannot be opened or replayed.
+    /// and [`SigmaError::Storage`] when the medium cannot be opened or
+    /// replayed, or a reconciling tombstone cannot be journaled.
     pub fn restart_node(&self, id: usize) -> Result<RecoveryReport> {
         let old = self.node_by_id(id).ok_or(SigmaError::UnknownNode(id))?;
-        let journal = old.journal().cloned().ok_or_else(|| {
-            SigmaError::InvalidConfig(format!(
-                "node {} has no write-ahead journal (durability is off)",
-                id
-            ))
-        })?;
         // The crashed in-memory state is discarded, only the medium survives;
         // its rollover seal in flight is finished first, so no object write
         // of the dead incarnation lands after recovery's orphan sweep.
         old.finish_rollover_seal();
-        drop(old);
-        let (node, mut report) = if self.config.storage_backend == BackendKind::File {
-            DedupNode::recover_from_dir(id, &self.config)?
-        } else {
-            DedupNode::recover(id, &self.config, journal)?
+        let medium = match DedupNode::open_directory(id, &self.config)? {
+            Some(directory) => directory,
+            None => old.journal().backend(),
         };
+        drop(old);
+        let (node, mut report) = DedupNode::open(id, &self.config, medium)?;
         let node = Arc::new(node);
         {
             let mut m = self.membership.write();
@@ -1181,7 +1151,6 @@ mod tests {
         assert_eq!(stats.logical_bytes, 2 * 256 * 4096);
         assert_eq!(stats.physical_bytes, 256 * 4096);
         assert!((stats.dedup_ratio - 2.0).abs() < 1e-9);
-        assert!(stats.effective_dedup_ratio() <= stats.dedup_ratio);
     }
 
     #[test]
@@ -1215,18 +1184,6 @@ mod tests {
         for (i, d) in sc.descriptors().iter().enumerate() {
             assert_eq!(cluster.read_chunk(node, &d.fingerprint).unwrap(), chunks[i]);
         }
-    }
-
-    #[test]
-    fn resemblance_by_node_sees_routed_data() {
-        let cluster = DedupCluster::with_similarity_router(4, SigmaConfig::default());
-        let sc = super_chunk(0..256);
-        let hp = sc.handprint(8);
-        let before = cluster.resemblance_by_node(&hp);
-        assert!(before.iter().all(|&r| r == 0));
-        cluster.backup_super_chunk(0, &sc, None).unwrap();
-        let after = cluster.resemblance_by_node(&hp);
-        assert_eq!(after.iter().filter(|&&r| r > 0).count(), 1);
     }
 
     #[test]
@@ -1799,7 +1756,6 @@ mod tests {
             .super_chunk_size(4 * 1024)
             .chunker(sigma_chunking::ChunkerParams::fixed(1024))
             .container_capacity(8 * 1024)
-            .durability(true)
             .build()
             .unwrap()
     }
@@ -1811,10 +1767,7 @@ mod tests {
         let nodes: Vec<Arc<DedupNode>> = backends
             .iter()
             .enumerate()
-            .map(|(id, backend)| {
-                let journal = sigma_storage::Journal::with_backend(backend.clone()).unwrap();
-                Arc::new(DedupNode::recover(id, config, Arc::new(journal)).unwrap().0)
-            })
+            .map(|(id, backend)| Arc::new(DedupNode::open(id, config, backend.clone()).unwrap().0))
             .collect();
         {
             let mut m = cluster.membership.write();
@@ -1912,7 +1865,7 @@ mod tests {
         let target = cluster.add_node();
         let mut rebalance = cluster.begin_rebalance_onto(target).unwrap();
         assert!(rebalance.remaining() > 0);
-        let journal = source.journal().unwrap().clone();
+        let journal = source.journal().clone();
         journal.arm_crash_at_seq(journal.next_seq(), sigma_storage::CrashMode::Clean);
         assert!(matches!(
             rebalance.step(),
@@ -2029,7 +1982,7 @@ mod tests {
             parked.recv().unwrap();
             let old = cluster.node_by_id(0).unwrap();
             if crashed {
-                let journal = old.journal().unwrap();
+                let journal = old.journal();
                 journal.arm_crash_at_seq(journal.next_seq(), sigma_storage::CrashMode::Clean);
             }
             drop(old);

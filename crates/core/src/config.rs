@@ -87,32 +87,32 @@ pub struct SigmaConfig {
     ///
     /// Read it through [`SigmaConfig::effective_restore_parallelism`].
     pub restore_parallelism: usize,
-    /// Whether nodes keep a write-ahead journal so they can be crash-recovered
-    /// (see [`DedupNode::recover`](crate::DedupNode::recover) and
-    /// [`DedupCluster::restart_node`](crate::DedupCluster::restart_node)).
-    /// The journal carries metadata only (container records, index entries,
-    /// handprints, tombstones) — chunk bytes stay in their container objects —
-    /// so it costs a few percent of the stored bytes; experiments that never
-    /// crash nodes leave it off.  Default: `false`.
-    pub durability: bool,
     /// Which storage backend each node's journal and container store live on.
+    /// Every node journals on its own backend, whichever it is: container
+    /// seals, adoptions, similarity publishes, tombstones and GC records
+    /// (metadata only — chunk bytes stay in their container objects), so
+    /// [`DedupNode::open`](crate::DedupNode::open) and
+    /// [`DedupCluster::restart_node`](crate::DedupCluster::restart_node) can
+    /// rebuild a node from its medium.
     ///
-    /// * [`BackendKind::Memory`] (the default): volatile buffers — what every
-    ///   figure reproduction and fault-injection test runs against;
+    /// * [`BackendKind::Memory`] (the default): volatile buffers that live as
+    ///   long as the node's handle on them — what every figure reproduction
+    ///   and fault-injection test runs against;
     /// * [`BackendKind::File`]: one real directory per node under
     ///   [`storage_root`](Self::storage_root) (`node-<id>/` holding
     ///   `journal.wal` and `container-*.sc`), surviving an actual process
-    ///   restart.  Each container object is fsynced as it is written; the
-    ///   journal at every adopt, tombstone and GC record and at the
-    ///   [`try_flush`](crate::DedupCluster::try_flush) acknowledgement, while
-    ///   a container's seal and a super-chunk's similarity publish ride
-    ///   unsynced to the next of these.  Requires `storage_root` and
-    ///   [`durability`](Self::durability) — file persistence without a
-    ///   write-ahead journal could not be recovered.
+    ///   restart: a node built over a directory that already holds state
+    ///   reopens it, never wipes it.  Each container object is fsynced as it
+    ///   is written; the journal at every adopt, tombstone and GC record and
+    ///   at the [`try_flush`](crate::DedupCluster::try_flush)
+    ///   acknowledgement, while a container's seal and a super-chunk's
+    ///   similarity publish ride unsynced to the next of these.  Requires
+    ///   `storage_root`.
     pub storage_backend: BackendKind,
-    /// Directory the file backend keeps per-node subdirectories under.
-    /// Required (and only meaningful) when `storage_backend` is
-    /// [`BackendKind::File`].  Default: `None`.
+    /// Directory the file backend keeps per-node subdirectories under; a
+    /// cluster built over a root that holds a previous run's directories
+    /// reopens them.  Required (and only meaningful) when `storage_backend`
+    /// is [`BackendKind::File`].  Default: `None`.
     pub storage_root: Option<PathBuf>,
     /// Garbage-collection liveness threshold in `[0, 1]`: during a sweep, a
     /// sealed container whose live fraction (bytes referenced by surviving
@@ -137,7 +137,6 @@ impl Default for SigmaConfig {
             capacity_balancing: true,
             parallelism: 1,
             restore_parallelism: 1,
-            durability: false,
             storage_backend: BackendKind::Memory,
             storage_root: None,
             gc_liveness_threshold: 0.5,
@@ -242,19 +241,10 @@ impl SigmaConfig {
                 self.gc_liveness_threshold
             )));
         }
-        if self.storage_backend == BackendKind::File {
-            if self.storage_root.is_none() {
-                return Err(SigmaError::InvalidConfig(
-                    "storage_backend = file requires storage_root".to_string(),
-                ));
-            }
-            if !self.durability {
-                return Err(SigmaError::InvalidConfig(
-                    "storage_backend = file requires durability: without a write-ahead \
-                     journal the on-disk state could never be recovered"
-                        .to_string(),
-                ));
-            }
+        if self.storage_backend == BackendKind::File && self.storage_root.is_none() {
+            return Err(SigmaError::InvalidConfig(
+                "storage_backend = file requires storage_root".to_string(),
+            ));
         }
         self.chunker.validate().map_err(SigmaError::InvalidConfig)
     }
@@ -361,14 +351,15 @@ impl SigmaConfigBuilder {
         self
     }
 
-    /// Enables or disables the per-node write-ahead journal (crash recovery).
-    pub fn durability(mut self, enabled: bool) -> Self {
-        self.config.durability = enabled;
+    /// Does nothing: every node journals.  Kept only because the `sigma-e2e`
+    /// benchmark calls it (see the public items its README lists); deleting
+    /// it waits for a change to that benchmark.
+    pub fn durability(self, _enabled: bool) -> Self {
         self
     }
 
     /// Sets the storage backend kind (validated by [`build`](Self::build):
-    /// [`BackendKind::File`] requires a storage root and durability).
+    /// [`BackendKind::File`] requires a storage root).
     pub fn storage_backend(mut self, kind: BackendKind) -> Self {
         self.config.storage_backend = kind;
         self
@@ -380,12 +371,9 @@ impl SigmaConfigBuilder {
         self
     }
 
-    /// Convenience: selects the file backend rooted at `root`, enabling the
-    /// durability (write-ahead journaling) it requires.
+    /// Convenience: selects the file backend rooted at `root`.
     pub fn file_storage(self, root: impl Into<PathBuf>) -> Self {
-        self.storage_backend(BackendKind::File)
-            .storage_root(root)
-            .durability(true)
+        self.storage_backend(BackendKind::File).storage_root(root)
     }
 
     /// Sets the GC liveness threshold (fraction in `[0, 1]`; validated by
@@ -423,7 +411,6 @@ mod tests {
         // 1 MB / 4 KB = 256 chunks; 256 / 8 = a 1-in-32 sampling rate.
         assert_eq!(c.chunks_per_super_chunk(), 256);
         assert_eq!(c.sampling_rate_denominator(), 32);
-        assert!(!c.durability, "journaling is opt-in");
         assert!(c.validate().is_ok());
     }
 
@@ -596,7 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn file_backend_requires_root_and_durability() {
+    fn file_backend_requires_a_root() {
         assert_eq!(
             SigmaConfig::default().storage_backend,
             BackendKind::Memory,
@@ -606,24 +593,15 @@ mod tests {
         // File backend without a root is rejected.
         let err = SigmaConfig::builder()
             .storage_backend(BackendKind::File)
-            .durability(true)
             .build()
             .unwrap_err();
         assert!(matches!(&err, SigmaError::InvalidConfig(msg) if msg.contains("storage_root")));
-        // File backend without durability is rejected (nothing could recover it).
-        let err = SigmaConfig::builder()
-            .storage_backend(BackendKind::File)
-            .storage_root("/tmp/sigma-test")
-            .build()
-            .unwrap_err();
-        assert!(matches!(&err, SigmaError::InvalidConfig(msg) if msg.contains("durability")));
-        // The convenience setter satisfies both constraints at once.
+        // The convenience setter sets both.
         let c = SigmaConfig::builder()
             .file_storage("/tmp/sigma-test")
             .build()
             .unwrap();
         assert_eq!(c.storage_backend, BackendKind::File);
-        assert!(c.durability);
         assert_eq!(
             c.node_storage_dir(3),
             Some(PathBuf::from("/tmp/sigma-test/node-3"))

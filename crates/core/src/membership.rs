@@ -396,19 +396,16 @@ mod tests {
         // destination that crashes on the adopt append must leave the source
         // still answering resemblance queries, so the retried migration
         // re-homes the RFPs instead of dropping them forever.
-        let durable = crate::SigmaConfig::builder()
-            .durability(true)
-            .build()
-            .unwrap();
-        let a = Arc::new(DedupNode::new(0, &durable));
-        let b = Arc::new(DedupNode::new(1, &durable));
+        let config = crate::SigmaConfig::default();
+        let a = Arc::new(DedupNode::new(0, &config));
+        let b = Arc::new(DedupNode::new(1, &config));
         let sc = payload_super_chunk(21, 16);
         let hp = sc.handprint(8);
         a.process_super_chunk(0, &sc.view(), &hp).unwrap();
         a.try_flush().unwrap();
         let cid = a.sealed_container_ids()[0];
 
-        let b_journal = b.journal().unwrap();
+        let b_journal = b.journal();
         b_journal.arm_crash_at_seq(b_journal.next_seq(), sigma_storage::CrashMode::Clean);
         assert!(migrate_container(&a, &b, cid).is_err(), "adopt must crash");
         assert_eq!(
@@ -423,7 +420,7 @@ mod tests {
         );
 
         // Recover the destination and retry: the RFPs travel with the retry.
-        let (recovered_b, _) = DedupNode::recover(1, &durable, b_journal.clone()).unwrap();
+        let (recovered_b, _) = DedupNode::open(1, &config, b_journal.backend()).unwrap();
         let recovered_b = Arc::new(recovered_b);
         let receipt = migrate_container(&a, &recovered_b, cid).unwrap().unwrap();
         assert_eq!(receipt.chunks, 16);

@@ -20,10 +20,10 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use sigma_hashkit::{Fingerprint, FingerprintSet};
 use sigma_storage::{
-    BackendKind, CacheStats, ChunkIndex, ChunkIndexStats, ChunkLocation, ClaimOutcome, Container,
-    ContainerId, ContainerState, ContainerStore, ContainerStoreStats, ContainerSummary,
-    FileBackend, FingerprintCache, Journal, JournalRecord, MemoryBackend, NodeSnapshot,
-    SimilarityIndex, SimilarityIndexStats, StorageBackend, StreamId,
+    CacheStats, ChunkIndex, ChunkIndexStats, ChunkLocation, ClaimOutcome, Container, ContainerId,
+    ContainerState, ContainerStore, ContainerStoreStats, ContainerSummary, FileBackend,
+    FingerprintCache, Journal, JournalRecord, MemoryBackend, NodeSnapshot, SimilarityIndex,
+    SimilarityIndexStats, StorageBackend, StreamId,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,12 +136,12 @@ pub struct DedupNode {
     /// Fingerprints written to the currently open container of each stream; catches
     /// duplicates within the active container before it is sealed.
     open_fingerprints: Mutex<HashMap<StreamId, (ContainerId, FingerprintSet)>>,
-    /// Write-ahead journal (None unless [`SigmaConfig::durability`] is set): the
-    /// node's durable medium, surviving a crash that destroys everything above.
-    journal: Option<Arc<Journal>>,
+    /// Write-ahead journal on the node's medium, surviving a crash that
+    /// destroys everything above.
+    journal: Arc<Journal>,
 }
 
-/// What one journal replay rebuilt — returned by [`DedupNode::recover`] and
+/// What one journal replay rebuilt — returned by [`DedupNode::open`] and
 /// [`DedupCluster::restart_node`](crate::DedupCluster::restart_node).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
@@ -204,82 +204,52 @@ pub struct NodeGcReport {
 }
 
 impl DedupNode {
-    /// Creates a node with identifier `id` configured by `config`.
-    ///
-    /// A new node starts from a clean slate, deleting whatever a previous
-    /// incarnation left on its medium.  With
-    /// [`SigmaConfig::durability`] set, the node opens a write-ahead
-    /// [`Journal`] and writes through it on every seal, adoption, similarity
-    /// publication and tombstone, so it can later be rebuilt by
-    /// [`recover`](Self::recover).
+    /// Opens node `id` on the medium `config` names: a fresh in-memory
+    /// backend, or `storage_root/node-<id>` for the file backend.  An empty
+    /// medium gives a fresh node; a directory a previous process left behind
+    /// is reopened, as by [`open`](Self::open).
     ///
     /// # Panics
     ///
     /// Panics if the configured file backend's directory cannot be opened or
-    /// reset — a node whose durable medium is unusable must not come up.
+    /// [`open`](Self::open) refuses it — a node whose durable medium is
+    /// unusable must not come up.
     pub fn new(id: usize, config: &SigmaConfig) -> Self {
-        let backend: Arc<dyn StorageBackend> = match config.storage_backend {
-            BackendKind::Memory => Arc::new(MemoryBackend::new()),
-            BackendKind::File => {
-                let dir = config
-                    .node_storage_dir(id)
-                    .expect("validated: file backend has a storage root");
-                Arc::new(FileBackend::open(dir).expect("open node storage directory"))
-            }
-        };
-        for obj in backend.list().expect("scan node storage directory") {
-            backend.delete(obj).expect("reset node storage directory");
-        }
-        let journal = config.durability.then(|| {
-            Arc::new(Journal::with_backend(backend.clone()).expect("initialize journal object"))
-        });
-        Self::assemble(id, config, backend, journal)
+        let medium = Self::open_directory(id, config)
+            .expect("open node storage directory")
+            .unwrap_or_else(|| Arc::new(MemoryBackend::new()));
+        Self::open(id, config, medium).expect("open node medium").0
     }
 
-    /// The one place a node's structures are wired together, on the medium
-    /// `backend`: `new` passes its journal for immediate write-through,
-    /// `recover` passes none (replay must not append to the journal it is
-    /// reading) and attaches it afterwards.
-    fn assemble(
+    /// The directory `config` names for node `id` (`storage_root/node-<id>`),
+    /// opened; `None` unless `config` selects the file backend.
+    pub(crate) fn open_directory(
         id: usize,
         config: &SigmaConfig,
-        backend: Arc<dyn StorageBackend>,
-        journal: Option<Arc<Journal>>,
-    ) -> Self {
-        let mut store = ContainerStore::new(config.container_capacity).with_backend(backend);
-        if let Some(journal) = &journal {
-            store = store.with_journal(journal.clone());
-        }
-        DedupNode {
-            id,
-            chunk_index_fallback: config.chunk_index_fallback,
-            similarity_index: SimilarityIndex::new(SIMILARITY_INDEX_LOCKS),
-            cache: FingerprintCache::new(config.cache_containers),
-            chunk_index: ChunkIndex::new(),
-            store,
-            logical_bytes: AtomicU64::new(0),
-            total_chunks: AtomicU64::new(0),
-            unique_chunks: AtomicU64::new(0),
-            super_chunks: AtomicU64::new(0),
-            open_fingerprints: Mutex::new(HashMap::new()),
-            journal,
+    ) -> Result<Option<Arc<dyn StorageBackend>>> {
+        match config.node_storage_dir(id) {
+            Some(dir) => Ok(Some(Arc::new(FileBackend::open(dir)?))),
+            None => Ok(None),
         }
     }
 
-    /// Rebuilds a node from its medium — the journal and the container
-    /// objects beside it on [`Journal::backend`] (crash recovery).
+    /// Opens node `id` on `medium` — the journal and the container objects
+    /// beside it — the one way a node comes up, fresh or after a crash.  The
+    /// node journals on `medium` from then on, on every seal, adoption,
+    /// similarity publication and tombstone.
     ///
-    /// The journal's torn tail — an append interrupted by the crash — is
-    /// discarded, then every surviving record is replayed in order: container
-    /// summaries are reinstalled under their original identifiers, the chunk
-    /// index and similarity index are rebuilt, forwarding tombstones are
-    /// restored (dropping the container they tombstone, exactly as the live
-    /// path does), and the ingest counters come back from the last durable
-    /// checkpoint.  Then the medium is checked against the replayed state: a
-    /// container whose object is missing, has the wrong length or fails its
-    /// checksum is discarded together with its chunk-index and similarity
-    /// entries, and container objects no record claims are deleted.  The
-    /// journal is then reattached as the recovered node's write-ahead log.
+    /// An empty medium gives a fresh node and a zero [`RecoveryReport`].
+    /// Anything else is replayed: the journal's torn tail — an append
+    /// interrupted by a crash — is discarded, then every surviving record is
+    /// replayed in order: container summaries are reinstalled under their
+    /// original identifiers, the chunk index and similarity index are
+    /// rebuilt, forwarding tombstones are restored (dropping the container
+    /// they tombstone, exactly as the live path does), and the ingest
+    /// counters come back from the last durable checkpoint.  Then the medium
+    /// is checked against the replayed state: a container whose object is
+    /// missing, has the wrong length or fails its checksum is discarded
+    /// together with its chunk-index and similarity entries, and container
+    /// objects no record claims are deleted.
     ///
     /// The replay state machine is idempotent where the crash protocol needs it
     /// to be: a duplicated [`JournalRecord::ContainerAdopt`] is skipped by the
@@ -293,12 +263,28 @@ impl DedupNode {
     /// written in another container format version (the medium is then left
     /// untouched: nothing is discarded or swept), or the medium cannot be
     /// read or swept.
-    pub fn recover(
+    pub fn open(
         id: usize,
         config: &SigmaConfig,
-        journal: Arc<Journal>,
+        medium: Arc<dyn StorageBackend>,
     ) -> Result<(Self, RecoveryReport)> {
-        let mut node = Self::assemble(id, config, journal.backend(), None);
+        let journal = Arc::new(Journal::open(medium.clone())?);
+        // Replay runs on a store without the journal, so that it appends
+        // nothing to the log it is reading; the journal is attached after.
+        let mut node = DedupNode {
+            id,
+            chunk_index_fallback: config.chunk_index_fallback,
+            similarity_index: SimilarityIndex::new(SIMILARITY_INDEX_LOCKS),
+            cache: FingerprintCache::new(config.cache_containers),
+            chunk_index: ChunkIndex::new(),
+            store: ContainerStore::new(config.container_capacity).with_backend(medium),
+            logical_bytes: AtomicU64::new(0),
+            total_chunks: AtomicU64::new(0),
+            unique_chunks: AtomicU64::new(0),
+            super_chunks: AtomicU64::new(0),
+            open_fingerprints: Mutex::new(HashMap::new()),
+            journal: journal.clone(),
+        };
         let (records, summary) = journal.recover_truncating()?;
         let mut report = RecoveryReport {
             node_id: id,
@@ -319,34 +305,8 @@ impl DedupNode {
         report.containers_discarded = discarded.len() as u64;
         report.orphan_objects_swept = orphans;
         node.prune_dangling_similarity_entries();
-        node.store = node.store.with_journal(journal.clone());
-        node.journal = Some(journal);
+        node.store = node.store.with_journal(journal);
         Ok((node, report))
-    }
-
-    /// Rebuilds a node from the on-disk directory a previous *process* left
-    /// behind — the restart path for [`BackendKind::File`] storage, where the
-    /// journal handle itself did not survive.
-    ///
-    /// Opens `storage_root/node-<id>`, adopts the `journal.wal` found there and
-    /// runs the ordinary [`recover`](Self::recover) against the directory
-    /// (torn tails are truncated, container objects checked, orphans swept).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SigmaError::InvalidConfig`] when `config` does not select the
-    /// file backend, and [`SigmaError::Storage`] when the directory cannot be
-    /// opened or read, or [`recover`](Self::recover) refuses it.
-    pub fn recover_from_dir(id: usize, config: &SigmaConfig) -> Result<(Self, RecoveryReport)> {
-        let dir = config.node_storage_dir(id).ok_or_else(|| {
-            SigmaError::InvalidConfig(
-                "recover_from_dir requires storage_backend = file and a storage_root".to_string(),
-            )
-        })?;
-        let backend: Arc<dyn StorageBackend> =
-            Arc::new(FileBackend::open(dir).map_err(SigmaError::Storage)?);
-        let journal = Arc::new(Journal::open(backend).map_err(SigmaError::Storage)?);
-        Self::recover(id, config, journal)
     }
 
     /// Drops replayed similarity entries whose container never became durable.
@@ -659,12 +619,10 @@ impl DedupNode {
             // reached the journal.  It is a routing hint, so its append is not
             // fsynced: the next synced record or flush makes it durable, and
             // a power cut before that costs deduplication, never data.
-            if let Some(journal) = &self.journal {
-                journal.append(&JournalRecord::SimilarityPublish {
-                    container: cid,
-                    rfps: handprint.representative_fingerprints().to_vec(),
-                })?;
-            }
+            self.journal.append(&JournalRecord::SimilarityPublish {
+                container: cid,
+                rfps: handprint.representative_fingerprints().to_vec(),
+            })?;
             for rfp in handprint.representative_fingerprints() {
                 self.similarity_index.insert(*rfp, cid);
             }
@@ -905,9 +863,9 @@ impl DedupNode {
     /// deletion itself is a director-side fact either way; the node's next
     /// sweep will surface the crash).
     pub fn note_recipe_deleted(&self, file_id: u64) {
-        if let Some(journal) = &self.journal {
-            let _ = journal.append(&JournalRecord::RecipeDelete { file_id });
-        }
+        let _ = self
+            .journal
+            .append(&JournalRecord::RecipeDelete { file_id });
     }
 
     /// Sweeps this node's sealed containers against the mark phase's live set.
@@ -1149,14 +1107,12 @@ impl DedupNode {
     pub fn try_flush(&self) -> Result<()> {
         self.store.flush()?;
         self.open_fingerprints.lock().clear();
-        if let Some(journal) = &self.journal {
-            journal.append(&JournalRecord::StatsCheckpoint {
-                logical_bytes: self.logical_bytes.load(Ordering::Relaxed),
-                total_chunks: self.total_chunks.load(Ordering::Relaxed),
-                unique_chunks: self.unique_chunks.load(Ordering::Relaxed),
-                super_chunks: self.super_chunks.load(Ordering::Relaxed),
-            })?;
-        }
+        self.journal.append(&JournalRecord::StatsCheckpoint {
+            logical_bytes: self.logical_bytes.load(Ordering::Relaxed),
+            total_chunks: self.total_chunks.load(Ordering::Relaxed),
+            unique_chunks: self.unique_chunks.load(Ordering::Relaxed),
+            super_chunks: self.super_chunks.load(Ordering::Relaxed),
+        })?;
         Ok(())
     }
 
@@ -1168,16 +1124,16 @@ impl DedupNode {
         let _ = self.store.finish_rollover_seal();
     }
 
-    /// The node's write-ahead journal, when durability is enabled.
-    pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.journal.as_ref()
+    /// The node's write-ahead journal.
+    pub fn journal(&self) -> &Arc<Journal> {
+        &self.journal
     }
 
-    /// True once the node's journal hit a crash point; the node must be rebuilt
-    /// via [`recover`](Self::recover) (or
+    /// True once the node's journal hit a crash point; the node must be
+    /// opened again on its medium via [`open`](Self::open) (or
     /// [`DedupCluster::restart_node`](crate::DedupCluster::restart_node)).
     pub fn crashed(&self) -> bool {
-        self.journal.as_ref().is_some_and(|j| j.crashed())
+        self.journal.crashed()
     }
 
     /// Folds the journal into a single snapshot frame.
@@ -1188,13 +1144,8 @@ impl DedupNode {
     ///
     /// # Errors
     ///
-    /// Returns a crash error if the journal has crashed, and an invalid-config
-    /// error if the node has no journal.
+    /// Returns a crash error if the journal has crashed.
     pub fn compact_journal(&self) -> Result<()> {
-        let journal = self
-            .journal
-            .as_ref()
-            .ok_or_else(|| SigmaError::InvalidConfig("node has no journal".to_string()))?;
         // The sealed containers' record tables are the snapshot's copy of the
         // chunk index: replay indexes them in this order, so an entry goes
         // into `chunk_entries` only when the tables would not give it — one
@@ -1235,7 +1186,7 @@ impl DedupNode {
             unique_chunks: self.unique_chunks.load(Ordering::Relaxed),
             super_chunks: self.super_chunks.load(Ordering::Relaxed),
         };
-        journal.compact(snapshot)?;
+        self.journal.compact(snapshot)?;
         Ok(())
     }
 
@@ -1351,7 +1302,7 @@ mod tests {
     use super::*;
     use crate::{SuperChunk, SuperChunkBuilder, SuperChunkView};
     use sigma_hashkit::{Digest, FingerprintAlgorithm, Sha1};
-    use sigma_storage::{StorageError, StorageObject};
+    use sigma_storage::{BackendKind, StorageError, StorageObject};
 
     fn config() -> SigmaConfig {
         SigmaConfig::builder()
@@ -1388,11 +1339,7 @@ mod tests {
 
     #[test]
     fn a_view_whose_payloads_disagree_with_its_descriptors_is_refused() {
-        let config = SigmaConfig {
-            durability: true,
-            ..config()
-        };
-        let node = DedupNode::new(0, &config);
+        let node = DedupNode::new(0, &config());
         let sc = payload_super_chunk(7, 4, 1024);
         let hp = sc.handprint(4);
         let view = sc.view();
@@ -1429,14 +1376,14 @@ mod tests {
         assert_eq!(stats.cache.lookups, 0);
         assert_eq!(stats.chunk_index.entries, 0);
         assert_eq!(stats.similarity_index.entries, 0);
-        assert_eq!(node.journal().unwrap().frame_count(), 0);
+        assert_eq!(node.journal().frame_count(), 0);
         // The same chunks with their own payloads go through.
         let receipt = node.process_super_chunk(0, &view, &hp).unwrap();
         assert_eq!(receipt.unique_chunks, 4);
 
         // An owned super-chunk built with a payload its descriptor does not
         // describe is refused on the cluster path too, before it is routed.
-        let cluster = crate::DedupCluster::with_similarity_router(2, config);
+        let cluster = crate::DedupCluster::with_similarity_router(2, config());
         let mut builder = SuperChunkBuilder::new(usize::MAX);
         let descriptor = ChunkDescriptor::new(Sha1::fingerprint(b"four"), 4);
         assert!(builder.push_chunk(descriptor, b"five!".to_vec()).is_none());
@@ -1637,29 +1584,28 @@ mod tests {
         assert_eq!(node.count_stored_fingerprints(&probe), 8);
     }
 
-    fn durable_config() -> SigmaConfig {
+    fn small_containers() -> SigmaConfig {
         SigmaConfig::builder()
             .super_chunk_size(64 * 1024)
             .container_capacity(16 * 1024)
             .cache_containers(8)
-            .durability(true)
             .build()
             .unwrap()
     }
 
     #[test]
     fn recovery_rebuilds_flushed_state_byte_identically() {
-        let cfg = durable_config();
+        let cfg = small_containers();
         let node = DedupNode::new(4, &cfg);
         let sc = payload_super_chunk(11, 16, 4096);
         let hp = sc.handprint(8);
         node.process_super_chunk(0, &sc.view(), &hp).unwrap();
         node.try_flush().unwrap();
         let stats_before = node.stats();
-        let journal = node.journal().unwrap().clone();
+        let journal = node.journal().clone();
         drop(node); // the crash: all in-memory state gone, the journal survives
 
-        let (recovered, report) = DedupNode::recover(4, &cfg, journal).unwrap();
+        let (recovered, report) = DedupNode::open(4, &cfg, journal.backend()).unwrap();
         assert_eq!(report.node_id, 4);
         assert!(report.containers_recovered > 0);
         assert_eq!(report.bytes_discarded, 0);
@@ -1685,7 +1631,7 @@ mod tests {
 
     #[test]
     fn recovery_drops_unflushed_open_containers() {
-        let cfg = durable_config();
+        let cfg = small_containers();
         let node = DedupNode::new(0, &cfg);
         // First super-chunk flushed (acknowledged), second one left open.
         let acked = payload_super_chunk(1, 8, 2048);
@@ -1696,8 +1642,8 @@ mod tests {
         node.process_super_chunk(0, &lost.view(), &lost.handprint(4))
             .unwrap();
         let physical_at_ack = {
-            let journal = node.journal().unwrap().clone();
-            let (recovered, _) = DedupNode::recover(0, &cfg, journal).unwrap();
+            let journal = node.journal().clone();
+            let (recovered, _) = DedupNode::open(0, &cfg, journal.backend()).unwrap();
             // Acked chunks are all there; the open container's chunks are gone.
             for (i, d) in acked.descriptors().iter().enumerate() {
                 assert_eq!(
@@ -1717,7 +1663,7 @@ mod tests {
 
     #[test]
     fn compaction_preserves_recovery_and_shrinks_the_journal() {
-        let cfg = durable_config();
+        let cfg = small_containers();
         let node = DedupNode::new(0, &cfg);
         for seed in 0..6u8 {
             let sc = payload_super_chunk(seed, 8, 2048);
@@ -1725,13 +1671,13 @@ mod tests {
                 .unwrap();
         }
         node.try_flush().unwrap();
-        let journal = node.journal().unwrap().clone();
+        let journal = node.journal().clone();
         let long = journal.len_bytes();
         let stats_before = node.stats();
         node.compact_journal().unwrap();
         assert!(journal.len_bytes() < long, "snapshot must fold the log");
 
-        let (recovered, report) = DedupNode::recover(0, &cfg, journal).unwrap();
+        let (recovered, report) = DedupNode::open(0, &cfg, journal.backend()).unwrap();
         assert_eq!(report.frames_replayed, 1, "one snapshot frame");
         let stats_after = recovered.stats();
         assert_eq!(stats_after.physical_bytes, stats_before.physical_bytes);
@@ -1757,7 +1703,7 @@ mod tests {
         // otherwise install phantom entries whose claim() reports "duplicate"
         // for chunks that exist nowhere, silently corrupting a later
         // acknowledged backup of the same data.
-        let cfg = durable_config();
+        let cfg = small_containers();
         let node = DedupNode::new(0, &cfg);
         let acked = payload_super_chunk(1, 4, 2048);
         node.process_super_chunk(0, &acked.view(), &acked.handprint(4))
@@ -1769,8 +1715,8 @@ mod tests {
             .unwrap();
         node.compact_journal().unwrap();
 
-        let journal = node.journal().unwrap().clone();
-        let (recovered, _) = DedupNode::recover(0, &cfg, journal).unwrap();
+        let journal = node.journal().clone();
+        let (recovered, _) = DedupNode::open(0, &cfg, journal.backend()).unwrap();
         recovered.verify_consistency().unwrap();
         // The pending chunks died with the crash; re-ingesting them must store
         // them for real, and the re-acknowledged data must be restorable.
@@ -1807,7 +1753,6 @@ mod tests {
             .container_capacity(16 * 1024)
             .cache_containers(8)
             .chunk_index_fallback(false)
-            .durability(true)
             .build()
             .unwrap();
         let node = DedupNode::new(0, &cfg);
@@ -1822,8 +1767,8 @@ mod tests {
         assert_eq!(receipt.unique_chunks, 4, "stored again, left open");
         node.compact_journal().unwrap();
 
-        let journal = node.journal().unwrap().clone();
-        let (recovered, _) = DedupNode::recover(0, &cfg, journal).unwrap();
+        let journal = node.journal().clone();
+        let (recovered, _) = DedupNode::open(0, &cfg, journal.backend()).unwrap();
         recovered.verify_consistency().unwrap();
         for (i, d) in acked.descriptors().iter().enumerate() {
             assert_eq!(
@@ -1835,7 +1780,7 @@ mod tests {
 
     #[test]
     fn replay_of_duplicated_adopt_records_cannot_double_adopt() {
-        let cfg = durable_config();
+        let cfg = small_containers();
         let donor = DedupNode::new(1, &cfg);
         let sc = payload_super_chunk(5, 8, 2048);
         donor
@@ -1850,7 +1795,7 @@ mod tests {
         // (e.g. a retried step replayed on top of the original).
         let adopter = DedupNode::new(2, &cfg);
         adopter.adopt_container(1, exported.clone(), &rfps).unwrap();
-        let journal = adopter.journal().unwrap();
+        let journal = adopter.journal();
         journal
             .append(&JournalRecord::ContainerAdopt {
                 origin_node: 1,
@@ -1865,7 +1810,7 @@ mod tests {
             .unwrap();
         let bytes_before = adopter.storage_usage();
 
-        let (recovered, report) = DedupNode::recover(2, &cfg, journal.clone()).unwrap();
+        let (recovered, report) = DedupNode::open(2, &cfg, journal.backend()).unwrap();
         assert_eq!(report.duplicate_adopts_skipped, 1);
         assert_eq!(report.containers_recovered, 1);
         assert_eq!(recovered.storage_usage(), bytes_before, "no double-adopt");
@@ -1875,7 +1820,7 @@ mod tests {
 
     #[test]
     fn tombstone_replay_keeps_the_forwarding_chain() {
-        let cfg = durable_config();
+        let cfg = small_containers();
         let a = DedupNode::new(0, &cfg);
         let b = DedupNode::new(1, &cfg);
         let sc = payload_super_chunk(9, 8, 2048);
@@ -1888,8 +1833,8 @@ mod tests {
         b.adopt_container(0, exported, &rfps).unwrap();
         a.retire_container(cid, 1).unwrap();
 
-        let journal = a.journal().unwrap().clone();
-        let (recovered, report) = DedupNode::recover(0, &cfg, journal).unwrap();
+        let journal = a.journal().clone();
+        let (recovered, report) = DedupNode::open(0, &cfg, journal.backend()).unwrap();
         assert_eq!(report.tombstones_restored, 1);
         assert_eq!(
             recovered.container_state(&cid),
@@ -2050,7 +1995,7 @@ mod tests {
 
     #[test]
     fn gc_records_replay_to_the_post_gc_state() {
-        let cfg = durable_config();
+        let cfg = small_containers();
         let node = DedupNode::new(0, &cfg);
         let keep = payload_super_chunk(1, 6, 2048);
         let dead = payload_super_chunk(2, 6, 2048);
@@ -2071,8 +2016,8 @@ mod tests {
         assert_eq!(report.containers_compacted, 1);
         let physical_after_gc = node.storage_usage();
 
-        let journal = node.journal().unwrap().clone();
-        let (recovered, recovery) = DedupNode::recover(0, &cfg, journal).unwrap();
+        let journal = node.journal().clone();
+        let (recovered, recovery) = DedupNode::open(0, &cfg, journal.backend()).unwrap();
         assert_eq!(recovery.gc_records_replayed, 2, "one drop + one compact");
         assert_eq!(recovery.recipe_deletes_replayed, 1);
         assert_eq!(
@@ -2093,15 +2038,15 @@ mod tests {
 
         // Compaction folds the GC history into the snapshot too.
         recovered.compact_journal().unwrap();
-        let journal = recovered.journal().unwrap().clone();
-        let (again, _) = DedupNode::recover(0, &cfg, journal).unwrap();
+        let journal = recovered.journal().clone();
+        let (again, _) = DedupNode::open(0, &cfg, journal.backend()).unwrap();
         assert_eq!(again.storage_usage(), physical_after_gc);
         again.verify_consistency().unwrap();
     }
 
     #[test]
     fn sweep_crash_on_the_gc_append_leaves_the_victim_untouched() {
-        let cfg = durable_config();
+        let cfg = small_containers();
         let node = DedupNode::new(0, &cfg);
         let sc = payload_super_chunk(4, 6, 2048);
         node.process_super_chunk(0, &sc.view(), &sc.handprint(4))
@@ -2109,7 +2054,7 @@ mod tests {
         node.try_flush().unwrap();
         let physical_before = node.storage_usage();
 
-        let journal = node.journal().unwrap().clone();
+        let journal = node.journal().clone();
         journal.arm_crash_at_seq(journal.next_seq(), sigma_storage::CrashMode::Clean);
         let err = node.sweep_garbage(&HashMap::new(), 0.5);
         assert!(err.is_err(), "the GcDrop append must crash");
@@ -2120,7 +2065,7 @@ mod tests {
         );
 
         // Recovery and a re-run finish the sweep.
-        let (recovered, _) = DedupNode::recover(0, &cfg, journal).unwrap();
+        let (recovered, _) = DedupNode::open(0, &cfg, journal.backend()).unwrap();
         let report = recovered.sweep_garbage(&HashMap::new(), 0.5).unwrap();
         assert_eq!(report.containers_dropped, 1);
         assert_eq!(recovered.storage_usage(), 0);
@@ -2192,17 +2137,16 @@ mod tests {
         }
     }
 
-    /// A durable node over `backend` (recovered from an empty journal there).
+    /// A node opened on the empty medium `backend`.
     fn node_over(backend: Arc<FaultyBackend>) -> DedupNode {
-        let journal = Arc::new(Journal::with_backend(backend).unwrap());
-        DedupNode::recover(0, &durable_config(), journal).unwrap().0
+        DedupNode::open(0, &small_containers(), backend).unwrap().0
     }
 
     #[test]
     fn the_journal_is_fsynced_at_the_ack_not_per_super_chunk() {
         let backend = Arc::new(FaultyBackend::default());
         let node = node_over(backend.clone());
-        let journal = node.journal().unwrap().clone();
+        let journal = node.journal().clone();
         let syncs = || backend.journal_syncs.lock().clone();
         let seals = || {
             let (records, _) = Journal::replay(&journal.bytes()).unwrap();
@@ -2258,8 +2202,8 @@ mod tests {
         medium
             .truncate(StorageObject::Journal, acked_len as u64)
             .unwrap();
-        let cut = Arc::new(Journal::open(Arc::new(medium)).unwrap());
-        let (recovered, report) = DedupNode::recover(0, &durable_config(), cut).unwrap();
+        let (recovered, report) =
+            DedupNode::open(0, &small_containers(), Arc::new(medium)).unwrap();
         assert_eq!(report.bytes_discarded, 0);
         assert_eq!(report.orphan_objects_swept, 1);
         for sc in &acked {
@@ -2304,8 +2248,8 @@ mod tests {
         assert_eq!(again.duplicate_chunks, 4);
         // ...which the next flush seals, so the acknowledged backup restores.
         node.try_flush().unwrap();
-        let journal = node.journal().unwrap().clone();
-        let (recovered, _) = DedupNode::recover(0, &durable_config(), journal).unwrap();
+        let journal = node.journal().clone();
+        let (recovered, _) = DedupNode::open(0, &small_containers(), journal.backend()).unwrap();
         for n in [&node, &recovered] {
             for (i, d) in sc.descriptors().iter().enumerate() {
                 assert_eq!(

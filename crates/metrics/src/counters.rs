@@ -63,7 +63,7 @@ impl OpCounters {
     }
 }
 
-/// A point-in-time copy of one operation's counters, with derived figures.
+/// A point-in-time copy of one operation's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpSnapshot {
     /// Requests observed (successes and errors).
@@ -78,31 +78,6 @@ pub struct OpSnapshot {
     pub latency_nanos_sum: u64,
     /// Largest single request latency in nanoseconds.
     pub latency_nanos_max: u64,
-}
-
-impl OpSnapshot {
-    /// Mean request latency in seconds (0 when no requests were observed).
-    pub fn mean_latency_secs(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.latency_nanos_sum as f64 / self.count as f64 / 1e9
-        }
-    }
-
-    /// Largest single request latency in seconds.
-    pub fn max_latency_secs(&self) -> f64 {
-        self.latency_nanos_max as f64 / 1e9
-    }
-
-    /// Fraction of requests that ended in an error (0 when none observed).
-    pub fn error_rate(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.errors as f64 / self.count as f64
-        }
-    }
 }
 
 /// A named set of [`OpCounters`], one per operation class.
@@ -187,7 +162,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_aggregate_and_derive() {
+    fn counters_aggregate() {
         let c = OpCounters::new();
         c.record(Duration::from_millis(10), 100, 0, false);
         c.record(Duration::from_millis(30), 300, 50, true);
@@ -196,16 +171,13 @@ mod tests {
         assert_eq!(s.errors, 1);
         assert_eq!(s.request_bytes, 400);
         assert_eq!(s.response_bytes, 50);
-        assert!((s.mean_latency_secs() - 0.020).abs() < 1e-6);
-        assert!((s.max_latency_secs() - 0.030).abs() < 1e-6);
-        assert!((s.error_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(s.latency_nanos_sum, 40_000_000);
+        assert_eq!(s.latency_nanos_max, 30_000_000);
     }
 
     #[test]
-    fn empty_snapshot_has_zero_rates() {
+    fn empty_snapshot_is_default() {
         let s = OpCounters::new().snapshot();
-        assert_eq!(s.mean_latency_secs(), 0.0);
-        assert_eq!(s.error_rate(), 0.0);
         assert_eq!(s, OpSnapshot::default());
     }
 

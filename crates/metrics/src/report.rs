@@ -39,11 +39,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table with aligned columns and a separator under the header.
     pub fn render(&self) -> String {
         let columns = self
@@ -146,7 +141,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("name"));
         assert!(lines[1].chars().all(|c| c == '-'));
-        assert_eq!(t.row_count(), 2);
     }
 
     #[test]

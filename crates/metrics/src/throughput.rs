@@ -72,15 +72,6 @@ impl Throughput {
             self.bytes as f64 / (1024.0 * 1024.0) / self.seconds
         }
     }
-
-    /// Combines two measurements (summing bytes and time), e.g. across benchmark
-    /// repetitions.
-    pub fn combine(&self, other: &Throughput) -> Throughput {
-        Throughput {
-            bytes: self.bytes + other.bytes,
-            seconds: self.seconds + other.seconds,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -99,21 +90,6 @@ mod tests {
             seconds: 0.0,
         };
         assert_eq!(zero.mb_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn combine_sums_both_fields() {
-        let a = Throughput {
-            bytes: 100,
-            seconds: 1.0,
-        };
-        let b = Throughput {
-            bytes: 300,
-            seconds: 3.0,
-        };
-        let c = a.combine(&b);
-        assert_eq!(c.bytes, 400);
-        assert!((c.seconds - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -334,10 +334,10 @@ impl ServiceConfig {
     }
 
     /// Applies the `[storage]` section (if present) to a [`SigmaConfig`],
-    /// returning the config the cluster should be built from.  `backend =
-    /// "file"` also turns durability on — a file-backed node without a
-    /// write-ahead journal could never recover its on-disk state — mirroring
-    /// [`SigmaConfig::builder`]'s `file_storage`.
+    /// returning the config the cluster should be built from.  A cluster
+    /// built with `backend = "file"` over a `dir` that already holds node
+    /// directories reopens their containers and index instead of starting
+    /// empty.
     ///
     /// # Errors
     ///
@@ -348,9 +348,6 @@ impl ServiceConfig {
             config.storage_backend = storage.backend;
             if let Some(dir) = &storage.dir {
                 config.storage_root = Some(dir.clone());
-            }
-            if storage.backend == BackendKind::File {
-                config.durability = true;
             }
             config.validate()?;
         }
@@ -567,18 +564,13 @@ enabled = true
         );
         let applied = c.apply_storage(SigmaConfig::default()).unwrap();
         assert_eq!(applied.storage_backend, sigma_storage::BackendKind::File);
-        assert!(applied.durability, "file backend must imply durability");
         assert!(applied.node_storage_dir(3).unwrap().ends_with("node-3"));
 
         // Absent section leaves the config untouched.
         let untouched = ServiceConfig::default()
             .apply_storage(SigmaConfig::default())
             .unwrap();
-        assert_eq!(
-            untouched.storage_backend,
-            sigma_storage::BackendKind::Memory
-        );
-        assert!(!untouched.durability);
+        assert_eq!(untouched, SigmaConfig::default());
     }
 
     #[test]

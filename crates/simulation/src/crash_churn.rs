@@ -90,17 +90,10 @@ impl FaultPlan {
     ///
     /// Points aimed at nodes that join later (the scenario's scale-out adds one)
     /// are skipped for now; call `arm` again after the membership change.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a targeted node exists but has no journal (the scenario
-    /// requires [`SigmaConfig::durability`]).
     pub fn arm(&self, cluster: &DedupCluster) {
         for point in &self.points {
             if let Some(node) = cluster.node_by_id(point.node) {
-                node.journal()
-                    .expect("fault injection requires durability")
-                    .arm_crash_at_seq(point.at_seq, point.mode);
+                node.journal().arm_crash_at_seq(point.at_seq, point.mode);
             }
         }
     }
@@ -121,7 +114,7 @@ pub struct CrashChurnConfig {
     pub seed: u64,
     /// Crash points to sample and run (one scenario execution per point).
     pub kill_points: usize,
-    /// Σ-Dedupe configuration; [`SigmaConfig::durability`] must be on.
+    /// Σ-Dedupe configuration.
     pub sigma: SigmaConfig,
 }
 
@@ -137,7 +130,6 @@ impl Default for CrashChurnConfig {
             sigma: SigmaConfig::builder()
                 .super_chunk_size(64 * 1024)
                 .container_capacity(128 * 1024)
-                .durability(true)
                 // Post-recovery restore-verify runs the planned pipeline in
                 // parallel, covering batched reads against recovered and
                 // reconciled containers.
@@ -162,7 +154,9 @@ impl CrashChurnConfig {
         config
     }
 
-    /// The default scenario on the real-file backend rooted at `root`.
+    /// The default scenario on the real-file backend rooted at `root`.  Each
+    /// execution of the sweep starts from an empty medium, so whatever is
+    /// under `root` when one starts is removed.
     pub fn with_file_storage(root: impl Into<std::path::PathBuf>) -> Self {
         let mut config = CrashChurnConfig::with_backend(BackendKind::File);
         config.sigma.storage_root = Some(root.into());
@@ -222,11 +216,9 @@ impl CrashChurnOutcome {
 ///
 /// # Panics
 ///
-/// Panics if the configuration disables durability, on zero node/stream counts,
-/// or if an injected crash cannot be recovered (which is exactly the regression
-/// this scenario exists to catch).
+/// Panics on zero node/stream counts, or if an injected crash cannot be
+/// recovered (which is exactly the regression this scenario exists to catch).
 pub fn run_crash_churn(config: &CrashChurnConfig) -> CrashChurnOutcome {
-    assert!(config.sigma.durability, "crash-churn requires durability");
     assert!(config.initial_nodes > 0, "need at least one node");
     assert!(config.streams > 0, "need at least one stream");
 
@@ -259,7 +251,7 @@ fn profile_appends(config: &CrashChurnConfig) -> Vec<(usize, u64)> {
     (0..=config.initial_nodes)
         .filter_map(|id| {
             let node = cluster.node_by_id(id)?;
-            let appends = node.journal().map(|j| j.next_seq())?;
+            let appends = node.journal().next_seq();
             (appends > 0).then_some((id, appends))
         })
         .collect()
@@ -314,6 +306,11 @@ fn drive_workload(
     HashMap<u64, Vec<u8>>,
     Vec<RecoveryReport>,
 ) {
+    // A node opens whatever its medium holds, so a file-backed execution
+    // clears the directories the previous one left under the root.
+    if let Some(root) = config.sigma.storage_root.as_ref().filter(|r| r.exists()) {
+        std::fs::remove_dir_all(root).expect("clear the storage root");
+    }
     let cluster = Arc::new(DedupCluster::with_similarity_router(
         config.initial_nodes,
         config.sigma.clone(),

@@ -91,7 +91,6 @@ fn storm_survives_a_mid_churn_crash() {
         sigma: SigmaConfig::builder()
             .super_chunk_size(16 * 1024)
             .container_capacity(256 * 1024)
-            .durability(true)
             .build()
             .unwrap(),
         ..tiny()

@@ -381,9 +381,11 @@ pub struct ContainerStore {
     /// The medium holding one object per sealed container — the only copy of
     /// its chunk bytes, on every backend.
     backend: Arc<dyn StorageBackend>,
-    /// Write-ahead journal, when the node is durable: container seals, adoptions
-    /// and their chunk-index finalizations are appended *before* they take effect
-    /// in memory, so a crash can lose at most the open (unacknowledged) tail.
+    /// Write-ahead journal: container seals, adoptions and their chunk-index
+    /// finalizations are appended *before* they take effect in memory, so a
+    /// crash can lose at most the open (unacknowledged) tail.  `None` while a
+    /// node replays its journal into the store, which must append nothing to
+    /// the log it reads; the node attaches the journal after replay.
     journal: Option<Arc<Journal>>,
     next_id: AtomicU64,
     /// Which open container each stream appends to.

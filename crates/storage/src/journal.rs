@@ -7,7 +7,7 @@
 //! names the container, its records, and the length and checksum of the data
 //! section, whose bytes live once, in the container's object.  A crash destroys
 //! the in-memory structures but never the medium, and
-//! [`DedupNode::recover`](../../sigma_core/struct.DedupNode.html#method.recover)
+//! [`DedupNode::open`](../../sigma_core/struct.DedupNode.html#method.open)
 //! replays the surviving frames back into a consistent node, then checks every
 //! replayed container against its object.
 //!
@@ -381,8 +381,8 @@ impl Journal {
     /// the first sync after that makes its name durable too (see
     /// [`StorageBackend::fsync`]).
     ///
-    /// Use [`open`](Self::open) instead to adopt an existing journal object —
-    /// this constructor is for brand-new nodes.
+    /// Use [`open`](Self::open) instead to adopt an existing journal object,
+    /// as every node does when it opens its medium.
     ///
     /// # Errors
     ///
@@ -401,11 +401,11 @@ impl Journal {
         })
     }
 
-    /// Opens the journal object already present on `backend` — the path a node
-    /// restart takes to adopt the log a previous process left behind.  An absent
+    /// Opens the journal object already present on `backend` — the path every
+    /// node takes to adopt the log a previous process left behind.  An absent
     /// object opens as an empty journal.  The log is adopted verbatim, torn tail
     /// and all; run [`recover_truncating`](Self::recover_truncating) (which
-    /// `DedupNode::recover` does) before appending.
+    /// `DedupNode::open` does) before appending.
     ///
     /// # Errors
     ///

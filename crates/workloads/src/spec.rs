@@ -194,13 +194,6 @@ impl DatasetTrace {
             self.logical_bytes() as f64 / unique as f64
         }
     }
-
-    /// Iterates over `(generation, file)` pairs in backup order.
-    pub fn iter_files(&self) -> impl Iterator<Item = (usize, &FileTrace)> + '_ {
-        self.generations
-            .iter()
-            .flat_map(|g| g.files.iter().map(move |f| (g.generation, f)))
-    }
 }
 
 #[cfg(test)]
@@ -270,7 +263,6 @@ mod tests {
         // Unique ids: 1..6 => 6 chunks.
         assert_eq!(trace.exact_unique_bytes(), 6 * 4096);
         assert!((trace.exact_dedup_ratio() - 10.0 / 6.0).abs() < 1e-9);
-        assert_eq!(trace.iter_files().count(), 4);
     }
 
     #[test]

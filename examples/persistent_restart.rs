@@ -1,6 +1,6 @@
 //! Real-file persistence: back a file tree up into a file-backed cluster,
-//! throw away every in-memory handle (simulating a process exit), re-open the
-//! nodes from nothing but their on-disk directories, and restore byte-exactly.
+//! throw away every in-memory handle (simulating a process exit), open the
+//! cluster again over the same directories, and restore byte-exactly.
 //!
 //! Run with:
 //!
@@ -8,9 +8,10 @@
 //! cargo run --release --example persistent_restart
 //! ```
 //!
-//! The storage directory defaults to a scratch path under the system temp dir;
-//! set `SIGMA_STORAGE_DIR` to persist somewhere durable and re-run to watch
-//! the second process pick the same state back up.
+//! The storage directory defaults to a scratch path under the system temp dir,
+//! removed at the end; set `SIGMA_STORAGE_DIR` to keep it there and re-run:
+//! the second run's cluster opens the first run's containers and index, so
+//! its backup of the same tree transfers nothing.
 
 use sigma_dedupe::prelude::*;
 use std::collections::HashMap;
@@ -31,21 +32,35 @@ fn config(root: &std::path::Path) -> SigmaConfig {
     SigmaConfig::builder()
         .super_chunk_size(64 * 1024)
         .container_capacity(256 * 1024)
-        .file_storage(root) // BackendKind::File + durability on
+        .file_storage(root)
         .build()
         .expect("valid example config")
+}
+
+/// Sealed containers across the cluster's nodes.
+fn containers(cluster: &DedupCluster) -> u64 {
+    cluster
+        .stats()
+        .nodes
+        .iter()
+        .map(|n| n.containers.sealed_containers)
+        .sum()
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let root = storage_root();
     let config = config(&root);
-    println!("storage root: {}", root.display());
 
     // ---- "process one": ingest and exit -------------------------------------
     // The recipes are the client-side catalog a real backup application keeps;
     // everything else lives only in the node directories after this block.
     let (recipes, originals): (Vec<Arc<FileRecipe>>, HashMap<u64, Vec<u8>>) = {
         let cluster = Arc::new(DedupCluster::with_similarity_router(NODES, config.clone()));
+        println!(
+            "opened {}: {} containers already on disk",
+            root.display(),
+            containers(&cluster)
+        );
         let client = BackupClient::new(cluster.clone(), 1);
         let shared = random_bytes(1 << 20, 77);
         let tree = vec![
@@ -66,31 +81,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             originals.insert(report.file_id, data);
         }
         cluster.try_flush()?;
+        println!("acknowledged: {} containers on disk", containers(&cluster));
         (cluster.director().recipes(), originals)
         // cluster, nodes, journals: all dropped here.
     };
 
-    // ---- "process two": recover from the directories ------------------------
-    let mut nodes: HashMap<usize, DedupNode> = HashMap::new();
-    for id in 0..NODES {
-        let (node, report) = DedupNode::recover_from_dir(id, &config)?;
+    // ---- "process two": open the same directories again ---------------------
+    let cluster = DedupCluster::with_similarity_router(NODES, config);
+    for node in cluster.nodes() {
+        let stats = node.stats();
         println!(
-            "node {} recovered: {} replayed, {} containers, {} objects verified",
-            id,
-            human_bytes(report.bytes_replayed),
-            report.containers_recovered,
-            report.backend_objects_verified
+            "node {} reopened: {} containers, {} stored",
+            stats.node_id,
+            stats.containers.sealed_containers,
+            human_bytes(stats.physical_bytes)
         );
         node.verify_consistency()
-            .map_err(|e| format!("node {} inconsistent after restart: {}", id, e))?;
-        nodes.insert(id, node);
+            .map_err(|e| format!("node {} inconsistent after restart: {}", stats.node_id, e))?;
     }
 
-    // Reassemble every file from its recipe against the recovered nodes.
+    // Reassemble every file from its recipe against the reopened nodes.
     for recipe in &recipes {
         let mut restored = Vec::with_capacity(recipe.size as usize);
         for entry in &recipe.chunks {
-            restored.extend_from_slice(&nodes[&entry.node].read_chunk(&entry.fingerprint)?);
+            restored.extend_from_slice(&cluster.read_chunk(entry.node, &entry.fingerprint)?);
         }
         assert_eq!(
             &restored, &originals[&recipe.file_id],
@@ -109,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     if std::env::var_os("SIGMA_STORAGE_DIR").is_none() {
-        drop(nodes);
+        drop(cluster);
         std::fs::remove_dir_all(&root)?;
         println!("removed scratch directory (set SIGMA_STORAGE_DIR to keep state)");
     }

@@ -19,7 +19,7 @@
 //!
 //! * `STORM_SCALE=ci` — the CI-sized reduction (24 tenants, 104 clients).
 //! * `STORM_CRASH=1` — crash one node at a journal boundary mid-churn and
-//!   supervise it back (switches the cluster to journaled durability).
+//!   supervise it back (on 16 KiB super-chunks and 256 KiB containers).
 //! * `SIGMA_FAULT_SEED=<n>` — perturbs payloads and the crash choice, the
 //!   same matrix axis the fault-injection CI jobs sweep.
 
@@ -44,7 +44,6 @@ fn main() {
         config.sigma = SigmaConfig::builder()
             .super_chunk_size(16 * 1024)
             .container_capacity(256 * 1024)
-            .durability(true)
             .build()
             .expect("storm crash config is valid");
     }

@@ -36,7 +36,6 @@ fn config_for(kind: BackendKind, root: Option<&std::path::Path>) -> SigmaConfig 
         .chunker(ChunkerParams::fixed(1024))
         .container_capacity(32 * 1024)
         .cache_containers(4)
-        .durability(true)
         .gc_liveness_threshold(1.0)
         .storage_backend(kind);
     if let Some(root) = root {
@@ -155,9 +154,7 @@ fn every_backend_writes_each_unique_byte_once() {
     let root = scratch_dir("single-write");
     let data = random_bytes(3 << 20, 0x51_0E);
     for kind in [BackendKind::Memory, BackendKind::File] {
-        let mut builder = SigmaConfig::builder()
-            .durability(true)
-            .storage_backend(kind);
+        let mut builder = SigmaConfig::builder().storage_backend(kind);
         if kind == BackendKind::File {
             builder = builder.storage_root(root.join(kind.as_str()));
         }
@@ -173,7 +170,7 @@ fn every_backend_writes_each_unique_byte_once() {
         let mut medium_bytes = 0u64;
         for id in cluster.node_ids() {
             let node = cluster.node_by_id(id).unwrap();
-            let backend = node.journal().expect("durable node").backend();
+            let backend = node.journal().backend();
             for obj in backend.list().unwrap() {
                 medium_bytes += backend.object_len(obj).unwrap().unwrap_or(0);
             }

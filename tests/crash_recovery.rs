@@ -30,7 +30,8 @@
 //!
 //! On failure, the medium under test is left in `target/fault-artifacts/<case>/`
 //! as a node directory (`node-0/journal.wal` + `container-<id>.sc`) that
-//! `DedupNode::recover_from_dir` re-opens (the CI `faults` job uploads them);
+//! `DedupNode::open` reopens on a `FileBackend` over it (the CI `faults` job
+//! uploads them);
 //! on success the artifacts are removed.
 //! `SIGMA_FAULT_SEED` perturbs the workload seeds so a CI seed matrix explores
 //! different workloads with the same deterministic harness.
@@ -57,7 +58,6 @@ fn durable_config() -> SigmaConfig {
         .chunker(ChunkerParams::fixed(512))
         .container_capacity(8 * 1024)
         .cache_containers(4)
-        .durability(true)
         .build()
         .expect("valid test config")
 }
@@ -223,20 +223,23 @@ impl StorageBackend for RecordingBackend {
     }
 }
 
-/// A fresh durable node whose journal and containers live on a
-/// [`RecordingBackend`]: recovering from an empty journal on it builds the
-/// node on that medium.
+/// A fresh node whose journal and containers live on a [`RecordingBackend`].
 fn recorded_node(config: &SigmaConfig) -> (DedupNode, Arc<RecordingBackend>) {
     let medium = Arc::new(RecordingBackend::default());
-    let journal = Journal::with_backend(medium.clone()).expect("in-memory journal");
-    let (node, _) = DedupNode::recover(0, config, Arc::new(journal)).expect("empty medium");
+    let (node, _) = DedupNode::open(0, config, medium.clone()).expect("empty medium");
     (node, medium)
 }
 
 /// Recovers node 0 from a crash image.
 fn recover_from(config: &SigmaConfig, medium: MemoryBackend) -> (DedupNode, RecoveryReport) {
-    let journal = Journal::open(Arc::new(medium)).expect("in-memory journal");
-    DedupNode::recover(0, config, Arc::new(journal)).expect("recoverable medium")
+    DedupNode::open(0, config, Arc::new(medium)).expect("recoverable medium")
+}
+
+/// Opens node 0 on its directory under `config`, as a new process would.
+fn open_dir(config: &SigmaConfig) -> Result<(DedupNode, RecoveryReport), SigmaError> {
+    let dir = config.node_storage_dir(0).expect("file backend has a dir");
+    let medium = FileBackend::open(dir).expect("node directory opens");
+    DedupNode::open(0, config, Arc::new(medium))
 }
 
 // ---- boundary sweep ----
@@ -257,7 +260,7 @@ fn run_acked_rounds(
     stream_count: u64,
 ) -> (DedupNode, Arc<RecordingBackend>, Vec<AckedRound>) {
     let (node, medium) = recorded_node(config);
-    let journal = node.journal().expect("durable node").clone();
+    let journal = node.journal().clone();
     let mut acked: Vec<AckedRound> = Vec::new();
     for (round_no, round) in rounds.iter().enumerate() {
         let mut super_chunks = Vec::new();
@@ -313,7 +316,7 @@ proptest! {
     ) {
         let config = durable_config();
         let (node, medium, acked) = run_acked_rounds(&config, &rounds, stream_count);
-        let journal = node.journal().expect("durable node").clone();
+        let journal = node.journal().clone();
         for round in &acked {
             prop_assert_eq!(
                 medium.last_sync_before(round.ack_offset),
@@ -374,7 +377,7 @@ proptest! {
     ) {
         let config = durable_config();
         let (node, medium, acked) = run_acked_rounds(&config, &rounds, stream_count);
-        let journal = node.journal().expect("durable node").clone();
+        let journal = node.journal().clone();
         let bytes = journal.bytes();
         let appended = medium.appended.lock().unwrap().clone();
         let mut hints_lost = 0;
@@ -433,12 +436,11 @@ proptest! {
             .chunker(ChunkerParams::fixed(512))
             .container_capacity(8 * 1024)
             .cache_containers(4)
-            .durability(true)
             .gc_liveness_threshold(threshold)
             .build()
             .expect("valid test config");
         let (node, medium) = recorded_node(&config);
-        let journal = node.journal().expect("durable node").clone();
+        let journal = node.journal().clone();
 
         // Acknowledged ingest: every round flushed.
         let mut all: Vec<SuperChunk> = Vec::new();
@@ -538,7 +540,7 @@ proptest! {
             node.process_super_chunk(0, &sc.view(), &sc.handprint(2)).unwrap();
         }
         node.try_flush().unwrap();
-        let journal = node.journal().unwrap();
+        let journal = node.journal();
         let bytes = journal.bytes();
         let boundaries = journal.frame_boundaries();
 
@@ -612,8 +614,8 @@ proptest! {
     /// The boundary sweep of `recovery_at_every_boundary_restores_acked_data`,
     /// re-run against the real-file backend: the node directory's actual
     /// `journal.wal` is truncated at every frame boundary (plus one cut strictly
-    /// inside a frame), the node is re-opened from the directory with
-    /// [`DedupNode::recover_from_dir`], and the recovered state must match a
+    /// inside a frame), the node is reopened on the directory with
+    /// [`DedupNode::open`], and the recovered state must match a
     /// volatile recovery from an in-memory copy of the same directory
     /// bit-for-bit — acked chunks byte-identical, same physical bytes, same
     /// report counters.
@@ -632,7 +634,7 @@ proptest! {
         let mut acked: Vec<AckedRound> = Vec::new();
         {
             let node = DedupNode::new(0, &config);
-            let journal = node.journal().expect("durable node").clone();
+            let journal = node.journal().clone();
             for (round_no, round) in rounds.iter().enumerate() {
                 let mut super_chunks = Vec::new();
                 for (sc_no, &chunk_len) in round.iter().enumerate() {
@@ -687,7 +689,7 @@ proptest! {
             let image = MemoryBackend::copy_of(&FileBackend::open(&crash_dir).unwrap()).unwrap();
 
             let (from_disk, disk_report) =
-                DedupNode::recover_from_dir(0, &crash_config).expect("directory is recoverable");
+                open_dir(&crash_config).expect("directory is recoverable");
             let (volatile, volatile_report) = recover_from(&durable_config(), image);
 
             // Equivalence: the medium must be invisible to recovery.
@@ -762,7 +764,7 @@ proptest! {
         let how = [Damage::Removed, Damage::Truncated, Damage::BitFlipped][how];
         let config = durable_config();
         let (node, medium) = recorded_node(&config);
-        let journal = node.journal().expect("durable node").clone();
+        let journal = node.journal().clone();
         let mut acked: Vec<SuperChunk> = Vec::new();
         let mut ack_offsets = Vec::new();
         for (round_no, round) in rounds.iter().enumerate() {
@@ -860,7 +862,7 @@ fn unreadable_journal_frame_is_refused_not_truncated() {
         node.process_super_chunk(0, &sc.view(), &sc.handprint(2))
             .unwrap();
         node.try_flush().unwrap();
-        let journal = node.journal().unwrap();
+        let journal = node.journal();
         journal
             .backend()
             .append(
@@ -882,7 +884,7 @@ fn unreadable_journal_frame_is_refused_not_truncated() {
     }
     let dir = config.node_storage_dir(0).unwrap();
     let before = snapshot_dir(&dir);
-    match DedupNode::recover_from_dir(0, &config) {
+    match open_dir(&config) {
         Err(SigmaError::Storage(StorageError::UnreadableRecord { .. })) => {}
         Err(e) => panic!("wrong error: {e}"),
         Ok(_) => panic!("an unreadable frame must refuse recovery"),
@@ -991,7 +993,7 @@ fn an_object_of_another_format_version_is_refused_not_discarded() {
     let dir = config.node_storage_dir(0).unwrap();
     let before = snapshot_dir(&dir);
     assert_eq!(before.len(), 2, "one object beside the journal");
-    match DedupNode::recover_from_dir(0, &config) {
+    match open_dir(&config) {
         Err(SigmaError::Storage(StorageError::UnreadableObject {
             container,
             version: 2,
@@ -1006,7 +1008,7 @@ fn an_object_of_another_format_version_is_refused_not_discarded() {
     let root = scratch_dir("own-version");
     let config = durable_file_config(&root);
     hand_built_directory(&config, 3, None);
-    let (_, report) = DedupNode::recover_from_dir(0, &config).unwrap();
+    let (_, report) = open_dir(&config).unwrap();
     assert_eq!(report.backend_objects_verified, 1);
     assert_eq!(report.containers_discarded, 0);
     assert_eq!(report.orphan_objects_swept, 0);
@@ -1024,7 +1026,7 @@ fn a_log_with_retired_finalize_frames_still_replays() {
     let root = scratch_dir("retired-finalize");
     let config = durable_file_config(&root);
     hand_built_directory(&config, 3, Some(0));
-    let (node, report) = DedupNode::recover_from_dir(0, &config).unwrap();
+    let (node, report) = open_dir(&config).unwrap();
     assert_eq!(report.frames_replayed, 2, "the seal and the skipped frame");
     assert_eq!(report.containers_recovered, 1);
     assert_eq!(report.containers_discarded, 0);
@@ -1032,7 +1034,7 @@ fn a_log_with_retired_finalize_frames_still_replays() {
         assert_eq!(node.read_chunk(&Sha1::fingerprint(&chunk)).unwrap(), chunk);
     }
     node.verify_consistency().unwrap();
-    let journal = node.journal().unwrap();
+    let journal = node.journal();
     assert_eq!(
         journal
             .append(&JournalRecord::RecipeDelete { file_id: 1 })
@@ -1046,7 +1048,7 @@ fn a_log_with_retired_finalize_frames_still_replays() {
     hand_built_directory(&config, 3, Some(10));
     let dir = config.node_storage_dir(0).unwrap();
     let before = snapshot_dir(&dir);
-    match DedupNode::recover_from_dir(0, &config) {
+    match open_dir(&config) {
         Err(SigmaError::Storage(StorageError::UnreadableRecord { seq: 1, .. })) => {}
         Err(e) => panic!("wrong error: {e}"),
         Ok(_) => panic!("a cut tag-2 payload must refuse recovery"),
@@ -1068,8 +1070,7 @@ fn check_recovered_index(
     medium: MemoryBackend,
     fingerprints: &[Fingerprint],
 ) {
-    let journal = Journal::open(Arc::new(medium)).expect("in-memory journal");
-    let (recovered, _) = DedupNode::recover(live.id(), config, Arc::new(journal))
+    let (recovered, _) = DedupNode::open(live.id(), config, Arc::new(medium))
         .expect("a compacted or raw medium recovers");
     recovered.verify_consistency().unwrap();
     for fp in fingerprints {
@@ -1129,7 +1130,6 @@ proptest! {
             .cache_containers(4)
             .chunk_index_fallback(fallback)
             .gc_liveness_threshold(threshold)
-            .durability(true)
             .build()
             .expect("valid test config");
         let cluster = Arc::new(DedupCluster::with_similarity_router(4, config.clone()));
@@ -1179,7 +1179,7 @@ proptest! {
         ids.push(removed);
         for &id in &ids {
             let node = cluster.node_by_id(id).expect("a member");
-            let backend = node.journal().expect("durable node").backend();
+            let backend = node.journal().backend();
             let raw = MemoryBackend::copy_of(backend.as_ref()).expect("in-memory medium");
             node.compact_journal().unwrap();
             let compacted = MemoryBackend::copy_of(backend.as_ref()).expect("in-memory medium");
@@ -1244,13 +1244,13 @@ proptest! {
         let baseline = {
             let (cluster, files) = acked_cluster(case);
             let before: Vec<u64> = (0..3)
-                .map(|id| cluster.node_by_id(id).unwrap().journal().unwrap().next_seq())
+                .map(|id| cluster.node_by_id(id).unwrap().journal().next_seq())
                 .collect();
             cluster.remove_node(0).expect("no fault armed");
             assert_all_restore(&cluster, &files);
             let spans: Vec<(u64, u64)> = (0..3)
                 .map(|id| {
-                    let after = cluster.node_by_id(id).unwrap().journal().unwrap().next_seq();
+                    let after = cluster.node_by_id(id).unwrap().journal().next_seq();
                     (before[id], after)
                 })
                 .collect();
@@ -1264,7 +1264,7 @@ proptest! {
                 let mode = if (seq + case) % 2 == 0 { CrashMode::Torn } else { CrashMode::Clean };
                 let (cluster, files) = acked_cluster(case);
                 let node = cluster.node_by_id(victim).unwrap();
-                let journal = node.journal().unwrap().clone();
+                let journal = node.journal().clone();
                 save_artifact("mid-rebalance", journal.backend().as_ref());
                 journal.arm_crash_at_seq(seq, mode);
 
@@ -1374,7 +1374,6 @@ fn tenant_acked_cluster(case: u64) -> (Arc<DedupCluster>, Arc<BackupService>, Ve
         .chunker(ChunkerParams::fixed(512))
         .container_capacity(8 * 1024)
         .cache_containers(4)
-        .durability(true)
         // Maximal reclaim: any container with a dead byte is compacted, so
         // the expiry window is guaranteed to append GC records to sweep over.
         .gc_liveness_threshold(1.0)
@@ -1494,7 +1493,7 @@ proptest! {
         let (physical_expected, spans) = {
             let (cluster, service, files) = tenant_acked_cluster(case);
             let before: Vec<u64> = (0..3)
-                .map(|id| cluster.node_by_id(id).unwrap().journal().unwrap().next_seq())
+                .map(|id| cluster.node_by_id(id).unwrap().journal().next_seq())
                 .collect();
             let mut request_id = 1000u64;
             service
@@ -1510,7 +1509,7 @@ proptest! {
             assert_tenant_state(&cluster, &service, &files, &mut request_id);
             let spans: Vec<(u64, u64)> = (0..3)
                 .map(|id| {
-                    let after = cluster.node_by_id(id).unwrap().journal().unwrap().next_seq();
+                    let after = cluster.node_by_id(id).unwrap().journal().next_seq();
                     (before[id], after)
                 })
                 .collect();
@@ -1525,7 +1524,7 @@ proptest! {
             for seq in start..end {
                 let mode = if (seq + case) % 2 == 0 { CrashMode::Torn } else { CrashMode::Clean };
                 let (cluster, service, files) = tenant_acked_cluster(case);
-                let journal = cluster.node_by_id(victim).unwrap().journal().unwrap().clone();
+                let journal = cluster.node_by_id(victim).unwrap().journal().clone();
                 save_artifact("tenant-expiry", journal.backend().as_ref());
                 journal.arm_crash_at_seq(seq, mode);
 

@@ -8,15 +8,16 @@
 //!    logging into a two-node cluster;
 //! 3. every in-memory handle — stack, cluster, nodes, journals — is dropped;
 //!    only the node directories (`journal.wal` + `container-*.sc`) remain;
-//! 4. each node is re-opened from its directory with
-//!    [`DedupNode::recover_from_dir`] and every file is reassembled from its
-//!    recipe (the client-side catalog a real backup application keeps) and
-//!    compared byte-for-byte;
-//! 5. a second scenario tears the journal tail mid-frame before the re-open,
+//! 4. each node is reopened on its directory with [`DedupNode::open`] and
+//!    every file is reassembled from its recipe (the client-side catalog a
+//!    real backup application keeps) and compared byte-for-byte;
+//! 5. a second scenario tears the journal tail mid-frame before the reopen,
 //!    proving the torn suffix is discarded and the prior ack point restored;
 //! 6. a third restarts nodes in place with `DedupCluster::restart_node`,
-//!    which re-opens a file-backed node from its directory and recovers any
-//!    other from its surviving journal handle.
+//!    which reopens a file-backed node's directory and a memory node's
+//!    surviving backend;
+//! 7. a cluster built twice over one storage root serves the first one's
+//!    acknowledged chunks, and an empty medium opens as a fresh node.
 
 use sigma_dedupe::prelude::*;
 use std::collections::HashMap;
@@ -69,6 +70,32 @@ fn file_sigma_config(root: &std::path::Path) -> SigmaConfig {
         .file_storage(root)
         .build()
         .expect("valid test config")
+}
+
+/// Opens node `id` on its directory under `config`, as a new process would.
+fn open_dir(id: usize, config: &SigmaConfig) -> (DedupNode, RecoveryReport) {
+    let dir = config.node_storage_dir(id).expect("file backend has a dir");
+    let medium = FileBackend::open(dir).expect("node directory opens");
+    DedupNode::open(id, config, Arc::new(medium)).expect("directory is recoverable")
+}
+
+/// Every file under `root` with its bytes, sorted by path.
+fn snapshot_tree(root: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("readable dir") {
+            let path = entry.expect("entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                let bytes = std::fs::read(&path).expect("readable file");
+                files.push((path, bytes));
+            }
+        }
+    }
+    files.sort();
+    files
 }
 
 /// Reassembles one file from its recipe against recovered nodes — what a
@@ -146,8 +173,7 @@ fn full_stack_ingest_survives_process_restart() {
     // Phase 2: re-open both nodes from nothing but their directories.
     let mut nodes: HashMap<usize, DedupNode> = HashMap::new();
     for id in 0..2 {
-        let (node, report) =
-            DedupNode::recover_from_dir(id, &sigma).expect("directory is recoverable");
+        let (node, report) = open_dir(id, &sigma);
         assert!(report.bytes_replayed > 0, "node {} replayed nothing", id);
         assert_eq!(report.bytes_discarded, 0, "clean shutdown leaves no tail");
         assert!(
@@ -203,12 +229,7 @@ fn torn_journal_tail_recovers_to_the_last_ack_point() {
         };
         let first = wave(0);
         cluster.try_flush().expect("no faults armed");
-        let first_ack = cluster
-            .node_by_id(0)
-            .unwrap()
-            .journal()
-            .expect("durable node")
-            .len_bytes();
+        let first_ack = cluster.node_by_id(0).unwrap().journal().len_bytes();
         let second = wave(1);
         cluster.try_flush().expect("no faults armed");
         let first_recipes: Vec<Arc<FileRecipe>> = first
@@ -239,7 +260,7 @@ fn torn_journal_tail_recovers_to_the_last_ack_point() {
     let torn = first_ack + (bytes.len() - first_ack) / 2;
     std::fs::write(&journal_path, &bytes[..torn]).expect("tear the tail");
 
-    let (node, report) = DedupNode::recover_from_dir(0, &sigma).expect("recoverable");
+    let (node, report) = open_dir(0, &sigma);
     assert!(
         report.bytes_discarded > 0,
         "the torn suffix must be discarded, not replayed"
@@ -286,7 +307,7 @@ fn restart_node_picks_the_medium_by_backend() {
         cluster.try_flush().expect("no faults armed");
         let medium = |id: usize| {
             let node = cluster.node_by_id(id).expect("a member");
-            node.journal().expect("durable node").backend()
+            node.journal().backend()
         };
         for id in cluster.node_ids() {
             let before = medium(id);
@@ -312,10 +333,6 @@ fn a_new_file_backed_node_writes_no_journal_object() {
     let root = scratch_dir("fresh-node");
     let config = file_sigma_config(&root);
     let dir = config.node_storage_dir(0).expect("file backend");
-    // What a previous incarnation left behind.
-    std::fs::create_dir_all(&dir).expect("node dir is creatable");
-    std::fs::write(dir.join("journal.wal"), b"an old log").expect("writable");
-    std::fs::write(dir.join("container-3.sc"), b"an old container").expect("writable");
     let listing = || -> Vec<String> {
         let mut names: Vec<String> = std::fs::read_dir(&dir)
             .expect("node dir is readable")
@@ -331,7 +348,7 @@ fn a_new_file_backed_node_writes_no_journal_object() {
         names
     };
 
-    // The node empties its directory and starts its journal there without
+    // The node opens its empty directory and starts its journal there without
     // writing it: a `write_object(Journal, ..)` would leave an empty
     // `journal.wal` behind (after a `journal.wal.tmp`, its fsync and a rename).
     let node = DedupNode::new(0, &config);
@@ -347,7 +364,7 @@ fn a_new_file_backed_node_writes_no_journal_object() {
     node.try_flush().expect("no faults armed");
     assert!(listing().contains(&"journal.wal".to_string()));
     drop(node);
-    let (node, report) = DedupNode::recover_from_dir(0, &config).expect("restarts");
+    let (node, report) = open_dir(0, &config);
     assert_eq!(report.bytes_discarded, 0);
     for (descriptor, chunk) in sc.descriptors().iter().zip(&chunks) {
         assert_eq!(
@@ -355,6 +372,81 @@ fn a_new_file_backed_node_writes_no_journal_object() {
             chunk
         );
     }
+    drop(node);
+    std::fs::remove_dir_all(&root).expect("clean up scenario directory");
+}
+
+#[test]
+fn a_cluster_built_again_over_its_storage_root_serves_the_acked_chunks() {
+    let root = scratch_dir("reopen-root");
+    let config = file_sigma_config(&root);
+    let (recipes, expected) = {
+        let cluster = Arc::new(DedupCluster::with_similarity_router(2, config.clone()));
+        let client = BackupClient::new(cluster.clone(), 0);
+        let expected: HashMap<u64, Vec<u8>> = (0..4u64)
+            .map(|i| {
+                let data = random_bytes(40 * 1024, (0x2E0F + i) ^ env_seed());
+                let report = client
+                    .backup_bytes(&format!("f{i}"), &data)
+                    .expect("backup cannot fail");
+                (report.file_id, data)
+            })
+            .collect();
+        cluster.try_flush().expect("no faults armed");
+        (cluster.director().recipes(), expected)
+    };
+    let before = snapshot_tree(&root);
+    assert!(
+        before.len() > 2,
+        "both nodes wrote a journal and containers"
+    );
+
+    // The same constructor over the same root: every node reopens its
+    // directory, sweeping, truncating and discarding nothing.
+    let cluster = DedupCluster::with_similarity_router(2, config);
+    assert_eq!(
+        snapshot_tree(&root),
+        before,
+        "opening left the medium as it was"
+    );
+    for recipe in &recipes {
+        let mut data = Vec::with_capacity(recipe.size as usize);
+        for entry in &recipe.chunks {
+            let chunk = cluster
+                .read_chunk(entry.node, &entry.fingerprint)
+                .unwrap_or_else(|e| panic!("chunk of file {} lost: {}", recipe.file_id, e));
+            data.extend_from_slice(&chunk);
+        }
+        assert_eq!(
+            &data, &expected[&recipe.file_id],
+            "file {} corrupted across the reopen",
+            recipe.file_id
+        );
+    }
+    drop(cluster);
+    std::fs::remove_dir_all(&root).expect("clean up scenario directory");
+}
+
+#[test]
+fn an_empty_medium_opens_as_a_fresh_node() {
+    let root = scratch_dir("empty-medium");
+    let config = file_sigma_config(&root);
+    let volatile = SigmaConfig {
+        storage_backend: BackendKind::Memory,
+        storage_root: None,
+        ..config.clone()
+    };
+    let fresh = RecoveryReport {
+        node_id: 3,
+        ..RecoveryReport::default()
+    };
+    let (_, report) = DedupNode::open(3, &volatile, Arc::new(MemoryBackend::new()))
+        .expect("an empty memory medium opens");
+    assert_eq!(report, fresh);
+    let (node, report) = open_dir(3, &config);
+    assert_eq!(report, fresh);
+    assert_eq!(node.storage_usage(), 0);
+    assert_eq!(node.journal().len_bytes(), 0);
     drop(node);
     std::fs::remove_dir_all(&root).expect("clean up scenario directory");
 }

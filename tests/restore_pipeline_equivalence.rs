@@ -47,11 +47,8 @@ fn config_for(kind: BackendKind, root: Option<&std::path::Path>) -> SigmaConfig 
         .cache_containers(4)
         .gc_liveness_threshold(1.0)
         .storage_backend(kind);
-    if kind == BackendKind::File {
-        builder = builder.durability(true);
-        if let Some(root) = root {
-            builder = builder.storage_root(root);
-        }
+    if let Some(root) = root {
+        builder = builder.storage_root(root);
     }
     builder.build().expect("valid test config")
 }

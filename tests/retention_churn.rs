@@ -110,7 +110,6 @@ fn durable_config() -> SigmaConfig {
         .chunker(ChunkerParams::fixed(512))
         .container_capacity(8 * 1024)
         .cache_containers(4)
-        .durability(true)
         // Maximal reclaim: every container with a dead byte is compacted, so
         // the crash sweep exercises GcCompact *and* GcDrop records on every run.
         .gc_liveness_threshold(1.0)
@@ -198,7 +197,7 @@ proptest! {
         let (physical_expected, spans) = {
             let (cluster, expected) = generational_cluster(case);
             let before: Vec<u64> = (0..3)
-                .map(|id| cluster.node_by_id(id).unwrap().journal().unwrap().next_seq())
+                .map(|id| cluster.node_by_id(id).unwrap().journal().next_seq())
                 .collect();
             cluster.delete_generation(0).expect("generation exists");
             let report = cluster.collect_garbage().expect("no fault armed");
@@ -206,7 +205,7 @@ proptest! {
             assert_lifecycle_state(&cluster, &expected);
             let spans: Vec<(u64, u64)> = (0..3)
                 .map(|id| {
-                    let after = cluster.node_by_id(id).unwrap().journal().unwrap().next_seq();
+                    let after = cluster.node_by_id(id).unwrap().journal().next_seq();
                     (before[id], after)
                 })
                 .collect();
@@ -217,7 +216,7 @@ proptest! {
             for seq in start..end {
                 let mode = if (seq + case) % 2 == 0 { CrashMode::Torn } else { CrashMode::Clean };
                 let (cluster, expected) = generational_cluster(case);
-                let journal = cluster.node_by_id(victim).unwrap().journal().unwrap().clone();
+                let journal = cluster.node_by_id(victim).unwrap().journal().clone();
                 journal.arm_crash_at_seq(seq, mode);
 
                 // The deletion itself is director state and always succeeds;
