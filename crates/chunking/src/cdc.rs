@@ -121,14 +121,6 @@ impl Chunker for CdcChunker {
         boundaries
     }
 
-    fn first_boundary(&self, data: &[u8]) -> Option<usize> {
-        if data.is_empty() {
-            None
-        } else {
-            Some(self.next_cut(data))
-        }
-    }
-
     fn average_chunk_size(&self) -> usize {
         self.avg_size
     }
@@ -276,17 +268,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn first_boundary_matches_full_scan() {
-        let data = random_data(100_000, 19);
-        let c = CdcChunker::with_average_4k();
-        assert_eq!(
-            c.first_boundary(&data),
-            c.chunk_boundaries(&data).first().copied()
-        );
-        assert_eq!(c.first_boundary(&[]), None);
     }
 
     proptest! {

@@ -2,27 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// The position of a chunk within its source stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct ChunkSpan {
-    /// Byte offset of the chunk start within the stream.
-    pub offset: u64,
-    /// Chunk length in bytes.
-    pub len: u32,
-}
-
-impl ChunkSpan {
-    /// Creates a new span.
-    pub fn new(offset: u64, len: u32) -> Self {
-        ChunkSpan { offset, len }
-    }
-
-    /// Offset one past the last byte of the chunk.
-    pub fn end(&self) -> u64 {
-        self.offset + self.len as u64
-    }
-}
-
 /// An owned data chunk produced by a [`Chunker`](crate::Chunker).
 ///
 /// # Example
@@ -37,7 +16,7 @@ impl ChunkSpan {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Chunk {
-    span: ChunkSpan,
+    offset: u64,
     data: Vec<u8>,
 }
 
@@ -53,20 +32,12 @@ impl Chunk {
             data.len() <= u32::MAX as usize,
             "chunk larger than u32::MAX bytes"
         );
-        Chunk {
-            span: ChunkSpan::new(offset, data.len() as u32),
-            data,
-        }
-    }
-
-    /// The chunk's position within its stream.
-    pub fn span(&self) -> ChunkSpan {
-        self.span
+        Chunk { offset, data }
     }
 
     /// Byte offset of the chunk within its stream.
     pub fn offset(&self) -> u64 {
-        self.span.offset
+        self.offset
     }
 
     /// Chunk payload.
@@ -101,17 +72,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn span_end() {
-        let s = ChunkSpan::new(100, 28);
-        assert_eq!(s.end(), 128);
-    }
-
-    #[test]
     fn chunk_accessors() {
         let c = Chunk::new(10, b"abcdef".to_vec());
         assert_eq!(c.offset(), 10);
         assert_eq!(c.len(), 6);
-        assert_eq!(c.span().end(), 16);
         assert_eq!(c.data(), b"abcdef");
         assert_eq!(c.clone().into_data(), b"abcdef".to_vec());
     }

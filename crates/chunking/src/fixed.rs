@@ -62,14 +62,6 @@ impl Chunker for StaticChunker {
         boundaries
     }
 
-    fn first_boundary(&self, data: &[u8]) -> Option<usize> {
-        if data.is_empty() {
-            None
-        } else {
-            Some(self.chunk_size.min(data.len()))
-        }
-    }
-
     fn average_chunk_size(&self) -> usize {
         self.chunk_size
     }

@@ -13,8 +13,7 @@
 //!   Two-Threshold Two-Divisor (TTTD) variant for the resemblance study of
 //!   Section 2.2 and Rabin-based CDC for the throughput study of Figure 4(a).
 //!
-//! This crate implements all three chunkers behind one [`Chunker`] trait, plus a
-//! buffering [`stream::ChunkStream`] adapter for `std::io::Read` sources.
+//! This crate implements all three chunkers behind one [`Chunker`] trait.
 //!
 //! # Example
 //!
@@ -34,16 +33,13 @@
 mod cdc;
 mod chunk;
 mod fixed;
-mod gear_cdc;
 mod params;
 pub mod reference;
-pub mod stream;
 mod tttd;
 
 pub use cdc::CdcChunker;
-pub use chunk::{Chunk, ChunkSpan};
+pub use chunk::Chunk;
 pub use fixed::StaticChunker;
-pub use gear_cdc::GearCdcChunker;
 pub use params::{ChunkerParams, ChunkingMethod};
 pub use tttd::{TttdChunker, TttdParams};
 
@@ -63,18 +59,6 @@ pub trait Chunker: Send + Sync {
 
     /// A short human-readable name for reports (e.g. `"sc-4096"`).
     fn name(&self) -> String;
-
-    /// Returns the end offset of just the *first* chunk of `data`, or `None`
-    /// for empty input.
-    ///
-    /// Semantically equivalent to `chunk_boundaries(data).first().copied()`
-    /// (the provided default), but every chunker in this crate scans left to
-    /// right and overrides this to stop at the first cut — the
-    /// [`stream::ChunkStream`] hot path calls it once per emitted chunk, and
-    /// rescanning the whole buffer per chunk would be quadratic.
-    fn first_boundary(&self, data: &[u8]) -> Option<usize> {
-        self.chunk_boundaries(data).first().copied()
-    }
 
     /// Splits `data` into owned [`Chunk`]s (convenience wrapper over
     /// [`chunk_boundaries`](Chunker::chunk_boundaries)).

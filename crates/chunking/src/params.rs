@@ -1,6 +1,6 @@
 //! Runtime-selectable chunker configuration.
 
-use crate::{CdcChunker, Chunker, GearCdcChunker, StaticChunker, TttdChunker, TttdParams};
+use crate::{CdcChunker, Chunker, StaticChunker, TttdChunker, TttdParams};
 use serde::{Deserialize, Serialize};
 
 /// The chunking family to use.
@@ -10,8 +10,6 @@ pub enum ChunkingMethod {
     Static,
     /// Basic content-defined chunking with a Rabin rolling hash.
     Cdc,
-    /// Content-defined chunking with the cheaper gear rolling hash.
-    GearCdc,
     /// Two-Threshold Two-Divisor content-defined chunking.
     Tttd,
 }
@@ -21,7 +19,6 @@ impl std::fmt::Display for ChunkingMethod {
         let s = match self {
             ChunkingMethod::Static => "SC",
             ChunkingMethod::Cdc => "CDC",
-            ChunkingMethod::GearCdc => "GearCDC",
             ChunkingMethod::Tttd => "TTTD",
         };
         f.write_str(s)
@@ -59,15 +56,6 @@ pub enum ChunkerParams {
         /// Maximum chunk size in bytes.
         max_size: usize,
     },
-    /// Gear-hash CDC with minimum / average / maximum chunk sizes.
-    GearCdc {
-        /// Minimum chunk size in bytes.
-        min_size: usize,
-        /// Target average chunk size in bytes.
-        avg_size: usize,
-        /// Maximum chunk size in bytes.
-        max_size: usize,
-    },
     /// TTTD chunking.
     Tttd(TttdParams),
 }
@@ -97,25 +85,6 @@ impl ChunkerParams {
         }
     }
 
-    /// Gear-hash CDC chunking.
-    pub fn gear_cdc(min_size: usize, avg_size: usize, max_size: usize) -> Self {
-        ChunkerParams::GearCdc {
-            min_size,
-            avg_size,
-            max_size,
-        }
-    }
-
-    /// Gear CDC with an average chunk size of `avg` and conventional min/max of
-    /// `avg / 4` and `avg * 4`.
-    pub fn gear_with_average(avg: usize) -> Self {
-        ChunkerParams::GearCdc {
-            min_size: (avg / 4).max(1),
-            avg_size: avg,
-            max_size: avg * 4,
-        }
-    }
-
     /// TTTD chunking with the paper's default thresholds (1K/2K/4K/32K).
     pub fn tttd_default() -> Self {
         ChunkerParams::Tttd(TttdParams::default())
@@ -131,7 +100,6 @@ impl ChunkerParams {
         match self {
             ChunkerParams::Fixed { .. } => ChunkingMethod::Static,
             ChunkerParams::Cdc { .. } => ChunkingMethod::Cdc,
-            ChunkerParams::GearCdc { .. } => ChunkingMethod::GearCdc,
             ChunkerParams::Tttd(_) => ChunkingMethod::Tttd,
         }
     }
@@ -141,8 +109,17 @@ impl ChunkerParams {
         match self {
             ChunkerParams::Fixed { chunk_size } => *chunk_size,
             ChunkerParams::Cdc { avg_size, .. } => *avg_size,
-            ChunkerParams::GearCdc { avg_size, .. } => *avg_size,
             ChunkerParams::Tttd(p) => p.major_mean,
+        }
+    }
+
+    /// The largest chunk the configured chunker can emit: the chunk size for
+    /// static chunking, `max_size` for CDC and TTTD.
+    pub fn max_chunk_size(&self) -> usize {
+        match self {
+            ChunkerParams::Fixed { chunk_size } => *chunk_size,
+            ChunkerParams::Cdc { max_size, .. } => *max_size,
+            ChunkerParams::Tttd(p) => p.max_size,
         }
     }
 
@@ -160,11 +137,6 @@ impl ChunkerParams {
                 avg_size,
                 max_size,
             } => Box::new(CdcChunker::new(min_size, avg_size, max_size)),
-            ChunkerParams::GearCdc {
-                min_size,
-                avg_size,
-                max_size,
-            } => Box::new(GearCdcChunker::new(min_size, avg_size, max_size)),
             ChunkerParams::Tttd(p) => Box::new(TttdChunker::new(p)),
         }
     }
@@ -189,11 +161,6 @@ impl ChunkerParams {
                 }
             }
             ChunkerParams::Cdc {
-                min_size,
-                avg_size,
-                max_size,
-            }
-            | ChunkerParams::GearCdc {
                 min_size,
                 avg_size,
                 max_size,
@@ -314,20 +281,7 @@ mod tests {
     fn method_display() {
         assert_eq!(ChunkingMethod::Static.to_string(), "SC");
         assert_eq!(ChunkingMethod::Cdc.to_string(), "CDC");
-        assert_eq!(ChunkingMethod::GearCdc.to_string(), "GearCDC");
         assert_eq!(ChunkingMethod::Tttd.to_string(), "TTTD");
-    }
-
-    #[test]
-    fn gear_cdc_params_build_and_validate() {
-        let p = ChunkerParams::gear_with_average(4096);
-        assert_eq!(p.method(), ChunkingMethod::GearCdc);
-        assert_eq!(p.average_chunk_size(), 4096);
-        assert!(p.validate().is_ok());
-        assert_eq!(p.build().name(), "gear-4096");
-        assert!(ChunkerParams::gear_cdc(0, 10, 20).validate().is_err());
-        assert!(ChunkerParams::gear_cdc(30, 10, 20).validate().is_err());
-        assert!(ChunkerParams::gear_cdc(5, 10, 5).validate().is_err());
     }
 
     #[test]

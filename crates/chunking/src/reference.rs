@@ -2,8 +2,8 @@
 //!
 //! These are the original byte-at-a-time implementations of the content-defined
 //! chunkers, kept verbatim after the hot paths were rewritten around
-//! [`RabinHasher::scan`] / [`GearHasher::find_boundary`] (skip-ahead below
-//! `min_size`, mask tests instead of modulo, no per-call template clone).  They
+//! [`RabinHasher::scan`] (skip-ahead below `min_size`, mask tests instead of
+//! modulo, no per-call template clone).  They
 //! are **equivalence oracles**: the `reference_equivalence` proptest suite
 //! asserts that every optimized chunker produces bit-identical boundary
 //! decisions to its scalar reference across all [`ChunkerParams`] presets.
@@ -12,7 +12,7 @@
 //! should never construct one.
 
 use crate::{Chunker, ChunkerParams, StaticChunker, TttdParams};
-use sigma_hashkit::{GearHasher, RabinHasher, RabinParams, RollingHash};
+use sigma_hashkit::{RabinHasher, RabinParams};
 
 /// Builds the scalar reference counterpart of a [`ChunkerParams`] preset.
 ///
@@ -26,11 +26,6 @@ pub fn build(params: &ChunkerParams) -> Box<dyn Chunker> {
             avg_size,
             max_size,
         } => Box::new(ReferenceCdcChunker::new(min_size, avg_size, max_size)),
-        ChunkerParams::GearCdc {
-            min_size,
-            avg_size,
-            max_size,
-        } => Box::new(ReferenceGearCdcChunker::new(min_size, avg_size, max_size)),
         ChunkerParams::Tttd(p) => Box::new(ReferenceTttdChunker::new(p)),
     }
 }
@@ -186,68 +181,5 @@ impl Chunker for ReferenceTttdChunker {
             self.params.major_mean,
             self.params.max_size
         )
-    }
-}
-
-/// Byte-at-a-time gear CDC: rolls every byte through [`GearHasher`] and tests
-/// the same top-bits mask as [`crate::GearCdcChunker`].
-#[derive(Debug, Clone, Copy)]
-pub struct ReferenceGearCdcChunker {
-    min_size: usize,
-    avg_size: usize,
-    max_size: usize,
-    mask: u64,
-}
-
-impl ReferenceGearCdcChunker {
-    /// Mirrors [`crate::GearCdcChunker::new`], including mask derivation.
-    pub fn new(min_size: usize, avg_size: usize, max_size: usize) -> Self {
-        assert!(min_size > 0, "minimum chunk size must be non-zero");
-        assert!(
-            min_size <= avg_size && avg_size <= max_size,
-            "chunk size parameters must satisfy min <= avg <= max"
-        );
-        ReferenceGearCdcChunker {
-            min_size,
-            avg_size,
-            max_size,
-            mask: crate::gear_cdc::gear_mask_for_average(avg_size),
-        }
-    }
-}
-
-impl Chunker for ReferenceGearCdcChunker {
-    fn chunk_boundaries(&self, data: &[u8]) -> Vec<usize> {
-        if data.is_empty() {
-            return Vec::new();
-        }
-        let mut boundaries = Vec::with_capacity(data.len() / self.avg_size + 1);
-        let mut hasher = GearHasher::new();
-        let mut chunk_start = 0usize;
-        let mut pos = 0usize;
-
-        while pos < data.len() {
-            let h = hasher.roll(data[pos]);
-            pos += 1;
-            let chunk_len = pos - chunk_start;
-            let at_boundary = chunk_len >= self.min_size && h & self.mask == self.mask;
-            if at_boundary || chunk_len >= self.max_size {
-                boundaries.push(pos);
-                chunk_start = pos;
-                hasher.reset();
-            }
-        }
-        if chunk_start < data.len() {
-            boundaries.push(data.len());
-        }
-        boundaries
-    }
-
-    fn average_chunk_size(&self) -> usize {
-        self.avg_size
-    }
-
-    fn name(&self) -> String {
-        format!("ref-gear-{}", self.avg_size)
     }
 }

@@ -167,14 +167,6 @@ impl Chunker for TttdChunker {
         boundaries
     }
 
-    fn first_boundary(&self, data: &[u8]) -> Option<usize> {
-        if data.is_empty() {
-            None
-        } else {
-            Some(self.next_cut(data))
-        }
-    }
-
     fn average_chunk_size(&self) -> usize {
         self.params.major_mean
     }
@@ -320,17 +312,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn first_boundary_matches_full_scan() {
-        let data = random_data(150_000, 41);
-        let c = TttdChunker::default();
-        assert_eq!(
-            c.first_boundary(&data),
-            c.chunk_boundaries(&data).first().copied()
-        );
-        assert_eq!(c.first_boundary(&[]), None);
     }
 
     proptest! {

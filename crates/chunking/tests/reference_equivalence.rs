@@ -23,9 +23,6 @@ fn all_presets() -> Vec<ChunkerParams> {
         ChunkerParams::cdc(256, 1024, 4096),
         ChunkerParams::cdc(5, 10, 20),
         ChunkerParams::cdc_with_average(8192),
-        ChunkerParams::gear_cdc(1024, 4096, 16 * 1024),
-        ChunkerParams::gear_cdc(16, 64, 256),
-        ChunkerParams::gear_with_average(2048),
         ChunkerParams::tttd_default(),
         ChunkerParams::Tttd(TttdParams {
             min_size: 256,
@@ -67,24 +64,6 @@ proptest! {
                 params,
                 len,
                 seed
-            );
-        }
-    }
-
-    #[test]
-    fn prop_first_boundary_matches_scalar_reference(
-        seed in any::<u64>(),
-        len in 0usize..60_000,
-    ) {
-        let data = xorshift_data(len, seed);
-        for params in all_presets() {
-            let optimized = params.build();
-            let scalar = reference::build(&params);
-            prop_assert_eq!(
-                optimized.first_boundary(&data),
-                scalar.chunk_boundaries(&data).first().copied(),
-                "preset {:?} first boundary diverged",
-                params
             );
         }
     }

@@ -50,7 +50,8 @@ pub struct SigmaConfig {
     /// Chunk fingerprinting hash. Default: SHA-1.
     pub fingerprint_algorithm: FingerprintAlgorithm,
     /// Container data-section capacity in bytes, at most `u32::MAX` (chunk
-    /// offsets and lengths are 32-bit on disk). Default: 4 MB.
+    /// offsets and lengths are 32-bit on disk) and at least the chunker's
+    /// largest chunk. Default: 4 MB.
     pub container_capacity: usize,
     /// Chunk-fingerprint cache capacity, in containers. Default: 512.
     pub cache_containers: usize,
@@ -226,10 +227,12 @@ impl SigmaConfig {
                 self.super_chunk_size
             )));
         }
-        if self.chunker.average_chunk_size() > self.container_capacity {
+        // A chunk is stored whole in one container, and data the chunker
+        // finds no content cut in is cut at the largest size.
+        if self.chunker.max_chunk_size() > self.container_capacity {
             return Err(SigmaError::InvalidConfig(format!(
-                "average chunk size {} exceeds container capacity {}",
-                self.chunker.average_chunk_size(),
+                "largest chunk size {} exceeds container capacity {}",
+                self.chunker.max_chunk_size(),
                 self.container_capacity
             )));
         }
@@ -446,6 +449,39 @@ mod tests {
             .chunker(sigma_chunking::ChunkerParams::fixed(4096))
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn a_chunker_whose_largest_chunk_overflows_a_container_is_rejected() {
+        use sigma_chunking::{ChunkerParams, TttdParams};
+        // Zero-filled data gets no content cut, so CDC and TTTD emit
+        // max_size chunks, which a smaller container could never hold.
+        for chunker in [
+            ChunkerParams::fixed(32 << 10),
+            ChunkerParams::cdc(1024, 4096, 64 << 10),
+            ChunkerParams::Tttd(TttdParams {
+                max_size: 64 << 10,
+                ..TttdParams::default()
+            }),
+        ] {
+            let err = SigmaConfig::builder()
+                .chunker(chunker)
+                .container_capacity(16 << 10)
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(&err, SigmaError::InvalidConfig(msg) if msg.contains("container capacity")),
+                "{:?}: got {:?}",
+                chunker,
+                err
+            );
+        }
+        // A largest chunk that exactly fills a container is legal.
+        assert!(SigmaConfig::builder()
+            .chunker(ChunkerParams::cdc(1024, 4096, 16 << 10))
+            .container_capacity(16 << 10)
+            .build()
+            .is_ok());
     }
 
     #[test]

@@ -323,7 +323,12 @@ mod tests {
             let chunker = match method {
                 0 => sigma_chunking::ChunkerParams::fixed(avg),
                 1 => sigma_chunking::ChunkerParams::cdc(avg / 4, avg, avg * 4),
-                _ => sigma_chunking::ChunkerParams::gear_cdc(avg / 4, avg, avg * 4),
+                _ => sigma_chunking::ChunkerParams::Tttd(sigma_chunking::TttdParams {
+                    min_size: avg / 4,
+                    minor_mean: avg / 2,
+                    major_mean: avg,
+                    max_size: avg * 4,
+                }),
             };
             let target = avg * target_chunks + target_extra;
             let config = SigmaConfig::builder()

@@ -31,7 +31,6 @@
 //!
 //! * [`RabinHasher`] — a polynomial rolling hash over a sliding window, used by the
 //!   content-defined chunkers.
-//! * [`GearHasher`] — a table-driven "gear" rolling hash, a cheaper CDC alternative.
 //! * [`Fnv64`] — a tiny non-cryptographic hash used for hash-table style placement
 //!   (e.g. DHT bucket selection in the baseline routers).
 //! * [`Fingerprint`] — the fixed-width chunk fingerprint value type shared by the
@@ -62,7 +61,6 @@
 mod fingerprint;
 mod fingerprint_hasher;
 mod fnv;
-mod gear;
 mod md5;
 mod rabin;
 pub mod reference;
@@ -73,7 +71,6 @@ pub use fingerprint_hasher::{
     FingerprintBuildHasher, FingerprintHasher, FingerprintMap, FingerprintSet,
 };
 pub use fnv::{fnv1a_32, fnv1a_64, Fnv64};
-pub use gear::{GearHasher, GEAR_EFFECTIVE_WINDOW, GEAR_TABLE};
 pub use md5::Md5;
 pub use rabin::{RabinHasher, RabinParams, DEFAULT_IRREDUCIBLE_POLY};
 pub use sha1::Sha1;
@@ -245,25 +242,6 @@ impl std::fmt::Display for ParseAlgorithmError {
 }
 
 impl std::error::Error for ParseAlgorithmError {}
-
-/// A rolling hash over a fixed-size sliding window of bytes.
-///
-/// Implemented by [`RabinHasher`] and [`GearHasher`]; the content-defined chunkers in
-/// `sigma-chunking` are generic over this trait.
-pub trait RollingHash {
-    /// Resets the hasher to its initial (empty-window) state.
-    fn reset(&mut self);
-
-    /// Pushes one byte into the window and returns the updated hash value.
-    fn roll(&mut self, byte: u8) -> u64;
-
-    /// Current hash value of the window contents.
-    fn value(&self) -> u64;
-
-    /// The sliding-window size in bytes (0 when the hash does not maintain an
-    /// explicit window, as for the gear hash).
-    fn window_size(&self) -> usize;
-}
 
 #[cfg(test)]
 mod tests {

@@ -6,8 +6,6 @@
 //! module implements the classic table-driven Rabin fingerprint (as popularised by
 //! LBFS) with an explicit sliding window.
 
-use crate::RollingHash;
-
 /// A degree-53 irreducible polynomial over GF(2), the classic LBFS choice.
 ///
 /// The top set bit encodes the leading coefficient (x^53).
@@ -75,10 +73,15 @@ fn polymulmod(a: u64, b: u64, poly: u64) -> u64 {
 
 /// A table-driven Rabin rolling hash with an explicit byte window.
 ///
+/// The chunkers in `sigma-chunking` cut with [`scan`](RabinHasher::scan),
+/// which borrows only the precomputed tables. [`roll`](RabinHasher::roll) and
+/// [`reset`](RabinHasher::reset) move the hasher's own window one byte at a
+/// time; the scalar reference chunkers use them, and tests hold `scan` to them.
+///
 /// # Example
 ///
 /// ```
-/// use sigma_hashkit::{RabinHasher, RabinParams, RollingHash};
+/// use sigma_hashkit::{RabinHasher, RabinParams};
 ///
 /// let mut h = RabinHasher::new(RabinParams::default());
 /// let data = b"some streaming data that is longer than the window .....";
@@ -198,6 +201,36 @@ impl RabinHasher {
         self.deg
     }
 
+    /// Resets the hasher to its initial (empty-window) state.
+    pub fn reset(&mut self) {
+        self.hash = 0;
+        self.window_pos = 0;
+        self.window_filled = 0;
+        self.window.iter_mut().for_each(|b| *b = 0);
+    }
+
+    /// Pushes one byte into the window and returns the updated hash value.
+    pub fn roll(&mut self, byte: u8) -> u64 {
+        if self.window_filled == self.window.len() {
+            let outgoing = self.window[self.window_pos];
+            self.hash ^= self.remove_table[outgoing as usize];
+        } else {
+            self.window_filled += 1;
+        }
+        self.window[self.window_pos] = byte;
+        self.window_pos += 1;
+        if self.window_pos == self.window.len() {
+            self.window_pos = 0;
+        }
+        self.hash = self.append_byte(self.hash, byte);
+        self.hash
+    }
+
+    /// Current hash value of the window contents.
+    pub fn value(&self) -> u64 {
+        self.hash
+    }
+
     #[inline]
     fn append_byte(&self, hash: u64, byte: u8) -> u64 {
         let top = (hash >> self.shift) as usize & 0xff;
@@ -210,7 +243,7 @@ impl RabinHasher {
     ///
     /// Bit-identical to rolling every byte of `data` through a freshly reset
     /// hasher and testing `value()` at each qualifying prefix length, but the
-    /// hot loop avoids all the per-byte overhead of [`RollingHash::roll`]:
+    /// hot loop avoids all the per-byte overhead of [`roll`](Self::roll):
     ///
     /// * **skip-ahead** — the hash is a function of the last `window_size` bytes
     ///   only, so feeding starts at `first_check - window_size` instead of 0
@@ -322,39 +355,6 @@ impl RabinHasher {
 impl Default for RabinHasher {
     fn default() -> Self {
         Self::with_defaults()
-    }
-}
-
-impl RollingHash for RabinHasher {
-    fn reset(&mut self) {
-        self.hash = 0;
-        self.window_pos = 0;
-        self.window_filled = 0;
-        self.window.iter_mut().for_each(|b| *b = 0);
-    }
-
-    fn roll(&mut self, byte: u8) -> u64 {
-        if self.window_filled == self.window.len() {
-            let outgoing = self.window[self.window_pos];
-            self.hash ^= self.remove_table[outgoing as usize];
-        } else {
-            self.window_filled += 1;
-        }
-        self.window[self.window_pos] = byte;
-        self.window_pos += 1;
-        if self.window_pos == self.window.len() {
-            self.window_pos = 0;
-        }
-        self.hash = self.append_byte(self.hash, byte);
-        self.hash
-    }
-
-    fn value(&self) -> u64 {
-        self.hash
-    }
-
-    fn window_size(&self) -> usize {
-        self.window.len()
     }
 }
 

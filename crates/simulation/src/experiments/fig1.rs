@@ -13,7 +13,7 @@ use sigma_chunking::{Chunker, TttdChunker};
 use sigma_core::{jaccard, Handprint};
 use sigma_hashkit::{Digest, Fingerprint, Sha1};
 use sigma_metrics::report::TextTable;
-use sigma_workloads::payload::{random_bytes, versioned_payloads, VersionedPayloadParams};
+use sigma_workloads::payload::{versioned_payloads, VersionedPayloadParams};
 
 /// One file pair of the experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -129,11 +129,6 @@ pub fn estimates_converge(rows: &[Fig1Row]) -> bool {
         (last - row.real_resemblance).abs() <= 0.25
             && (last - row.real_resemblance).abs() <= (first - row.real_resemblance).abs() + 1e-9
     })
-}
-
-/// Deterministic pseudo-random buffer re-exported for bench warm-ups.
-pub fn sample_buffer(len: usize) -> Vec<u8> {
-    random_bytes(len, 0xf161)
 }
 
 #[cfg(test)]

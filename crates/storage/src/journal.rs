@@ -549,11 +549,6 @@ impl Journal {
         self.state.lock().armed = Some(ArmedCrash { at_seq: seq, mode });
     }
 
-    /// Disarms a previously armed crash point.
-    pub fn disarm(&self) {
-        self.state.lock().armed = None;
-    }
-
     /// True once an armed crash fired; all appends fail until recovery.
     pub fn crashed(&self) -> bool {
         self.state.lock().crashed

@@ -8,7 +8,7 @@
 //!   deduplication nodes, backup clients, the director and cluster orchestration
 //!   (the paper's primary contribution), plus elastic membership: add/remove
 //!   nodes on a live cluster with recipe-preserving rebalancing.
-//! * [`hashkit`] — SHA-1, MD5, Rabin and gear hashes, and the [`Fingerprint`] type.
+//! * [`hashkit`] — SHA-1, MD5, Rabin and FNV hashes, and the [`Fingerprint`] type.
 //! * [`chunking`] — static, CDC and TTTD chunkers.
 //! * [`storage`] — containers, chunk index, fingerprint cache, similarity index.
 //! * [`baselines`] — the comparison routing schemes (EMC stateless/stateful,
