@@ -7,19 +7,17 @@
 //! node (journal replayed, every container object checked against its
 //! checksum, chunk + similarity indexes rebuilt).  The byte basis is the
 //! *container bytes the recovered node serves again*, which the journal's
-//! layout cannot move, so raw and compacted numbers are comparable to each
-//! other (but not to ingest MB/s).
+//! layout cannot move, so numbers stay comparable when the journal's records
+//! change (but not to ingest MB/s).
 //!
-//! The banner prints a one-shot table comparing a raw (append-by-append) journal
-//! against its compacted (single-snapshot) form at a reporting scale, after
-//! checking that both recover the same stored bytes and the same location for
-//! every ingested chunk.  Criterion then measures both recovery paths on a
-//! mid-size medium.  Compaction should win: one frame instead of thousands, no
-//! superseded records.
+//! The banner prints a one-shot table of the journal's size and the recovery
+//! rate at two reporting scales, after checking that the recovered node
+//! serves every ingested chunk at the location the crashed node had.
+//! Criterion then measures recovery of the raw (append-by-append) journal on
+//! a mid-size medium.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sigma_core::{DedupNode, SigmaConfig};
-use sigma_hashkit::Fingerprint;
 use sigma_storage::{MemoryBackend, StorageBackend, StorageObject};
 use std::sync::Arc;
 
@@ -33,12 +31,8 @@ fn bench_config() -> SigmaConfig {
 
 /// Ingests `bytes` of deterministic payload into a node and returns
 /// the medium a crash would leave behind — journal and container objects —
-/// as it stands after the flush and again after compacting the journal, with
-/// the fingerprints ingested.
-fn crash_images(
-    config: &SigmaConfig,
-    bytes: usize,
-) -> (MemoryBackend, MemoryBackend, Vec<Fingerprint>) {
+/// as it stands after the flush.
+fn crash_image(config: &SigmaConfig, bytes: usize) -> MemoryBackend {
     let node = DedupNode::new(0, config);
     let client_chunks: Vec<Vec<u8>> = sigma_workloads::payload::random_bytes(bytes, 0x4EC0)
         .chunks(4096)
@@ -56,10 +50,17 @@ fn crash_images(
         fingerprints.extend(sc.descriptors().iter().map(|d| d.fingerprint));
     }
     node.try_flush().expect("no faults in bench");
-    let journal = node.journal();
-    let raw = copy(journal.backend().as_ref());
-    node.compact_journal().expect("no faults in bench");
-    (raw, copy(journal.backend().as_ref()), fingerprints)
+    let raw = copy(node.journal().backend().as_ref());
+    // The image holds the flushed state: a node recovered from it serves
+    // every ingested chunk where the crashed node did.
+    let recovered = recover_node(config, copy(&raw));
+    assert_eq!(recovered.storage_usage(), node.storage_usage());
+    for fp in &fingerprints {
+        let location = node.chunk_location(fp);
+        assert!(location.is_some(), "ingest lost chunk {fp}");
+        assert_eq!(recovered.chunk_location(fp), location, "chunk {fp}");
+    }
+    raw
 }
 
 /// Recovers a node from `medium`.
@@ -82,44 +83,27 @@ fn copy(image: &dyn StorageBackend) -> MemoryBackend {
 fn report() {
     sigma_bench::banner(
         "recovery",
-        "recovery throughput of DedupNode::open, raw vs compacted journal",
+        "recovery throughput of DedupNode::open over a raw journal",
     );
     let config = bench_config();
-    let mut table = sigma_metrics::report::TextTable::new(vec![
-        "journal",
-        "payload MiB",
-        "journal KiB",
-        "recover MB/s",
-    ]);
+    let mut table =
+        sigma_metrics::report::TextTable::new(vec!["payload MiB", "journal KiB", "recover MB/s"]);
     for payload_bytes in [4 << 20, 16 << 20] {
-        let (raw, compacted, fingerprints) = crash_images(&config, payload_bytes);
-        // Both images hold one state: the compacted one recovers the same
-        // stored bytes and the same location for every ingested chunk.
-        let from_raw = recover_node(&config, copy(&raw));
-        let from_compacted = recover_node(&config, copy(&compacted));
-        assert_eq!(from_raw.storage_usage(), from_compacted.storage_usage());
-        for fp in &fingerprints {
-            let location = from_raw.chunk_location(fp);
-            assert!(location.is_some(), "raw recovery lost chunk {fp}");
-            assert_eq!(location, from_compacted.chunk_location(fp), "chunk {fp}");
-        }
-        for (label, image) in [("raw", &raw), ("compacted", &compacted)] {
-            let journal_len = image
-                .object_len(StorageObject::Journal)
-                .expect("in-memory medium")
-                .unwrap_or(0);
-            let medium = copy(image);
-            let sw = sigma_metrics::Stopwatch::start();
-            let recovered = recover(&config, medium);
-            let tp = sw.stop(recovered);
-            assert!(recovered > 0);
-            table.add_row(vec![
-                label.to_string(),
-                format!("{:.1}", payload_bytes as f64 / (1 << 20) as f64),
-                format!("{:.1}", journal_len as f64 / 1024.0),
-                format!("{:.1}", tp.mb_per_sec()),
-            ]);
-        }
+        let raw = crash_image(&config, payload_bytes);
+        let journal_len = raw
+            .object_len(StorageObject::Journal)
+            .expect("in-memory medium")
+            .unwrap_or(0);
+        let medium = copy(&raw);
+        let sw = sigma_metrics::Stopwatch::start();
+        let recovered = recover(&config, medium);
+        let tp = sw.stop(recovered);
+        assert!(recovered > 0);
+        table.add_row(vec![
+            format!("{:.1}", payload_bytes as f64 / (1 << 20) as f64),
+            format!("{:.1}", journal_len as f64 / 1024.0),
+            format!("{:.1}", tp.mb_per_sec()),
+        ]);
     }
     sigma_bench::print_table("recovery throughput", &table.render());
 }
@@ -128,7 +112,7 @@ fn bench(c: &mut Criterion) {
     report();
 
     let config = bench_config();
-    let (raw, compacted, _) = crash_images(&config, 8 << 20);
+    let raw = crash_image(&config, 8 << 20);
     let served = recover(&config, copy(&raw));
 
     let mut group = c.benchmark_group("recovery_replay");
@@ -137,13 +121,6 @@ fn bench(c: &mut Criterion) {
     group.bench_function("raw_journal", |b| {
         b.iter_batched(
             || copy(&raw),
-            |medium| recover(&config, medium),
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("compacted_journal", |b| {
-        b.iter_batched(
-            || copy(&compacted),
             |medium| recover(&config, medium),
             criterion::BatchSize::LargeInput,
         )

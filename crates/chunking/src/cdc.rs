@@ -39,20 +39,6 @@ impl CdcChunker {
     ///
     /// Panics unless `0 < min_size <= avg_size <= max_size`.
     pub fn new(min_size: usize, avg_size: usize, max_size: usize) -> Self {
-        Self::with_rabin_params(min_size, avg_size, max_size, RabinParams::default())
-    }
-
-    /// Creates a CDC chunker with explicit Rabin-hash parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < min_size <= avg_size <= max_size`.
-    pub fn with_rabin_params(
-        min_size: usize,
-        avg_size: usize,
-        max_size: usize,
-        rabin: RabinParams,
-    ) -> Self {
         assert!(min_size > 0, "minimum chunk size must be non-zero");
         assert!(
             min_size <= avg_size && avg_size <= max_size,
@@ -66,7 +52,7 @@ impl CdcChunker {
             avg_size,
             max_size,
             divisor,
-            hasher_template: RabinHasher::new(rabin),
+            hasher_template: RabinHasher::new(RabinParams::default()),
         }
     }
 
@@ -133,7 +119,7 @@ impl Chunker for CdcChunker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate_boundaries;
+    use crate::tests::validate_boundaries;
     use proptest::prelude::*;
 
     /// Deterministic pseudo-random data (content-defined boundaries need entropy).

@@ -74,7 +74,7 @@ impl Chunker for StaticChunker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate_boundaries;
+    use crate::tests::validate_boundaries;
     use proptest::prelude::*;
 
     #[test]

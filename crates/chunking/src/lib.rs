@@ -74,48 +74,43 @@ pub trait Chunker: Send + Sync {
     }
 }
 
-/// Validates the invariants promised by [`Chunker::chunk_boundaries`].
-///
-/// Exposed so that tests in dependent crates (and property tests here) can check any
-/// chunker implementation uniformly.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the violated invariant.
-pub fn validate_boundaries(data_len: usize, boundaries: &[usize]) -> Result<(), String> {
-    if data_len == 0 {
-        if boundaries.is_empty() {
-            return Ok(());
-        }
-        return Err("boundaries must be empty for empty input".to_string());
-    }
-    if boundaries.is_empty() {
-        return Err("boundaries must not be empty for non-empty input".to_string());
-    }
-    let mut prev = 0usize;
-    for (i, &b) in boundaries.iter().enumerate() {
-        let ok = if i == 0 { b > 0 } else { b > prev };
-        if !ok {
-            return Err(format!(
-                "boundary {} at offset {} is not strictly increasing (previous {})",
-                i, b, prev
-            ));
-        }
-        prev = b;
-    }
-    if *boundaries.last().expect("non-empty") != data_len {
-        return Err(format!(
-            "last boundary {} does not equal data length {}",
-            boundaries.last().unwrap(),
-            data_len
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Validates the invariants promised by [`Chunker::chunk_boundaries`], so
+    /// every chunker's tests check them the same way; the error describes the
+    /// violated invariant.
+    pub(crate) fn validate_boundaries(data_len: usize, boundaries: &[usize]) -> Result<(), String> {
+        if data_len == 0 {
+            if boundaries.is_empty() {
+                return Ok(());
+            }
+            return Err("boundaries must be empty for empty input".to_string());
+        }
+        if boundaries.is_empty() {
+            return Err("boundaries must not be empty for non-empty input".to_string());
+        }
+        let mut prev = 0usize;
+        for (i, &b) in boundaries.iter().enumerate() {
+            let ok = if i == 0 { b > 0 } else { b > prev };
+            if !ok {
+                return Err(format!(
+                    "boundary {} at offset {} is not strictly increasing (previous {})",
+                    i, b, prev
+                ));
+            }
+            prev = b;
+        }
+        if *boundaries.last().expect("non-empty") != data_len {
+            return Err(format!(
+                "last boundary {} does not equal data length {}",
+                boundaries.last().unwrap(),
+                data_len
+            ));
+        }
+        Ok(())
+    }
 
     #[test]
     fn validate_accepts_good_boundaries() {

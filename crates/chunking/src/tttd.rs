@@ -185,7 +185,7 @@ impl Chunker for TttdChunker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate_boundaries;
+    use crate::tests::validate_boundaries;
     use proptest::prelude::*;
 
     fn random_data(len: usize, seed: u64) -> Vec<u8> {

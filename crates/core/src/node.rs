@@ -22,8 +22,8 @@ use sigma_hashkit::{Fingerprint, FingerprintSet};
 use sigma_storage::{
     CacheStats, ChunkIndex, ChunkIndexStats, ChunkLocation, ClaimOutcome, Container, ContainerId,
     ContainerState, ContainerStore, ContainerStoreStats, ContainerSummary, FileBackend,
-    FingerprintCache, Journal, JournalRecord, MemoryBackend, NodeSnapshot, SimilarityIndex,
-    SimilarityIndexStats, StorageBackend, StreamId,
+    FingerprintCache, Journal, JournalRecord, MemoryBackend, SimilarityIndex, SimilarityIndexStats,
+    StorageBackend, StreamId,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -331,7 +331,7 @@ impl DedupNode {
     }
 
     /// True if `container` is sealed here or tombstoned: the containers a
-    /// journal snapshot and a recovered similarity index may name.
+    /// recovered similarity index may name.
     fn is_durable(&self, container: &ContainerId) -> bool {
         matches!(
             self.store.state(container),
@@ -429,55 +429,7 @@ impl DedupNode {
                 self.unique_chunks.store(unique_chunks, Ordering::Relaxed);
                 self.super_chunks.store(super_chunks, Ordering::Relaxed);
             }
-            JournalRecord::Snapshot(snapshot) => {
-                self.apply_snapshot(snapshot, report)?;
-            }
         }
-        Ok(())
-    }
-
-    /// Applies a compaction snapshot (always the first record of a compacted log).
-    fn apply_snapshot(&self, snapshot: NodeSnapshot, report: &mut RecoveryReport) -> Result<()> {
-        let NodeSnapshot {
-            next_container_id,
-            containers,
-            chunk_entries,
-            similarity,
-            tombstones,
-            logical_bytes,
-            total_chunks,
-            unique_chunks,
-            super_chunks,
-        } = snapshot;
-        // Each table is indexed in snapshot order, as `compact_journal`
-        // assumed when it kept only the entries the tables do not give; those
-        // then go on top.
-        for (origin, container) in containers {
-            if self.store.install_recovered(origin, container.clone()) {
-                self.index_container_records(&container);
-                report.chunks_indexed += container.chunk_count() as u64;
-                report.containers_recovered += 1;
-            } else {
-                report.duplicate_adopts_skipped += 1;
-            }
-        }
-        report.chunks_indexed += chunk_entries.len() as u64;
-        for (fp, loc) in chunk_entries {
-            self.chunk_index.insert(fp, loc);
-        }
-        report.similarity_entries += similarity.len() as u64;
-        for (rfp, cid) in similarity {
-            self.similarity_index.insert(rfp, cid);
-        }
-        report.tombstones_restored += tombstones.len() as u64;
-        for (cid, successor) in tombstones {
-            self.store.retire_container(cid, successor)?;
-        }
-        self.store.restore_next_id(next_container_id);
-        self.logical_bytes.store(logical_bytes, Ordering::Relaxed);
-        self.total_chunks.store(total_chunks, Ordering::Relaxed);
-        self.unique_chunks.store(unique_chunks, Ordering::Relaxed);
-        self.super_chunks.store(super_chunks, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1136,60 +1088,6 @@ impl DedupNode {
         self.journal.crashed()
     }
 
-    /// Folds the journal into a single snapshot frame.
-    ///
-    /// Call at a quiescent point (no in-flight backups or migrations on this
-    /// node); the snapshot captures sealed state only, so anything still open is
-    /// — by the durability contract — not yet acknowledged anyway.
-    ///
-    /// # Errors
-    ///
-    /// Returns a crash error if the journal has crashed.
-    pub fn compact_journal(&self) -> Result<()> {
-        // The sealed containers' record tables are the snapshot's copy of the
-        // chunk index: replay indexes them in this order, so an entry goes
-        // into `chunk_entries` only when the tables would not give it — one
-        // naming a tombstoned container, or another sealed copy of the chunk.
-        //
-        // The snapshot may only name *durable* containers.  Index entries that
-        // point at a still-open container describe unacknowledged chunks; if
-        // they were snapshotted, recovery would install phantom entries whose
-        // claim() answers "duplicate" for data that exists nowhere — silently
-        // corrupting a later acknowledged backup.  Dropping them mirrors what
-        // a crash does to the live journal: the open tail simply never existed,
-        // and a chunk stored again there stays indexed at its sealed copy.
-        let containers = self.store.sealed_snapshot();
-        let from_tables: HashMap<Fingerprint, ChunkLocation> = containers
-            .iter()
-            .flat_map(|(_, container)| container.chunk_locations())
-            .collect();
-        let snapshot = NodeSnapshot {
-            next_container_id: self.store.peek_next_id(),
-            chunk_entries: self
-                .chunk_index
-                .finalized_entries()
-                .into_iter()
-                .filter(|(fp, loc)| {
-                    self.is_durable(&loc.container) && from_tables.get(fp) != Some(loc)
-                })
-                .collect(),
-            containers,
-            similarity: self
-                .similarity_index
-                .entries()
-                .into_iter()
-                .filter(|(_, cid)| self.is_durable(cid))
-                .collect(),
-            tombstones: self.store.tombstones(),
-            logical_bytes: self.logical_bytes.load(Ordering::Relaxed),
-            total_chunks: self.total_chunks.load(Ordering::Relaxed),
-            unique_chunks: self.unique_chunks.load(Ordering::Relaxed),
-            super_chunks: self.super_chunks.load(Ordering::Relaxed),
-        };
-        self.journal.compact(snapshot)?;
-        Ok(())
-    }
-
     /// Structural consistency check used by the crash-recovery suites: every
     /// finalized chunk-index entry must resolve to a present, open or tombstoned
     /// container, and the store's byte/chunk counters must match its contents.
@@ -1662,58 +1560,22 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_recovery_and_shrinks_the_journal() {
-        let cfg = small_containers();
-        let node = DedupNode::new(0, &cfg);
-        for seed in 0..6u8 {
-            let sc = payload_super_chunk(seed, 8, 2048);
-            node.process_super_chunk(seed as u64, &sc.view(), &sc.handprint(4))
-                .unwrap();
-        }
-        node.try_flush().unwrap();
-        let journal = node.journal().clone();
-        let long = journal.len_bytes();
-        let stats_before = node.stats();
-        node.compact_journal().unwrap();
-        assert!(journal.len_bytes() < long, "snapshot must fold the log");
-
-        let (recovered, report) = DedupNode::open(0, &cfg, journal.backend()).unwrap();
-        assert_eq!(report.frames_replayed, 1, "one snapshot frame");
-        let stats_after = recovered.stats();
-        assert_eq!(stats_after.physical_bytes, stats_before.physical_bytes);
-        assert_eq!(stats_after.logical_bytes, stats_before.logical_bytes);
-        assert_eq!(
-            stats_after.containers.sealed_containers,
-            stats_before.containers.sealed_containers
-        );
-        recovered.verify_consistency().unwrap();
-        // Post-compaction ingest still lands in fresh container IDs.
-        let sc = payload_super_chunk(77, 4, 2048);
-        recovered
-            .process_super_chunk(0, &sc.view(), &sc.handprint(4))
-            .unwrap();
-        recovered.try_flush().unwrap();
-        recovered.verify_consistency().unwrap();
-    }
-
-    #[test]
-    fn compaction_with_open_containers_does_not_snapshot_phantom_entries() {
-        // Regression: compacting while a container is still open must not
-        // snapshot that container's chunk-index entries — recovery would
-        // otherwise install phantom entries whose claim() reports "duplicate"
-        // for chunks that exist nowhere, silently corrupting a later
-        // acknowledged backup of the same data.
+    fn recovery_with_an_open_container_indexes_no_phantom_entries() {
+        // A container still open at the crash must leave no chunk-index or
+        // similarity entry behind — recovery would otherwise install phantom
+        // entries whose claim() reports "duplicate" for chunks that exist
+        // nowhere, silently corrupting a later acknowledged backup of the
+        // same data.
         let cfg = small_containers();
         let node = DedupNode::new(0, &cfg);
         let acked = payload_super_chunk(1, 4, 2048);
         node.process_super_chunk(0, &acked.view(), &acked.handprint(4))
             .unwrap();
         node.try_flush().unwrap();
-        // This super-chunk stays in an open container across the compaction.
+        // This super-chunk stays in an open container until the crash.
         let pending = payload_super_chunk(2, 3, 1024);
         node.process_super_chunk(0, &pending.view(), &pending.handprint(4))
             .unwrap();
-        node.compact_journal().unwrap();
 
         let journal = node.journal().clone();
         let (recovered, _) = DedupNode::open(0, &cfg, journal.backend()).unwrap();
@@ -1725,7 +1587,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             receipt.unique_chunks, 3,
-            "phantom snapshot entries must not swallow the re-ingest"
+            "phantom entries must not swallow the re-ingest"
         );
         recovered.try_flush().unwrap();
         for (i, d) in pending.descriptors().iter().enumerate() {
@@ -1743,11 +1605,11 @@ mod tests {
     }
 
     #[test]
-    fn compaction_in_approximate_mode_keeps_acknowledged_chunks() {
+    fn recovery_in_approximate_mode_keeps_acknowledged_chunks() {
         // Without the chunk-index fallback, an acknowledged chunk arriving
         // again under an unrelated handprint is stored again, in an open
-        // container, and its index entry moves there.  The snapshot must
-        // still recover the sealed, acknowledged copy.
+        // container, and its index entry moves there.  Replay must still
+        // recover the sealed, acknowledged copy.
         let cfg = SigmaConfig::builder()
             .super_chunk_size(64 * 1024)
             .container_capacity(16 * 1024)
@@ -1765,7 +1627,6 @@ mod tests {
             .process_super_chunk(0, &acked.view(), &unrelated)
             .unwrap();
         assert_eq!(receipt.unique_chunks, 4, "stored again, left open");
-        node.compact_journal().unwrap();
 
         let journal = node.journal().clone();
         let (recovered, _) = DedupNode::open(0, &cfg, journal.backend()).unwrap();
@@ -2035,13 +1896,6 @@ mod tests {
             assert!(recovered.read_chunk(&d.fingerprint).is_err());
         }
         recovered.verify_consistency().unwrap();
-
-        // Compaction folds the GC history into the snapshot too.
-        recovered.compact_journal().unwrap();
-        let journal = recovered.journal().clone();
-        let (again, _) = DedupNode::open(0, &cfg, journal.backend()).unwrap();
-        assert_eq!(again.storage_usage(), physical_after_gc);
-        again.verify_consistency().unwrap();
     }
 
     #[test]

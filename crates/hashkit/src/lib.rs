@@ -192,14 +192,6 @@ impl FingerprintAlgorithm {
     /// chunk to the per-chunk path.
     pub const BATCH_LANES: usize = sha1::LANES;
 
-    /// Digest output length in bytes.
-    pub fn output_len(self) -> usize {
-        match self {
-            FingerprintAlgorithm::Sha1 => Sha1::OUTPUT_LEN,
-            FingerprintAlgorithm::Md5 => Md5::OUTPUT_LEN,
-        }
-    }
-
     /// Algorithm name, e.g. `"sha1"`.
     pub fn name(self) -> &'static str {
         match self {
@@ -264,12 +256,6 @@ mod tests {
     fn algorithm_display_matches_name() {
         assert_eq!(FingerprintAlgorithm::Sha1.to_string(), "sha1");
         assert_eq!(FingerprintAlgorithm::Md5.to_string(), "md5");
-    }
-
-    #[test]
-    fn algorithm_output_lengths() {
-        assert_eq!(FingerprintAlgorithm::Sha1.output_len(), 20);
-        assert_eq!(FingerprintAlgorithm::Md5.output_len(), 16);
     }
 
     #[test]

@@ -85,10 +85,10 @@ fn polymulmod(a: u64, b: u64, poly: u64) -> u64 {
 ///
 /// let mut h = RabinHasher::new(RabinParams::default());
 /// let data = b"some streaming data that is longer than the window .....";
+/// let mut v = 0;
 /// for &b in data.iter() {
-///     h.roll(b);
+///     v = h.roll(b);
 /// }
-/// let v = h.value();
 /// assert_ne!(v, 0);
 /// ```
 #[derive(Debug, Clone)]
@@ -186,19 +186,9 @@ impl RabinHasher {
         }
     }
 
-    /// Creates a hasher with the default polynomial and window size.
-    pub fn with_defaults() -> Self {
-        Self::new(RabinParams::default())
-    }
-
     /// The parameters this hasher was created with.
     pub fn params(&self) -> RabinParams {
         self.params
-    }
-
-    /// Polynomial degree.
-    pub fn poly_degree(&self) -> u32 {
-        self.deg
     }
 
     /// Resets the hasher to its initial (empty-window) state.
@@ -226,11 +216,6 @@ impl RabinHasher {
         self.hash
     }
 
-    /// Current hash value of the window contents.
-    pub fn value(&self) -> u64 {
-        self.hash
-    }
-
     #[inline]
     fn append_byte(&self, hash: u64, byte: u8) -> u64 {
         let top = (hash >> self.shift) as usize & 0xff;
@@ -242,8 +227,9 @@ impl RabinHasher {
     /// returns the first `p` for which `test` returns `true`.
     ///
     /// Bit-identical to rolling every byte of `data` through a freshly reset
-    /// hasher and testing `value()` at each qualifying prefix length, but the
-    /// hot loop avoids all the per-byte overhead of [`roll`](Self::roll):
+    /// hasher and testing the value `roll` returns at each qualifying prefix
+    /// length, but the hot loop avoids all the per-byte overhead of
+    /// [`roll`](Self::roll):
     ///
     /// * **skip-ahead** — the hash is a function of the last `window_size` bytes
     ///   only, so feeding starts at `first_check - window_size` instead of 0
@@ -353,8 +339,9 @@ impl RabinHasher {
 }
 
 impl Default for RabinHasher {
+    /// A hasher with the default polynomial and window size.
     fn default() -> Self {
-        Self::with_defaults()
+        Self::new(RabinParams::default())
     }
 }
 
@@ -368,7 +355,7 @@ mod tests {
         for &b in data {
             h.roll(b);
         }
-        h.value()
+        h.hash
     }
 
     #[test]
@@ -403,29 +390,29 @@ mod tests {
 
     #[test]
     fn reset_restores_initial_state() {
-        let mut h = RabinHasher::with_defaults();
+        let mut h = RabinHasher::default();
         for &b in b"some data".iter() {
             h.roll(b);
         }
         h.reset();
-        assert_eq!(h.value(), 0);
+        assert_eq!(h.hash, 0);
         let v1 = {
             for &b in b"replay".iter() {
                 h.roll(b);
             }
-            h.value()
+            h.hash
         };
-        let mut fresh = RabinHasher::with_defaults();
+        let mut fresh = RabinHasher::default();
         for &b in b"replay".iter() {
             fresh.roll(b);
         }
-        assert_eq!(v1, fresh.value());
+        assert_eq!(v1, fresh.hash);
     }
 
     #[test]
     fn value_stays_below_degree() {
-        let mut h = RabinHasher::with_defaults();
-        let limit = 1u64 << h.poly_degree();
+        let mut h = RabinHasher::default();
+        let limit = 1u64 << h.deg;
         for i in 0..10_000u32 {
             let v = h.roll((i % 251) as u8);
             assert!(v < limit);
@@ -466,8 +453,8 @@ mod tests {
 
         #[test]
         fn prop_value_bounded(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-            let mut h = RabinHasher::with_defaults();
-            let limit = 1u64 << h.poly_degree();
+            let mut h = RabinHasher::default();
+            let limit = 1u64 << h.deg;
             for &byte in &data {
                 prop_assert!(h.roll(byte) < limit);
             }
@@ -527,7 +514,7 @@ mod tests {
 
     #[test]
     fn scan_reports_positions_in_order_and_at_least_first_check() {
-        let hasher = RabinHasher::with_defaults();
+        let hasher = RabinHasher::default();
         let data: Vec<u8> = (0..4096u32).map(|i| (i * 31 % 251) as u8).collect();
         let mut seen = Vec::new();
         let got = hasher.scan(&data, 100, |p, _| {
@@ -542,7 +529,7 @@ mod tests {
 
     #[test]
     fn scan_first_check_past_end_returns_none() {
-        let hasher = RabinHasher::with_defaults();
+        let hasher = RabinHasher::default();
         let data = vec![7u8; 64];
         assert_eq!(hasher.scan(&data, 65, |_, _| true), None);
         assert_eq!(hasher.scan(&data, 64, |_, _| true), Some(64));

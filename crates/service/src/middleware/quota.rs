@@ -76,11 +76,6 @@ impl TenantQuota {
         self
     }
 
-    /// The tenant's configured budget, if any.
-    pub fn budget_of(&self, tenant: &str) -> Option<u64> {
-        self.budgets.get(tenant).copied()
-    }
-
     /// Logical bytes currently accounted to the tenant.
     pub fn usage(&self, tenant: &str) -> u64 {
         self.used.lock().get(tenant).copied().unwrap_or(0)
@@ -306,7 +301,6 @@ mod tests {
         );
         assert!(p.execute(backup(1, 10_000_000)).is_ok());
         assert_eq!(quota.usage("acme"), 10_000_000);
-        assert_eq!(quota.budget_of("acme"), None);
     }
 
     #[test]

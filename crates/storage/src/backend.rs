@@ -152,10 +152,9 @@ impl std::ops::Deref for SharedBytes {
 ///   whole object: a reader never observes a half-written container.
 ///   [`write_object_parts`](Self::write_object_parts) does the same for an
 ///   object handed over in parts.
-/// * [`replace_atomic`](Self::replace_atomic) is `write_object` with the
-///   explicit crash contract journal compaction needs: until the replacement is
-///   durably in place, the *old* object must remain fully readable
-///   (write-new / fsync / rename / fsync-dir on the file backend).
+/// * [`replace_atomic`](Self::replace_atomic) is `write_object` under the
+///   same contract: until the replacement is durably in place, the *old*
+///   object remains fully readable.
 /// * [`truncate`](Self::truncate) discards a torn tail after replay.
 /// * [`delete`](Self::delete) of an absent object is a no-op, not an error.
 pub trait StorageBackend: Send + Sync + std::fmt::Debug {
@@ -235,7 +234,11 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     fn truncate(&self, obj: StorageObject, len: u64) -> Result<()>;
 
     /// Replaces the object so that a crash at any point leaves either the old
-    /// or the new contents fully intact, never a mixture.
+    /// or the new contents fully intact, never a mixture — which
+    /// `write_object` already does, so that is the default.
+    ///
+    /// No library path calls it.  It stays only because the `sigma-e2e`
+    /// benchmark's counting backend implements it.
     fn replace_atomic(&self, obj: StorageObject, bytes: &[u8]) -> Result<()> {
         self.write_object(obj, bytes)
     }
@@ -406,9 +409,9 @@ impl StorageBackend for MemoryBackend {
 /// comes from the explicit [`fsync`](StorageBackend::fsync) the journal issues
 /// at every acknowledgement point.  When an append created `journal.wal`, the
 /// first fsync after it also fsyncs the directory, so the log's name is
-/// durable before any acknowledgement rests on it.  Whole-object writes and
-/// replacements go write-temp / fsync / rename / fsync-dir, so a crash at any
-/// point leaves either the old or the new object intact — never a mixture.
+/// durable before any acknowledgement rests on it.  Whole-object writes go
+/// write-temp / fsync / rename / fsync-dir, so a crash at any point leaves
+/// either the old or the new object intact — never a mixture.
 pub struct FileBackend {
     root: PathBuf,
     journal: Mutex<JournalHandle>,
@@ -687,10 +690,6 @@ impl StorageBackend for FileBackend {
         self.settle_journal_name(&mut journal)
     }
 
-    fn replace_atomic(&self, obj: StorageObject, bytes: &[u8]) -> Result<()> {
-        self.write_object(obj, bytes)
-    }
-
     fn fsync(&self, obj: StorageObject) -> Result<()> {
         if obj != StorageObject::Journal {
             return self.fsync_path(obj);
@@ -914,25 +913,19 @@ mod tests {
     fn file_backend_sweeps_stale_tmp_files_and_keeps_old_object() {
         // A crash between write-temp and rename leaves a *.tmp behind; reopening
         // must ignore and sweep it, with the old object fully intact — the
-        // compaction ack-ordering contract.
+        // atomic publish every container object relies on.
         let root = temp_root("tmp");
+        let container = StorageObject::Container(ContainerId::new(3));
+        let tmp = root.join(format!("{}.tmp", container.file_name()));
         {
             let backend = FileBackend::open(&root).unwrap();
-            backend
-                .replace_atomic(StorageObject::Journal, b"old snapshot")
-                .unwrap();
+            backend.write_object(container, b"old container").unwrap();
         }
-        fs::write(root.join("journal.wal.tmp"), b"half-written new snapshot").unwrap();
+        fs::write(&tmp, b"half-written new container").unwrap();
         let backend = FileBackend::open(&root).unwrap();
-        assert_eq!(
-            backend.read_all(StorageObject::Journal).unwrap(),
-            b"old snapshot"
-        );
-        assert!(
-            !root.join("journal.wal.tmp").exists(),
-            "stale temp file swept on open"
-        );
-        assert_eq!(backend.list().unwrap(), vec![StorageObject::Journal]);
+        assert_eq!(backend.read_all(container).unwrap(), b"old container");
+        assert!(!tmp.exists(), "stale temp file swept on open");
+        assert_eq!(backend.list().unwrap(), vec![container]);
         let _ = fs::remove_dir_all(root);
     }
 

@@ -1261,8 +1261,7 @@ impl ContainerStore {
     }
 
     /// Every sealed container's summary together with its adoption origin (if
-    /// any), sorted by container ID — the container half of a compaction
-    /// snapshot.
+    /// any), sorted by container ID.
     pub fn sealed_snapshot(&self) -> Vec<(Option<(u64, ContainerId)>, ContainerSummary)> {
         let mut out: Vec<(Option<(u64, ContainerId)>, ContainerSummary)> = self
             .table
@@ -1276,33 +1275,6 @@ impl ContainerStore {
             .collect();
         out.sort_unstable_by_key(|(_, c)| c.id);
         out
-    }
-
-    /// Every forwarding tombstone — `(container, successor node)` of each
-    /// container migrated away — sorted by container ID.
-    pub fn tombstones(&self) -> Vec<(ContainerId, u64)> {
-        let mut out: Vec<(ContainerId, u64)> = self
-            .table
-            .read()
-            .entries
-            .iter()
-            .filter_map(|(id, entry)| match entry.stage {
-                Stage::Migrated(successor) => Some((*id, successor)),
-                _ => None,
-            })
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// The container ID the next allocation will use.
-    pub fn peek_next_id(&self) -> u64 {
-        self.next_id.load(Ordering::Relaxed)
-    }
-
-    /// Sets the next container ID to allocate to at least `next` (snapshot replay).
-    pub fn restore_next_id(&self, next: u64) {
-        self.next_id.fetch_max(next, Ordering::Relaxed);
     }
 
     /// Swaps a sealed container out of the table (to `next`, or no entry),
@@ -1559,8 +1531,7 @@ impl ContainerStore {
     /// the swap; the chunk index names the replacement from then on.  The
     /// node calls this when its next GC sweep starts and at the end of
     /// journal replay (which has no readers), so the table holds at most
-    /// one sweep's compactions and a recovered table holds none — as one
-    /// recovered from a compacted journal, whose snapshot carries none.
+    /// one sweep's compactions and a recovered table holds none.
     pub fn forget_compacted(&self) {
         let mut table = self.table.write();
         let Table {
@@ -2924,8 +2895,9 @@ mod tests {
         };
         let first = adopt(&store);
         gate.wait();
-        // Before the swap: no entry, no counters, no ledger row.
-        let new_id = ContainerId::new(store.peek_next_id() - 1);
+        // Before the swap: no entry, no counters, no ledger row.  A fresh
+        // store gives its first container ID 0.
+        let new_id = ContainerId::new(0);
         assert_eq!(store.state(&new_id), ContainerState::Absent);
         assert!(matches!(
             store.read_chunk(&new_id, &chunks[0].0),
@@ -3069,7 +3041,7 @@ mod tests {
             "a typed answer from the tombstone, never the read's I/O error"
         );
         assert_eq!(store.stats().sealed_containers, 0);
-        assert_eq!(store.tombstones(), vec![(cid, 7)]);
+        assert_eq!(store.state(&cid), ContainerState::Migrated { successor: 7 });
     }
 
     #[test]

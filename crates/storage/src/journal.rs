@@ -23,7 +23,6 @@
 //! | [`RecipeDelete`](JournalRecord::RecipeDelete) | the director deletes a backup whose recipe referenced this node | deferred | no structural effect (recipes are director state); records that the GC which follows replays against a post-delete history, and gives fault plans a boundary between deletion and sweep |
 //! | [`GcCompact`](JournalRecord::GcCompact) | the sweep rewrites a mostly-dead container's live chunks into a fresh one (replacement object durable before, victim object deleted after) | yes | drop the victim (and its chunk entries), install the replacement, index its chunks, re-home the travelling RFPs |
 //! | [`GcDrop`](JournalRecord::GcDrop) | the sweep drops a container with no live chunks (object deleted after) | yes | drop the container and its chunk-index/similarity entries — unlike a tombstone, nothing forwards anywhere |
-//! | [`Snapshot`](JournalRecord::Snapshot) | [`Journal::compact`] folds the log | yes (an atomic replace) | install the whole materialized state at once |
 //!
 //! # When an append is fsynced
 //!
@@ -179,8 +178,6 @@ pub enum JournalRecord {
         /// Super-chunks processed.
         super_chunks: u64,
     },
-    /// A compaction checkpoint: the node's whole materialized state.
-    Snapshot(NodeSnapshot),
 }
 
 impl JournalRecord {
@@ -195,7 +192,6 @@ impl JournalRecord {
             JournalRecord::GcCompact { .. } => "gc-compact",
             JournalRecord::GcDrop { .. } => "gc-drop",
             JournalRecord::StatsCheckpoint { .. } => "stats-checkpoint",
-            JournalRecord::Snapshot(_) => "snapshot",
         }
     }
 
@@ -239,38 +235,9 @@ impl JournalRecord {
             | JournalRecord::Tombstone { .. }
             | JournalRecord::GcCompact { .. }
             | JournalRecord::GcDrop { .. }
-            | JournalRecord::StatsCheckpoint { .. }
-            | JournalRecord::Snapshot(_) => false,
+            | JournalRecord::StatsCheckpoint { .. } => false,
         }
     }
-}
-
-/// The full materialized state of a node, as written by a compaction.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct NodeSnapshot {
-    /// Next container ID the store will allocate.
-    pub next_container_id: u64,
-    /// Sealed containers, each with the origin key it was adopted under (if any).
-    pub containers: Vec<(Option<(u64, ContainerId)>, ContainerSummary)>,
-    /// The chunk-index entries the sealed containers' record tables do not
-    /// give.  Replay indexes each container of `containers` from its table,
-    /// in order, then applies these on top: entries naming a tombstoned
-    /// container, and entries naming another sealed copy of the chunk than
-    /// the last table that holds it.  A snapshot an older build wrote lists
-    /// every entry here, which replays to the same index.
-    pub chunk_entries: Vec<(Fingerprint, ChunkLocation)>,
-    /// Similarity-index entries.
-    pub similarity: Vec<(Fingerprint, ContainerId)>,
-    /// Forwarding tombstones (`container → successor node`).
-    pub tombstones: Vec<(ContainerId, u64)>,
-    /// Logical bytes ingested.
-    pub logical_bytes: u64,
-    /// Total chunks received.
-    pub total_chunks: u64,
-    /// Unique chunks stored.
-    pub unique_chunks: u64,
-    /// Super-chunks processed.
-    pub super_chunks: u64,
 }
 
 /// Summary of one journal replay.
@@ -317,7 +284,7 @@ struct JournalState {
     armed: Option<ArmedCrash>,
     /// The log as [`Journal::open`] read it, kept for the
     /// [`Journal::recover_truncating`] that follows so a restart reads the
-    /// log once.  Any write or compaction drops it.
+    /// log once.  Any write drops it.
     opened: Option<Vec<u8>>,
 }
 
@@ -707,57 +674,6 @@ impl Journal {
         }
         Ok(())
     }
-
-    /// Compacts the journal to a single [`JournalRecord::Snapshot`] frame.
-    ///
-    /// Must be called at a quiescent point (no concurrent appends from the same
-    /// node); the node-side wrapper
-    /// ([`DedupNode::compact_journal`](../../sigma_core/struct.DedupNode.html#method.compact_journal))
-    /// captures the state and calls this.  Sequence numbers keep counting up so a
-    /// crash armed at a future boundary survives compaction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::Crashed`] if the journal has crashed, or
-    /// [`StorageError::Io`] if the backend could not durably publish the
-    /// replacement log — in which case the *old* log is untouched and the
-    /// journal remains fully usable.
-    pub fn compact(&self, snapshot: NodeSnapshot) -> Result<(), StorageError> {
-        let mut state = self.state.lock();
-        if state.crashed {
-            return Err(StorageError::Crashed);
-        }
-        state.opened = None;
-        let seq = state.next_seq;
-        // Compaction consumes a sequence number like any append, so an armed
-        // crash landing on it must fire here too — otherwise a fault plan
-        // sampling this boundary would silently inject nothing.  Compaction is
-        // atomic (write-new-log-then-swap via `replace_atomic`), so even a torn
-        // crash leaves the *old* log intact rather than a torn snapshot frame.
-        if let Some(armed) = &state.armed {
-            if armed.at_seq == seq {
-                state.crashed = true;
-                state.armed = None;
-                return Err(StorageError::Crashed);
-            }
-        }
-        let frame = encode_frame(seq, &JournalRecord::Snapshot(snapshot));
-        // Ack ordering: the snapshot must be durably in place *before* the old
-        // log is considered replaced.  `replace_atomic` writes the new log to
-        // the side, fsyncs it, renames it over the old one and fsyncs the
-        // directory — every acked record is recoverable from one log or the
-        // other at every intermediate crash point.  Only after it returns does
-        // the in-memory view switch over.
-        self.backend
-            .replace_atomic(StorageObject::Journal, &frame)?;
-        state.len = frame.len();
-        state.unsynced = false;
-        state.boundaries.clear();
-        let end = state.len;
-        state.boundaries.push((seq, end));
-        state.next_seq = seq + 1;
-        Ok(())
-    }
 }
 
 /// Scans a byte stream for complete frames, returning `(seq, end_offset)` pairs.
@@ -814,8 +730,9 @@ fn encode_frame(seq: u64, record: &JournalRecord) -> Vec<u8> {
 // layout is stable across versions, and a tag is never reused.  A retired tag
 // is either refused or skipped:
 // - Tags 1 (seal), 4 (adopt), 7 (snapshot) and 9 (GC compact) carried whole
-//   container images.  A frame with one of them is refused as unreadable
-//   rather than misparsed.
+//   container images, and tag 14 a compaction snapshot of the node's whole
+//   state, which no build writes any more.  A frame with one of them is
+//   refused as unreadable rather than misparsed.
 // - Tag 2 carried a seal's chunk-index entries again, after the seal or adopt
 //   record whose record table already holds them.  Its frame is checked and
 //   skipped: it yields no record, so an older log still replays.
@@ -828,7 +745,6 @@ const TAG_GC_DROP: u8 = 10;
 const TAG_CONTAINER_SEAL: u8 = 11;
 const TAG_CONTAINER_ADOPT: u8 = 12;
 const TAG_GC_COMPACT: u8 = 13;
-const TAG_SNAPSHOT: u8 = 14;
 
 fn encode_record(record: &JournalRecord) -> Vec<u8> {
     let mut out = Vec::new();
@@ -892,43 +808,6 @@ fn encode_record(record: &JournalRecord) -> Vec<u8> {
             out.extend_from_slice(&unique_chunks.to_le_bytes());
             out.extend_from_slice(&super_chunks.to_le_bytes());
         }
-        JournalRecord::Snapshot(snap) => {
-            out.push(TAG_SNAPSHOT);
-            out.extend_from_slice(&snap.next_container_id.to_le_bytes());
-            out.extend_from_slice(&(snap.containers.len() as u32).to_le_bytes());
-            for (origin, container) in &snap.containers {
-                match origin {
-                    Some((node, cid)) => {
-                        out.push(1);
-                        out.extend_from_slice(&node.to_le_bytes());
-                        out.extend_from_slice(&cid.as_u64().to_le_bytes());
-                    }
-                    None => out.push(0),
-                }
-                container.encode(&mut out);
-            }
-            out.extend_from_slice(&(snap.chunk_entries.len() as u32).to_le_bytes());
-            for (fp, loc) in &snap.chunk_entries {
-                out.extend_from_slice(fp.as_bytes());
-                out.extend_from_slice(&loc.container.as_u64().to_le_bytes());
-                out.extend_from_slice(&loc.offset.to_le_bytes());
-                out.extend_from_slice(&loc.len.to_le_bytes());
-            }
-            out.extend_from_slice(&(snap.similarity.len() as u32).to_le_bytes());
-            for (fp, cid) in &snap.similarity {
-                out.extend_from_slice(fp.as_bytes());
-                out.extend_from_slice(&cid.as_u64().to_le_bytes());
-            }
-            out.extend_from_slice(&(snap.tombstones.len() as u32).to_le_bytes());
-            for (cid, successor) in &snap.tombstones {
-                out.extend_from_slice(&cid.as_u64().to_le_bytes());
-                out.extend_from_slice(&successor.to_le_bytes());
-            }
-            out.extend_from_slice(&snap.logical_bytes.to_le_bytes());
-            out.extend_from_slice(&snap.total_chunks.to_le_bytes());
-            out.extend_from_slice(&snap.unique_chunks.to_le_bytes());
-            out.extend_from_slice(&snap.super_chunks.to_le_bytes());
-        }
     }
     out
 }
@@ -974,48 +853,13 @@ fn decode_record(r: &mut Reader<'_>) -> Option<Option<JournalRecord>> {
             unique_chunks: r.u64()?,
             super_chunks: r.u64()?,
         },
-        TAG_SNAPSHOT => {
-            let next_container_id = r.u64()?;
-            let container_count = r.u32()? as usize;
-            let mut containers = Vec::with_capacity(container_count.min(65_536));
-            for _ in 0..container_count {
-                let origin = match r.u8()? {
-                    0 => None,
-                    1 => Some((r.u64()?, ContainerId::new(r.u64()?))),
-                    _ => return None,
-                };
-                containers.push((origin, ContainerSummary::decode(r)?));
-            }
-            let chunk_entries = decode_chunk_entries(r)?;
-            let sim_count = r.u32()? as usize;
-            let mut similarity = Vec::with_capacity(sim_count.min(65_536));
-            for _ in 0..sim_count {
-                similarity.push((r.fingerprint()?, ContainerId::new(r.u64()?)));
-            }
-            let tomb_count = r.u32()? as usize;
-            let mut tombstones = Vec::with_capacity(tomb_count.min(65_536));
-            for _ in 0..tomb_count {
-                tombstones.push((ContainerId::new(r.u64()?), r.u64()?));
-            }
-            JournalRecord::Snapshot(NodeSnapshot {
-                next_container_id,
-                containers,
-                chunk_entries,
-                similarity,
-                tombstones,
-                logical_bytes: r.u64()?,
-                total_chunks: r.u64()?,
-                unique_chunks: r.u64()?,
-                super_chunks: r.u64()?,
-            })
-        }
         _ => return None,
     };
     Some(Some(record))
 }
 
 /// A count-prefixed list of `(fingerprint, container, offset, len)` entries:
-/// a snapshot's chunk entries, and the body of a skipped tag-2 frame.
+/// the body of a skipped tag-2 frame.
 fn decode_chunk_entries(r: &mut Reader<'_>) -> Option<Vec<(Fingerprint, ChunkLocation)>> {
     let count = r.u32()? as usize;
     let mut entries = Vec::with_capacity(count.min(65_536));
@@ -1143,27 +987,6 @@ pub(crate) mod tests {
                 unique_chunks: 8,
                 super_chunks: 2,
             },
-            JournalRecord::Snapshot(NodeSnapshot {
-                next_container_id: 2,
-                containers: vec![
-                    (None, sample_container(0)),
-                    (Some((3, ContainerId::new(9))), sample_container(1)),
-                ],
-                chunk_entries: vec![(
-                    fp(1),
-                    ChunkLocation {
-                        container: ContainerId::new(0),
-                        offset: 0,
-                        len: 100,
-                    },
-                )],
-                similarity: vec![(fp(10), ContainerId::new(0))],
-                tombstones: vec![(ContainerId::new(5), 1)],
-                logical_bytes: 1000,
-                total_chunks: 8,
-                unique_chunks: 8,
-                super_chunks: 2,
-            }),
         ]
     }
 
@@ -1266,31 +1089,6 @@ pub(crate) mod tests {
         assert_eq!(records.len(), 1, "torn frame discarded");
         assert!(summary.bytes_discarded > 0);
         assert_eq!(journal.len_bytes(), clean_len, "tail truncated for reuse");
-    }
-
-    #[test]
-    fn compaction_folds_the_log_and_keeps_sequencing() {
-        let journal = Journal::new();
-        for record in sample_records() {
-            journal.append(&record).unwrap();
-        }
-        let long = journal.len_bytes();
-        let seq_before = journal.next_seq();
-        journal
-            .compact(NodeSnapshot {
-                next_container_id: 7,
-                ..NodeSnapshot::default()
-            })
-            .unwrap();
-        assert!(journal.len_bytes() < long, "snapshot replaces the log");
-        assert_eq!(journal.frame_count(), 1);
-        assert_eq!(
-            journal.next_seq(),
-            seq_before + 1,
-            "sequence keeps counting"
-        );
-        let (records, _) = Journal::replay(&journal.bytes()).unwrap();
-        assert!(matches!(records[0], JournalRecord::Snapshot(_)));
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use container_store::{
 };
 pub use error::StorageError;
 pub use fingerprint_cache::{CacheStats, FingerprintCache};
-pub use journal::{CrashMode, Journal, JournalRecord, NodeSnapshot, ReplaySummary};
+pub use journal::{CrashMode, Journal, JournalRecord, ReplaySummary};
 pub use read_cache::ReadCacheStats;
 pub use similarity_index::{SimilarityIndex, SimilarityIndexStats};
 

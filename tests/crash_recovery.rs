@@ -849,48 +849,127 @@ proptest! {
 }
 
 /// A journal frame that is whole — its checksum holds — but carries a record
-/// this version cannot decode (here an unknown tag), followed by valid
-/// frames: recovery must refuse it and leave the medium untouched, instead of
-/// truncating there and silently dropping the acknowledged records after it.
+/// this version cannot decode, followed by valid frames: recovery must refuse
+/// it and leave the medium untouched, instead of truncating there and silently
+/// dropping the acknowledged records after it.  The foreign payloads are an
+/// unknown tag, a compaction snapshot (tag 14) laid out as the builds that
+/// wrote one did, and the other retired refused tags 1, 4, 7 and 9.
 #[test]
 fn unreadable_journal_frame_is_refused_not_truncated() {
-    let root = scratch_dir("unreadable-frame");
-    let config = durable_file_config(&root);
-    {
-        let node = DedupNode::new(0, &config);
-        let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, vec![payload(900, 1)]);
-        node.process_super_chunk(0, &sc.view(), &sc.handprint(2))
-            .unwrap();
-        node.try_flush().unwrap();
-        let journal = node.journal();
-        journal
-            .backend()
-            .append(
-                StorageObject::Journal,
-                &raw_frame(journal.next_seq(), &[0xEE, 1, 2, 3]),
-            )
-            .unwrap();
+    // Each builds its payload from the records the node's journal holds.
+    type ForeignPayload = fn(&[JournalRecord]) -> Vec<u8>;
+    let foreign: [ForeignPayload; 6] = [
+        |_| vec![0xEE, 1, 2, 3],
+        retired_snapshot_payload,
+        |_| vec![1],
+        |_| vec![4],
+        |_| vec![7],
+        |_| vec![9],
+    ];
+    for foreign_payload in foreign {
+        let root = scratch_dir("unreadable-frame");
+        let config = durable_file_config(&root);
+        let tag = {
+            let node = DedupNode::new(0, &config);
+            let sc =
+                SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, vec![payload(900, 1)]);
+            node.process_super_chunk(0, &sc.view(), &sc.handprint(2))
+                .unwrap();
+            node.try_flush().unwrap();
+            let journal = node.journal();
+            let (records, _) = Journal::replay(&journal.bytes()).unwrap();
+            let payload = foreign_payload(&records);
+            journal
+                .backend()
+                .append(
+                    StorageObject::Journal,
+                    &raw_frame(journal.next_seq(), &payload),
+                )
+                .unwrap();
+            payload[0]
+        };
+        // Valid frames after the unreadable one.
+        {
+            let backend = Arc::new(FileBackend::open(config.node_storage_dir(0).unwrap()).unwrap());
+            let journal = Journal::open(backend).unwrap();
+            journal
+                .append(&JournalRecord::RecipeDelete { file_id: 7 })
+                .unwrap();
+            journal
+                .append(&JournalRecord::RecipeDelete { file_id: 8 })
+                .unwrap();
+        }
+        let dir = config.node_storage_dir(0).unwrap();
+        let before = snapshot_dir(&dir);
+        match open_dir(&config) {
+            Err(SigmaError::Storage(StorageError::UnreadableRecord { .. })) => {}
+            Err(e) => panic!("tag {tag}: wrong error: {e}"),
+            Ok(_) => panic!("tag {tag}: an unreadable frame must refuse recovery"),
+        }
+        assert_eq!(
+            snapshot_dir(&dir),
+            before,
+            "tag {tag}: the medium is left untouched"
+        );
+        std::fs::remove_dir_all(&root).unwrap();
     }
-    // Valid frames after the unreadable one.
-    {
-        let backend = Arc::new(FileBackend::open(config.node_storage_dir(0).unwrap()).unwrap());
-        let journal = Journal::open(backend).unwrap();
-        journal
-            .append(&JournalRecord::RecipeDelete { file_id: 7 })
-            .unwrap();
-        journal
-            .append(&JournalRecord::RecipeDelete { file_id: 8 })
-            .unwrap();
+}
+
+/// The payload of a tag-14 frame, the compaction snapshot older builds wrote
+/// in place of the whole log, for the node whose journal holds `records`:
+/// `14 | next container ID u64`, its sealed containers (`u32` count, each
+/// `0u8` for no adoption origin, then the summary as a seal record encodes
+/// it), no further chunk entries, its similarity entries (`u32` count,
+/// `(fingerprint, container u64)` each), no tombstones, and its last ingest
+/// counters (four `u64`).
+fn retired_snapshot_payload(records: &[JournalRecord]) -> Vec<u8> {
+    let mut containers = Vec::new();
+    let mut similarity = Vec::new();
+    let mut counters = [0u64; 4];
+    for record in records {
+        match record {
+            JournalRecord::ContainerSeal { container } => containers.push(container),
+            JournalRecord::SimilarityPublish { container, rfps } => {
+                similarity.extend(rfps.iter().map(|rfp| (*rfp, *container)));
+            }
+            JournalRecord::StatsCheckpoint {
+                logical_bytes,
+                total_chunks,
+                unique_chunks,
+                super_chunks,
+            } => counters = [*logical_bytes, *total_chunks, *unique_chunks, *super_chunks],
+            _ => {}
+        }
     }
-    let dir = config.node_storage_dir(0).unwrap();
-    let before = snapshot_dir(&dir);
-    match open_dir(&config) {
-        Err(SigmaError::Storage(StorageError::UnreadableRecord { .. })) => {}
-        Err(e) => panic!("wrong error: {e}"),
-        Ok(_) => panic!("an unreadable frame must refuse recovery"),
+    assert!(!containers.is_empty(), "the node sealed a container");
+    let next_id = containers.iter().map(|c| c.id.as_u64() + 1).max().unwrap();
+    let mut out = vec![14u8];
+    out.extend_from_slice(&next_id.to_le_bytes());
+    out.extend_from_slice(&(containers.len() as u32).to_le_bytes());
+    for container in containers {
+        out.push(0);
+        out.extend_from_slice(&container.id.as_u64().to_le_bytes());
+        out.extend_from_slice(&container.logical_size.to_le_bytes());
+        out.extend_from_slice(&container.data_len.to_le_bytes());
+        out.extend_from_slice(container.checksum.as_bytes());
+        out.extend_from_slice(&(container.meta.records.len() as u32).to_le_bytes());
+        for record in &container.meta.records {
+            out.extend_from_slice(record.fingerprint.as_bytes());
+            out.extend_from_slice(&record.offset.to_le_bytes());
+            out.extend_from_slice(&record.len.to_le_bytes());
+        }
     }
-    assert_eq!(snapshot_dir(&dir), before, "the medium is left untouched");
-    std::fs::remove_dir_all(&root).unwrap();
+    out.extend_from_slice(&0u32.to_le_bytes());
+    out.extend_from_slice(&(similarity.len() as u32).to_le_bytes());
+    for (rfp, container) in similarity {
+        out.extend_from_slice(rfp.as_bytes());
+        out.extend_from_slice(&container.as_u64().to_le_bytes());
+    }
+    out.extend_from_slice(&0u32.to_le_bytes());
+    for counter in counters {
+        out.extend_from_slice(&counter.to_le_bytes());
+    }
+    out
 }
 
 /// A whole journal frame around `payload`, written by hand: magic | payload
@@ -1057,7 +1136,7 @@ fn a_log_with_retired_finalize_frames_still_replays() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-// ---- compaction ----
+// ---- the recovered index ----
 
 /// Checks a node recovered from `medium` against the live node `live` it was
 /// copied from: every ingested fingerprint the live node indexes at a sealed
@@ -1070,8 +1149,8 @@ fn check_recovered_index(
     medium: MemoryBackend,
     fingerprints: &[Fingerprint],
 ) {
-    let (recovered, _) = DedupNode::open(live.id(), config, Arc::new(medium))
-        .expect("a compacted or raw medium recovers");
+    let (recovered, _) =
+        DedupNode::open(live.id(), config, Arc::new(medium)).expect("a raw medium recovers");
     recovered.verify_consistency().unwrap();
     for fp in fingerprints {
         let durable = live.chunk_location(fp).filter(|loc| {
@@ -1109,14 +1188,14 @@ fn check_recovered_index(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A compacted journal carries the chunk index once, in its containers'
-    /// record tables plus the entries those do not give.  On a cluster that
-    /// ingested, deleted and collected garbage, drained a node and left an
-    /// unacknowledged tail open, each node's compacted and raw media recover
-    /// the live node's durable index, and every acknowledged file restores
-    /// after every node restarted from its compacted journal.
+    /// The journal carries the chunk index once, in its seal and adopt
+    /// records' tables.  On a cluster that ingested, deleted and collected
+    /// garbage, drained a node and left an unacknowledged tail open, each
+    /// node's raw medium — journal and container objects as they stand —
+    /// recovers the live node's durable index, and every acknowledged file
+    /// restores after every node restarted from its journal.
     #[test]
-    fn a_compacted_journal_recovers_the_same_index(
+    fn a_raw_journal_image_recovers_the_same_index(
         fallback in any::<bool>(),
         files in proptest::collection::vec(proptest::collection::vec(0usize..6, 1..5), 4..9),
         delete_mask in 0u64..u64::MAX,
@@ -1179,12 +1258,9 @@ proptest! {
         ids.push(removed);
         for &id in &ids {
             let node = cluster.node_by_id(id).expect("a member");
-            let backend = node.journal().backend();
-            let raw = MemoryBackend::copy_of(backend.as_ref()).expect("in-memory medium");
-            node.compact_journal().unwrap();
-            let compacted = MemoryBackend::copy_of(backend.as_ref()).expect("in-memory medium");
+            let raw = MemoryBackend::copy_of(node.journal().backend().as_ref())
+                .expect("in-memory medium");
             check_recovered_index(&config, &node, raw, &fingerprints);
-            check_recovered_index(&config, &node, compacted, &fingerprints);
         }
         for &id in &ids {
             cluster.restart_node(id).unwrap();
