@@ -1,9 +1,9 @@
 //! Restore throughput: the planned restore pipeline against the serial
 //! per-chunk reference path.
 //!
-//! Worker fan-out 1/2/4 on the in-memory and real-file backends, with
-//! criterion's repeated iterations measuring the *warm* steady state where the
-//! container read cache serves repeat visits from RAM.
+//! On the in-memory and real-file backends, with criterion's repeated
+//! iterations measuring the *warm* steady state where the container read
+//! cache serves repeat visits from RAM.
 //!
 //! The banner prints a one-shot comparison table with the pipeline's own
 //! report counters — chunks, coalesced runs, cache hit rate and read
@@ -19,7 +19,6 @@ use std::sync::Arc;
 
 const STREAMS: u64 = 4;
 const VERSION_BYTES: usize = 1 << 20;
-const WORKERS: [usize; 3] = [1, 2, 4];
 
 fn bench_config(file_root: Option<&Path>) -> SigmaConfig {
     let mut builder = SigmaConfig::builder()
@@ -90,17 +89,13 @@ fn check_restored(files: &[(u64, Vec<u8>)], restored: &[Vec<u8>]) {
 
 /// Restores every file once through the pipeline, returning elapsed MB/s and
 /// the summed pipeline report; the bytes are checked after the clock stops.
-fn pipelined_pass(
-    cluster: &DedupCluster,
-    files: &[(u64, Vec<u8>)],
-    workers: usize,
-) -> (f64, RestoreReport) {
+fn pipelined_pass(cluster: &DedupCluster, files: &[(u64, Vec<u8>)]) -> (f64, RestoreReport) {
     let mut restored = Vec::with_capacity(files.len());
     let mut summed = RestoreReport::default();
     let sw = sigma_metrics::Stopwatch::start();
     for (file_id, _) in files {
         let (bytes, report) = cluster
-            .restore_file_pipelined(*file_id, workers)
+            .restore_file_with_report(*file_id)
             .expect("restore cannot fail in bench");
         restored.push(bytes);
         summed.absorb(&report);
@@ -130,7 +125,7 @@ fn reference_pass(cluster: &DedupCluster, files: &[(u64, Vec<u8>)]) -> f64 {
 fn report() {
     sigma_bench::banner(
         "restore throughput",
-        "planned pipeline (batched reads + cache + fan-out) vs serial per-chunk reference",
+        "planned pipeline (batched reads + cache) vs serial per-chunk reference",
     );
     let mut table = sigma_metrics::report::TextTable::new(vec![
         "backend",
@@ -154,31 +149,29 @@ fn report() {
             "-".to_string(),
             "-".to_string(),
         ]);
-        for workers in WORKERS {
-            let (mbps, r) = pipelined_pass(&cluster, &files, workers);
-            let hits = r.cache_hits + r.cache_misses;
-            let hit_rate = if hits > 0 {
-                format!("{:.2}", r.cache_hits as f64 / hits as f64)
-            } else {
-                "-".to_string()
-            };
-            table.add_row(vec![
-                label.to_string(),
-                format!("pipelined x{workers}"),
-                format!("{mbps:.1}"),
-                r.chunks_read.to_string(),
-                r.coalesced_runs.to_string(),
-                hit_rate,
-                format!("{:.2}", r.read_amplification()),
-            ]);
-        }
+        let (mbps, r) = pipelined_pass(&cluster, &files);
+        let hits = r.cache_hits + r.cache_misses;
+        let hit_rate = if hits > 0 {
+            format!("{:.2}", r.cache_hits as f64 / hits as f64)
+        } else {
+            "-".to_string()
+        };
+        table.add_row(vec![
+            label.to_string(),
+            "pipelined".to_string(),
+            format!("{mbps:.1}"),
+            r.chunks_read.to_string(),
+            r.coalesced_runs.to_string(),
+            hit_rate,
+            format!("{:.2}", r.read_amplification()),
+        ]);
         if let Some(root) = root {
             drop(cluster);
             let _ = std::fs::remove_dir_all(root);
         }
     }
     sigma_bench::print_table(
-        "restore of 8 files, each byte-identical to its input (2 nodes, 256 KiB containers; pipelined rows run warm)",
+        "restore of 8 files, each byte-identical to its input (2 nodes, 256 KiB containers; the pipelined pass starts with a cold read cache)",
         &table.render(),
     );
 }
@@ -202,19 +195,17 @@ fn bench_restore(c: &mut Criterion) {
                 }
             })
         });
-        for workers in WORKERS {
-            group.bench_function(&format!("{label}/pipelined_w{workers}"), |b| {
-                b.iter(|| {
-                    for (file_id, _) in &files {
-                        std::hint::black_box(
-                            cluster
-                                .restore_file_pipelined(*file_id, workers)
-                                .expect("restore cannot fail in bench"),
-                        );
-                    }
-                })
-            });
-        }
+        group.bench_function(&format!("{label}/pipelined"), |b| {
+            b.iter(|| {
+                for (file_id, _) in &files {
+                    std::hint::black_box(
+                        cluster
+                            .restore_file_with_report(*file_id)
+                            .expect("restore cannot fail in bench"),
+                    );
+                }
+            })
+        });
         group.finish();
         if let Some(root) = root {
             drop(cluster);

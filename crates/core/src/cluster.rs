@@ -422,9 +422,8 @@ impl DedupCluster {
     /// Runs the container-aware restore pipeline (see [`crate::RestoreReport`]):
     /// entries are grouped per `(node, container)`, each group reads its
     /// container at most once — from the node's container read cache, else as
-    /// one whole data section that then fills the cache — and groups fan out
-    /// [`SigmaConfig::restore_parallelism`] wide, each decoding straight into
-    /// the preallocated output.  The output is byte-identical to
+    /// one whole data section that then fills the cache — and decodes
+    /// straight into the preallocated output.  The output is byte-identical to
     /// [`restore_file_reference`](Self::restore_file_reference).
     ///
     /// # Errors

@@ -78,16 +78,6 @@ pub struct SigmaConfig {
     /// Always read the knob through [`SigmaConfig::effective_parallelism`], which
     /// performs both the `0` resolution and the clamp.
     pub parallelism: usize,
-    /// Worker threads used by the restore pipeline's per-container fan-out,
-    /// mirroring [`parallelism`](Self::parallelism) on the read side:
-    ///
-    /// * `1` (the default) runs the planned restore on the caller's thread —
-    ///   still batched, cached and copy-eliminated, just not fanned out;
-    /// * `0` means "one worker per available CPU core";
-    /// * other values are clamped to [`MAX_PARALLELISM`].
-    ///
-    /// Read it through [`SigmaConfig::effective_restore_parallelism`].
-    pub restore_parallelism: usize,
     /// Which storage backend each node's journal and container store live on.
     /// Every node journals on its own backend, whichever it is: container
     /// seals, adoptions, similarity publishes, tombstones and GC records
@@ -137,7 +127,6 @@ impl Default for SigmaConfig {
             chunk_index_fallback: true,
             capacity_balancing: true,
             parallelism: 1,
-            restore_parallelism: 1,
             storage_backend: BackendKind::Memory,
             storage_root: None,
             gc_liveness_threshold: 0.5,
@@ -166,15 +155,6 @@ impl SigmaConfig {
     /// `usize::MAX` that would otherwise try to spawn one thread per address).
     pub fn effective_parallelism(&self) -> usize {
         match self.parallelism {
-            0 => available_cores(),
-            n => n.min(MAX_PARALLELISM),
-        }
-    }
-
-    /// The resolved restore worker count, with the same `0` resolution and
-    /// [`MAX_PARALLELISM`] clamp as [`effective_parallelism`](Self::effective_parallelism).
-    pub fn effective_restore_parallelism(&self) -> usize {
-        match self.restore_parallelism {
             0 => available_cores(),
             n => n.min(MAX_PARALLELISM),
         }
@@ -267,7 +247,7 @@ impl SigmaConfig {
 
 /// The number of available CPU cores (at least 1), asked of the OS once per
 /// process: `std::thread::available_parallelism` reads cgroup files on Linux,
-/// ~12 µs a call, too slow to pay on every ingest and planned restore.
+/// ~12 µs a call, too slow to pay on every ingest.
 fn available_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| {
@@ -344,13 +324,6 @@ impl SigmaConfigBuilder {
     /// values above [`MAX_PARALLELISM`] are clamped at resolution time).
     pub fn parallelism(mut self, threads: usize) -> Self {
         self.config.parallelism = threads;
-        self
-    }
-
-    /// Sets the restore worker-thread count (`0` = one per CPU core, `1` =
-    /// serial; values above [`MAX_PARALLELISM`] are clamped at resolution time).
-    pub fn restore_parallelism(mut self, threads: usize) -> Self {
-        self.config.restore_parallelism = threads;
         self
     }
 
@@ -513,40 +486,13 @@ mod tests {
     }
 
     #[test]
-    fn restore_knobs_resolve_and_default() {
-        let c = SigmaConfig::default();
-        assert_eq!(c.restore_parallelism, 1, "serial restore by default");
-        assert_eq!(c.effective_restore_parallelism(), 1);
-        let auto = SigmaConfig::builder()
-            .restore_parallelism(0)
-            .build()
-            .unwrap();
-        assert!(auto.effective_restore_parallelism() >= 1);
-        let four = SigmaConfig::builder()
-            .restore_parallelism(4)
-            .build()
-            .unwrap();
-        assert_eq!(four.effective_restore_parallelism(), 4);
-        let absurd = SigmaConfig::builder()
-            .restore_parallelism(usize::MAX)
-            .build()
-            .unwrap();
-        assert_eq!(absurd.effective_restore_parallelism(), MAX_PARALLELISM);
-    }
-
-    #[test]
     fn available_cores_are_resolved_once_and_at_least_one() {
         let cores = available_cores();
         assert!(cores >= 1);
-        let auto = SigmaConfig::builder()
-            .parallelism(0)
-            .restore_parallelism(0)
-            .build()
-            .unwrap();
+        let auto = SigmaConfig::builder().parallelism(0).build().unwrap();
         for _ in 0..3 {
             assert_eq!(available_cores(), cores, "stable across calls");
             assert_eq!(auto.effective_parallelism(), cores);
-            assert_eq!(auto.effective_restore_parallelism(), cores);
         }
     }
 

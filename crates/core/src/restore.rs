@@ -21,11 +21,10 @@
 //!    RAM, and a miss reads the whole data section once and caches it.
 //! 3. **Assemble** — every chunk decodes *directly* into its slice of the
 //!    preallocated output buffer (offsets are known from the recipe), so the
-//!    per-chunk double copy of the serial path is gone even at
-//!    `restore_parallelism = 1`.
-//! 4. **Fan out** — groups run on the ingest pipeline's worker pool
-//!    ([`run_pool`]), `SigmaConfig::restore_parallelism` wide; output order
-//!    is free because each group writes disjoint slices.
+//!    per-chunk double copy of the serial path is gone.
+//!
+//! Groups run on the caller's thread, in the order of their first recipe
+//! entry.
 //!
 //! A group that fails its batched read (a migration or GC racing the plan,
 //! or a corrupt record past its container's data section) falls back to
@@ -36,8 +35,7 @@
 //! not add up to the recipe.
 
 use crate::cluster::DedupCluster;
-use crate::director::{FileId, FileRecipe};
-use crate::pipeline::run_pool;
+use crate::director::FileId;
 use crate::{Result, SigmaError};
 use sigma_hashkit::Fingerprint;
 use sigma_storage::{ChunkFetch, ContainerId};
@@ -54,7 +52,7 @@ pub struct RestoreReport {
     pub logical_bytes: u64,
     /// Chunk payloads decoded.
     pub chunks_read: u64,
-    /// Distinct `(node, container)` groups the plan fanned out to.
+    /// Distinct `(node, container)` groups the plan read.
     pub containers_read: u64,
     /// Container-read-cache hits across groups.
     pub cache_hits: u64,
@@ -72,8 +70,6 @@ pub struct RestoreReport {
     /// Chunks served by the per-chunk serial fallback (a batched read that
     /// raced a migration or GC, or met a corrupt record).
     pub serial_fallback_chunks: u64,
-    /// Worker threads the group fan-out ran on.
-    pub parallelism: usize,
 }
 
 impl RestoreReport {
@@ -87,8 +83,7 @@ impl RestoreReport {
         }
     }
 
-    /// Adds every additive field of `other` into `self`; `parallelism`, a
-    /// setting rather than a count, is left as it is.
+    /// Adds every field of `other` into `self`.
     pub fn absorb(&mut self, other: &RestoreReport) {
         self.logical_bytes += other.logical_bytes;
         self.chunks_read += other.chunks_read;
@@ -116,7 +111,7 @@ struct PlannedFetch<'a> {
     out: &'a mut [u8],
 }
 
-/// All of one container's planned fetches — the unit of fan-out.
+/// All of one container's planned fetches: one batched read.
 struct Group<'a> {
     node: usize,
     container: ContainerId,
@@ -124,46 +119,17 @@ struct Group<'a> {
 }
 
 impl DedupCluster {
-    /// Reconstructs a file and reports what the restore pipeline did.
-    ///
-    /// Runs the planned pipeline at
-    /// [`SigmaConfig::effective_restore_parallelism`](crate::SigmaConfig::effective_restore_parallelism);
+    /// Reconstructs a file and reports what the restore pipeline did;
     /// [`restore_file`](Self::restore_file) is this without the report.
     ///
     /// # Errors
     ///
     /// Exactly as [`restore_file`](Self::restore_file).
     pub fn restore_file_with_report(&self, file_id: FileId) -> Result<(Vec<u8>, RestoreReport)> {
-        let workers = self.config().effective_restore_parallelism();
-        self.restore_file_pipelined(file_id, workers)
-    }
-
-    /// Reconstructs a file on the planned pipeline with an explicit worker
-    /// count, bypassing the `restore_parallelism` knob — the entry point the
-    /// equivalence proptests and benches sweep.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`restore_file`](Self::restore_file).
-    pub fn restore_file_pipelined(
-        &self,
-        file_id: FileId,
-        workers: usize,
-    ) -> Result<(Vec<u8>, RestoreReport)> {
         let recipe = self
             .director()
             .recipe(file_id)
             .ok_or(SigmaError::FileNotFound(file_id))?;
-        self.restore_planned(file_id, &recipe, workers.max(1))
-    }
-
-    /// The plan → read → assemble core.
-    fn restore_planned(
-        &self,
-        file_id: FileId,
-        recipe: &FileRecipe,
-        workers: usize,
-    ) -> Result<(Vec<u8>, RestoreReport)> {
         let total: u64 = recipe.chunks.iter().map(|e| u64::from(e.len)).sum();
         if total != recipe.size {
             return Err(SigmaError::RestoreTruncated {
@@ -215,7 +181,7 @@ impl DedupCluster {
                 });
         }
 
-        // Deterministic group order (first recipe index), then fan out.
+        // Deterministic group order (first recipe index).
         let mut groups: Vec<Group<'_>> = by_container
             .into_iter()
             .map(|((node, container), mut fetches)| {
@@ -229,18 +195,15 @@ impl DedupCluster {
             .collect();
         groups.sort_unstable_by_key(|g| g.fetches[0].index);
 
-        let outcomes = run_pool(workers, groups, |_, group| {
-            self.fetch_group(group, &truncated)
-        });
-
         let mut report = RestoreReport {
             logical_bytes: total,
-            parallelism: workers,
             ..RestoreReport::default()
         };
+        // Every group runs; the error reported is the one at the earliest
+        // recipe index, which a later group can hold.
         let mut failure: Option<(usize, SigmaError)> = None;
-        for outcome in outcomes {
-            match outcome {
+        for group in groups {
+            match self.fetch_group(group, &truncated) {
                 Ok(group) => report.absorb(&group),
                 Err((index, error)) => {
                     if failure.as_ref().is_none_or(|(i, _)| index < *i) {

@@ -1,13 +1,10 @@
 //! FNV-1a: a tiny, fast, non-cryptographic hash.
 //!
-//! Used where a cheap, well-distributed hash of small keys is needed: bucket
-//! selection inside the striped similarity index and deterministic pseudo-random
-//! placement in the baseline DHT routers.  It is *not* used for chunk fingerprints.
+//! The journal checksums each frame's payload with it.  It is *not* used for
+//! chunk fingerprints.
 
 const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-const FNV32_OFFSET: u32 = 0x811c_9dc5;
-const FNV32_PRIME: u32 = 0x0100_0193;
 
 /// One-shot 64-bit FNV-1a hash of `data`.
 ///
@@ -26,62 +23,9 @@ pub fn fnv1a_64(data: &[u8]) -> u64 {
     h
 }
 
-/// One-shot 32-bit FNV-1a hash of `data`.
-pub fn fnv1a_32(data: &[u8]) -> u32 {
-    let mut h = FNV32_OFFSET;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(FNV32_PRIME);
-    }
-    h
-}
-
-/// Incremental 64-bit FNV-1a hasher implementing [`std::hash::Hasher`].
-///
-/// # Example
-///
-/// ```
-/// use std::hash::Hasher;
-/// use sigma_hashkit::{fnv1a_64, Fnv64};
-///
-/// let mut h = Fnv64::new();
-/// h.write(b"abc");
-/// assert_eq!(h.finish(), fnv1a_64(b"abc"));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64(FNV64_OFFSET)
-    }
-}
-
-impl Fnv64 {
-    /// Creates a hasher in its initial state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl std::hash::Hasher for Fnv64 {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV64_PRIME);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use std::hash::Hasher;
 
     #[test]
     fn known_vectors() {
@@ -89,30 +33,5 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-        assert_eq!(fnv1a_32(b""), 0x811c9dc5);
-        assert_eq!(fnv1a_32(b"a"), 0xe40c292c);
-        assert_eq!(fnv1a_32(b"foobar"), 0xbf9cf968);
-    }
-
-    #[test]
-    fn hasher_matches_one_shot() {
-        let mut h = Fnv64::new();
-        h.write(b"hello ");
-        h.write(b"world");
-        assert_eq!(h.finish(), fnv1a_64(b"hello world"));
-    }
-
-    proptest! {
-        #[test]
-        fn prop_incremental_equals_one_shot(
-            data in proptest::collection::vec(any::<u8>(), 0..256),
-            split in 0usize..256,
-        ) {
-            let split = split.min(data.len());
-            let mut h = Fnv64::new();
-            h.write(&data[..split]);
-            h.write(&data[split..]);
-            prop_assert_eq!(h.finish(), fnv1a_64(&data));
-        }
     }
 }

@@ -31,8 +31,8 @@
 //!
 //! * [`RabinHasher`] — a polynomial rolling hash over a sliding window, used by the
 //!   content-defined chunkers.
-//! * [`Fnv64`] — a tiny non-cryptographic hash used for hash-table style placement
-//!   (e.g. DHT bucket selection in the baseline routers).
+//! * [`fnv1a_64`] — a tiny non-cryptographic hash: the journal's frame
+//!   checksum.
 //! * [`Fingerprint`] — the fixed-width chunk fingerprint value type shared by the
 //!   whole workspace, and [`FingerprintMap`] / [`FingerprintSet`], the
 //!   collections keyed by it, which hash one word of the digest instead of
@@ -70,7 +70,7 @@ pub use fingerprint::{Fingerprint, ParseFingerprintError};
 pub use fingerprint_hasher::{
     FingerprintBuildHasher, FingerprintHasher, FingerprintMap, FingerprintSet,
 };
-pub use fnv::{fnv1a_32, fnv1a_64, Fnv64};
+pub use fnv::fnv1a_64;
 pub use md5::Md5;
 pub use rabin::{RabinHasher, RabinParams, DEFAULT_IRREDUCIBLE_POLY};
 pub use sha1::Sha1;

@@ -93,7 +93,6 @@ fn polymulmod(a: u64, b: u64, poly: u64) -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RabinHasher {
-    params: RabinParams,
     /// Degree of the polynomial.
     deg: u32,
     /// Mask keeping values below 2^deg.
@@ -182,13 +181,7 @@ impl RabinHasher {
             window_pos: 0,
             window_filled: 0,
             hash: 0,
-            params,
         }
-    }
-
-    /// The parameters this hasher was created with.
-    pub fn params(&self) -> RabinParams {
-        self.params
     }
 
     /// Resets the hasher to its initial (empty-window) state.

@@ -29,7 +29,7 @@ pub const FREED_BYTES_KEY: &str = "freed_bytes";
 pub const BYTES_RECLAIMED_KEY: &str = "bytes_reclaimed";
 /// Response-metadata key: chunk payloads a restore decoded.
 pub const CHUNKS_READ_KEY: &str = "chunks_read";
-/// Response-metadata key: `(node, container)` groups a restore fanned out to.
+/// Response-metadata key: `(node, container)` groups a restore read.
 pub const CONTAINERS_OPENED_KEY: &str = "containers_opened";
 /// Response-metadata key: container-read-cache hits during a restore.
 pub const CACHE_HITS_KEY: &str = "cache_hits";

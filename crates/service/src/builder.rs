@@ -1,6 +1,5 @@
-//! Declarative assembly of a middleware stack: [`ServiceBuilder`] for
-//! code-driven layering, [`ServiceStack`] as the runnable (in-process)
-//! result.
+//! Assembly of a middleware stack: [`ServiceBuilder`] layers it,
+//! [`ServiceStack`] is the runnable (in-process) result.
 
 use crate::middleware::{
     AdmissionControl, FairScheduler, Middleware, RateLimit, RequestLog, TenantQuota, TokenAuth,
@@ -115,13 +114,9 @@ impl ServiceBuilder {
         self.layer(Arc::new(admission))
     }
 
-    /// Appends deficit-round-robin fair scheduling over per-tenant queues.
-    pub fn fair_scheduler(self, scheduler: FairScheduler) -> Self {
-        self.layer(Arc::new(scheduler))
-    }
-
-    /// Appends a caller-held fair scheduler (keep the handle to read
-    /// per-tenant completed bytes and compute fairness indices).
+    /// Appends deficit-round-robin fair scheduling over per-tenant queues,
+    /// caller-held (keep the handle to read per-tenant completed bytes and
+    /// compute fairness indices).
     pub fn fair_scheduler_with(self, scheduler: Arc<FairScheduler>) -> Self {
         self.layer(scheduler)
     }

@@ -35,8 +35,7 @@
 //! Two transports share the pipeline byte-for-byte: the in-process
 //! [`ServiceStack::call`] used by tests and embedders, and the framed-TCP
 //! pair [`TcpService`]/[`TcpClient`] whose wire format lives in [`codec`].
-//! Stacks assemble either in code ([`ServiceBuilder`]) or from declarative
-//! text ([`ServiceConfig`]).
+//! Stacks are assembled in code, with [`ServiceBuilder`].
 //!
 //! ## Quick start
 //!
@@ -68,7 +67,6 @@
 pub mod backend;
 mod builder;
 pub mod codec;
-mod config;
 mod envelope;
 pub mod middleware;
 mod pipeline;
@@ -76,9 +74,6 @@ mod tcp;
 
 pub use backend::BackupService;
 pub use builder::{ServiceBuilder, ServiceStack};
-pub use config::{
-    AdmissionConfig, FairSchedulerConfig, RateLimitConfig, ServiceConfig, StorageConfig,
-};
 pub use envelope::{Operation, RequestEnvelope, ResponseEnvelope, AUTH_TOKEN_KEY};
 pub use middleware::{Middleware, Next, ServiceResult};
 pub use pipeline::{Backend, PipelineExecutor};

@@ -53,10 +53,6 @@ impl Default for ChurnConfig {
             sigma: SigmaConfig::builder()
                 .super_chunk_size(64 * 1024)
                 .container_capacity(256 * 1024)
-                // Restore-verify phases run the planned restore pipeline
-                // fanned out, so the scenario exercises parallel group
-                // fetches racing the rebalancer's tombstone hand-offs.
-                .restore_parallelism(2)
                 .build()
                 .expect("default churn config is valid"),
         }

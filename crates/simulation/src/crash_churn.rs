@@ -130,10 +130,6 @@ impl Default for CrashChurnConfig {
             sigma: SigmaConfig::builder()
                 .super_chunk_size(64 * 1024)
                 .container_capacity(128 * 1024)
-                // Post-recovery restore-verify runs the planned pipeline in
-                // parallel, covering batched reads against recovered and
-                // reconciled containers.
-                .restore_parallelism(2)
                 .build()
                 .expect("default crash-churn config is valid"),
         }

@@ -88,16 +88,7 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Parses the config-file spelling (`memory` / `file`).
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s {
-            "memory" => Some(BackendKind::Memory),
-            "file" => Some(BackendKind::File),
-            _ => None,
-        }
-    }
-
-    /// The config-file spelling.
+    /// Its lowercase name (`memory` / `file`).
     pub fn as_str(&self) -> &'static str {
         match self {
             BackendKind::Memory => "memory",
@@ -941,9 +932,7 @@ mod tests {
         assert_eq!(StorageObject::from_file_name("journal.wal.tmp"), None);
         assert_eq!(StorageObject::from_file_name("container-x.sc"), None);
         assert_eq!(StorageObject::from_file_name("README"), None);
-        assert_eq!(BackendKind::parse("file"), Some(BackendKind::File));
-        assert_eq!(BackendKind::parse("memory"), Some(BackendKind::Memory));
-        assert_eq!(BackendKind::parse("floppy"), None);
         assert_eq!(BackendKind::Memory.to_string(), "memory");
+        assert_eq!(BackendKind::File.to_string(), "file");
     }
 }

@@ -82,8 +82,7 @@
 //! adopt-then-tombstone boundary inside a rebalance step.
 
 use crate::{
-    ChunkLocation, ContainerId, ContainerSummary, MemoryBackend, StorageBackend, StorageError,
-    StorageObject,
+    ContainerId, ContainerSummary, MemoryBackend, StorageBackend, StorageError, StorageObject,
 };
 use parking_lot::Mutex;
 use sigma_hashkit::{fnv1a_64, Fingerprint};
@@ -737,6 +736,8 @@ fn encode_frame(seq: u64, record: &JournalRecord) -> Vec<u8> {
 //   record whose record table already holds them.  Its frame is checked and
 //   skipped: it yields no record, so an older log still replays.
 const TAG_RETIRED_CHUNK_INDEX_FINALIZE: u8 = 2;
+/// One tag-2 entry: a fingerprint, then its container id, offset and length.
+const RETIRED_FINALIZE_ENTRY_LEN: usize = Fingerprint::LEN + 8 + 4 + 4;
 const TAG_SIMILARITY_PUBLISH: u8 = 3;
 const TAG_TOMBSTONE: u8 = 5;
 const TAG_STATS_CHECKPOINT: u8 = 6;
@@ -821,7 +822,8 @@ fn decode_record(r: &mut Reader<'_>) -> Option<Option<JournalRecord>> {
         },
         TAG_RETIRED_CHUNK_INDEX_FINALIZE => {
             r.u64()?;
-            decode_chunk_entries(r)?;
+            let count = r.u32()? as usize;
+            r.bytes(count.checked_mul(RETIRED_FINALIZE_ENTRY_LEN)?)?;
             return Some(None);
         }
         TAG_SIMILARITY_PUBLISH => JournalRecord::SimilarityPublish {
@@ -856,23 +858,6 @@ fn decode_record(r: &mut Reader<'_>) -> Option<Option<JournalRecord>> {
         _ => return None,
     };
     Some(Some(record))
-}
-
-/// A count-prefixed list of `(fingerprint, container, offset, len)` entries:
-/// the body of a skipped tag-2 frame.
-fn decode_chunk_entries(r: &mut Reader<'_>) -> Option<Vec<(Fingerprint, ChunkLocation)>> {
-    let count = r.u32()? as usize;
-    let mut entries = Vec::with_capacity(count.min(65_536));
-    for _ in 0..count {
-        let fp = r.fingerprint()?;
-        let loc = ChunkLocation {
-            container: ContainerId::new(r.u64()?),
-            offset: r.u32()?,
-            len: r.u32()?,
-        };
-        entries.push((fp, loc));
-    }
-    Some(entries)
 }
 
 fn encode_fingerprints(out: &mut Vec<u8>, fps: &[Fingerprint]) {

@@ -1,4 +1,4 @@
-//! The backup service over framed TCP: a config-driven middleware stack
+//! The backup service over framed TCP: a [`ServiceBuilder`] middleware stack
 //! (auth → quota → rate-limit → logging) in front of a two-node cluster,
 //! served on a loopback socket and exercised by a [`TcpClient`].
 //!
@@ -17,28 +17,19 @@
 use sigma_dedupe::prelude::*;
 use std::sync::Arc;
 
-/// The stack, declared as data rather than code.
-const SERVICE_TOML: &str = r#"
-[auth.tokens]
-acme = "s3cret"
-
-[quota.logical_bytes]
-acme = 16777216            # 16 MiB logical budget
-
-[rate_limit]
-capacity = 100
-refill_per_sec = 50.0
-
-[logging]
-enabled = true
-"#;
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cluster = Arc::new(DedupCluster::with_similarity_router(
         2,
         SigmaConfig::default(),
     ));
-    let stack = Arc::new(ServiceConfig::build(SERVICE_TOML, cluster)?);
+    let stack = Arc::new(
+        ServiceBuilder::default_stack(
+            TokenAuth::new().tenant("acme", "s3cret"),
+            TenantQuota::new().budget("acme", 16 << 20), // 16 MiB logical budget
+            RateLimit::new(100, 50.0),
+        )
+        .build(cluster),
+    );
     println!("middleware stack: {:?}", stack.middleware_names());
 
     let mut service = TcpService::bind("127.0.0.1:0", stack.clone())?;

@@ -65,8 +65,8 @@ pub use sigma_core::{
 };
 pub use sigma_hashkit::{Digest, Fingerprint, FingerprintAlgorithm, Md5, Sha1};
 pub use sigma_service::{
-    BackupService, Operation, RequestEnvelope, ResponseEnvelope, ServiceBuilder, ServiceConfig,
-    ServiceStack, TcpClient, TcpService,
+    BackupService, Operation, RequestEnvelope, ResponseEnvelope, ServiceBuilder, ServiceStack,
+    TcpClient, TcpService,
 };
 pub use sigma_storage::{
     BackendKind, CrashMode, FileBackend, Journal, JournalRecord, MemoryBackend, StorageBackend,
@@ -133,8 +133,8 @@ pub mod prelude {
         AdmissionControl, FairScheduler, RateLimit, RequestLog, TenantQuota, TokenAuth,
     };
     pub use sigma_service::{
-        BackupService, Operation, RequestEnvelope, ResponseEnvelope, ServiceBuilder, ServiceConfig,
-        ServiceStack, TcpClient, TcpService, AUTH_TOKEN_KEY,
+        BackupService, Operation, RequestEnvelope, ResponseEnvelope, ServiceBuilder, ServiceStack,
+        TcpClient, TcpService, AUTH_TOKEN_KEY,
     };
 }
 

@@ -2,8 +2,8 @@
 //! ingested through the **full middleware stack** survives a complete loss of
 //! process state.
 //!
-//! 1. A `[storage] backend = "file"` service config picks the persistence mode
-//!    and builds the cluster from it;
+//! 1. `SigmaConfigBuilder::file_storage` picks the persistence mode and the
+//!    cluster is built from it;
 //! 2. tenants back up versioned payloads through auth + admission + quota +
 //!    logging into a two-node cluster;
 //! 3. every in-memory handle — stack, cluster, nodes, journals — is dropped;
@@ -46,20 +46,17 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-const SERVICE_TEXT: &str = r#"
-[auth.tokens]
-acme = "s3cret"
-globex = "t0ken"
-
-[logging]
-enabled = true
-
-[admission]
-max_inflight_requests = 64
-
-[storage]
-backend = "file"
-"#;
+/// The stack the tenants back up through: auth → admission → logging.
+fn service_builder() -> ServiceBuilder {
+    ServiceBuilder::new()
+        .auth(
+            TokenAuth::new()
+                .tenant("acme", "s3cret")
+                .tenant("globex", "t0ken"),
+        )
+        .admission(AdmissionControl::new(64, 256 << 20))
+        .logging()
+}
 
 fn file_sigma_config(root: &std::path::Path) -> SigmaConfig {
     SigmaConfig::builder()
@@ -115,17 +112,12 @@ fn reassemble(recipe: &FileRecipe, nodes: &HashMap<usize, DedupNode>) -> Vec<u8>
 #[test]
 fn full_stack_ingest_survives_process_restart() {
     let root = scratch_dir("persistent-restart");
-    let service_config = ServiceConfig::parse(SERVICE_TEXT).expect("valid service config");
-    let mut sigma = service_config
-        .clone()
-        .apply_storage(file_sigma_config(&root))
-        .expect("storage section applies");
-    sigma.storage_root = Some(root.clone()); // the config file has no fixed dir; tests pick one
+    let sigma = file_sigma_config(&root);
 
     // Phase 1: ingest through the full stack, then drop every handle.
     let (recipes, expected) = {
         let cluster = Arc::new(DedupCluster::with_similarity_router(2, sigma.clone()));
-        let stack = service_config.into_builder().build(cluster.clone());
+        let stack = service_builder().build(cluster.clone());
 
         let mut expected: HashMap<u64, Vec<u8>> = HashMap::new();
         let mut request_id = 1u64;

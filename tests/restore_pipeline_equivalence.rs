@@ -1,13 +1,12 @@
 //! Property tests pinning the planned restore pipeline to the serial
 //! reference path.
 //!
-//! `DedupCluster::restore_file` now plans per-container batched reads, serves
-//! repeats from the container read cache, and fans groups out across workers;
+//! `DedupCluster::restore_file` now plans per-container batched reads and
+//! serves repeats from the container read cache;
 //! `DedupCluster::restore_file_reference` remains the serial per-chunk
 //! arbiter.  These properties assert the two are **byte-identical** —
 //!
 //! * across the in-memory and real-file backends,
-//! * at `restore_parallelism` ∈ {1, 2, 4},
 //! * after every individual `Rebalancer::step` of a node-removal drain and
 //!   through multi-hop tombstone chains,
 //! * and after a mark-and-sweep GC has compacted containers —
@@ -21,8 +20,6 @@ use proptest::prelude::*;
 use sigma_dedupe::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-const PARALLELISMS: [usize; 3] = [1, 2, 4];
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -77,26 +74,22 @@ fn backup_all(cluster: &Arc<DedupCluster>, datas: &[Vec<u8>]) -> Vec<(u64, Vec<u
 }
 
 /// Every file: reference output == expected bytes, and the pipelined restore
-/// at every parallelism reproduces it exactly.
+/// reproduces it exactly.
 fn assert_pipeline_matches_reference(cluster: &DedupCluster, files: &[(u64, Vec<u8>)]) {
     for (file_id, expected) in files {
         let reference = cluster
             .restore_file_reference(*file_id)
             .unwrap_or_else(|e| panic!("file {file_id} failed the reference restore: {e}"));
         assert_eq!(&reference, expected, "reference corrupted file {file_id}");
-        for workers in PARALLELISMS {
-            let (piped, report) = cluster
-                .restore_file_pipelined(*file_id, workers)
-                .unwrap_or_else(|e| {
-                    panic!("file {file_id} failed the pipelined restore (x{workers}): {e}")
-                });
-            assert_eq!(
-                &piped, expected,
-                "pipelined restore (x{workers}) corrupted file {file_id}"
-            );
-            assert_eq!(report.logical_bytes, expected.len() as u64);
-            assert_eq!(report.chunks_read as usize, chunk_count(cluster, *file_id));
-        }
+        let (piped, report) = cluster
+            .restore_file_with_report(*file_id)
+            .unwrap_or_else(|e| panic!("file {file_id} failed the pipelined restore: {e}"));
+        assert_eq!(
+            &piped, expected,
+            "pipelined restore corrupted file {file_id}"
+        );
+        assert_eq!(report.logical_bytes, expected.len() as u64);
+        assert_eq!(report.chunks_read as usize, chunk_count(cluster, *file_id));
     }
 }
 
@@ -112,7 +105,7 @@ fn chunk_count(cluster: &DedupCluster, file_id: u64) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Byte-identity on every backend at every parallelism, steady state.
+    /// Byte-identity on every backend, steady state.
     #[test]
     fn pipelined_restore_matches_reference_on_every_backend(
         blocks in proptest::collection::vec(
@@ -196,9 +189,9 @@ proptest! {
 }
 
 /// The double-copy regression guard (deterministic, not property-based): on
-/// the happy path every logical byte is written into the output exactly once,
-/// even serially — the `Vec`-per-chunk + `extend_from_slice` second copy of
-/// the reference path is gone.
+/// the happy path every logical byte is written into the output exactly once
+/// — the `Vec`-per-chunk + `extend_from_slice` second copy of the reference
+/// path is gone.
 #[test]
 fn happy_path_copies_each_byte_exactly_once() {
     let cluster = Arc::new(DedupCluster::with_similarity_router(
@@ -209,18 +202,14 @@ fn happy_path_copies_each_byte_exactly_once() {
     let client = BackupClient::new(cluster.clone(), 0);
     let report = client.backup_bytes("copy-once.bin", &data).unwrap();
     cluster.try_flush().unwrap();
-    for workers in PARALLELISMS {
-        let (restored, restore) = cluster
-            .restore_file_pipelined(report.file_id, workers)
-            .unwrap();
-        assert_eq!(restored, data);
-        assert_eq!(
-            restore.bytes_copied,
-            data.len() as u64,
-            "restore (x{workers}) copied bytes more than once"
-        );
-        assert_eq!(restore.serial_fallback_chunks, 0, "no fallback expected");
-    }
+    let (restored, restore) = cluster.restore_file_with_report(report.file_id).unwrap();
+    assert_eq!(restored, data);
+    assert_eq!(
+        restore.bytes_copied,
+        data.len() as u64,
+        "restore copied bytes more than once"
+    );
+    assert_eq!(restore.serial_fallback_chunks, 0, "no fallback expected");
 }
 
 /// On a persistent backend a repeat restore is served by the container read
@@ -237,7 +226,7 @@ fn repeat_restore_on_file_backend_hits_the_read_cache() {
     let report = client.backup_bytes("cached.bin", &data).unwrap();
     cluster.try_flush().unwrap();
 
-    let (cold, first) = cluster.restore_file_pipelined(report.file_id, 2).unwrap();
+    let (cold, first) = cluster.restore_file_with_report(report.file_id).unwrap();
     assert_eq!(cold, data);
     assert_eq!(first.cache_hits, 0, "cold cache cannot hit");
     assert!(
@@ -249,7 +238,7 @@ fn repeat_restore_on_file_backend_hits_the_read_cache() {
         "one whole-section read per cache miss"
     );
 
-    let (warm, second) = cluster.restore_file_pipelined(report.file_id, 2).unwrap();
+    let (warm, second) = cluster.restore_file_with_report(report.file_id).unwrap();
     assert_eq!(warm, data);
     assert!(second.cache_hits > 0, "repeat restore must hit the cache");
     assert!(
