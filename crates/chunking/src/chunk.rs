@@ -1,7 +1,5 @@
 //! Chunk value types shared by the chunkers and the deduplication layers.
 
-use serde::{Deserialize, Serialize};
-
 /// An owned data chunk produced by a [`Chunker`](crate::Chunker).
 ///
 /// # Example
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.len(), 128);
 /// assert!(!c.is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chunk {
     offset: u64,
     data: Vec<u8>,

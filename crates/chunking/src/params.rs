@@ -1,10 +1,9 @@
 //! Runtime-selectable chunker configuration.
 
 use crate::{CdcChunker, Chunker, StaticChunker, TttdChunker, TttdParams};
-use serde::{Deserialize, Serialize};
 
 /// The chunking family to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChunkingMethod {
     /// Static (fixed-size) chunking.
     Static,
@@ -40,7 +39,7 @@ impl std::fmt::Display for ChunkingMethod {
 /// let chunker = params.build();
 /// assert_eq!(chunker.average_chunk_size(), 4096);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChunkerParams {
     /// Fixed-size chunking with the given chunk size.
     Fixed {

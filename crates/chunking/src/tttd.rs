@@ -11,11 +11,10 @@
 //! mean, major mean, maximum) for the super-chunk resemblance study of Section 2.2.
 
 use crate::Chunker;
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::{RabinHasher, RabinParams};
 
 /// Parameters of the TTTD chunker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TttdParams {
     /// Minimum chunk size (boundaries are never declared earlier).
     pub min_size: usize,

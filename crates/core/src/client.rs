@@ -16,13 +16,12 @@
 
 use crate::pipeline::{ingest, Stream};
 use crate::{DedupCluster, FileId, Result};
-use serde::{Deserialize, Serialize};
 use sigma_storage::StorageError;
 use std::io::Read;
 use std::sync::Arc;
 
 /// Summary of one file (or stream) backup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileBackupReport {
     /// The file ID assigned by the director (use it to restore).
     pub file_id: FileId,

@@ -18,7 +18,6 @@ use crate::{
     SigmaConfig, SigmaError, SimilarityRouter, SuperChunk, SuperChunkReceipt, SuperChunkView,
 };
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::Fingerprint;
 use sigma_storage::{BackendKind, ContainerId, ContainerState};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -26,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Fingerprint-lookup message counters (the paper's system-overhead metric).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MessageStats {
     /// Lookups sent to candidate nodes before routing (representative fingerprints).
     pub prerouting_lookups: u64,
@@ -47,7 +46,7 @@ impl MessageStats {
 }
 
 /// Cluster-wide statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClusterStats {
     /// Name of the routing scheme in use.
     pub router: String,
@@ -186,12 +185,7 @@ impl DedupCluster {
 
     /// Creates a cluster using Σ-Dedupe's similarity-based stateful router.
     pub fn with_similarity_router(node_count: usize, config: SigmaConfig) -> Self {
-        let balancing = config.capacity_balancing;
-        DedupCluster::new(
-            node_count,
-            config,
-            Box::new(SimilarityRouter::new(balancing)),
-        )
+        DedupCluster::new(node_count, config, Box::new(SimilarityRouter::new(true)))
     }
 
     /// The cluster configuration.

@@ -1,7 +1,6 @@
 //! Configuration of the Σ-Dedupe framework.
 
 use crate::SigmaError;
-use serde::{Deserialize, Serialize};
 use sigma_chunking::ChunkerParams;
 use sigma_hashkit::FingerprintAlgorithm;
 use sigma_storage::BackendKind;
@@ -38,7 +37,7 @@ use std::sync::OnceLock;
 /// considered deprecated style: it compiles, but nothing validates the result
 /// until a component happens to call `validate` itself.  The fields stay
 /// `pub` for read access and for spread-syntax updates in tests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SigmaConfig {
     /// Target super-chunk size in bytes (the routing granularity). Default: 1 MB.
     pub super_chunk_size: usize,
@@ -60,9 +59,6 @@ pub struct SigmaConfig {
     /// Disabling it yields the similarity-index-only approximate mode of Fig. 5(b).
     /// Default: `true`.
     pub chunk_index_fallback: bool,
-    /// Whether the similarity router discounts resemblance by relative storage usage
-    /// (step 3 of Algorithm 1). Default: `true`.
-    pub capacity_balancing: bool,
     /// Worker threads used by ingest (the one core behind
     /// [`BackupClient::backup_bytes`](crate::BackupClient::backup_bytes) and
     /// [`BackupClient::backup_streams`](crate::BackupClient::backup_streams))
@@ -125,7 +121,6 @@ impl Default for SigmaConfig {
             container_capacity: 4 << 20,
             cache_containers: 512,
             chunk_index_fallback: true,
-            capacity_balancing: true,
             parallelism: 1,
             storage_backend: BackendKind::Memory,
             storage_root: None,
@@ -314,12 +309,6 @@ impl SigmaConfigBuilder {
         self
     }
 
-    /// Enables or disables capacity-aware load balancing in the similarity router.
-    pub fn capacity_balancing(mut self, enabled: bool) -> Self {
-        self.config.capacity_balancing = enabled;
-        self
-    }
-
     /// Sets the ingest worker-thread count (`0` = one per CPU core, `1` = serial;
     /// values above [`MAX_PARALLELISM`] are clamped at resolution time).
     pub fn parallelism(mut self, threads: usize) -> Self {
@@ -383,7 +372,6 @@ mod tests {
         assert_eq!(c.chunker.average_chunk_size(), 4096);
         assert_eq!(c.fingerprint_algorithm, FingerprintAlgorithm::Sha1);
         assert!(c.chunk_index_fallback);
-        assert!(c.capacity_balancing);
         // 1 MB / 4 KB = 256 chunks; 256 / 8 = a 1-in-32 sampling rate.
         assert_eq!(c.chunks_per_super_chunk(), 256);
         assert_eq!(c.sampling_rate_denominator(), 32);
@@ -397,14 +385,12 @@ mod tests {
             .handprint_size(4)
             .cache_containers(16)
             .chunk_index_fallback(false)
-            .capacity_balancing(false)
             .build()
             .unwrap();
         assert_eq!(c.super_chunk_size, 512 * 1024);
         assert_eq!(c.handprint_size, 4);
         assert_eq!(c.cache_containers, 16);
         assert!(!c.chunk_index_fallback);
-        assert!(!c.capacity_balancing);
     }
 
     #[test]

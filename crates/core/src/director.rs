@@ -13,7 +13,6 @@
 //! sweep.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::Fingerprint;
 use std::sync::Arc;
 
@@ -21,7 +20,7 @@ use std::sync::Arc;
 pub type FileId = u64;
 
 /// One entry of a file recipe: a chunk and where it lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecipeEntry {
     /// The chunk's fingerprint.
     pub fingerprint: Fingerprint,
@@ -32,7 +31,7 @@ pub struct RecipeEntry {
 }
 
 /// Everything needed to reconstruct one file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileRecipe {
     /// The file's identifier (assigned by the director).
     pub file_id: FileId,
@@ -47,7 +46,7 @@ pub struct FileRecipe {
 }
 
 /// A group of files backed up together by one client.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BackupSession {
     /// Session identifier.
     pub session_id: u64,

@@ -1,6 +1,5 @@
 //! Error type for the Σ-Dedupe core, and its stable service-code mapping.
 
-use serde::{Deserialize, Serialize};
 use sigma_storage::StorageError;
 
 /// Stable, transport-facing status code classifying every [`SigmaError`].
@@ -11,7 +10,7 @@ use sigma_storage::StorageError;
 /// transport (in-process, framed TCP, future protocols) reports it
 /// consistently.  The numeric values returned by [`wire`](Self::wire) are
 /// part of the wire format and must never be reused or renumbered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceCode {
     /// The request succeeded.
     Ok,

@@ -8,7 +8,6 @@
 //! stored handprints is a cheap, RAM-friendly resemblance detector — the basis of
 //! both the similarity router (inter-node) and the similarity index (intra-node).
 
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::Fingerprint;
 use std::collections::BTreeSet;
 
@@ -55,7 +54,7 @@ pub fn jaccard(a: &[Fingerprint], b: &[Fingerprint]) -> f64 {
 /// assert_eq!(hp.overlap(&hp2), 8);
 /// assert!((hp.estimate_resemblance(&hp2) - 1.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Handprint {
     /// Sorted ascending, deduplicated, at most k entries.
     rfps: Vec<Fingerprint>,

@@ -17,7 +17,6 @@
 
 use crate::{ChunkDescriptor, Handprint, Result, SigmaConfig, SigmaError, SuperChunkView};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::{Fingerprint, FingerprintSet};
 use sigma_storage::{
     CacheStats, ChunkIndex, ChunkIndexStats, ChunkLocation, ClaimOutcome, Container, ContainerId,
@@ -34,7 +33,7 @@ use std::sync::Arc;
 const SIMILARITY_INDEX_LOCKS: usize = 1024;
 
 /// Result of deduplicating one super-chunk on a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SuperChunkReceipt {
     /// Node that processed the super-chunk.
     pub node_id: usize,
@@ -67,7 +66,7 @@ impl SuperChunkReceipt {
 }
 
 /// Point-in-time statistics of a [`DedupNode`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NodeStats {
     /// Node identifier.
     pub node_id: usize,

@@ -8,12 +8,11 @@
 //! routing decision.
 
 use crate::{Handprint, Result, SigmaError};
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::{Fingerprint, FingerprintAlgorithm};
 
 /// Fingerprint and size of one chunk: the form in which routing and the
 /// node's dedup lookups see a chunk once the client has fingerprinted it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChunkDescriptor {
     /// The chunk's fingerprint.
     pub fingerprint: Fingerprint,

@@ -1,7 +1,5 @@
 //! The fixed-width chunk fingerprint value type.
 
-use serde::{Deserialize, Serialize};
-
 /// A chunk fingerprint: the (possibly truncated) output of a cryptographic hash.
 ///
 /// The paper uses SHA-1 (20 bytes) as the default fingerprinting function; MD5
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let hex = a.to_string();
 /// assert_eq!(Fingerprint::from_hex(&hex).unwrap(), a);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct Fingerprint([u8; Fingerprint::LEN]);
 
 impl Fingerprint {

@@ -128,9 +128,7 @@ pub trait Digest: Default {
 /// The paper evaluates both SHA-1 and MD5 for chunk fingerprinting (Figure 4(a)) and
 /// selects SHA-1 for its lower collision probability.  This enum lets higher layers
 /// pick either at runtime.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FingerprintAlgorithm {
     /// 160-bit SHA-1 (the paper's default).
     #[default]

@@ -15,7 +15,7 @@ pub const DEFAULT_IRREDUCIBLE_POLY: u64 = 0x003D_A335_8B4D_C173;
 pub const DEFAULT_WINDOW_SIZE: usize = 48;
 
 /// Parameters for a [`RabinHasher`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RabinParams {
     /// The irreducible polynomial (with its leading coefficient bit set).
     pub poly: u64,

@@ -7,7 +7,6 @@
 //! request-logging middleware feeds these from a [`Stopwatch`](crate::Stopwatch)
 //! around each request.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -64,7 +63,7 @@ impl OpCounters {
 }
 
 /// A point-in-time copy of one operation's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpSnapshot {
     /// Requests observed (successes and errors).
     pub count: u64,

@@ -34,8 +34,6 @@ pub use counters::{MetricsRegistry, OpCounters, OpSnapshot};
 pub use tenant::{jain_fairness_index, TenantCounters, TenantStatsReport};
 pub use throughput::{Stopwatch, Throughput};
 
-use serde::{Deserialize, Serialize};
-
 /// Deduplication ratio: logical bytes over physical bytes.
 ///
 /// Returns 1.0 when `physical_bytes` is zero (nothing stored ⇒ nothing inflated).
@@ -123,7 +121,7 @@ pub fn normalized_effective_dedup_ratio(cluster_dr: f64, single_node_dr: f64, sk
 }
 
 /// A summary of one cluster-deduplication run, convenient for tables and JSON dumps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClusterRunSummary {
     /// Routing scheme name.
     pub scheme: String,

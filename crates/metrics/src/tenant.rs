@@ -10,7 +10,6 @@
 //! [`jain_fairness_index`] scores how evenly a scheduler divided service
 //! among tenants.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lock-free per-tenant counters, fed by the service layer.
@@ -89,7 +88,7 @@ impl TenantCounters {
 /// history; `live_logical_bytes` and `files` are the current state of the
 /// tenant's surviving recipes (filled in by the service from the cluster's
 /// tenant-tagged director, zero when built from bare counters).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TenantStatsReport {
     /// The tenant this report describes.
     pub tenant: String,

@@ -1,6 +1,5 @@
 //! Wall-clock measurement helpers for throughput-style experiments.
 
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// A started stopwatch.
@@ -42,7 +41,7 @@ impl Stopwatch {
 }
 
 /// Bytes processed over a span of wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Throughput {
     /// Bytes of work performed.
     pub bytes: u64,

@@ -8,7 +8,6 @@
 //! response metadata and an opaque payload (the restored bytes).  Middleware
 //! is protocol-agnostic by construction: it sees envelopes, never sockets.
 
-use serde::{Deserialize, Serialize};
 use sigma_core::{ServiceCode, SigmaError};
 use std::collections::BTreeMap;
 
@@ -19,7 +18,7 @@ pub const AUTH_TOKEN_KEY: &str = "auth-token";
 
 /// The operations the backup service exposes — the cluster's whole lifecycle
 /// behind one request shape.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Operation {
     /// Back up the request payload as one file.
     Backup {
@@ -79,7 +78,7 @@ impl Operation {
 }
 
 /// One request flowing into the service pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestEnvelope {
     /// Caller-chosen request correlator, echoed verbatim in the response.
     pub request_id: u64,
@@ -132,7 +131,7 @@ impl RequestEnvelope {
 }
 
 /// One response flowing back out of the service pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResponseEnvelope {
     /// The request's correlator, echoed back.
     pub request_id: u64,

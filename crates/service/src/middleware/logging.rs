@@ -5,7 +5,12 @@ use crate::RequestEnvelope;
 use parking_lot::Mutex;
 use sigma_core::ServiceCode;
 use sigma_metrics::{MetricsRegistry, OpSnapshot, Stopwatch};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+
+/// How many of the most recent entries a [`RequestLog`] keeps. Older ones
+/// are dropped; the request count and the per-operation metrics still
+/// include them, so a long-running service's log stays bounded.
+const RETAINED_ENTRIES: usize = 1024;
 
 /// One observed request, success or failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,7 +34,8 @@ pub struct LogEntry {
 
 /// Records exactly one [`LogEntry`] per request — including error paths — and
 /// feeds per-operation latency and byte counters
-/// ([`sigma_metrics::MetricsRegistry`]).
+/// ([`sigma_metrics::MetricsRegistry`]). Only the 1024 most recent entries
+/// are kept; the counts cover every request.
 ///
 /// Placement matters and is a choice, not a constraint: as the innermost
 /// layer (the default stack) it logs only requests that passed admission
@@ -39,8 +45,15 @@ pub struct LogEntry {
 /// propagated untouched.
 #[derive(Debug, Default)]
 pub struct RequestLog {
-    entries: Mutex<Vec<LogEntry>>,
+    recent: Mutex<Recent>,
     metrics: MetricsRegistry,
+}
+
+/// The retained tail of the log, and how many requests it has seen in all.
+#[derive(Debug, Default)]
+struct Recent {
+    entries: VecDeque<LogEntry>,
+    observed: usize,
 }
 
 impl RequestLog {
@@ -49,19 +62,19 @@ impl RequestLog {
         RequestLog::default()
     }
 
-    /// A copy of every entry observed so far, in completion order.
+    /// A copy of the retained (most recent) entries, in completion order.
     pub fn entries(&self) -> Vec<LogEntry> {
-        self.entries.lock().clone()
+        self.recent.lock().entries.iter().cloned().collect()
     }
 
-    /// Number of requests observed.
+    /// Number of requests observed, the ones no longer retained included.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.recent.lock().observed
     }
 
     /// `true` when nothing has been observed yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        self.len() == 0
     }
 
     /// Per-operation counter snapshots, keyed by operation name.
@@ -76,7 +89,12 @@ impl RequestLog {
             entry.response_bytes,
             !entry.code.is_ok(),
         );
-        self.entries.lock().push(entry);
+        let mut recent = self.recent.lock();
+        if recent.entries.len() == RETAINED_ENTRIES {
+            recent.entries.pop_front();
+        }
+        recent.entries.push_back(entry);
+        recent.observed += 1;
     }
 }
 
@@ -196,5 +214,28 @@ mod tests {
         assert_eq!(m["restore"].count, 5);
         assert_eq!(m["restore"].errors, 5);
         assert!(!log.is_empty());
+    }
+
+    #[test]
+    fn keeps_the_most_recent_entries_and_counts_every_request() {
+        let log = Arc::new(RequestLog::new());
+        let p = PipelineExecutor::new(
+            vec![log.clone()],
+            Arc::new(|r: RequestEnvelope| Ok(ResponseEnvelope::ok(r.request_id))),
+        );
+        let total = RETAINED_ENTRIES + 10;
+        for i in 0..total as u64 {
+            p.execute(RequestEnvelope::new(i, "t", Operation::Stats));
+        }
+        let entries = log.entries();
+        assert_eq!(entries.len(), RETAINED_ENTRIES);
+        assert_eq!(
+            entries[0].request_id, 10,
+            "the oldest retained is request 10"
+        );
+        assert_eq!(entries.last().unwrap().request_id, total as u64 - 1);
+        assert_eq!(log.len(), total);
+        let counted: u64 = log.metrics().values().map(|m| m.count).sum();
+        assert_eq!(counted, total as u64);
     }
 }

@@ -197,12 +197,14 @@ pub struct CrashChurnOutcome {
 impl CrashChurnOutcome {
     /// True when the baseline and every faulted execution restored everything
     /// and stayed consistent.
-    pub fn all_clean(&self) -> bool {
+    #[cfg(test)]
+    fn all_clean(&self) -> bool {
         self.baseline.is_clean() && self.kills.iter().all(KillOutcome::is_clean)
     }
 
     /// Total crashes injected and recovered across the sweep.
-    pub fn total_recoveries(&self) -> usize {
+    #[cfg(test)]
+    fn total_recoveries(&self) -> usize {
         self.kills.iter().map(|k| k.recoveries.len()).sum()
     }
 }

@@ -8,7 +8,6 @@
 //! approaches the real value as the handprint grows, and even small handprints
 //! detect similarity that a single representative fingerprint misses.
 
-use serde::{Deserialize, Serialize};
 use sigma_chunking::{Chunker, TttdChunker};
 use sigma_core::{jaccard, Handprint};
 use sigma_hashkit::{Digest, Fingerprint, Sha1};
@@ -16,7 +15,7 @@ use sigma_metrics::report::TextTable;
 use sigma_workloads::payload::{versioned_payloads, VersionedPayloadParams};
 
 /// One file pair of the experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig1Row {
     /// Pair label (e.g. `"linux-kernel"`).
     pub pair: String,
@@ -27,7 +26,7 @@ pub struct Fig1Row {
 }
 
 /// Parameters of the Figure 1 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig1Params {
     /// Super-chunk size in bytes (the paper uses 8 MB).
     pub super_chunk_size: usize,

@@ -7,7 +7,6 @@
 //! (which is why the paper picks SHA-1 only for its collision resistance, not for
 //! speed).
 
-use serde::{Deserialize, Serialize};
 use sigma_chunking::{CdcChunker, Chunker};
 use sigma_hashkit::{Digest, Md5, Sha1};
 use sigma_metrics::report::TextTable;
@@ -15,7 +14,7 @@ use sigma_metrics::Stopwatch;
 use sigma_workloads::payload::random_bytes;
 
 /// The client-side operations measured by Figure 4(a).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClientOp {
     /// Rabin-based content-defined chunking (4 KB average).
     CdcChunking,
@@ -37,7 +36,7 @@ impl std::fmt::Display for ClientOp {
 }
 
 /// One measured point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4aRow {
     /// The operation measured.
     pub op: String,
@@ -48,7 +47,7 @@ pub struct Fig4aRow {
 }
 
 /// Parameters of the experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4aParams {
     /// Bytes processed per stream.
     pub bytes_per_stream: usize,

@@ -6,7 +6,6 @@
 //! until about 1024 locks and that 8 streams (the hardware thread count) performs
 //! best.
 
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::{Digest, Sha1};
 use sigma_metrics::report::TextTable;
 use sigma_metrics::Stopwatch;
@@ -14,7 +13,7 @@ use sigma_storage::{ContainerId, SimilarityIndex};
 use std::sync::Arc;
 
 /// One measured point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4bRow {
     /// Number of lock stripes.
     pub locks: usize,
@@ -25,7 +24,7 @@ pub struct Fig4bRow {
 }
 
 /// Parameters of the experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4bParams {
     /// Entries preloaded into the index.
     pub preload_entries: usize,

@@ -8,7 +8,6 @@
 //! SHA-1 fingerprinting, in-node deduplication) over versioned payload datasets and
 //! reports bytes saved per second.
 
-use serde::{Deserialize, Serialize};
 use sigma_chunking::{ChunkerParams, ChunkingMethod};
 use sigma_core::{DedupNode, SigmaConfig, SuperChunk, SuperChunkBuilder};
 use sigma_hashkit::FingerprintAlgorithm;
@@ -17,7 +16,7 @@ use sigma_metrics::{dedup_efficiency, Stopwatch};
 use sigma_workloads::payload::{versioned_payloads, VersionedPayloadParams};
 
 /// One measured point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5aRow {
     /// Workload name (`"linux-like"` or `"vm-like"`).
     pub workload: String,
@@ -32,7 +31,7 @@ pub struct Fig5aRow {
 }
 
 /// Parameters of the experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5aParams {
     /// Size of each payload version in bytes.
     pub version_size: usize,

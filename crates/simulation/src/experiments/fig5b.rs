@@ -10,13 +10,12 @@
 //! 1 MB / 8-fingerprint configuration retains ≈ 90 % of the exact ratio.
 
 use crate::runner::{run_cluster, SimulationConfig};
-use serde::{Deserialize, Serialize};
 use sigma_core::{SigmaConfig, SimilarityRouter};
 use sigma_metrics::report::TextTable;
 use sigma_workloads::{presets, DatasetTrace, Scale};
 
 /// One measured point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5bRow {
     /// Super-chunk size in bytes.
     pub super_chunk_size: usize,
@@ -30,7 +29,7 @@ pub struct Fig5bRow {
 }
 
 /// Parameters of the experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5bParams {
     /// Workload scale.
     pub scale: Scale,

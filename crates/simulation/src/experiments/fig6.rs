@@ -6,13 +6,12 @@
 //! the improvement is significant up to a handprint of ~8 for every cluster size.
 
 use crate::runner::{run_cluster, SimulationConfig};
-use serde::{Deserialize, Serialize};
 use sigma_core::{SigmaConfig, SimilarityRouter};
 use sigma_metrics::report::TextTable;
 use sigma_workloads::{presets, DatasetTrace, Scale};
 
 /// One measured point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Row {
     /// Number of deduplication nodes.
     pub cluster_size: usize,
@@ -23,7 +22,7 @@ pub struct Fig6Row {
 }
 
 /// Parameters of the experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Params {
     /// Workload scale.
     pub scale: Scale,

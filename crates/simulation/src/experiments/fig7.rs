@@ -6,14 +6,13 @@
 //! broadcasts to every node and therefore grows linearly with the cluster size.
 
 use crate::runner::{run_cluster, SimulationConfig};
-use serde::{Deserialize, Serialize};
 use sigma_baselines::{ExtremeBinningRouter, StatefulRouter, StatelessRouter};
 use sigma_core::{DataRouter, SigmaConfig, SimilarityRouter};
 use sigma_metrics::report::TextTable;
 use sigma_workloads::{presets, DatasetTrace, Scale};
 
 /// One measured point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Row {
     /// Dataset name.
     pub dataset: String,
@@ -26,7 +25,7 @@ pub struct Fig7Row {
 }
 
 /// Parameters of the experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Params {
     /// Workload scale.
     pub scale: Scale,

@@ -7,7 +7,6 @@
 //! large, skewed files).
 
 use crate::runner::{run_cluster, SimulationConfig};
-use serde::{Deserialize, Serialize};
 use sigma_baselines::{ExtremeBinningRouter, StatefulRouter, StatelessRouter};
 use sigma_core::{DataRouter, SigmaConfig, SimilarityRouter};
 use sigma_metrics::report::TextTable;
@@ -15,7 +14,7 @@ use sigma_metrics::ClusterRunSummary;
 use sigma_workloads::{presets, DatasetTrace, Scale};
 
 /// One measured point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Row {
     /// Dataset name.
     pub dataset: String,
@@ -45,7 +44,7 @@ impl Fig8Row {
 }
 
 /// Parameters of the experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Params {
     /// Workload scale.
     pub scale: Scale,

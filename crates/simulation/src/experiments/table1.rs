@@ -7,14 +7,13 @@
 //! mapped to the High/Medium/Low vocabulary of the original table.
 
 use crate::runner::{run_cluster, SimulationConfig};
-use serde::{Deserialize, Serialize};
 use sigma_baselines::{ChunkDhtRouter, ExtremeBinningRouter, StatefulRouter, StatelessRouter};
 use sigma_core::{DataRouter, SigmaConfig, SimilarityRouter};
 use sigma_metrics::report::TextTable;
 use sigma_workloads::{presets, Scale};
 
 /// One scheme row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Scheme name.
     pub scheme: String,
@@ -42,7 +41,7 @@ pub struct Table1Row {
 }
 
 /// Parameters of the experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table1Params {
     /// Workload scale.
     pub scale: Scale,

@@ -6,7 +6,6 @@
 //! at a configurable scale; what is expected to match the paper is the *ordering and
 //! rough magnitude* of the deduplication ratios (Mail ≫ Linux > VM > Web ≈ 2).
 
-use serde::{Deserialize, Serialize};
 use sigma_chunking::ChunkerParams;
 use sigma_hashkit::{Digest, Sha1};
 use sigma_metrics::report::{human_bytes, TextTable};
@@ -15,7 +14,7 @@ use sigma_workloads::{presets, DatasetTrace, Scale};
 use std::collections::HashSet;
 
 /// One dataset row of Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// Dataset name.
     pub dataset: String,

@@ -13,7 +13,6 @@
 //! the cluster runs the store path real backups run, and every routing, dedup
 //! and accounting decision depends only on the fingerprints and lengths.
 
-use serde::{Deserialize, Serialize};
 use sigma_core::{
     ChunkDescriptor, DataRouter, DedupCluster, SigmaConfig, SuperChunk, SuperChunkBuilder,
 };
@@ -22,7 +21,7 @@ use sigma_workloads::{DatasetTrace, FileTrace};
 use std::collections::BTreeMap;
 
 /// Parameters of one simulated cluster run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationConfig {
     /// Number of deduplication nodes.
     pub node_count: usize,

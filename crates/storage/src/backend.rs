@@ -77,7 +77,7 @@ impl std::fmt::Display for StorageObject {
 }
 
 /// Which [`StorageBackend`] implementation a node uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// Volatile RAM objects — the default, and the medium every figure
     /// reproduction runs against.

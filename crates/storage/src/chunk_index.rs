@@ -19,12 +19,11 @@
 //! physical bytes a node stores — deterministic under the parallel ingest pipeline.
 
 use crate::ContainerId;
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::{Fingerprint, FingerprintMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Where a unique chunk is stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkLocation {
     /// Container holding the chunk.
     pub container: ContainerId,
@@ -67,7 +66,7 @@ impl Slot {
 }
 
 /// Statistics of a [`ChunkIndex`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkIndexStats {
     /// Lookup operations (each one random read of the on-disk index).
     pub lookups: u64,

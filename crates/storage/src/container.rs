@@ -18,7 +18,6 @@
 
 use crate::journal::Reader;
 use crate::{ChunkLocation, SharedBytes};
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::{Digest, Fingerprint, FingerprintAlgorithm, Sha1};
 
 /// Magic prefix of a serialized container object ("SCNT").
@@ -87,9 +86,7 @@ pub(crate) fn foreign_version(object: &[u8]) -> Option<u8> {
 pub const CONTAINER_BLOB_DATA_OFFSET: usize = 4 + 1 + 8 + 8 + 4 + Fingerprint::LEN;
 
 /// Identifier of a container within one deduplication node.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ContainerId(u64);
 
 impl ContainerId {
@@ -111,7 +108,7 @@ impl std::fmt::Display for ContainerId {
 }
 
 /// Metadata record for one chunk inside a container's metadata section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRecord {
     /// Fingerprint of the chunk.
     pub fingerprint: Fingerprint,
@@ -122,7 +119,7 @@ pub struct ChunkRecord {
 }
 
 /// The metadata section of a container.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ContainerMeta {
     /// Chunk records in write order.
     pub records: Vec<ChunkRecord>,

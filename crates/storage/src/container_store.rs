@@ -73,14 +73,13 @@
 //! above), so two of them never journal conflicting records for one
 //! container; seals and readers never take it.
 
-use crate::read_cache::{ContainerReadCache, ReadCacheStats};
+use crate::read_cache::ContainerReadCache;
 use crate::{
     container, Container, ContainerBuilder, ContainerId, ContainerMeta, ContainerSummary, Journal,
     JournalRecord, MemoryBackend, Result, SharedBytes, StorageBackend, StorageError, StorageObject,
     CONTAINER_BLOB_DATA_OFFSET,
 };
 use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::Fingerprint;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,7 +94,7 @@ pub type StreamId = u64;
 pub const DEFAULT_CONTAINER_CAPACITY: usize = 4 * 1024 * 1024;
 
 /// Aggregate statistics of a [`ContainerStore`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ContainerStoreStats {
     /// Containers sealed and written to the backend.
     pub sealed_containers: u64,
@@ -119,7 +118,7 @@ pub struct ContainerStoreStats {
 
 /// Per-container live/dead byte accounting, as of the last GC mark that scored
 /// the container (see [`ContainerStore::container_liveness`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ContainerLiveness {
     /// Bytes of chunks referenced by at least one surviving recipe.
     pub live_bytes: u64,
@@ -465,7 +464,7 @@ pub struct BatchedReadStats {
 }
 
 /// Location information returned when a chunk is stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoredChunk {
     /// Container the chunk was appended to.
     pub container: ContainerId,
@@ -516,7 +515,8 @@ impl ContainerStore {
     }
 
     /// The read cache's counters and occupancy.
-    pub fn read_cache_stats(&self) -> ReadCacheStats {
+    #[cfg(test)]
+    pub(crate) fn read_cache_stats(&self) -> crate::read_cache::ReadCacheStats {
         self.read_cache.stats()
     }
 

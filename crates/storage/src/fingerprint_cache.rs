@@ -9,12 +9,11 @@
 
 use crate::ContainerId;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::{Fingerprint, FingerprintMap, FingerprintSet};
 use std::collections::{HashMap, VecDeque};
 
 /// Statistics of a [`FingerprintCache`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Chunk-fingerprint lookups served from the cache.
     pub lookups: u64,

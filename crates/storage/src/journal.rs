@@ -723,10 +723,9 @@ fn encode_frame(seq: u64, record: &JournalRecord) -> Vec<u8> {
 
 // ---- record payload encoding ----
 //
-// A tiny hand-rolled little-endian format: the vendored serde shim is
-// derive-only, so the journal defines its own wire layout (tag byte + fields).
-// A file-backed node reopens the directory an earlier build left, so the
-// layout is stable across versions, and a tag is never reused.  A retired tag
+// A tiny hand-rolled little-endian format (tag byte + fields) that the journal
+// defines itself: a file-backed node reopens the directory an earlier build
+// left, so the layout is stable across versions, and a tag is never reused.  A retired tag
 // is either refused or skipped:
 // - Tags 1 (seal), 4 (adopt), 7 (snapshot) and 9 (GC compact) carried whole
 //   container images, and tag 14 a compaction snapshot of the node's whole

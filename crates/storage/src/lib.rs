@@ -46,7 +46,6 @@ pub use container_store::{
 pub use error::StorageError;
 pub use fingerprint_cache::{CacheStats, FingerprintCache};
 pub use journal::{CrashMode, Journal, JournalRecord, ReplaySummary};
-pub use read_cache::ReadCacheStats;
 pub use similarity_index::{SimilarityIndex, SimilarityIndexStats};
 
 /// Convenient result alias for storage operations.

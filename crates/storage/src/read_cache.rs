@@ -24,8 +24,9 @@
 //!   compacted or garbage-collected, so a cached section can never outlive the
 //!   container it was read from.
 //!
-//! Hit/miss/eviction counters feed the restore observability surfaced through
-//! `sigma-metrics`.
+//! A restore counts its own cache hits and misses
+//! ([`BatchedReadStats`](crate::BatchedReadStats)); the cache's counters are
+//! read only by the crate's tests.
 
 use crate::{ContainerId, SharedBytes};
 use parking_lot::Mutex;
@@ -33,9 +34,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Point-in-time view of a container store's read-cache counters and
-/// occupancy.
+/// occupancy, for the storage crate's tests.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadCacheStats {
+pub(crate) struct ReadCacheStats {
     /// Lookups served from a resident data section.
     pub hits: u64,
     /// Lookups that missed (the caller then reads the backend).
@@ -166,6 +168,7 @@ impl ContainerReadCache {
     }
 
     /// Point-in-time counters and occupancy.
+    #[cfg(test)]
     pub fn stats(&self) -> ReadCacheStats {
         let inner = self.inner.lock();
         ReadCacheStats {

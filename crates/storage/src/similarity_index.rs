@@ -18,13 +18,12 @@
 
 use crate::ContainerId;
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::{Fingerprint, FingerprintMap};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Aggregate statistics of a [`SimilarityIndex`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SimilarityIndexStats {
     /// Number of lookup calls served.
     pub lookups: u64,

@@ -10,10 +10,9 @@
 use crate::{
     ChunkSpec, DatasetKind, DatasetTrace, DeterministicRng, FileTrace, GenerationTrace, LogNormal,
 };
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the Linux-like generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinuxLikeParams {
     /// Deterministic seed (also namespaces the fingerprints).
     pub seed: u64,

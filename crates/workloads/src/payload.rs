@@ -8,7 +8,6 @@
 //! their content with earlier ones.
 
 use crate::DeterministicRng;
-use serde::{Deserialize, Serialize};
 
 /// Generates `len` bytes of seeded pseudo-random data (high entropy, so CDC finds
 /// natural boundaries and nothing deduplicates by accident).
@@ -31,7 +30,7 @@ pub fn random_bytes(len: usize, seed: u64) -> Vec<u8> {
 }
 
 /// Parameters for a versioned payload dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VersionedPayloadParams {
     /// Deterministic seed.
     pub seed: u64,
@@ -96,7 +95,7 @@ pub fn versioned_payloads(params: VersionedPayloadParams) -> Vec<(String, Vec<u8
 /// Parameters for a *generational* payload dataset: versioned mutation plus
 /// per-generation growth — the shape of a real protection workload, where each
 /// backup generation rewrites a little of the old data and appends some new.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenerationalPayloadParams {
     /// Deterministic seed.
     pub seed: u64,

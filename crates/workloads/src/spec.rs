@@ -1,11 +1,10 @@
 //! Trace data model shared by all workload generators.
 
-use serde::{Deserialize, Serialize};
 use sigma_hashkit::{Digest, Fingerprint, Sha1};
 use std::collections::HashMap;
 
 /// Fingerprint and size of one chunk in a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChunkSpec {
     /// The chunk's fingerprint.
     pub fingerprint: Fingerprint,
@@ -49,7 +48,7 @@ impl ChunkSpec {
 }
 
 /// The dataset a trace models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Linux kernel source snapshots (many small files, many versions).
     Linux,
@@ -82,7 +81,7 @@ impl std::fmt::Display for DatasetKind {
 /// to laptop-friendly sizes while preserving redundancy structure.  What matters for
 /// the reproduced figures is the *shape* (ratios, scaling behaviour), not absolute
 /// volume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Roughly 16 MB logical — unit tests.
     Tiny,
@@ -107,7 +106,7 @@ impl Scale {
 }
 
 /// One file in a trace generation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileTrace {
     /// A dataset-unique file identifier (stable across generations so that the same
     /// logical file keeps its identity).
@@ -126,7 +125,7 @@ impl FileTrace {
 }
 
 /// One backup generation (all files backed up in one session).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GenerationTrace {
     /// Generation index (0 = first full backup).
     pub generation: usize,
@@ -147,7 +146,7 @@ impl GenerationTrace {
 }
 
 /// A complete multi-generation workload trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatasetTrace {
     /// Workload name for reports (e.g. `"Linux"`).
     pub name: String,

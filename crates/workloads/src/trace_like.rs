@@ -8,10 +8,9 @@
 //! Zipf-skewed working set, tuned by a single `rereference_rate` knob.
 
 use crate::{ChunkSpec, DatasetKind, DatasetTrace, DeterministicRng, FileTrace, GenerationTrace};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the trace-style generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceLikeParams {
     /// Deterministic seed (also namespaces the fingerprints).
     pub seed: u64,

@@ -13,10 +13,9 @@
 //!   so even the first backup deduplicates somewhat.
 
 use crate::{ChunkSpec, DatasetKind, DatasetTrace, DeterministicRng, FileTrace, GenerationTrace};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the VM-like generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmLikeParams {
     /// Deterministic seed (also namespaces the fingerprints).
     pub seed: u64,

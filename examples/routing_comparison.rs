@@ -11,9 +11,14 @@
 use sigma_dedupe::prelude::experiments::table1;
 use sigma_dedupe::prelude::*;
 
+/// Σ-Dedupe's router: similarity routing with capacity balancing (Algorithm 1).
+fn sigma_router() -> SimilarityRouter {
+    SimilarityRouter::new(true)
+}
+
 fn router(name: &str) -> Box<dyn DataRouter> {
     match name {
-        "sigma" => Box::new(SimilarityRouter::new(true)),
+        "sigma" => Box::new(sigma_router()),
         "stateless" => Box::new(StatelessRouter::new()),
         "stateful" => Box::new(StatefulRouter::new()),
         "extreme-binning" => Box::new(ExtremeBinningRouter::new()),
@@ -58,7 +63,7 @@ fn main() {
         } else {
             "off"
         },
-        if sigma.capacity_balancing {
+        if sigma_router().capacity_balancing() {
             "on"
         } else {
             "off"
