@@ -13,6 +13,7 @@
 
 use crate::membership::{NodeMap, PlannedMove, RebalanceReport, Rebalancer};
 use crate::node::{NodeGcReport, RecoveryReport};
+use crate::pipeline::run_pool;
 use crate::{
     DataRouter, DedupNode, Director, FileId, FileRecipe, NodeStats, Result, RoutingContext,
     SigmaConfig, SigmaError, SimilarityRouter, SuperChunk, SuperChunkReceipt, SuperChunkView,
@@ -23,6 +24,11 @@ use sigma_storage::{BackendKind, ContainerId, ContainerState};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Most nodes [`DedupCluster::try_flush`] flushes at once.  A flush waits
+/// mostly on its node's medium (object writes, journal fsyncs), so this
+/// may exceed the core count.
+const FLUSH_WORKERS: usize = 8;
 
 /// Fingerprint-lookup message counters (the paper's system-overhead metric).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -645,25 +651,28 @@ impl DedupCluster {
         Ok(report)
     }
 
-    /// Seals all open containers on every node — active *and* retired — in
-    /// stable-ID order, marking the end of a backup session.  This is the
-    /// durable acknowledgement point: once it returns `Ok`, every backup
-    /// completed so far survives any single-node crash.
+    /// Seals all open containers on every node — active *and* retired —
+    /// marking the end of a backup session.  The nodes flush concurrently,
+    /// up to eight at a time: each node's object writes and
+    /// journal fsyncs go to its own medium, so they overlap instead of
+    /// adding up.  This is the durable acknowledgement point: once it
+    /// returns `Ok`, every backup completed so far survives any single-node
+    /// crash.
     ///
     /// # Errors
     ///
-    /// Returns the first error a node's seal hits, and seals no later node: a
-    /// crash, which [`crashed_nodes`](Self::crashed_nodes) names and
+    /// Every node is flushed, even when one fails; the error returned is
+    /// that of the failing node with the lowest stable ID: a crash, which
+    /// [`crashed_nodes`](Self::crashed_nodes) names and
     /// [`restart_node`](Self::restart_node) recovers, or a failed object
     /// write.  The flush can be retried after either.
     pub fn try_flush(&self) -> Result<()> {
         let mut nodes: Vec<Arc<DedupNode>> =
             self.membership.read().directory.values().cloned().collect();
         nodes.sort_by_key(|n| n.id());
-        for node in nodes {
-            node.try_flush()?;
-        }
-        Ok(())
+        run_pool(FLUSH_WORKERS, nodes, |_, node| node.try_flush())
+            .into_iter()
+            .collect()
     }
 
     /// Stable IDs of every node (active or retired) whose journal has hit a
@@ -1953,6 +1962,60 @@ mod tests {
         assert_eq!(retired.stats().containers.open_containers, 0);
         for (id, data) in ids.iter().zip(&files) {
             assert_eq!(&cluster.restore_file(*id).unwrap(), data);
+        }
+    }
+
+    #[test]
+    fn a_flush_seals_every_node_and_returns_the_lowest_failing_ones_error() {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Fault {
+            Crash,
+            WriteFails,
+        }
+        use Fault::{Crash, WriteFails};
+        for (on_1, on_3) in [(Crash, Crash), (WriteFails, Crash), (Crash, WriteFails)] {
+            let config = rollover_config();
+            let backends: Vec<Arc<GatedBackend>> = (0..4).map(|_| Arc::default()).collect();
+            let cluster = cluster_over(&config, &backends);
+            // Ten 1 KiB chunks into 8 KiB containers on every node: one
+            // container sealing after its rollover, one open.
+            for id in 0..4u64 {
+                let payloads = (0..10).map(|i| pseudo_random(1024, 100 * id + i)).collect();
+                let sc = SuperChunk::from_payloads(FingerprintAlgorithm::Sha1, 0, payloads);
+                let node = cluster.node_by_id(id as usize).unwrap();
+                node.process_super_chunk(0, &sc.view(), &sc.handprint(config.handprint_size))
+                    .unwrap();
+                let states = [0, 1].map(|c| node.container_state(&ContainerId::new(c)));
+                assert_eq!(states, [ContainerState::Sealing, ContainerState::Open]);
+            }
+            for (id, fault) in [(1, on_1), (3, on_3)] {
+                match fault {
+                    Crash => {
+                        let journal = cluster.node_by_id(id).unwrap().journal().clone();
+                        journal
+                            .arm_crash_at_seq(journal.next_seq(), sigma_storage::CrashMode::Clean);
+                    }
+                    WriteFails => backends[id].fail_next_write.store(true, Ordering::SeqCst),
+                }
+            }
+            let err = cluster.try_flush().unwrap_err();
+            match on_1 {
+                Crash => assert!(matches!(err, SigmaError::Storage(StorageError::Crashed))),
+                WriteFails => assert!(matches!(err, SigmaError::Storage(StorageError::Io(_)))),
+            }
+            // The nodes after the failing one are flushed all the same.
+            for id in [0, 2] {
+                let node = cluster.node_by_id(id).unwrap();
+                assert_eq!(node.stats().containers.open_containers, 0);
+                let states = [0, 1].map(|c| node.container_state(&ContainerId::new(c)));
+                assert_eq!(states, [ContainerState::Sealed; 2], "node {id}");
+            }
+            let crashed: Vec<usize> = [(1, on_1), (3, on_3)]
+                .into_iter()
+                .filter(|&(_, fault)| fault == Crash)
+                .map(|(id, _)| id)
+                .collect();
+            assert_eq!(cluster.crashed_nodes(), crashed);
         }
     }
 

@@ -662,11 +662,7 @@ impl DedupNode {
                 return Err(e.into());
             }
         };
-        let location = ChunkLocation {
-            container: stored.container,
-            offset: stored.offset,
-            len: stored.len,
-        };
+        let location = ChunkLocation::from(stored);
         if self.chunk_index_fallback {
             self.chunk_index.finalize(fp, location);
         } else {
@@ -706,7 +702,7 @@ impl DedupNode {
                     node: self.id,
                     fingerprint: fingerprint.to_string(),
                 })?;
-        match self.store.read_chunk(&location.container, fingerprint) {
+        match self.store.read_chunk(&location, fingerprint) {
             Ok(data) => Ok(data),
             Err(sigma_storage::StorageError::ContainerNotFound(cid)) => {
                 Err(self.not_here(&cid, fingerprint.to_string()))

@@ -146,6 +146,38 @@ impl ContainerMeta {
     pub fn serialized_size(&self) -> usize {
         self.records.len() * (Fingerprint::LEN + 8)
     }
+
+    /// The record a chunk index placed at `offset`, if it names `fingerprint`
+    /// and `len`: a binary search of the table, which is in offset order
+    /// because a container is only ever appended to.
+    pub(crate) fn record_at(
+        &self,
+        fingerprint: &Fingerprint,
+        offset: u32,
+        len: usize,
+    ) -> Option<&ChunkRecord> {
+        let first = self.records.partition_point(|r| r.offset < offset);
+        // Zero-length records share their offset with the next record.
+        self.records[first..]
+            .iter()
+            .take_while(|r| r.offset == offset)
+            .find(|r| r.fingerprint == *fingerprint && r.len as usize == len)
+    }
+}
+
+/// The bytes of the chunk a chunk index placed at `offset`, `len` bytes
+/// long, in a container whose record table is `meta` and data section
+/// `data`.  `None` unless the record at `offset` names `fingerprint` and
+/// `len` (see [`ContainerMeta::record_at`]) and lies inside `data`.
+pub(crate) fn extent<'a>(
+    meta: &ContainerMeta,
+    data: &'a [u8],
+    fingerprint: &Fingerprint,
+    offset: u32,
+    len: usize,
+) -> Option<&'a [u8]> {
+    let record = meta.record_at(fingerprint, offset, len)?;
+    data.get(record.offset as usize..record.offset as usize + len)
 }
 
 /// A sealed container without its data section: what the container directory
@@ -313,7 +345,7 @@ impl ContainerSummary {
 /// Every record's bytes are in the data section, so the container's size is
 /// the section's length.  Only a container rebuilt from a corrupt summary, or
 /// from an object an older build wrote for a trace-driven node, can hold a
-/// record that points past it, and [`chunk_data`](Self::chunk_data) refuses
+/// record that points past it, and [`chunk_at`](Self::chunk_at) refuses
 /// that record.
 ///
 /// The data section is a [`SharedBytes`] view, so a container rebuilt from a
@@ -372,26 +404,19 @@ impl Container {
         self.meta.len()
     }
 
-    /// Looks up a chunk's payload by fingerprint.
-    ///
-    /// Returns `None` when the fingerprint is not present in this container, or
-    /// when its record points past the data section (a corrupt record, or a
-    /// payload-less one from an object an older build wrote).
-    pub fn chunk_data(&self, fingerprint: &Fingerprint) -> Option<&[u8]> {
-        self.meta
-            .records
-            .iter()
-            .find(|r| &r.fingerprint == fingerprint)
-            .filter(|r| r.offset as usize + r.len as usize <= self.data.len())
-            .map(|r| &self.data[r.offset as usize..(r.offset + r.len) as usize])
+    /// The data section.
+    pub(crate) fn data(&self) -> &[u8] {
+        &self.data
     }
 
-    /// True if the container stores a chunk with this fingerprint.
-    pub fn contains(&self, fingerprint: &Fingerprint) -> bool {
-        self.meta
-            .records
-            .iter()
-            .any(|r| &r.fingerprint == fingerprint)
+    /// The payload of the chunk a chunk index placed at `offset`, `len`
+    /// bytes long.
+    ///
+    /// Returns `None` unless the record at `offset` names `fingerprint` and
+    /// `len`, and when that record points past the data section (a corrupt
+    /// record, or a payload-less one from an object an older build wrote).
+    pub fn chunk_at(&self, fingerprint: &Fingerprint, offset: u32, len: usize) -> Option<&[u8]> {
+        extent(&self.meta, &self.data, fingerprint, offset, len)
     }
 
     /// What the container directory keeps of the sealed container, and the
@@ -453,10 +478,14 @@ impl Container {
 /// let mut builder = ContainerBuilder::new(ContainerId::new(1), 1024 * 1024);
 /// let payload = b"some unique chunk".to_vec();
 /// let fp = Sha1::fingerprint(&payload);
+/// let offset = builder.used() as u32;
 /// assert!(builder.try_append(fp, &payload));
 /// let container = builder.seal();
 /// assert_eq!(container.chunk_count(), 1);
-/// assert_eq!(container.chunk_data(&fp).unwrap(), payload.as_slice());
+/// assert_eq!(
+///     container.chunk_at(&fp, offset, payload.len()),
+///     Some(payload.as_slice())
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct ContainerBuilder {
@@ -500,6 +529,16 @@ impl ContainerBuilder {
     /// Number of chunks appended so far.
     pub fn chunk_count(&self) -> usize {
         self.meta.len()
+    }
+
+    /// The records appended so far, in offset order.
+    pub(crate) fn meta(&self) -> &ContainerMeta {
+        &self.meta
+    }
+
+    /// The bytes appended so far.
+    pub(crate) fn data(&self) -> &[u8] {
+        &self.data
     }
 
     /// True if a chunk of `len` bytes fits in the remaining capacity.
@@ -562,12 +601,29 @@ mod tests {
         assert_eq!(b.used(), 1000);
         assert_eq!(b.chunk_count(), 10);
         let sealed = b.seal();
-        for (fp, c) in fps.iter().zip(&chunks) {
-            assert!(sealed.contains(fp));
-            assert_eq!(sealed.chunk_data(fp).unwrap(), c.as_slice());
+        for (i, (fp, c)) in fps.iter().zip(&chunks).enumerate() {
+            let offset = 100 * i as u32;
+            assert_eq!(sealed.chunk_at(fp, offset, 100).unwrap(), c.as_slice());
+            assert!(sealed.chunk_at(fp, offset, 99).is_none(), "wrong length");
+            assert!(sealed.chunk_at(fp, offset + 1, 100).is_none(), "no record");
         }
-        assert!(!sealed.contains(&Fingerprint::ZERO));
-        assert!(sealed.chunk_data(&Fingerprint::ZERO).is_none());
+        assert!(
+            sealed.chunk_at(&fps[1], 0, 100).is_none(),
+            "another chunk's record"
+        );
+        assert!(sealed.chunk_at(&Fingerprint::ZERO, 0, 100).is_none());
+    }
+
+    #[test]
+    fn zero_length_records_share_an_offset_and_both_are_found() {
+        let mut b = ContainerBuilder::new(ContainerId::new(1), 4096);
+        let (empty, next) = (Sha1::fingerprint(b""), Sha1::fingerprint(b"next"));
+        assert!(b.try_append(Sha1::fingerprint(b"head"), b"head"));
+        assert!(b.try_append(empty, b""));
+        assert!(b.try_append(next, b"next"));
+        let sealed = b.seal();
+        assert_eq!(sealed.chunk_at(&empty, 4, 0), Some(&b""[..]));
+        assert_eq!(sealed.chunk_at(&next, 4, 4), Some(&b"next"[..]));
     }
 
     #[test]
@@ -676,7 +732,7 @@ mod tests {
         }
         let rebuilt = Container::from_summary(summary.clone(), data.to_vec().into());
         assert_eq!(
-            rebuilt.chunk_data(&Sha1::fingerprint(b"real")),
+            rebuilt.chunk_at(&Sha1::fingerprint(b"real"), 0, 12),
             Some(&b"real payload"[..])
         );
         assert_eq!(
@@ -718,9 +774,9 @@ mod tests {
             Some(summary.clone())
         );
         let container = Container::from_summary(summary, data.to_vec().into());
-        assert_eq!(container.chunk_data(&real), Some(&data[..]));
-        assert!(container.contains(&ghost));
-        assert_eq!(container.chunk_data(&ghost), None, "no bytes to give");
+        assert_eq!(container.chunk_at(&real, 0, data.len()), Some(&data[..]));
+        assert!(container.meta().record_at(&ghost, 12, 64).is_some());
+        assert_eq!(container.chunk_at(&ghost, 12, 64), None, "no bytes to give");
         assert_eq!(container.data_size(), data.len());
     }
 
@@ -857,15 +913,16 @@ mod tests {
             let mut appended = Vec::new();
             for p in &payloads {
                 let fp = Sha1::fingerprint(p);
+                let offset = b.used() as u32;
                 prop_assert!(b.try_append(fp, p));
-                appended.push((fp, p.clone()));
+                appended.push((fp, offset, p.clone()));
             }
             let sealed = b.seal();
             prop_assert_eq!(sealed.data_size(), total);
-            for (fp, p) in appended {
-                // Duplicate payloads share a fingerprint; lookup returns the first
-                // record's bytes, which are identical by construction.
-                prop_assert_eq!(sealed.chunk_data(&fp).unwrap(), p.as_slice());
+            for (fp, offset, p) in appended {
+                // Duplicate payloads share a fingerprint; each is found at
+                // its own offset.
+                prop_assert_eq!(sealed.chunk_at(&fp, offset, p.len()).unwrap(), p.as_slice());
             }
         }
     }

@@ -23,8 +23,8 @@
 //!
 //! | stage | the entry holds | a reader gets |
 //! |---|---|---|
-//! | open | the stream's slot | the chunk, from the builder in RAM |
-//! | sealing | the sealed container | the chunk, from RAM |
+//! | open | the stream's slot | the chunk, copied from the builder under the slot lock |
+//! | sealing | the sealed container | the chunk, copied from RAM |
 //! | sealed | the [`ContainerSummary`] | the chunk, read from the object |
 //! | compacted | the replacement's ID | the chunk, found by fingerprint in the replacement |
 //! | migrated | the successor node | `ContainerNotFound` (the node answers `ChunkMigrated`) |
@@ -54,6 +54,15 @@
 //! bytes via the replacement, or `ContainerNotFound` — and never reports an
 //! I/O error for an object a transition removed.
 //!
+//! A reader finds a record at the offset the chunk index planned for it: a
+//! binary search of the record table, which is in offset order because a
+//! container is only ever appended to, and the record must name the chunk's
+//! fingerprint and length.  An open container is read under its slot lock,
+//! the lock ingest takes for each append, and only the requested extents —
+//! or, for a metadata read, the record table — are copied out; the builder
+//! is never cloned.  Only a compacted container's replacement is searched by
+//! fingerprint, since there the planned offset names the victim's record.
+//!
 //! Concurrency: each open container sits behind its own slot mutex, so
 //! streams append in parallel and only contend when they touch the *same*
 //! stream's container.  A rollover does not write the full container's
@@ -75,9 +84,9 @@
 
 use crate::read_cache::ContainerReadCache;
 use crate::{
-    container, Container, ContainerBuilder, ContainerId, ContainerMeta, ContainerSummary, Journal,
-    JournalRecord, MemoryBackend, Result, SharedBytes, StorageBackend, StorageError, StorageObject,
-    CONTAINER_BLOB_DATA_OFFSET,
+    container, ChunkLocation, Container, ContainerBuilder, ContainerId, ContainerMeta,
+    ContainerSummary, Journal, JournalRecord, MemoryBackend, Result, SharedBytes, StorageBackend,
+    StorageError, StorageObject, CONTAINER_BLOB_DATA_OFFSET,
 };
 use parking_lot::{Mutex, RwLock};
 use sigma_hashkit::Fingerprint;
@@ -207,6 +216,7 @@ struct OpenSlot {
 type Slot = Arc<Mutex<OpenSlot>>;
 
 /// A container's stage, with what a reader needs in it.
+#[derive(Clone)]
 enum Stage {
     Open(Slot),
     Sealing(Arc<Container>),
@@ -349,9 +359,9 @@ fn write_object(backend: &dyn StorageBackend, container: &Container) -> Result<C
 }
 
 /// What one reader lookup found.
-enum View {
-    /// Open or sealing: the whole container, bytes included, in RAM.
-    InRam(Arc<Container>),
+enum View<T> {
+    /// Open or sealing: what the reader read of the container in RAM.
+    InRam(T),
     /// Sealed: the summary; the bytes are in the object.
     Sealed(Arc<ContainerSummary>),
     /// Compacted: the live chunks are in this container.
@@ -373,7 +383,7 @@ enum View {
 /// let fp = Sha1::fingerprint(&payload);
 /// let location = store.store_chunk(0, fp, &payload).unwrap();
 /// store.flush().unwrap();
-/// assert_eq!(store.read_chunk(&location.container, &fp).unwrap(), payload);
+/// assert_eq!(store.read_chunk(&location.into(), &fp).unwrap(), payload);
 /// ```
 pub struct ContainerStore {
     capacity: usize,
@@ -472,6 +482,24 @@ pub struct StoredChunk {
     pub offset: u32,
     /// Chunk length in bytes.
     pub len: u32,
+}
+
+impl From<StoredChunk> for ChunkLocation {
+    fn from(stored: StoredChunk) -> Self {
+        ChunkLocation {
+            container: stored.container,
+            offset: stored.offset,
+            len: stored.len,
+        }
+    }
+}
+
+/// The error for a chunk `container` does not hold as planned.
+fn not_stored(container: ContainerId, fingerprint: &Fingerprint) -> StorageError {
+    StorageError::ChunkNotInContainer {
+        container,
+        fingerprint: fingerprint.to_string(),
+    }
 }
 
 impl ContainerStore {
@@ -820,21 +848,28 @@ impl ContainerStore {
         self.finish_in_flight(&mut self.sealer.lock())
     }
 
-    /// One lookup of `container` for a reader.  An open container is copied
-    /// out of its slot, whose lock is taken only after the table's is
-    /// released.
-    fn view(&self, container: &ContainerId) -> View {
+    /// One lookup of `container` for a reader.  An open or sealing container
+    /// is handed to `in_ram` as its record table and data section, never
+    /// copied whole: an open one under its slot lock — the lock ingest takes
+    /// for each append, taken only after the table's is released — so
+    /// `in_ram` copies out only what the reader asked for.
+    fn view<T>(
+        &self,
+        container: &ContainerId,
+        in_ram: impl FnOnce(&ContainerMeta, &[u8]) -> T,
+    ) -> View<T> {
         loop {
-            let slot = match self.table.read().stage(container) {
-                Some(Stage::Open(slot)) => slot.clone(),
-                Some(Stage::Sealing(c)) => return View::InRam(c.clone()),
-                Some(Stage::Sealed(summary)) => return View::Sealed(summary.clone()),
-                Some(Stage::Compacted(replacement)) => return View::Compacted(*replacement),
+            let stage = self.table.read().stage(container).cloned();
+            let slot = match stage {
+                Some(Stage::Open(slot)) => slot,
+                Some(Stage::Sealing(c)) => return View::InRam(in_ram(c.meta(), c.data())),
+                Some(Stage::Sealed(summary)) => return View::Sealed(summary),
+                Some(Stage::Compacted(replacement)) => return View::Compacted(replacement),
                 Some(Stage::Migrated(_)) | None => return View::Gone,
             };
             let guard = slot.lock();
             if let Some(builder) = guard.builder.as_ref().filter(|b| b.id() == *container) {
-                return View::InRam(Arc::new(builder.clone().seal()));
+                return View::InRam(in_ram(builder.meta(), builder.data()));
             }
             // The builder left its slot — under the slot lock, in the swap
             // that moved its entry on: look again.
@@ -866,7 +901,7 @@ impl ContainerStore {
         }
     }
 
-    /// Reads a sealed container's metadata section (fingerprint list).
+    /// Reads a container's metadata section (fingerprint list).
     ///
     /// This is the "prefetch" operation behind the chunk fingerprint cache.
     ///
@@ -878,60 +913,51 @@ impl ContainerStore {
         self.metadata_reads.fetch_add(1, Ordering::Relaxed);
         // Open and sealing containers (written moments ago by some stream) are
         // visible too: their fingerprints are in memory on a real server.
-        match self.view(container) {
+        match self.view(container, |meta, _| meta.clone()) {
             View::Sealed(summary) => Ok(summary.meta.clone()),
-            View::InRam(c) => Ok(c.meta().clone()),
+            View::InRam(meta) => Ok(meta),
             View::Compacted(_) | View::Gone => Err(StorageError::ContainerNotFound(*container)),
         }
     }
 
-    /// Reads one chunk's payload (restore path).  A compacted container is
-    /// followed to its replacement, where the chunk is found by fingerprint.
+    /// Reads one chunk's payload at the location the chunk index planned
+    /// (the serial restore path): one backend read of the record's extent,
+    /// or a copy out of a container still in RAM.  The record at the planned
+    /// offset must name `fingerprint` and the planned length.  A compacted
+    /// container is followed to its replacement, where the chunk is found
+    /// by fingerprint.
     ///
     /// # Errors
     ///
     /// Returns [`StorageError::ContainerNotFound`] naming the container that
     /// is migrated away or absent (the end of a compaction chain, if one was
-    /// followed), or [`StorageError::ChunkNotInContainer`] if the fingerprint
-    /// is not stored there.
-    pub fn read_chunk(&self, container: &ContainerId, fp: &Fingerprint) -> Result<Vec<u8>> {
+    /// followed), or [`StorageError::ChunkNotInContainer`] if the chunk is
+    /// not stored there as planned.
+    pub fn read_chunk(
+        &self,
+        location: &ChunkLocation,
+        fingerprint: &Fingerprint,
+    ) -> Result<Vec<u8>> {
         self.data_reads.fetch_add(1, Ordering::Relaxed);
-        let mut id = *container;
-        let data = loop {
-            match self.view(&id) {
-                View::InRam(c) => break c.chunk_data(fp).map(<[u8]>::to_vec),
-                View::Sealed(summary) => {
-                    // A record past the data section has no bytes to read:
-                    // the object is corrupt, or an older build wrote it for
-                    // a trace-driven node.  It reads as not stored.
-                    let Some(record) = summary
-                        .meta
-                        .records
-                        .iter()
-                        .find(|r| &r.fingerprint == fp)
-                        .filter(|r| r.offset as u64 + r.len as u64 <= summary.data_len as u64)
-                    else {
-                        break None;
-                    };
-                    let read = self.read_sealed(&summary, || {
-                        self.backend.read_at(
-                            StorageObject::Container(id),
-                            (CONTAINER_BLOB_DATA_OFFSET + record.offset as usize) as u64,
-                            record.len as usize,
-                        )
-                    })?;
-                    if let Some(data) = read {
-                        break Some(data);
-                    }
-                }
-                View::Compacted(replacement) => id = replacement,
-                View::Gone => return Err(StorageError::ContainerNotFound(id)),
-            }
-        };
-        data.ok_or_else(|| StorageError::ChunkNotInContainer {
-            container: id,
-            fingerprint: fp.to_string(),
-        })
+        let mut out = vec![0; location.len as usize];
+        let mut fetch = [ChunkFetch {
+            fingerprint: *fingerprint,
+            offset: location.offset,
+            out: &mut out,
+        }];
+        let read = self.read_planned(&location.container, &mut fetch, |summary, fetches| {
+            let f = &fetches[0];
+            summary
+                .meta
+                .record_at(&f.fingerprint, f.offset, f.out.len())
+                .ok_or_else(|| not_stored(summary.id, &f.fingerprint))?;
+            self.backend.read_at(
+                StorageObject::Container(summary.id),
+                (CONTAINER_BLOB_DATA_OFFSET + f.offset as usize) as u64,
+                f.out.len(),
+            )
+        })?;
+        Ok(read.unwrap_or(out))
     }
 
     /// Reads a batch of chunk payloads out of **one** container, decoding each
@@ -941,7 +967,8 @@ impl ContainerStore {
     /// read per chunk, this reads a sealed container at most once: a read-cache
     /// hit serves every chunk from RAM, and a miss reads the whole data section
     /// with one [`read_shared`](StorageBackend::read_shared) that then fills
-    /// the cache for the next visit.
+    /// the cache for the next visit.  A container still open or sealing is
+    /// read in RAM, each fetch's record found at its planned offset.
     ///
     /// The caller resolves fingerprints to record extents first (via the chunk
     /// index); each [`ChunkFetch`]'s `out` length is the record length.  A
@@ -967,18 +994,43 @@ impl ContainerStore {
         }
         self.data_reads
             .fetch_add(fetches.len() as u64, Ordering::Relaxed);
-        let fresh = BatchedReadStats {
+        let read = self.read_planned(container, fetches, |summary, fetches| {
+            self.read_extents(summary, fetches)
+        })?;
+        Ok(BatchedReadStats {
             chunks: fetches.len() as u64,
-            ..BatchedReadStats::default()
-        };
-        let mut stats = fresh;
+            ..read.unwrap_or_default()
+        })
+    }
+
+    /// Reads `fetches`, planned by the chunk index against `container`, out
+    /// of the container that holds them now.  An open or sealing container's
+    /// extents are copied out in RAM (see [`view`](Self::view)); a sealed
+    /// one's are read by `sealed`, under [`read_sealed`](Self::read_sealed),
+    /// after a check that no extent points past the data section.  A
+    /// compacted container is followed to its replacement, where the fetches
+    /// are re-aimed by fingerprint.  Returns what `sealed` returned, or
+    /// `None` when the bytes came from RAM.
+    fn read_planned<T>(
+        &self,
+        container: &ContainerId,
+        fetches: &mut [ChunkFetch<'_>],
+        mut sealed: impl FnMut(&Arc<ContainerSummary>, &mut [ChunkFetch<'_>]) -> Result<T>,
+    ) -> Result<Option<T>> {
         let mut id = *container;
         let mut compacted = false;
         loop {
-            match self.view(&id) {
+            let view = self.view(&id, |meta, data| {
+                if compacted {
+                    Self::relocate(id, meta, fetches)?;
+                }
+                Self::copy_extents(id, meta, data, fetches)
+            });
+            match view {
+                View::InRam(copied) => return copied.map(|()| None),
                 View::Sealed(summary) => {
                     if compacted {
-                        Self::relocate(&summary, fetches)?;
+                        Self::relocate(id, &summary.meta, fetches)?;
                     }
                     // An extent past the data section has no bytes to read
                     // (a corrupt or payload-less record), and would read past
@@ -987,31 +1039,11 @@ impl ContainerStore {
                         .iter()
                         .find(|f| f.offset as usize + f.out.len() > summary.data_len as usize)
                     {
-                        return Err(StorageError::ChunkNotInContainer {
-                            container: id,
-                            fingerprint: f.fingerprint.to_string(),
-                        });
+                        return Err(not_stored(id, &f.fingerprint));
                     }
-                    let read = self.read_sealed(&summary, || {
-                        self.read_extents(&summary, fetches, &mut stats)
-                    })?;
-                    if read.is_some() {
-                        break;
+                    if let Some(value) = self.read_sealed(&summary, || sealed(&summary, fetches))? {
+                        return Ok(Some(value));
                     }
-                    stats = fresh;
-                }
-                View::InRam(c) => {
-                    for f in fetches.iter_mut() {
-                        let data = c
-                            .chunk_data(&f.fingerprint)
-                            .filter(|d| d.len() == f.out.len())
-                            .ok_or_else(|| StorageError::ChunkNotInContainer {
-                                container: id,
-                                fingerprint: f.fingerprint.to_string(),
-                            })?;
-                        f.out.copy_from_slice(data);
-                    }
-                    break;
                 }
                 View::Compacted(replacement) => {
                     id = replacement;
@@ -1020,22 +1052,40 @@ impl ContainerStore {
                 View::Gone => return Err(StorageError::ContainerNotFound(id)),
             }
         }
-        Ok(stats)
+    }
+
+    /// Copies each fetch's extent out of container `id` in RAM — record
+    /// table `meta`, data section `data` — where the record at the fetch's
+    /// offset must name its fingerprint and length.
+    fn copy_extents(
+        id: ContainerId,
+        meta: &ContainerMeta,
+        data: &[u8],
+        fetches: &mut [ChunkFetch<'_>],
+    ) -> Result<()> {
+        for f in fetches.iter_mut() {
+            let bytes = container::extent(meta, data, &f.fingerprint, f.offset, f.out.len())
+                .ok_or_else(|| not_stored(id, &f.fingerprint))?;
+            f.out.copy_from_slice(bytes);
+        }
+        Ok(())
     }
 
     /// Re-aims fetches planned against a compacted container at the record
-    /// of each chunk in `replacement`.
-    fn relocate(replacement: &ContainerSummary, fetches: &mut [ChunkFetch<'_>]) -> Result<()> {
+    /// of each chunk in its replacement `id`, whose record table is `meta`:
+    /// there the planned offset names the victim's record, so each chunk is
+    /// found by fingerprint.
+    fn relocate(
+        id: ContainerId,
+        meta: &ContainerMeta,
+        fetches: &mut [ChunkFetch<'_>],
+    ) -> Result<()> {
         for f in fetches.iter_mut() {
-            let record = replacement
-                .meta
+            let record = meta
                 .records
                 .iter()
                 .find(|r| r.fingerprint == f.fingerprint && r.len as usize == f.out.len())
-                .ok_or_else(|| StorageError::ChunkNotInContainer {
-                    container: replacement.id,
-                    fingerprint: f.fingerprint.to_string(),
-                })?;
+                .ok_or_else(|| not_stored(id, &f.fingerprint))?;
             f.offset = record.offset;
         }
         Ok(())
@@ -1049,8 +1099,8 @@ impl ContainerStore {
         &self,
         summary: &Arc<ContainerSummary>,
         fetches: &mut [ChunkFetch<'_>],
-        stats: &mut BatchedReadStats,
-    ) -> Result<()> {
+    ) -> Result<BatchedReadStats> {
+        let mut stats = BatchedReadStats::default();
         let container = &summary.id;
         let data_len = summary.data_len as usize;
         let section = match self.read_cache.get(container) {
@@ -1083,7 +1133,7 @@ impl ContainerStore {
             let start = f.offset as usize;
             f.out.copy_from_slice(&section[start..start + f.out.len()]);
         }
-        Ok(())
+        Ok(stats)
     }
 
     /// Caches a data section read from `summary`'s object — only while
@@ -1722,13 +1772,22 @@ mod tests {
         (Sha1::fingerprint(&data), data)
     }
 
+    /// The chunk-index location of `len` bytes at `offset` in `container`.
+    fn at(container: ContainerId, offset: u32, len: usize) -> ChunkLocation {
+        ChunkLocation {
+            container,
+            offset,
+            len: len as u32,
+        }
+    }
+
     #[test]
     fn store_and_read_back() {
         let store = ContainerStore::new(1024);
         let (fp, data) = payload(1, 100);
         let loc = store.store_chunk(0, fp, &data).unwrap();
         store.flush().unwrap();
-        assert_eq!(store.read_chunk(&loc.container, &fp).unwrap(), data);
+        assert_eq!(store.read_chunk(&loc.into(), &fp).unwrap(), data);
         assert_eq!(store.physical_bytes(), 100);
     }
 
@@ -1814,7 +1873,7 @@ mod tests {
         store.flush().unwrap();
         let (other_fp, _) = payload(2, 10);
         assert!(matches!(
-            store.read_chunk(&loc.container, &other_fp),
+            store.read_chunk(&loc.into(), &other_fp),
             Err(StorageError::ChunkNotInContainer { .. })
         ));
     }
@@ -1949,18 +2008,14 @@ mod tests {
                 replacement: outcome.replacement
             }
         );
-        assert_eq!(
-            store
-                .read_chunk(&outcome.replacement, &chunks[1].0)
-                .unwrap(),
-            chunks[1].1
-        );
-        assert_eq!(
-            store
-                .read_chunk(&outcome.replacement, &chunks[3].0)
-                .unwrap(),
-            chunks[3].1
-        );
+        for record in &outcome.live_records {
+            let (fp, data) = chunks
+                .iter()
+                .find(|(fp, _)| *fp == record.fingerprint)
+                .unwrap();
+            let location = at(outcome.replacement, record.offset, data.len());
+            assert_eq!(&store.read_chunk(&location, fp).unwrap(), data);
+        }
         assert_eq!(store.physical_bytes(), 200);
         let stats = store.stats();
         assert_eq!(stats.sealed_containers, 1);
@@ -2288,7 +2343,7 @@ mod tests {
                 .collect();
             store.read_chunks_batched(&id, &mut fetches).map(|_| ())
         };
-        assert!(not_stored(store.read_chunk(&id, &ghost)));
+        assert!(not_stored(store.read_chunk(&at(id, 300, 64), &ghost)));
         assert!(not_stored(batched(&records[3..])), "cold");
         assert_eq!(store.read_cache_stats().resident_containers, 0);
         batched(&records[..3]).unwrap();
@@ -2298,8 +2353,11 @@ mod tests {
             not_stored(batched(&records[2..])),
             "beside a chunk with bytes"
         );
-        assert!(not_stored(store.read_chunk(&id, &ghost)));
-        assert_eq!(store.read_chunk(&id, &chunks[2].0).unwrap(), chunks[2].1);
+        assert!(not_stored(store.read_chunk(&at(id, 300, 64), &ghost)));
+        assert_eq!(
+            store.read_chunk(&at(id, 200, 100), &chunks[2].0).unwrap(),
+            chunks[2].1
+        );
 
         // Restart's check keeps it: the object is intact as written.
         let (discarded, orphans) = store.verify_objects().unwrap();
@@ -2373,7 +2431,7 @@ mod tests {
         }
         for (fp, loc) in &chunks {
             assert!(matches!(
-                store.read_chunk(&loc.container, fp),
+                store.read_chunk(&(*loc).into(), fp),
                 Err(StorageError::Io(_))
             ));
             let mut out = vec![0u8; loc.len as usize];
@@ -2766,7 +2824,7 @@ mod tests {
             // Parked inside the object write: out of its slot, not yet sealed.
             assert_eq!(store.state(&loc.container), ContainerState::Sealing);
             assert_eq!(store.stats().sealed_containers, 0);
-            assert_eq!(store.read_chunk(&loc.container, &fp).unwrap(), data);
+            assert_eq!(store.read_chunk(&loc.into(), &fp).unwrap(), data);
             let stats = batched_roundtrip(&store, &loc.container, &[(fp, data.clone(), 0)]);
             assert_eq!(stats.backend_bytes_read, 0, "served from RAM");
             assert_eq!(
@@ -2790,8 +2848,78 @@ mod tests {
                 if rollover { 2 } else { 1 },
                 "a rollover's flush also seals the fresh container"
             );
-            assert_eq!(store.read_chunk(&loc.container, &fp).unwrap(), data);
+            assert_eq!(store.read_chunk(&loc.into(), &fp).unwrap(), data);
         }
+    }
+
+    #[test]
+    fn unsealed_reads_find_each_record_at_its_planned_offset() {
+        // 1,024 distinct 16-byte chunks fill a 16 KiB container exactly.
+        let (store, backend, gate) = parked_store(16 * 1024);
+        let mut next = 0u64;
+        let mut fill = || -> Vec<(Fingerprint, Vec<u8>, StoredChunk)> {
+            (0..1024)
+                .map(|_| {
+                    next += 1;
+                    let data = next.to_le_bytes().repeat(2);
+                    let fp = Sha1::fingerprint(&data);
+                    let loc = store.store_chunk(0, fp, &data).unwrap();
+                    (fp, data, loc)
+                })
+                .collect()
+        };
+        let first = fill();
+        // The next chunk rolls the first container over; its object write
+        // parks on the sealer thread, and the second container fills up
+        // without rolling again.
+        backend.arm(Park::Write);
+        let second = fill();
+        gate.wait();
+        let sealing = first[0].2.container;
+        let open = second[0].2.container;
+        assert_eq!(store.state(&sealing), ContainerState::Sealing);
+        assert_eq!(store.state(&open), ContainerState::Open);
+        for chunks in [&first, &second] {
+            let container = chunks[0].2.container;
+            assert!(chunks.iter().all(|c| c.2.container == container));
+            let planned: Vec<_> = chunks
+                .iter()
+                .map(|(fp, data, loc)| (*fp, data.clone(), loc.offset))
+                .collect();
+            let stats = batched_roundtrip(&store, &container, &planned);
+            assert_eq!((stats.chunks, stats.backend_bytes_read), (1024, 0));
+            for (fp, data, loc) in chunks.iter().step_by(97).chain(chunks.last()) {
+                assert_eq!(&store.read_chunk(&(*loc).into(), fp).unwrap(), data);
+            }
+            let meta = store.read_metadata(&container).unwrap();
+            assert!(meta.fingerprints().eq(chunks.iter().map(|c| c.0)));
+
+            // Chunk 500's fingerprint planned at chunk 501's record, then at
+            // its own record with the wrong length: neither reads anything.
+            let (fp, _, loc) = &chunks[500];
+            let misplanned = [(chunks[501].2.offset, 16), (loc.offset, 15)];
+            for (offset, len) in misplanned {
+                let mut out = vec![0u8; len];
+                let mut fetches = [ChunkFetch {
+                    fingerprint: *fp,
+                    offset,
+                    out: &mut out,
+                }];
+                assert!(matches!(
+                    store.read_chunks_batched(&container, &mut fetches),
+                    Err(StorageError::ChunkNotInContainer { .. })
+                ));
+                assert_eq!(out, vec![0u8; len], "no other chunk's bytes");
+                assert!(matches!(
+                    store.read_chunk(&at(container, offset, len), fp),
+                    Err(StorageError::ChunkNotInContainer { .. })
+                ));
+            }
+        }
+        gate.open();
+        store.flush().unwrap();
+        assert_eq!(store.state(&sealing), ContainerState::Sealed);
+        assert_eq!(store.state(&open), ContainerState::Sealed);
     }
 
     #[test]
@@ -2842,7 +2970,7 @@ mod tests {
         ));
         for (loc, (fp, data)) in locs.iter().zip(&chunks) {
             assert_eq!(store.state(&loc.container), ContainerState::Sealing);
-            assert_eq!(&store.read_chunk(&loc.container, fp).unwrap(), data);
+            assert_eq!(&store.read_chunk(&(*loc).into(), fp).unwrap(), data);
         }
         assert_eq!(store.physical_bytes(), 400);
         // The stream goes on in a fresh container; the flush seals all three.
@@ -2851,7 +2979,7 @@ mod tests {
         assert_eq!(store.stats().sealed_containers, 3);
         for (loc, (fp, data)) in locs.iter().zip([&chunks[0], &chunks[1], &chunks[3]]) {
             assert_eq!(store.state(&loc.container), ContainerState::Sealed);
-            assert_eq!(&store.read_chunk(&loc.container, fp).unwrap(), data);
+            assert_eq!(&store.read_chunk(&(*loc).into(), fp).unwrap(), data);
         }
         assert_eq!(store.physical_bytes(), 600);
     }
@@ -2900,7 +3028,7 @@ mod tests {
         let new_id = ContainerId::new(0);
         assert_eq!(store.state(&new_id), ContainerState::Absent);
         assert!(matches!(
-            store.read_chunk(&new_id, &chunks[0].0),
+            store.read_chunk(&at(new_id, chunks[0].2, 100), &chunks[0].0),
             Err(StorageError::ContainerNotFound(_))
         ));
         assert_eq!(store.stats().stored_bytes, 0);
@@ -2939,7 +3067,7 @@ mod tests {
         let obj = StorageObject::Container(cid);
         assert!(backend.inner.object_len(obj).unwrap().is_some());
         assert_eq!(
-            store.read_chunk(&cid, &chunks[0].0),
+            store.read_chunk(&at(cid, chunks[0].2, 100), &chunks[0].0),
             Err(StorageError::ContainerNotFound(cid))
         );
         assert!(store.export_sealed(&cid).unwrap().is_none());
@@ -2955,8 +3083,8 @@ mod tests {
         let (victim, chunks) = sealed_chunks(&store, 4);
         backend.arm(Park::ReadAt);
         let reader = {
-            let (store, fp) = (store.clone(), chunks[1].0);
-            std::thread::spawn(move || store.read_chunk(&victim, &fp))
+            let (store, fp, offset) = (store.clone(), chunks[1].0, chunks[1].2);
+            std::thread::spawn(move || store.read_chunk(&at(victim, offset, 100), &fp))
         };
         gate.wait();
         let live: HashSet<Fingerprint> = [chunks[1].0, chunks[3].0].into_iter().collect();
@@ -2978,7 +3106,7 @@ mod tests {
         let planned = vec![chunks[3].clone(), chunks[1].clone()];
         batched_roundtrip(&store, &victim, &planned);
         assert!(matches!(
-            store.read_chunk(&victim, &chunks[0].0),
+            store.read_chunk(&at(victim, chunks[0].2, 100), &chunks[0].0),
             Err(StorageError::ChunkNotInContainer { .. })
         ));
     }
@@ -3016,7 +3144,9 @@ mod tests {
             "the origin went with its entry"
         );
         assert_eq!(
-            store.read_chunk(&current, &chunks[0].0).unwrap(),
+            store
+                .read_chunk(&at(current, chunks[0].2, 100), &chunks[0].0)
+                .unwrap(),
             chunks[0].1
         );
     }
@@ -3027,8 +3157,8 @@ mod tests {
         let (cid, chunks) = sealed_chunks(&store, 1);
         backend.arm(Park::ReadAt);
         let reader = {
-            let (store, fp) = (store.clone(), chunks[0].0);
-            std::thread::spawn(move || store.read_chunk(&cid, &fp))
+            let (store, fp, offset) = (store.clone(), chunks[0].0, chunks[0].2);
+            std::thread::spawn(move || store.read_chunk(&at(cid, offset, 100), &fp))
         };
         gate.wait();
         let retired = store.retire_container(cid, 7).unwrap();
