@@ -40,6 +40,34 @@ pub use stateless::StatelessRouter;
 
 use sigma_core::DataRouter;
 
+/// Builds the routing scheme `name`, keyed by each router's own
+/// [`DataRouter::name`]: `sigma`, `sigma-nobalance`, `stateless`,
+/// `stateful`, `extreme-binning`, `chunk-dht` and `round-robin`.
+///
+/// # Panics
+///
+/// Panics on any other name.
+///
+/// # Example
+///
+/// ```
+/// let router = sigma_baselines::router("extreme-binning");
+/// assert_eq!(router.name(), "extreme-binning");
+/// assert!(router.requires_file_boundaries());
+/// ```
+pub fn router(name: &str) -> Box<dyn DataRouter> {
+    match name {
+        "sigma" => Box::new(sigma_core::SimilarityRouter::new(true)),
+        "sigma-nobalance" => Box::new(sigma_core::SimilarityRouter::new(false)),
+        "stateless" => Box::new(StatelessRouter::new()),
+        "stateful" => Box::new(StatefulRouter::new()),
+        "extreme-binning" => Box::new(ExtremeBinningRouter::new()),
+        "chunk-dht" => Box::new(ChunkDhtRouter::new()),
+        "round-robin" => Box::new(RoundRobinRouter::new()),
+        other => panic!("unknown routing scheme {other}"),
+    }
+}
+
 /// The routing schemes compared in the paper's evaluation, as trait objects.
 ///
 /// Convenience for experiments that sweep over schemes: Σ-Dedupe itself, EMC
@@ -55,17 +83,30 @@ use sigma_core::DataRouter;
 /// assert_eq!(names, vec!["sigma", "stateless", "stateful", "extreme-binning"]);
 /// ```
 pub fn paper_comparison_routers() -> Vec<Box<dyn DataRouter>> {
-    vec![
-        Box::new(sigma_core::SimilarityRouter::new(true)),
-        Box::new(StatelessRouter::new()),
-        Box::new(StatefulRouter::new()),
-        Box::new(ExtremeBinningRouter::new()),
-    ]
+    ["sigma", "stateless", "stateful", "extreme-binning"]
+        .into_iter()
+        .map(router)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_scheme_is_built_under_its_own_name() {
+        for name in [
+            "sigma",
+            "sigma-nobalance",
+            "stateless",
+            "stateful",
+            "extreme-binning",
+            "chunk-dht",
+            "round-robin",
+        ] {
+            assert_eq!(router(name).name(), name);
+        }
+    }
 
     #[test]
     fn comparison_set_matches_figure_8() {

@@ -12,8 +12,9 @@
 //! migrate onto it until it holds the cluster mean, then drain it back out.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sigma_core::{BackupClient, DedupCluster, SigmaConfig};
+use sigma_core::{BackupClient, DedupCluster, SigmaConfig, SimilarityRouter};
 use sigma_simulation::churn::{run_churn, ChurnConfig};
+use sigma_simulation::crash_churn::FaultPlan;
 use std::sync::Arc;
 
 const STREAMS: usize = 4;
@@ -80,7 +81,11 @@ fn report() {
     sigma_bench::print_table("rebalance migration throughput", &table.render());
 
     // End-to-end churn scenario (backup, join, backup, leave, restore-verify).
-    let outcome = run_churn(&ChurnConfig::default());
+    let outcome = run_churn(
+        &ChurnConfig::default(),
+        Box::new(SimilarityRouter::new(true)),
+        &FaultPlan::default(),
+    );
     assert!(outcome.all_restored(), "churn scenario must restore intact");
     assert!(
         outcome.bytes_conserved(),

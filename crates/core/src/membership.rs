@@ -444,7 +444,7 @@ mod tests {
         a.try_flush().unwrap();
         let cid = a.sealed_container_ids()[0];
         let exported = a.export_container(&cid).unwrap().unwrap();
-        let rfps = a.take_similarity_entries(cid);
+        let rfps = a.similarity_entries_for(cid);
 
         let first = b.adopt_container(0, exported.clone(), &rfps).unwrap();
         let usage_after_first = b.storage_usage();

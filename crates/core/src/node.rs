@@ -944,13 +944,6 @@ impl DedupNode {
         self.similarity_index.peek_container(container)
     }
 
-    /// Removes and returns the similarity-index entries (representative
-    /// fingerprints) pointing at `container`, for re-insertion on the destination
-    /// node under the container's new identifier.
-    pub fn take_similarity_entries(&self, container: ContainerId) -> Vec<Fingerprint> {
-        self.similarity_index.extract_container(container)
-    }
-
     /// Adopts a container migrated from node `origin_node`.
     ///
     /// The container is re-identified in this node's ID space, every chunk record
@@ -1645,7 +1638,7 @@ mod tests {
         donor.try_flush().unwrap();
         let cid = donor.sealed_container_ids()[0];
         let exported = donor.export_container(&cid).unwrap().unwrap();
-        let rfps = donor.take_similarity_entries(cid);
+        let rfps = donor.similarity_entries_for(cid);
 
         // An adopter whose journal ends up with the same migration record twice
         // (e.g. a retried step replayed on top of the original).
@@ -1685,7 +1678,7 @@ mod tests {
         a.try_flush().unwrap();
         let cid = a.sealed_container_ids()[0];
         let exported = a.export_container(&cid).unwrap().unwrap();
-        let rfps = a.take_similarity_entries(cid);
+        let rfps = a.similarity_entries_for(cid);
         b.adopt_container(0, exported, &rfps).unwrap();
         a.retire_container(cid, 1).unwrap();
 

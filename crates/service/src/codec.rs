@@ -97,7 +97,8 @@ impl From<io::Error> for CodecError {
 }
 
 /// `true` when the error means the peer hung up cleanly between frames.
-pub fn is_clean_eof(err: &CodecError) -> bool {
+#[cfg(test)]
+pub(crate) fn is_clean_eof(err: &CodecError) -> bool {
     matches!(err, CodecError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof)
 }
 

@@ -140,7 +140,8 @@ impl FairScheduler {
     }
 
     /// Requests granted so far.
-    pub fn granted_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn granted_count(&self) -> u64 {
         self.granted.load(Ordering::Relaxed)
     }
 

@@ -6,8 +6,7 @@
 //! broadcasts to every node and therefore grows linearly with the cluster size.
 
 use crate::runner::{run_cluster, SimulationConfig};
-use sigma_baselines::{ExtremeBinningRouter, StatefulRouter, StatelessRouter};
-use sigma_core::{DataRouter, SigmaConfig, SimilarityRouter};
+use sigma_core::SigmaConfig;
 use sigma_metrics::report::TextTable;
 use sigma_workloads::{presets, DatasetTrace, Scale};
 
@@ -46,16 +45,6 @@ impl Default for Fig7Params {
     }
 }
 
-fn make_router(name: &str) -> Box<dyn DataRouter> {
-    match name {
-        "sigma" => Box::new(SimilarityRouter::new(true)),
-        "stateless" => Box::new(StatelessRouter::new()),
-        "stateful" => Box::new(StatefulRouter::new()),
-        "extreme-binning" => Box::new(ExtremeBinningRouter::new()),
-        other => panic!("unknown routing scheme {other}"),
-    }
-}
-
 /// The scheme names compared (Figure 7 uses the same four as Figure 8).
 pub const SCHEMES: [&str; 4] = ["sigma", "stateless", "stateful", "extreme-binning"];
 
@@ -83,7 +72,7 @@ pub fn run_on(dataset: &DatasetTrace, params: &Fig7Params) -> Vec<Fig7Row> {
                 .expect("valid configuration");
             let summary = run_cluster(
                 dataset,
-                make_router(scheme),
+                sigma_baselines::router(scheme),
                 &SimulationConfig {
                     node_count: cluster_size,
                     sigma,

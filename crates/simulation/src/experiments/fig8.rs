@@ -7,8 +7,7 @@
 //! large, skewed files).
 
 use crate::runner::{run_cluster, SimulationConfig};
-use sigma_baselines::{ExtremeBinningRouter, StatefulRouter, StatelessRouter};
-use sigma_core::{DataRouter, SigmaConfig, SimilarityRouter};
+use sigma_core::SigmaConfig;
 use sigma_metrics::report::TextTable;
 use sigma_metrics::ClusterRunSummary;
 use sigma_workloads::{presets, DatasetTrace, Scale};
@@ -73,17 +72,6 @@ impl Default for Fig8Params {
 /// The scheme names of Figure 8 in plotting order.
 pub const SCHEMES: [&str; 4] = ["sigma", "stateful", "stateless", "extreme-binning"];
 
-fn make_router(name: &str) -> Box<dyn DataRouter> {
-    match name {
-        "sigma" => Box::new(SimilarityRouter::new(true)),
-        "sigma-nobalance" => Box::new(SimilarityRouter::new(false)),
-        "stateless" => Box::new(StatelessRouter::new()),
-        "stateful" => Box::new(StatefulRouter::new()),
-        "extreme-binning" => Box::new(ExtremeBinningRouter::new()),
-        other => panic!("unknown routing scheme {other}"),
-    }
-}
-
 /// Runs the experiment on all four paper workloads.
 pub fn run(params: &Fig8Params) -> Vec<Fig8Row> {
     presets::paper_datasets(params.scale)
@@ -110,7 +98,7 @@ pub fn run_on(dataset: &DatasetTrace, params: &Fig8Params) -> Vec<Fig8Row> {
                 .expect("valid configuration");
             let summary = run_cluster(
                 dataset,
-                make_router(scheme),
+                sigma_baselines::router(scheme),
                 &SimulationConfig {
                     node_count: cluster_size,
                     sigma,

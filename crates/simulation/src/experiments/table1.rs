@@ -7,8 +7,8 @@
 //! mapped to the High/Medium/Low vocabulary of the original table.
 
 use crate::runner::{run_cluster, SimulationConfig};
-use sigma_baselines::{ChunkDhtRouter, ExtremeBinningRouter, StatefulRouter, StatelessRouter};
-use sigma_core::{DataRouter, SigmaConfig, SimilarityRouter};
+use sigma_baselines::router;
+use sigma_core::SigmaConfig;
 use sigma_metrics::report::TextTable;
 use sigma_workloads::{presets, Scale};
 
@@ -58,36 +58,14 @@ impl Default for Table1Params {
     }
 }
 
-/// The schemes of Table 1: `(name, router factory, routing granularity)`.
-fn schemes() -> Vec<(&'static str, Box<dyn DataRouter>, &'static str)> {
-    vec![
-        (
-            "chunk-dht (HYDRAstor)",
-            Box::new(ChunkDhtRouter::new()),
-            "chunk",
-        ),
-        (
-            "extreme-binning",
-            Box::new(ExtremeBinningRouter::new()),
-            "file",
-        ),
-        (
-            "stateless (EMC)",
-            Box::new(StatelessRouter::new()),
-            "super-chunk",
-        ),
-        (
-            "stateful (EMC)",
-            Box::new(StatefulRouter::new()),
-            "super-chunk",
-        ),
-        (
-            "sigma-dedupe",
-            Box::new(SimilarityRouter::new(true)),
-            "super-chunk",
-        ),
-    ]
-}
+/// The schemes of Table 1: `(display label, router name, routing granularity)`.
+const SCHEMES: [(&str, &str, &str); 5] = [
+    ("chunk-dht (HYDRAstor)", "chunk-dht", "chunk"),
+    ("extreme-binning", "extreme-binning", "file"),
+    ("stateless (EMC)", "stateless", "super-chunk"),
+    ("stateful (EMC)", "stateful", "super-chunk"),
+    ("sigma-dedupe", "sigma", "super-chunk"),
+];
 
 /// Grades a "bigger is better" quantity (e.g. normalized DR).
 fn grade_high_good(value: f64, high: f64, medium: f64) -> String {
@@ -122,18 +100,18 @@ pub fn run(params: Table1Params) -> Vec<Table1Row> {
         sigma: SigmaConfig::default(),
         client_streams: 4,
     };
-    let stateless_baseline = run_cluster(&dataset, Box::new(StatelessRouter::new()), &config);
+    let stateless_baseline = run_cluster(&dataset, router("stateless"), &config);
     let baseline_messages = stateless_baseline.total_lookups().max(1);
 
-    schemes()
+    SCHEMES
         .into_iter()
-        .map(|(name, router, granularity)| {
-            let summary = run_cluster(&dataset, router, &config);
+        .map(|(label, name, granularity)| {
+            let summary = run_cluster(&dataset, router(name), &config);
             let overhead = summary.total_lookups() as f64 / baseline_messages as f64;
             let nedr = summary.nedr();
             let normalized_dr = summary.normalized_dr();
             Table1Row {
-                scheme: name.to_string(),
+                scheme: label.to_string(),
                 granularity: granularity.to_string(),
                 normalized_dr,
                 nedr,

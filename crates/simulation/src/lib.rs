@@ -15,14 +15,15 @@
 //!   `sigma-bench` crate invokes these from `cargo bench`, and the examples print
 //!   selected ones.
 //! * [`churn`] — the elastic-membership scenario the paper's static clusters
-//!   cannot express: backup, add a node (with rebalancing), back up more, remove
-//!   a node, then restore everything and verify byte identity and physical-byte
-//!   conservation.
-//! * [`crash_churn`] — the same story under *unplanned* failure: a deterministic
-//!   [`FaultPlan`](crash_churn::FaultPlan) kills a node at a sampled
-//!   journal-record boundary (including mid-rebalance), the node is recovered
-//!   from its write-ahead journal, and every acknowledged byte must restore
-//!   identically afterwards.
+//!   cannot express, and its one driver: back up, add a node (with
+//!   rebalancing), back up more, remove a node, restoring every acknowledged
+//!   file byte-for-byte after each phase, under any router and any
+//!   [`FaultPlan`](crash_churn::FaultPlan) (empty for a fault-free run).
+//! * [`crash_churn`] — the same story under *unplanned* failure: fault plans
+//!   sampled from a fault-free run's journal activity kill a node at a
+//!   journal-record boundary (including mid-rebalance), the driver recovers it
+//!   from its write-ahead journal and retries, and every acknowledged byte
+//!   must restore identically.
 //! * [`retention_churn`] — the backup lifecycle: N generations ingested, the
 //!   oldest expired one by one (delete + mark-and-sweep garbage collection),
 //!   survivors restore-verified, and physical bytes asserted to actually shrink

@@ -802,7 +802,13 @@ impl ContainerStore {
         // finds the retired slot and opens a fresh container.  Each builder
         // leaves its slot under the slot lock in the same swap that turns it
         // sealing, so a reader that finds the slot empty finds it sealing.
-        for (_, slot) in self.streams.write().drain() {
+        // The slots seal in stream order, so the group's records, and which
+        // of its containers a crash mid-group keeps, are the same in every
+        // process.
+        let mut streams = self.streams.write();
+        let mut retired: Vec<(StreamId, Slot)> = streams.drain().collect();
+        retired.sort_unstable_by_key(|&(stream, _)| stream);
+        for (_, slot) in retired {
             let mut guard = slot.lock();
             let Some(builder) = guard.builder.take() else {
                 continue;
@@ -813,6 +819,7 @@ impl ContainerStore {
                 self.table.write().entries.remove(&builder.id());
             }
         }
+        drop(streams);
         let mut in_flight = self.sealer.lock();
         if let Err(e) = self.finish_in_flight(&mut in_flight) {
             self.table.write().retry.extend(containers);
@@ -2097,6 +2104,30 @@ mod tests {
                 .count(),
             6
         );
+    }
+
+    #[test]
+    fn a_flush_seals_its_streams_in_stream_order() {
+        let journal = Arc::new(crate::Journal::new());
+        let store = ContainerStore::new(4096).with_journal(journal.clone());
+        // Streams open their containers out of order, so neither container
+        // IDs nor insertion order line up with stream IDs.
+        let mut by_stream = [None; 8];
+        for stream in [5u64, 2, 7, 0, 3, 6, 1, 4] {
+            let (fp, data) = payload(stream, 100);
+            by_stream[stream as usize] =
+                Some(store.store_chunk(stream, fp, &data).unwrap().container);
+        }
+        store.flush().unwrap();
+        let (records, _) = crate::Journal::replay(&journal.bytes()).unwrap();
+        let sealed: Vec<ContainerId> = records
+            .iter()
+            .filter_map(|r| match r {
+                JournalRecord::ContainerSeal { container } => Some(container.id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sealed, by_stream.map(Option::unwrap));
     }
 
     #[test]

@@ -8,23 +8,9 @@
 //! cargo run --release --example routing_comparison
 //! ```
 
+use sigma_dedupe::baselines::router;
 use sigma_dedupe::prelude::experiments::table1;
 use sigma_dedupe::prelude::*;
-
-/// Σ-Dedupe's router: similarity routing with capacity balancing (Algorithm 1).
-fn sigma_router() -> SimilarityRouter {
-    SimilarityRouter::new(true)
-}
-
-fn router(name: &str) -> Box<dyn DataRouter> {
-    match name {
-        "sigma" => Box::new(sigma_router()),
-        "stateless" => Box::new(StatelessRouter::new()),
-        "stateful" => Box::new(StatefulRouter::new()),
-        "extreme-binning" => Box::new(ExtremeBinningRouter::new()),
-        other => unreachable!("unknown scheme {other}"),
-    }
-}
 
 const NODE_COUNTS: [usize; 3] = [8, 32, 128];
 const CLIENT_STREAMS: usize = 8;
@@ -63,7 +49,7 @@ fn main() {
         } else {
             "off"
         },
-        if sigma_router().capacity_balancing() {
+        if SimilarityRouter::new(true).capacity_balancing() {
             "on"
         } else {
             "off"

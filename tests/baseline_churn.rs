@@ -2,8 +2,8 @@
 //!
 //! The elastic-membership suite exercised `sigma` routing only; the baselines
 //! (`chunk_dht`, `extreme_binning`, `stateful`) route by entirely different
-//! state, so a shared churn fixture drives each through the same
-//! add-node / remove-node storm and asserts the two things routing must never
+//! state, so the churn scenario (`sigma_simulation::churn::run_churn`) drives
+//! each through the same add-node / remove-node storm and this suite asserts the two things routing must never
 //! break:
 //!
 //! * **restore correctness** — every file from every phase restores
@@ -16,11 +16,11 @@
 //!   count, not the historical one).
 
 use sigma_dedupe::prelude::*;
-use std::sync::Arc;
+use sigma_dedupe::simulation::churn::{run_churn, ChurnConfig, ChurnOutcome};
+use sigma_dedupe::simulation::crash_churn::FaultPlan;
 
 const INITIAL_NODES: usize = 3;
-const STREAMS: u64 = 3;
-const STREAM_BYTES: usize = 96 * 1024;
+const STREAMS: usize = 3;
 
 fn churn_config() -> SigmaConfig {
     SigmaConfig::builder()
@@ -32,142 +32,67 @@ fn churn_config() -> SigmaConfig {
         .expect("valid churn config")
 }
 
-fn stream_payload(stream: u64, generation: u64) -> Vec<u8> {
-    // Two generations share most content (the second mutates one byte per
-    // 4 KB region) so the post-churn wave must deduplicate across migrations.
-    let mut state = stream.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut data: Vec<u8> = (0..STREAM_BYTES)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 32) as u8
-        })
-        .collect();
-    if generation > 0 {
-        for region in data.chunks_mut(4096) {
-            region[0] = region[0].wrapping_add(generation as u8);
-        }
-    }
-    data
+/// Runs the churn scenario under `router` and asserts what every scheme must
+/// keep through it: both migrations move containers or conserve bytes, and
+/// every file restores byte-identically after each phase.  The second
+/// generation rewrites one 4 KB region in four, so the post-churn wave must
+/// deduplicate across migrations.
+fn churn(router: Box<dyn DataRouter>) -> ChurnOutcome {
+    let name = router.name();
+    let config = ChurnConfig {
+        initial_nodes: INITIAL_NODES,
+        streams: STREAMS,
+        stream_bytes: 96 * 1024,
+        mutation_rate: 0.25,
+        seed: 0xBA5E,
+        sigma: churn_config(),
+    };
+    let outcome = run_churn(&config, router, &FaultPlan::default());
+    let [gen0, joined, gen1, left] = &outcome.phases[..] else {
+        panic!("four phases for {name}");
+    };
+    assert!(
+        outcome.join_rebalance.containers_moved > 0,
+        "join rebalance must move containers for {name}"
+    );
+    assert_eq!(
+        joined.physical_bytes, gen0.physical_bytes,
+        "join migration must conserve bytes for {name}"
+    );
+    assert_eq!(
+        joined.restored_intact, joined.files,
+        "restore during churn broke for {name}"
+    );
+    assert_eq!(
+        left.physical_bytes, gen1.physical_bytes,
+        "drain must conserve bytes for {name}"
+    );
+    assert_eq!(left.files, 2 * STREAMS);
+    assert_eq!(
+        left.restored_intact, left.files,
+        "a file corrupted under {name} churn"
+    );
+    outcome
 }
 
-struct ChurnRun {
-    cluster: Arc<DedupCluster>,
-    files: Vec<(u64, Vec<u8>)>,
-    /// Super-chunks routed and pre-routing messages per phase:
-    /// `(supers, prerouting_lookups, nodes_contacted)` before the join and at
-    /// the end.
-    phase_messages: Vec<(u64, u64, u64)>,
-}
-
-/// The shared fixture: backup → join+rebalance → backup → drain an original
-/// node → verify everything, recording message counters at each phase edge.
-fn run_churn(router: Box<dyn DataRouter>) -> ChurnRun {
-    let cluster = Arc::new(DedupCluster::new(INITIAL_NODES, churn_config(), router));
-    let clients: Vec<BackupClient> = (0..STREAMS)
-        .map(|s| BackupClient::new(cluster.clone(), s))
-        .collect();
-    let mut files = Vec::new();
-    let mut phase_messages = Vec::new();
-    let snapshot_messages = |cluster: &DedupCluster| {
-        let m = cluster.stats().messages;
+/// `(super-chunks routed, pre-routing lookups, nodes contacted)` after the
+/// first backup wave and after the drain.
+fn phase_messages(outcome: &ChurnOutcome) -> [(u64, u64, u64); 2] {
+    [&outcome.phases[0], &outcome.phases[3]].map(|p| {
+        let m = p.messages;
         (
             m.super_chunks_routed,
             m.prerouting_lookups,
             m.nodes_contacted,
         )
-    };
-
-    // Phase 1 on the initial cluster.
-    for (s, client) in clients.iter().enumerate() {
-        let data = stream_payload(s as u64, 0);
-        let report = client
-            .backup_bytes(&format!("gen0-{s}"), &data)
-            .expect("payload backup cannot fail");
-        files.push((report.file_id, data));
-    }
-    cluster.try_flush().unwrap();
-    phase_messages.push(snapshot_messages(&cluster));
-    let physical_after_gen0 = cluster.stats().physical_bytes;
-
-    // Scale out mid-workload; restores must hold immediately.
-    let (joined, join) = cluster
-        .add_node_rebalanced()
-        .expect("no fault injection here");
-    assert!(
-        join.containers_moved > 0,
-        "join rebalance must move containers for {}",
-        cluster.router_name()
-    );
-    assert_eq!(
-        cluster.stats().physical_bytes,
-        physical_after_gen0,
-        "join migration must conserve bytes for {}",
-        cluster.router_name()
-    );
-    for (file_id, expected) in &files {
-        assert_eq!(
-            &cluster.restore_file(*file_id).unwrap(),
-            expected,
-            "restore during churn broke for {}",
-            cluster.router_name()
-        );
-    }
-
-    // Phase 2 against the grown cluster (mutated generation deduplicates).
-    for (s, client) in clients.iter().enumerate() {
-        let data = stream_payload(s as u64, 1);
-        let report = client
-            .backup_bytes(&format!("gen1-{s}"), &data)
-            .expect("payload backup cannot fail");
-        files.push((report.file_id, data));
-    }
-    cluster.try_flush().unwrap();
-
-    // Scale in: drain one of the *original* nodes, so recipes from both waves
-    // must follow its tombstones from now on.
-    let victim = cluster
-        .node_ids()
-        .into_iter()
-        .find(|&id| id != joined)
-        .expect("an original node is active");
-    let physical_before_leave = cluster.stats().physical_bytes;
-    cluster.remove_node(victim).expect("cluster keeps 3 nodes");
-    assert_eq!(
-        cluster.stats().physical_bytes,
-        physical_before_leave,
-        "drain must conserve bytes for {}",
-        cluster.router_name()
-    );
-    phase_messages.push(snapshot_messages(&cluster));
-
-    ChurnRun {
-        cluster,
-        files,
-        phase_messages,
-    }
-}
-
-fn assert_all_restore(run: &ChurnRun) {
-    assert_eq!(run.files.len(), 2 * STREAMS as usize);
-    for (file_id, expected) in &run.files {
-        assert_eq!(
-            &run.cluster.restore_file(*file_id).unwrap(),
-            expected,
-            "file {} corrupted under {} churn",
-            file_id,
-            run.cluster.router_name()
-        );
-    }
+    })
 }
 
 #[test]
 fn chunk_dht_survives_churn_with_zero_prerouting_messages() {
-    let run = run_churn(Box::new(ChunkDhtRouter::new()));
-    assert_all_restore(&run);
+    let run = churn(Box::new(ChunkDhtRouter::new()));
     // DHT placement consults nobody — before, during or after churn.
-    let (supers, prerouting, contacted) = *run.phase_messages.last().unwrap();
+    let [_, (supers, prerouting, contacted)] = phase_messages(&run);
     assert!(supers > 0);
     assert_eq!(prerouting, 0, "chunk-dht never sends pre-routing lookups");
     assert_eq!(contacted, 0, "chunk-dht never contacts remote nodes");
@@ -175,25 +100,24 @@ fn chunk_dht_survives_churn_with_zero_prerouting_messages() {
 
 #[test]
 fn extreme_binning_survives_churn_and_keeps_files_in_their_bins() {
-    let run = run_churn(Box::new(ExtremeBinningRouter::new()));
-    assert_all_restore(&run);
-    let (supers, prerouting, contacted) = *run.phase_messages.last().unwrap();
+    let run = churn(Box::new(ExtremeBinningRouter::new()));
+    let [_, (supers, prerouting, contacted)] = phase_messages(&run);
     assert!(supers > 0);
     assert_eq!(prerouting, 0, "extreme binning routes statelessly by file");
     assert_eq!(contacted, 0);
     // The batched duplicate-or-unique query at the target still costs one
     // lookup per chunk, exactly as for every other scheme.
-    let m = run.cluster.stats().messages;
+    let m = run.phases[3].messages;
     assert!(m.postrouting_lookups >= supers, "per-chunk target lookups");
 }
 
 #[test]
 fn stateful_broadcast_tracks_the_active_node_count_through_churn() {
-    let run = run_churn(Box::new(StatefulRouter::new()));
-    assert_all_restore(&run);
+    let run = churn(Box::new(StatefulRouter::new()));
+    let [gen0, end] = phase_messages(&run);
 
     // Phase 1 ran on 3 nodes: every super-chunk broadcast to exactly 3.
-    let (supers_gen0, prerouting_gen0, contacted_gen0) = run.phase_messages[0];
+    let (supers_gen0, prerouting_gen0, contacted_gen0) = gen0;
     assert!(supers_gen0 > 0);
     assert!(prerouting_gen0 > 0, "stateful always asks the cluster");
     assert_eq!(
@@ -205,7 +129,7 @@ fn stateful_broadcast_tracks_the_active_node_count_through_churn() {
     // Phase 2 ran on 4 nodes (after the join): the per-super-chunk broadcast
     // widened with the membership, and narrows again after the leave — the
     // defining linear-overhead shape of Figure 7, now under churn.
-    let (supers_end, prerouting_end, contacted_end) = *run.phase_messages.last().unwrap();
+    let (supers_end, prerouting_end, contacted_end) = end;
     let supers_gen1 = supers_end - supers_gen0;
     assert!(supers_gen1 > 0);
     assert_eq!(
