@@ -87,7 +87,7 @@ struct DirectorInner {
 /// use sigma_core::Director;
 ///
 /// let director = Director::new();
-/// let session = director.open_session("client-a");
+/// let session = director.open_session_in_generation("client-a", 0);
 /// let file = director.register_file(session, "etc/passwd", 1234, Vec::new());
 /// assert_eq!(director.recipe(file).unwrap().name, "etc/passwd");
 /// assert_eq!(director.session(session).unwrap().files, vec![file]);
@@ -103,11 +103,6 @@ impl Director {
     /// Creates an empty director.
     pub fn new() -> Self {
         Director::default()
-    }
-
-    /// Opens a new backup session for `client` in generation 0.
-    pub fn open_session(&self, client: &str) -> u64 {
-        self.open_session_in_generation(client, 0)
     }
 
     /// Opens a new backup session for `client`, tagged with a backup generation.
@@ -181,7 +176,7 @@ impl Director {
     /// Logical bytes of every registered recipe, grouped by the owning
     /// session's tenant tag.  Untagged sessions are excluded — see
     /// [`untagged_logical_bytes`](Director::untagged_logical_bytes); the two
-    /// always sum to [`total_logical_bytes`](Director::total_logical_bytes).
+    /// always sum to the sizes of [`recipes`](Director::recipes).
     pub fn logical_bytes_by_tenant(&self) -> std::collections::BTreeMap<String, u64> {
         let inner = self.inner.lock();
         let mut out = std::collections::BTreeMap::new();
@@ -361,11 +356,6 @@ impl Director {
     pub fn session_count(&self) -> usize {
         self.inner.lock().sessions.len()
     }
-
-    /// Total logical bytes across all registered files.
-    pub fn total_logical_bytes(&self) -> u64 {
-        self.inner.lock().recipes.values().map(|r| r.size).sum()
-    }
 }
 
 #[cfg(test)]
@@ -384,8 +374,8 @@ mod tests {
     #[test]
     fn sessions_group_files() {
         let d = Director::new();
-        let s1 = d.open_session("alpha");
-        let s2 = d.open_session("beta");
+        let s1 = d.open_session_in_generation("alpha", 0);
+        let s2 = d.open_session_in_generation("beta", 0);
         let f1 = d.register_file(s1, "a.txt", 100, vec![entry(1)]);
         let f2 = d.register_file(s1, "b.txt", 200, vec![entry(2)]);
         let f3 = d.register_file(s2, "c.txt", 300, vec![entry(3)]);
@@ -394,7 +384,7 @@ mod tests {
         assert_eq!(d.session(s1).unwrap().client, "alpha");
         assert_eq!(d.file_count(), 3);
         assert_eq!(d.session_count(), 2);
-        assert_eq!(d.total_logical_bytes(), 600);
+        assert_eq!(d.recipes().iter().map(|r| r.size).sum::<u64>(), 600);
     }
 
     #[test]
@@ -448,14 +438,14 @@ mod tests {
     #[test]
     fn delete_file_removes_recipe_and_session_entry() {
         let d = Director::new();
-        let s = d.open_session("alpha");
+        let s = d.open_session_in_generation("alpha", 0);
         let f1 = d.register_file(s, "a", 100, vec![entry(1)]);
         let f2 = d.register_file(s, "b", 200, vec![entry(2)]);
         let deleted = d.delete_file(f1).unwrap();
         assert_eq!(deleted.size, 100);
         assert!(d.recipe(f1).is_none());
         assert_eq!(d.session(s).unwrap().files, vec![f2]);
-        assert_eq!(d.total_logical_bytes(), 200);
+        assert_eq!(d.recipes().iter().map(|r| r.size).sum::<u64>(), 200);
         // Double delete reports not-found rather than panicking.
         assert!(d.delete_file(f1).is_none());
         // File IDs are never reused after a deletion.
@@ -466,8 +456,8 @@ mod tests {
     #[test]
     fn delete_backup_removes_the_whole_session() {
         let d = Director::new();
-        let s1 = d.open_session("alpha");
-        let s2 = d.open_session("beta");
+        let s1 = d.open_session_in_generation("alpha", 0);
+        let s2 = d.open_session_in_generation("beta", 0);
         let f1 = d.register_file(s1, "a", 100, vec![entry(1)]);
         let f2 = d.register_file(s1, "b", 200, vec![entry(2)]);
         let f3 = d.register_file(s2, "c", 300, vec![entry(3)]);
@@ -508,7 +498,7 @@ mod tests {
         let d = Director::new();
         let sa = d.open_tenant_session("host-1", 0, "acme");
         let sb = d.open_tenant_session("host-2", 0, "globex");
-        let untagged = d.open_session("host-3");
+        let untagged = d.open_session_in_generation("host-3", 0);
         d.register_file(sa, "a1", 100, vec![entry(1)]);
         d.register_file(sa, "a2", 250, vec![entry(2)]);
         d.register_file(sb, "b1", 300, vec![entry(3)]);
@@ -520,7 +510,7 @@ mod tests {
         assert_eq!(d.untagged_logical_bytes(), 50);
         assert_eq!(
             by_tenant.values().sum::<u64>() + d.untagged_logical_bytes(),
-            d.total_logical_bytes(),
+            d.recipes().iter().map(|r| r.size).sum::<u64>(),
             "tenant partition covers every registered byte"
         );
         assert_eq!(d.session_tenant(sa).as_deref(), Some("acme"));

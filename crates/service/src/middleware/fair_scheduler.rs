@@ -10,6 +10,11 @@
 //! tenant with a thousand queued megabytes therefore drains at the same
 //! byte rate as a cold tenant with three queued requests — the cold tenant's
 //! requests overtake the hot backlog instead of queueing behind it.
+//!
+//! [`FairScheduler::submit`] is the one grant path.  The middleware submits
+//! and blocks on the grant; a single-threaded driver (the tenant storm)
+//! submits, polls [`SchedulerGrant::is_live`] and drops the grant when its
+//! request completes.
 
 use crate::middleware::{Middleware, Next, ServiceResult};
 use crate::RequestEnvelope;
@@ -33,6 +38,10 @@ impl Ticket {
         let mut granted = self.granted.lock().unwrap_or_else(|e| e.into_inner());
         *granted = true;
         self.wake.notify_one();
+    }
+
+    fn is_granted(&self) -> bool {
+        *self.granted.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn wait(&self) {
@@ -161,7 +170,8 @@ impl FairScheduler {
     }
 
     /// Parked requests for `tenant` right now.
-    pub fn pending_requests(&self, tenant: &str) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_requests(&self, tenant: &str) -> usize {
         self.lock_state()
             .tenants
             .get(tenant)
@@ -170,7 +180,8 @@ impl FairScheduler {
     }
 
     /// Granted-but-running bytes for `tenant` right now.
-    pub fn inflight_bytes(&self, tenant: &str) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn inflight_bytes(&self, tenant: &str) -> u64 {
         self.lock_state()
             .tenants
             .get(tenant)
@@ -182,8 +193,27 @@ impl FairScheduler {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Parks a request and returns its wait handle.
-    fn enqueue(&self, tenant: &str, cost: u64) -> Arc<Ticket> {
+    /// Queues a request of `cost` bytes for `tenant` and returns its grant.
+    ///
+    /// The call never blocks: the grant is [live](SchedulerGrant::is_live)
+    /// once deficit-round-robin grants it, which may be at once.  Dropping
+    /// the grant releases its slot and bytes when it was live, or withdraws
+    /// the request from the queue when it was not.  A zero cost counts as
+    /// one byte: metadata requests (restore, delete, stats) must still take
+    /// a scheduling turn, or a tenant could bypass fairness with them.
+    ///
+    /// ```
+    /// use sigma_service::middleware::FairScheduler;
+    ///
+    /// let sched = FairScheduler::new(100, 100, 1);
+    /// let first = sched.submit("t", 100);
+    /// let second = sched.submit("t", 100);
+    /// assert!(first.is_live() && !second.is_live(), "one slot");
+    /// drop(first);
+    /// assert!(second.is_live(), "the freed slot went to the queued request");
+    /// ```
+    pub fn submit(&self, tenant: &str, cost: u64) -> SchedulerGrant<'_> {
+        let cost = cost.max(1);
         let ticket = Arc::new(Ticket::default());
         let mut state = self.lock_state();
         let queue = state.tenants.entry(tenant.to_string()).or_default();
@@ -196,22 +226,34 @@ impl FairScheduler {
             state.round.push_back(tenant.to_string());
         }
         self.dispatch(&mut state);
-        ticket
+        SchedulerGrant {
+            scheduler: self,
+            tenant: tenant.to_string(),
+            cost,
+            ticket,
+        }
     }
 
-    /// Marks a granted request complete and hands its slot to the next one.
-    fn complete(&self, tenant: &str, cost: u64) {
+    /// Settles a dropped grant: a live one completes and hands its slot to
+    /// the next request, a queued one leaves its tenant's queue.
+    fn release(&self, grant: &SchedulerGrant<'_>) {
         let mut state = self.lock_state();
-        state.running = state.running.saturating_sub(1);
-        if let Some(queue) = state.tenants.get_mut(tenant) {
-            queue.inflight_bytes = queue.inflight_bytes.saturating_sub(cost);
-            queue.completed_bytes += cost;
+        if grant.ticket.is_granted() {
+            state.running = state.running.saturating_sub(1);
+            if let Some(queue) = state.tenants.get_mut(&grant.tenant) {
+                queue.inflight_bytes = queue.inflight_bytes.saturating_sub(grant.cost);
+                queue.completed_bytes += grant.cost;
+            }
+        } else if let Some(queue) = state.tenants.get_mut(&grant.tenant) {
+            queue
+                .pending
+                .retain(|p| !Arc::ptr_eq(&p.ticket, &grant.ticket));
         }
         self.dispatch(&mut state);
     }
 
     /// The DRR grant pass.  Called with the state lock held, on every
-    /// enqueue and every completion.
+    /// submit and every release.
     ///
     /// Processes tenants from the front of the ring: tops up the tenant's
     /// deficit (only when the tenant is blocked on deficit, not on its
@@ -307,17 +349,36 @@ impl FairScheduler {
     }
 }
 
-/// Releases the slot/bytes of a granted request on every exit path —
-/// response, error, or a panic unwinding through the stack.
-struct CompletionGuard<'a> {
+/// One request's place in a [`FairScheduler`]: queued until
+/// deficit-round-robin grants it, then live until dropped.
+///
+/// Dropping the grant settles it on every exit path (response, error, a
+/// panic unwinding through the stack): a live grant releases its slot and
+/// in-flight bytes and counts its cost as completed; a queued one is
+/// withdrawn and never runs.
+#[derive(Debug)]
+pub struct SchedulerGrant<'a> {
     scheduler: &'a FairScheduler,
     tenant: String,
     cost: u64,
+    ticket: Arc<Ticket>,
 }
 
-impl Drop for CompletionGuard<'_> {
+impl SchedulerGrant<'_> {
+    /// Whether the scheduler has granted this request its turn.
+    pub fn is_live(&self) -> bool {
+        self.ticket.is_granted()
+    }
+
+    /// Blocks the calling thread until the grant is live.
+    pub fn wait(&self) {
+        self.ticket.wait();
+    }
+}
+
+impl Drop for SchedulerGrant<'_> {
     fn drop(&mut self) {
-        self.scheduler.complete(&self.tenant, self.cost);
+        self.scheduler.release(self);
     }
 }
 
@@ -327,18 +388,8 @@ impl Middleware for FairScheduler {
     }
 
     fn handle(&self, req: RequestEnvelope, next: &dyn Next) -> ServiceResult {
-        // Zero-payload operations (restore, delete, stats) cost one byte:
-        // they must still take a scheduling turn, or a tenant could bypass
-        // fairness entirely with metadata traffic.
-        let cost = (req.payload.len() as u64).max(1);
-        let tenant = req.tenant.clone();
-        let ticket = self.enqueue(&tenant, cost);
-        ticket.wait();
-        let _guard = CompletionGuard {
-            scheduler: self,
-            tenant,
-            cost,
-        };
+        let grant = self.submit(&req.tenant, req.payload.len() as u64);
+        grant.wait();
         next.run(req)
     }
 }
@@ -349,7 +400,6 @@ mod tests {
     use crate::{Operation, PipelineExecutor, ResponseEnvelope};
     use parking_lot::Mutex as PlMutex;
     use std::sync::mpsc;
-    use std::time::Duration;
 
     fn backup(id: u64, tenant: &str, bytes: usize) -> RequestEnvelope {
         RequestEnvelope::new(
@@ -484,52 +534,39 @@ mod tests {
 
     #[test]
     fn per_tenant_inflight_cap_holds_back_second_request() {
-        let (gate_tx, gate_rx) = mpsc::channel();
-        let recorder = Arc::new(Recorder {
-            order: PlMutex::new(Vec::new()),
-            gate: PlMutex::new(gate_rx),
-        });
         // Plenty of slots and quantum, but only 100 in-flight bytes per
         // tenant: the second 100-byte request must wait for the first.
-        let sched = Arc::new(FairScheduler::new(1000, 100, 8));
-        let p = Arc::new(PipelineExecutor::new(
-            vec![sched.clone()],
-            Arc::new({
-                let recorder = recorder.clone();
-                move |r: RequestEnvelope| {
-                    recorder.order.lock().push(r.tenant.clone());
-                    recorder.gate.lock().recv().unwrap();
-                    Ok(ResponseEnvelope::ok(r.request_id))
-                }
-            }),
-        ));
-        let a = {
-            let p = p.clone();
-            std::thread::spawn(move || p.execute(backup(1, "t", 100)))
-        };
-        while sched.inflight_bytes("t") < 100 {
-            std::thread::yield_now();
-        }
-        let b = {
-            let p = p.clone();
-            std::thread::spawn(move || p.execute(backup(2, "t", 100)))
-        };
-        while sched.pending_requests("t") < 1 {
-            std::thread::yield_now();
-        }
-        // Give the scheduler a chance to (wrongly) grant the parked request.
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(
-            sched.inflight_bytes("t"),
-            100,
-            "cap keeps the second request parked while the first runs"
+        let sched = FairScheduler::new(1000, 100, 8);
+        let first = sched.submit("t", 100);
+        let second = sched.submit("t", 100);
+        assert!(first.is_live());
+        assert!(
+            !second.is_live(),
+            "cap keeps the second request queued while the first runs"
         );
-        assert_eq!(sched.pending_requests("t"), 1);
-        gate_tx.send(()).unwrap();
-        gate_tx.send(()).unwrap();
-        assert!(a.join().unwrap().is_ok());
-        assert!(b.join().unwrap().is_ok());
+        assert_eq!(sched.inflight_bytes("t"), 100);
+        drop(first);
+        assert!(second.is_live(), "the first's completion frees the cap");
+        drop(second);
         assert_eq!(sched.completed_bytes()["t"], 200);
+    }
+
+    #[test]
+    fn a_grant_dropped_before_its_turn_leaves_nothing_pending() {
+        let sched = FairScheduler::new(100, 100, 1);
+        let running = sched.submit("a", 100);
+        let queued = sched.submit("b", 100);
+        assert!(!queued.is_live(), "the one slot is taken");
+        assert_eq!(sched.pending_requests("b"), 1);
+        drop(queued);
+        assert_eq!(sched.pending_requests("b"), 0);
+        drop(running);
+        assert_eq!(sched.inflight_bytes("b"), 0);
+        assert!(
+            !sched.completed_bytes().contains_key("b"),
+            "a withdrawn request never ran"
+        );
+        assert!(sched.submit("a", 100).is_live(), "the slot is free again");
     }
 
     #[test]

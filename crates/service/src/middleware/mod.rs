@@ -18,7 +18,7 @@ mod rate_limit;
 
 pub use admission::{AdmissionControl, AdmissionPermit};
 pub use auth::TokenAuth;
-pub use fair_scheduler::FairScheduler;
+pub use fair_scheduler::{FairScheduler, SchedulerGrant};
 pub use logging::{LogEntry, RequestLog};
 pub use quota::TenantQuota;
 pub use rate_limit::{ManualClock, RateLimit, RateLimitClock, SystemClock};

@@ -158,7 +158,6 @@ fn serve_connection(stream: &TcpStream, stack: &ServiceStack) {
 #[derive(Debug)]
 pub struct TcpClient {
     stream: BufReader<TcpStream>,
-    peer: SocketAddr,
 }
 
 impl TcpClient {
@@ -170,9 +169,9 @@ impl TcpClient {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let peer = stream.peer_addr()?;
-        let stream = BufReader::new(stream);
-        Ok(TcpClient { stream, peer })
+        Ok(TcpClient {
+            stream: BufReader::new(stream),
+        })
     }
 
     /// Sends one request and blocks for its response.
@@ -186,11 +185,6 @@ impl TcpClient {
     pub fn call(&mut self, req: &RequestEnvelope) -> Result<ResponseEnvelope, CodecError> {
         codec::write_request(&mut self.stream.get_ref(), req)?;
         codec::read_response(&mut self.stream)
-    }
-
-    /// The server address this client is connected to.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.peer
     }
 }
 

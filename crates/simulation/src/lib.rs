@@ -29,11 +29,12 @@
 //!   survivors restore-verified, and physical bytes asserted to actually shrink
 //!   while never dropping below the proven-live bytes.
 //! * [`tenant_storm`] — the multi-tenant heavy-traffic scenario: a
-//!   thousand-plus concurrent clients across a hundred tenants drive the full
-//!   service stack (auth → admission → quota → rate-limit → fair-scheduler),
-//!   a hot tenant tries to hog the cluster, a subset of tenants churns
-//!   (delete + GC, optionally through a supervised node crash), and the run
-//!   scores scheduler fairness (Jain index) plus byte-level tenant isolation.
+//!   thousand-plus scripted clients across a hundred tenants drive the full
+//!   service stack (admission → fair-scheduler → auth → quota → rate-limit)
+//!   on one thread in virtual time, a hot tenant tries to hog the cluster, a
+//!   subset of tenants churns (delete + GC, optionally through a node
+//!   crash), and the run scores scheduler fairness (Jain index, exact for a
+//!   seed) plus byte-level tenant isolation.
 //!
 //! # Example
 //!

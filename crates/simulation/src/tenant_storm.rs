@@ -1,28 +1,36 @@
 //! The multi-tenant heavy-traffic storm: hundreds of tenants, a thousand-plus
-//! concurrent clients, one fixed cluster behind the full service stack.
+//! clients, one fixed cluster behind the full service stack.
 //!
 //! The scenario exercises exactly the properties the fairness and admission
 //! layers exist for:
 //!
 //! 1. **ingest storm** — every client backs up its generational dataset
-//!    through auth → admission → quota → rate-limit → fair-scheduler, retrying
-//!    shed (503) responses with the service's own retry-after hint.  Tenants in
-//!    the same *overlap group* back up identical datasets, so physical chunks
-//!    are shared across tenants while logical accounting stays strictly
-//!    per-tenant.  One **hot tenant** runs several times the client count of
-//!    everyone else and must not starve the rest: at the moment the first
-//!    tenant completes its workload, the scheduler's per-tenant completed
-//!    bytes are snapshotted and scored with
-//!    [`jain_fairness_index`] — deficit-round-robin keeps the index near 1.0
-//!    even though the hot tenant's *demand* is wildly unequal.
+//!    through admission → fair-scheduler → auth → quota → rate-limit,
+//!    retrying shed (503) requests.  Tenants in the same *overlap group* back
+//!    up identical datasets, so physical chunks are shared across tenants
+//!    while logical accounting stays strictly per-tenant.  One **hot tenant**
+//!    runs several times the client count of everyone else and must not
+//!    starve the rest: at the moment the first tenant completes its workload,
+//!    the scheduler's per-tenant completed bytes are snapshotted and scored
+//!    with [`jain_fairness_index`] — deficit-round-robin keeps the index near
+//!    1.0 even though the hot tenant's *demand* is wildly unequal.
 //! 2. **churn** — a subset of tenants expires its oldest generation
-//!    (delete + garbage collection) while every other tenant concurrently
-//!    restore-verifies its files byte for byte; optionally a node is crashed
-//!    at a journal-record boundary mid-churn and supervised back to life.
+//!    (delete + garbage collection) interleaved with every other tenant
+//!    restore-verifying its files byte for byte; optionally a node is crashed
+//!    at a journal-record boundary mid-churn and restarted by the request
+//!    that finds it down.
 //! 3. **verification** — surviving files restore byte-identically, expired
 //!    files and cross-tenant probes both read as `NotFound`, per-tenant live
 //!    logical bytes partition the cluster's logical total, and cumulative
 //!    per-tenant accounting converges (`live == ingested − freed`).
+//!
+//! The storm runs on the calling thread in virtual time.  Each client is a
+//! script of requests with at most one outstanding.  The driver sends every
+//! ready request, serves every request whose scheduler grant is live, then
+//! completes the oldest served one, which releases its admission permit and
+//! scheduler grant and advances the rate limiter's [`ManualClock`] by one
+//! tick.  So every figure, the Jain index included, is a function of the
+//! configuration alone: one seed gives one report.
 //!
 //! The driver is [`run_tenant_storm`]; [`TenantStormConfig::default`] is the
 //! full-scale storm (100 tenants, 1030 clients), [`TenantStormConfig::ci`] a
@@ -31,32 +39,33 @@
 use sigma_core::{DedupCluster, SigmaConfig};
 use sigma_metrics::jain_fairness_index;
 use sigma_service::middleware::{
-    AdmissionControl, FairScheduler, Middleware, Next, RateLimit, TenantQuota, TokenAuth,
+    AdmissionControl, AdmissionPermit, FairScheduler, ManualClock, RateLimit, SchedulerGrant,
+    TenantQuota, TokenAuth,
 };
 use sigma_service::{
-    backend::FILE_ID_KEY, Backend, BackupService, Operation, RequestEnvelope, ResponseEnvelope,
+    backend::FILE_ID_KEY, BackupService, Operation, RequestEnvelope, ResponseEnvelope,
     ServiceBuilder, ServiceCode, ServiceStack,
 };
 use sigma_storage::CrashMode;
 use sigma_workloads::payload::{generational_payloads, GenerationalPayloadParams};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
-use std::thread;
+use std::cell::Cell;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One client's generational dataset: `(file name, payload)` per generation,
 /// shared between the clients of an overlap group.
 type ClientDataset = Arc<Vec<(String, Arc<Vec<u8>>)>>;
-/// A tenant's surviving files for mid-churn verification: `(file id, payload)`.
-type TenantFiles = Vec<(u64, Arc<Vec<u8>>)>;
+
+/// Virtual time one completed request advances the rate limiter's clock.
+const TICK: Duration = Duration::from_millis(1);
 
 /// Parameters of one tenant-storm run.
 #[derive(Debug, Clone)]
 pub struct TenantStormConfig {
     /// Number of tenants (each gets its own token, quota and scheduler queue).
     pub tenants: usize,
-    /// Concurrent clients per tenant.
+    /// Clients per tenant.
     pub clients_per_tenant: usize,
     /// Extra clients for tenant 0, the *hot* tenant whose demand dwarfs
     /// everyone else's.
@@ -75,7 +84,8 @@ pub struct TenantStormConfig {
     /// Every Nth tenant expires its generation 0 during the churn phase
     /// (0 = no churn phase).
     pub churn_every: usize,
-    /// Crash one node at a journal boundary mid-churn and supervise it back.
+    /// Crash one node at a journal boundary mid-churn; the request that
+    /// finds it down restarts it and retries.
     pub crash_during_churn: bool,
     /// Deduplication nodes in the (fixed) cluster.
     pub nodes: usize,
@@ -91,13 +101,6 @@ pub struct TenantStormConfig {
     pub max_tenant_inflight_bytes: u64,
     /// Fair-scheduler global execution slots.
     pub max_concurrent: usize,
-    /// Simulated service time per request, in microseconds (0 = none).
-    ///
-    /// Real dedup service spends milliseconds per super-chunk; the in-process
-    /// store answers in microseconds, so without a service-time floor the
-    /// scheduler's backlog drains faster than clients can refill it and the
-    /// fairness figure measures thread-wakeup jitter instead of scheduling.
-    pub service_time_us: u64,
     /// Cluster configuration.
     pub sigma: SigmaConfig,
 }
@@ -122,7 +125,6 @@ impl Default for TenantStormConfig {
             quantum_bytes: 8 << 10,
             max_tenant_inflight_bytes: 24 << 10,
             max_concurrent: 8,
-            service_time_us: 200,
             sigma: SigmaConfig::builder()
                 .super_chunk_size(16 * 1024)
                 .container_capacity(256 * 1024)
@@ -150,6 +152,16 @@ impl TenantStormConfig {
         self.tenants * self.clients_per_tenant + self.hot_tenant_extra_clients
     }
 
+    /// Clients of tenant `t`.
+    fn clients_of(&self, t: usize) -> usize {
+        self.clients_per_tenant
+            + if t == 0 {
+                self.hot_tenant_extra_clients
+            } else {
+                0
+            }
+    }
+
     fn tenant_name(t: usize) -> String {
         format!("tenant-{:03}", t)
     }
@@ -168,7 +180,7 @@ impl TenantStormConfig {
 
 /// The outcome of one tenant-storm run: fairness, isolation and accounting
 /// figures plus the raw traffic counts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantStormReport {
     /// Tenants simulated.
     pub tenants: usize,
@@ -176,11 +188,11 @@ pub struct TenantStormReport {
     pub clients: usize,
     /// Backups acknowledged.
     pub backups: usize,
-    /// Requests the admission layer let in (including retries).
+    /// Requests the admission layer let in (including retries of shed ones).
     pub admitted: u64,
     /// Requests the admission layer shed with a 503.
     pub shed: u64,
-    /// Client-side retries (shed and crash-unavailable responses replayed).
+    /// Client-side retries (shed and crash-unavailable requests replayed).
     pub retries: u64,
     /// Jain fairness index over per-tenant scheduler-completed bytes,
     /// snapshotted the moment the first tenant finished ingesting.
@@ -205,7 +217,7 @@ pub struct TenantStormReport {
     pub churned_tenants: usize,
     /// Physical bytes the churn-phase garbage collections reclaimed.
     pub reclaimed_bytes: u64,
-    /// Node crash recoveries supervised during churn.
+    /// Node restarts after a crash during churn.
     pub recoveries: usize,
     /// Cluster logical bytes at the end.
     pub cluster_logical_bytes: u64,
@@ -257,325 +269,276 @@ struct StoredFile {
     data: Arc<Vec<u8>>,
 }
 
-/// Shared scenario state visible to every client thread.
+/// One admitted request: the permit and grant it holds until the driver
+/// completes it.
+struct Admitted<'s> {
+    client: usize,
+    _permit: AdmissionPermit<'s>,
+    grant: SchedulerGrant<'s>,
+}
+
+/// The storm's service: admission and the fair scheduler, taken by the
+/// driver, in front of the rest of the full stack.
 struct Storm {
-    stack: ServiceStack,
+    cluster: Arc<DedupCluster>,
     backend: Arc<BackupService>,
-    scheduler: Arc<FairScheduler>,
-    admission: Arc<AdmissionControl>,
-    next_request_id: AtomicU64,
-    retries: AtomicU64,
-    /// Clients still ingesting, per tenant; the thread that drops a tenant's
-    /// count to zero takes the fairness snapshot (first tenant only).
-    remaining_clients: Vec<AtomicUsize>,
-    snapshot: Mutex<Option<(String, BTreeMap<String, u64>)>>,
+    admission: AdmissionControl,
+    scheduler: FairScheduler,
+    /// auth → quota → rate-limit → [`BackupService`].
+    stack: ServiceStack,
+    clock: Arc<ManualClock>,
+    next_request_id: Cell<u64>,
+    retries: Cell<u64>,
+    recoveries: Cell<usize>,
 }
 
 impl Storm {
-    fn next_id(&self) -> u64 {
-        self.next_request_id.fetch_add(1, Ordering::Relaxed)
+    fn new(config: &TenantStormConfig) -> Self {
+        let cluster = Arc::new(DedupCluster::with_similarity_router(
+            config.nodes,
+            config.sigma.clone(),
+        ));
+        let backend = Arc::new(BackupService::new(cluster.clone()));
+        let mut auth = TokenAuth::new();
+        let mut quota = TenantQuota::new();
+        let budget_per_client = config.bytes_per_client() * 2 + (1 << 20);
+        for t in 0..config.tenants {
+            let tenant = TenantStormConfig::tenant_name(t);
+            auth = auth.tenant(tenant.clone(), TenantStormConfig::token(t));
+            quota = quota.budget(tenant, budget_per_client * config.clients_of(t) as u64);
+        }
+        let total_requests = (config.total_clients() * config.generations * 8 + 4096) as u64;
+        let clock = Arc::new(ManualClock::new());
+        let stack = ServiceBuilder::new()
+            .auth(auth)
+            .quota(quota)
+            .rate_limit(
+                RateLimit::new(total_requests, total_requests as f64).with_clock(clock.clone()),
+            )
+            .build_with_backend(backend.clone());
+        Storm {
+            cluster,
+            backend,
+            admission: AdmissionControl::new(
+                config.max_inflight_requests,
+                config.max_inflight_bytes,
+            ),
+            scheduler: FairScheduler::new(
+                config.quantum_bytes,
+                config.max_tenant_inflight_bytes,
+                config.max_concurrent,
+            ),
+            stack,
+            clock,
+            next_request_id: Cell::new(1),
+            retries: Cell::new(0),
+            recoveries: Cell::new(0),
+        }
     }
 
-    /// Calls the stack, replaying 503s (shed *and* crashed-node unavailability)
-    /// after honouring the response's retry-after hint, capped so a storm of
-    /// retries stays fast.
-    fn call_with_retry(&self, req: &RequestEnvelope) -> ResponseEnvelope {
-        const MAX_ATTEMPTS: usize = 200_000;
-        for _ in 0..MAX_ATTEMPTS {
-            let resp = self.stack.call(req.clone());
-            if resp.code != ServiceCode::Unavailable {
-                return resp;
+    /// A request from tenant `t`, with its token and the next request id.
+    fn request(&self, t: usize, op: Operation) -> RequestEnvelope {
+        let id = self.next_request_id.get();
+        self.next_request_id.set(id + 1);
+        RequestEnvelope::new(id, TenantStormConfig::tenant_name(t), op)
+            .with_token(TenantStormConfig::token(t))
+    }
+
+    /// Restarts every crashed node.
+    fn restart_crashed(&self) {
+        for id in self.cluster.crashed_nodes() {
+            self.cluster
+                .restart_node(id)
+                .expect("journaled node must recover");
+            self.recoveries.set(self.recoveries.get() + 1);
+        }
+    }
+
+    /// Runs `req` through the stack; a reply of `Unavailable` means a node
+    /// crashed under it, so the crashed nodes are restarted and the request
+    /// retried.
+    fn serve(&self, req: &RequestEnvelope) -> ResponseEnvelope {
+        loop {
+            let reply = self.stack.call(req.clone());
+            if reply.code != ServiceCode::Unavailable {
+                return reply;
             }
-            self.retries.fetch_add(1, Ordering::Relaxed);
-            let hint_ms = parse_retry_hint_ms(&resp.message).unwrap_or(1).clamp(1, 2);
-            thread::sleep(Duration::from_millis(hint_ms));
+            assert!(
+                !self.cluster.crashed_nodes().is_empty(),
+                "unavailable with every node up: {}",
+                reply.message
+            );
+            self.restart_crashed();
+            self.retries.set(self.retries.get() + 1);
         }
-        panic!("request never admitted after {} attempts", MAX_ATTEMPTS);
-    }
-}
-
-/// A start gate below the fair scheduler: requests granted before the storm
-/// officially begins block here, occupying every execution slot while the
-/// remaining clients park their first request in the scheduler's queues.
-/// Opening the gate therefore starts service at the moment of *maximum*
-/// contention — the window the fairness snapshot is meant to measure —
-/// instead of letting early-spawned clients race through an idle scheduler.
-#[derive(Default)]
-struct StartGate {
-    open: Mutex<bool>,
-    all_clear: std::sync::Condvar,
-}
-
-impl StartGate {
-    fn open(&self) {
-        *self.open.lock().expect("gate lock") = true;
-        self.all_clear.notify_all();
-    }
-}
-
-impl Middleware for StartGate {
-    fn name(&self) -> &'static str {
-        "start-gate"
     }
 
-    fn handle(
+    /// Drives every client's script to its end and hands each reply to
+    /// `on_reply(client, step, reply)` in completion order.
+    ///
+    /// A client sends its next request once the previous one completed.
+    /// Each round sends every ready request (admission, then a scheduler
+    /// grant; a shed request waits for the next completion), serves every
+    /// request whose grant is live in the order they were sent, then
+    /// completes the oldest served request.
+    fn run(
         &self,
-        req: RequestEnvelope,
-        next: &dyn Next,
-    ) -> Result<ResponseEnvelope, sigma_core::SigmaError> {
-        let mut open = self.open.lock().expect("gate lock");
-        while !*open {
-            open = self.all_clear.wait(open).expect("gate lock");
+        scripts: &[Vec<RequestEnvelope>],
+        mut on_reply: impl FnMut(usize, usize, ResponseEnvelope),
+    ) {
+        let mut step = vec![0usize; scripts.len()];
+        let mut ready: Vec<usize> = (0..scripts.len())
+            .filter(|&c| !scripts[c].is_empty())
+            .collect();
+        let mut shed: Vec<usize> = Vec::new();
+        let mut queued: Vec<Admitted<'_>> = Vec::new();
+        let mut served: VecDeque<(Admitted<'_>, ResponseEnvelope)> = VecDeque::new();
+        loop {
+            for client in ready.drain(..) {
+                let req = &scripts[client][step[client]];
+                let bytes = req.payload.len() as u64;
+                match self.admission.try_admit(bytes) {
+                    Ok(permit) => queued.push(Admitted {
+                        client,
+                        _permit: permit,
+                        grant: self.scheduler.submit(&req.tenant, bytes),
+                    }),
+                    Err(_) => {
+                        self.retries.set(self.retries.get() + 1);
+                        shed.push(client);
+                    }
+                }
+            }
+            let (live, waiting): (Vec<_>, Vec<_>) =
+                queued.drain(..).partition(|r| r.grant.is_live());
+            queued = waiting;
+            for request in live {
+                let reply = self.serve(&scripts[request.client][step[request.client]]);
+                served.push_back((request, reply));
+            }
+            let Some((request, reply)) = served.pop_front() else {
+                break;
+            };
+            let client = request.client;
+            drop(request);
+            self.clock.advance(TICK);
+            on_reply(client, step[client], reply);
+            step[client] += 1;
+            ready.append(&mut shed);
+            if step[client] < scripts[client].len() {
+                ready.push(client);
+            }
         }
-        drop(open);
-        next.run(req)
+        assert!(
+            queued.is_empty() && shed.is_empty(),
+            "storm stalled with requests outstanding"
+        );
     }
 }
 
-/// Extracts `N` from a "… retry after N ms …" rejection message.
-fn parse_retry_hint_ms(message: &str) -> Option<u64> {
-    let after = message.split("retry after ").nth(1)?;
-    let digits: String = after.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
+/// Each client's tenant, index within the tenant, and dataset.  Tenants in
+/// the same overlap group use the same seeds, so their datasets — and
+/// therefore their chunks — are identical.
+fn client_datasets(config: &TenantStormConfig) -> Vec<(usize, usize, ClientDataset)> {
+    let mut shared: BTreeMap<(usize, usize), ClientDataset> = BTreeMap::new();
+    let mut clients = Vec::with_capacity(config.total_clients());
+    for t in 0..config.tenants {
+        let group = t / config.overlap_group;
+        for c in 0..config.clients_of(t) {
+            let dataset = shared.entry((group, c)).or_insert_with(|| {
+                Arc::new(
+                    generational_payloads(GenerationalPayloadParams {
+                        seed: config
+                            .seed
+                            .wrapping_add((group as u64) << 32)
+                            .wrapping_add(c as u64),
+                        generations: config.generations,
+                        initial_size: config.initial_payload_bytes,
+                        mutation_rate: config.mutation_rate,
+                        growth_per_generation: config.growth_per_generation,
+                    })
+                    .into_iter()
+                    .map(|(name, data)| (name, Arc::new(data)))
+                    .collect(),
+                )
+            });
+            clients.push((t, c, dataset.clone()));
+        }
+    }
+    clients
 }
 
-/// Runs the full storm: ingest under contention, churn with concurrent
-/// verification (and optional supervised crash), then final verification.
+/// Runs the full storm: ingest under contention, churn interleaved with
+/// verification (and an optional node crash), then final verification.
 ///
 /// # Panics
 ///
 /// Panics on configuration nonsense (zero tenants/clients/generations) and
-/// on any response that violates the service contract (a non-503 rejection
-/// of a legitimate request).
+/// on any response that violates the service contract (a rejection of a
+/// legitimate request other than a shed).
 pub fn run_tenant_storm(config: &TenantStormConfig) -> TenantStormReport {
     assert!(config.tenants > 0, "need at least one tenant");
     assert!(config.clients_per_tenant > 0, "need at least one client");
     assert!(config.generations > 0, "need at least one generation");
     assert!(config.overlap_group > 0, "overlap group must be positive");
-
-    let cluster = Arc::new(DedupCluster::with_similarity_router(
-        config.nodes,
-        config.sigma.clone(),
-    ));
-    let backend = Arc::new(BackupService::new(cluster.clone()));
-    let scheduler = Arc::new(FairScheduler::new(
-        config.quantum_bytes,
-        config.max_tenant_inflight_bytes,
-        config.max_concurrent,
-    ));
-    let admission = Arc::new(
-        AdmissionControl::new(config.max_inflight_requests, config.max_inflight_bytes)
-            .with_retry_after_ms(1),
-    );
-
-    let mut auth = TokenAuth::new();
-    let mut quota = TenantQuota::new();
-    let budget_per_client = config.bytes_per_client() * 2 + (1 << 20);
-    for t in 0..config.tenants {
-        auth = auth.tenant(
-            TenantStormConfig::tenant_name(t),
-            TenantStormConfig::token(t),
-        );
-        let clients = config.clients_per_tenant
-            + if t == 0 {
-                config.hot_tenant_extra_clients
-            } else {
-                0
-            };
-        quota = quota.budget(
-            TenantStormConfig::tenant_name(t),
-            budget_per_client * clients as u64,
-        );
-    }
-    let total_requests = (config.total_clients() * config.generations * 8 + 4096) as u64;
-    let gate = Arc::new(StartGate::default());
-    // The gate only makes sense when admission can hold every client's first
-    // request at once; under a deliberately tight admission bound the storm
-    // starts hot immediately (shed/retry is the behaviour under test there).
-    let gated = config.max_inflight_requests >= config.total_clients() as u64;
-    let mut builder = ServiceBuilder::new()
-        .auth(auth)
-        .layer(admission.clone())
-        .quota(quota)
-        .rate_limit(RateLimit::new(total_requests, total_requests as f64))
-        .fair_scheduler_with(scheduler.clone());
-    if gated {
-        builder = builder.layer(gate.clone());
-    }
-    let service_time = Duration::from_micros(config.service_time_us);
-    let stack = if service_time.is_zero() {
-        builder.build_with_backend(backend.clone())
-    } else {
-        let service = backend.clone();
-        builder.build_with_backend(Arc::new(move |req: RequestEnvelope| {
-            thread::sleep(service_time);
-            service.call(req)
-        }))
-    };
-
-    // Per-client datasets.  Tenants in the same overlap group use the same
-    // seeds, so their datasets — and therefore their chunks — are identical.
-    struct ClientSpec {
-        tenant: usize,
-        index: usize,
-        dataset: ClientDataset,
-    }
-    let mut specs: Vec<ClientSpec> = Vec::with_capacity(config.total_clients());
-    let mut shared: BTreeMap<(usize, usize), ClientDataset> = BTreeMap::new();
-    for t in 0..config.tenants {
-        let group = t / config.overlap_group;
-        let clients = config.clients_per_tenant
-            + if t == 0 {
-                config.hot_tenant_extra_clients
-            } else {
-                0
-            };
-        for c in 0..clients {
-            let dataset = shared
-                .entry((group, c))
-                .or_insert_with(|| {
-                    Arc::new(
-                        generational_payloads(GenerationalPayloadParams {
-                            seed: config
-                                .seed
-                                .wrapping_add((group as u64) << 32)
-                                .wrapping_add(c as u64),
-                            generations: config.generations,
-                            initial_size: config.initial_payload_bytes,
-                            mutation_rate: config.mutation_rate,
-                            growth_per_generation: config.growth_per_generation,
-                        })
-                        .into_iter()
-                        .map(|(name, data)| (name, Arc::new(data)))
-                        .collect(),
-                    )
-                })
-                .clone();
-            specs.push(ClientSpec {
-                tenant: t,
-                index: c,
-                dataset,
-            });
-        }
-    }
-
-    let storm = Arc::new(Storm {
-        stack,
-        backend,
-        scheduler,
-        admission,
-        next_request_id: AtomicU64::new(1),
-        retries: AtomicU64::new(0),
-        remaining_clients: (0..config.tenants)
-            .map(|t| {
-                AtomicUsize::new(
-                    config.clients_per_tenant
-                        + if t == 0 {
-                            config.hot_tenant_extra_clients
-                        } else {
-                            0
-                        },
-                )
-            })
-            .collect(),
-        snapshot: Mutex::new(None),
-    });
+    let storm = Storm::new(config);
 
     // ── Phase 1: ingest storm ────────────────────────────────────────────
-    // Every client parks on a start barrier, so all tenants contend from the
-    // same instant — without it, early-spawned tenants would finish before
-    // late ones even start and the fairness snapshot would be meaningless.
-    let start = Arc::new(Barrier::new(specs.len()));
-    let handles: Vec<_> = specs
-        .into_iter()
-        .map(|spec| {
-            let storm = storm.clone();
-            let start = start.clone();
-            thread::Builder::new()
-                .stack_size(256 * 1024)
-                .spawn(move || {
-                    start.wait();
-                    ingest_client(&storm, &spec_tenant(&spec), &spec)
+    // Every client sends its first request at virtual time zero, so all
+    // tenants contend from the first grant on.
+    let clients = client_datasets(config);
+    let scripts: Vec<Vec<RequestEnvelope>> = clients
+        .iter()
+        .map(|(t, c, dataset)| {
+            dataset
+                .iter()
+                .enumerate()
+                .map(|(generation, (name, data))| {
+                    let op = Operation::Backup {
+                        file_name: format!("client-{}/{}", c, name),
+                        generation: generation as u64,
+                    };
+                    storm.request(*t, op).with_payload(data.to_vec())
                 })
-                .expect("spawn client thread")
+                .collect()
         })
         .collect();
-    fn spec_tenant(spec: &ClientSpec) -> String {
-        TenantStormConfig::tenant_name(spec.tenant)
-    }
-    fn ingest_client(storm: &Storm, tenant: &str, spec: &ClientSpec) -> Vec<StoredFile> {
-        let token = TenantStormConfig::token(spec.tenant);
-        let mut stored = Vec::with_capacity(spec.dataset.len());
-        for (generation, (name, data)) in spec.dataset.iter().enumerate() {
-            let req = RequestEnvelope::new(
-                storm.next_id(),
-                tenant,
-                Operation::Backup {
-                    file_name: format!("client-{}/{}", spec.index, name),
-                    generation: generation as u64,
-                },
-            )
-            .with_payload(data.as_ref().clone())
-            .with_token(token.clone());
-            let resp = storm.call_with_retry(&req);
-            assert!(
-                resp.is_ok(),
-                "backup rejected for a non-overload reason: {:?} {}",
-                resp.code,
-                resp.message
-            );
-            stored.push(StoredFile {
-                tenant: spec.tenant,
-                file_id: resp.metadata_u64(FILE_ID_KEY).expect("backup returns id"),
-                generation: generation as u64,
-                data: data.clone(),
-            });
-        }
-        // Last client of a tenant out: snapshot scheduler service shares the
-        // first time any tenant completes — the maximally contended moment.
-        if storm.remaining_clients[spec.tenant].fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut snap = storm.snapshot.lock().expect("snapshot lock");
-            if snap.is_none() {
-                *snap = Some((tenant.to_string(), storm.scheduler.completed_bytes()));
-            }
-        }
-        stored
-    }
-    if gated {
-        // Wait until every execution slot is occupied (blocked in the gate)
-        // and every other client has parked its first request, then release.
-        let want_parked = config.total_clients().saturating_sub(config.max_concurrent);
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while std::time::Instant::now() < deadline {
-            let parked: usize = (0..config.tenants)
-                .map(|t| {
-                    storm
-                        .scheduler
-                        .pending_requests(&TenantStormConfig::tenant_name(t))
-                })
-                .sum();
-            if parked >= want_parked {
-                break;
-            }
-            thread::sleep(Duration::from_micros(200));
-        }
-        gate.open();
-    }
+    let mut backups_left: Vec<usize> = (0..config.tenants)
+        .map(|t| config.clients_of(t) * config.generations)
+        .collect();
     let mut files: Vec<StoredFile> = Vec::new();
-    for handle in handles {
-        files.extend(handle.join().expect("client thread panicked"));
-    }
-    let backups = files.len();
-    cluster
+    let mut snapshot: Option<(String, BTreeMap<String, u64>)> = None;
+    storm.run(&scripts, |client, generation, reply| {
+        assert!(
+            reply.is_ok(),
+            "backup rejected: {:?} {}",
+            reply.code,
+            reply.message
+        );
+        let (tenant, _, dataset) = &clients[client];
+        files.push(StoredFile {
+            tenant: *tenant,
+            file_id: reply.metadata_u64(FILE_ID_KEY).expect("backup returns id"),
+            generation: generation as u64,
+            data: dataset[generation].1.clone(),
+        });
+        // The first tenant to finish takes the fairness snapshot: the
+        // maximally contended moment.
+        backups_left[*tenant] -= 1;
+        if backups_left[*tenant] == 0 && snapshot.is_none() {
+            snapshot = Some((
+                TenantStormConfig::tenant_name(*tenant),
+                storm.scheduler.completed_bytes(),
+            ));
+        }
+    });
+    drop(scripts);
+    storm
+        .cluster
         .try_flush()
         .expect("no crash is armed before the churn phase");
 
-    let (first_finisher, shares) = storm
-        .snapshot
-        .lock()
-        .expect("snapshot lock")
-        .clone()
-        .expect("at least one tenant finished");
+    let (first_finisher, shares) = snapshot.expect("at least one tenant finished");
     let share_vec: Vec<f64> = (0..config.tenants)
         .map(|t| {
             shares
@@ -592,7 +555,7 @@ pub fn run_tenant_storm(config: &TenantStormConfig) -> TenantStormReport {
         0.0
     };
 
-    // ── Phase 2: churn with concurrent verification ──────────────────────
+    // ── Phase 2: churn interleaved with verification ─────────────────────
     let churned: Vec<usize> = if config.churn_every == 0 {
         Vec::new()
     } else {
@@ -600,97 +563,21 @@ pub fn run_tenant_storm(config: &TenantStormConfig) -> TenantStormReport {
             .filter(|t| t % config.churn_every == 0)
             .collect()
     };
-    let reclaimed = Arc::new(AtomicU64::new(0));
-    let recoveries = Arc::new(AtomicUsize::new(0));
+    let mut owned: Vec<Vec<&StoredFile>> = vec![Vec::new(); config.tenants];
+    for f in &files {
+        owned[f.tenant].push(f);
+    }
+    let restore_script = |t: usize| -> Vec<RequestEnvelope> {
+        owned[t]
+            .iter()
+            .map(|f| storm.request(t, Operation::Restore { file_id: f.file_id }))
+            .collect()
+    };
+    let mut reclaimed_bytes = 0u64;
     if !churned.is_empty() {
-        let gc_turnstile = Arc::new(Mutex::new(()));
-        let mut workers = Vec::new();
-        for &t in &churned {
-            let storm = storm.clone();
-            let reclaimed = reclaimed.clone();
-            let gc_turnstile = gc_turnstile.clone();
-            workers.push(
-                thread::Builder::new()
-                    .stack_size(256 * 1024)
-                    .spawn(move || {
-                        let tenant = TenantStormConfig::tenant_name(t);
-                        let token = TenantStormConfig::token(t);
-                        let del = storm.call_with_retry(
-                            &RequestEnvelope::new(
-                                storm.next_id(),
-                                tenant.clone(),
-                                Operation::DeleteGeneration { generation: 0 },
-                            )
-                            .with_token(token.clone()),
-                        );
-                        assert!(del.is_ok(), "delete failed: {}", del.message);
-                        // GC is cluster-scoped: serialize the sweeps so each
-                        // one's report stays attributable, while restores on
-                        // other threads keep running underneath.
-                        let _turn = gc_turnstile.lock().expect("gc turnstile");
-                        let gc = storm.call_with_retry(
-                            &RequestEnvelope::new(
-                                storm.next_id(),
-                                tenant,
-                                Operation::CollectGarbage,
-                            )
-                            .with_token(token),
-                        );
-                        assert!(gc.is_ok(), "gc failed: {}", gc.message);
-                        reclaimed.fetch_add(
-                            gc.metadata_u64("bytes_reclaimed").unwrap_or(0),
-                            Ordering::Relaxed,
-                        );
-                    })
-                    .expect("spawn churn thread"),
-            );
-        }
-        // Every non-churned tenant restore-verifies all its files while the
-        // deletes and sweeps run.
-        let files_by_tenant: BTreeMap<usize, TenantFiles> = {
-            let mut map: BTreeMap<usize, TenantFiles> = BTreeMap::new();
-            for f in &files {
-                if !churned.contains(&f.tenant) {
-                    map.entry(f.tenant)
-                        .or_default()
-                        .push((f.file_id, f.data.clone()));
-                }
-            }
-            map
-        };
-        for (t, tenant_files) in files_by_tenant {
-            let storm = storm.clone();
-            workers.push(
-                thread::Builder::new()
-                    .stack_size(256 * 1024)
-                    .spawn(move || {
-                        let tenant = TenantStormConfig::tenant_name(t);
-                        let token = TenantStormConfig::token(t);
-                        for (file_id, data) in tenant_files {
-                            let resp = storm.call_with_retry(
-                                &RequestEnvelope::new(
-                                    storm.next_id(),
-                                    tenant.clone(),
-                                    Operation::Restore { file_id },
-                                )
-                                .with_token(token.clone()),
-                            );
-                            assert!(resp.is_ok(), "mid-churn restore failed: {}", resp.message);
-                            assert!(
-                                resp.payload == *data,
-                                "tenant {} file {} corrupted during another tenant's churn",
-                                tenant,
-                                file_id
-                            );
-                        }
-                    })
-                    .expect("spawn verify thread"),
-            );
-        }
-        // Optional mid-churn crash, supervised back to life.
-        let supervisor = if config.crash_during_churn {
-            let victim = cluster.node_ids()[config.seed as usize % config.nodes];
-            let node = cluster.node_by_id(victim).expect("victim exists");
+        if config.crash_during_churn {
+            let victim = storm.cluster.node_ids()[config.seed as usize % config.nodes];
+            let node = storm.cluster.node_by_id(victim).expect("victim exists");
             let journal = node.journal();
             let mode = if config.seed.is_multiple_of(2) {
                 CrashMode::Clean
@@ -698,91 +585,82 @@ pub fn run_tenant_storm(config: &TenantStormConfig) -> TenantStormReport {
                 CrashMode::Torn
             };
             journal.arm_crash_at_seq(journal.next_seq() + 1, mode);
-            let cluster = cluster.clone();
-            let recoveries = recoveries.clone();
-            let stop = Arc::new(AtomicUsize::new(0));
-            let stop_flag = stop.clone();
-            let handle = thread::spawn(move || {
-                while stop_flag.load(Ordering::Acquire) == 0 {
-                    for id in cluster.crashed_nodes() {
-                        cluster
-                            .restart_node(id)
-                            .expect("journaled node must recover");
-                        recoveries.fetch_add(1, Ordering::Relaxed);
-                    }
-                    thread::sleep(Duration::from_millis(1));
-                }
-                // One final sweep so nothing stays down after the last worker.
-                for id in cluster.crashed_nodes() {
-                    cluster
-                        .restart_node(id)
-                        .expect("journaled node must recover");
-                    recoveries.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            Some((handle, stop))
-        } else {
-            None
-        };
-        for worker in workers {
-            worker.join().expect("churn worker panicked");
         }
-        if let Some((handle, stop)) = supervisor {
-            stop.store(1, Ordering::Release);
-            handle.join().expect("supervisor panicked");
-        }
+        // Each churned tenant deletes generation 0 and collects garbage;
+        // every other tenant restore-verifies all its files meanwhile.
+        let mut scripts: Vec<Vec<RequestEnvelope>> = churned
+            .iter()
+            .map(|&t| {
+                vec![
+                    storm.request(t, Operation::DeleteGeneration { generation: 0 }),
+                    storm.request(t, Operation::CollectGarbage),
+                ]
+            })
+            .collect();
+        let restorers: Vec<usize> = (0..config.tenants)
+            .filter(|t| !churned.contains(t))
+            .collect();
+        scripts.extend(restorers.iter().map(|&t| restore_script(t)));
+        storm.run(&scripts, |client, step, reply| {
+            assert!(
+                reply.is_ok(),
+                "churn-phase request failed: {:?} {}",
+                reply.code,
+                reply.message
+            );
+            match client.checked_sub(churned.len()) {
+                None => reclaimed_bytes += reply.metadata_u64("bytes_reclaimed").unwrap_or(0),
+                Some(restorer) => {
+                    let file = owned[restorers[restorer]][step];
+                    assert!(
+                        reply.payload == *file.data,
+                        "tenant {} file {} corrupted during another tenant's churn",
+                        file.tenant,
+                        file.file_id
+                    );
+                }
+            }
+        });
+        // A crashed node no request ran into is restarted here.
+        storm.restart_crashed();
     }
 
     // ── Phase 3: final verification ──────────────────────────────────────
+    // One restore script per tenant, then one script of cross-tenant probes:
+    // a tenant restoring another tenant's file must see the same NotFound as
+    // a nonexistent ID.
+    let probes: Vec<(usize, &StoredFile)> = files
+        .iter()
+        .step_by((files.len() / 16).max(1))
+        .map(|f| ((f.tenant + 1) % config.tenants, f))
+        .filter(|&(prober, f)| prober != f.tenant)
+        .collect();
+    let mut scripts: Vec<Vec<RequestEnvelope>> = (0..config.tenants).map(restore_script).collect();
+    scripts.push(
+        probes
+            .iter()
+            .map(|&(prober, f)| storm.request(prober, Operation::Restore { file_id: f.file_id }))
+            .collect(),
+    );
     let mut expected_restores = 0usize;
     let mut intact_restores = 0usize;
     let mut expired_files = 0usize;
     let mut expired_unreachable = 0usize;
-    for f in &files {
-        let tenant = TenantStormConfig::tenant_name(f.tenant);
-        let resp = storm.call_with_retry(
-            &RequestEnvelope::new(
-                storm.next_id(),
-                tenant,
-                Operation::Restore { file_id: f.file_id },
-            )
-            .with_token(TenantStormConfig::token(f.tenant)),
-        );
-        if churned.contains(&f.tenant) && f.generation == 0 {
+    let mut foreign_probes_isolated = 0usize;
+    storm.run(&scripts, |client, step, reply| {
+        let Some(restored) = owned.get(client) else {
+            foreign_probes_isolated += usize::from(reply.code == ServiceCode::NotFound);
+            return;
+        };
+        let file = restored[step];
+        if churned.contains(&file.tenant) && file.generation == 0 {
             expired_files += 1;
-            if resp.code == ServiceCode::NotFound {
-                expired_unreachable += 1;
-            }
+            expired_unreachable += usize::from(reply.code == ServiceCode::NotFound);
         } else {
             expected_restores += 1;
-            if resp.is_ok() && resp.payload == *f.data {
-                intact_restores += 1;
-            }
+            intact_restores += usize::from(reply.is_ok() && reply.payload == *file.data);
         }
-    }
-
-    // Cross-tenant probes: a tenant restoring another tenant's file must see
-    // the same NotFound as a nonexistent ID.
-    let mut foreign_probes = 0usize;
-    let mut foreign_probes_isolated = 0usize;
-    for f in files.iter().step_by((files.len() / 16).max(1)) {
-        let prober = (f.tenant + 1) % config.tenants;
-        if prober == f.tenant {
-            continue;
-        }
-        foreign_probes += 1;
-        let resp = storm.call_with_retry(
-            &RequestEnvelope::new(
-                storm.next_id(),
-                TenantStormConfig::tenant_name(prober),
-                Operation::Restore { file_id: f.file_id },
-            )
-            .with_token(TenantStormConfig::token(prober)),
-        );
-        if resp.code == ServiceCode::NotFound {
-            foreign_probes_isolated += 1;
-        }
-    }
+    });
 
     // Accounting convergence: live == ingested − freed per tenant, and the
     // live bytes partition the cluster's logical total.
@@ -793,15 +671,15 @@ pub fn run_tenant_storm(config: &TenantStormConfig) -> TenantStormReport {
     });
     let sum_tenant_live_bytes: u64 = reports.values().map(|r| r.live_logical_bytes).sum();
     let sum_tenant_logical_bytes: u64 = reports.values().map(|r| r.logical_bytes).sum();
-    let stats = cluster.stats();
+    let stats = storm.cluster.stats();
 
     TenantStormReport {
         tenants: config.tenants,
         clients: config.total_clients(),
-        backups,
+        backups: files.len(),
         admitted: storm.admission.admitted_count(),
         shed: storm.admission.shed_count(),
-        retries: storm.retries.load(Ordering::Relaxed),
+        retries: storm.retries.get(),
         fairness_index,
         first_finisher,
         hot_tenant_share_ratio,
@@ -809,11 +687,11 @@ pub fn run_tenant_storm(config: &TenantStormConfig) -> TenantStormReport {
         intact_restores,
         expired_files,
         expired_unreachable,
-        foreign_probes,
+        foreign_probes: probes.len(),
         foreign_probes_isolated,
         churned_tenants: churned.len(),
-        reclaimed_bytes: reclaimed.load(Ordering::Relaxed),
-        recoveries: recoveries.load(Ordering::Relaxed),
+        reclaimed_bytes,
+        recoveries: storm.recoveries.get(),
         cluster_logical_bytes: stats.logical_bytes,
         cluster_physical_bytes: stats.physical_bytes,
         sum_tenant_live_bytes,

@@ -1,13 +1,14 @@
 //! Multi-tenant heavy-traffic storm: fairness, admission and isolation.
 //!
-//! A thousand-plus concurrent clients across a hundred tenants push
-//! generational backups through the full service stack (auth → admission →
-//! quota → rate-limit → fair-scheduler) against one shared cluster.  A hot
-//! tenant runs 4× everyone else's client count; deficit-round-robin must keep
-//! the Jain fairness index near 1.0 anyway.  A quarter of the tenants then
-//! expire their oldest generation (delete + GC) while the rest concurrently
-//! restore-verify their files byte for byte, and the run ends with full
-//! isolation, partition and accounting checks.
+//! A thousand-plus scripted clients across a hundred tenants push
+//! generational backups through the full service stack (admission →
+//! fair-scheduler → auth → quota → rate-limit) against one shared cluster.  A
+//! hot tenant runs 4× everyone else's client count; deficit-round-robin must
+//! keep the Jain fairness index near 1.0 anyway.  A quarter of the tenants
+//! then expire their oldest generation (delete + GC), interleaved with the
+//! rest restore-verifying their files byte for byte, and the run ends with
+//! full isolation, partition and accounting checks.  The storm runs on one
+//! thread in virtual time: the same settings print the same report.
 //!
 //! Run with:
 //!
@@ -18,8 +19,8 @@
 //! Environment knobs (all optional):
 //!
 //! * `STORM_SCALE=ci` — the CI-sized reduction (24 tenants, 104 clients).
-//! * `STORM_CRASH=1` — crash one node at a journal boundary mid-churn and
-//!   supervise it back (on 16 KiB super-chunks and 256 KiB containers).
+//! * `STORM_CRASH=1` — crash one node at a journal boundary mid-churn; the
+//!   request that finds it down restarts it and retries.
 //! * `SIGMA_FAULT_SEED=<n>` — perturbs payloads and the crash choice, the
 //!   same matrix axis the fault-injection CI jobs sweep.
 
@@ -39,14 +40,7 @@ fn main() {
         TenantStormConfig::default()
     };
     config.seed ^= env_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    if crash {
-        config.crash_during_churn = true;
-        config.sigma = SigmaConfig::builder()
-            .super_chunk_size(16 * 1024)
-            .container_capacity(256 * 1024)
-            .build()
-            .expect("storm crash config is valid");
-    }
+    config.crash_during_churn = crash;
 
     println!("tenant storm: fair scheduling + admission + isolation");
     println!(
@@ -69,7 +63,7 @@ fn main() {
         "  churn      : every {}th tenant expires generation 0{}",
         config.churn_every,
         if config.crash_during_churn {
-            " (with a supervised node crash)"
+            " (with a node crash)"
         } else {
             ""
         },
