@@ -383,7 +383,8 @@ impl DedupCluster {
         outcome
     }
 
-    /// One walk of a tombstone chain from `node`.
+    /// One walk of a tombstone chain from `node`.  GC's mark walks each
+    /// recipe entry's chain here, once per entry.
     fn walk_chain<T>(
         &self,
         node: usize,
@@ -584,52 +585,54 @@ impl DedupCluster {
         let mut nodes: Vec<Arc<DedupNode>> =
             self.membership.read().directory.values().cloned().collect();
         nodes.sort_by_key(|n| n.id());
-        let by_id: HashMap<usize, Arc<DedupNode>> =
-            nodes.iter().map(|n| (n.id(), n.clone())).collect();
         let recipes = self.director.recipes();
 
         // Mark: live chunks per (node, container), deduplicated so shared
-        // chunks are counted once.
+        // chunks are counted once.  A chunk is found the way a restore finds
+        // it, by walking its tombstone chain: a migrated container hops to
+        // its successor, a compacted one names its replacement, and an
+        // unknown fingerprint or an absent container (which a restore would
+        // fail on too) has nothing to keep alive.
         let mut live: HashMap<usize, HashMap<ContainerId, HashSet<Fingerprint>>> = HashMap::new();
         let mut report = GcReport {
             recipes_marked: recipes.len() as u64,
             ..GcReport::default()
         };
-        let hop_cap = nodes.len();
         for recipe in &recipes {
             for entry in &recipe.chunks {
-                let mut node_id = entry.node;
-                let mut hops = 0usize;
-                while let Some(node) = by_id.get(&node_id) {
-                    let Some(location) = node.chunk_location(&entry.fingerprint) else {
-                        // Unknown to this node's index: the restore path would
-                        // fail here too; there is nothing to keep alive.
-                        break;
+                let fingerprint = &entry.fingerprint;
+                let holder = |node: &DedupNode| {
+                    let Some(location) = node.chunk_location(fingerprint) else {
+                        return Ok(None);
                     };
-                    let holder = match node.container_state(&location.container) {
-                        // The container migrated away: follow the tombstone
-                        // chain, exactly as a restore would.
-                        ContainerState::Migrated { successor } if hops < hop_cap => {
-                            hops += 1;
-                            node_id = successor as usize;
-                            continue;
+                    let container = match node.container_state(&location.container) {
+                        ContainerState::Migrated { successor } => {
+                            return Err(SigmaError::ChunkMigrated {
+                                fingerprint: fingerprint.to_string(),
+                                node: successor as usize,
+                            })
                         }
-                        ContainerState::Migrated { .. } | ContainerState::Absent => break,
+                        ContainerState::Absent => return Ok(None),
                         ContainerState::Compacted { replacement } => replacement,
                         // Open, sealing and sealed containers hold the chunk.
                         _ => location.container,
                     };
-                    let fresh = live
-                        .entry(node_id)
-                        .or_default()
-                        .entry(holder)
-                        .or_default()
-                        .insert(entry.fingerprint);
-                    if fresh {
-                        report.live_chunks += 1;
-                        report.live_bytes += location.len as u64;
-                    }
-                    break;
+                    Ok(Some((container, location.len as u64)))
+                };
+                let Ok((node_id, Some((container, len)))) =
+                    self.walk_chain(entry.node, fingerprint, &holder)
+                else {
+                    continue;
+                };
+                let fresh = live
+                    .entry(node_id)
+                    .or_default()
+                    .entry(container)
+                    .or_default()
+                    .insert(*fingerprint);
+                if fresh {
+                    report.live_chunks += 1;
+                    report.live_bytes += len;
                 }
             }
         }
@@ -1026,8 +1029,7 @@ impl DedupCluster {
     /// Logical bytes of the surviving recipes, grouped by tenant tag — the
     /// cluster-side ground truth the service layer's per-tenant accounting is
     /// cross-checked against.  Sessions opened without a tenant tag are not
-    /// included (see
-    /// [`Director::untagged_logical_bytes`](crate::Director::untagged_logical_bytes)).
+    /// included.
     pub fn tenant_logical_bytes(&self) -> std::collections::BTreeMap<String, u64> {
         self.director.logical_bytes_by_tenant()
     }
@@ -1041,7 +1043,7 @@ impl DedupCluster {
     }
 
     /// Message counters so far.
-    pub fn message_stats(&self) -> MessageStats {
+    fn message_stats(&self) -> MessageStats {
         MessageStats {
             prerouting_lookups: self.prerouting_lookups.load(Ordering::Relaxed),
             postrouting_lookups: self.postrouting_lookups.load(Ordering::Relaxed),

@@ -174,9 +174,7 @@ impl Director {
     }
 
     /// Logical bytes of every registered recipe, grouped by the owning
-    /// session's tenant tag.  Untagged sessions are excluded — see
-    /// [`untagged_logical_bytes`](Director::untagged_logical_bytes); the two
-    /// always sum to the sizes of [`recipes`](Director::recipes).
+    /// session's tenant tag.  Recipes of untagged sessions are excluded.
     pub fn logical_bytes_by_tenant(&self) -> std::collections::BTreeMap<String, u64> {
         let inner = self.inner.lock();
         let mut out = std::collections::BTreeMap::new();
@@ -190,7 +188,8 @@ impl Director {
 
     /// Logical bytes of recipes whose sessions carry no tenant tag
     /// (trace-driven or direct [`BackupClient`](crate::BackupClient) use).
-    pub fn untagged_logical_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn untagged_logical_bytes(&self) -> u64 {
         let inner = self.inner.lock();
         inner
             .recipes

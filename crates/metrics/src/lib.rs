@@ -12,26 +12,22 @@
 //!   storage usage; this folds load imbalance into the capacity metric (Figure 8).
 //! * **Fingerprint-lookup message count** — the system-overhead metric (Figure 7).
 //!
-//! The crate also provides small reporting helpers ([`report::TextTable`],
-//! [`report::csv_line`]) used by the benches and examples to print paper-style
-//! tables, wall-clock throughput measurement ([`Stopwatch`], [`Throughput`]),
-//! and lock-light per-operation service counters ([`MetricsRegistry`],
-//! [`OpCounters`]) fed by the service layer's request-logging middleware.
-//! Multi-tenant accounting lives in [`TenantCounters`] /
-//! [`TenantStatsReport`] (per-tenant logical/transferred bytes while physical
-//! chunks stay shared), and [`jain_fairness_index`] scores how evenly a
-//! scheduler divided service among tenants.
+//! The crate also provides the [`report::TextTable`] helper the benches and
+//! examples use to print paper-style tables, wall-clock throughput
+//! measurement ([`Stopwatch`], [`Throughput`]), the per-tenant report the
+//! service layer surfaces ([`TenantStatsReport`]: per-tenant
+//! logical/transferred bytes while physical chunks stay shared), and
+//! [`jain_fairness_index`], which scores how evenly a scheduler divided
+//! service among tenants.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod counters;
 pub mod report;
 mod tenant;
 mod throughput;
 
-pub use counters::{MetricsRegistry, OpCounters, OpSnapshot};
-pub use tenant::{jain_fairness_index, TenantCounters, TenantStatsReport};
+pub use tenant::{jain_fairness_index, TenantStatsReport};
 pub use throughput::{Stopwatch, Throughput};
 
 /// Deduplication ratio: logical bytes over physical bytes.
@@ -71,35 +67,6 @@ pub fn dedup_efficiency(logical_bytes: u64, physical_bytes: u64, elapsed_secs: f
         return 0.0;
     }
     (logical_bytes.saturating_sub(physical_bytes)) as f64 / elapsed_secs
-}
-
-/// Coefficient of variation (σ/α) of per-node storage usage; 0 for empty input or a
-/// zero mean.
-///
-/// # Example
-///
-/// ```
-/// use sigma_metrics::usage_skew;
-/// assert!(usage_skew(&[100, 100, 100]) < 1e-12);
-/// assert!(usage_skew(&[200, 0]) > 0.99);
-/// ```
-pub fn usage_skew(usage: &[u64]) -> f64 {
-    if usage.is_empty() {
-        return 0.0;
-    }
-    let mean = usage.iter().map(|&u| u as f64).sum::<f64>() / usage.len() as f64;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    let variance = usage
-        .iter()
-        .map(|&u| {
-            let d = u as f64 - mean;
-            d * d
-        })
-        .sum::<f64>()
-        / usage.len() as f64;
-    variance.sqrt() / mean
 }
 
 /// Normalized deduplication ratio: a cluster scheme's DR relative to single-node
@@ -214,12 +181,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_skew_non_negative_and_zero_for_constant(u in 1u64..1_000_000, n in 1usize..64) {
-            let usage = vec![u; n];
-            prop_assert!(usage_skew(&usage) < 1e-9);
-        }
-
         #[test]
         fn prop_nedr_never_exceeds_normalized_dr(
             cdr in 0.0f64..100.0,

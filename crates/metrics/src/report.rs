@@ -1,8 +1,7 @@
-//! Plain-text and CSV reporting helpers.
+//! Plain-text reporting helpers.
 //!
 //! The benches and examples print the reproduced tables/figures as aligned text
-//! tables (for humans) and CSV lines (for plotting), using these helpers so that all
-//! output looks consistent.
+//! tables, using these helpers so that all output looks consistent.
 
 /// An aligned, plain-text table.
 ///
@@ -80,29 +79,6 @@ impl TextTable {
     }
 }
 
-/// Formats one CSV line, quoting cells that contain commas or quotes.
-///
-/// # Example
-///
-/// ```
-/// use sigma_metrics::report::csv_line;
-/// assert_eq!(csv_line(&["a", "b,c", "d\"e"]), "a,\"b,c\",\"d\"\"e\"");
-/// ```
-pub fn csv_line<S: AsRef<str>>(cells: &[S]) -> String {
-    cells
-        .iter()
-        .map(|c| {
-            let c = c.as_ref();
-            if c.contains(',') || c.contains('"') || c.contains('\n') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_string()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
 /// Formats a byte count with a binary-unit suffix (e.g. `"1.5 MiB"`).
 ///
 /// # Example
@@ -149,13 +125,6 @@ mod tests {
         t.add_row(vec!["a".to_string(), "extra".to_string()]);
         let r = t.render();
         assert!(r.contains("extra"));
-    }
-
-    #[test]
-    fn csv_quoting() {
-        assert_eq!(csv_line(&["1", "2", "3"]), "1,2,3");
-        assert_eq!(csv_line(&["has,comma"]), "\"has,comma\"");
-        assert_eq!(csv_line(&["has\nnewline"]), "\"has\nnewline\"");
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! [`DedupCluster`] and executes envelope operations against it.
 
 use crate::middleware::ServiceResult;
-use crate::pipeline::Backend;
-use crate::{Operation, RequestEnvelope, ResponseEnvelope};
+use crate::{Backend, Operation, RequestEnvelope, ResponseEnvelope};
 use parking_lot::Mutex;
 use sigma_core::{BackupClient, DedupCluster, RestoreReport, SigmaError};
-use sigma_metrics::{MetricsRegistry, TenantStatsReport};
+use sigma_metrics::TenantStatsReport;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -56,6 +55,39 @@ struct Inner {
     next_stream: u64,
 }
 
+/// What the service counts itself, under one lock: each tenant's cumulative
+/// figures and the restore totals.  The live figures (surviving files and
+/// their bytes) are the director's, read when a report is asked for.
+#[derive(Default)]
+struct Books {
+    /// One report per tenant that has sent a request; `live_logical_bytes`
+    /// and `files` stay zero here.
+    tenants: BTreeMap<String, TenantStatsReport>,
+    /// Restores served.
+    restores: u64,
+    /// The sum of their reports.
+    restore_totals: RestoreReport,
+}
+
+impl Books {
+    /// `tenant`'s report, created on its first request.
+    fn tenant(&mut self, tenant: &str) -> &mut TenantStatsReport {
+        if !self.tenants.contains_key(tenant) {
+            self.tenants
+                .insert(tenant.to_string(), empty_report(tenant));
+        }
+        self.tenants.get_mut(tenant).expect("inserted above")
+    }
+}
+
+/// `tenant`'s report before its first request.
+fn empty_report(tenant: &str) -> TenantStatsReport {
+    TenantStatsReport {
+        tenant: tenant.to_string(),
+        ..TenantStatsReport::default()
+    }
+}
+
 /// The production [`Backend`]: executes [`Operation`]s against a
 /// [`DedupCluster`] it owns, keyed by tenant.
 ///
@@ -72,9 +104,7 @@ struct Inner {
 pub struct BackupService {
     cluster: Arc<DedupCluster>,
     inner: Mutex<Inner>,
-    metrics: Arc<MetricsRegistry>,
-    /// Restores served and the sum of their reports.
-    restores: Mutex<(u64, RestoreReport)>,
+    books: Mutex<Books>,
 }
 
 impl std::fmt::Debug for BackupService {
@@ -91,8 +121,7 @@ impl BackupService {
         BackupService {
             cluster,
             inner: Mutex::new(Inner::default()),
-            metrics: Arc::new(MetricsRegistry::new()),
-            restores: Mutex::new((0, RestoreReport::default())),
+            books: Mutex::new(Books::default()),
         }
     }
 
@@ -100,7 +129,8 @@ impl BackupService {
     /// [`RestoreReport`]s (chunks read, container visits, cache hits and
     /// misses, backend bytes read).
     pub fn restore_totals(&self) -> (u64, RestoreReport) {
-        *self.restores.lock()
+        let books = self.books.lock();
+        (books.restores, books.restore_totals)
     }
 
     /// The cluster behind the service (stats, direct experimentation).
@@ -108,32 +138,31 @@ impl BackupService {
         &self.cluster
     }
 
-    /// The registry holding this service's per-tenant counters.
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
-    }
-
-    /// One tenant's accounting report: cumulative counters plus the current
-    /// live state (surviving files and their logical bytes).
+    /// One tenant's accounting report: cumulative figures plus the current
+    /// live state (surviving files and their logical bytes).  A tenant that
+    /// has sent no request gets zero figures, and no entry is made for it.
     pub fn tenant_stats_for(&self, tenant: &str) -> TenantStatsReport {
-        let mut report = self.metrics.tenant(tenant).report(tenant);
-        let live = self.cluster.director().tenant_recipes(tenant);
-        report.live_logical_bytes = live.iter().map(|r| r.size).sum();
-        report.files = live.len() as u64;
-        report
+        let report = self.books.lock().tenants.get(tenant).cloned();
+        self.with_live_state(report.unwrap_or_else(|| empty_report(tenant)))
     }
 
     /// Reports for every tenant that has sent at least one request, keyed by
     /// tenant name.
     pub fn tenant_stats(&self) -> BTreeMap<String, TenantStatsReport> {
-        self.metrics
-            .tenant_reports()
-            .into_keys()
-            .map(|tenant| {
-                let report = self.tenant_stats_for(&tenant);
-                (tenant, report)
-            })
+        let tenants = self.books.lock().tenants.clone();
+        tenants
+            .into_iter()
+            .map(|(tenant, report)| (tenant, self.with_live_state(report)))
             .collect()
+    }
+
+    /// Fills in the tenant's surviving files and their logical bytes from
+    /// the director.
+    fn with_live_state(&self, mut report: TenantStatsReport) -> TenantStatsReport {
+        let live = self.cluster.director().tenant_recipes(&report.tenant);
+        report.live_logical_bytes = live.iter().map(|r| r.size).sum();
+        report.files = live.len() as u64;
+        report
     }
 
     /// The client for `(tenant, generation)`, created (with a fresh session)
@@ -159,9 +188,12 @@ impl BackupService {
     fn backup(&self, req: &RequestEnvelope, file_name: &str, generation: u64) -> ServiceResult {
         let client = self.client_for(&req.tenant, generation);
         let report = client.backup_bytes(file_name, &req.payload)?;
-        self.metrics
-            .tenant(&req.tenant)
-            .record_ingest(report.logical_bytes, report.transferred_bytes);
+        {
+            let mut books = self.books.lock();
+            let tenant = books.tenant(&req.tenant);
+            tenant.logical_bytes += report.logical_bytes;
+            tenant.transferred_bytes += report.transferred_bytes;
+        }
         Ok(ResponseEnvelope::ok(req.request_id)
             .with_metadata(FILE_ID_KEY, report.file_id.to_string())
             .with_metadata(SESSION_ID_KEY, client.session_id().to_string())
@@ -183,13 +215,11 @@ impl BackupService {
     fn restore(&self, req: &RequestEnvelope, file_id: u64) -> ServiceResult {
         self.authorize_file(&req.tenant, file_id)?;
         let (data, report) = self.cluster.restore_file_with_report(file_id)?;
-        self.metrics
-            .tenant(&req.tenant)
-            .record_restored(data.len() as u64);
         {
-            let mut totals = self.restores.lock();
-            totals.0 += 1;
-            totals.1.absorb(&report);
+            let mut books = self.books.lock();
+            books.tenant(&req.tenant).restored_bytes += data.len() as u64;
+            books.restores += 1;
+            books.restore_totals.absorb(&report);
         }
         Ok(ResponseEnvelope::ok(req.request_id)
             .with_metadata(LOGICAL_BYTES_KEY, data.len().to_string())
@@ -211,7 +241,12 @@ impl BackupService {
     fn delete_file(&self, req: &RequestEnvelope, file_id: u64) -> ServiceResult {
         self.authorize_file(&req.tenant, file_id)?;
         let freed = self.cluster.delete_file(file_id)?;
-        self.metrics.tenant(&req.tenant).record_freed(freed);
+        self.freed(req, freed)
+    }
+
+    /// Books `freed` logical bytes to the tenant and answers the delete.
+    fn freed(&self, req: &RequestEnvelope, freed: u64) -> ServiceResult {
+        self.books.lock().tenant(&req.tenant).freed_bytes += freed;
         Ok(ResponseEnvelope::ok(req.request_id).with_metadata(FREED_BYTES_KEY, freed.to_string()))
     }
 
@@ -243,8 +278,7 @@ impl BackupService {
             return Err(SigmaError::BackupNotFound(session_id));
         }
         let freed = self.delete_session(session_id)?;
-        self.metrics.tenant(&req.tenant).record_freed(freed);
-        Ok(ResponseEnvelope::ok(req.request_id).with_metadata(FREED_BYTES_KEY, freed.to_string()))
+        self.freed(req, freed)
     }
 
     fn delete_generation(&self, req: &RequestEnvelope, generation: u64) -> ServiceResult {
@@ -263,8 +297,7 @@ impl BackupService {
                 result => result?,
             };
         }
-        self.metrics.tenant(&req.tenant).record_freed(freed);
-        Ok(ResponseEnvelope::ok(req.request_id).with_metadata(FREED_BYTES_KEY, freed.to_string()))
+        self.freed(req, freed)
     }
 
     fn collect_garbage(&self, req: &RequestEnvelope) -> ServiceResult {
@@ -333,7 +366,6 @@ impl BackupService {
 
 impl Backend for BackupService {
     fn call(&self, req: RequestEnvelope) -> ServiceResult {
-        let tenant = req.tenant.clone();
         let result = match req.operation.clone() {
             Operation::Backup {
                 file_name,
@@ -346,7 +378,12 @@ impl Backend for BackupService {
             Operation::CollectGarbage => self.collect_garbage(&req),
             Operation::Stats => self.stats(&req),
         };
-        self.metrics.tenant(&tenant).record_request(result.is_err());
+        {
+            let mut books = self.books.lock();
+            let tenant = books.tenant(&req.tenant);
+            tenant.requests += 1;
+            tenant.rejected += u64::from(result.is_err());
+        }
         result
     }
 }
@@ -694,7 +731,62 @@ mod tests {
         let acme = svc.tenant_stats_for("acme");
         assert_eq!(acme.requests, 4);
         assert_eq!(acme.rejected, 1);
+        // Reading a report makes no entry: only tenants that sent a request
+        // are listed.
+        assert_eq!(svc.tenant_stats_for("initech").requests, 0);
         assert_eq!(svc.tenant_stats().len(), 2);
+    }
+
+    #[test]
+    fn concurrent_requests_are_booked_exactly() {
+        let svc = Arc::new(service());
+        // Each thread backs up five files as the same tenant and restores
+        // each, summing what the replies say it logged, shipped and rebuilt.
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let svc = svc.clone();
+                std::thread::spawn(move || {
+                    let mut sums = [0u64; 3];
+                    for i in 0..5u64 {
+                        let id = t * 100 + i * 2;
+                        let payload = data(20_000 + 1_000 * i as usize, 40 + id);
+                        let backup = svc.call(backup_req(id, "hot", "f", payload)).unwrap();
+                        let file_id = backup.metadata_u64(FILE_ID_KEY).unwrap();
+                        let restore = svc
+                            .call(RequestEnvelope::new(
+                                id + 1,
+                                "hot",
+                                Operation::Restore { file_id },
+                            ))
+                            .unwrap();
+                        sums[0] += backup.metadata_u64(LOGICAL_BYTES_KEY).unwrap();
+                        sums[1] += backup.metadata_u64(TRANSFERRED_BYTES_KEY).unwrap();
+                        sums[2] += restore.payload.len() as u64;
+                    }
+                    sums
+                })
+            })
+            .collect();
+        let mut sums = [0u64; 3];
+        for thread in threads {
+            for (sum, part) in sums.iter_mut().zip(thread.join().unwrap()) {
+                *sum += part;
+            }
+        }
+        let expected = TenantStatsReport {
+            tenant: "hot".into(),
+            requests: 40,
+            rejected: 0,
+            logical_bytes: sums[0],
+            transferred_bytes: sums[1],
+            freed_bytes: 0,
+            restored_bytes: sums[2],
+            live_logical_bytes: sums[0],
+            files: 20,
+        };
+        assert_eq!(svc.tenant_stats_for("hot"), expected);
+        assert_eq!(sums[2], sums[0], "every restore rebuilt its file");
+        assert_eq!(svc.restore_totals().0, 20);
     }
 
     #[test]

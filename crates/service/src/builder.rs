@@ -1,34 +1,95 @@
 //! Assembly of a middleware stack: [`ServiceBuilder`] layers it,
 //! [`ServiceStack`] is the runnable (in-process) result.
+//!
+//! ```text
+//! RequestEnvelope → middleware[0] → middleware[1] → … → Backend
+//!                                                          │
+//! ResponseEnvelope ← middleware[0] ← middleware[1] ← … ←───┘
+//! ```
+//!
+//! Each middleware sees the request on the way in and the response on the
+//! way out; an `Err` anywhere short-circuits the layers below it and is
+//! converted into a rejection [`ResponseEnvelope`] exactly once, at
+//! [`ServiceStack::call`].
 
 use crate::middleware::{
-    AdmissionControl, FairScheduler, Middleware, RateLimit, RequestLog, TenantQuota, TokenAuth,
+    AdmissionControl, FairScheduler, Middleware, Next, RateLimit, RequestLog, ServiceResult,
+    TenantQuota, TokenAuth,
 };
-use crate::pipeline::{Backend, PipelineExecutor};
 use crate::{BackupService, RequestEnvelope, ResponseEnvelope};
 use sigma_core::DedupCluster;
 use std::sync::Arc;
 
-/// A fully-assembled service: the middleware pipeline in front of a backend.
+/// The innermost handler of a stack — the thing the middlewares guard.
+/// [`BackupService`] is the production backend; tests substitute their own.
+pub trait Backend: Send + Sync {
+    /// Executes the request against the underlying system.
+    fn call(&self, req: RequestEnvelope) -> ServiceResult;
+}
+
+impl<F> Backend for F
+where
+    F: Fn(RequestEnvelope) -> ServiceResult + Send + Sync,
+{
+    fn call(&self, req: RequestEnvelope) -> ServiceResult {
+        self(req)
+    }
+}
+
+/// A fully-assembled service: an ordered middleware stack (outermost first)
+/// in front of a backend.
 ///
 /// This *is* the in-process transport — [`call`](Self::call) takes a request
 /// envelope and returns the response envelope, exactly what the framed-TCP
 /// server does per frame.  Wrap it in an `Arc` to share it between transports
 /// and threads.
 pub struct ServiceStack {
-    executor: PipelineExecutor,
+    middlewares: Vec<Arc<dyn Middleware>>,
+    backend: Arc<dyn Backend>,
     log: Option<Arc<RequestLog>>,
 }
 
+/// One suffix of the middleware stack plus the backend — the [`Next`] handle
+/// a middleware calls to run everything below itself.
+struct Chain<'a> {
+    rest: &'a [Arc<dyn Middleware>],
+    backend: &'a dyn Backend,
+}
+
+impl Next for Chain<'_> {
+    fn run(&self, req: RequestEnvelope) -> ServiceResult {
+        match self.rest.split_first() {
+            Some((mw, rest)) => mw.handle(
+                req,
+                &Chain {
+                    rest,
+                    backend: self.backend,
+                },
+            ),
+            None => self.backend.call(req),
+        }
+    }
+}
+
 impl ServiceStack {
-    /// Executes one request through the full middleware stack.
+    /// Runs one request through the full stack.  Never panics on user error:
+    /// any `Err` from a middleware or the backend becomes a rejection
+    /// envelope whose code derives from
+    /// [`SigmaError::code`](sigma_core::SigmaError::code).
     pub fn call(&self, req: RequestEnvelope) -> ResponseEnvelope {
-        self.executor.execute(req)
+        let request_id = req.request_id;
+        let chain = Chain {
+            rest: &self.middlewares,
+            backend: self.backend.as_ref(),
+        };
+        chain
+            .run(req)
+            .unwrap_or_else(|err| ResponseEnvelope::rejection(request_id, &err))
     }
 
     /// Names of the stacked middlewares, outermost first.
     pub fn middleware_names(&self) -> Vec<&'static str> {
-        self.executor.stack()
+        self.middlewares.iter().map(|m| m.name()).collect()
     }
 
     /// The request log, when the stack includes the logging middleware.
@@ -38,6 +99,7 @@ impl ServiceStack {
 }
 
 impl std::fmt::Debug for ServiceStack {
+    /// Shows the stack shape, not the (unprintable) trait objects.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServiceStack")
             .field("stack", &self.middleware_names())
@@ -126,7 +188,7 @@ impl ServiceBuilder {
         self.layer(Arc::new(limiter))
     }
 
-    /// Appends request logging/metrics; the log handle stays readable through
+    /// Appends request logging; the log handle stays readable through
     /// [`ServiceStack::log`].
     pub fn logging(self) -> Self {
         self.logging_with(Arc::new(RequestLog::new()))
@@ -186,7 +248,8 @@ impl ServiceBuilder {
     /// future non-cluster services).
     pub fn build_with_backend(self, backend: Arc<dyn Backend>) -> ServiceStack {
         ServiceStack {
-            executor: PipelineExecutor::new(self.middlewares, backend),
+            middlewares: self.middlewares,
+            backend,
             log: self.log,
         }
     }
@@ -205,7 +268,7 @@ impl std::fmt::Debug for ServiceBuilder {
 mod tests {
     use super::*;
     use crate::Operation;
-    use sigma_core::{ServiceCode, SigmaConfig};
+    use sigma_core::{ServiceCode, SigmaConfig, SigmaError};
 
     fn cluster() -> Arc<DedupCluster> {
         Arc::new(DedupCluster::with_similarity_router(
@@ -322,5 +385,108 @@ mod tests {
         assert_eq!(restored.payload, payload);
         let log = stack.log().unwrap();
         assert_eq!(log.entries().len(), 2);
+    }
+
+    fn stats_req(id: u64) -> RequestEnvelope {
+        RequestEnvelope::new(id, "t", Operation::Stats)
+    }
+
+    fn echo_backend() -> Arc<dyn Backend> {
+        Arc::new(|r: RequestEnvelope| {
+            Ok(ResponseEnvelope::ok(r.request_id).with_metadata("backend", "echo"))
+        })
+    }
+
+    /// Tags requests on the way in and responses on the way out, recording
+    /// call order in a shared log.
+    struct Tag {
+        label: &'static str,
+        log: Arc<parking_lot::Mutex<Vec<String>>>,
+    }
+
+    impl Middleware for Tag {
+        fn name(&self) -> &'static str {
+            self.label
+        }
+        fn handle(&self, req: RequestEnvelope, next: &dyn Next) -> ServiceResult {
+            self.log.lock().push(format!("{}>in", self.label));
+            let resp = next.run(req)?;
+            self.log.lock().push(format!("{}>out", self.label));
+            Ok(resp.with_metadata(self.label, "seen"))
+        }
+    }
+
+    struct Reject;
+    impl Middleware for Reject {
+        fn name(&self) -> &'static str {
+            "reject"
+        }
+        fn handle(&self, req: RequestEnvelope, _next: &dyn Next) -> ServiceResult {
+            Err(SigmaError::Unauthorized { tenant: req.tenant })
+        }
+    }
+
+    #[test]
+    fn empty_stack_reaches_the_backend() {
+        let stack = ServiceBuilder::new().build_with_backend(echo_backend());
+        let resp = stack.call(stats_req(5));
+        assert_eq!(resp.request_id, 5);
+        assert_eq!(resp.metadata["backend"], "echo");
+        assert!(stack.middleware_names().is_empty());
+    }
+
+    #[test]
+    fn middlewares_run_outermost_first_and_unwind_in_reverse() {
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let stack = ServiceBuilder::new()
+            .layer(Arc::new(Tag {
+                label: "outer",
+                log: log.clone(),
+            }))
+            .layer(Arc::new(Tag {
+                label: "inner",
+                log: log.clone(),
+            }))
+            .build_with_backend(echo_backend());
+        let resp = stack.call(stats_req(1));
+        assert!(resp.is_ok());
+        assert_eq!(resp.metadata["outer"], "seen");
+        assert_eq!(resp.metadata["inner"], "seen");
+        assert_eq!(
+            *log.lock(),
+            vec!["outer>in", "inner>in", "inner>out", "outer>out"]
+        );
+        assert_eq!(stack.middleware_names(), vec!["outer", "inner"]);
+    }
+
+    #[test]
+    fn rejection_short_circuits_lower_layers() {
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let stack = ServiceBuilder::new()
+            .layer(Arc::new(Tag {
+                label: "outer",
+                log: log.clone(),
+            }))
+            .layer(Arc::new(Reject))
+            .layer(Arc::new(Tag {
+                label: "never",
+                log: log.clone(),
+            }))
+            .build_with_backend(Arc::new(|_r: RequestEnvelope| -> ServiceResult {
+                panic!("backend must not run")
+            }));
+        let resp = stack.call(stats_req(9));
+        assert_eq!(resp.request_id, 9);
+        assert_eq!(resp.code, ServiceCode::Unauthorized);
+        assert_eq!(*log.lock(), vec!["outer>in"], "inner layers never ran");
+    }
+
+    #[test]
+    fn debug_shows_the_stack() {
+        let stack = ServiceBuilder::new()
+            .layer(Arc::new(Reject))
+            .build_with_backend(echo_backend());
+        let dbg = format!("{:?}", stack);
+        assert!(dbg.contains("reject"), "{}", dbg);
     }
 }

@@ -69,14 +69,12 @@ mod builder;
 pub mod codec;
 mod envelope;
 pub mod middleware;
-mod pipeline;
 mod tcp;
 
 pub use backend::BackupService;
-pub use builder::{ServiceBuilder, ServiceStack};
+pub use builder::{Backend, ServiceBuilder, ServiceStack};
 pub use envelope::{Operation, RequestEnvelope, ResponseEnvelope, AUTH_TOKEN_KEY};
 pub use middleware::{Middleware, Next, ServiceResult};
-pub use pipeline::{Backend, PipelineExecutor};
 pub use tcp::{TcpClient, TcpService};
 
 // Re-exported so envelope consumers don't need a direct sigma-core

@@ -12,6 +12,10 @@ use parking_lot::Mutex;
 use sigma_core::SigmaError;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// The retry-after hint of a request shed at an idle byte budget
+/// (milliseconds); a saturated budget hints up to twice this.
+const RETRY_AFTER_BASE_MS: u64 = 10;
+
 /// In-flight totals, updated under one small lock so the two bounds are
 /// checked and reserved atomically (two racing requests cannot both squeeze
 /// into the last admission slot).
@@ -32,7 +36,7 @@ struct InFlight {
 /// is therefore the backpressure valve: the scheduler orders admitted work
 /// fairly, this layer caps how much of it can exist at once.
 ///
-/// The retry-after hint is deterministic — a pure function of the configured
+/// The retry-after hint is deterministic — a pure function of a fixed 10 ms
 /// base and how saturated the in-flight byte budget is when the request is
 /// shed — so identical overload states hand every client identical hints and
 /// tests can pin exact values.
@@ -53,17 +57,12 @@ struct InFlight {
 pub struct AdmissionControl {
     max_inflight_requests: u64,
     max_inflight_bytes: u64,
-    retry_after_base_ms: u64,
     inflight: Mutex<InFlight>,
     shed: AtomicU64,
     admitted: AtomicU64,
 }
 
 impl AdmissionControl {
-    /// Default retry-after base when the request arrives at an idle byte
-    /// budget (milliseconds).
-    pub const DEFAULT_RETRY_AFTER_MS: u64 = 10;
-
     /// Creates a layer admitting at most `max_inflight_requests` concurrent
     /// requests carrying at most `max_inflight_bytes` total payload bytes.
     /// Both bounds are clamped to at least 1 so a sole request on an idle
@@ -73,18 +72,10 @@ impl AdmissionControl {
         AdmissionControl {
             max_inflight_requests: max_inflight_requests.max(1),
             max_inflight_bytes: max_inflight_bytes.max(1),
-            retry_after_base_ms: Self::DEFAULT_RETRY_AFTER_MS,
             inflight: Mutex::new(InFlight::default()),
             shed: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
         }
-    }
-
-    /// Replaces the retry-after base (milliseconds).  0 is allowed: hints
-    /// become 0 and clients retry at their own cadence.
-    pub fn with_retry_after_ms(mut self, base_ms: u64) -> Self {
-        self.retry_after_base_ms = base_ms;
-        self
     }
 
     /// The request-count bound.
@@ -108,7 +99,8 @@ impl AdmissionControl {
     }
 
     /// Currently in-flight (requests, payload bytes).
-    pub fn inflight(&self) -> (u64, u64) {
+    #[cfg(test)]
+    fn inflight(&self) -> (u64, u64) {
         let f = self.inflight.lock();
         (f.requests, f.payload_bytes)
     }
@@ -120,9 +112,8 @@ impl AdmissionControl {
     /// request scales proportionally.  Same state, same hint, every time.
     fn retry_hint(&self, inflight_bytes: u64, requested: u64) -> u64 {
         let would_be = inflight_bytes.saturating_add(requested);
-        self.retry_after_base_ms.saturating_add(
-            self.retry_after_base_ms.saturating_mul(would_be) / self.max_inflight_bytes,
-        )
+        RETRY_AFTER_BASE_MS
+            .saturating_add(RETRY_AFTER_BASE_MS.saturating_mul(would_be) / self.max_inflight_bytes)
     }
 
     /// Tries to reserve one request slot plus `payload_bytes` of the byte
@@ -196,7 +187,7 @@ impl Middleware for AdmissionControl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Operation, PipelineExecutor, ResponseEnvelope};
+    use crate::{Operation, ResponseEnvelope, ServiceBuilder};
     use sigma_core::ServiceCode;
     use std::sync::mpsc;
     use std::sync::Arc;
@@ -208,7 +199,7 @@ mod tests {
         let err = admission.try_admit(10).unwrap_err();
         match err {
             SigmaError::Overloaded { retry_after_ms, .. } => {
-                assert!(retry_after_ms >= AdmissionControl::DEFAULT_RETRY_AFTER_MS);
+                assert!(retry_after_ms >= RETRY_AFTER_BASE_MS);
             }
             other => panic!("expected Overloaded, got {:?}", other),
         }
@@ -238,27 +229,28 @@ mod tests {
 
     #[test]
     fn retry_hint_is_deterministic_and_scales_with_saturation() {
-        let admission = AdmissionControl::new(1, 1000).with_retry_after_ms(20);
+        let admission = AdmissionControl::new(1, 1000);
         let held = admission.try_admit(1000).unwrap();
         let hint_of = |requested| match admission.try_admit(requested).unwrap_err() {
             SigmaError::Overloaded { retry_after_ms, .. } => retry_after_ms,
             other => panic!("expected Overloaded, got {:?}", other),
         };
-        // base 20, inflight 1000/1000: 20 + 20*(1000+r)/1000.
-        assert_eq!(hint_of(0), 40);
-        assert_eq!(hint_of(0), 40, "same state, same hint");
-        assert_eq!(hint_of(1000), 60, "deeper overload, larger hint");
+        // base 10, inflight 1000/1000: 10 + 10*(1000+r)/1000.
+        assert_eq!(hint_of(0), 20);
+        assert_eq!(hint_of(0), 20, "same state, same hint");
+        assert_eq!(hint_of(1000), 30, "deeper overload, larger hint");
         drop(held);
     }
 
     #[test]
     fn permits_release_on_error_paths_too() {
         let admission = Arc::new(AdmissionControl::new(1, 100));
-        let p = PipelineExecutor::new(
-            vec![admission.clone()],
-            Arc::new(|_r: RequestEnvelope| -> ServiceResult { Err(SigmaError::FileNotFound(1)) }),
-        );
-        let resp = p.execute(RequestEnvelope::new(1, "t", Operation::Stats));
+        let p = ServiceBuilder::new()
+            .layer(admission.clone())
+            .build_with_backend(Arc::new(|_r: RequestEnvelope| -> ServiceResult {
+                Err(SigmaError::FileNotFound(1))
+            }));
+        let resp = p.call(RequestEnvelope::new(1, "t", Operation::Stats));
         assert_eq!(resp.code, ServiceCode::NotFound);
         assert_eq!(admission.inflight(), (0, 0), "slot released after error");
         assert_eq!(admission.admitted_count(), 1);
@@ -270,29 +262,28 @@ mod tests {
         let (enter_tx, enter_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let release_rx = Arc::new(Mutex::new(release_rx));
-        let p = Arc::new(PipelineExecutor::new(
-            vec![admission.clone()],
-            Arc::new({
-                let release_rx = release_rx.clone();
-                move |r: RequestEnvelope| {
-                    enter_tx.send(()).unwrap();
-                    release_rx.lock().recv().unwrap();
-                    Ok(ResponseEnvelope::ok(r.request_id))
-                }
-            }),
-        ));
+        let p = Arc::new(
+            ServiceBuilder::new()
+                .layer(admission.clone())
+                .build_with_backend(Arc::new({
+                    let release_rx = release_rx.clone();
+                    move |r: RequestEnvelope| {
+                        enter_tx.send(()).unwrap();
+                        release_rx.lock().recv().unwrap();
+                        Ok(ResponseEnvelope::ok(r.request_id))
+                    }
+                })),
+        );
         let workers: Vec<_> = (0..2)
             .map(|i| {
                 let p = p.clone();
-                std::thread::spawn(move || {
-                    p.execute(RequestEnvelope::new(i, "t", Operation::Stats))
-                })
+                std::thread::spawn(move || p.call(RequestEnvelope::new(i, "t", Operation::Stats)))
             })
             .collect();
         enter_rx.recv().unwrap();
         enter_rx.recv().unwrap();
         // Both slots occupied: a third request is shed immediately.
-        let shed = p.execute(RequestEnvelope::new(9, "t", Operation::Stats));
+        let shed = p.call(RequestEnvelope::new(9, "t", Operation::Stats));
         assert_eq!(shed.code, ServiceCode::Unavailable);
         assert!(shed.message.contains("retry after"));
         release_tx.send(()).unwrap();

@@ -87,22 +87,22 @@ impl Middleware for TokenAuth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Operation, PipelineExecutor, ResponseEnvelope};
+    use crate::{Operation, ResponseEnvelope, ServiceBuilder};
     use sigma_core::ServiceCode;
     use std::sync::Arc;
 
-    fn pipeline(auth: TokenAuth) -> PipelineExecutor {
-        PipelineExecutor::new(
-            vec![Arc::new(auth)],
-            Arc::new(|r: RequestEnvelope| Ok(ResponseEnvelope::ok(r.request_id))),
-        )
+    fn pipeline(auth: TokenAuth) -> crate::ServiceStack {
+        ServiceBuilder::new()
+            .layer(Arc::new(auth))
+            .build_with_backend(Arc::new(|r: RequestEnvelope| {
+                Ok(ResponseEnvelope::ok(r.request_id))
+            }))
     }
 
     #[test]
     fn valid_token_passes_through() {
         let p = pipeline(TokenAuth::new().tenant("acme", "secret"));
-        let resp =
-            p.execute(RequestEnvelope::new(1, "acme", Operation::Stats).with_token("secret"));
+        let resp = p.call(RequestEnvelope::new(1, "acme", Operation::Stats).with_token("secret"));
         assert!(resp.is_ok());
     }
 
@@ -115,7 +115,7 @@ mod tests {
             RequestEnvelope::new(4, "ghost", Operation::Stats).with_token("secret"),
         ] {
             let id = req.request_id;
-            let resp = p.execute(req);
+            let resp = p.call(req);
             assert_eq!(resp.code, ServiceCode::Unauthorized, "request {}", id);
             assert_eq!(resp.request_id, id);
         }

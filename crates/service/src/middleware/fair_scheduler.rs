@@ -397,7 +397,7 @@ impl Middleware for FairScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Operation, PipelineExecutor, ResponseEnvelope};
+    use crate::{Operation, ResponseEnvelope, ServiceBuilder};
     use parking_lot::Mutex as PlMutex;
     use std::sync::mpsc;
 
@@ -422,12 +422,13 @@ mod tests {
     #[test]
     fn single_tenant_requests_flow_through() {
         let sched = Arc::new(FairScheduler::new(1024, 4096, 2));
-        let p = PipelineExecutor::new(
-            vec![sched.clone()],
-            Arc::new(|r: RequestEnvelope| Ok(ResponseEnvelope::ok(r.request_id))),
-        );
+        let p = ServiceBuilder::new()
+            .layer(sched.clone())
+            .build_with_backend(Arc::new(|r: RequestEnvelope| {
+                Ok(ResponseEnvelope::ok(r.request_id))
+            }));
         for i in 0..5 {
-            assert!(p.execute(backup(i, "t", 100)).is_ok());
+            assert!(p.call(backup(i, "t", 100)).is_ok());
         }
         assert_eq!(sched.granted_count(), 5);
         assert_eq!(sched.completed_bytes()["t"], 500);
@@ -440,11 +441,12 @@ mod tests {
         // Cost exceeds both the quantum and the per-tenant cap; an idle
         // scheduler must still run it (bounds cap aggregates, not size).
         let sched = Arc::new(FairScheduler::new(16, 64, 1));
-        let p = PipelineExecutor::new(
-            vec![sched.clone()],
-            Arc::new(|r: RequestEnvelope| Ok(ResponseEnvelope::ok(r.request_id))),
-        );
-        assert!(p.execute(backup(1, "t", 10_000)).is_ok());
+        let p = ServiceBuilder::new()
+            .layer(sched.clone())
+            .build_with_backend(Arc::new(|r: RequestEnvelope| {
+                Ok(ResponseEnvelope::ok(r.request_id))
+            }));
+        assert!(p.call(backup(1, "t", 10_000)).is_ok());
         assert_eq!(sched.completed_bytes()["t"], 10_000);
     }
 
@@ -459,23 +461,24 @@ mod tests {
             gate: PlMutex::new(gate_rx),
         });
         let sched = Arc::new(FairScheduler::new(100, 1000, 1));
-        let p = Arc::new(PipelineExecutor::new(
-            vec![sched.clone()],
-            Arc::new({
-                let recorder = recorder.clone();
-                move |r: RequestEnvelope| {
-                    recorder.order.lock().push(r.tenant.clone());
-                    recorder.gate.lock().recv().unwrap();
-                    Ok(ResponseEnvelope::ok(r.request_id))
-                }
-            }),
-        ));
+        let p = Arc::new(
+            ServiceBuilder::new()
+                .layer(sched.clone())
+                .build_with_backend(Arc::new({
+                    let recorder = recorder.clone();
+                    move |r: RequestEnvelope| {
+                        recorder.order.lock().push(r.tenant.clone());
+                        recorder.gate.lock().recv().unwrap();
+                        Ok(ResponseEnvelope::ok(r.request_id))
+                    }
+                })),
+        );
 
         // Request 0 occupies the slot and blocks on the gate; everything
         // else parks behind it in a known arrival order.
         let first = {
             let p = p.clone();
-            std::thread::spawn(move || p.execute(backup(0, "warmup", 100)))
+            std::thread::spawn(move || p.call(backup(0, "warmup", 100)))
         };
         while sched.granted_count() == 0 {
             std::thread::yield_now();
@@ -485,7 +488,7 @@ mod tests {
         for i in 0..6 {
             let p = p.clone();
             workers.push(std::thread::spawn(move || {
-                p.execute(backup(100 + i, "hot", 100))
+                p.call(backup(100 + i, "hot", 100))
             }));
             // Deterministic arrival order within the hot queue.
             while sched.pending_requests("hot") < (i + 1) as usize {
@@ -495,7 +498,7 @@ mod tests {
         for i in 0..3 {
             let p = p.clone();
             workers.push(std::thread::spawn(move || {
-                p.execute(backup(200 + i, "cold", 100))
+                p.call(backup(200 + i, "cold", 100))
             }));
             while sched.pending_requests("cold") < (i + 1) as usize {
                 std::thread::yield_now();
@@ -572,18 +575,17 @@ mod tests {
     #[test]
     fn slot_released_on_backend_error() {
         let sched = Arc::new(FairScheduler::new(100, 100, 1));
-        let p = PipelineExecutor::new(
-            vec![sched.clone()],
-            Arc::new(|_r: RequestEnvelope| -> ServiceResult {
+        let p = ServiceBuilder::new()
+            .layer(sched.clone())
+            .build_with_backend(Arc::new(|_r: RequestEnvelope| -> ServiceResult {
                 Err(sigma_core::SigmaError::FileNotFound(7))
-            }),
-        );
-        let resp = p.execute(backup(1, "t", 50));
+            }));
+        let resp = p.call(backup(1, "t", 50));
         assert_eq!(resp.code, sigma_core::ServiceCode::NotFound);
         // The slot and bytes must be free again: the next request reaches
         // the backend (and its error) instead of parking forever.
         assert_eq!(sched.inflight_bytes("t"), 0);
-        let again = p.execute(backup(2, "t", 50));
+        let again = p.call(backup(2, "t", 50));
         assert_eq!(again.code, sigma_core::ServiceCode::NotFound);
         assert_eq!(sched.granted_count(), 2);
         assert_eq!(sched.inflight_bytes("t"), 0);
@@ -592,12 +594,13 @@ mod tests {
     #[test]
     fn zero_payload_operations_take_a_turn() {
         let sched = Arc::new(FairScheduler::new(10, 10, 1));
-        let p = PipelineExecutor::new(
-            vec![sched.clone()],
-            Arc::new(|r: RequestEnvelope| Ok(ResponseEnvelope::ok(r.request_id))),
-        );
+        let p = ServiceBuilder::new()
+            .layer(sched.clone())
+            .build_with_backend(Arc::new(|r: RequestEnvelope| {
+                Ok(ResponseEnvelope::ok(r.request_id))
+            }));
         assert!(p
-            .execute(RequestEnvelope::new(1, "t", Operation::Stats))
+            .call(RequestEnvelope::new(1, "t", Operation::Stats))
             .is_ok());
         assert_eq!(sched.completed_bytes()["t"], 1, "stats costs one byte");
     }

@@ -1,15 +1,15 @@
-//! Request logging and per-operation metrics.
+//! Request logging.
 
 use crate::middleware::{Middleware, Next, ServiceResult};
 use crate::RequestEnvelope;
 use parking_lot::Mutex;
 use sigma_core::ServiceCode;
-use sigma_metrics::{MetricsRegistry, OpSnapshot, Stopwatch};
-use std::collections::{BTreeMap, VecDeque};
+use sigma_metrics::Stopwatch;
+use std::collections::VecDeque;
 
 /// How many of the most recent entries a [`RequestLog`] keeps. Older ones
-/// are dropped; the request count and the per-operation metrics still
-/// include them, so a long-running service's log stays bounded.
+/// are dropped; the request count still includes them, so a long-running
+/// service's log stays bounded.
 const RETAINED_ENTRIES: usize = 1024;
 
 /// One observed request, success or failure.
@@ -32,10 +32,9 @@ pub struct LogEntry {
     pub response_bytes: u64,
 }
 
-/// Records exactly one [`LogEntry`] per request — including error paths — and
-/// feeds per-operation latency and byte counters
-/// ([`sigma_metrics::MetricsRegistry`]). Only the 1024 most recent entries
-/// are kept; the counts cover every request.
+/// Records exactly one [`LogEntry`] per request — including error paths.
+/// Only the 1024 most recent entries are kept; the count covers every
+/// request.
 ///
 /// Placement matters and is a choice, not a constraint: as the innermost
 /// layer (the default stack) it logs only requests that passed admission
@@ -46,7 +45,6 @@ pub struct LogEntry {
 #[derive(Debug, Default)]
 pub struct RequestLog {
     recent: Mutex<Recent>,
-    metrics: MetricsRegistry,
 }
 
 /// The retained tail of the log, and how many requests it has seen in all.
@@ -77,18 +75,7 @@ impl RequestLog {
         self.len() == 0
     }
 
-    /// Per-operation counter snapshots, keyed by operation name.
-    pub fn metrics(&self) -> BTreeMap<String, OpSnapshot> {
-        self.metrics.snapshot()
-    }
-
     fn record(&self, entry: LogEntry) {
-        self.metrics.op(entry.operation).record(
-            std::time::Duration::from_secs_f64(entry.latency_secs.max(0.0)),
-            entry.request_bytes,
-            entry.response_bytes,
-            !entry.code.is_ok(),
-        );
         let mut recent = self.recent.lock();
         if recent.entries.len() == RETAINED_ENTRIES {
             recent.entries.pop_front();
@@ -131,19 +118,18 @@ impl Middleware for RequestLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Operation, PipelineExecutor, ResponseEnvelope};
+    use crate::{Operation, ResponseEnvelope, ServiceBuilder};
     use sigma_core::SigmaError;
     use std::sync::Arc;
 
     #[test]
     fn logs_success_with_latency_and_bytes() {
         let log = Arc::new(RequestLog::new());
-        let p = PipelineExecutor::new(
-            vec![log.clone()],
-            Arc::new(|r: RequestEnvelope| {
+        let p = ServiceBuilder::new()
+            .layer(log.clone())
+            .build_with_backend(Arc::new(|r: RequestEnvelope| {
                 Ok(ResponseEnvelope::ok(r.request_id).with_payload(vec![0u8; 32]))
-            }),
-        );
+            }));
         let req = RequestEnvelope::new(
             1,
             "acme",
@@ -153,7 +139,7 @@ mod tests {
             },
         )
         .with_payload(vec![0u8; 128]);
-        assert!(p.execute(req).is_ok());
+        assert!(p.call(req).is_ok());
         let entries = log.entries();
         assert_eq!(entries.len(), 1);
         let e = &entries[0];
@@ -164,20 +150,18 @@ mod tests {
         assert!(e.latency_secs >= 0.0);
         assert_eq!(e.request_bytes, 128);
         assert_eq!(e.response_bytes, 32);
-        let m = log.metrics();
-        assert_eq!(m["backup"].count, 1);
-        assert_eq!(m["backup"].errors, 0);
-        assert_eq!(m["backup"].request_bytes, 128);
+        assert_eq!(log.len(), 1);
     }
 
     #[test]
     fn logs_errors_and_propagates_them() {
         let log = Arc::new(RequestLog::new());
-        let p = PipelineExecutor::new(
-            vec![log.clone()],
-            Arc::new(|_r: RequestEnvelope| -> ServiceResult { Err(SigmaError::FileNotFound(5)) }),
-        );
-        let resp = p.execute(RequestEnvelope::new(
+        let p = ServiceBuilder::new()
+            .layer(log.clone())
+            .build_with_backend(Arc::new(|_r: RequestEnvelope| -> ServiceResult {
+                Err(SigmaError::FileNotFound(5))
+            }));
+        let resp = p.call(RequestEnvelope::new(
             9,
             "t",
             Operation::Restore { file_id: 5 },
@@ -186,46 +170,51 @@ mod tests {
         let entries = log.entries();
         assert_eq!(entries.len(), 1, "exactly one entry for the failed request");
         assert_eq!(entries[0].code, ServiceCode::NotFound);
+        assert_eq!(entries[0].operation, "restore");
         assert_eq!(entries[0].response_bytes, 0);
-        assert_eq!(log.metrics()["restore"].errors, 1);
     }
 
     #[test]
     fn one_entry_per_request_across_a_mix() {
         let log = Arc::new(RequestLog::new());
-        let p = PipelineExecutor::new(
-            vec![log.clone()],
-            Arc::new(|r: RequestEnvelope| match r.operation {
+        let p = ServiceBuilder::new()
+            .layer(log.clone())
+            .build_with_backend(Arc::new(|r: RequestEnvelope| match r.operation {
                 Operation::Stats => Ok(ResponseEnvelope::ok(r.request_id)),
                 _ => Err(SigmaError::FileNotFound(0)),
-            }),
-        );
+            }));
         for i in 0..10u64 {
             let op = if i % 2 == 0 {
                 Operation::Stats
             } else {
                 Operation::Restore { file_id: i }
             };
-            p.execute(RequestEnvelope::new(i, "t", op));
+            p.call(RequestEnvelope::new(i, "t", op));
         }
         assert_eq!(log.len(), 10);
-        let m = log.metrics();
-        assert_eq!(m["stats"].count, 5);
-        assert_eq!(m["restore"].count, 5);
-        assert_eq!(m["restore"].errors, 5);
+        for (i, entry) in log.entries().iter().enumerate() {
+            let (operation, code) = if i % 2 == 0 {
+                ("stats", ServiceCode::Ok)
+            } else {
+                ("restore", ServiceCode::NotFound)
+            };
+            assert_eq!(entry.request_id, i as u64);
+            assert_eq!((entry.operation, entry.code), (operation, code));
+        }
         assert!(!log.is_empty());
     }
 
     #[test]
     fn keeps_the_most_recent_entries_and_counts_every_request() {
         let log = Arc::new(RequestLog::new());
-        let p = PipelineExecutor::new(
-            vec![log.clone()],
-            Arc::new(|r: RequestEnvelope| Ok(ResponseEnvelope::ok(r.request_id))),
-        );
+        let p = ServiceBuilder::new()
+            .layer(log.clone())
+            .build_with_backend(Arc::new(|r: RequestEnvelope| {
+                Ok(ResponseEnvelope::ok(r.request_id))
+            }));
         let total = RETAINED_ENTRIES + 10;
         for i in 0..total as u64 {
-            p.execute(RequestEnvelope::new(i, "t", Operation::Stats));
+            p.call(RequestEnvelope::new(i, "t", Operation::Stats));
         }
         let entries = log.entries();
         assert_eq!(entries.len(), RETAINED_ENTRIES);
@@ -235,7 +224,5 @@ mod tests {
         );
         assert_eq!(entries.last().unwrap().request_id, total as u64 - 1);
         assert_eq!(log.len(), total);
-        let counted: u64 = log.metrics().values().map(|m| m.count).sum();
-        assert_eq!(counted, total as u64);
     }
 }

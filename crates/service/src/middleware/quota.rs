@@ -170,7 +170,7 @@ impl Middleware for TenantQuota {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Operation, PipelineExecutor, ResponseEnvelope};
+    use crate::{Operation, ResponseEnvelope, ServiceBuilder};
     use sigma_core::ServiceCode;
     use std::sync::Arc;
 
@@ -189,28 +189,30 @@ mod tests {
     #[test]
     fn reservation_rejects_over_budget_and_admits_within() {
         let quota = Arc::new(TenantQuota::new().budget("acme", 1000));
-        let p = PipelineExecutor::new(
-            vec![quota.clone()],
-            Arc::new(|r: RequestEnvelope| Ok(ResponseEnvelope::ok(r.request_id))),
-        );
-        assert!(p.execute(backup(1, 600)).is_ok());
+        let p = ServiceBuilder::new()
+            .layer(quota.clone())
+            .build_with_backend(Arc::new(|r: RequestEnvelope| {
+                Ok(ResponseEnvelope::ok(r.request_id))
+            }));
+        assert!(p.call(backup(1, 600)).is_ok());
         assert_eq!(quota.usage("acme"), 600);
-        let over = p.execute(backup(2, 600));
+        let over = p.call(backup(2, 600));
         assert_eq!(over.code, ServiceCode::ResourceExhausted);
         assert!(over.message.contains("400"), "names the remaining bytes");
         assert_eq!(quota.usage("acme"), 600, "failed request reserved nothing");
-        assert!(p.execute(backup(3, 400)).is_ok());
+        assert!(p.call(backup(3, 400)).is_ok());
         assert_eq!(quota.usage("acme"), 1000);
     }
 
     #[test]
     fn backend_failure_refunds_the_reservation() {
         let quota = Arc::new(TenantQuota::new().budget("acme", 1000));
-        let p = PipelineExecutor::new(
-            vec![quota.clone()],
-            Arc::new(|_r: RequestEnvelope| -> ServiceResult { Err(SigmaError::FileNotFound(1)) }),
-        );
-        let resp = p.execute(backup(1, 800));
+        let p = ServiceBuilder::new()
+            .layer(quota.clone())
+            .build_with_backend(Arc::new(|_r: RequestEnvelope| -> ServiceResult {
+                Err(SigmaError::FileNotFound(1))
+            }));
+        let resp = p.call(backup(1, 800));
         assert_eq!(resp.code, ServiceCode::NotFound);
         assert_eq!(quota.usage("acme"), 0, "reservation refunded on error");
     }
@@ -218,9 +220,9 @@ mod tests {
     #[test]
     fn delete_credits_freed_bytes() {
         let quota = Arc::new(TenantQuota::new().budget("acme", 1000));
-        let p = PipelineExecutor::new(
-            vec![quota.clone()],
-            Arc::new(|r: RequestEnvelope| {
+        let p = ServiceBuilder::new()
+            .layer(quota.clone())
+            .build_with_backend(Arc::new(|r: RequestEnvelope| {
                 let resp = match r.operation {
                     Operation::DeleteFile { .. } => {
                         ResponseEnvelope::ok(r.request_id).with_metadata(FREED_BYTES_KEY, "700")
@@ -228,18 +230,17 @@ mod tests {
                     _ => ResponseEnvelope::ok(r.request_id),
                 };
                 Ok(resp)
-            }),
-        );
-        assert!(p.execute(backup(1, 900)).is_ok());
+            }));
+        assert!(p.call(backup(1, 900)).is_ok());
         assert_eq!(quota.usage("acme"), 900);
-        let del = p.execute(RequestEnvelope::new(
+        let del = p.call(RequestEnvelope::new(
             2,
             "acme",
             Operation::DeleteFile { file_id: 1 },
         ));
         assert!(del.is_ok());
         assert_eq!(quota.usage("acme"), 200, "freed bytes returned to budget");
-        assert!(p.execute(backup(3, 700)).is_ok(), "room again after delete");
+        assert!(p.call(backup(3, 700)).is_ok(), "room again after delete");
     }
 
     #[test]
@@ -248,9 +249,9 @@ mod tests {
         // backend reports the same freed_bytes; the budget used to be
         // credited on every pass, double-counting the freed space.
         let quota = Arc::new(TenantQuota::new().budget("acme", 1000));
-        let p = PipelineExecutor::new(
-            vec![quota.clone()],
-            Arc::new(|r: RequestEnvelope| {
+        let p = ServiceBuilder::new()
+            .layer(quota.clone())
+            .build_with_backend(Arc::new(|r: RequestEnvelope| {
                 let resp = match r.operation {
                     Operation::DeleteFile { .. } => {
                         ResponseEnvelope::ok(r.request_id).with_metadata(FREED_BYTES_KEY, "700")
@@ -258,15 +259,14 @@ mod tests {
                     _ => ResponseEnvelope::ok(r.request_id),
                 };
                 Ok(resp)
-            }),
-        );
-        assert!(p.execute(backup(1, 900)).is_ok());
+            }));
+        assert!(p.call(backup(1, 900)).is_ok());
         assert_eq!(quota.usage("acme"), 900);
         let delete = RequestEnvelope::new(2, "acme", Operation::DeleteFile { file_id: 1 });
-        assert!(p.execute(delete.clone()).is_ok());
+        assert!(p.call(delete.clone()).is_ok());
         assert_eq!(quota.usage("acme"), 200, "first delete credits 700");
         // The transport timed out and replays the very same envelope.
-        assert!(p.execute(delete).is_ok());
+        assert!(p.call(delete).is_ok());
         assert_eq!(
             quota.usage("acme"),
             200,
@@ -274,7 +274,7 @@ mod tests {
         );
         // A *different* delete request id still credits normally.
         let other = RequestEnvelope::new(3, "acme", Operation::DeleteFile { file_id: 9 });
-        assert!(p.execute(other).is_ok());
+        assert!(p.call(other).is_ok());
         assert_eq!(quota.usage("acme"), 0, "fresh request id credits again");
     }
 
@@ -295,23 +295,25 @@ mod tests {
     #[test]
     fn unbudgeted_tenants_are_unlimited_but_tracked() {
         let quota = Arc::new(TenantQuota::new());
-        let p = PipelineExecutor::new(
-            vec![quota.clone()],
-            Arc::new(|r: RequestEnvelope| Ok(ResponseEnvelope::ok(r.request_id))),
-        );
-        assert!(p.execute(backup(1, 10_000_000)).is_ok());
+        let p = ServiceBuilder::new()
+            .layer(quota.clone())
+            .build_with_backend(Arc::new(|r: RequestEnvelope| {
+                Ok(ResponseEnvelope::ok(r.request_id))
+            }));
+        assert!(p.call(backup(1, 10_000_000)).is_ok());
         assert_eq!(quota.usage("acme"), 10_000_000);
     }
 
     #[test]
     fn non_ingesting_ops_reserve_nothing() {
         let quota = Arc::new(TenantQuota::new().budget("acme", 10));
-        let p = PipelineExecutor::new(
-            vec![quota.clone()],
-            Arc::new(|r: RequestEnvelope| Ok(ResponseEnvelope::ok(r.request_id))),
-        );
+        let p = ServiceBuilder::new()
+            .layer(quota.clone())
+            .build_with_backend(Arc::new(|r: RequestEnvelope| {
+                Ok(ResponseEnvelope::ok(r.request_id))
+            }));
         // A huge restore payload-to-be doesn't touch the budget.
-        let resp = p.execute(RequestEnvelope::new(
+        let resp = p.call(RequestEnvelope::new(
             1,
             "acme",
             Operation::Restore { file_id: 7 },

@@ -204,7 +204,7 @@ impl Middleware for RateLimit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Operation, PipelineExecutor, ResponseEnvelope};
+    use crate::{Operation, ResponseEnvelope, ServiceBuilder};
     use sigma_core::ServiceCode;
 
     #[test]
@@ -311,14 +311,15 @@ mod tests {
 
     #[test]
     fn middleware_rejects_with_resource_exhausted() {
-        let p = PipelineExecutor::new(
-            vec![std::sync::Arc::new(RateLimit::new(1, 0.0))],
-            std::sync::Arc::new(|r: RequestEnvelope| Ok(ResponseEnvelope::ok(r.request_id))),
-        );
+        let p = ServiceBuilder::new()
+            .layer(std::sync::Arc::new(RateLimit::new(1, 0.0)))
+            .build_with_backend(std::sync::Arc::new(|r: RequestEnvelope| {
+                Ok(ResponseEnvelope::ok(r.request_id))
+            }));
         assert!(p
-            .execute(RequestEnvelope::new(1, "t", Operation::Stats))
+            .call(RequestEnvelope::new(1, "t", Operation::Stats))
             .is_ok());
-        let resp = p.execute(RequestEnvelope::new(2, "t", Operation::Stats));
+        let resp = p.call(RequestEnvelope::new(2, "t", Operation::Stats));
         assert_eq!(resp.code, ServiceCode::ResourceExhausted);
     }
 }
